@@ -99,10 +99,12 @@ class STCModel(ABC):
     def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
         """Evaluate a batch of block tasks; ``results[i]`` is ``tasks[i]``'s.
 
-        The default steps :meth:`simulate_block` per task.  Models with
-        a vectorised path (:class:`~repro.arch.unistc.UniSTC`) override
-        this; overrides must return results equal to the per-block path
-        — the engine's memo treats the two interchangeably.
+        Every registered model overrides this with an array evaluator
+        over operand stacks (built with :mod:`repro.arch.batch`); the
+        default, which steps :meth:`simulate_block` per task, serves
+        only out-of-tree models.  Overrides must return results equal
+        to the per-block path — the engine's memo treats the two
+        interchangeably.
         """
         return [self.simulate_block(task) for task in tasks]
 

@@ -4,9 +4,10 @@
 pairs in one pass of numpy array ops — the cold-path complement to the
 engine's warm-path memoisation.  Per batch it
 
-1. stacks the operand bitmaps (``[N, 16, 16]`` / ``[N, 16, n]``) and
-   decodes the level-1/level-2 views of *every* block at once
-   (:func:`decode_a_operands` / :func:`decode_b_operands`);
+1. takes the operand bitmaps stacked by
+   :func:`~repro.arch.batch.evaluate_stacked` (``[N, 16, 16]`` /
+   ``[N, 16, n]``) and decodes the level-1/level-2 views of *every*
+   block at once (:func:`decode_a_operands` / :func:`decode_b_operands`);
 2. computes every block's T3 product counts with one batched einsum
    (:func:`~repro.arch.tms.tile_products_batch`);
 3. resolves **regular pattern classes analytically** — empty blocks,
@@ -36,14 +37,16 @@ in the integer domain.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.base import BlockResult, VECTOR_WIDTH
+from repro.arch.batch import ACTION_COL, block_results, evaluate_stacked, util_bins
 from repro.arch.config import UniSTCConfig
-from repro.arch.counters import ACTIONS, Counters
+from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
@@ -271,32 +274,6 @@ def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int) -> Tuple[np.ndarra
     return cyc, cycle
 
 
-#: Column of each action inside the flattened action vector.
-_COL = {name: 6 + j for j, name in enumerate(ACTIONS)}
-
-#: Counter insertion order of the stepped path (Counters dicts built
-#: here keep the same key order so the two paths stay drop-in equal).
-_STEP_ORDER = (
-    "meta_reads",
-    "dpg_active_cycles",
-    "dpg_gated_cycles",
-    "sched_cycles",
-    "lane_cycles",
-    "tile_fetches",
-    "queue_ops",
-    "a_elem_reads",
-    "b_elem_reads",
-    "a_net_transfers",
-    "b_net_transfers",
-    "a_broadcasts",
-    "b_broadcasts",
-    "accum_accesses",
-    "c_elem_writes",
-    "c_net_transfers",
-    "mac_ops",
-)
-_STEP_COLS = [_COL[name] for name in _STEP_ORDER]
-
 #: Shared empty-block results keyed by (macs, num_dpgs, gating, meta).
 #: Results are immutable once built, so identical empty blocks may
 #: share one object; meta_reads takes few distinct values (2 + nonzero
@@ -322,13 +299,13 @@ def _empty_result(cfg: UniSTCConfig, meta_reads: int) -> BlockResult:
     vec = np.zeros(VECTOR_WIDTH, dtype=np.int64)
     vec[0] = 1
     vec[2] = 1
-    vec[_COL["meta_reads"]] = meta_reads
-    vec[_COL["sched_cycles"]] = 1
-    vec[_COL["lane_cycles"]] = cfg.macs
+    vec[ACTION_COL["meta_reads"]] = meta_reads
+    vec[ACTION_COL["sched_cycles"]] = 1
+    vec[ACTION_COL["lane_cycles"]] = cfg.macs
     if cfg.dynamic_gating:
-        vec[_COL["dpg_gated_cycles"]] = cfg.num_dpgs
+        vec[ACTION_COL["dpg_gated_cycles"]] = cfg.num_dpgs
     else:
-        vec[_COL["dpg_active_cycles"]] = cfg.num_dpgs
+        vec[ACTION_COL["dpg_active_cycles"]] = cfg.num_dpgs
     result._int_vector = vec
     _EMPTY_TEMPLATES[key] = result
     return result
@@ -338,34 +315,17 @@ def simulate_blocks(stc, tasks: Sequence[T1Task]) -> List[BlockResult]:
     """Batched block evaluation for a :class:`~repro.arch.unistc.UniSTC`.
 
     ``results[i]`` equals ``stc.simulate_block(tasks[i])`` exactly;
-    only the evaluation strategy differs.  Tasks of mixed B widths are
-    grouped per width and evaluated group-at-a-time.
+    only the evaluation strategy differs.
     """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    groups: dict = {}
-    for index, task in enumerate(tasks):
-        groups.setdefault(task.n, []).append(index)
-    results: List[Optional[BlockResult]] = [None] * len(tasks)
-    for indices in groups.values():
-        group_results = _evaluate_group(stc, [tasks[i] for i in indices])
-        for index, result in zip(indices, group_results):
-            results[index] = result
-    return results
+    return evaluate_stacked(tasks, partial(_evaluate_group, stc))
 
 
-def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
-    """Evaluate one uniform-B-width group of tasks."""
+def _evaluate_group(
+    stc, a_stack: np.ndarray, b_stack: np.ndarray, tasks: List[T1Task]
+) -> List[BlockResult]:
+    """Evaluate one uniform-B-width stack of tasks."""
     cfg = stc.config
     count = len(tasks)
-    n = tasks[0].n
-    a_stack = np.frombuffer(
-        b"".join(t.a_bits for t in tasks), dtype=bool
-    ).reshape(count, 16, 16)
-    b_stack = np.frombuffer(
-        b"".join(t.b_bits for t in tasks), dtype=bool
-    ).reshape(count, 16, n)
     a_tiles, a_cols = decode_a_operands(a_stack)
     b_tiles, b_rows, n_cols = decode_b_operands(b_stack)
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
@@ -483,11 +443,8 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
         gcyc, weights=pp, minlength=ncycles
     ).astype(np.int64)
     cycle_tasks = np.bincount(gcyc, minlength=ncycles)
-    # ceil(4 * products / macs) - 1 clipped to 3, in integer arithmetic
-    # (scheduled cycles always carry >= 1 product, so the bin is >= 0).
-    util_bin = np.minimum(3, (4 * cycle_products + macs - 1) // macs - 1)
     bins = np.bincount(
-        block_of_cycle * 4 + util_bin, minlength=nfast * 4
+        block_of_cycle * 4 + util_bins(cycle_products, macs), minlength=nfast * 4
     ).reshape(nfast, 4)
 
     first_cycle = np.zeros(ncycles, dtype=bool)
@@ -537,77 +494,36 @@ def _evaluate_group(stc, tasks: List[T1Task]) -> List[BlockResult]:
     )
 
     # -- assembly --------------------------------------------------------
-    # Counter dicts are built directly (same insertion order and
-    # zero-skip rule as the stepped path's Counters.add calls).
     cycles_total = ncyc + stalls
     bins[:, 0] += stalls
-    gating = cfg.dynamic_gating
-    if gating:
+    if cfg.dynamic_gating:
         active = tasks_per_block
         gated = nd * ncyc - tasks_per_block + nd * stalls
     else:
         active = nd * cycles_total
-        gated = np.zeros(nfast, dtype=np.int64)
+        gated = 0
     block_products = totals[fast_global]
-    block_meta = meta[fast_global]
-
-    # Flattened action vectors for the whole batch at once — the
-    # engine's aggregation consumes these (action_vector_int), so
-    # stashing them here keeps the cold path free of per-result
-    # Counters.get loops.
-    vec = np.zeros((nfast, VECTOR_WIDTH), dtype=np.int64)
-    t4_col = dpg_totals[:, 0]
-    vec[:, 0] = cycles_total
-    vec[:, 1] = block_products
-    vec[:, 2:6] = bins
-    vec[:, _COL["mac_ops"]] = block_products
-    vec[:, _COL["lane_cycles"]] = macs * cycles_total
-    vec[:, _COL["a_elem_reads"]] = dpg_totals[:, 1]
-    vec[:, _COL["b_elem_reads"]] = dpg_totals[:, 2]
-    vec[:, _COL["c_elem_writes"]] = c_outputs
-    vec[:, _COL["a_net_transfers"]] = dpg_totals[:, 1]
-    vec[:, _COL["b_net_transfers"]] = dpg_totals[:, 2]
-    vec[:, _COL["c_net_transfers"]] = c_outputs
-    vec[:, _COL["a_broadcasts"]] = dpg_totals[:, 3]
-    vec[:, _COL["b_broadcasts"]] = dpg_totals[:, 4]
-    vec[:, _COL["tile_fetches"]] = fetches
-    vec[:, _COL["meta_reads"]] = block_meta
-    vec[:, _COL["queue_ops"]] = 2 * tasks_per_block + 2 * t4_col
-    vec[:, _COL["dpg_active_cycles"]] = active
-    vec[:, _COL["dpg_gated_cycles"]] = gated
-    vec[:, _COL["accum_accesses"]] = dpg_totals[:, 5]
-    vec[:, _COL["sched_cycles"]] = cycles_total
-
-    # Every counter of a non-empty block is provably positive except
-    # dpg_gated_cycles (zero whenever gating is off, or every window
-    # fills all DPGs), so the stepped path's zero-skip reduces to one
-    # conditional delete on an unconditionally zip-built dict.
-    counter_rows = vec[:, _STEP_COLS].astype(np.float64).tolist()
-    cycle_list = cycles_total.tolist()
-    product_list = block_products.tolist()
-    target_list = fast_global.tolist()
-    gated_list = gated.tolist()
-    # Constructors are bypassed (plain __new__ + attribute fill): this
-    # loop builds tens of thousands of results per corpus batch, and
-    # the dataclass __init__/__post_init__ overhead triples its cost.
-    # All invariants the constructors check hold here: cycles/products
-    # are non-negative and the counter dict carries nonzero floats.
-    new_counters = Counters.__new__
-    new_hist = UtilHistogram.__new__
-    new_result = BlockResult.__new__
-    for f in range(nfast):
-        counters = new_counters(Counters)
-        data = dict(zip(_STEP_ORDER, counter_rows[f]))
-        if not gated_list[f]:
-            del data["dpg_gated_cycles"]
-        counters._data = data
-        hist = new_hist(UtilHistogram)
-        hist.bins = bins[f]
-        result = new_result(BlockResult)
-        result.cycles = cycle_list[f]
-        result.products = product_list[f]
-        result.util_hist = hist
-        result.counters = counters
-        result._int_vector = vec[f]
-        results[target_list[f]] = result
+    a_fetch, b_fetch = dpg_totals[:, 1], dpg_totals[:, 2]
+    fast_results = block_results(cycles_total, block_products, bins, {
+        # The stepped path's Counters.add order.
+        "meta_reads": meta[fast_global],
+        "dpg_active_cycles": active,
+        "dpg_gated_cycles": gated,
+        "sched_cycles": cycles_total,
+        "lane_cycles": macs * cycles_total,
+        "tile_fetches": fetches,
+        "queue_ops": 2 * tasks_per_block + 2 * dpg_totals[:, 0],
+        "a_elem_reads": a_fetch,
+        "b_elem_reads": b_fetch,
+        "a_net_transfers": a_fetch,
+        "b_net_transfers": b_fetch,
+        "a_broadcasts": dpg_totals[:, 3],
+        "b_broadcasts": dpg_totals[:, 4],
+        "accum_accesses": dpg_totals[:, 5],
+        "c_elem_writes": c_outputs,
+        "c_net_transfers": c_outputs,
+        "mac_ops": block_products,
+    })
+    for index, result in zip(fast_global.tolist(), fast_results):
+        results[index] = result
     return results

@@ -18,11 +18,16 @@ model reproduces DS-STC's published strengths and weaknesses:
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
+import numpy as np
+
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, chunks, operand_arrays
+from repro.baselines.common import ceil_div, chunks, operand_arrays, t3_shape
 
 
 class DsSTC(STCModel):
@@ -31,7 +36,7 @@ class DsSTC(STCModel):
     def __init__(self, precision: Precision = FP64):
         self.precision = precision
         self.chunk_a = 8
-        self.chunk_b = 8 if precision.macs == 64 else 16
+        self.chunk_b = t3_shape("ds-stc", {64: 8, 128: 16}, precision)
         self.name = "ds-stc"
 
     @property
@@ -79,3 +84,47 @@ class DsSTC(STCModel):
         counters.add("lane_cycles", self.macs * cycles)
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        A K layer's rank-1 update splits into full/partial A chunks x
+        full/partial B chunks, so its cycles fall into four product
+        classes, each counted in closed form.
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        ca, cb = self.chunk_a, self.chunk_b
+        na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
+        nb = b.sum(axis=2, dtype=np.int64)                       # [N, k]
+        live = (na > 0) & (nb > 0)
+        na_live = na * live
+        a_chunks = -(-na_live // ca)
+        products = (na * nb).sum(axis=1)
+        # Four cycle classes per K layer: (full | partial A chunk) x
+        # (full | partial B chunk), with their counts and products.
+        qa, ra = na_live // ca, na_live % ca
+        qb, rb = nb // cb, nb % cb
+        eff = np.stack([np.full_like(na, ca * cb), ca * rb, ra * cb, ra * rb], axis=1)
+        count = np.stack([qa * qb, qa * (rb > 0), (ra > 0) * qb, (ra > 0) * (rb > 0)], axis=1)
+        hist = histogram_rows(util_bins(eff, self.macs), count)
+        steps = count.sum(axis=(1, 2))
+        cycles = np.maximum(steps, 1)
+        hist[:, 0] += steps == 0
+
+        a_reads = na_live.sum(axis=1)
+        b_reads = (nb * a_chunks).sum(axis=1)
+        return block_results(cycles, products, hist, {
+            "meta_reads": 2 * live.sum(axis=1),
+            "a_elem_reads": a_reads,
+            "a_net_transfers": a_reads,
+            "b_elem_reads": b_reads,
+            "b_net_transfers": b_reads,
+            "mac_ops": products,
+            "c_elem_writes": products,
+            "c_net_transfers": products,
+            "accum_accesses": products,
+            "lane_cycles": self.macs * cycles,
+            "sched_cycles": cycles,
+        })

@@ -13,13 +13,16 @@ stays uniform, not for the energy figures.
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import chunks, operand_arrays
+from repro.baselines.common import chunks, operand_arrays, t3_shape
 
 
 class Gamma(STCModel):
@@ -27,7 +30,7 @@ class Gamma(STCModel):
 
     def __init__(self, precision: Precision = FP64):
         self.precision = precision
-        self.chunk_cols = 4 if precision.macs == 64 else 8
+        self.chunk_cols = t3_shape("gamma", {64: 4, 128: 8}, precision)
         self.rows = 16
         self.name = "gamma"
 
@@ -74,3 +77,40 @@ class Gamma(STCModel):
         counters.add("lane_cycles", self.macs * cycles)
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        A live K layer runs its full B chunks plus at most one partial
+        one, so its cycles fall into two product classes.
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        cc = self.chunk_cols
+        na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
+        nb = b.sum(axis=2, dtype=np.int64) * (na > 0)            # [N, k]
+        live = nb > 0
+        na_live = na * live
+        products = (na * nb).sum(axis=1)
+        eff = np.stack([na * cc, na * (nb % cc)], axis=1)
+        count = np.stack([nb // cc, nb % cc > 0], axis=1)
+        hist = histogram_rows(util_bins(eff, self.macs), count)
+        steps = count.sum(axis=(1, 2))
+        cycles = np.maximum(steps, 1)
+        hist[:, 0] += steps == 0
+
+        a_reads, b_reads = na_live.sum(axis=1), nb.sum(axis=1)
+        return block_results(cycles, products, hist, {
+            "meta_reads": 2 * live.sum(axis=1),
+            "a_elem_reads": a_reads,
+            "a_net_transfers": a_reads,
+            "b_elem_reads": b_reads,
+            "b_net_transfers": b_reads,
+            "mac_ops": products,
+            "c_elem_writes": products,
+            "c_net_transfers": products,
+            "accum_accesses": products,
+            "lane_cycles": self.macs * cycles,
+            "sched_cycles": cycles,
+        })

@@ -12,19 +12,28 @@ on dual-sided or unstructured patterns.
 
 from __future__ import annotations
 
+from typing import List, Optional, Sequence
+
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import evaluate_stacked
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, operand_arrays
+from repro.baselines.common import ceil_div, operand_arrays, t3_shape
+from repro.baselines.nv_dtc import T2_M, T3_N, nv_results
+
+
+def blocks_satisfy_2to4(a: np.ndarray, group: int = 4, keep: int = 2) -> np.ndarray:
+    """Which blocks of an ``[N, 16, 16]`` A stack satisfy 2:4 along K?"""
+    windows = a.reshape(a.shape[0], 16, 16 // group, group)
+    return (windows.sum(axis=3) <= keep).all(axis=(1, 2))
 
 
 def block_satisfies_2to4(a: np.ndarray, group: int = 4, keep: int = 2) -> bool:
     """Does this 16x16 A block satisfy 2:4 along K (its columns)?"""
-    windows = a.reshape(16, 16 // group, group)
-    return bool((windows.sum(axis=2) <= keep).all())
+    return bool(blocks_satisfy_2to4(a[None], group, keep)[0])
 
 
 class NvDTCSparse(STCModel):
@@ -32,8 +41,8 @@ class NvDTCSparse(STCModel):
 
     def __init__(self, precision: Precision = FP64):
         self.precision = precision
-        self.t3_m = 4 if precision.macs == 64 else 8
-        self.t3_n = 4
+        self.t3_m = t3_shape("nv-dtc-2:4", {64: 4, 128: 8}, precision)
+        self.t3_n = T3_N
         self.t3_k = 4
         self.name = "nv-dtc-2:4"
 
@@ -56,7 +65,7 @@ class NvDTCSparse(STCModel):
         cycles = 0
         products = 0
 
-        t2_m, t2_n = 8, min(8, n)
+        t2_m, t2_n = T2_M, min(8, n)
         t2_k = 4 * k_speedup
         for mi in range(ceil_div(16, t2_m)):
             for ni in range(ceil_div(n, t2_n)):
@@ -93,3 +102,32 @@ class NvDTCSparse(STCModel):
         counters.add("sched_cycles", cycles)
         counters.add("meta_reads", 2 if structured else 1)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        The stack splits on the 2:4 test, because structured blocks run
+        a T2 grid with twice the K extent.
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        satisfied = blocks_satisfy_2to4(a)
+        results: List[Optional[BlockResult]] = [None] * a.shape[0]
+        for structured in (False, True):
+            part = np.flatnonzero(satisfied == structured)
+            if part.size == 0:
+                continue
+            k_speedup = 2 if structured else 1
+            t2_k = 4 * k_speedup
+            # The stepped path's min(1, eff / macs) bins like eff / macs
+            # clipped to the top bin, which util_bins already does.
+            part_results = nv_results(
+                a[part], b[part], self.t3_m, t2_k,
+                a_reads_per_t3=self.t3_m * t2_k // k_speedup,
+                meta=2 if structured else 1,
+                macs=self.macs,
+            )
+            for index, result in zip(part.tolist(), part_results):
+                results[index] = result
+        return results

@@ -20,15 +20,38 @@ keeps its published limitations:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import operand_arrays
+from repro.baselines.common import POP16, ceil_div, operand_arrays, pair_row_masks, t3_shape
+
+
+def _chunk_masks(width: int) -> np.ndarray:
+    """``[65536, 16 // width]`` live-column chunks of every 16-bit mask.
+
+    Chunk ``c`` of a mask holds its set bits of rank ``width * c`` up to
+    ``width * (c + 1) - 1`` — the stepped path's ``c0`` slices of a
+    pair's live columns.
+    """
+    masks = np.arange(1 << 16, dtype=np.uint16)
+    table = np.zeros((1 << 16, 16 // width), dtype=np.uint16)
+    rank = np.zeros(1 << 16, dtype=np.intp)       # set bits below bit j
+    for j in range(16):
+        bit = (masks >> j) & 1
+        table[masks, rank // width] |= bit << j
+        rank += bit
+    return table
+
+
+#: Columns per lane slot (the T3 task's N = 4 at both precisions).
+CHUNK_COLS = 4
+_CHUNK_MASKS = _chunk_masks(CHUNK_COLS)
 
 
 class RmSTC(STCModel):
@@ -36,8 +59,8 @@ class RmSTC(STCModel):
 
     def __init__(self, precision: Precision = FP64):
         self.precision = precision
-        self.lanes = 8 if precision.macs == 64 else 16
-        self.chunk_cols = 4
+        self.lanes = t3_shape("rm-stc", {64: 8, 128: 16}, precision)
+        self.chunk_cols = CHUNK_COLS
         self.k_pair = 2
         self.name = "rm-stc"
 
@@ -122,3 +145,75 @@ class RmSTC(STCModel):
         return BlockResult(
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        A row's lane slots are its scalar pairs' live-column chunks, in
+        pair order.  The greedy issue runs as 16 vectorised steps over
+        ``[N, lanes]`` loads — longest row first (ties in row order),
+        each onto the first least-loaded lane — which fixes every row's
+        start cycle; per-cycle products then follow from one bincount
+        over (block, cycle).
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        count, n = b.shape[0], b.shape[2]
+        first, second = pair_row_masks(a, b)                     # [N, i, p]
+        live, both = first | second, first & second
+        live_cols = POP16[live].astype(np.int64)
+        slots = -(-live_cols // self.chunk_cols)
+        row_slots = slots.sum(axis=2)                            # [N, i]
+        pair_start = np.cumsum(slots, axis=2) - slots            # [N, i, p]
+
+        # Greedy issue: every row's start cycle on its lane.
+        order = np.argsort(-row_slots, axis=1, kind="stable")
+        blocks = np.arange(count)
+        loads = np.zeros((count, self.lanes), dtype=np.int64)
+        start = np.zeros((count, 16), dtype=np.int64)
+        for step in range(16):
+            row = order[:, step]
+            lane = loads.argmin(axis=1)
+            start[blocks, row] = loads[blocks, lane]
+            loads[blocks, lane] += row_slots[blocks, row]
+        steps = loads.max(axis=1)
+        cycles = np.maximum(steps, 1)
+
+        # Every (pair, chunk) slot, placed at its row's start cycle.  A
+        # slot multiplies its live columns once per merged row holding
+        # them: one product each, two where both rows do.
+        blk, row, pair, chunk = np.nonzero(
+            np.arange(ceil_div(n, self.chunk_cols)) < slots[..., None]
+        )
+        masks = _CHUNK_MASKS[live[blk, row, pair], chunk]
+        slot_eff = POP16[masks] + POP16[masks & both[blk, row, pair]]
+        span = int(cycles.max())
+        slot_cycle = blk * span + start[blk, row] + pair_start[blk, row, pair] + chunk
+        cycle_eff = np.bincount(
+            slot_cycle, weights=slot_eff, minlength=count * span
+        ).astype(np.int64).reshape(count, span)
+        hist = histogram_rows(
+            util_bins(cycle_eff, self.macs), np.arange(span) < cycles[:, None]
+        )
+
+        products = cycle_eff.sum(axis=1)
+        row_nnz = a.sum(axis=2, dtype=np.int64)
+        a_reads = row_nnz.sum(axis=1)
+        # Each B row a live pair uses is fetched once per block; a row
+        # no live pair uses is empty anyway, so every K column of A counts.
+        b_traffic = (a.any(axis=1) * b.sum(axis=2, dtype=np.int64)).sum(axis=1)
+        c_writes = live_cols.sum(axis=(1, 2))
+        return block_results(cycles, products, hist, {
+            "a_elem_reads": a_reads,
+            "a_net_transfers": a_reads,
+            "meta_reads": (row_nnz > 0).sum(axis=1),
+            "b_elem_reads": b_traffic,
+            "b_net_transfers": b_traffic,
+            "c_elem_writes": c_writes,
+            "c_net_transfers": c_writes,
+            "accum_accesses": c_writes,
+            "mac_ops": products,
+            "lane_cycles": self.macs * cycles,
+            "sched_cycles": cycles,
+        })

@@ -11,13 +11,16 @@ stated reason Uni-STC beats it (§VI-C.1).
 
 from __future__ import annotations
 
+from typing import List, Sequence
+
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, operand_arrays
+from repro.baselines.common import ceil_div, operand_arrays, t3_shape
 
 
 class Sigma(STCModel):
@@ -25,7 +28,7 @@ class Sigma(STCModel):
 
     def __init__(self, precision: Precision = FP64):
         self.precision = precision
-        self.chunk_cols = 4 if precision.macs == 64 else 8
+        self.chunk_cols = t3_shape("sigma", {64: 4, 128: 8}, precision)
         self.name = "sigma"
 
     @property
@@ -75,3 +78,49 @@ class Sigma(STCModel):
         counters.add("lane_cycles", self.macs * cycles)
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        Column groups chunk each block's *live* B columns by their rank
+        among them; a (row, group) pair with products is one cycle.
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        count, n = b.shape[0], b.shape[2]
+        groups = ceil_div(n, self.chunk_cols)
+        col_nnz = b.sum(axis=1, dtype=np.int64)                  # [N, j]
+        live = col_nnz > 0
+        group = (np.cumsum(live, axis=1) - 1) // self.chunk_cols
+        select = live[:, :, None] & (group[:, :, None] == np.arange(groups))
+        select32 = select.astype(np.float32)                     # [N, j, g]
+        # float32 matmuls: every sum here is exact (<= 16 * 16).
+        match = a.astype(np.float32) @ b.astype(np.float32)      # [N, i, j]
+        eff = (match @ select32).astype(np.int64)                # [N, i, g]
+        writes = ((match > 0).astype(np.float32) @ select32).astype(np.int64)
+        group_b = (col_nnz[:, None, :] @ select).reshape(count, groups)
+        run = eff > 0
+        steps = run.sum(axis=(1, 2))
+        products = eff.sum(axis=(1, 2))
+        hist = histogram_rows(util_bins(eff, self.macs), run)
+        cycles = np.maximum(steps, 1)
+        hist[:, 0] += steps == 0
+        row_nnz = a.sum(axis=2, dtype=np.int64) * live.any(axis=1)[:, None]
+
+        a_reads = row_nnz.sum(axis=1)
+        b_reads = (run * group_b[:, None, :]).sum(axis=(1, 2))
+        c_writes = writes.sum(axis=(1, 2))
+        return block_results(cycles, products, hist, {
+            "meta_reads": (row_nnz > 0).sum(axis=1),
+            "a_elem_reads": a_reads,
+            "a_net_transfers": a_reads,
+            "mac_ops": products,
+            "b_elem_reads": b_reads,
+            "b_net_transfers": b_reads,
+            "c_elem_writes": c_writes,
+            "c_net_transfers": c_writes,
+            "accum_accesses": c_writes,
+            "lane_cycles": self.macs * cycles,
+            "sched_cycles": cycles,
+        })

@@ -20,15 +20,17 @@ Two behaviours the paper reports emerge from this shape:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
+from repro.arch.batch import block_results, evaluate_stacked, histogram_rows
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, operand_arrays
+from repro.baselines.common import POP16, ceil_div, operand_arrays, pair_row_masks
+from repro.errors import ConfigError
 
 #: Row lanes in the array (the shared M = 16 of all three modes).
 ROW_LANES = 16
@@ -38,6 +40,11 @@ class Trapezoid(STCModel):
     """Trapezoid grouped row-lane model (best mode per task)."""
 
     def __init__(self, precision: Precision = FP64):
+        if precision.macs <= 0 or precision.macs % ROW_LANES:
+            raise ConfigError(
+                f"trapezoid needs a MAC budget divisible into {ROW_LANES} "
+                f"row lanes, got {precision.macs} MACs at {precision.name}"
+            )
         self.precision = precision
         self.lane_macs = precision.macs // ROW_LANES
         self.k_per_step = 2  # TrIP/TrGS process K pairs inside a lane
@@ -105,3 +112,53 @@ class Trapezoid(STCModel):
         return BlockResult(
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
+
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+        """Array evaluation of :meth:`simulate_block` over operand stacks.
+
+        A cycle's utilisation is a float sum of ``work / row_cycles``
+        over the rows still running, which the stepped path adds in row
+        order; 16 masked row-by-row adds over ``[N, cycles]`` keep that
+        order, so every bin edge falls exactly where it does there.
+        """
+        return evaluate_stacked(tasks, self._evaluate)
+
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+        count = a.shape[0]
+        first, second = pair_row_masks(a, b)                     # [N, i, p]
+        live = POP16[first | second].astype(np.int64)
+        # Every nonzero of a pair's merged rows sits in a live column.
+        work = (POP16[first].astype(np.int64) + POP16[second]).sum(axis=2)  # [N, i]
+        slots = (-(-(live * self.k_per_step) // self.lane_macs)).sum(axis=2)
+        row_cycles = np.where(
+            slots > 0, np.maximum(-(-work // self.lane_macs), slots), 0
+        )
+        steps = row_cycles.max(axis=1)
+        cycles = np.maximum(steps, 1)
+
+        span = np.arange(int(cycles.max()))
+        rate = work / np.maximum(row_cycles, 1)
+        eff = np.zeros((count, span.size))
+        for i in range(16):
+            eff += np.where(span < row_cycles[:, i : i + 1], rate[:, i : i + 1], 0.0)
+        util = np.minimum(1.0, eff / self.macs)
+        bins = np.clip(np.ceil(util * 4).astype(np.int64) - 1, 0, 3)
+        hist = histogram_rows(bins, span < cycles[:, None])
+
+        products = work.sum(axis=1)
+        a_reads = a.sum(axis=(1, 2), dtype=np.int64)
+        c_writes = live.sum(axis=(1, 2))
+        return block_results(cycles, products, hist, {
+            "a_elem_reads": a_reads,
+            "a_net_transfers": a_reads,
+            # A live pair reads both its B rows: every merged product.
+            "b_elem_reads": products,
+            "b_net_transfers": products,
+            "c_elem_writes": c_writes,
+            "c_net_transfers": c_writes,
+            "accum_accesses": c_writes,
+            "mac_ops": products,
+            "lane_cycles": self.macs * cycles,
+            "sched_cycles": cycles,
+            "meta_reads": 2 * (steps > 0),
+        })

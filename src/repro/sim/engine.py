@@ -170,9 +170,9 @@ def simulate_batches(
     (or the memo) exactly once with its aggregate weight.  All memo
     misses of a batch are dispatched together through
     :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
-    call on models with a vectorised path — and inserted into the
-    shared cache unchanged.  Aggregation is a single weighted matrix
-    product over the flattened results
+    call, since every registered model has an array evaluator — and
+    inserted into the shared cache unchanged.  Aggregation is a single
+    weighted matrix product over the flattened results
     (:meth:`~repro.arch.base.BlockResult.action_vector_int`), carried
     in int64 so corpus-scale totals stay exact (falling back to float64
     only for models whose counters are genuinely fractional) — totals

@@ -18,7 +18,7 @@ pattern simulated on one core is a hit on every other.
 Each core runs through :func:`repro.sim.engine.simulate_batches`, so
 the cold misses of every core are dispatched through the model's
 batched evaluator (:meth:`~repro.arch.base.STCModel.simulate_blocks`,
-vectorised for Uni-STC by :mod:`repro.arch.fastpath`) — multi-core
+an array evaluator for every registered model) — multi-core
 sweeps get the fast cold path for free, with results identical to the
 stepped reference by that API's contract.
 """

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arch.config import FP32, FP64
+from repro.arch.config import FP32, FP64, Precision
 from repro.arch.unistc import UniSTC
-from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
+from repro.registry import create_stc, entry_for, registered_stcs
 from repro.workloads.synthetic import banded, poisson2d, random_uniform
 
 
@@ -59,18 +59,18 @@ def uni():
     return UniSTC()
 
 
-@pytest.fixture(params=["nv-dtc", "gamma", "sigma", "trapezoid", "ds-stc", "rm-stc", "uni-stc"])
+def stc_at(name: str, precision: Precision):
+    """The registered STC ``name`` built for ``precision``."""
+    config_cls = entry_for(name).config_cls
+    if config_cls is Precision:
+        return create_stc(name, precision)
+    return create_stc(name, config_cls(precision=precision))
+
+
+@pytest.fixture(params=registered_stcs())
 def any_stc(request):
-    """Every simulated architecture, FP64."""
-    return {
-        "nv-dtc": NvDTC,
-        "gamma": Gamma,
-        "sigma": Sigma,
-        "trapezoid": Trapezoid,
-        "ds-stc": DsSTC,
-        "rm-stc": RmSTC,
-        "uni-stc": UniSTC,
-    }[request.param]()
+    """Every registered architecture, FP64."""
+    return create_stc(request.param)
 
 
 @pytest.fixture(params=[FP64, FP32])

@@ -14,57 +14,69 @@ DENSE_VEC = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool))
 EMPTY = T1Task.from_bitmaps(np.zeros((16, 16), bool), np.zeros((16, 16), bool))
 
 
+def both_paths(stc, task):
+    """``task``'s result through ``simulate_block`` and ``simulate_blocks``."""
+    return stc.simulate_block(task), stc.simulate_blocks([task])[0]
+
+
 class TestSharedInvariants:
-    """Parametrised over every architecture via the any_stc fixture."""
+    """The cross-model contract, for every registered architecture (the
+    any_stc fixture) through both the stepped and the batched path."""
 
     def test_dense_block_full_throughput(self, any_stc):
-        result = any_stc.simulate_block(DENSE)
-        assert result.cycles == 4096 // any_stc.macs
-        assert result.products == 4096
-        assert result.util_hist.fractions()[3] == 1.0
+        for result in both_paths(any_stc, DENSE):
+            assert result.cycles == 4096 // any_stc.macs
+            assert result.products == 4096
+            assert result.util_hist.fractions()[3] == 1.0
 
     def test_empty_block_one_cycle(self, any_stc):
-        result = any_stc.simulate_block(EMPTY)
-        assert result.cycles == 1
-        assert result.products == 0
+        for result in both_paths(any_stc, EMPTY):
+            assert result.cycles == 1
+            assert result.products == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_products_conserved(self, any_stc, seed):
         task = make_block_task(0.3, 0.3, seed)
-        result = any_stc.simulate_block(task)
-        assert result.products == task.intermediate_products()
+        for result in both_paths(any_stc, task):
+            assert result.products == task.intermediate_products()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_mac_ops_equal_products(self, any_stc, seed):
+        task = make_block_task(0.3, 0.5, seed)
+        for result in both_paths(any_stc, task):
+            assert result.counters.get("mac_ops") == result.products
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cycles_at_least_ideal(self, any_stc, seed):
         task = make_block_task(0.4, 0.4, seed)
-        result = any_stc.simulate_block(task)
-        assert result.cycles >= -(-task.intermediate_products() // any_stc.macs)
+        for result in both_paths(any_stc, task):
+            assert result.cycles >= -(-task.intermediate_products() // any_stc.macs)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_histogram_covers_cycles(self, any_stc, seed):
         task = make_block_task(0.25, 0.4, seed)
-        result = any_stc.simulate_block(task)
-        assert result.util_hist.cycles == result.cycles
+        for result in both_paths(any_stc, task):
+            assert result.util_hist.cycles == result.cycles
 
     @pytest.mark.parametrize("seed", range(3))
     def test_lane_cycles_recorded(self, any_stc, seed):
         task = make_block_task(0.3, 0.3, seed)
-        result = any_stc.simulate_block(task)
-        assert result.counters.get("lane_cycles") == any_stc.macs * result.cycles
+        for result in both_paths(any_stc, task):
+            assert result.counters.get("lane_cycles") == any_stc.macs * result.cycles
 
     @pytest.mark.parametrize("seed", range(3))
     def test_vector_task_supported(self, any_stc, seed):
         task = make_block_task(0.4, 0.7, seed, n=1)
-        result = any_stc.simulate_block(task)
-        assert result.products == task.intermediate_products()
-        assert result.cycles >= 1
+        for result in both_paths(any_stc, task):
+            assert result.products == task.intermediate_products()
+            assert result.cycles >= 1
 
     def test_deterministic(self, any_stc):
         task = make_block_task(0.3, 0.3, 42)
-        r1 = any_stc.simulate_block(task)
-        r2 = any_stc.simulate_block(task)
-        assert r1.cycles == r2.cycles
-        assert r1.counters == r2.counters
+        r1, r2 = both_paths(any_stc, task)
+        r3 = any_stc.simulate_block(task)
+        assert r1.cycles == r2.cycles == r3.cycles
+        assert r1.counters == r2.counters == r3.counters
 
 
 class TestStructuralCaps:

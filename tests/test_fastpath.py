@@ -24,94 +24,9 @@ from repro.arch.fastpath import (
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
 from repro.errors import SimulationError
-from repro.formats.bbc import BBCMatrix
-from repro.kernels import KERNELS
-from repro.kernels.batched import coalesce_raw, kernel_task_batches
-from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
-from repro.workloads.synthetic import banded, random_uniform
 
-
-def _kernel_tasks(limit_per_kernel: int = 80) -> list:
-    """Distinct T1 tasks drawn from every kernel's real block stream."""
-    rng = np.random.default_rng(7)
-    mats = [
-        BBCMatrix.from_coo(banded(64, 10, 0.6, seed=1)),
-        BBCMatrix.from_coo(random_uniform(64, 64, 0.08, seed=2)),
-    ]
-    seen = set()
-    tasks = []
-    for bbc in mats:
-        for kernel in KERNELS:
-            operands = {}
-            if kernel == "spmspv":
-                dense = rng.random(bbc.shape[1]) * (rng.random(bbc.shape[1]) < 0.5)
-                operands["x"] = SparseVector.from_dense(dense)
-            elif kernel == "spmm":
-                operands["b_cols"] = 32
-            taken = 0
-            for batch in kernel_task_batches(kernel, bbc, **operands):
-                raw = coalesce_raw(batch)
-                for ai, bi, _ in raw.pairs:
-                    key = (raw.a_bytes[ai], raw.b_bytes[bi], raw.n)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    tasks.append(
-                        T1Task(raw.a_bytes[ai], raw.b_bytes[bi], n=raw.n)
-                    )
-                    taken += 1
-                    if taken >= limit_per_kernel:
-                        break
-                if taken >= limit_per_kernel:
-                    break
-    return tasks
-
-
-def _handmade_tasks() -> list:
-    """Edge-case blocks the corpus draw may not cover."""
-    rng = np.random.default_rng(11)
-    tasks = [
-        # Empty A, empty pair, dense-dense (uniform full windows).
-        T1Task.from_bitmaps(np.zeros((16, 16), bool), np.ones((16, 16), bool)),
-        T1Task.from_bitmaps(np.zeros((16, 16), bool), np.zeros((16, 16), bool)),
-        T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool)),
-        # Dense-vector and empty-vector operands (SpMV/SpMSpV shape).
-        T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool)),
-        T1Task.from_bitmaps(np.ones((16, 16), bool), np.zeros((16, 1), bool)),
-    ]
-    # A single dense A column drives every T3 task of a window onto the
-    # same output tile column — the conflict-stall replay path.
-    a = np.zeros((16, 16), bool)
-    a[:, 0:4] = True
-    tasks.append(T1Task.from_bitmaps(a, np.ones((16, 16), bool)))
-    # Single dense A row: one output tile row, DPG-bound windows.
-    a = np.zeros((16, 16), bool)
-    a[0] = True
-    tasks.append(T1Task.from_bitmaps(a, np.ones((16, 16), bool)))
-    for _ in range(12):
-        tasks.append(
-            T1Task.from_bitmaps(
-                rng.random((16, 16)) < 0.3, rng.random((16, 16)) < 0.3
-            )
-        )
-    for _ in range(6):
-        tasks.append(
-            T1Task.from_bitmaps(
-                rng.random((16, 16)) < 0.4, rng.random((16, 1)) < 0.6
-            )
-        )
-    return tasks
-
-
-def _assert_results_equal(batch_results, step_results, label: str):
-    assert len(batch_results) == len(step_results)
-    for i, (got, want) in enumerate(zip(batch_results, step_results)):
-        context = f"{label}, task {i}"
-        assert got.cycles == want.cycles, context
-        assert got.products == want.products, context
-        assert np.array_equal(got.util_hist.bins, want.util_hist.bins), context
-        assert got.counters.as_dict() == want.counters.as_dict(), context
+from tests.blocks import assert_results_equal, handmade_tasks, kernel_tasks
 
 
 MODEL_VARIANTS = {
@@ -131,42 +46,43 @@ MODEL_VARIANTS = {
 class TestBatchedParity:
     @pytest.fixture(scope="class")
     def corpus_tasks(self):
-        return _kernel_tasks()
+        return kernel_tasks()
 
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
     def test_kernel_blocks_match_stepped(self, corpus_tasks, variant):
         stc = MODEL_VARIANTS[variant]()
         batch = stc.simulate_blocks(corpus_tasks)
         stepped = [stc.simulate_block(t) for t in corpus_tasks]
-        _assert_results_equal(batch, stepped, variant)
+        assert_results_equal(batch, stepped, variant)
 
     def test_handmade_blocks_match_stepped(self):
-        tasks = _handmade_tasks()
+        tasks = handmade_tasks()
         for variant, build in MODEL_VARIANTS.items():
             stc = build()
             batch = stc.simulate_blocks(tasks)
             stepped = [stc.simulate_block(t) for t in tasks]
-            _assert_results_equal(batch, stepped, f"handmade/{variant}")
+            assert_results_equal(batch, stepped, f"handmade/{variant}")
 
     def test_mixed_width_group_order_preserved(self):
         """Matrix-B and vector-B tasks interleaved keep their slots."""
-        tasks = _handmade_tasks()
+        tasks = handmade_tasks()
         rng = np.random.default_rng(3)
         order = rng.permutation(len(tasks))
         shuffled = [tasks[i] for i in order]
         stc = UniSTC()
         batch = stc.simulate_blocks(shuffled)
         stepped = [stc.simulate_block(t) for t in shuffled]
-        _assert_results_equal(batch, stepped, "mixed-width")
+        assert_results_equal(batch, stepped, "mixed-width")
 
     def test_baseline_models_honour_block_api(self, corpus_tasks):
-        """Models without a vectorised path fall back per block."""
+        """Baselines answer the same batched API (their array evaluators
+        are pinned in depth by test_baseline_batched.py)."""
         some = corpus_tasks[:20]
         for name in ("ds-stc", "rm-stc"):
             stc = create_stc(name)
             batch = stc.simulate_blocks(some)
             stepped = [stc.simulate_block(t) for t in some]
-            _assert_results_equal(batch, stepped, name)
+            assert_results_equal(batch, stepped, name)
 
     def test_int_vector_stash_matches_action_vector(self, corpus_tasks):
         stc = UniSTC()
@@ -186,7 +102,7 @@ class TestFallbackRouting:
         calls = []
         original = stc.simulate_block
         stc.simulate_block = lambda task: (calls.append(task), original(task))[1]
-        stc.simulate_blocks(_handmade_tasks())
+        stc.simulate_blocks(handmade_tasks())
         assert calls == []
 
     def test_over_budget_block_routes_to_stepping(self):

@@ -3,48 +3,45 @@
 import numpy as np
 import pytest
 
-from repro.arch.config import FP16, FP32, FP64, UniSTCConfig
+from repro.arch.config import FP16, FP32, FP64, Precision, UniSTCConfig
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
-from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
+from repro.baselines import DsSTC, RmSTC, Trapezoid
+from repro.errors import ConfigError
+from repro.registry import create_stc, registered_stcs
 
-from tests.conftest import make_block_task
+from tests.conftest import make_block_task, stc_at
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
 DENSE_VEC = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool))
 
-
-def _fp32_models():
-    return [
-        NvDTC(FP32), Gamma(FP32), Sigma(FP32), Trapezoid(FP32),
-        DsSTC(FP32), RmSTC(FP32), UniSTC(UniSTCConfig(precision=FP32)),
-    ]
+#: Every registered architecture; tests index it so each keeps its id.
+MODELS = registered_stcs()
+#: Models whose shape scales to the FP16 budget; Table VI defines the
+#: others at FP64/FP32 only.
+FP16_MODELS = ("trapezoid", "uni-stc")
 
 
 class TestFP32:
-    @pytest.mark.parametrize("model_idx", range(7))
+    @pytest.mark.parametrize("model_idx", range(len(MODELS)))
     def test_dense_block_halves_cycles(self, model_idx):
-        stc = _fp32_models()[model_idx]
+        stc = stc_at(MODELS[model_idx], FP32)
         result = stc.simulate_block(DENSE)
         assert result.cycles == 32
         assert result.products == 4096
         assert result.util_hist.fractions()[3] == 1.0
 
-    @pytest.mark.parametrize("model_idx", range(7))
+    @pytest.mark.parametrize("model_idx", range(len(MODELS)))
     @pytest.mark.parametrize("seed", range(3))
     def test_products_conserved(self, model_idx, seed):
-        stc = _fp32_models()[model_idx]
+        stc = stc_at(MODELS[model_idx], FP32)
         task = make_block_task(0.3, 0.3, seed)
         assert stc.simulate_block(task).products == task.intermediate_products()
 
-    @pytest.mark.parametrize("model_idx", range(7))
+    @pytest.mark.parametrize("model_idx", range(len(MODELS)))
     def test_fp32_never_slower_than_fp64(self, model_idx):
-        fp32 = _fp32_models()[model_idx]
-        fp64_models = [
-            NvDTC(FP64), Gamma(FP64), Sigma(FP64), Trapezoid(FP64),
-            DsSTC(FP64), RmSTC(FP64), UniSTC(),
-        ]
-        fp64 = fp64_models[model_idx]
+        fp32 = stc_at(MODELS[model_idx], FP32)
+        fp64 = stc_at(MODELS[model_idx], FP64)
         for seed in range(4):
             task = make_block_task(0.4, 0.4, seed)
             assert fp32.simulate_block(task).cycles <= fp64.simulate_block(task).cycles
@@ -86,6 +83,27 @@ class TestFP16:
             uni = UniSTC(UniSTCConfig(precision=precision))
             cycles[precision.macs] = uni.simulate_block(DENSE).cycles
         assert cycles[64] == 2 * cycles[128] == 4 * cycles[256]
+
+    @pytest.mark.parametrize(
+        "name", [name for name in MODELS if name not in FP16_MODELS]
+    )
+    def test_model_without_fp16_shape_is_rejected(self, name):
+        """Table VI has no FP16 shape for these: building one must fail
+        instead of running the FP32 shape on half of a 256-MAC array."""
+        with pytest.raises(ConfigError, match="fp16"):
+            create_stc(name, FP16)
+
+    @pytest.mark.parametrize("name", FP16_MODELS)
+    def test_fp16_models_fill_the_wider_array(self, name):
+        stc = stc_at(name, FP16)
+        for result in (stc.simulate_block(DENSE), stc.simulate_blocks([DENSE])[0]):
+            assert result.cycles == 16
+            assert result.util_hist.fractions()[3] == 1.0
+            assert result.counters.get("lane_cycles") == 256 * 16
+
+    def test_trapezoid_rejects_budget_without_row_lanes(self):
+        with pytest.raises(ConfigError, match="row lanes"):
+            Trapezoid(Precision("odd", 64, 40))
 
 
 class TestPackageSurface:
