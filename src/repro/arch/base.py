@@ -1,17 +1,24 @@
 """The common simulator interface every STC model implements.
 
-A model turns one :class:`~repro.arch.tasks.T1Task` into a
-:class:`BlockResult`: cycles, a per-cycle MAC-utilisation histogram,
-and the action counters the energy model prices.  The simulation
-engine (:mod:`repro.sim.engine`) memoises ``simulate_block`` on the
-task's bitmap pair, so models must be pure functions of the task.
+A model turns one :class:`~repro.arch.tasks.T1Task` into a block
+result: cycles, intermediate products, a per-cycle MAC-utilisation
+histogram, and the action counters the energy model prices.  Between a
+model and a :class:`~repro.sim.results.SimReport` that result is one
+int64 row in the :data:`VECTOR_WIDTH` layout, ``[cycles, products,
+util bins 0..3, one count per ACTIONS entry]``: batched evaluation
+returns ``[N, VECTOR_WIDTH]`` arrays of them, and the block cache, the
+result store and aggregation hold nothing else.  The stepped
+``simulate_block`` returns a readable :class:`BlockResult`, the parity
+reference; :meth:`BlockResult.row` is its one conversion.  The engine
+(:mod:`repro.sim.engine`) memoises rows on the task's bitmap pair, so
+models must be pure functions of the task.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,9 +26,12 @@ from repro.arch.counters import ACTIONS, Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.errors import SimulationError
 
-#: Layout of :meth:`BlockResult.action_vector`:
+#: Width of a block-result row:
 #: [cycles, products, util bins 0..3, one slot per ``ACTIONS`` entry].
 VECTOR_WIDTH = 2 + 4 + len(ACTIONS)
+
+#: Column of each action inside a result row.
+ACTION_COL = {name: 6 + j for j, name in enumerate(ACTIONS)}
 
 
 @dataclass
@@ -37,43 +47,20 @@ class BlockResult:
         if self.cycles < 0 or self.products < 0:
             raise SimulationError("cycles and products must be non-negative")
 
-    def action_vector(self) -> np.ndarray:
-        """The result flattened to one float64 row (see ``VECTOR_WIDTH``).
+    def row(self) -> np.ndarray:
+        """The result as one int64 row in the :data:`VECTOR_WIDTH` layout.
 
-        Memoised results are aggregated millions of times across a
-        corpus sweep; flattening once lets the engine reduce a whole
-        coalesced task stream with a single weighted matrix product
-        instead of per-task ``Counters.merge`` calls.  The vector is
-        cached on first use — results in the block cache are treated
-        as immutable.
+        Every count is an integer by construction; a fractional one is
+        a model bug and raises :class:`SimulationError` naming it.
         """
-        vec = getattr(self, "_vector", None)
-        if vec is None:
-            vec = np.zeros(VECTOR_WIDTH)
-            vec[0] = self.cycles
-            vec[1] = self.products
-            vec[2:6] = self.util_hist.bins
-            for j, action in enumerate(ACTIONS):
-                vec[6 + j] = self.counters.get(action)
-            self._vector = vec
-        return vec
-
-    def action_vector_int(self) -> Optional[np.ndarray]:
-        """:meth:`action_vector` as int64, or ``None`` when non-integral.
-
-        Corpus-scale aggregation sums these in the integer domain so
-        totals stay exact past 2^53, where float64 accumulation would
-        silently round.  Models whose counters genuinely carry
-        fractional values return ``None`` and are aggregated in float64
-        as before.  Cached like the float vector.
-        """
-        vec = getattr(self, "_int_vector", False)
-        if vec is False:
-            float_vec = self.action_vector()
-            as_int = np.rint(float_vec).astype(np.int64)
-            vec = as_int if np.array_equal(as_int, float_vec) else None
-            self._int_vector = vec
-        return vec
+        counts = [self.counters.get(action) for action in ACTIONS]
+        fractional = [a for a, count in zip(ACTIONS, counts) if count % 1]
+        if fractional:
+            raise SimulationError(
+                f"fractional action count(s) {fractional}: a block result's "
+                "counts must be integers")
+        return np.array([self.cycles, self.products, *self.util_hist.bins, *counts],
+                        dtype=np.int64)
 
     @property
     def mean_utilisation(self) -> float:
@@ -96,17 +83,18 @@ class STCModel(ABC):
     def simulate_block(self, task: T1Task) -> BlockResult:
         """Simulate one 16x16x16 block task and return its outcome."""
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
-        """Evaluate a batch of block tasks; ``results[i]`` is ``tasks[i]``'s.
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+        """Evaluate a batch of block tasks as one ``[N, VECTOR_WIDTH]`` int64 array.
 
-        Every registered model overrides this with an array evaluator
-        over operand stacks (built with :mod:`repro.arch.batch`); the
-        default, which steps :meth:`simulate_block` per task, serves
-        only out-of-tree models.  Overrides must return results equal
-        to the per-block path — the engine's memo treats the two
-        interchangeably.
+        Row ``i`` is ``tasks[i]``'s result.  Every registered model
+        overrides this with an array evaluator over operand stacks
+        (built with :mod:`repro.arch.batch`); the default, which stacks
+        :meth:`simulate_block` rows, serves only out-of-tree models.
+        Overrides must equal the stacked stepped rows exactly — the
+        engine's memo treats the two interchangeably.
         """
-        return [self.simulate_block(task) for task in tasks]
+        rows = [self.simulate_block(task).row() for task in tasks]
+        return np.array(rows, dtype=np.int64).reshape(len(rows), VECTOR_WIDTH)
 
     @property
     @abstractmethod

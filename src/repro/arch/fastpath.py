@@ -23,9 +23,10 @@ engine's warm-path memoisation.  Per batch it
 The analytic accounting replicates the TMS dispatch rules exactly —
 window packing under the MAC/DPG budgets, wakeup-stall exposure, the
 per-cycle tile-fetch delta against the previous cycle's working set —
-so results are equal field-for-field to the stepped path.  The parity
-suite (``tests/test_fastpath.py``) asserts this result-for-result on
-every kernel's block population.
+so every row equals the stepped path's
+:meth:`~repro.arch.base.BlockResult.row`.  The parity suite
+(``tests/test_fastpath.py``) asserts this row for row on every
+kernel's block population.
 
 DPG decomposition never steps either: the six summary stats of
 :func:`~repro.arch.dpg.dpg_stats` have a closed form over the 4-bit
@@ -43,11 +44,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.base import BlockResult, VECTOR_WIDTH
-from repro.arch.batch import ACTION_COL, block_results, evaluate_stacked, util_bins
-from repro.arch.config import UniSTCConfig
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.batch import evaluate_stacked, result_rows, util_bins
+from repro.arch.tasks import T1Task
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
 
@@ -274,56 +273,20 @@ def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int) -> Tuple[np.ndarra
     return cyc, cycle
 
 
-#: Shared empty-block results keyed by (macs, num_dpgs, gating, meta).
-#: Results are immutable once built, so identical empty blocks may
-#: share one object; meta_reads takes few distinct values (2 + nonzero
-#: tile counts), which bounds this dict to a handful of entries.
-_EMPTY_TEMPLATES: dict = {}
-
-
-def _empty_result(cfg: UniSTCConfig, meta_reads: int) -> BlockResult:
-    """Closed form for a zero-product block (Fig. 20's sparse regime)."""
-    key = (cfg.macs, cfg.num_dpgs, cfg.dynamic_gating, meta_reads)
-    cached = _EMPTY_TEMPLATES.get(key)
-    if cached is not None:
-        return cached
-    hist = UtilHistogram()
-    hist.record(0.0)
-    counters = Counters()
-    counters.add("meta_reads", meta_reads)
-    counters.add("sched_cycles", 1)
-    counters.add("lane_cycles", cfg.macs)
-    counters.add("dpg_gated_cycles", cfg.num_dpgs if cfg.dynamic_gating else 0)
-    counters.add("dpg_active_cycles", 0 if cfg.dynamic_gating else cfg.num_dpgs)
-    result = BlockResult(cycles=1, products=0, util_hist=hist, counters=counters)
-    vec = np.zeros(VECTOR_WIDTH, dtype=np.int64)
-    vec[0] = 1
-    vec[2] = 1
-    vec[ACTION_COL["meta_reads"]] = meta_reads
-    vec[ACTION_COL["sched_cycles"]] = 1
-    vec[ACTION_COL["lane_cycles"]] = cfg.macs
-    if cfg.dynamic_gating:
-        vec[ACTION_COL["dpg_gated_cycles"]] = cfg.num_dpgs
-    else:
-        vec[ACTION_COL["dpg_active_cycles"]] = cfg.num_dpgs
-    result._int_vector = vec
-    _EMPTY_TEMPLATES[key] = result
-    return result
-
-
-def simulate_blocks(stc, tasks: Sequence[T1Task]) -> List[BlockResult]:
+def simulate_blocks(stc, tasks: Sequence[T1Task]) -> np.ndarray:
     """Batched block evaluation for a :class:`~repro.arch.unistc.UniSTC`.
 
-    ``results[i]`` equals ``stc.simulate_block(tasks[i])`` exactly;
-    only the evaluation strategy differs.
+    Row ``i`` of the ``[N, VECTOR_WIDTH]`` int64 result equals
+    ``stc.simulate_block(tasks[i]).row()`` exactly; only the evaluation
+    strategy differs.
     """
     return evaluate_stacked(tasks, partial(_evaluate_group, stc))
 
 
 def _evaluate_group(
     stc, a_stack: np.ndarray, b_stack: np.ndarray, tasks: List[T1Task]
-) -> List[BlockResult]:
-    """Evaluate one uniform-B-width stack of tasks."""
+) -> np.ndarray:
+    """Evaluate one uniform-B-width stack of tasks into result rows."""
     cfg = stc.config
     count = len(tasks)
     a_tiles, a_cols = decode_a_operands(a_stack)
@@ -333,18 +296,27 @@ def _evaluate_group(
     meta = (2 + (a_tiles != 0).sum(axis=(1, 2))
             + (b_tiles != 0).sum(axis=(1, 2)))
 
-    results: List[Optional[BlockResult]] = [None] * count
-    for index in np.nonzero(totals == 0)[0]:
-        results[int(index)] = _empty_result(cfg, int(meta[index]))
+    # A zero-product block (Fig. 20's sparse regime) retires in one
+    # cycle of metadata processing.
+    empty = totals == 0
+    ones = np.ones(int(empty.sum()), dtype=np.int64)
+    rows = np.empty((count, VECTOR_WIDTH), dtype=np.int64)
+    rows[empty] = result_rows(ones, 0, [1, 0, 0, 0], {
+        "meta_reads": meta[empty],
+        "sched_cycles": 1,
+        "lane_cycles": cfg.macs,
+        "dpg_gated_cycles": cfg.num_dpgs if cfg.dynamic_gating else 0,
+        "dpg_active_cycles": 0 if cfg.dynamic_gating else cfg.num_dpgs,
+    })
 
-    ne = np.nonzero(totals > 0)[0]
+    ne = np.nonzero(~empty)[0]
     if ne.size == 0:
-        return results
+        return rows
     if stc.ordering not in ORDERINGS:
         # Stepping raises the canonical unknown-ordering error.
         for q in ne:
-            results[int(q)] = stc.simulate_block(tasks[int(q)])
-        return results
+            rows[q] = stc.simulate_block(tasks[q]).row()
+        return rows
 
     # -- flat task arrays in dispatch order -----------------------------
     sub = products[ne]
@@ -417,10 +389,10 @@ def _evaluate_group(
 
     for q in np.nonzero(fallback)[0]:
         gi = int(ne[q])
-        results[gi] = stc.simulate_block(tasks[gi])
+        rows[gi] = stc.simulate_block(tasks[gi]).row()
     fast = np.nonzero(~fallback)[0]
     if fast.size == 0:
-        return results
+        return rows
     if fallback.any():
         live = ~fallback[bb]
         remap = np.full(nblocks, -1, dtype=np.int64)
@@ -504,8 +476,7 @@ def _evaluate_group(
         gated = 0
     block_products = totals[fast_global]
     a_fetch, b_fetch = dpg_totals[:, 1], dpg_totals[:, 2]
-    fast_results = block_results(cycles_total, block_products, bins, {
-        # The stepped path's Counters.add order.
+    rows[fast_global] = result_rows(cycles_total, block_products, bins, {
         "meta_reads": meta[fast_global],
         "dpg_active_cycles": active,
         "dpg_gated_cycles": gated,
@@ -524,6 +495,4 @@ def _evaluate_group(
         "c_net_transfers": c_outputs,
         "mac_ops": block_products,
     })
-    for index, result in zip(fast_global.tolist(), fast_results):
-        results[index] = result
-    return results
+    return rows

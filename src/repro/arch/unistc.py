@@ -11,7 +11,7 @@ DPG cycles).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -180,12 +180,12 @@ class UniSTC(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Batched evaluation: array ops across the whole batch.
 
         Delegates to :mod:`repro.arch.fastpath`, which resolves regular
         pattern classes analytically and steps only irregular blocks;
-        results equal :meth:`simulate_block` per task exactly.
+        row ``i`` equals ``simulate_block(tasks[i]).row()`` exactly.
         """
         from repro.arch import fastpath
 

@@ -18,12 +18,12 @@ model reproduces DS-STC's published strengths and weaknesses:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
+from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
@@ -85,7 +85,7 @@ class DsSTC(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A K layer's rank-1 update splits into full/partial A chunks x
@@ -94,7 +94,7 @@ class DsSTC(STCModel):
         """
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         ca, cb = self.chunk_a, self.chunk_b
         na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
         nb = b.sum(axis=2, dtype=np.int64)                       # [N, k]
@@ -115,7 +115,7 @@ class DsSTC(STCModel):
 
         a_reads = na_live.sum(axis=1)
         b_reads = (nb * a_chunks).sum(axis=1)
-        return block_results(cycles, products, hist, {
+        return result_rows(cycles, products, hist, {
             "meta_reads": 2 * live.sum(axis=1),
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,

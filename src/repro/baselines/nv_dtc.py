@@ -10,12 +10,12 @@ drives Fig. 5's ">84% of cycles below 25% utilisation" observation.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
+from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
@@ -55,8 +55,8 @@ def nv_results(
     a_reads_per_t3: int,
     meta: int,
     macs: int,
-) -> List[BlockResult]:
-    """Array form of the stepped NV-DTC T2/T3 loops over a stack.
+) -> np.ndarray:
+    """Array form of the stepped NV-DTC T2/T3 loops: one row per block.
 
     Every T3 task of every unskipped T2 region (K extent ``t2_k``) runs
     one cycle, reading ``a_reads_per_t3`` A elements and its dense B
@@ -91,7 +91,7 @@ def nv_results(
     b_reads = t2_k * (run * width).sum(axis=(1, 2, 3))
     # Accumulators are local: C is written once per output element.
     c_writes = 16 * n
-    return block_results(cycles, products, hist, {
+    return result_rows(cycles, products, hist, {
         "a_elem_reads": a_reads,
         "b_elem_reads": b_reads,
         "a_net_transfers": a_reads,
@@ -170,11 +170,11 @@ class NvDTC(STCModel):
         counters.add("meta_reads", 1)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks."""
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         t2_k = 4
         return nv_results(
             a, b, self.t3_m, t2_k,

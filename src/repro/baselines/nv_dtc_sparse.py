@@ -12,11 +12,11 @@ on dual-sided or unstructured patterns.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
 from repro.arch.batch import evaluate_stacked
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
@@ -103,7 +103,7 @@ class NvDTCSparse(STCModel):
         counters.add("meta_reads", 2 if structured else 1)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         The stack splits on the 2:4 test, because structured blocks run
@@ -111,23 +111,21 @@ class NvDTCSparse(STCModel):
         """
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         satisfied = blocks_satisfy_2to4(a)
-        results: List[Optional[BlockResult]] = [None] * a.shape[0]
+        rows = np.empty((a.shape[0], VECTOR_WIDTH), dtype=np.int64)
         for structured in (False, True):
-            part = np.flatnonzero(satisfied == structured)
-            if part.size == 0:
+            part = satisfied == structured
+            if not part.any():
                 continue
             k_speedup = 2 if structured else 1
             t2_k = 4 * k_speedup
             # The stepped path's min(1, eff / macs) bins like eff / macs
             # clipped to the top bin, which util_bins already does.
-            part_results = nv_results(
+            rows[part] = nv_results(
                 a[part], b[part], self.t3_m, t2_k,
                 a_reads_per_t3=self.t3_m * t2_k // k_speedup,
                 meta=2 if structured else 1,
                 macs=self.macs,
             )
-            for index, result in zip(part.tolist(), part_results):
-                results[index] = result
-        return results
+        return rows

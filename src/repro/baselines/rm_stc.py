@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
+from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
@@ -146,7 +146,7 @@ class RmSTC(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A row's lane slots are its scalar pairs' live-column chunks, in
@@ -158,7 +158,7 @@ class RmSTC(STCModel):
         """
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         count, n = b.shape[0], b.shape[2]
         first, second = pair_row_masks(a, b)                     # [N, i, p]
         live, both = first | second, first & second
@@ -204,7 +204,7 @@ class RmSTC(STCModel):
         # no live pair uses is empty anyway, so every K column of A counts.
         b_traffic = (a.any(axis=1) * b.sum(axis=2, dtype=np.int64)).sum(axis=1)
         c_writes = live_cols.sum(axis=(1, 2))
-        return block_results(cycles, products, hist, {
+        return result_rows(cycles, products, hist, {
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,
             "meta_reads": (row_nnz > 0).sum(axis=1),

@@ -11,12 +11,12 @@ stated reason Uni-STC beats it (§VI-C.1).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import block_results, evaluate_stacked, histogram_rows, util_bins
+from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
@@ -79,7 +79,7 @@ class Sigma(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         Column groups chunk each block's *live* B columns by their rank
@@ -87,7 +87,7 @@ class Sigma(STCModel):
         """
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         count, n = b.shape[0], b.shape[2]
         groups = ceil_div(n, self.chunk_cols)
         col_nnz = b.sum(axis=1, dtype=np.int64)                  # [N, j]
@@ -111,7 +111,7 @@ class Sigma(STCModel):
         a_reads = row_nnz.sum(axis=1)
         b_reads = (run * group_b[:, None, :]).sum(axis=(1, 2))
         c_writes = writes.sum(axis=(1, 2))
-        return block_results(cycles, products, hist, {
+        return result_rows(cycles, products, hist, {
             "meta_reads": (row_nnz > 0).sum(axis=1),
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,

@@ -25,7 +25,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import block_results, evaluate_stacked, histogram_rows
+from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
@@ -113,7 +113,7 @@ class Trapezoid(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> List[BlockResult]:
+    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A cycle's utilisation is a float sum of ``work / row_cycles``
@@ -123,7 +123,7 @@ class Trapezoid(STCModel):
         """
         return evaluate_stacked(tasks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> List[BlockResult]:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
         count = a.shape[0]
         first, second = pair_row_masks(a, b)                     # [N, i, p]
         live = POP16[first | second].astype(np.int64)
@@ -148,7 +148,7 @@ class Trapezoid(STCModel):
         products = work.sum(axis=1)
         a_reads = a.sum(axis=(1, 2), dtype=np.int64)
         c_writes = live.sum(axis=(1, 2))
-        return block_results(cycles, products, hist, {
+        return result_rows(cycles, products, hist, {
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,
             # A live pair reads both its B rows: every merged product.

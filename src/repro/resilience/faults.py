@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.base import BlockResult
 from repro.errors import ConfigError, FormatError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
@@ -211,18 +210,15 @@ class FaultInjector:
 
     # -- cached-result faults --------------------------------------------
 
-    def corrupt_cached_result(self, key: tuple) -> Tuple[BlockResult, InjectedFault]:
-        """Poison one memoised block result in place; returns the original."""
+    def corrupt_cached_result(self, key: tuple) -> Tuple[np.ndarray, InjectedFault]:
+        """Swap one memoised row for a poisoned copy; returns the original."""
         original = engine._BLOCK_CACHE[key]
         delta = int(self.rng.integers(1, 1000))
-        engine._BLOCK_CACHE[key] = BlockResult(
-            cycles=original.cycles + delta,
-            products=original.products,
-            util_hist=original.util_hist,
-            counters=original.counters,
-        )
+        poisoned = original.copy()
+        poisoned[0] += delta  # the cycles column
+        engine._BLOCK_CACHE[key] = poisoned
         return original, InjectedFault(
-            kind="cache_result", site=f"cached cycles {original.cycles:+d}{delta:+d}"
+            kind="cache_result", site=f"cached cycles {int(original[0]):+d}{delta:+d}"
         )
 
 

@@ -1,10 +1,14 @@
 """Bounded LRU memoisation for per-block simulation results.
 
-The engine memoises ``simulate_block`` on ``(model namespace, A bits,
-B bits)``.  The original implementation was an unbounded process-wide
-dict — fine for one matrix, a slow leak for a corpus-scale sweep
-service.  :class:`BlockCache` keeps the same mapping semantics behind
-a bounded LRU with observable hit/miss/eviction counters:
+The engine memoises block results on ``(model namespace, A bits,
+B bits)``.  A value is the block's int64 result row in the
+:data:`~repro.arch.base.VECTOR_WIDTH` layout, usually a view into the
+``[N, VECTOR_WIDTH]`` matrix one ``simulate_blocks`` call returned;
+rows are never written in place once cached.  The original
+implementation was an unbounded process-wide dict — fine for one
+matrix, a slow leak for a corpus-scale sweep service.
+:class:`BlockCache` keeps the same mapping semantics behind a bounded
+LRU with observable hit/miss/eviction counters:
 
 - the **engine** goes through :meth:`lookup` / :meth:`insert`, which
   update both the recency order and the statistics;
@@ -19,8 +23,8 @@ via :mod:`repro.sim.cachestore` — persists between sweep cases and
 across processes.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
-object with ``lookup(key) -> Optional[BlockResult]`` and
-``insert(key, result)`` (duck-typed so this module needn't import it;
+object with ``lookup(key) -> Optional[np.ndarray]`` and
+``insert(key, row)`` (duck-typed so this module needn't import it;
 in practice a :class:`repro.store.ResultStore`).  Misses consult the
 tier and promote its hits into the LRU; inserts write through.  Tier
 hits count as ``hits`` (the caller was served without simulating) and
@@ -34,16 +38,18 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.arch.base import BlockResult
+import numpy as np
+
 from repro.errors import ConfigError
 
 #: Cache key: (model namespace, A bitmap bytes, B bitmap bytes).
 CacheKey = Tuple[str, bytes, bytes]
 
-#: Default entry bound.  A BlockResult plus key is a few hundred bytes,
-#: so the default caps resident cache memory around a hundred MB while
-#: holding far more distinct block patterns than any corpus sweep in
-#: the benchmark suite produces.
+#: Default entry bound.  tracemalloc measures an entry (key plus row
+#: view, with its share of the ``simulate_blocks`` matrix) at ~580
+#: bytes on uni-stc over the n=128/256 corpus, so the default caps
+#: resident cache memory near 150 MB while holding far more distinct
+#: block patterns than any corpus sweep in the benchmark suite produces.
 DEFAULT_CAPACITY = 1 << 18
 
 
@@ -131,7 +137,7 @@ class CacheStats:
 
 @dataclass
 class BlockCache:
-    """A bounded LRU mapping from cache keys to :class:`BlockResult`.
+    """A bounded LRU mapping from cache keys to int64 result rows.
 
     ``capacity=None`` disables the bound (the legacy unbounded
     behaviour, still useful for short-lived unit tests).
@@ -147,22 +153,22 @@ class BlockCache:
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
             raise ConfigError("cache capacity must be positive (or None)")
-        self._data: "OrderedDict[CacheKey, BlockResult]" = OrderedDict()
+        self._data: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
 
     # -- engine API (stats-aware) ----------------------------------------
 
-    def lookup(self, key: CacheKey) -> Optional[BlockResult]:
-        """Fetch a memoised result, refreshing its recency; None on miss.
+    def lookup(self, key: CacheKey) -> Optional[np.ndarray]:
+        """Fetch a memoised row, refreshing its recency; None on miss.
 
         On an LRU miss with a second tier bound, the tier is consulted
         and its hit promoted into the LRU (stats-neutrally, so the
         promotion isn't double-counted as an insert).
         """
-        result = self._data.get(key)
-        if result is not None:
+        row = self._data.get(key)
+        if row is not None:
             self._data.move_to_end(key)
             self.stats.hits += 1
-            return result
+            return row
         if self.store is not None:
             stored = self.store.lookup(key)
             if stored is not None:
@@ -175,18 +181,18 @@ class BlockCache:
         self.stats.misses += 1
         return None
 
-    def insert(self, key: CacheKey, result: BlockResult) -> None:
-        """Store a result as most-recent, evicting LRU entries if full.
+    def insert(self, key: CacheKey, row: np.ndarray) -> None:
+        """Store a row as most-recent, evicting LRU entries if full.
 
         Writes through to the second tier when one is bound (the tier
         deduplicates internally, so re-inserts after eviction are
         cheap no-ops on disk).
         """
-        self._data[key] = result
+        self._data[key] = row
         self._data.move_to_end(key)
         self.stats.inserts += 1
         if self.store is not None:
-            self.store.insert(key, result)
+            self.store.insert(key, row)
         self._evict()
 
     def _evict(self) -> None:
@@ -218,11 +224,11 @@ class BlockCache:
     def __iter__(self) -> Iterator[CacheKey]:
         return iter(self._data)
 
-    def __getitem__(self, key: CacheKey) -> BlockResult:
+    def __getitem__(self, key: CacheKey) -> np.ndarray:
         return self._data[key]
 
-    def __setitem__(self, key: CacheKey, result: BlockResult) -> None:
-        self._data[key] = result
+    def __setitem__(self, key: CacheKey, row: np.ndarray) -> None:
+        self._data[key] = row
         self._evict()
 
     def get(self, key: CacheKey, default=None):

@@ -1,10 +1,13 @@
 """Disk persistence for the block-result memoisation cache.
 
-Corpus sweeps spend most of their time in ``simulate_block``; since a
-model is a pure function of the task's bitmap pair, results are safe
-to persist across processes.  ``save_cache``/``load_cache`` serialise
-the engine's cache to a compressed ``.npz`` so a repeated sweep (or a
-resumed one) starts warm.
+Corpus sweeps spend most of their time in the STC models; since a
+model is a pure function of the task's bitmap pair, its result rows
+are safe to persist across processes.  ``save_cache``/``load_cache``
+serialise the engine's cache to a compressed ``.npz`` so a repeated
+sweep (or a resumed one) starts warm.  The archive splits each int64
+row into its ``scalars`` (cycles, products), ``bins`` and ``counters``
+column slices, the counters stored as float64 as they always were;
+loading checks they are integral and rebuilds the rows.
 
 Cache files are integrity-checked: the archive embeds a CRC32 over its
 payload arrays, and any malformed archive (truncated download, partial
@@ -36,9 +39,8 @@ from typing import List, Tuple, Union
 
 import numpy as np
 
-from repro.arch.base import BlockResult
-from repro.arch.counters import ACTIONS, Counters
-from repro.arch.tasks import UtilHistogram
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.counters import ACTIONS
 from repro.errors import FormatError
 from repro.sim import engine
 from repro.sim.blockcache import CacheKey
@@ -96,16 +98,12 @@ def save_cache(path: Union[str, Path]) -> int:
     if is_store_path(path):
         return _save_to_store(Path(str(path)))
     entries = list(engine.get_cache().items())
-    keys = []
-    scalars = np.zeros((len(entries), 2), dtype=np.int64)
-    bins = np.zeros((len(entries), 4), dtype=np.int64)
-    counter_matrix = np.zeros((len(entries), len(ACTIONS)), dtype=np.float64)
-    for i, ((namespace, a_bits, b_bits), result) in enumerate(entries):
-        keys.append((namespace, a_bits, b_bits))
-        scalars[i] = (result.cycles, result.products)
-        bins[i] = result.util_hist.bins
-        for j, action in enumerate(ACTIONS):
-            counter_matrix[i, j] = result.counters.get(action)
+    keys = [key for key, _ in entries]
+    rows = np.array([row for _, row in entries], dtype=np.int64)
+    rows = rows.reshape(len(entries), VECTOR_WIDTH)
+    scalars = rows[:, 0:2]
+    bins = rows[:, 2:6]
+    counter_matrix = rows[:, 6:].astype(np.float64)
     namespaces = np.asarray([k[0] for k in keys], dtype=object)
     a_arr = np.asarray([k[1] for k in keys], dtype=object)
     b_arr = np.asarray([k[2] for k in keys], dtype=object)
@@ -125,7 +123,7 @@ def save_cache(path: Union[str, Path]) -> int:
     return len(entries)
 
 
-def _read_entries(path: Path) -> List[Tuple[CacheKey, BlockResult]]:
+def _read_entries(path: Path) -> List[Tuple[CacheKey, np.ndarray]]:
     """Parse and integrity-check one legacy ``.npz`` snapshot."""
     try:
         with np.load(path, allow_pickle=True) as data:
@@ -153,25 +151,19 @@ def _read_entries(path: Path) -> List[Tuple[CacheKey, BlockResult]]:
             if any(arr.shape[0] != n for arr in (a_bits, b_bits, scalars, bins,
                                                  counter_matrix)):
                 raise FormatError("cache payload arrays disagree on entry count")
+            if not np.array_equal(counter_matrix, np.rint(counter_matrix)):
+                raise FormatError("cache payload holds non-integer counter values")
+            rows = np.hstack([scalars, bins, counter_matrix.astype(np.int64)])
+            if rows.shape != (n, VECTOR_WIDTH) or rows.dtype != np.int64:
+                raise FormatError("cache payload rows have the wrong width")
     except FormatError:
         raise
     except (zipfile.BadZipFile, zlib.error, pickle.UnpicklingError, KeyError,
             ValueError, IndexError, EOFError, OSError) as exc:
         raise FormatError(f"corrupt or unreadable cache file {path}: {exc}") from exc
-    entries: List[Tuple[CacheKey, BlockResult]] = []
-    for i in range(n):
-        key = (str(namespaces[i]), bytes(a_bits[i]), bytes(b_bits[i]))
-        hist = UtilHistogram(bins=bins[i].copy())
-        counters = Counters()
-        for j, action in enumerate(ACTIONS):
-            counters.add(action, float(counter_matrix[i, j]))
-        entries.append((key, BlockResult(
-            cycles=int(scalars[i, 0]),
-            products=int(scalars[i, 1]),
-            util_hist=hist,
-            counters=counters,
-        )))
-    return entries
+    keys = [(str(ns), bytes(ab), bytes(bb))
+            for ns, ab, bb in zip(namespaces, a_bits, b_bits)]
+    return list(zip(keys, rows))
 
 
 def load_cache(path: Union[str, Path], merge: bool = True) -> int:
@@ -188,10 +180,10 @@ def load_cache(path: Union[str, Path], merge: bool = True) -> int:
     if not merge:
         engine.clear_cache()
     cache = engine.get_cache()
-    for key, result in entries:
+    for key, row in entries:
         # Stats-neutral mapping insert: loading a warm cache is not a
         # simulation hit, and the LRU bound still applies.
-        cache[key] = result
+        cache[key] = row
     return len(entries)
 
 
@@ -212,8 +204,7 @@ def migrate_cache(path: Union[str, Path],
     else:
         store, owned = ResultStore(root), True
     try:
-        appended = sum(1 for key, result in entries
-                       if store.insert(key, result))
+        appended = sum(1 for key, row in entries if store.insert(key, row))
         store.flush()
     finally:
         if owned:
@@ -231,8 +222,8 @@ def _save_to_store(root: Path) -> int:
     else:
         store, owned = ResultStore(root), True
     try:
-        written = sum(1 for key, result in engine.get_cache().items()
-                      if store.insert(key, result))
+        written = sum(1 for key, row in engine.get_cache().items()
+                      if store.insert(key, row))
         store.flush()
         return written
     finally:

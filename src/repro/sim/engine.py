@@ -5,11 +5,18 @@ operands, runs every task on the chosen STC model, and aggregates
 cycles / utilisation / counters / energy into a
 :class:`~repro.sim.results.SimReport`.
 
-Because STC models are pure functions of a task's bitmap pair, per-
-block results are memoised keyed by ``(model.cache_key(), a_bits,
-b_bits)`` — the same tile patterns repeat heavily across a matrix and
-across a corpus, which is what makes corpus-scale sweeps tractable in
-Python.  The memo lives in a bounded LRU
+A block result is one int64 row in the
+:data:`~repro.arch.base.VECTOR_WIDTH` layout from the model to the
+report: models return ``[N, VECTOR_WIDTH]`` arrays, the memo holds
+rows, and both entry points fold the rows of a run through one
+weighted int64 reduction (:func:`_aggregate`), building the report's
+``Counters``/``UtilHistogram`` once.
+
+Because STC models are pure functions of a task's bitmap pair, rows
+are memoised keyed by ``(model.cache_key(), a_bits, b_bits)`` — the
+same tile patterns repeat heavily across a matrix and across a corpus,
+which is what makes corpus-scale sweeps tractable in Python.  The memo
+lives in a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
 every core of ``simulate_parallel`` and persisted between sweep cases
@@ -31,10 +38,10 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.arch.base import STCModel
-from repro.arch.counters import ACTIONS
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
 from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
+from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
 from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
 from repro.kernels.taskstream import kernel_tasks
@@ -129,29 +136,27 @@ def simulate_tasks(
 ) -> SimReport:
     """Run an explicit T1 task stream on one STC model.
 
-    ``cache`` overrides the process-wide memo (used by tests that need
-    isolated caches and by ablations that compare cache policies).
+    The per-object reference path: every memo miss steps
+    :meth:`~repro.arch.base.STCModel.simulate_block`.  ``cache``
+    overrides the process-wide memo (used by tests that need isolated
+    caches and by ablations that compare cache policies).
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
     namespace = stc.cache_key()
     stats_before = memo.stats.snapshot()
     t0 = perf_counter()
+    rows = []
+    weights = []
     for task in tasks:
         key = (namespace,) + task.cache_key()
-        result = memo.lookup(key)
-        if result is None:
-            result = stc.simulate_block(task)
-            memo.insert(key, result)
-        weight = task.weight
-        report.cycles += result.cycles * weight
-        report.products += result.products * weight
-        report.t1_tasks += weight
-        report.util_hist.merge(result.util_hist, weight)
-        report.counters.merge(result.counters, weight)
-    if energy_model is not None:
-        report.energy_breakdown = energy_model.breakdown(report.counters, stc.name)
-        report.energy_pj = sum(report.energy_breakdown.values())
+        row = memo.lookup(key)
+        if row is None:
+            row = stc.simulate_block(task).row()
+            memo.insert(key, row)
+        rows.append(row)
+        weights.append(task.weight)
+    _aggregate(report, rows, weights, stc, energy_model)
     _finalise_run(report, memo, stats_before, perf_counter() - t0)
     return report
 
@@ -171,13 +176,8 @@ def simulate_batches(
     misses of a batch are dispatched together through
     :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
     call, since every registered model has an array evaluator — and
-    inserted into the shared cache unchanged.  Aggregation is a single
-    weighted matrix product over the flattened results
-    (:meth:`~repro.arch.base.BlockResult.action_vector_int`), carried
-    in int64 so corpus-scale totals stay exact (falling back to float64
-    only for models whose counters are genuinely fractional) — totals
-    equal the per-task reference path exactly, without its per-task
-    ``merge`` calls.
+    each row of the returned matrix is inserted into the shared cache
+    as is.  Totals equal the per-task reference path exactly.
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
@@ -193,48 +193,60 @@ def simulate_batches(
             pending = []
             for ai, bi, weight in raw.pairs:
                 key = (namespace, a_bytes[ai], b_bytes[bi])
-                result = memo.lookup(key)
-                if result is None:
-                    # Memoised results must be weight-independent (the
+                row = memo.lookup(key)
+                if row is None:
+                    # Memoised rows must be weight-independent (the
                     # stream weight is applied at aggregation time), so
                     # the model never sees the aggregate weight.
                     pending.append(
                         (len(rows), key, T1Task(a_bytes[ai], b_bytes[bi], n=n, weight=1))
                     )
-                rows.append(result)
+                rows.append(row)
                 weights.append(weight)
             if pending:
-                missed = stc.simulate_blocks([task for _, _, task in pending])
-                for (slot, key, _), result in zip(pending, missed):
-                    memo.insert(key, result)
-                    rows[slot] = result
+                missed = _checked_rows(
+                    stc, stc.simulate_blocks([task for _, _, task in pending]), len(pending)
+                )
+                for (slot, key, _), row in zip(pending, missed):
+                    memo.insert(key, row)
+                    rows[slot] = row
+    _aggregate(report, rows, weights, stc, energy_model)
+    _finalise_run(report, memo, stats_before, perf_counter() - t0)
+    return report
+
+
+def _checked_rows(stc: STCModel, rows, count: int) -> np.ndarray:
+    """``rows`` if it is ``simulate_blocks``' int64 ``[count, VECTOR_WIDTH]`` array."""
+    if (not isinstance(rows, np.ndarray) or rows.dtype != np.int64
+            or rows.shape != (count, VECTOR_WIDTH)):
+        got = (f"a {rows.dtype} array of shape {rows.shape}"
+               if isinstance(rows, np.ndarray) else f"a {type(rows).__name__}")
+        raise SimulationError(
+            f"model {stc.name!r} simulate_blocks returned {got}; expected an "
+            f"int64 array of shape ({count}, {VECTOR_WIDTH})")
+    return rows
+
+
+def _aggregate(report: SimReport, rows, weights, stc: STCModel,
+               energy_model: Optional[EnergyModel]) -> None:
+    """Fold weighted result rows into ``report`` and price its energy.
+
+    One weighted int64 matrix product over the rows, so corpus-scale
+    totals stay exact past 2^53 where float64 accumulation would round.
+    """
     if rows:
-        int_rows = [result.action_vector_int() for result in rows]
-        if all(vec is not None for vec in int_rows):
-            w = np.asarray(weights, dtype=np.int64)
-            acc = w @ np.stack(int_rows)
-            report.cycles = int(acc[0])
-            report.products = int(acc[1])
-            report.t1_tasks = int(w.sum())
-            report.util_hist.bins += acc[2:6]
-            for j, action in enumerate(ACTIONS):
-                if acc[6 + j]:
-                    report.counters.add(action, int(acc[6 + j]))
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            acc = w @ np.stack([result.action_vector() for result in rows])
-            report.cycles = int(round(acc[0]))
-            report.products = int(round(acc[1]))
-            report.t1_tasks = int(w.sum())
-            report.util_hist.bins += np.rint(acc[2:6]).astype(np.int64)
-            for j, action in enumerate(ACTIONS):
-                if acc[6 + j]:
-                    report.counters.add(action, float(acc[6 + j]))
+        w = np.asarray(weights, dtype=np.int64)
+        acc = w @ np.stack(rows)
+        report.cycles = int(acc[0])
+        report.products = int(acc[1])
+        report.t1_tasks = int(w.sum())
+        report.util_hist.bins += acc[2:6]
+        for action, col in ACTION_COL.items():
+            if acc[col]:
+                report.counters.add(action, int(acc[col]))
     if energy_model is not None:
         report.energy_breakdown = energy_model.breakdown(report.counters, stc.name)
         report.energy_pj = sum(report.energy_breakdown.values())
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
-    return report
 
 
 def _finalise_run(

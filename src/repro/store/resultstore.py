@@ -1,7 +1,7 @@
 """Persistent content-addressed store for per-block simulation results.
 
 The process-local :class:`~repro.sim.blockcache.BlockCache` memoises
-``simulate_block`` for one process lifetime; every new campaign, DSE
+block-result rows for one process lifetime; every new campaign, DSE
 strategy and worker fleet re-pays the same cold simulation work.  The
 :class:`ResultStore` makes those results durable and shareable: a
 directory of append-only **segment** files plus an in-memory index,
@@ -55,12 +55,18 @@ Record framing (little-endian)::
     magic  digest  payload_len  crc32(payload)  payload
     4B     32B     u32          u32             payload_len bytes
 
-and the payload packs the namespace/bitmap key (length-prefixed) plus
-cycles, products, the four utilisation bins and one float64 per
-:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  The
-vocabulary itself is recorded in ``STORE.json`` so a vocabulary change
-is a loud :class:`~repro.errors.FormatError`, never a silent
-misinterpretation.
+and the payload is the namespace/bitmap key (each field u16
+length-prefixed) followed by the block's int64 result row in the
+:data:`~repro.arch.base.VECTOR_WIDTH` layout, little-endian: cycles,
+products, the four utilisation bins and one count per
+:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  A
+lookup hands that tail back as the row itself (``np.frombuffer``).
+The vocabulary is recorded in ``STORE.json`` so a vocabulary change is
+a loud :class:`~repro.errors.FormatError`, never a silent
+misinterpretation.  Schema 1 stored the counts as float64 in the same
+184 bytes; only the schema check tells the two apart, so opening a
+schema-1 store fails and the store must be rebuilt (it is a cache of
+deterministic results: delete the directory).
 """
 
 from __future__ import annotations
@@ -80,15 +86,16 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.arch.base import BlockResult
-from repro.arch.counters import ACTIONS, Counters
-from repro.arch.tasks import UtilHistogram
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.counters import ACTIONS
 from repro.errors import DataCorruptionError, FormatError
 
 logger = logging.getLogger(__name__)
 
 #: On-disk schema version; bumped on any incompatible format change.
-STORE_SCHEMA = 1
+#: Schema 2 ends each payload in the int64 result row; schema 1 stored
+#: the action counts there as float64.
+STORE_SCHEMA = 2
 
 #: Manifest file name inside the store root.
 MANIFEST_NAME = "STORE.json"
@@ -99,9 +106,9 @@ _MAGIC = b"RBR1"
 #: magic + sha256 digest + payload length + payload CRC32.
 _PREFIX = struct.Struct("<4s32sII")
 
-#: Fixed numeric tail of a payload: cycles, products, 4 util bins (i64)
-#: then one f64 per action in vocabulary order.
-_NUMERIC = struct.Struct(f"<6q{len(ACTIONS)}d")
+#: The payload tail: one little-endian int64 result row.
+_ROW_DTYPE = np.dtype("<i8")
+_ROW_BYTES = VECTOR_WIDTH * _ROW_DTYPE.itemsize
 
 #: Sanity bound on payload size — far above any real record (a record
 #: is ~300 bytes); a "length" beyond this is corruption, not a payload.
@@ -129,52 +136,44 @@ def key_digest(key: StoreKey) -> bytes:
     return h.digest()
 
 
-def _encode_payload(key: StoreKey, result: BlockResult) -> bytes:
+def _encode_payload(key: StoreKey, row: np.ndarray) -> bytes:
     namespace, a_bits, b_bits = key
     ns = namespace.encode("utf-8")
-    parts = [struct.pack("<H", len(ns)), ns,
-             struct.pack("<H", len(a_bits)), a_bits,
-             struct.pack("<H", len(b_bits)), b_bits]
-    bins = [int(b) for b in result.util_hist.bins]
-    counters = [float(result.counters.get(a)) for a in ACTIONS]
-    parts.append(_NUMERIC.pack(int(result.cycles), int(result.products),
-                               *bins, *counters))
-    return b"".join(parts)
+    return b"".join([struct.pack("<H", len(ns)), ns,
+                     struct.pack("<H", len(a_bits)), a_bits,
+                     struct.pack("<H", len(b_bits)), b_bits,
+                     np.asarray(row, dtype=_ROW_DTYPE).tobytes()])
 
 
-def _decode_payload(payload: bytes) -> Tuple[StoreKey, BlockResult]:
-    view = memoryview(payload)
+def _payload_key(payload: bytes) -> StoreKey:
+    """The cache key a payload was written for; checks the row's size."""
     offset = 0
     fields = []
     for _ in range(3):
-        if offset + 2 > len(view):
+        if offset + 2 > len(payload):
             raise DataCorruptionError("store payload truncated inside key")
-        (length,) = struct.unpack_from("<H", view, offset)
+        (length,) = struct.unpack_from("<H", payload, offset)
         offset += 2
-        if offset + length > len(view):
+        if offset + length > len(payload):
             raise DataCorruptionError("store payload key overruns record")
-        fields.append(bytes(view[offset:offset + length]))
+        fields.append(payload[offset:offset + length])
         offset += length
-    if len(view) - offset != _NUMERIC.size:
+    if len(payload) - offset != _ROW_BYTES:
         raise DataCorruptionError(
-            f"store payload numeric block is {len(view) - offset} bytes, "
-            f"expected {_NUMERIC.size} (ACTIONS vocabulary mismatch?)")
-    numbers = _NUMERIC.unpack_from(view, offset)
-    key: StoreKey = (fields[0].decode("utf-8"), fields[1], fields[2])
-    hist = UtilHistogram(bins=np.array(numbers[2:6], dtype=np.int64))
-    counters = Counters({a: numbers[6 + i] for i, a in enumerate(ACTIONS)
-                         if numbers[6 + i]})
-    result = BlockResult(cycles=int(numbers[0]), products=int(numbers[1]),
-                         util_hist=hist, counters=counters)
-    return key, result
+            f"store payload row is {len(payload) - offset} bytes, "
+            f"expected {_ROW_BYTES} (ACTIONS vocabulary mismatch?)")
+    return fields[0].decode("utf-8"), fields[1], fields[2]
 
 
-def encode_record(key: StoreKey, result: BlockResult) -> bytes:
+def _frame(digest: bytes, payload: bytes, crc: int) -> bytes:
+    """Prefix ``payload`` with its magic, digest, length and CRC32."""
+    return _PREFIX.pack(_MAGIC, digest, len(payload), crc) + payload
+
+
+def encode_record(key: StoreKey, row: np.ndarray) -> bytes:
     """One framed record: prefix + CRC-checked payload."""
-    payload = _encode_payload(key, result)
-    prefix = _PREFIX.pack(_MAGIC, key_digest(key), len(payload),
-                          zlib.crc32(payload) & 0xFFFFFFFF)
-    return prefix + payload
+    payload = _encode_payload(key, row)
+    return _frame(key_digest(key), payload, zlib.crc32(payload))
 
 
 @dataclass
@@ -335,7 +334,9 @@ class ResultStore:
         if manifest.get("schema") != STORE_SCHEMA:
             raise FormatError(
                 f"store schema {manifest.get('schema')!r} unsupported "
-                f"(this build reads schema {STORE_SCHEMA})")
+                f"(this build reads schema {STORE_SCHEMA}); the store only "
+                f"caches deterministic results, so rebuild it: delete "
+                f"{self.root} and rerun")
         if list(manifest.get("actions", [])) != list(ACTIONS):
             raise FormatError(
                 "store ACTIONS vocabulary differs from this build; refusing "
@@ -464,8 +465,11 @@ class ResultStore:
 
     # -- lookups and appends ----------------------------------------------
 
-    def lookup(self, key: StoreKey) -> Optional[BlockResult]:
-        """Fetch a stored result by cache key; ``None`` on miss."""
+    def lookup(self, key: StoreKey) -> Optional[np.ndarray]:
+        """Fetch a stored result row by cache key; ``None`` on miss.
+
+        The row is a read-only view of the payload's tail.
+        """
         with self._lock:
             entry = self._index.get(key_digest(key))
             if entry is None:
@@ -477,11 +481,10 @@ class ResultStore:
                 self.stats.misses += 1
                 obs.inc("store.misses")
                 return None
-            _, result = _decode_payload(payload)
             self.stats.hits += 1
             self.stats.served_bytes += entry.length
             obs.inc("store.hits")
-            return result
+            return np.frombuffer(payload[-_ROW_BYTES:], dtype=_ROW_DTYPE)
 
     def _read_payload(self, entry: _Entry) -> Optional[bytes]:
         with self._lock:
@@ -502,28 +505,29 @@ class ResultStore:
                 "re-read (disk-level corruption after indexing)")
         return payload
 
-    def insert(self, key: StoreKey, result: BlockResult) -> bool:
-        """Append a record unless its digest is already indexed.
+    def insert(self, key: StoreKey, row: np.ndarray) -> bool:
+        """Append a record of ``row`` unless its digest is already indexed.
 
-        Returns True when a record was written.  The write is a single
-        ``write()`` call on an append-mode handle, so concurrent
-        writers to *different* segments never interleave and a crash
-        leaves at worst one torn record at the tail.
+        Returns True when a record was written.  The key is hashed once
+        and a duplicate is dropped before anything is framed.  The
+        write is a single ``write()`` call on an append-mode handle, so
+        concurrent writers to *different* segments never interleave and
+        a crash leaves at worst one torn record at the tail.
         """
         digest = key_digest(key)
-        record = encode_record(key, result)
         with self._lock:
             if digest in self._index:
                 self.stats.duplicates += 1
                 return False
+            payload = _encode_payload(key, row)
+            crc = zlib.crc32(payload)
             writer = self._open_writer()
-            offset = writer.tell()
-            writer.write(record)
+            payload_at = writer.tell() + _PREFIX.size
+            writer.write(_frame(digest, payload, crc))
             writer.flush()
-            self._index[digest] = _Entry(
-                self._writer_path, offset + _PREFIX.size,
-                len(record) - _PREFIX.size, zlib.crc32(record[_PREFIX.size:]))
-            self._scanned[self._writer_path] = offset + len(record)
+            self._index[digest] = _Entry(self._writer_path, payload_at,
+                                         len(payload), crc)
+            self._scanned[self._writer_path] = payload_at + len(payload)
             self.stats.appends += 1
         obs.inc("store.appends")
         return True
@@ -597,8 +601,7 @@ class ResultStore:
                 if payload is None:
                     raise DataCorruptionError(
                         f"record in {entry.segment.name} vanished")
-                key, _ = _decode_payload(payload)
-                if key_digest(key) != digest:
+                if key_digest(_payload_key(payload)) != digest:
                     raise DataCorruptionError(
                         f"record in {entry.segment.name} decodes to a "
                         "different key than its digest")
@@ -637,8 +640,7 @@ class ResultStore:
             if payload is None:
                 dropped += 1
                 continue
-            framed = _PREFIX.pack(_MAGIC, digest, len(payload), entry.crc) \
-                + payload
+            framed = _frame(digest, payload, entry.crc)
             if max_bytes is not None and budget_used + len(framed) > max_bytes:
                 dropped += 1
                 continue

@@ -4,12 +4,16 @@
 block stream; :func:`handmade_tasks` adds the edge cases such a draw
 may miss.  Every model's ``simulate_blocks`` is checked against its
 stepped ``simulate_block`` on these with :func:`assert_results_equal`.
+The ``CYCLES``/``PRODUCTS``/``BINS`` indices (and
+:data:`~repro.arch.base.ACTION_COL`) read fields of a result row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.counters import ACTIONS
 from repro.arch.tasks import T1Task
 from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
@@ -18,23 +22,24 @@ from repro.kernels.vector import SparseVector
 from repro.workloads.synthetic import banded, random_uniform
 
 
-def assert_results_equal(batch_results, step_results, label: str) -> None:
-    """Batched results equal the stepped ones field for field.
+#: Result-row fields outside the action columns.
+CYCLES, PRODUCTS, BINS = 0, 1, slice(2, 6)
+COLUMNS = ("cycles", "products", "bin0", "bin1", "bin2", "bin3") + ACTIONS
 
-    Counters compare as item lists, so their key order is pinned too,
-    and the int64 row each result hands the engine must match the
-    stepped result's flattened vector.
+
+def assert_results_equal(batch_rows, step_results, label: str) -> None:
+    """The batched int64 rows equal the stepped results' rows exactly.
+
+    A failure names the first mismatching task and column.
     """
-    assert len(batch_results) == len(step_results)
-    for i, (got, want) in enumerate(zip(batch_results, step_results)):
-        context = f"{label}, task {i}"
-        assert got.cycles == want.cycles, context
-        assert got.products == want.products, context
-        assert np.array_equal(got.util_hist.bins, want.util_hist.bins), context
-        assert list(got.counters.as_dict().items()) == list(
-            want.counters.as_dict().items()
-        ), context
-        assert np.array_equal(got.action_vector_int(), want.action_vector()), context
+    assert isinstance(batch_rows, np.ndarray) and batch_rows.dtype == np.int64, label
+    want = np.stack([r.row() for r in step_results])
+    assert batch_rows.shape == want.shape == (len(step_results), VECTOR_WIDTH), label
+    if not np.array_equal(batch_rows, want):
+        task, col = np.argwhere(batch_rows != want)[0]
+        raise AssertionError(
+            f"{label}, task {task}, column {COLUMNS[col]}: batched "
+            f"{batch_rows[task, col]} != stepped {want[task, col]}")
 
 
 def kernel_tasks(limit_per_kernel: int = 80) -> list:

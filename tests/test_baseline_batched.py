@@ -2,12 +2,12 @@
 
 Every registered baseline's ``simulate_blocks`` claims exact equality
 with its stepped ``simulate_block``, because the engine inserts its
-results into the same block cache the stepped path reads.  These tests
-enforce that claim result for result — cycles, products, utilisation
-bins, and counters *including their key order* — at FP64 and FP32 over
-every kernel's block population, the edge cases a corpus draw may
-miss, 2:4-structured A blocks, mixed-width batches and batches past
-the chunk bound.
+rows into the same block cache the stepped path's rows land in.  These
+tests enforce that claim row for row — cycles, products, utilisation
+bins and every action count — at FP64 and FP32 over every kernel's
+block population, the edge cases a corpus draw may miss,
+2:4-structured A blocks, mixed-width batches and batches past the
+chunk bound.
 """
 
 from __future__ import annotations
@@ -15,12 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH
 from repro.arch.batch import CHUNK_BLOCKS
 from repro.arch.config import FP32, FP64
 from repro.arch.tasks import T1Task
 from repro.registry import registered_stcs
 
-from tests.blocks import assert_results_equal, handmade_tasks, kernel_tasks
+from tests.blocks import (
+    BINS,
+    CYCLES,
+    PRODUCTS,
+    assert_results_equal,
+    handmade_tasks,
+    kernel_tasks,
+)
 from tests.conftest import stc_at
 
 BASELINES = [name for name in registered_stcs() if name != "uni-stc"]
@@ -124,21 +132,19 @@ class TestBaselineParity:
         assert_results_equal(batch, stepped, f"chunked/{name}/{precision.name}")
 
     def test_batched_path_never_steps(self, corpus_tasks, name, precision):
-        """No block falls back to stepping, and every result already
-        carries the int64 row the engine aggregates."""
+        """No block falls back to stepping."""
         stc = stc_at(name, precision)
 
         def stepped(task):
             raise AssertionError("simulate_blocks fell back to simulate_block")
 
         stc.simulate_block = stepped
-        results = stc.simulate_blocks(corpus_tasks)
-        assert len(results) == len(corpus_tasks)
-        for result in results:
-            assert isinstance(vars(result).get("_int_vector"), np.ndarray)
+        rows = stc.simulate_blocks(corpus_tasks)
+        assert rows.shape == (len(corpus_tasks), VECTOR_WIDTH)
 
     def test_empty_task_list(self, name, precision):
-        assert stc_at(name, precision).simulate_blocks([]) == []
+        rows = stc_at(name, precision).simulate_blocks([])
+        assert rows.shape == (0, VECTOR_WIDTH) and rows.dtype == np.int64
 
 
 @pytest.mark.parametrize("precision", [FP64, FP32], ids=lambda p: p.name)
@@ -146,10 +152,10 @@ class TestBaselineParity:
 def test_contract_holds_on_kernel_blocks(corpus_tasks, name, precision):
     """The five cross-model invariants over real kernel blocks, batched."""
     stc = stc_at(name, precision)
-    for task, result in zip(corpus_tasks, stc.simulate_blocks(corpus_tasks)):
+    for task, row in zip(corpus_tasks, stc.simulate_blocks(corpus_tasks)):
         products = task.intermediate_products()
-        assert result.products == products
-        assert result.counters.get("mac_ops") == products
-        assert result.util_hist.cycles == result.cycles
-        assert result.counters.get("lane_cycles") == stc.macs * result.cycles
-        assert result.cycles >= -(-products // stc.macs)
+        assert row[PRODUCTS] == products
+        assert row[ACTION_COL["mac_ops"]] == products
+        assert row[BINS].sum() == row[CYCLES]
+        assert row[ACTION_COL["lane_cycles"]] == stc.macs * row[CYCLES]
+        assert row[CYCLES] >= -(-products // stc.macs)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult
+from repro.arch.base import VECTOR_WIDTH
 from repro.arch.unistc import UniSTC
 from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
@@ -23,8 +23,8 @@ def _key(i):
     return ("stc", bytes([i]) * 4, bytes([i]) * 2)
 
 
-def _result(i):
-    return BlockResult(cycles=i, products=i)
+def _row(i):
+    return np.full(VECTOR_WIDTH, i, dtype=np.int64)
 
 
 @pytest.fixture()
@@ -36,8 +36,8 @@ class TestStats:
     def test_hit_miss_insert_counting(self):
         cache = BlockCache()
         assert cache.lookup(_key(1)) is None
-        cache.insert(_key(1), _result(1))
-        assert cache.lookup(_key(1)).cycles == 1
+        cache.insert(_key(1), _row(1))
+        assert cache.lookup(_key(1))[0] == 1
         assert cache.lookup(_key(2)) is None
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.inserts) == (1, 2, 1)
@@ -49,18 +49,18 @@ class TestStats:
 
     def test_reset_and_clear(self):
         cache = BlockCache()
-        cache.insert(_key(1), _result(1))
+        cache.insert(_key(1), _row(1))
         cache.lookup(_key(1))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats.lookups == 0 and cache.stats.inserts == 0
-        cache.insert(_key(2), _result(2))
+        cache.insert(_key(2), _row(2))
         cache.clear(reset_stats=False)
         assert len(cache) == 0 and cache.stats.inserts == 1
 
     def test_as_dict_round_trips_to_json_scalars(self):
         cache = BlockCache()
-        cache.insert(_key(1), _result(1))
+        cache.insert(_key(1), _row(1))
         cache.lookup(_key(1))
         d = cache.stats.as_dict()
         assert d == {"hits": 1, "misses": 0, "evictions": 0, "inserts": 1,
@@ -68,12 +68,12 @@ class TestStats:
 
     def test_mapping_protocol_is_stats_neutral(self):
         cache = BlockCache()
-        cache[_key(1)] = _result(1)
+        cache[_key(1)] = _row(1)
         assert _key(1) in cache
-        assert cache[_key(1)].cycles == 1
+        assert cache[_key(1)][0] == 1
         assert cache.get(_key(2)) is None
         assert dict(cache.items())
-        cache.update({_key(2): _result(2)})
+        cache.update({_key(2): _row(2)})
         assert len(cache) == 2 and set(cache) == {_key(1), _key(2)}
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.inserts, stats.evictions) == (
@@ -91,15 +91,15 @@ class TestLRUBound:
     def test_unbounded_when_none(self):
         cache = BlockCache(capacity=None)
         for i in range(256):
-            cache.insert(_key(i), _result(i))
+            cache.insert(_key(i), _row(i))
         assert len(cache) == 256 and cache.stats.evictions == 0
 
     def test_evicts_least_recently_used(self):
         cache = BlockCache(capacity=2)
-        cache.insert(_key(1), _result(1))
-        cache.insert(_key(2), _result(2))
+        cache.insert(_key(1), _row(1))
+        cache.insert(_key(2), _row(2))
         cache.lookup(_key(1))  # refresh 1; 2 becomes LRU
-        cache.insert(_key(3), _result(3))
+        cache.insert(_key(3), _row(3))
         assert _key(1) in cache and _key(3) in cache
         assert _key(2) not in cache
         assert cache.stats.evictions == 1
@@ -107,15 +107,15 @@ class TestLRUBound:
     def test_mapping_inserts_respect_bound(self):
         cache = BlockCache(capacity=3)
         for i in range(6):
-            cache[_key(i)] = _result(i)
+            cache[_key(i)] = _row(i)
         assert len(cache) == 3
-        cache.update({_key(i): _result(i) for i in range(10, 16)})
+        cache.update({_key(i): _row(i) for i in range(10, 16)})
         assert len(cache) == 3
 
     def test_rebound_shrink_evicts_now(self):
         cache = BlockCache(capacity=None)
         for i in range(8):
-            cache.insert(_key(i), _result(i))
+            cache.insert(_key(i), _row(i))
         cache.lookup(_key(0))  # refresh 0 so it survives the shrink
         cache.rebound(3)
         assert cache.capacity == 3 and len(cache) == 3
@@ -124,13 +124,13 @@ class TestLRUBound:
 
     def test_rebound_grow_and_unbind_keep_entries(self):
         cache = BlockCache(capacity=2)
-        cache.insert(_key(1), _result(1))
-        cache.insert(_key(2), _result(2))
+        cache.insert(_key(1), _row(1))
+        cache.insert(_key(2), _row(2))
         cache.rebound(64)
         assert len(cache) == 2 and cache.stats.evictions == 0
         cache.rebound(None)
         for i in range(10, 110):
-            cache.insert(_key(i % 256), _result(i))
+            cache.insert(_key(i % 256), _row(i))
         assert len(cache) == 102 and cache.stats.evictions == 0
 
     def test_rebound_rejects_non_positive(self):

@@ -49,6 +49,34 @@ class TestChecksum:
         with pytest.raises(FormatError, match="checksum"):
             cachestore.load_cache(path)
 
+    def test_roundtrip_restores_identical_rows(self, tmp_path):
+        warm_cache()
+        before = {key: row.copy() for key, row in engine.get_cache().items()}
+        path = tmp_path / "cache.npz"
+        cachestore.save_cache(path)
+        engine.clear_cache()
+        cachestore.load_cache(path)
+        after = dict(engine.get_cache().items())
+        assert after.keys() == before.keys()
+        for key, row in after.items():
+            assert row.dtype == np.int64 and np.array_equal(row, before[key])
+
+    def test_fractional_counter_is_rejected(self, tmp_path):
+        """Counters are stored as float64 but must be integral: a
+        checksum-valid archive with a fractional count still fails."""
+        warm_cache()
+        path = tmp_path / "cache.npz"
+        cachestore.save_cache(path)
+        data = dict(np.load(path, allow_pickle=True))
+        data["counters"] = data["counters"].copy()
+        data["counters"][0, 0] += 0.5
+        data["checksum"] = np.asarray([cachestore._payload_checksum(
+            data["namespaces"], data["a_bits"], data["b_bits"],
+            data["scalars"], data["bins"], data["counters"])], dtype=np.int64)
+        np.savez_compressed(path, **data)
+        with pytest.raises(FormatError, match="non-integer"):
+            cachestore.load_cache(path)
+
     def test_entry_count_disagreement_is_rejected(self, tmp_path):
         warm_cache()
         path = tmp_path / "cache.npz"

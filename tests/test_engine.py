@@ -127,7 +127,7 @@ class TestBatchedAggregation:
         batch = _single_pair_batch([2, 3])  # coalesces to one pair, weight 5
         report = engine.simulate_batches(stc, [batch], cache=cache, energy_model=None)
         (cached,) = cache.values()
-        assert cached.cycles == 10 and cached.products == 1
+        assert cached[0] == 10 and cached[1] == 1  # cycles, products
         assert report.cycles == 50 and report.products == 5
         assert report.t1_tasks == 5
         assert report.counters.get("mac_ops") == 35
@@ -173,8 +173,10 @@ class TestBatchedAggregation:
         assert fast.counters.as_dict() == slow.counters.as_dict()
         assert fast.energy_breakdown == slow.energy_breakdown
 
-    def test_float_fallback_for_fractional_counters(self):
-        class FractionalSTC(STCModel):
+    def test_fractional_counter_raises(self):
+        """Counts are integers by construction: a model emitting a
+        fractional one is rejected by name, not aggregated in float64."""
+        class FractionalSTC(_WeightSensitiveSTC):
             name = "fractional"
 
             def simulate_block(self, task):
@@ -182,16 +184,32 @@ class TestBatchedAggregation:
                 result.counters.add("mac_ops", 1.5)
                 return result
 
-            @property
-            def macs(self):
-                return 64
+        batch = _single_pair_batch([3])
+        with pytest.raises(SimulationError, match="mac_ops"):
+            engine.simulate_batches(FractionalSTC(), [batch], cache=BlockCache())
+        with pytest.raises(SimulationError, match="mac_ops"):
+            engine.simulate_tasks(FractionalSTC(), batch.iter_tasks(), cache=BlockCache())
 
-        report = engine.simulate_batches(
-            FractionalSTC(), [_single_pair_batch([3])],
-            cache=BlockCache(), energy_model=None,
-        )
-        assert report.cycles == 12
-        assert report.counters.get("mac_ops") == pytest.approx(4.5)
+    @pytest.mark.parametrize("returned", ["results", "width", "dtype"])
+    def test_simulate_blocks_must_return_int64_rows(self, returned):
+        """An out-of-tree model still returning BlockResults, or rows of
+        the wrong width or dtype, is named instead of mis-aggregated."""
+        class StaleSTC(_WeightSensitiveSTC):
+            name = "stale-model"
+
+            def simulate_blocks(self, tasks):
+                rows = super().simulate_blocks(tasks)
+                if returned == "results":
+                    return [self.simulate_block(task) for task in tasks]
+                if returned == "width":
+                    return rows[:, :-1]
+                return rows.astype(np.float64)
+
+        with pytest.raises(SimulationError, match="stale-model"):
+            engine.simulate_batches(
+                StaleSTC(), [_single_pair_batch([3])],
+                cache=BlockCache(), energy_model=None,
+            )
 
 
 class TestSimReport:

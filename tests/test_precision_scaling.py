@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.arch.base import ACTION_COL
 from repro.arch.config import FP16, FP32, FP64, Precision, UniSTCConfig
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
@@ -10,6 +11,7 @@ from repro.baselines import DsSTC, RmSTC, Trapezoid
 from repro.errors import ConfigError
 from repro.registry import create_stc, registered_stcs
 
+from tests.blocks import BINS, CYCLES
 from tests.conftest import make_block_task, stc_at
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
@@ -96,10 +98,10 @@ class TestFP16:
     @pytest.mark.parametrize("name", FP16_MODELS)
     def test_fp16_models_fill_the_wider_array(self, name):
         stc = stc_at(name, FP16)
-        for result in (stc.simulate_block(DENSE), stc.simulate_blocks([DENSE])[0]):
-            assert result.cycles == 16
-            assert result.util_hist.fractions()[3] == 1.0
-            assert result.counters.get("lane_cycles") == 256 * 16
+        for row in (stc.simulate_block(DENSE).row(), stc.simulate_blocks([DENSE])[0]):
+            assert row[CYCLES] == 16
+            assert row[BINS][3] == 16
+            assert row[ACTION_COL["lane_cycles"]] == 256 * 16
 
     def test_trapezoid_rejects_budget_without_row_lanes(self):
         with pytest.raises(ConfigError, match="row lanes"):

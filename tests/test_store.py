@@ -15,10 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH
 from repro.arch.config import FP32, UniSTCConfig
-from repro.arch.counters import ACTIONS, Counters
-from repro.arch.tasks import UtilHistogram
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
@@ -32,6 +30,7 @@ from repro.store import (
     encode_record,
     key_digest,
 )
+from repro.store import resultstore
 from repro.workloads.synthetic import banded
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -41,10 +40,12 @@ def _key(i: int, ns: str = "ns"):
     return (ns, bytes([i]) * 4, bytes([i % 251, i % 7]))
 
 
-def _result(i: int) -> BlockResult:
-    hist = UtilHistogram(bins=np.array([i, 0, 2 * i, 1], dtype=np.int64))
-    return BlockResult(cycles=i, products=2 * i, util_hist=hist,
-                       counters=Counters({"mac_ops": float(3 * i)}))
+def _row(i: int) -> np.ndarray:
+    """A result row: cycles i, products 2i, bins [i, 0, 2i, 1], mac_ops 3i."""
+    row = np.zeros(VECTOR_WIDTH, dtype=np.int64)
+    row[:6] = [i, 2 * i, i, 0, 2 * i, 1]
+    row[ACTION_COL["mac_ops"]] = 3 * i
+    return row
 
 
 def _segments(store: ResultStore):
@@ -69,33 +70,53 @@ class TestFormat:
     def test_insert_lookup_roundtrip(self, root):
         with ResultStore(root) as store:
             assert store.lookup(_key(1)) is None
-            assert store.insert(_key(1), _result(1)) is True
+            assert store.insert(_key(1), _row(1)) is True
             got = store.lookup(_key(1))
-        assert got.cycles == 1 and got.products == 2
-        assert [int(b) for b in got.util_hist.bins] == [1, 0, 2, 1]
-        assert got.counters.get("mac_ops") == 3.0
-        assert got.counters.get(ACTIONS[-1]) == 0.0
+        assert got.dtype == np.int64 and np.array_equal(got, _row(1))
+
+    def test_record_payload_ends_in_the_row_bytes(self):
+        record = encode_record(_key(3), _row(3))
+        assert record.endswith(_row(3).astype("<i8").tobytes())
 
     def test_persists_across_reopen(self, root):
         with ResultStore(root) as store:
             for i in range(1, 6):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
         with ResultStore(root) as store:
             assert len(store) == 5
-            assert store.lookup(_key(3)).cycles == 3
+            assert store.lookup(_key(3))[0] == 3
 
     def test_duplicate_insert_is_dropped(self, root):
         with ResultStore(root) as store:
-            assert store.insert(_key(1), _result(1)) is True
-            assert store.insert(_key(1), _result(1)) is False
+            assert store.insert(_key(1), _row(1)) is True
+            assert store.insert(_key(1), _row(1)) is False
             assert len(store) == 1
             assert store.stats.appends == 1
             assert store.stats.duplicates == 1
 
+    def test_insert_hashes_once_and_never_frames_a_duplicate(self, root, monkeypatch):
+        calls = {"digest": 0, "encode": 0}
+
+        def spy(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(resultstore, "key_digest",
+                            spy("digest", resultstore.key_digest))
+        monkeypatch.setattr(resultstore, "_encode_payload",
+                            spy("encode", resultstore._encode_payload))
+        with ResultStore(root) as store:
+            assert store.insert(_key(1), _row(1)) is True
+            assert calls == {"digest": 1, "encode": 1}
+            assert store.insert(_key(1), _row(1)) is False
+            assert calls == {"digest": 2, "encode": 1}
+
     def test_stats_traffic_accounting(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.lookup(_key(1))
             store.lookup(_key(2))
             stats = store.stats
@@ -109,7 +130,7 @@ class TestFormat:
         import json
 
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.flush()
             doc = store.describe()
         assert doc["kind"] == "repro.store"
@@ -122,11 +143,11 @@ class TestFormat:
         writer = ResultStore(root)
         reader = ResultStore(root)
         try:
-            writer.insert(_key(1), _result(1))
+            writer.insert(_key(1), _row(1))
             writer.flush()
             assert reader.lookup(_key(1)) is None  # not yet scanned
             assert reader.refresh() == 1
-            assert reader.lookup(_key(1)).cycles == 1
+            assert reader.lookup(_key(1))[0] == 1
         finally:
             writer.close()
             reader.close()
@@ -145,6 +166,19 @@ class TestManifest:
         manifest["schema"] = STORE_SCHEMA + 99
         (root / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="schema"):
+            ResultStore(root)
+
+    def test_schema_1_store_must_be_rebuilt(self, root):
+        """Schema 1 held float64 counts where schema 2 holds int64 ones,
+        in records of the same size: only the manifest tells them apart."""
+        import json
+
+        with ResultStore(root) as store:
+            store.insert(_key(1), _row(1))
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["schema"] = 1
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="rebuild it: delete"):
             ResultStore(root)
 
     def test_actions_vocabulary_drift_is_rejected(self, root):
@@ -169,11 +203,11 @@ class TestCrashSemantics:
         """A closed store whose single segment ends mid-record."""
         with ResultStore(root) as store:
             for i in range(1, records + 1):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             (seg,) = _segments(store)
         clean = seg.stat().st_size
-        extra = encode_record(_key(99), _result(99))[:torn]
+        extra = encode_record(_key(99), _row(99))[:torn]
         with open(seg, "ab") as fh:
             fh.write(extra)
         return seg, clean
@@ -182,7 +216,7 @@ class TestCrashSemantics:
         seg, clean = self._store_with_torn_tail(root)
         with ResultStore(root) as store:
             assert len(store) == 3
-            assert store.lookup(_key(2)).cycles == 2
+            assert store.lookup(_key(2))[0] == 2
         # A live reader must not touch a foreign segment: the tail may
         # be another writer's append in progress.
         assert seg.stat().st_size == clean + 20
@@ -209,7 +243,7 @@ class TestCrashSemantics:
         # next scan quarantines.
         with ResultStore(root) as writer:
             for i in range(1, 5):
-                writer.insert(_key(i), _result(i))
+                writer.insert(_key(i), _row(i))
             writer.flush()
             (seg,) = _segments(writer)
             full = seg.stat().st_size
@@ -225,16 +259,16 @@ class TestCrashSemantics:
             # Stale beyond-EOF index entries degrade to misses, and
             # the segment is rescanned once it grows again.
             assert reader.lookup(_key(4)) is None
-            writer.insert(_key(9), _result(9))
+            writer.insert(_key(9), _row(9))
             writer.flush()
             assert reader.refresh() >= 1
-            assert reader.lookup(_key(9)).cycles == 9
+            assert reader.lookup(_key(9))[0] == 9
             reader.close()
 
     def test_interior_corruption_quarantines_segment(self, root):
         with ResultStore(root) as store:
             for i in range(1, 4):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             (seg,) = _segments(store)
         data = bytearray(seg.read_bytes())
@@ -247,12 +281,12 @@ class TestCrashSemantics:
             quarantined = list(store.segment_dir.glob("*.quarantined*"))
             assert len(quarantined) == 1
             # The store stays writable after quarantine.
-            assert store.insert(_key(7), _result(7)) is True
-            assert store.lookup(_key(7)).cycles == 7
+            assert store.insert(_key(7), _row(7)) is True
+            assert store.lookup(_key(7))[0] == 7
 
     def test_bad_magic_quarantines_segment(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             store.flush()
             (seg,) = _segments(store)
         data = bytearray(seg.read_bytes())
@@ -265,7 +299,7 @@ class TestCrashSemantics:
     def test_verify_clean_and_corrupt(self, root):
         with ResultStore(root) as store:
             for i in range(1, 4):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             report = store.verify()
             assert report["records"] == 3 and report["errors"] == []
@@ -289,15 +323,16 @@ class TestCrashSemantics:
     def test_concurrent_writers_converge(self, root):
         script = (
             "import sys\n"
+            "import numpy as np\n"
             "from repro.store import ResultStore\n"
-            "from repro.arch.base import BlockResult\n"
+            "from repro.arch.base import VECTOR_WIDTH\n"
             "root, tag = sys.argv[1], int(sys.argv[2])\n"
             "with ResultStore(root) as store:\n"
             "    for i in range(40):\n"
             "        store.insert(('ns', b'\\x01\\x02', b'\\x03'),\n"
-            "                     BlockResult(cycles=11, products=22))\n"
+            "                     np.full(VECTOR_WIDTH, 11, dtype=np.int64))\n"
             "        store.insert(('w%d' % tag, bytes([i]), b'x'),\n"
-            "                     BlockResult(cycles=i, products=i))\n"
+            "                     np.full(VECTOR_WIDTH, i, dtype=np.int64))\n"
             "    store.flush()\n"
         )
         procs = [
@@ -312,7 +347,7 @@ class TestCrashSemantics:
         with ResultStore(root) as store:
             # The racing key converged to exactly one readable record...
             got = store.lookup(("ns", b"\x01\x02", b"\x03"))
-            assert got is not None and got.cycles == 11
+            assert got is not None and got[0] == 11
             # ...and nothing either writer appended was lost.
             assert len(store) == 1 + 2 * 40
             assert store.verify()["errors"] == []
@@ -329,9 +364,9 @@ class TestThreadSafety:
             def work(i):
                 for j in range(40):
                     key = _key(j % 251, ns=f"t{i}")
-                    assert store.insert(key, _result(j % 100)) is True
+                    assert store.insert(key, _row(j % 100)) is True
                     got = store.lookup(key)
-                    assert got is not None and got.cycles == j % 100
+                    assert got is not None and got[0] == j % 100
 
             with ThreadPoolExecutor(max_workers=8) as pool:
                 list(pool.map(work, range(8)))
@@ -346,7 +381,7 @@ class TestGC:
             with ResultStore(root) as store:
                 for i in range(1, 5):
                     store.insert(_key(10 * generation + i),
-                                 _result(10 * generation + i))
+                                 _row(10 * generation + i))
                 store.flush()
         with ResultStore(root, repair=True) as store:
             assert store.segments == 3
@@ -355,7 +390,7 @@ class TestGC:
             assert report.segments_removed == 3
             assert store.segments == 1
             assert len(store) == 12
-            assert store.lookup(_key(21)).cycles == 21
+            assert store.lookup(_key(21))[0] == 21
         # The compacted store reopens clean.
         with ResultStore(root) as store:
             assert len(store) == 12
@@ -364,7 +399,7 @@ class TestGC:
     def test_gc_budget_keeps_newest(self, root):
         with ResultStore(root) as store:
             for i in range(1, 11):
-                store.insert(_key(i), _result(i))
+                store.insert(_key(i), _row(i))
             store.flush()
             per_record = store.bytes // 10
             report = store.gc(max_bytes=3 * per_record)
@@ -421,12 +456,12 @@ class TestFingerprintStability:
 class TestBlockCacheTier:
     def test_store_hit_promotes_into_lru(self, root):
         with ResultStore(root) as store:
-            store.insert(_key(1), _result(1))
+            store.insert(_key(1), _row(1))
             cache = BlockCache(store=store)
-            assert cache.lookup(_key(1)).cycles == 1
+            assert cache.lookup(_key(1))[0] == 1
             assert (cache.stats.hits, cache.stats.store_hits) == (1, 1)
             # Promotion: the second lookup is pure LRU.
-            assert cache.lookup(_key(1)).cycles == 1
+            assert cache.lookup(_key(1))[0] == 1
             assert (cache.stats.hits, cache.stats.store_hits) == (2, 1)
             assert store.stats.hits == 1
 
@@ -439,12 +474,12 @@ class TestBlockCacheTier:
     def test_insert_writes_through(self, root):
         with ResultStore(root) as store:
             cache = BlockCache(store=store)
-            cache.insert(_key(5), _result(5))
-            assert store.lookup(_key(5)).cycles == 5
+            cache.insert(_key(5), _row(5))
+            assert store.lookup(_key(5))[0] == 5
 
     def test_as_dict_keys_appear_only_with_store_traffic(self, root):
         cache = BlockCache()
-        cache.insert(_key(1), _result(1))
+        cache.insert(_key(1), _row(1))
         cache.lookup(_key(1))
         assert "store_hits" not in cache.stats.as_dict()
         with ResultStore(root) as store:
