@@ -11,7 +11,8 @@ Every subcommand module registers two callables on its subparser:
 session (obs wiring + manifest), run the body, report artifacts.
 Domain errors (:class:`~repro.errors.ReproError`) print as
 ``error: ...`` and exit 2 — and still leave a manifest behind when
-they happen inside the session.
+they happen inside the session.  An error opening or closing the
+session itself (an unopenable ``--store``) follows the same contract.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ _COMMAND_MODULES = (
     bench,
     dse,
     reporting,     # paper, report
-    store_cmds,    # store stat|verify|gc|import, serve
+    store_cmds,    # store stat|verify|gc, serve
     top,           # live campaign status viewer
     worker,        # exec-supervisor internal
 )
@@ -74,14 +75,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     exit_code = 0
-    with Session(spec) as session:
-        try:
-            exit_code = args.func(args, session)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            session.fail(str(exc))
-            exit_code = 2
-        session.exit_code = exit_code
+    session = Session(spec)
+    try:
+        with session:
+            try:
+                exit_code = args.func(args, session)
+            except ReproError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                session.fail(str(exc))
+                exit_code = 2
+            session.exit_code = exit_code
+    except ReproError as exc:
+        # Entering or leaving the session failed (an unopenable
+        # --store, say): same one-line contract as the body's errors.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     artifact = session.artifact
     if artifact is not None:
         if artifact.trace_path is not None:

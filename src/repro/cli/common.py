@@ -82,10 +82,6 @@ def add_resilience_flags(parser: argparse.ArgumentParser,
         help=f"retry budget per {unit} for transient failures",
     )
     parser.add_argument(
-        "--cache", default="",
-        help="block-result cache file; corrupt files warn and rebuild cold",
-    )
-    parser.add_argument(
         "--store", default="", metavar="DIR",
         help="persistent content-addressed result store directory "
              "(created on first use, safe to share across workers and "
@@ -172,8 +168,7 @@ def make_spec(
             telemetry=not getattr(args, "no_telemetry", False),
             status_path=getattr(args, "status_json", ""),
         ),
-        cache=CachePolicy(path=getattr(args, "cache", ""),
-                          store_dir=getattr(args, "store", "")),
+        cache=CachePolicy(store_dir=getattr(args, "store", "")),
         resilience=ResiliencePolicy(
             timeout_s=getattr(args, "timeout", 0.0),
             max_retries=getattr(args, "max_retries", 1),

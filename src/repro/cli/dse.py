@@ -60,8 +60,6 @@ def cmd_dse(args: argparse.Namespace, session: Session) -> int:
         n_cores=args.cores,
         journal_path=res.checkpoint or None,
         resume=res.resume,
-        cache_path=session.spec.cache.path or None,
-        store_path=session.spec.cache.store_dir or None,
         timeout_s=res.timeout,
         max_retries=res.max_retries,
         exec_policy=session.spec.exec,

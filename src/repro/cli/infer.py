@@ -102,10 +102,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     infer.add_argument("--out", default="", metavar="FILE",
                        help="write the ModelReport JSON here")
     infer.add_argument(
-        "--cache", default="",
-        help="block-result cache file; corrupt files warn and rebuild cold",
-    )
-    infer.add_argument(
         "--store", default="", metavar="DIR",
         help="persistent content-addressed result store directory bound "
              "for the run (second tier under the block cache)",

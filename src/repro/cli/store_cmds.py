@@ -7,9 +7,7 @@ result store (:mod:`repro.store`):
 - ``verify`` — re-read every record, CRC-checked; non-zero exit on
   any corruption (``--strict`` raises on the first);
 - ``gc`` — compact to one deduplicated segment, optionally under
-  ``--max-bytes``;
-- ``import`` — migrate a legacy ``.npz`` block-cache snapshot
-  (:mod:`repro.sim.cachestore`) into the store.
+  ``--max-bytes``.
 
 ``repro serve`` runs the memoising simulation service
 (:mod:`repro.store.service`) over a store: POST RunSpec-shaped JSON to
@@ -30,16 +28,6 @@ from repro.store import ResultStore, SimulationService
 
 def cmd_store(args: argparse.Namespace, session: Session) -> int:
     """Administer one result store (see module docs for the actions)."""
-    if args.action == "import":
-        from repro.sim.cachestore import migrate_cache
-
-        if not args.npz:
-            print("error: store import needs --npz FILE", file=sys.stderr)
-            return 2
-        appended = migrate_cache(args.npz, args.dir)
-        print(f"imported {appended} record(s) from {args.npz} into {args.dir}")
-        return 0
-
     # Maintenance actions assert sole ownership, so torn tails are
     # repaired; `stat` is a pure reader and must not touch segments.
     repair = args.action in ("gc", "verify")
@@ -104,9 +92,8 @@ def register(sub: argparse._SubParsersAction) -> None:
         help="inspect / verify / compact a persistent result store",
     )
     store.add_argument(
-        "action", choices=["stat", "verify", "gc", "import"],
-        help="stat: summary; verify: CRC re-read; gc: compact; "
-             "import: migrate a legacy .npz cache",
+        "action", choices=["stat", "verify", "gc"],
+        help="stat: summary; verify: CRC re-read; gc: compact",
     )
     store.add_argument("dir", metavar="DIR", help="store directory")
     store.add_argument(
@@ -120,10 +107,6 @@ def register(sub: argparse._SubParsersAction) -> None:
     store.add_argument(
         "--max-bytes", type=int, default=0, metavar="N",
         help="gc: size budget; newest records are kept (0 = keep all)",
-    )
-    store.add_argument(
-        "--npz", default="", metavar="FILE",
-        help="import: the legacy cache snapshot to migrate",
     )
     # Maintenance must not write run manifests next to user campaigns.
     store.set_defaults(

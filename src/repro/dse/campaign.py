@@ -197,9 +197,6 @@ class Campaign:
     n_cores: int = 1
     journal_path: Optional[Union[str, Path]] = None
     resume: bool = False
-    cache_path: Optional[Union[str, Path]] = None
-    #: Shared content-addressed result store (see :mod:`repro.store`).
-    store_path: Optional[Union[str, Path]] = None
     timeout_s: Optional[float] = None
     max_retries: int = 1
     #: Multi-process batch execution (``None``/``workers=0`` = in-process).
@@ -215,8 +212,6 @@ class Campaign:
             n_cores=self.n_cores,
             journal_path=self.journal_path,
             resume=self.resume,
-            cache_path=self.cache_path,
-            store_path=self.store_path,
             timeout_s=self.timeout_s,
             max_retries=self.max_retries,
             exec_policy=self.exec_policy,

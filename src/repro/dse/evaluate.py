@@ -37,7 +37,6 @@ per-workload behaviour.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -52,11 +51,9 @@ from repro.errors import ConfigError
 from repro.exec import CampaignExecutor, ExecPolicy, StcDef
 from repro.registry import parse_matrix_spec, stc_factory
 from repro.resilience.runner import ResilientRunner, RetryPolicy
-from repro.sim import engine
 from repro.sim.parallel import ParallelReport, simulate_parallel
 from repro.sim.results import SimReport
 from repro.sim.sweep import Sweep, SweepCase, SweepResult
-from repro.store import ResultStore
 
 BASELINE_STC = "ds-stc"
 
@@ -185,17 +182,15 @@ class CachedEvaluator:
     journal (``journal_path``) is a :mod:`repro.resilience` checkpoint
     journal bound to the campaign fingerprint; with ``resume=True`` a
     prior journal's evaluations are replayed instead of re-simulated.
+    Block results persist through the result store the caller bound
+    (:func:`repro.sim.engine.store_tier`, as a session does); worker
+    shards inherit its root.
     """
 
     fingerprint: str
     n_cores: int = 1
     journal_path: Optional[Union[str, Path]] = None
     resume: bool = False
-    cache_path: Optional[Union[str, Path]] = None
-    #: Shared content-addressed result store (see :mod:`repro.store`):
-    #: bound for in-process batches and carried into distributed
-    #: shards, so repeated campaigns replay block results warm.
-    store_path: Optional[Union[str, Path]] = None
     timeout_s: Optional[float] = None
     max_retries: int = 1
     #: Multi-process execution envelope; ``None`` (or ``workers=0``)
@@ -218,28 +213,6 @@ class CachedEvaluator:
         self.n_simulated = 0
         self.n_resumed = 0
         self.n_failed = 0
-
-    @contextmanager
-    def _store_binding(self):
-        """Bind ``store_path`` for one in-process batch.
-
-        No-op when unset or when the caller (a session) already bound
-        the same store process-wide.
-        """
-        if self.store_path is None:
-            yield None
-            return
-        root = Path(str(self.store_path))
-        bound = engine.bound_store()
-        if bound is not None and Path(bound.root) == root:
-            yield bound
-            return
-        store = ResultStore(root)
-        try:
-            with engine.store_tier(store):
-                yield store
-        finally:
-            store.close()
 
     # -- sweep-state plumbing --------------------------------------------
 
@@ -325,8 +298,6 @@ class CachedEvaluator:
                     fingerprint=self.fingerprint,
                     timeout_s=self.timeout_s or 0.0,
                     max_retries=self.max_retries,
-                    cache_path=self.cache_path,
-                    store_path=self.store_path,
                     policy=self.exec_policy,
                     telemetry=self.telemetry,
                 )
@@ -339,11 +310,9 @@ class CachedEvaluator:
                     retry=RetryPolicy(max_retries=self.max_retries),
                     journal_path=self.journal_path,
                     resume=self._resume_next,
-                    cache_path=self.cache_path,
                     fingerprint=self.fingerprint,
                 )
-                with self._store_binding():
-                    summary = runner.run()
+                summary = runner.run()
         if self.journal_path is not None:
             # Later batches must append to the journal just written.
             self._resume_next = True

@@ -48,7 +48,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -77,7 +76,6 @@ from repro.resilience.runner import (
 )
 from repro.sim import engine
 from repro.sim.sweep import SweepCase
-from repro.store import ResultStore
 
 logger = logging.getLogger(__name__)
 
@@ -154,12 +152,6 @@ class CampaignExecutor:
     seed: int = 0
     timeout_s: float = 0.0
     max_retries: int = 1
-    cache_path: Optional[Union[str, Path]] = None
-    #: Shared content-addressed result store: every shard binds it as
-    #: its block-cache second tier, and the in-process path binds it
-    #: locally.  Worker ``store.*`` counters fold into the supervisor's
-    #: registry through the telemetry stream like every other metric.
-    store_path: Optional[Union[str, Path]] = None
     policy: ExecPolicy = field(default_factory=ExecPolicy)
     #: Stream per-shard telemetry (metrics deltas, spans, live status).
     #: On by default for distributed runs; the in-process path has
@@ -209,22 +201,6 @@ class CampaignExecutor:
 
     # -- in-process degradation -----------------------------------------
 
-    def _store_binding(self):
-        """(context manager, owned handle) binding ``store_path`` locally.
-
-        When the session (or caller) already bound the same store
-        process-wide this is a no-op pair — a second handle would just
-        open a redundant writer segment.
-        """
-        if self.store_path is None:
-            return nullcontext(), None
-        root = Path(str(self.store_path))
-        bound = engine.bound_store()
-        if bound is not None and Path(bound.root) == root:
-            return nullcontext(), None
-        store = ResultStore(root)
-        return engine.store_tier(store), store
-
     def _run_in_process(
         self,
         cases: List[SweepCase],
@@ -238,18 +214,11 @@ class CampaignExecutor:
             retry=RetryPolicy(max_retries=self.max_retries),
             journal_path=self.journal_path,
             resume=self.resume,
-            cache_path=self.cache_path,
             seed=self.seed,
             fingerprint=fingerprint,
             max_leaked_threads=self.policy.max_leaked_threads,
         )
-        binding, owned = self._store_binding()
-        try:
-            with binding:
-                return runner.run(progress=progress)
-        finally:
-            if owned is not None:
-                owned.close()
+        return runner.run(progress=progress)
 
     # -- distributed path -----------------------------------------------
 
@@ -320,18 +289,11 @@ class CampaignExecutor:
                         retry=RetryPolicy(max_retries=self.max_retries),
                         journal_path=journal,
                         resume=journal.exists(),
-                        cache_path=self.cache_path,
                         seed=self.seed,
                         fingerprint=fingerprint,
                         max_leaked_threads=self.policy.max_leaked_threads,
                     )
-                    binding, owned = self._store_binding()
-                    try:
-                        with binding:
-                            return runner.run(progress=progress)
-                    finally:
-                        if owned is not None:
-                            owned.close()
+                    return runner.run(progress=progress)
                 shard_journals = sorted(workdir.glob("*.journal"))
                 merge_journals(journal, shard_journals, fingerprint,
                                order=order, cases=len(order))
@@ -383,6 +345,10 @@ class CampaignExecutor:
                      workdir: Path, metric_paths: List[Path]
                      ) -> List[ShardSpec]:
         n_shards = min(self.policy.workers, len(pending))
+        # Shards inherit the process's bound result store, so a worker
+        # fleet shares the memo the in-process path would have used.
+        bound = engine.bound_store()
+        store = str(bound.root) if bound is not None else ""
         specs: List[ShardSpec] = []
         for i, chunk in enumerate(shard_cases(pending, n_shards)):
             shard_id = f"s{i}"
@@ -415,7 +381,7 @@ class CampaignExecutor:
                 metrics=metrics,
                 telemetry=(str(telemetry_path(workdir, shard_id))
                            if self.telemetry else ""),
-                store=str(self.store_path) if self.store_path else "",
+                store=store,
             ))
         return specs
 

@@ -177,10 +177,8 @@ def run_shard(spec: ShardSpec) -> int:
     resumes from it when the file already exists (a respawn).  The
     shard's ``campaign`` fingerprint binds the journal, so a stale
     journal from a different campaign is rejected rather than
-    silently replayed.  Workers never share a whole-file block-cache
-    snapshot — concurrent ``.npz`` writers would race — so
-    ``cache_path`` stays unset; shared persistence instead rides
-    ``spec.store``, the content-addressed result store whose
+    silently replayed.  Shared persistence rides ``spec.store``: the
+    root of the result store the supervisor had bound, whose
     append-only per-writer segments are safe under the whole fleet
     (every shard binds the same store as its block-cache second tier).
     """

@@ -184,9 +184,9 @@ def bench_corpus_sweep(
       block pattern pays one ``simulate_block`` call.  Cold time is
       dominated by the STC models themselves, which both paths share.
     - **warm** — the cache already holds every pattern, the regime a
-      sweep service actually runs in (``repro corpus`` persists and
-      pre-loads the cache via :mod:`repro.sim.cachestore` for exactly
-      this reason).  Warm time *is* the enumeration + aggregation
+      sweep service actually runs in (``repro corpus --store`` keeps
+      block results in a persistent result store for exactly this
+      reason).  Warm time *is* the enumeration + aggregation
       overhead this layer owns, so the headline ``speedup`` is the
       warm ratio.
 

@@ -9,8 +9,8 @@ a cached block result), and the campaign classifies every injected
 fault as
 
 - **detected** — :meth:`BBCMatrix.validate` flags the corruption, the
-  kernel crashes on it, task-count accounting disagrees, or the cache
-  file's checksum rejects it;
+  kernel crashes on it, task-count accounting disagrees, or the result
+  store quarantines the corrupted segment;
 - **masked** — the fault survives undetected but the observable output
   (numerics against :mod:`repro.kernels.reference`, or the simulated
   report) is unchanged;
@@ -29,15 +29,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigError, FormatError
+from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import bbc_kernels, reference
 from repro.kernels.taskstream import kernel_tasks
 from repro.registry import create_stc
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.engine import simulate_tasks
+from repro.store import ResultStore
 
 #: Every fault kind a campaign cycles through.
 FAULT_KINDS: Tuple[str, ...] = (
@@ -51,7 +52,7 @@ FAULT_KINDS: Tuple[str, ...] = (
     "task_dup",       # replay one T1 task
     "task_reorder",   # shuffle the T1 stream (should always be masked)
     "cache_result",   # poison one in-memory memoised block result
-    "cache_file",     # flip one byte of a persisted cache archive
+    "cache_file",     # flip one byte of a persisted result-store segment
 )
 
 #: Kinds that corrupt the stored matrix itself.
@@ -279,24 +280,28 @@ def _classify_task_fault(
     return "masked", "simulated totals unchanged"
 
 
-def _classify_cache_file_fault(rng: np.random.Generator) -> Tuple[str, str]:
-    """Persist the warm cache, flip one byte, try to load it back."""
+def _classify_cache_file_fault(rows: Dict[tuple, np.ndarray],
+                               rng: np.random.Generator) -> Tuple[str, str]:
+    """Persist ``rows`` to a fresh store, flip one segment byte, reopen."""
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
-        path = Path(tmp) / "cache.npz"
-        cachestore.save_cache(path)
-        blob = bytearray(path.read_bytes())
+        root = Path(tmp) / "store"
+        with ResultStore(root) as store:
+            for key, row in rows.items():
+                store.insert(key, row)
+        (segment,) = store.segment_dir.glob("*.seg")
+        blob = bytearray(segment.read_bytes())
         pos = int(rng.integers(len(blob)))
         blob[pos] ^= 1 << int(rng.integers(8))
-        path.write_bytes(bytes(blob))
-        before = dict(engine._BLOCK_CACHE)
-        try:
-            cachestore.load_cache(path)
-        except FormatError as exc:
-            return "detected", f"load_cache rejected the archive: {exc}"
-        finally:
-            engine._BLOCK_CACHE.clear()
-            engine._BLOCK_CACHE.update(before)
-        return "masked", f"byte {pos} flip did not reach the payload"
+        segment.write_bytes(bytes(blob))
+        with ResultStore(root) as store:
+            if store.stats.quarantined:
+                return "detected", f"byte {pos} flip quarantined the segment"
+            found = {key: store.lookup(key) for key in rows}
+        if any(got is not None and not np.array_equal(got, rows[key])
+               for key, got in found.items()):
+            return "sdc", f"byte {pos} flip changed a stored row undetected"
+        misses = sum(got is None for got in found.values())
+        return "masked", f"byte {pos} flip cost {misses} store miss(es)"
 
 
 def run_campaign(
@@ -343,6 +348,7 @@ def run_campaign(
     expected_weight = sum(t.weight for t in clean_tasks)
     clean_report = simulate_tasks(stc, clean_tasks, kernel=kernel, energy_model=None)
     cache_keys = sorted({(stc.cache_key(),) + t.cache_key() for t in clean_tasks})
+    clean_rows = {key: engine._BLOCK_CACHE[key] for key in cache_keys}
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)
     for i in range(trials):
@@ -370,8 +376,8 @@ def run_campaign(
             finally:
                 engine._BLOCK_CACHE[key] = original
         elif kind == "cache_file":
-            fault = InjectedFault(kind="cache_file", site="persisted archive byte flip")
-            outcome, detail = _classify_cache_file_fault(rng)
+            fault = InjectedFault(kind="cache_file", site="store segment byte flip")
+            outcome, detail = _classify_cache_file_fault(clean_rows, rng)
         else:  # pragma: no cover - guarded by the kinds check above
             raise ConfigError(f"unhandled fault kind {kind!r}")
         report.trials.append(FaultOutcome(fault=fault, outcome=outcome, detail=detail))

@@ -1,7 +1,7 @@
 """Fault-tolerant sweep execution.
 
 A plain :meth:`Sweep.run` dies on the first bad case: one malformed
-matrix, one hung model, one corrupt cache file and the whole corpus
+matrix, one hung model, one corrupt store segment and the whole corpus
 run is lost.  :class:`ResilientRunner` executes the same grid with the
 failure-isolation properties a long-running sweep service needs:
 
@@ -16,10 +16,11 @@ failure-isolation properties a long-running sweep service needs:
 - **Checkpoint journal** — every finished case is appended to a JSONL
   journal; ``resume=True`` replays journaled successes (their reports
   are reconstructed, not re-simulated) and re-runs only the rest.
-- **Warm block cache** — an optional cache file is loaded through
-  :func:`repro.sim.cachestore.load_cache_or_cold`, so a corrupt or
-  truncated cache warns and rebuilds cold instead of aborting, and is
-  re-saved when the run finishes (even on interrupt).
+- **Persistent memo** — block results persist through whatever
+  :class:`repro.store.ResultStore` the process has bound as the block
+  cache's second tier (:func:`repro.sim.engine.store_tier`); the store
+  quarantines a corrupt segment and the run re-simulates its blocks
+  instead of aborting.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from repro.errors import (
 )
 from repro.arch.counters import Counters
 from repro.arch.tasks import UtilHistogram
-from repro.sim import cachestore
 from repro.sim.results import SimReport
 from repro.sim.sweep import Sweep, SweepCase, SweepResult
 
@@ -337,7 +337,6 @@ class ResilientRunner:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     journal_path: Optional[Union[str, Path]] = None
     resume: bool = False
-    cache_path: Optional[Union[str, Path]] = None
     seed: int = 0
     sleep: Callable[[float], None] = time.sleep
     clock: Callable[[], float] = time.monotonic
@@ -482,16 +481,12 @@ class ResilientRunner:
         """Execute the grid; returns every case's terminal outcome.
 
         A crash or interrupt can cost at most the in-flight case: the
-        journal is flushed per line and the warm cache is saved on the
-        way out (including on ``KeyboardInterrupt``).
+        journal is flushed per line, and a bound result store writes
+        every block result through as it is simulated.
         """
         rng = np.random.default_rng(self.seed)
         cases = self.sweep.cases()
         fingerprint = self.fingerprint or _grid_fingerprint(cases)
-        if self.cache_path is not None:
-            warm = cachestore.load_cache_or_cold(self.cache_path)
-            if warm:
-                logger.info("warm-started block cache with %d entries", warm)
 
         journaled: Dict[str, CaseOutcome] = {}
         journal_handle = None
@@ -549,8 +544,4 @@ class ResilientRunner:
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
                 self._executor = None
-            if self.cache_path is not None:
-                written = cachestore.save_cache(self.cache_path)
-                logger.info("saved block cache (%d entries) to %s",
-                            written, self.cache_path)
         return summary

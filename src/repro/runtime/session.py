@@ -15,9 +15,11 @@ The session owns, uniformly for every run:
 - **observability wiring** — the tracer/metrics registry is enabled
   per the spec's :class:`~repro.runtime.spec.ObsPolicy`, artifacts are
   written on exit, and the previous obs state is restored;
-- **cache and resilience policy** — :meth:`runner` builds a
+- **result store and resilience policy** — the spec's result store is
+  bound as the block cache's second tier for the whole run, and
+  :meth:`runner` builds a
   :class:`~repro.resilience.runner.ResilientRunner` already configured
-  with the spec's timeout/retry/journal/cache settings;
+  with the spec's timeout/retry/journal settings;
 - the **run manifest** — a JSON record (config fingerprint, seed,
   package version, wall time, block-cache delta, metrics snapshot,
   exit status) written into ``spec.manifest_dir`` for every run, even
@@ -45,7 +47,8 @@ from repro.sim.sweep import Sweep
 from repro.store import ResultStore
 
 #: Manifest schema version; bumped on incompatible layout changes.
-MANIFEST_SCHEMA = 1
+#: Schema 2 dropped the ``.npz`` snapshot's file path from ``policies``.
+MANIFEST_SCHEMA = 2
 
 
 @dataclass
@@ -113,7 +116,6 @@ class Session:
             retry=res.retry_policy(),
             journal_path=res.checkpoint or None,
             resume=res.resume,
-            cache_path=self.spec.cache.path or None,
             seed=self.spec.seed,
             fingerprint=fingerprint,
         )
@@ -133,7 +135,9 @@ class Session:
         spec's default :class:`~repro.exec.ExecPolicy` (``workers=0``)
         this runs in-process through the same
         :class:`~repro.resilience.runner.ResilientRunner` path as
-        :meth:`runner`, with identical results and journal bytes.
+        :meth:`runner`, with identical results and journal bytes.  Both
+        paths use the session's result store: in-process through the
+        binding itself, worker shards by inheriting its root.
         """
         from repro.exec import CampaignExecutor, StcDef
 
@@ -153,8 +157,6 @@ class Session:
             seed=self.spec.seed,
             timeout_s=res.timeout_s,
             max_retries=res.max_retries,
-            cache_path=self.spec.cache.path or None,
-            store_path=self.spec.cache.store_dir or None,
             policy=self.spec.exec,
             telemetry=self.spec.obs.telemetry,
             status_path=status_path or None,
@@ -175,7 +177,13 @@ class Session:
             # Bind the persistent result store as the block cache's
             # second tier for the whole run; restored (and the handle
             # closed) on exit.
-            self._store = ResultStore(self.spec.cache.store_dir)
+            try:
+                self._store = ResultStore(self.spec.cache.store_dir)
+            except BaseException:
+                # __exit__ will not run: undo the obs wiring here.
+                if not self._obs_was_enabled:
+                    obs.disable()
+                raise
             self._store_previous = bound_store()
             bind_store(self._store)
         self._cache_before = cache_stats().snapshot()
@@ -242,7 +250,6 @@ class Session:
                 "max_retries": spec.resilience.max_retries,
                 "checkpoint": spec.resilience.checkpoint,
                 "resume": spec.resilience.resume,
-                "cache_path": spec.cache.path,
                 "store_dir": spec.cache.store_dir,
             },
         }

@@ -6,7 +6,7 @@ fingerprint), the seed, and three orthogonal policies —
 
 - :class:`ObsPolicy` — whether observability is on and where its
   trace/metrics artifacts go;
-- :class:`CachePolicy` — the warm block-result cache file, if any;
+- :class:`CachePolicy` — the persistent result store, if any;
 - :class:`ResiliencePolicy` — per-case timeout, retry budget and the
   checkpoint journal (+ resume) for fault-tolerant grids;
 - :class:`~repro.exec.ExecPolicy` — the multi-process execution
@@ -58,22 +58,15 @@ class ObsPolicy:
 
 @dataclass(frozen=True)
 class CachePolicy:
-    """Block-result cache persistence for one run.
+    """Block-result persistence for one run.
 
-    ``path`` is the legacy whole-file ``.npz`` snapshot (loaded before
-    and saved after the run); ``store_dir`` is the persistent
-    content-addressed :class:`repro.store.ResultStore` the session
-    binds as the block cache's second tier for the run's duration.
-    Both may be set — the snapshot then warms the LRU while the store
-    serves and absorbs everything else.
+    ``store_dir`` is the persistent content-addressed
+    :class:`repro.store.ResultStore` the session binds as the block
+    cache's second tier for the run's duration; in-process and sharded
+    execution both inherit that binding.
     """
 
-    path: str = ""
     store_dir: str = ""
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.path or self.store_dir)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Kernel-level simulation: engine, memoisation, reports, multi-core."""
 
-from repro.sim import blockcache, cachestore, engine, memory, parallel, results, sweep
+from repro.sim import blockcache, engine, memory, parallel, results, sweep
 from repro.sim.blockcache import BlockCache, CacheStats
 from repro.sim.engine import (
     cache_size,
@@ -26,7 +26,6 @@ __all__ = [
     "blockcache",
     "cache_size",
     "cache_stats",
-    "cachestore",
     "clear_cache",
     "compare",
     "engine",

@@ -12,15 +12,14 @@ LRU with observable hit/miss/eviction counters:
 
 - the **engine** goes through :meth:`lookup` / :meth:`insert`, which
   update both the recency order and the statistics;
-- **persistence** (:mod:`repro.sim.cachestore`) and the
-  **fault-injection campaign** (:mod:`repro.resilience.faults`) use the
-  plain mapping protocol (``items()``, ``[]``, ``update`` ...), which
-  is statistics-neutral so bookkeeping traffic never skews the
-  measured hit rate.
+- the **fault-injection campaign** (:mod:`repro.resilience.faults`)
+  uses the plain mapping protocol (``items()``, ``[]``, ``update``
+  ...), which is statistics-neutral so bookkeeping traffic never skews
+  the measured hit rate.
 
-One instance is shared by every core of ``simulate_parallel`` and —
-via :mod:`repro.sim.cachestore` — persists between sweep cases and
-across processes.
+One instance is shared by every core of ``simulate_parallel``; its
+second tier (below) persists it between sweep cases and across
+processes.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
 object with ``lookup(key) -> Optional[np.ndarray]`` and

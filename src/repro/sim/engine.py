@@ -19,8 +19,9 @@ which is what makes corpus-scale sweeps tractable in Python.  The memo
 lives in a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
-every core of ``simulate_parallel`` and persisted between sweep cases
-via :mod:`repro.sim.cachestore`.
+every core of ``simulate_parallel``, and a bound
+:class:`~repro.store.ResultStore` (:func:`bind_store`) persists it
+between sweep cases and across processes.
 
 The default enumeration path is *batched*: tasks are built as
 array-of-bitmap-pairs (:mod:`repro.kernels.batched`), coalesced so
@@ -49,9 +50,8 @@ from repro.sim.blockcache import BlockCache, CacheStats
 from repro.sim.results import SimReport
 
 #: The process-wide memo.  Kept under its historic name because the
-#: persistence layer and the fault-injection campaign address it via
-#: the mapping protocol; the engine itself uses the stats-aware
-#: ``lookup``/``insert`` API.
+#: fault-injection campaign addresses it via the mapping protocol; the
+#: engine itself uses the stats-aware ``lookup``/``insert`` API.
 _BLOCK_CACHE = BlockCache()
 
 

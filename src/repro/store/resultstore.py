@@ -265,9 +265,10 @@ class ResultStore:
     Parameters
     ----------
     root:
-        Store directory.  Created (with its manifest) when missing and
-        ``create=True``; otherwise the manifest is validated against
-        this build's schema and ACTIONS vocabulary.
+        Store directory.  Created (with its manifest) when missing or
+        empty and ``create=True``; a non-empty directory without a
+        manifest is refused.  Otherwise the manifest is validated
+        against this build's schema and ACTIONS vocabulary.
     create:
         Whether a missing store may be initialised.  ``repro store``
         inspection commands pass ``False`` so a typo'd path is a loud
@@ -316,10 +317,14 @@ class ResultStore:
             if not create:
                 raise FormatError(f"no result store at {self.root} "
                                   f"({MANIFEST_NAME} missing)")
+            self._refuse_foreign_root()
             self.root.mkdir(parents=True, exist_ok=True)
             manifest = {"kind": "repro.store", "schema": STORE_SCHEMA,
                         "actions": list(ACTIONS)}
-            tmp = path.with_suffix(".json.tmp")
+            # A per-process temp name: concurrent creators each replace
+            # the manifest atomically with identical content.
+            tmp = self.root / (f"{MANIFEST_NAME}.{os.getpid():d}-"
+                               f"{uuid.uuid4().hex[:8]}.tmp")
             tmp.write_text(json.dumps(manifest, indent=2) + "\n",
                            encoding="utf-8")
             os.replace(tmp, path)
@@ -341,6 +346,28 @@ class ResultStore:
             raise FormatError(
                 "store ACTIONS vocabulary differs from this build; refusing "
                 "to reinterpret counters positionally")
+
+    def _refuse_foreign_root(self) -> None:
+        """Refuse to initialise a store inside a directory holding other files.
+
+        A non-empty directory without a manifest is a mistyped path (an
+        output directory, the working directory): silently initialising
+        a fresh store there would bury the mistake.  A concurrent
+        creator's temp manifest does not count as content.
+        """
+        if not self.root.exists():
+            return
+        if not self.root.is_dir():
+            raise FormatError(f"result store path {self.root} is not a "
+                              "directory")
+        names = {entry.name for entry in self.root.iterdir()}
+        if MANIFEST_NAME in names:
+            return  # a concurrent creator finished first
+        if any(not name.startswith(MANIFEST_NAME + ".") for name in names):
+            raise FormatError(
+                f"{self.root} is a non-empty directory without "
+                f"{MANIFEST_NAME}; refusing to initialise a result store "
+                "there (point the store at a new or empty directory)")
 
     def close(self) -> None:
         """Flush and release every file handle (safe to call twice)."""

@@ -1,5 +1,5 @@
-"""Tests for AMG cycle/smoother variants, BBC transpose, cache
-persistence and the benchmark-regression comparator."""
+"""Tests for AMG cycle/smoother variants, BBC transpose and the
+benchmark-regression comparator."""
 
 import json
 
@@ -13,7 +13,6 @@ from repro.errors import FormatError, ShapeError
 from repro.formats import BBCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.transpose import transpose_bbc
-from repro.sim import cachestore, engine
 from repro.sim.engine import simulate_kernel
 from repro.workloads.synthetic import banded, poisson2d
 
@@ -105,43 +104,6 @@ class TestBBCTranspose:
         assert report.products == int(
             ((dense.T != 0).sum(axis=0) * (dense != 0).sum(axis=1)).sum()
         )
-
-
-class TestCachePersistence:
-    def test_save_load_roundtrip(self, tmp_path):
-        bbc = BBCMatrix.from_coo(banded(96, 10, 0.4, seed=1))
-        uni = UniSTC()
-        engine.clear_cache()
-        original = simulate_kernel("spgemm", bbc, uni)
-        written = cachestore.save_cache(tmp_path / "cache.npz")
-        assert written == engine.cache_size() > 0
-
-        engine.clear_cache()
-        loaded = cachestore.load_cache(tmp_path / "cache.npz")
-        assert loaded == written
-        warm = simulate_kernel("spgemm", bbc, uni)
-        assert warm.cycles == original.cycles
-        assert warm.energy_pj == pytest.approx(original.energy_pj)
-        assert np.array_equal(warm.util_hist.bins, original.util_hist.bins)
-
-    def test_merge_false_clears(self, tmp_path):
-        bbc = BBCMatrix.from_coo(banded(64, 8, 0.4, seed=2))
-        engine.clear_cache()
-        simulate_kernel("spmv", bbc, UniSTC())
-        cachestore.save_cache(tmp_path / "one.npz")
-        simulate_kernel("spmv", bbc, UniSTC(ordering="rowrow"))
-        bigger = engine.cache_size()
-        loaded = cachestore.load_cache(tmp_path / "one.npz", merge=False)
-        assert engine.cache_size() == loaded < bigger
-
-    def test_version_checked(self, tmp_path):
-        engine.clear_cache()
-        cachestore.save_cache(tmp_path / "v.npz")
-        data = dict(np.load(tmp_path / "v.npz", allow_pickle=True))
-        data["version"] = np.asarray([99])
-        np.savez_compressed(tmp_path / "v.npz", **data)
-        with pytest.raises(FormatError):
-            cachestore.load_cache(tmp_path / "v.npz")
 
 
 class TestRegressionCompare:

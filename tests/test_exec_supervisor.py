@@ -24,6 +24,7 @@ from repro.registry import parse_matrix_spec
 from repro.resilience.runner import ResilientRunner, RetryPolicy
 from repro.sim import engine
 from repro.sim.sweep import Sweep
+from repro.store import ResultStore
 
 
 @pytest.fixture(autouse=True)
@@ -124,6 +125,24 @@ class TestDistributedIdentity:
             sharded, policy=ExecPolicy(workers=2)).run()
         assert summary.n_ok == len(MATRICES)
         assert normalised(sharded) == normalised(single)
+
+    def test_shards_inherit_the_bound_store(self, tmp_path):
+        """Workers write into the store the supervisor's process bound."""
+        with ResultStore(tmp_path / "blockstore") as store, \
+                engine.store_tier(store):
+            summary = make_executor(tmp_path / "sharded.journal",
+                                    policy=ExecPolicy(workers=2)).run()
+            assert summary.n_ok == len(MATRICES)
+            store.refresh()  # pick up the workers' segments
+            assert len(store) > 0
+            # An in-process rerun from an empty LRU is served entirely
+            # by what the shards wrote.
+            engine.clear_cache()
+            before = store.stats.snapshot()
+            make_executor(tmp_path / "replay.journal").run()
+            delta = store.stats.delta(before)
+            assert delta.hits > 0
+            assert (delta.misses, delta.appends) == (0, 0)
 
     def test_distributed_resume_skips_finished_cases(self, tmp_path):
         journal = tmp_path / "campaign.journal"

@@ -185,6 +185,16 @@ class TestCampaign:
         cold = simulate_kernel("spmv", bbc, UniSTC())
         assert warm.cycles == cold.cycles
 
+    def test_store_segment_flips_are_never_silent(self):
+        # A flipped segment byte is caught by the store's framing/CRC
+        # checks (quarantine) or only costs misses: never a wrong row.
+        campaign = run_campaign(
+            banded(96, 12, 0.5, seed=5), trials=12, seed=7, kinds=("cache_file",)
+        )
+        totals = campaign.totals()
+        assert totals["sdc"] == 0
+        assert totals["detected"] >= 1
+
     def test_spmm_campaign_runs(self):
         campaign = run_campaign(
             random_uniform(64, 64, 0.1, seed=3), kernel="spmm", trials=6, seed=0,

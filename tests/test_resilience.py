@@ -25,8 +25,9 @@ from repro.resilience.runner import (
     RetryPolicy,
     classify_error,
 )
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.sweep import Sweep
+from repro.store import ResultStore
 from repro.workloads.synthetic import banded
 
 
@@ -393,15 +394,26 @@ class TestJournalHardening:
 
 class TestCacheIntegration:
     def test_corrupt_cache_warns_and_rebuilds(self, tmp_path, caplog):
-        cache = tmp_path / "blocks.npz"
-        cache.write_bytes(b"this is not an npz archive")
-        with caplog.at_level("WARNING", logger="repro.sim.cachestore"):
-            summary = ResilientRunner(make_sweep(1), cache_path=cache).run()
-        assert summary.n_failed == 0
-        assert any("rebuilding cold" in r.message for r in caplog.records)
-        # The unusable file was replaced with a valid warm cache.
+        # A run under a bound result store, a corrupted segment, a rerun:
+        # the store quarantines the segment and the rerun re-simulates
+        # its blocks to the same totals instead of aborting.
+        root = tmp_path / "blockstore"
+        with ResultStore(root) as store, engine.store_tier(store):
+            first = ResilientRunner(make_sweep(1)).run()
+        (segment,) = (root / "segments").glob("*.seg")
+        blob = bytearray(segment.read_bytes())
+        blob[60] ^= 0xFF  # a payload byte of the first record
+        segment.write_bytes(bytes(blob))
         engine.clear_cache()
-        assert cachestore.load_cache(cache) > 0
+        with caplog.at_level("ERROR", logger="repro.store.resultstore"):
+            with ResultStore(root) as store, engine.store_tier(store):
+                assert store.stats.quarantined == 1
+                second = ResilientRunner(make_sweep(1)).run()
+        assert second.n_failed == 0
+        assert any("quarantined segment" in r.getMessage()
+                   for r in caplog.records)
+        r1, r2 = first.results[0].report, second.results[0].report
+        assert (r1.cycles, r1.products) == (r2.cycles, r2.products)
 
 
 class TestCorpusCLI:

@@ -25,7 +25,7 @@ class TestRunSpec:
     def test_fingerprint_ignores_artifact_paths(self):
         a = RunSpec("kernels", params={"x": 1},
                     obs=ObsPolicy(trace_path="/tmp/a.json"),
-                    cache=CachePolicy(path="/tmp/a.pkl"),
+                    cache=CachePolicy(store_dir="/tmp/a-store"),
                     manifest_dir="/tmp/runs-a")
         b = RunSpec("kernels", params={"x": 1})
         assert a.fingerprint() == b.fingerprint()

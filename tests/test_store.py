@@ -2,8 +2,8 @@
 
 Covers the on-disk format and its failure modes (torn tails, interior
 corruption, manifest drift), multi-writer convergence, gc/compaction,
-cross-process fingerprint stability, the block-cache second tier, and
-the legacy ``cachestore`` shim that routes store paths here.
+cross-process fingerprint stability, and the block-cache second tier
+as runs reach it through the engine's store binding.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
-from repro.sim import cachestore, engine
+from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.store import (
@@ -196,6 +196,24 @@ class TestManifest:
         (root / MANIFEST_NAME).write_text('{"kind": "something-else"}')
         with pytest.raises(FormatError, match="not a repro.store"):
             ResultStore(root)
+
+    def test_non_empty_directory_is_never_initialised(self, tmp_path):
+        # A non-empty directory without a manifest is a mistyped path
+        # (an output directory, the working directory): refused and
+        # left exactly as it was.
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        (outputs / "report.json").write_text("{}")
+        with pytest.raises(FormatError, match="non-empty directory"):
+            ResultStore(outputs)
+        assert sorted(p.name for p in outputs.iterdir()) == ["report.json"]
+        # An empty directory, like a missing path, becomes a store.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        with ResultStore(empty) as store:
+            store.insert(_key(1), _row(1))
+        with ResultStore(empty) as store:
+            assert store.lookup(_key(1))[0] == 1
 
 
 class TestCrashSemantics:
@@ -513,85 +531,22 @@ class TestBlockCacheTier:
         assert second.products == first.products
         assert second.counters.as_dict() == first.counters.as_dict()
 
-
-class TestCachestoreShim:
-    def _warm_engine(self):
-        bbc = BBCMatrix.from_coo(banded(96, 10, 0.4, seed=1))
-        simulate_kernel("spmv", bbc, UniSTC())
-        assert engine.cache_size() > 0
-
-    def test_is_store_path(self, root, tmp_path):
-        assert cachestore.is_store_path(root) is False  # nothing there yet
-        ResultStore(root).close()
-        assert cachestore.is_store_path(root) is True
-        npz = tmp_path / "cache.npz"
-        npz.write_bytes(b"")
-        assert cachestore.is_store_path(npz) is False
-        # An empty directory may become a store; a non-empty directory
-        # without a manifest (a typo'd path, an output dir) must not be
-        # silently initialised as one.
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        assert cachestore.is_store_path(empty) is True
-        outputs = tmp_path / "outputs"
-        outputs.mkdir()
-        (outputs / "report.json").write_text("{}")
-        assert cachestore.is_store_path(outputs) is False
-
-    def test_save_cache_routes_to_store(self, root):
-        # An existing store directory routes the save; a path yet to
-        # be created is by contract a legacy .npz target (Session
-        # creates the store before any save reaches the shim).
-        ResultStore(root).close()
-        self._warm_engine()
-        written = cachestore.save_cache(root)
-        assert written == engine.cache_size()
-        with ResultStore(root) as store:
-            assert len(store) == written
-        # Re-saving writes nothing new: the return value counts
-        # appended records, not the store's total.
-        assert cachestore.save_cache(root) == 0
-
-    def test_load_cache_or_cold_binds_store(self, root):
-        ResultStore(root).close()
-        self._warm_engine()
-        entries = engine.cache_size()
-        cachestore.save_cache(root)
-        engine.clear_cache()
-        assert engine.bound_store() is None
-        assert cachestore.load_cache_or_cold(root) == entries
-        assert engine.bound_store() is not None
-        assert engine.bound_store().root == Path(root)
-
-    def test_migrate_cache_from_legacy_npz(self, root, tmp_path):
-        self._warm_engine()
-        npz = tmp_path / "cache.npz"
-        written = cachestore.save_cache(npz)
-        engine.clear_cache()
-        appended = cachestore.migrate_cache(npz, root)
-        assert appended == written
-        # Re-migration is a no-op: everything deduplicates.
-        assert cachestore.migrate_cache(npz, root) == 0
-        with ResultStore(root) as store:
-            assert len(store) == written
-            assert store.verify()["errors"] == []
-
     def test_resilient_runner_end_to_end(self, root):
         from repro.resilience.runner import ResilientRunner
         from repro.sim.sweep import Sweep
 
-        ResultStore(root).close()  # an existing store routes the shim
         matrices = {"banded": banded(96, 10, 0.4, seed=2)}
         sweep = Sweep.from_names(matrices, ["uni-stc"], ["spmv"])
-        first = ResilientRunner(sweep=sweep, cache_path=root).run()
         engine.clear_cache()
-        engine.unbind_store()
+        with ResultStore(root) as store, engine.store_tier(store):
+            first = ResilientRunner(sweep=sweep).run()
+        engine.clear_cache()
         with ResultStore(root) as store:
             records = len(store)
-        assert records > 0
-
-        before = engine.cache_stats().snapshot()
-        second = ResilientRunner(sweep=sweep, cache_path=root).run()
+            assert records > 0
+            before = engine.cache_stats().snapshot()
+            with engine.store_tier(store):
+                second = ResilientRunner(sweep=sweep).run()
         delta = engine.cache_stats().delta(before)
         assert delta.store_hits == records  # replayed, not re-simulated
         assert delta.store_misses == 0
@@ -599,3 +554,42 @@ class TestCachestoreShim:
         r2 = second.results[0].report
         assert (r1.cycles, r1.products) == (r2.cycles, r2.products)
         assert r1.counters.as_dict() == r2.counters.as_dict()
+
+
+class TestStoreCLI:
+    def test_schema_1_store_is_one_error_line(self, root, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        ResultStore(root).close()
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        manifest["schema"] = 1
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        argv = ["corpus", "--limit", "1", "--store", str(root),
+                "--run-dir", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rebuild it" in err
+        assert "Traceback" not in err
+
+    def test_non_empty_directory_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        (outputs / "report.json").write_text("{}")
+        argv = ["corpus", "--limit", "1", "--store", str(outputs),
+                "--run-dir", ""]
+        assert main(argv) == 2
+        assert "non-empty directory" in capsys.readouterr().err
+        assert sorted(p.name for p in outputs.iterdir()) == ["report.json"]
+
+    def test_store_actions_are_stat_verify_gc(self, root, capsys):
+        from repro.cli import main
+
+        ResultStore(root).close()
+        with pytest.raises(SystemExit) as exc:
+            main(["store", "import", str(root)])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
