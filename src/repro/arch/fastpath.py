@@ -15,10 +15,16 @@ engine's warm-path memoisation.  Per batch it
    and DPG-bound streams — computing cycles, the utilisation histogram
    and every energy action counter with closed-form array accounting
    instead of stepping the TMS cycle by cycle;
-4. falls back to per-block :meth:`UniSTC.simulate_block` stepping only
-   for *irregular* blocks: streams whose dispatch windows carry an
-   output-tile conflict (round-robin arbitration reshuffles the
-   schedule) or an over-budget T3 task (the stepped path raises).
+4. re-packs every MAC-bound non-uniform block greedily in **one
+   lockstep pass** (:func:`_pack_lockstep`): one ``searchsorted`` over
+   a cumulative-products array gives the end of a cycle starting at
+   any task, and all such blocks then advance one dispatch cycle per
+   array step, so no Python loop runs per block;
+5. replays the exact dispatch, per block, of streams whose windows
+   carry an output-tile conflict (round-robin arbitration reshuffles
+   the schedule; :func:`_dispatch_conflicted`), and falls back to
+   :meth:`UniSTC.simulate_block` stepping only for an over-budget T3
+   task or an unknown ordering (the stepped path raises).
 
 The analytic accounting replicates the TMS dispatch rules exactly —
 window packing under the MAC/DPG budgets, wakeup-stall exposure, the
@@ -31,15 +37,13 @@ kernel's block population.
 DPG decomposition never steps either: the six summary stats of
 :func:`~repro.arch.dpg.dpg_stats` have a closed form over the 4-bit
 row/column masks (:func:`_dpg_stats_batch`), computed for the whole
-batch's task arrays with bit arithmetic and scatter-added onto blocks
+batch's task arrays with bit arithmetic and segment-summed onto blocks
 in the integer domain.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from functools import partial
-from itertools import accumulate
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -249,28 +253,50 @@ def _dispatch_conflicted(
     return cyc, cycle
 
 
-def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int) -> Tuple[np.ndarray, int]:
-    """Cycle ids of one block's ordered task stream under the MAC budget.
+def _pack_lockstep(
+    p: np.ndarray, lens: np.ndarray, num_dpgs: int, macs: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cycle ids of several blocks' ordered task streams under the MAC budget.
 
     The exact greedy rule of :meth:`TileMultiplyScheduler.dispatch` for
     conflict-free streams: fill up to ``num_dpgs`` tasks per cycle, and
     a task that would push the cycle past ``macs`` products starts the
-    next cycle.  Every task must satisfy ``p <= macs`` (callers route
-    over-budget blocks to the stepped path, which raises).
+    next cycle.  ``p`` holds the blocks' streams back to back (block
+    ``q`` has ``lens[q]`` tasks); returns each task's cycle id within
+    its block and each block's cycle count.  Every task must satisfy
+    ``p <= macs`` (callers route over-budget blocks to the stepped
+    path, which raises).
+
+    One ``searchsorted`` over a cumulative-products array finds, for
+    every task, where a cycle starting at it ends; a sentinel of
+    ``macs + 1`` products after each block never fits, so no cycle
+    crosses a block end.  Every block then advances one dispatch cycle
+    per lockstep step, marking its cycle starts.
     """
-    cum = list(accumulate(p.tolist()))
-    total = len(cum)
-    cyc = np.empty(total, dtype=np.int64)
-    pos = 0
-    cycle = 0
-    while pos < total:
-        budget = (cum[pos - 1] if pos else 0) + macs
-        fit = bisect_right(cum, budget)
-        nxt = min(pos + num_dpgs, fit)
-        cyc[pos:nxt] = cycle
-        cycle += 1
-        pos = nxt
-    return cyc, cycle
+    slots = lens + 1
+    start = np.cumsum(slots) - slots
+    size = int(start[-1] + slots[-1])
+    stream = np.full(size, macs + 1, dtype=np.int64)
+    is_task = np.ones(size, dtype=bool)
+    is_task[start + lens] = False
+    stream[is_task] = p
+    cum = np.cumsum(stream)
+    nxt = np.minimum(np.searchsorted(cum, cum - stream + macs, side="right"),
+                     np.arange(num_dpgs, size + num_dpgs))
+    first = np.zeros(size, dtype=bool)
+    pos = start
+    for _ in range(int(lens.max())):  # a block has at most one cycle per task
+        first[pos] = True
+        pos = nxt[pos]
+        pos = pos[is_task[pos]]
+        if not pos.size:
+            break
+    else:
+        raise SimulationError("lockstep packing made no progress; scheduler bug")
+    cycle = np.cumsum(first) - 1
+    first_cycle = cycle[start]
+    return (cycle[is_task] - np.repeat(first_cycle, lens),
+            cycle[start + lens] - first_cycle + 1)
 
 
 def simulate_blocks(stc, tasks: Sequence[T1Task]) -> np.ndarray:
@@ -347,19 +373,23 @@ def _evaluate_group(
 
     cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
     gcyc = cyc_off[bb] + cyc
-    window_products = np.zeros(int(cyc_off[-1]), dtype=np.int64)
-    np.add.at(window_products, gcyc, pp)
+    window_products = np.bincount(gcyc, weights=pp, minlength=int(cyc_off[-1]))
     over = np.nonzero(window_products > macs)[0]
     if over.size:
-        # Non-uniform MAC-bound blocks: replay the exact greedy packing.
+        # Non-uniform MAC-bound blocks: replay the exact greedy packing,
+        # all of them in one lockstep pass.
         block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
         needs_pack = np.unique(block_of_cycle[over])
         needs_pack = needs_pack[~fallback[needs_pack]]
-        for q in needs_pack:
-            lo, hi = int(offsets[q]), int(offsets[q + 1])
-            cyc[lo:hi], ncyc[q] = _pack_sequential(pp[lo:hi], nd, macs)
-        cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-        gcyc = cyc_off[bb] + cyc
+        if needs_pack.size:
+            lens = tasks_per_block[needs_pack]
+            ends = np.cumsum(lens)
+            task_pos = (np.repeat(offsets[needs_pack] - (ends - lens), lens)
+                        + np.arange(int(ends[-1])))
+            cyc[task_pos], ncyc[needs_pack] = _pack_lockstep(
+                pp[task_pos], lens, nd, macs)
+            cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
+            gcyc = cyc_off[bb] + cyc
 
     if cfg.conflict_stall:
         # A same-output-tile conflict inside any window reshuffles the
@@ -452,9 +482,10 @@ def _evaluate_group(
     # -- DPG stage: closed-form decomposition stats, whole batch at once
     a_sub = a_tiles[fast_global]
     b_sub = b_tiles[fast_global]
-    dpg_totals = np.zeros((nfast, 6), dtype=np.int64)
-    np.add.at(
-        dpg_totals, bb, _dpg_stats_batch(a_sub[bb, ii, kk], b_sub[bb, kk, jj], n_cols)
+    # bb is block-sorted and every fast block has a task: one segment sum.
+    dpg_totals = np.add.reduceat(
+        _dpg_stats_batch(a_sub[bb, ii, kk], b_sub[bb, kk, jj], n_cols),
+        np.cumsum(tasks_per_block) - tasks_per_block, axis=0,
     )
 
     # float32 routes the batched matmul through BLAS; dot values are

@@ -99,57 +99,41 @@ class BBCMatrix:
                 _skip_checks=True,
             )
 
-        brow, bcol = coo.rows // BLOCK, coo.cols // BLOCK
-        in_r, in_c = coo.rows % BLOCK, coo.cols % BLOCK
-        tile = (in_r // TILE) * TILES_PER_SIDE + (in_c // TILE)
-        elem = (in_r % TILE) * TILE + (in_c % TILE)
-
-        order = np.lexsort((elem, tile, bcol, brow))
-        brow, bcol, tile, elem = brow[order], bcol[order], tile[order], elem[order]
+        # One sort on a combined key: the row-major block number, then
+        # the 4-bit row-major tile and element positions (BLOCK = 16 and
+        # TILE = 4, so each field is a shift and a mask).  Stable, so
+        # duplicates of a non-canonical COO keep their input order.
+        r, c = coo.rows, coo.cols
+        block = (r >> 4) * nbcols + (c >> 4)
+        key = (block << 8) | ((r & 12) << 4) | ((c & 12) << 2) | ((r & 3) << 2) | (c & 3)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
         values = coo.vals[order]
 
-        block_key = brow * nbcols + bcol
-        new_block = np.ones(block_key.size, dtype=bool)
-        new_block[1:] = block_key[1:] != block_key[:-1]
-        block_of = np.cumsum(new_block) - 1
-        nblocks = int(block_of[-1]) + 1
+        # Level-2 bitmaps: one per run of equal (block, tile).
+        tile_key = key >> 4
+        tile_first = np.flatnonzero(np.concatenate(([True], tile_key[1:] != tile_key[:-1])))
+        elem_bit = np.uint16(1) << (key & 0xF).astype(np.uint16)
+        bitmap_lv2 = np.bitwise_or.reduceat(elem_bit, tile_first)
+        ntiles = tile_first.size
 
-        first_idx = np.flatnonzero(new_block)
-        blk_row = brow[first_idx]
-        blk_col = bcol[first_idx]
+        # Level-1 bitmaps: one per run of equal block among the tiles.
+        tile_key = tile_key[tile_first]
+        block_key = tile_key >> 4
+        block_first = np.flatnonzero(np.concatenate(([True], block_key[1:] != block_key[:-1])))
+        tile_bit = np.uint16(1) << (tile_key & 0xF).astype(np.uint16)
+        bitmap_lv1 = np.bitwise_or.reduceat(tile_bit, block_first)
+        nblocks = block_first.size
 
-        row_counts = np.bincount(blk_row, minlength=nbrows)
+        block_key = block_key[block_first]
+        blk_row, blk_col = block_key // nbcols, block_key % nbcols
         row_ptr = np.zeros(nbrows + 1, dtype=np.int64)
-        np.cumsum(row_counts, out=row_ptr[1:])
+        np.cumsum(np.bincount(blk_row, minlength=nbrows), out=row_ptr[1:])
 
-        # Level-1 bitmaps and per-tile grouping.
-        tile_key = block_of * TILES_PER_BLOCK + tile
-        new_tile = np.ones(tile_key.size, dtype=bool)
-        new_tile[1:] = tile_key[1:] != tile_key[:-1]
-        tile_of = np.cumsum(new_tile) - 1
-        ntiles = int(tile_of[-1]) + 1
-
-        tile_first = np.flatnonzero(new_tile)
-        tile_block = block_of[tile_first]
-        tile_id = tile[tile_first]
-
-        bitmap_lv1 = np.zeros(nblocks, dtype=np.uint16)
-        np.bitwise_or.at(bitmap_lv1, tile_block, (np.uint16(1) << tile_id.astype(np.uint16)))
-
-        tiles_per_block = np.bincount(tile_block, minlength=nblocks)
-        tile_ptr = np.zeros(nblocks + 1, dtype=np.int64)
-        np.cumsum(tiles_per_block, out=tile_ptr[1:])
-
-        bitmap_lv2 = np.zeros(ntiles, dtype=np.uint16)
-        np.bitwise_or.at(bitmap_lv2, tile_of, (np.uint16(1) << elem.astype(np.uint16)))
-
-        nnz_per_block = np.bincount(block_of, minlength=nblocks)
-        val_ptr_lv1 = np.zeros(nblocks + 1, dtype=np.int64)
-        np.cumsum(nnz_per_block, out=val_ptr_lv1[1:])
-
-        nnz_per_tile = np.bincount(tile_of, minlength=ntiles)
-        tile_val_start = np.concatenate(([0], np.cumsum(nnz_per_tile)))[:-1]
-        val_ptr_lv2 = (tile_val_start - val_ptr_lv1[tile_block]).astype(np.uint8)
+        tile_ptr = np.append(block_first, ntiles)
+        val_ptr_lv1 = np.append(tile_first[block_first], key.size)
+        tile_block = np.repeat(np.arange(nblocks), np.diff(tile_ptr))
+        val_ptr_lv2 = (tile_first - val_ptr_lv1[tile_block]).astype(np.uint8)
 
         return cls(
             coo.shape,

@@ -44,10 +44,18 @@ class COOMatrix:
         """Sort by (row, col), sum duplicates, drop explicit zeros."""
         if not self.rows.size:
             return
+        keys = self.rows * self.shape[1] + self.cols
+        if np.all(keys[1:] > keys[:-1]):
+            # Already sorted and duplicate-free (e.g. from a dense array
+            # or a CSR): only explicit zeros can go.
+            keep = self.vals != 0.0
+            if not keep.all():
+                self.rows, self.cols, self.vals = self.rows[keep], self.cols[keep], self.vals[keep]
+            return
         order = np.lexsort((self.cols, self.rows))
         rows, cols, vals = self.rows[order], self.cols[order], self.vals[order]
         # Collapse runs of identical coordinates by summing their values.
-        keys = rows * self.shape[1] + cols
+        keys = keys[order]
         first = np.ones(keys.size, dtype=bool)
         first[1:] = keys[1:] != keys[:-1]
         group = np.cumsum(first) - 1

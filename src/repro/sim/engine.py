@@ -236,7 +236,7 @@ def _aggregate(report: SimReport, rows, weights, stc: STCModel,
     """
     if rows:
         w = np.asarray(weights, dtype=np.int64)
-        acc = w @ np.stack(rows)
+        acc = w @ np.array(rows)
         report.cycles = int(acc[0])
         report.products = int(acc[1])
         report.t1_tasks = int(w.sum())

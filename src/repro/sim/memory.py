@@ -18,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional
 
+import numpy as np
+
 from repro.errors import ConfigError, ShapeError
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import BLOCK, TILE, BBCMatrix
+from repro.formats.bitarray import popcount_array
 from repro.kernels.vector import SparseVector
 from repro.sim.results import SimReport
 
@@ -104,16 +107,47 @@ def dram_energy_pj(traffic: Dict[str, float]) -> float:
     return sum(traffic.values()) * DRAM_PJ_PER_BYTE
 
 
-def _csr_structure(m: BBCMatrix):
-    """(row_ptr, col_idx) of the structural CSR, decoded sparsely."""
-    import numpy as np
+#: Structural flops per block triple (an A block meeting one B block
+#: of its inner block row) at or above which :func:`spgemm_output_nnz`
+#: counts through block row masks instead of expanding every flop.
+#: The two break even between 6.5 and 10.5 on uniform random matrices
+#: (n = 144-512); ResNet-50 conv nodes sit near 600, and hypersparse
+#: inputs below 1, where the block path is 2.5-12x slower.
+BLOCK_PATH_MIN_FLOPS_PER_TRIPLE = 8
 
-    rows, cols = m.structural_coords()
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    row_ptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=m.shape[0]), out=row_ptr[1:])
-    return row_ptr, cols
+#: Block triples whose row masks the block path materialises at once:
+#: each temporary is at most this many x 16 lanes (1 MiB at int64).
+_TRIPLE_CHUNK = 8192
+
+#: Set bits of every 16-bit value.
+_POP16 = popcount_array(np.arange(1 << 16, dtype=np.uint16)).astype(np.uint8)
+
+
+def _row_masks(m: BBCMatrix, transpose: bool = False) -> np.ndarray:
+    """``[nblocks, 16]`` uint16: bit ``c`` of ``[q, r]`` is element ``(r, c)`` of block ``q``.
+
+    ``transpose=True`` gives the column masks instead (bit ``r`` of
+    ``[q, c]``).  Packed from the cached block occupancy the kernel
+    enumeration decodes anyway; a 16-element row is exactly two bytes.
+    """
+    grids = m.block_bitmaps_all()
+    if transpose:
+        grids = grids.transpose(0, 2, 1)
+    packed = np.packbits(grids.reshape(-1), bitorder="little")
+    return packed.view("<u2").astype(np.uint16, copy=False).reshape(m.nblocks, BLOCK)
+
+
+def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
+    """Structural flops of A @ B: sum over k of nnz(A[:, k]) * nnz(B[k, :]).
+
+    Counted per block from row/column mask popcounts, never per flop.
+    """
+    b_counts = np.zeros((b.nblocks + 1, BLOCK), dtype=np.int64)
+    np.cumsum(_POP16[_row_masks(b)], axis=0, out=b_counts[1:])
+    # Row counts of B per inner block row (K), then per A block (I, K).
+    b_rows = b_counts[b.row_ptr[1:]] - b_counts[b.row_ptr[:-1]]
+    a_cols = _POP16[_row_masks(a, transpose=True)]
+    return int((a_cols * b_rows[a.col_idx]).sum())
 
 
 def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
@@ -122,22 +156,45 @@ def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
     Used for SpGEMM write-back traffic: partial products accumulate
     on-chip, so only the final output elements cross to memory.
 
-    Computed as a sparse CSR boolean product: every structural flop
-    (A[i,k] != 0, B[k,j] != 0) is expanded to its output coordinate
-    and distinct coordinates are counted.  Memory scales with the
-    structural flop count — never the O(nrows x ncols) dense product
-    the old implementation allocated, which made the large end of the
-    corpus a crash waiting to happen.
+    Two exact counts, picked by work per block triple (an A block
+    meeting one B block of its inner block row): where each triple
+    carries at least :data:`BLOCK_PATH_MIN_FLOPS_PER_TRIPLE` structural
+    flops, :func:`_block_output_nnz` ORs 16-bit row masks per output
+    block; below it (hypersparse inputs, about one nonzero per block)
+    :func:`_expanded_output_nnz` expands each flop to a coordinate.
+    Neither ever allocates the dense product.
     """
-    import numpy as np
-
     other = b if b is not None else a
     if a.shape[1] != other.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {other.shape}")
+    triples = int(np.diff(other.row_ptr)[a.col_idx].sum())
+    if triples == 0:
+        return 0
+    threshold = BLOCK_PATH_MIN_FLOPS_PER_TRIPLE * triples
+    # flops <= sum over A blocks of nnz(block) x nnz(B block row): when
+    # even that bound is below the threshold, skip the exact count.
+    block_row_nnz = np.diff(other.val_ptr_lv1[other.row_ptr])
+    bound = int(np.diff(a.val_ptr_lv1) @ block_row_nnz[a.col_idx])
+    if bound < threshold or _structural_flops(a, other) < threshold:
+        return _expanded_output_nnz(a, other)
+    return _block_output_nnz(a, other)
+
+
+def _expanded_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
+    """Output nnz by flop expansion: O(flops) time and memory.
+
+    A sparse CSR boolean product: every structural flop (A[i,k] != 0,
+    B[k,j] != 0) is expanded to its output coordinate and distinct
+    coordinates are counted.
+    """
     a_rows, a_cols = a.structural_coords()
     if a_rows.size == 0:
         return 0
-    b_row_ptr, b_cols = _csr_structure(other)
+    b_rows, b_cols = (a_rows, a_cols) if b is a else b.structural_coords()
+    # B's columns grouped by row; order within a row does not matter.
+    b_cols = b_cols[np.argsort(b_rows, kind="stable")]
+    b_row_ptr = np.zeros(b.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(b_rows, minlength=b.shape[0]), out=b_row_ptr[1:])
     counts = b_row_ptr[a_cols + 1] - b_row_ptr[a_cols]
     keep = counts > 0
     if not np.any(keep):
@@ -146,11 +203,65 @@ def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
     ends = np.cumsum(counts)
     offsets = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(ends - counts, counts)
     out_cols = b_cols[np.repeat(b_row_ptr[a_cols], counts) + offsets]
-    out_rows = np.repeat(a_rows, counts)
     # int64 coordinate keys cannot overflow for any matrix whose dense
     # form would even be addressable.
-    keys = out_rows * np.int64(other.shape[1]) + out_cols
-    return int(np.unique(keys).size)
+    keys = np.sort(np.repeat(a_rows, counts) * np.int64(b.shape[1]) + out_cols)
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+def _block_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
+    """Output nnz by block row masks: O(block triples) time.
+
+    Row ``i`` of output block ``(I, J)`` is the OR, over every set bit
+    ``k`` of row ``i`` of A block ``(I, K)``, of row ``k`` of B block
+    ``(K, J)``.  Each triple's sixteen row masks are built four A bits
+    at a time from a per-B-block nibble table, triples are merged per
+    output block with ``bitwise_or.reduceat``, and the merged masks are
+    popcounted, :data:`_TRIPLE_CHUNK` triples at a time: memory is
+    O(triples) for the indices plus one bounded chunk of masks.
+    """
+    per_a = np.diff(b.row_ptr)[a.col_idx]
+    ends = np.cumsum(per_a)
+    ntriples = int(ends[-1]) if ends.size else 0
+    if ntriples == 0:
+        return 0
+    a_of = np.repeat(np.arange(a.nblocks, dtype=np.int64), per_a)
+    b_of = (np.repeat(b.row_ptr[a.col_idx] - (ends - per_a), per_a)
+            + np.arange(ntriples, dtype=np.int64))
+    a_block_row = np.repeat(np.arange(a.block_rows, dtype=np.int64), np.diff(a.row_ptr))
+    out_block = a_block_row[a_of] * b.block_cols + b.col_idx[b_of]
+    order = np.argsort(out_block, kind="stable")
+    out_block, a_of, b_of = out_block[order], a_of[order], b_of[order]
+
+    a_masks = _row_masks(a)
+    # table[q, g, n]: the OR of the rows 4g + t of B block q over the
+    # set bits t of nibble n, built by doubling one row at a time.
+    b_rows = _row_masks(b).reshape(b.nblocks, TILE, TILE)
+    table = np.zeros((b.nblocks, TILE, 1), dtype=np.uint16)
+    for t in range(TILE):
+        table = np.concatenate((table, table | b_rows[:, :, t, None]), axis=2)
+    table = table.reshape(-1)
+
+    nnz = 0
+    carry = np.zeros(BLOCK, dtype=np.uint16)
+    carry_block = -1
+    for lo in range(0, ntriples, _TRIPLE_CHUNK):
+        rows = a_masks[a_of[lo:lo + _TRIPLE_CHUNK]]
+        base = (b_of[lo:lo + _TRIPLE_CHUNK] * (TILE * 16))[:, None]
+        masks = table[base + (rows & 0xF)]
+        for g in range(1, TILE):
+            masks |= table[base + (16 * g) + ((rows >> (TILE * g)) & 0xF)]
+        blocks = out_block[lo:lo + _TRIPLE_CHUNK]
+        starts = np.flatnonzero(np.concatenate(([True], blocks[1:] != blocks[:-1])))
+        merged = np.bitwise_or.reduceat(masks, starts, axis=0)
+        # An output block split across chunks carries its partial OR.
+        if blocks[0] == carry_block:
+            merged[0] |= carry
+        else:
+            nnz += int(_POP16[carry].sum())
+        carry, carry_block = merged[-1], blocks[-1]
+        nnz += int(_POP16[merged[:-1]].sum(dtype=np.int64))
+    return nnz + int(_POP16[carry].sum())
 
 
 def memory_cycles(traffic: Dict[str, float], config: MemoryConfig = DEFAULT_MEMORY) -> int:

@@ -286,7 +286,6 @@ class SimulationService:
                                              params["kernels"])
                 except Exception as exc:
                     raise FormatError(f"bad run request: {exc}") from exc
-                store_before = self.store.stats.snapshot()
                 # The store is bound process-wide in __init__; binding
                 # per request would race across handler threads.
                 results = sweep.run()
@@ -301,10 +300,10 @@ class SimulationService:
                                   "stc": res.case.stc_name,
                                   "kernel": res.case.kernel,
                                   "report": report})
-                delta = self.store.stats.delta(store_before)
+                # Store traffic is per execution, so a memoised replay
+                # would report stale counts: it stays on /v1/metrics.
                 return {"kind": "repro.serve.run", "fingerprint": fp,
-                        "params": params, "cases": cases,
-                        "store": delta.as_dict()}
+                        "params": params, "cases": cases}
         finally:
             with self._mutex:
                 self._inflight -= 1

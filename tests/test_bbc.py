@@ -57,6 +57,90 @@ class TestConstruction:
         assert all(int(b) == 0xFFFF for b in m.bitmap_lv2)
 
 
+_ARRAYS = ("row_ptr", "col_idx", "bitmap_lv1", "tile_ptr", "bitmap_lv2",
+           "val_ptr_lv1", "val_ptr_lv2", "values")
+
+
+def _reference_arrays(coo: COOMatrix) -> dict:
+    """BBC arrays by a four-key lexsort and ``bitwise_or.at`` scatters.
+
+    The reference for :meth:`BBCMatrix.from_coo`'s single-sort,
+    ``reduceat`` encoder (non-empty input only).
+    """
+    nbrows = max(1, -(-coo.shape[0] // BLOCK))
+    nbcols = max(1, -(-coo.shape[1] // BLOCK))
+    brow, bcol = coo.rows // BLOCK, coo.cols // BLOCK
+    in_r, in_c = coo.rows % BLOCK, coo.cols % BLOCK
+    tile = (in_r // TILE) * 4 + in_c // TILE
+    elem = (in_r % TILE) * TILE + in_c % TILE
+    order = np.lexsort((elem, tile, bcol, brow))
+    brow, bcol, tile, elem = brow[order], bcol[order], tile[order], elem[order]
+    block_key = brow * nbcols + bcol
+    new_block = np.concatenate(([True], block_key[1:] != block_key[:-1]))
+    block_of = np.cumsum(new_block) - 1
+    nblocks = int(block_of[-1]) + 1
+    row_ptr = np.zeros(nbrows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(brow[new_block], minlength=nbrows), out=row_ptr[1:])
+    tile_key = block_of * TILES_PER_BLOCK + tile
+    new_tile = np.concatenate(([True], tile_key[1:] != tile_key[:-1]))
+    tile_of = np.cumsum(new_tile) - 1
+    tile_block = block_of[new_tile]
+    bitmap_lv1 = np.zeros(nblocks, dtype=np.uint16)
+    np.bitwise_or.at(bitmap_lv1, tile_block, np.uint16(1) << tile[new_tile].astype(np.uint16))
+    tile_ptr = np.zeros(nblocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tile_block, minlength=nblocks), out=tile_ptr[1:])
+    bitmap_lv2 = np.zeros(int(tile_of[-1]) + 1, dtype=np.uint16)
+    np.bitwise_or.at(bitmap_lv2, tile_of, np.uint16(1) << elem.astype(np.uint16))
+    val_ptr_lv1 = np.zeros(nblocks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(block_of, minlength=nblocks), out=val_ptr_lv1[1:])
+    tile_start = np.flatnonzero(new_tile)
+    return {
+        "row_ptr": row_ptr, "col_idx": bcol[new_block], "bitmap_lv1": bitmap_lv1,
+        "tile_ptr": tile_ptr, "bitmap_lv2": bitmap_lv2, "val_ptr_lv1": val_ptr_lv1,
+        "val_ptr_lv2": (tile_start - val_ptr_lv1[tile_block]).astype(np.uint8),
+        "values": coo.vals[order],
+    }
+
+
+def _assert_reference_encoding(coo: COOMatrix) -> None:
+    got = BBCMatrix.from_coo(coo)
+    ref = BBCMatrix(coo.shape, *(_reference_arrays(coo)[f] for f in _ARRAYS),
+                    _skip_checks=True)
+    for field in _ARRAYS:
+        mine, theirs = getattr(got, field), getattr(ref, field)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+
+
+class TestEncoderReference:
+    """``from_coo`` produces exactly the reference encoder's arrays."""
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 10_000),
+           st.floats(0.02, 0.9))
+    @settings(max_examples=40, deadline=None)
+    def test_canonical_coo(self, m, n, seed, density):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((m, n)) * (rng.random((m, n)) < density)
+        if np.any(dense):
+            _assert_reference_encoding(COOMatrix.from_dense(dense))
+
+    @given(st.integers(1, 70), st.integers(1, 70), st.integers(0, 10_000),
+           st.integers(1, 600))
+    @settings(max_examples=40, deadline=None)
+    def test_non_canonical_coo(self, m, n, seed, count):
+        """Unsorted entries, duplicates and explicit zeros survive as given."""
+        rng = np.random.default_rng(seed)
+        vals = rng.standard_normal(count)
+        vals[rng.random(count) < 0.1] = 0.0
+        coo = COOMatrix((m, n), rng.integers(0, m, count), rng.integers(0, n, count),
+                        vals, _skip_checks=True)
+        _assert_reference_encoding(coo)
+
+    def test_large_sparse_grid(self):
+        rng = np.random.default_rng(5)
+        rows, cols = rng.integers(0, 5000, 4000), rng.integers(0, 3000, 4000)
+        _assert_reference_encoding(COOMatrix((5000, 3000), rows, cols, rng.random(4000) + 1))
+
+
 class TestStructuralInvariants:
     def test_lv1_popcount_equals_tile_count(self, small_bbc):
         assert int(popcount_array(small_bbc.bitmap_lv1).sum()) == small_bbc.ntiles

@@ -37,6 +37,20 @@ class TestConstruction:
         assert m.rows.tolist() == [0, 0, 1, 2]
         assert m.cols.tolist() == [0, 2, 1, 0]
 
+    def test_sorted_input_matches_shuffled(self):
+        rng = np.random.default_rng(4)
+        rows, cols = np.divmod(rng.choice(40 * 30, size=300, replace=False), 30)
+        vals = rng.standard_normal(300)
+        vals[::9] = 0.0
+        vals[1::9] = -0.0
+        order = np.lexsort((cols, rows))
+        shuffled = COOMatrix((40, 30), rows, cols, vals)
+        presorted = COOMatrix((40, 30), rows[order], cols[order], vals[order])
+        for field in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(presorted, field), getattr(shuffled, field))
+        assert presorted.nnz == 300 - 2 * 34
+        assert not np.any(presorted.vals == 0)
+
     def test_row_out_of_bounds(self):
         with pytest.raises(FormatError):
             COOMatrix((2, 2), [2], [0], [1.0])

@@ -11,14 +11,19 @@ against the queue-walking decomposition they replace.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
 from repro.arch.base import VECTOR_WIDTH
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dpg import DotProductGenerator, dpg_stats
+from repro.arch import fastpath
 from repro.arch.fastpath import (
     _dpg_stats_batch,
+    _pack_lockstep,
     decode_a_operands,
     decode_b_operands,
 )
@@ -180,3 +185,108 @@ class TestDpgStatsBatch:
         got = _dpg_stats_batch(a, b, 4)
         for i in range(a.size):
             assert tuple(got[i]) == dpg_stats(int(a[i]), int(b[i]), 4, "z")
+
+
+def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int):
+    """Reference greedy packing of one block's ordered task stream.
+
+    The exact rule of :meth:`TileMultiplyScheduler.dispatch` for
+    conflict-free streams, one cycle at a time: fill up to ``num_dpgs``
+    tasks per cycle, and a task that would push the cycle past ``macs``
+    products starts the next one.  Returns ``(cycle ids, cycles)``.
+    """
+    cum = list(accumulate(p.tolist()))
+    cyc = np.empty(len(cum), dtype=np.int64)
+    pos = cycle = 0
+    while pos < len(cum):
+        budget = (cum[pos - 1] if pos else 0) + macs
+        nxt = min(pos + num_dpgs, bisect_right(cum, budget))
+        cyc[pos:nxt] = cycle
+        cycle += 1
+        pos = nxt
+    return cyc, cycle
+
+
+def _assert_packing_matches(p, lens, num_dpgs, macs):
+    cyc, ncyc = _pack_lockstep(p, lens, num_dpgs, macs)
+    ends = np.cumsum(lens)
+    for q, (lo, hi) in enumerate(zip(ends - lens, ends)):
+        ref_cyc, ref_n = _pack_sequential(p[lo:hi], num_dpgs, macs)
+        assert ncyc[q] == ref_n, (q, num_dpgs, macs)
+        assert np.array_equal(cyc[lo:hi], ref_cyc), (q, num_dpgs, macs)
+
+
+def _random_streams(rng, blocks, max_len, macs, low=1):
+    lens = rng.integers(1, max_len + 1, size=blocks)
+    return rng.integers(low, macs + 1, size=int(lens.sum())), lens
+
+
+class TestLockstepPacking:
+    """The lockstep packer against the per-block greedy reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            macs = int(rng.choice([4, 16, 64, 128]))
+            num_dpgs = int(rng.choice([1, 2, 4, 8, 16]))
+            p, lens = _random_streams(rng, int(rng.integers(1, 12)), 64, macs)
+            _assert_packing_matches(p, lens, num_dpgs, macs)
+
+    def test_products_at_the_budget(self):
+        rng = np.random.default_rng(1)
+        for macs in (4, 64):
+            p, lens = _random_streams(rng, 9, 40, macs, low=macs // 2)
+            p[::3] = macs
+            _assert_packing_matches(p, lens, 8, macs)
+            full = np.full(int(lens.sum()), macs)
+            _assert_packing_matches(full, lens, 8, macs)
+            cyc, ncyc = _pack_lockstep(full, lens, 8, macs)
+            assert np.array_equal(ncyc, lens)  # one task per cycle
+
+    def test_single_dpg(self):
+        rng = np.random.default_rng(2)
+        p, lens = _random_streams(rng, 7, 64, 64)
+        _assert_packing_matches(p, lens, 1, 64)
+        cyc, ncyc = _pack_lockstep(p, lens, 1, 64)
+        assert np.array_equal(ncyc, lens)
+
+    def test_one_task_blocks(self):
+        rng = np.random.default_rng(3)
+        lens = np.ones(25, dtype=np.int64)
+        p = rng.integers(1, 65, size=25)
+        _assert_packing_matches(p, lens, 8, 64)
+        cyc, ncyc = _pack_lockstep(p, lens, 8, 64)
+        assert not cyc.any() and (ncyc == 1).all()
+
+    @pytest.mark.parametrize("num_dpgs", [1, 4, 8, 16])
+    def test_single_full_block_per_call(self, num_dpgs):
+        rng = np.random.default_rng(num_dpgs)
+        for macs in (16, 64):
+            for _ in range(10):
+                p = rng.integers(1, macs + 1, size=64)
+                _assert_packing_matches(p, np.array([64]), num_dpgs, macs)
+
+    def test_over_budget_task_raises(self):
+        with pytest.raises(SimulationError, match="no progress"):
+            _pack_lockstep(np.array([3, 65, 2]), np.array([3]), 8, 64)
+
+    @pytest.mark.parametrize("variant", ["default", "no-conflict", "4dpg", "16dpg", "fp32"])
+    def test_mixed_uniform_and_packed_batch(self, variant, monkeypatch):
+        """A batch mixing uniform and MAC-bound non-uniform blocks equals
+        stepping, and its non-uniform blocks share one lockstep call."""
+        packed = []
+        monkeypatch.setattr(fastpath, "_pack_lockstep", lambda p, lens, *rest: (
+            packed.append(lens.size), _pack_lockstep(p, lens, *rest))[1])
+        rng = np.random.default_rng(4)
+        dense = np.ones((16, 16), bool)
+        tasks = [T1Task.from_bitmaps(dense, dense)]
+        for density in (0.3, 0.5, 0.7, 0.9):
+            for _ in range(4):
+                tasks.append(T1Task.from_bitmaps(rng.random((16, 16)) < density,
+                                                 rng.random((16, 16)) < density))
+            tasks.append(T1Task.from_bitmaps(dense, dense))
+        stc = MODEL_VARIANTS[variant]()
+        batch = stc.simulate_blocks(tasks)
+        assert_results_equal(batch, [stc.simulate_block(t) for t in tasks], variant)
+        assert packed and packed[0] > 1

@@ -13,14 +13,20 @@ from repro.formats.encoding_cost import (
 )
 from repro.kernels.vector import SparseVector
 from repro.sim.engine import simulate_kernel
+from repro.formats import COOMatrix
+from repro.sim import memory
 from repro.sim.memory import (
+    BLOCK_PATH_MIN_FLOPS_PER_TRIPLE,
     MemoryConfig,
+    _block_output_nnz,
+    _expanded_output_nnz,
+    _structural_flops,
     kernel_traffic_bytes,
     memory_cycles,
     roofline,
     spgemm_output_nnz,
 )
-from repro.workloads.synthetic import banded, long_rows, random_uniform
+from repro.workloads.synthetic import banded, block_dense, long_rows, random_uniform
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +166,103 @@ class TestSpGEMMOutputNnz:
             r, c = np.nonzero(m.to_dense())
             assert got == set(zip(r.tolist(), c.tolist()))
 
+
+
+def _dense_nnz(a, b):
+    return int(np.count_nonzero(
+        (a.to_dense() != 0).astype(np.int64) @ (b.to_dense() != 0).astype(np.int64)
+    ))
+
+
+def _empty_block_rows(m, n, seed):
+    """Random entries confined to alternating 16-row bands."""
+    coo = random_uniform(m, n, 0.3, seed=seed)
+    keep = (coo.rows // 16) % 2 == 0
+    return COOMatrix(coo.shape, coo.rows[keep], coo.cols[keep], coo.vals[keep])
+
+
+#: (A, B) pairs; ``None`` for B means A @ A.
+OUTPUT_NNZ_CASES = {
+    "rectangular": (random_uniform(48, 80, 0.1, seed=11),
+                    random_uniform(80, 112, 0.12, seed=12)),
+    "ragged-shapes": (random_uniform(37, 53, 0.15, seed=13),
+                      random_uniform(53, 29, 0.2, seed=14)),
+    "empty-block-rows": (_empty_block_rows(96, 64, seed=15),
+                         _empty_block_rows(64, 80, seed=16)),
+    "hypersparse": (random_uniform(256, 256, 0.002, seed=17), None),
+    "hypersparse-rect": (random_uniform(160, 300, 0.003, seed=18),
+                         random_uniform(300, 90, 0.003, seed=19)),
+    # flops per triple about 6.5 and 10: either side of the threshold.
+    "near-threshold-below": (random_uniform(144, 144, 0.04, seed=24), None),
+    "near-threshold-above": (random_uniform(144, 144, 0.05, seed=24), None),
+    "block-dense": (block_dense(128, block_density=0.05, fill=0.9, seed=20), None),
+    "banded": (banded(100, 12, 0.5, seed=21), banded(100, 6, 0.6, seed=22)),
+    "long-rows": (long_rows(80, heavy_rows=3, seed=23), None),
+}
+
+
+def _operands(name):
+    a_coo, b_coo = OUTPUT_NNZ_CASES[name]
+    a = BBCMatrix.from_coo(a_coo)
+    return a, (a if b_coo is None else BBCMatrix.from_coo(b_coo))
+
+
+def _flops_per_triple(a, b):
+    triples = int(np.diff(b.row_ptr)[a.col_idx].sum())
+    return _structural_flops(a, b) / triples
+
+
+class TestOutputNnzPaths:
+    """Both output-nnz paths, called directly, against the dense product."""
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_NNZ_CASES))
+    @pytest.mark.parametrize("path", [_expanded_output_nnz, _block_output_nnz],
+                             ids=["expanded", "block"])
+    def test_path_matches_dense(self, name, path):
+        a, b = _operands(name)
+        assert path(a, b) == _dense_nnz(a, b)
+
+    def test_cases_straddle_the_threshold(self):
+        ratios = [_flops_per_triple(*_operands(n)) for n in OUTPUT_NNZ_CASES]
+        below = [r for r in ratios if r < BLOCK_PATH_MIN_FLOPS_PER_TRIPLE]
+        assert min(ratios) < 1 and max(below) > BLOCK_PATH_MIN_FLOPS_PER_TRIPLE / 2
+        above = [r for r in ratios if r >= BLOCK_PATH_MIN_FLOPS_PER_TRIPLE]
+        assert min(above) < 2 * BLOCK_PATH_MIN_FLOPS_PER_TRIPLE and max(above) > 1000
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_NNZ_CASES))
+    def test_structural_flops_match_expansion(self, name):
+        a, b = _operands(name)
+        rows, cols = a.structural_coords()
+        b_rows, _ = b.structural_coords()
+        row_nnz = np.bincount(b_rows, minlength=b.shape[0])
+        assert _structural_flops(a, b) == int(row_nnz[cols].sum())
+
+    @pytest.mark.parametrize("name", sorted(OUTPUT_NNZ_CASES))
+    def test_selection_follows_the_threshold(self, name, monkeypatch):
+        a, b = _operands(name)
+        taken = []
+        for path in ("_expanded_output_nnz", "_block_output_nnz"):
+            real = getattr(memory, path)
+            monkeypatch.setattr(memory, path, lambda x, y, real=real, path=path:
+                                taken.append(path) or real(x, y))
+        assert spgemm_output_nnz(a, b) == _dense_nnz(a, b)
+        blockwise = _flops_per_triple(a, b) >= BLOCK_PATH_MIN_FLOPS_PER_TRIPLE
+        assert taken == ["_block_output_nnz" if blockwise else "_expanded_output_nnz"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @pytest.mark.parametrize("name", ["rectangular", "block-dense", "banded"])
+    def test_block_path_carries_across_chunks(self, name, chunk, monkeypatch):
+        # Tiny chunks split output blocks across chunk boundaries.
+        monkeypatch.setattr(memory, "_TRIPLE_CHUNK", chunk)
+        a, b = _operands(name)
+        assert _block_output_nnz(a, b) == _dense_nnz(a, b)
+
+    @pytest.mark.parametrize("path", [_expanded_output_nnz, _block_output_nnz],
+                             ids=["expanded", "block"])
+    def test_empty_operands(self, path):
+        empty = BBCMatrix.from_coo(random_uniform(64, 64, 0.0, seed=1))
+        full = BBCMatrix.from_coo(random_uniform(64, 64, 0.2, seed=2))
+        assert path(empty, full) == path(full, empty) == path(empty, empty) == 0
 
 class TestEncodingCost:
     def test_spmv_equivalents_order_of_magnitude(self, bbc):
