@@ -2,9 +2,12 @@
 
 Runs the harness in smoke mode (tiny corpus, one repetition) and
 asserts it completes, writes valid JSON with the expected structure,
-and that the legacy/fast engine paths agreed on every total.  Timings
-are NOT asserted — smoke numbers are meaningless; the real report is
-``BENCH_2.json`` at the repo root.
+and that its identity checks held (cold vs LRU-warm, cold vs
+store-replayed, batched vs sequential inference).  Timings are NOT
+asserted — smoke numbers are meaningless; the real report is
+``BENCH_2.json`` at the repo root.  The stepped-vs-vectorised identity
+check and its cold speedup floor run in tier-1
+(``tests/test_batched.py::TestEngineParity``).
 
 Run directly (no ``--benchmark-only``): ``pytest benchmarks/perf -q``.
 """
@@ -32,22 +35,16 @@ def test_bench_smoke_report_structure(tmp_path):
     assert set(data["enumeration"]) == set(KERNELS)
     for row in data["enumeration"].values():
         assert row["tasks"] > 0
-        assert row["legacy_seconds"] > 0 and row["batched_seconds"] > 0
+        assert row["seconds"] > 0
 
     sweep = data["corpus_sweep"]
-    assert sweep["totals_match"] is True
     assert sweep["cases"] == enc["matrices"] * len(KERNELS)
-    for regime in ("cold", "warm"):
-        assert sweep[regime]["legacy_seconds"] > 0
-        assert sweep[regime]["fast_seconds"] > 0
-    assert sweep["speedup"] == sweep["warm"]["speedup"]
-    # The vectorised cold path must reproduce the legacy per-block
-    # reports case-for-case (host-time fields aside), and actually be
-    # faster.  The full-corpus target is 10x; the smoke floor is kept
-    # loose so CI containers with noisy clocks don't flake.
-    assert sweep["cold"]["reports_identical"] is True
-    assert sweep["cold"]["report_mismatches"] == []
-    assert sweep["cold"]["speedup"] >= 2.0
+    assert sweep["cold_seconds"] > 0 and sweep["warm_seconds"] > 0
+    assert sweep["speedup"] == sweep["cold_seconds"] / sweep["warm_seconds"]
+    # A memo hit must reproduce what the model computed: the LRU-warm
+    # reports equal the cold ones case-for-case (host-time fields aside).
+    assert sweep["reports_identical"] is True
+    assert sweep["report_mismatches"] == []
     assert sweep["totals"]["t1_tasks"] > 0
     assert sweep["cache"]["entries"] > 0
     assert sweep["cache"]["inserts"] == sweep["cache"]["entries"]

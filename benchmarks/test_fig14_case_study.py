@@ -12,8 +12,8 @@ import pytest
 
 from benchmarks.harness import headline_stcs
 from repro.analysis.tables import print_table
-from repro.arch.tasks import T1Task
-from repro.sim.engine import simulate_tasks
+from repro.kernels.batched import TaskBatch
+from repro.sim.engine import simulate_batches
 
 
 def _embedded_task(rng, density=0.5):
@@ -22,15 +22,23 @@ def _embedded_task(rng, density=0.5):
     b = np.zeros((16, 16), dtype=bool)
     a[:8, :8] = rng.random((8, 8)) < density
     b[:8, :8] = rng.random((8, 8)) < density
-    return T1Task.from_bitmaps(a, b)
+    return a, b
+
+
+def _case_study_batch(count=60):
+    """``count`` embedded tasks as one batch, task ``i`` pairing A_i with B_i."""
+    rng = np.random.default_rng(1)
+    a, b = (np.stack(side) for side in zip(*(_embedded_task(rng) for _ in range(count))))
+    index = np.arange(count, dtype=np.int64)
+    return TaskBatch(a_patterns=a, b_patterns=b, a_index=index, b_index=index,
+                     weights=np.ones(count, dtype=np.int64), n=16)
 
 
 def _compute():
-    rng = np.random.default_rng(1)
-    tasks = [_embedded_task(rng) for _ in range(60)]
+    batch = _case_study_batch()
     out = {}
     for name, stc in headline_stcs().items():
-        report = simulate_tasks(stc, tasks, kernel="case-study")
+        report = simulate_batches(stc, [batch], kernel="case-study")
         out[name] = report.mean_utilisation
     return out
 

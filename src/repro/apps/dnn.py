@@ -9,10 +9,10 @@ and fewer on the denser Transformer).
 
 The forward pass is built as a :class:`~repro.graph.ir.ModelGraph` and
 scheduled by :class:`~repro.graph.runner.GraphRunner` — request 0 of
-the graph path reproduces the historic per-layer loop bit for bit
-(``simulate_inference_legacy`` keeps the loop alive as the parity
-reference), and ``batch``/``buffer_kib`` expose the end-to-end story
-the loop could never tell.
+the graph path reproduces the historic per-layer loop bit for bit (the
+loop survives as the parity oracle in ``tests/test_graph_parity.py``),
+and ``batch``/``buffer_kib`` expose the end-to-end story the loop
+could never tell.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ from repro.errors import ShapeError
 from repro.formats.bbc import BBCMatrix
 from repro.graph import DEFAULT_BUFFER_KIB, GraphRunner, ModelReport, dnn_graph
 from repro.kernels import bbc_kernels
-from repro.sim.engine import simulate_kernel
 from repro.sim.results import SimReport
-from repro.workloads.dlmc import dlmc_corpus
-from repro.workloads.dnn import ACTIVATION_SPARSITY, LayerSpec, activation_matrix
+from repro.workloads.dnn import ACTIVATION_SPARSITY, LayerSpec
 
 __all__ = [
     "ACTIVATION_SPARSITY",
@@ -39,7 +37,6 @@ __all__ = [
     "compare_models",
     "forward_layer",
     "simulate_inference",
-    "simulate_inference_legacy",
 ]
 
 
@@ -60,7 +57,7 @@ class InferenceReport:
     sparsity: float
     layers: List[LayerReport] = field(default_factory=list)
     #: End-to-end view (buffer plan, DRAM traffic, batching) when the
-    #: inference ran through the graph path; ``None`` on the legacy loop.
+    #: inference ran through the graph path; ``None`` otherwise.
     model_report: Optional[ModelReport] = None
 
     @property
@@ -91,7 +88,7 @@ def simulate_inference(
     ``batch > 1`` the graph replays for every request through the same
     warm block cache (fresh conv activations per request); the
     per-layer reports exposed on the result are request 0's, identical
-    to :func:`simulate_inference_legacy`.
+    to those of the historic per-layer loop.
     """
     graph = dnn_graph(model, sparsity, scale=scale, seed=seed)
     runner = GraphRunner(graph, stc, batch=batch,
@@ -102,33 +99,6 @@ def simulate_inference(
     for node_result in model_report.per_layer(request=0):
         layer = graph.node(node_result.node).meta["layer"]
         out.layers.append(LayerReport(layer=layer, report=node_result.report))
-    return out
-
-
-def simulate_inference_legacy(
-    stc: STCModel,
-    model: str = "resnet50",
-    sparsity: float = 0.70,
-    scale: Optional[float] = None,
-    seed: int = 11,
-) -> InferenceReport:
-    """The historic hand-rolled per-layer loop.
-
-    Kept as the parity reference the graph path is tested against:
-    request 0 of :func:`simulate_inference` must produce byte-identical
-    per-layer reports to this loop.
-    """
-    out = InferenceReport(model=model, stc=stc.name, sparsity=sparsity)
-    for i, (layer, weight) in enumerate(dlmc_corpus(model, sparsity, scale=scale, seed=seed)):
-        bbc = BBCMatrix.from_coo(weight)
-        if layer.kind == "linear":
-            report = simulate_kernel("spmm", bbc, stc, b_cols=layer.n, matrix=layer.name)
-        else:
-            acts = activation_matrix(layer.k, layer.n, seed=seed + 100 + i)
-            report = simulate_kernel(
-                "spgemm", bbc, stc, b=BBCMatrix.from_csr(acts), matrix=layer.name
-            )
-        out.layers.append(LayerReport(layer=layer, report=report))
     return out
 
 

@@ -9,8 +9,8 @@ generality argument (§III-A) is about.
 
 The simulation side runs through :mod:`repro.graph`: ``propagation_graph``
 declares the propagate/two-hop stack as a :class:`ModelGraph` and
-``simulate_propagation`` schedules it (``simulate_propagation_legacy``
-keeps the hand-rolled loop as the parity reference).
+``simulate_propagation`` schedules it (the hand-rolled loop it replaced
+is the parity oracle in ``tests/test_graph_parity.py``).
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ import numpy as np
 from repro.apps.trace import KernelTrace
 from repro.arch.base import STCModel
 from repro.errors import ShapeError
-from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.graph import DEFAULT_BUFFER_KIB, GraphRunner, ModelGraph, ModelReport, gnn_graph
 from repro.kernels import reference
-from repro.sim.engine import simulate_kernel
 
 
 def normalised_adjacency(adjacency: CSRMatrix) -> CSRMatrix:
@@ -94,27 +92,3 @@ def simulate_propagation(
     return GraphRunner(graph, stc, batch=batch,
                        buffer_bytes=buffer_kib * 1024).run()
 
-
-def simulate_propagation_legacy(
-    stc: STCModel,
-    adjacency: CSRMatrix,
-    feature_dim: int = 64,
-    layers: int = 2,
-):
-    """The hand-rolled per-kernel loop the graph path must match.
-
-    Returns the per-kernel :class:`~repro.sim.results.SimReport` list in
-    the same order the graph schedules its nodes.
-    """
-    a_hat = BBCMatrix.from_csr(normalised_adjacency(adjacency))
-    reports = []
-    for i in range(1, layers + 1):
-        reports.append(simulate_kernel(
-            "spmm", a_hat, stc, b_cols=feature_dim,
-            matrix=f"gnn.propagate{i}",
-        ))
-    adj = BBCMatrix.from_csr(adjacency)
-    reports.append(simulate_kernel(
-        "spgemm", adj, stc, b=adj, matrix="gnn.two_hop",
-    ))
-    return reports

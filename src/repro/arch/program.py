@@ -15,14 +15,16 @@ block n+1 overlaps execution of block n?
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.isa import UWMMA
 from repro.arch.pipeline import PIPELINE_STAGES
 from repro.arch.unistc import UniSTC
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import kernel_task_batches
 
 
 @dataclass(frozen=True)
@@ -89,15 +91,28 @@ def compile_kernel(
     always pays the pipeline fill.
     """
     uni = stc or UniSTC()
+    blocks: List[Tuple[int, int]] = []  # (cycles, weight) in issue order
+    for batch in kernel_task_batches(kernel, a, **operands):
+        # Stable on the A block, so each block's panel tasks keep their
+        # enumeration order: the block-by-block issue of Algorithms 1-2.
+        tasks = list(batch.take(np.argsort(batch.a_index, kind="stable")).iter_tasks())
+        if tasks:
+            cycles = uni.simulate_blocks(tasks)[:, 0].tolist()
+            blocks.extend(zip(cycles, (task.weight for task in tasks)))
+    return _issue_program(kernel, uni, blocks)
+
+
+def _issue_program(kernel: str, uni: UniSTC,
+                   blocks: Iterable[Tuple[int, int]]) -> ProgramResult:
+    """Issue one instruction group per T1 task of ``(cycles, weight)`` blocks."""
     vector = kernel.lower() in ("spmv", "spmspv")
     suffix = "mv" if vector else "mm"
     result = ProgramResult(kernel=kernel.lower())
 
     pending_generation = 0  # generation cycles not yet hidden
-    for task in kernel_tasks(kernel, a, **operands):
-        block = uni.simulate_block(task)
-        for _ in range(task.weight):
-            exec_cycles = max(1, block.cycles)
+    for block_cycles, weight in blocks:
+        for _ in range(weight):
+            exec_cycles = max(1, block_cycles)
             gen_inst = UWMMA[f"stc.task_gen.{suffix}"]
             gen_cycles = gen_inst.cycles_for(max(1, exec_cycles // uni.config.num_dpgs))
             numeric_inst = UWMMA[f"stc.numeric.{suffix}"]

@@ -9,8 +9,16 @@ from repro.cli.common import add_obs_flags, add_run_flags, make_spec
 from repro.runtime import Session
 
 
+#: The report's identity checks: (section, flag, what a false flag means).
+_CHECKS = (
+    ("corpus_sweep", "reports_identical", "cold and LRU-warm reports diverge"),
+    ("store", "reports_identical", "cold and store-replayed reports diverge"),
+    ("infer", "totals_match", "batched and sequential inference totals disagree"),
+)
+
+
 def cmd_bench(args: argparse.Namespace, session: Session) -> int:
-    """Hot-path microbenchmarks: encode, enumeration, corpus sweep."""
+    """Hot-path microbenchmarks; exits 1 if any identity check fails."""
     from repro.perf.bench import render_summary, run_bench
 
     report = run_bench(
@@ -22,17 +30,13 @@ def cmd_bench(args: argparse.Namespace, session: Session) -> int:
     print(render_summary(report))
     if args.out:
         print(f"\nwrote {args.out}")
-    if not report["corpus_sweep"]["totals_match"]:
-        print("error: legacy and fast sweep paths disagree on totals",
-              file=sys.stderr)
-        session.fail("legacy and fast sweep paths disagree on totals")
-        return 1
-    if not report["corpus_sweep"]["cold"]["reports_identical"]:
-        bad = ", ".join(report["corpus_sweep"]["cold"]["report_mismatches"][:5])
-        print(f"error: legacy and fast per-case reports diverge ({bad})",
-              file=sys.stderr)
-        session.fail("legacy and fast per-case reports diverge")
-        return 1
+    for section, flag, meaning in _CHECKS:
+        if not report[section][flag]:
+            shown = ", ".join(report[section].get("report_mismatches", [])[:5])
+            message = f"{section}: {meaning}" + (f" ({shown})" if shown else "")
+            print(f"error: {message}", file=sys.stderr)
+            session.fail(message)
+            return 1
     return 0
 
 

@@ -1,9 +1,10 @@
 """Graph constructors for the apps' model families.
 
 Each builder emits exactly the ``simulate_kernel`` invocations the
-legacy per-layer loops in ``repro.apps`` hand-rolled — same weights,
+historic per-layer loops of ``repro.apps`` hand-rolled — same weights,
 same operand seeds, same matrix labels — so the graph path's request-0
-per-layer reports are byte-identical to the loops it replaces.  On top
+per-layer reports are byte-identical to the loops it replaced (kept as
+the parity oracles of ``tests/test_graph_parity.py``).  On top
 of that it declares the inter-layer tensors the loops could never
 express, which is what the buffer model and edge-traffic accounting
 consume.

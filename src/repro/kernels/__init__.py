@@ -1,8 +1,7 @@
-"""Sparse kernels: golden CSR references, BBC block kernels, task streams."""
+"""Sparse kernels: golden CSR references, BBC block kernels, task batches."""
 
-from repro.kernels import batched, bbc_kernels, reference, taskstream
+from repro.kernels import batched, bbc_kernels, reference
 from repro.kernels.batched import TaskBatch, kernel_task_batches
-from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector, dense_segment_mask
 
 #: The four kernels of the paper, in its canonical order.
@@ -16,7 +15,5 @@ __all__ = [
     "bbc_kernels",
     "dense_segment_mask",
     "kernel_task_batches",
-    "kernel_tasks",
     "reference",
-    "taskstream",
 ]

@@ -1,27 +1,29 @@
-"""Vectorised (batched) T1 task enumeration.
+"""T1 task enumeration for the four sparse kernels, as arrays.
 
-The generators in :mod:`repro.kernels.taskstream` build one
-:class:`~repro.arch.tasks.T1Task` object per stored block — a Python
-loop whose per-task overhead (array checks, ``tobytes``, dataclass
-construction) dominates corpus-scale sweeps.  This module enumerates
-the *same* task streams as arrays:
+Every simulator consumes the *same* stream of T1 tasks (16x16x16 block
+multiplies described by occupancy bitmaps), built here with array ops
+over the BBC structure — the one enumeration path of the package:
 
 - a :class:`TaskBatch` holds the operand bitmaps once (``a_patterns``
   / ``b_patterns``) plus integer index/weight arrays describing every
-  task as an (A pattern, B pattern) pair;
-- :func:`coalesce` collapses content-identical pairs into weighted
-  unique :class:`T1Task` objects with pure array ops, so the engine
-  simulates each distinct bitmap pair once regardless of how many
-  thousand blocks share it.
+  task as an (A pattern, B pattern) pair, in the kernel's dataflow
+  order (§V-A: Algorithm 1 for SpMV/SpMSpV, Algorithm 2 for
+  SpMM/SpGEMM);
+- :func:`coalesce_raw` collapses content-identical pairs into weighted
+  unique pairs with pure array ops, so the engine simulates each
+  distinct bitmap pair once regardless of how many thousand blocks
+  share it.
 
-Totals (tasks, products, cycles, counters, energy) are exactly those
-of the per-object generators — asserted task-for-task in the test
-suite — only the enumeration cost changes.
+Every builder takes an optional contiguous ``rows`` block-row range —
+the hook the multi-core partitioner (:mod:`repro.sim.parallel`) uses,
+so the serial and per-core streams cannot drift.  The per-object
+generators the test suite keeps as the stepped oracle describe the
+same weighted bitmap-pair multiset, asserted task-for-task.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -63,8 +65,13 @@ class TaskBatch:
         """Total T1 tasks represented (weights included)."""
         return int(self.weights.sum()) if self.weights.size else 0
 
+    def take(self, rows: np.ndarray) -> "TaskBatch":
+        """The task entries at ``rows``, in that order (repeats allowed)."""
+        return replace(self, a_index=self.a_index[rows],
+                       b_index=self.b_index[rows], weights=self.weights[rows])
+
     def iter_tasks(self) -> Iterator[T1Task]:
-        """Materialise the batch as individual tasks (reference path)."""
+        """Materialise the batch as individual weighted tasks, in order."""
         for ai, bi, w in zip(self.a_index, self.b_index, self.weights):
             yield T1Task.from_bitmaps(
                 self.a_patterns[int(ai)], self.b_patterns[int(bi)], weight=int(w)
@@ -222,7 +229,13 @@ def spgemm_batch(a: BBCMatrix, b: Optional[BBCMatrix] = None,
 def kernel_task_batches(kernel: str, a: BBCMatrix,
                         rows: Optional[range] = None,
                         **operands) -> List[TaskBatch]:
-    """Batched equivalent of :func:`repro.kernels.taskstream.kernel_tasks`."""
+    """The task batches of ``kernel`` by name.
+
+    ``kernel`` is one of ``spmv``, ``spmspv`` (needs ``x``), ``spmm``
+    (optional ``b_cols``, default 64) or ``spgemm`` (optional ``b``,
+    default A itself, i.e. the paper's C = A^2 setting).  ``rows``
+    restricts enumeration to a contiguous block-row range.
+    """
     name = kernel.lower()
     if name == "spmv":
         return [spmv_batch(a, rows=rows)]
@@ -267,13 +280,6 @@ class CoalescedBatch:
     pairs: List[Tuple[int, int, int]]
     n: int
 
-    def tasks(self) -> List[T1Task]:
-        """Materialise the weighted unique tasks."""
-        return [
-            T1Task(self.a_bytes[ai], self.b_bytes[bi], n=self.n, weight=w)
-            for ai, bi, w in self.pairs
-        ]
-
 
 def coalesce_raw(batch: TaskBatch) -> CoalescedBatch:
     """Collapse content-identical bitmap pairs with pure array ops.
@@ -303,12 +309,3 @@ def coalesce_raw(batch: TaskBatch) -> CoalescedBatch:
     pairs = list(zip(pair_a, pair_b, agg.tolist()))
     return CoalescedBatch(a_bytes, b_bytes, pairs, batch.n)
 
-
-def coalesce(batch: TaskBatch) -> Tuple[List[T1Task], np.ndarray]:
-    """Collapse content-identical bitmap pairs into weighted tasks.
-
-    Returns weighted unique :class:`T1Task` objects (their ``weight``
-    already aggregates the batch weights) plus the weight array.
-    """
-    raw = coalesce_raw(batch)
-    return raw.tasks(), np.asarray([w for _, _, w in raw.pairs], dtype=np.int64)

@@ -2,7 +2,7 @@
 
 These compute actual values (they are tested against the CSR golden
 kernels); the matching T1 *task streams* consumed by the simulators
-come from :mod:`repro.kernels.taskstream`.  Both walk the BBC structure
+come from :mod:`repro.kernels.batched`.  Both walk the BBC structure
 the same way: SpMV/SpMSpV per Algorithm 1 (block row x vector segment),
 SpMM/SpGEMM per Algorithm 2 (row-by-row outer product over block rows,
 ``C_{i*} += A_{ik} x B_{k*}``).

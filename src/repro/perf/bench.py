@@ -1,14 +1,14 @@
 """Wall-clock microbenchmarks for the engine's hot paths.
 
-Three sections, mirroring where corpus sweeps actually spend time:
+Sections, mirroring where corpus sweeps actually spend time:
 
 - **encode** — COO -> BBC conversion over the corpus;
-- **enumeration** — per-kernel T1 task stream construction, legacy
-  per-object generators vs the batched array builders (coalesce
-  included, so the batched numbers pay their full cost);
-- **corpus_sweep** — end-to-end ``simulate_kernel`` over a corpus,
-  legacy (``batched=False``) vs fast (default) path, each mode with
-  its own fresh shared cache so the comparison is cold-start fair;
+- **enumeration** — per-kernel ``kernel_task_batches`` plus
+  ``coalesce_raw``: the weighted unique-pair stream the engine
+  consumes, at its full cost;
+- **corpus_sweep** — end-to-end ``simulate_kernel`` over the corpus,
+  cold (a fresh block cache) vs LRU-warm (the cache the cold pass
+  filled), with the per-case report-digest identity of the two;
 - **obs** — the observability layer's cost: warm sweep with tracing
   off vs on, plus the dormant null-span fast path measured directly
   (the <2%-when-disabled budget from ``docs/observability.md``);
@@ -20,13 +20,18 @@ Three sections, mirroring where corpus sweeps actually spend time:
   tier (:mod:`repro.store`): a cold sweep populating a fresh store vs
   a warm sweep replaying from it with an empty process-local LRU —
   hit rate, bytes served, and the per-case report-digest identity the
-  replay claims.
+  replay claims;
+- **infer** — batched end-to-end inference through :mod:`repro.graph`
+  vs the same requests on independent devices.
 
 Timing is best-of-``repeat`` wall seconds (``time.perf_counter``);
 best-of suppresses scheduler noise without needing a quiet machine.
-The sweep section also cross-checks that both paths agree on total
-cycles/products/tasks — a benchmark that got faster by computing
-something else is a bug, not a win.
+Every sweep runs uni-stc through the one engine path, over the one
+case list :func:`_cases` builds.  The identity checks digest reports
+kept from the timed passes *after* timing, so no timed region pays for
+its own check: a benchmark that got faster by computing something else
+is a bug, not a win.  (The stepped per-object oracle the vectorised
+path is checked against lives in the test suite.)
 
 ``run_bench`` returns the report as a dict and optionally writes it as
 JSON; the CLI front-end is ``repro bench``.
@@ -38,41 +43,48 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 import numpy as np
 
 from repro import obs
 from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
-from repro.kernels.batched import coalesce, kernel_task_batches
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
+from repro.sim.results import SimReport
 from repro.workloads.suitesparse import MatrixSpec, corpus
 
 #: Report schema version; bump when the JSON layout changes.
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
+
+#: One sweep case: (matrix name, BBC operand, kernel, kernel operands).
+Case = Tuple[str, BBCMatrix, str, Dict[str, object]]
+
+T = TypeVar("T")
 
 
-def _time_best(fn: Callable[[], object], repeat: int,
-               label: str = "timed") -> float:
-    """Best-of-``repeat`` wall seconds for one call of ``fn``.
+def _time_best(fn: Callable[[], T], repeat: int,
+               label: str = "timed") -> Tuple[float, T]:
+    """Best-of-``repeat`` wall seconds for one call of ``fn``, and its result.
 
-    The single timing helper every bench section goes through; each
-    repetition is also recorded as a ``bench:<label>`` span, so running
-    the harness under ``--trace`` yields a phase-by-phase timeline.
+    The single timing helper every bench section goes through; the
+    result is the last repetition's.  Each repetition is also recorded
+    as a ``bench:<label>`` span, so running the harness under
+    ``--trace`` yields a phase-by-phase timeline.
     """
     best = float("inf")
     for _ in range(max(1, repeat)):
         with obs.span(f"bench:{label}"):
             t0 = time.perf_counter()
-            fn()
+            result = fn()
             elapsed = time.perf_counter() - t0
         best = min(best, elapsed)
-    return best
+    return best, result
 
 
 def report_digest(report) -> str:
@@ -80,8 +92,8 @@ def report_digest(report) -> str:
 
     Host-dependent fields (wall time, cache attribution) are excluded;
     two evaluation paths claiming equivalence must produce identical
-    digests case-for-case.  Used by the sweep bench's per-case
-    legacy-vs-fast identity check and by the CI smoke test.
+    digests case-for-case.  Used by the bench's per-case identity
+    checks and by the test suite's stepped-vs-vectorised check.
     """
     return json.dumps(
         {
@@ -120,7 +132,7 @@ def bench_encode(specs: Sequence[MatrixSpec], repeat: int) -> Dict[str, object]:
         for _, coo in coos:
             BBCMatrix.from_coo(coo)
 
-    seconds = _time_best(encode_all, repeat, label="encode")
+    seconds, _ = _time_best(encode_all, repeat, label="encode")
     return {
         "matrices": len(coos),
         "total_nnz": int(total_nnz),
@@ -129,179 +141,120 @@ def bench_encode(specs: Sequence[MatrixSpec], repeat: int) -> Dict[str, object]:
     }
 
 
-def bench_enumeration(
-    mats: Sequence[Tuple[str, BBCMatrix]], repeat: int
-) -> Dict[str, Dict[str, object]]:
-    """Per-kernel task-stream construction: generator vs batched.
+def _cases(mats: Sequence[Tuple[str, BBCMatrix]],
+           kernels: Sequence[str]) -> List[Case]:
+    """Every matrix x kernel case, with its deterministic operands.
 
-    The batched column includes coalescing, so it reports the full
-    cost of producing the weighted unique-task stream the engine
-    actually consumes.
+    Operands are seeded by the matrix's position in ``mats``, so a case
+    is the same in every section that sweeps it.
     """
-    out: Dict[str, Dict[str, object]] = {}
-    for kernel in KERNELS:
-        cases = [
-            (bbc, _operands_for(kernel, bbc, seed=i))
-            for i, (_, bbc) in enumerate(mats)
-        ]
-
-        def legacy() -> None:
-            for bbc, operands in cases:
-                for _ in kernel_tasks(kernel, bbc, **operands):
-                    pass
-
-        def batched() -> None:
-            for bbc, operands in cases:
-                for batch in kernel_task_batches(kernel, bbc, **operands):
-                    coalesce(batch)
-
-        total_tasks = sum(
-            batch.total_tasks
-            for bbc, operands in cases
-            for batch in kernel_task_batches(kernel, bbc, **operands)
-        )
-        legacy_s = _time_best(legacy, repeat, label=f"enum_legacy:{kernel}")
-        batched_s = _time_best(batched, repeat, label=f"enum_batched:{kernel}")
-        out[kernel] = {
-            "tasks": int(total_tasks),
-            "legacy_seconds": legacy_s,
-            "batched_seconds": batched_s,
-            "speedup": legacy_s / batched_s if batched_s else 0.0,
-        }
-    return out
-
-
-def bench_corpus_sweep(
-    mats: Sequence[Tuple[str, BBCMatrix]],
-    kernels: Sequence[str],
-    repeat: int,
-) -> Dict[str, object]:
-    """End-to-end ``simulate_kernel`` sweep: legacy vs fast path.
-
-    Two regimes per mode, on the identical case list:
-
-    - **cold** — a fresh shared :class:`BlockCache`, so every distinct
-      block pattern pays one ``simulate_block`` call.  Cold time is
-      dominated by the STC models themselves, which both paths share.
-    - **warm** — the cache already holds every pattern, the regime a
-      sweep service actually runs in (``repro corpus --store`` keeps
-      block results in a persistent result store for exactly this
-      reason).  Warm time *is* the enumeration + aggregation
-      overhead this layer owns, so the headline ``speedup`` is the
-      warm ratio.
-
-    Totals (cycles / products / tasks) are cross-checked between the
-    modes — a disagreement invalidates the whole comparison.  Stronger
-    still, the last cold pass of each mode keeps every per-case report
-    digest (:func:`report_digest` — everything but host wall time and
-    cache attribution) and the modes must agree **per case**:
-    ``reports_identical`` is the byte-identity claim the fast path
-    makes, and ``report_mismatches`` names any case violating it.
-    """
-    cases = [
+    return [
         (name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
         for i, (name, bbc) in enumerate(mats)
         for kernel in kernels
     ]
 
-    def sweep(
-        batched: bool,
-        cache: BlockCache,
-        digests: Optional[Dict[str, str]] = None,
-    ) -> Dict[str, int]:
-        totals = {"cycles": 0, "products": 0, "t1_tasks": 0}
-        for name, bbc, kernel, operands in cases:
-            report = simulate_kernel(
-                kernel, bbc, create_stc("uni-stc"), batched=batched,
-                cache=cache, **operands
-            )
-            totals["cycles"] += report.cycles
-            totals["products"] += report.products
-            totals["t1_tasks"] += report.t1_tasks
-            if digests is not None:
-                digests[f"{kernel}:{name}"] = report_digest(report)
-        return totals
 
-    # Cold passes: each repetition gets a fresh cache (else it is not
-    # cold), capped at best-of-2 because the model cost dominating this
-    # phase makes it the bench's least sensitive — and most expensive —
-    # number.  The last fast pass's cache provides the (cold) stats
-    # snapshot and warms the cache for the timed warm passes below.
-    # The modes are interleaved (best-of-1 calls inside the loop) so
-    # CPU frequency drift biases neither.
-    cold_repeat = min(2, max(1, repeat))
-    cold_legacy_s = cold_fast_s = float("inf")
-    totals: Dict[str, Dict[str, int]] = {}
-    legacy_digests: Dict[str, str] = {}
-    fast_digests: Dict[str, str] = {}
-    warm_cache = BlockCache()
-    for _ in range(cold_repeat):
-        legacy_digests = {}
-        cold_legacy_s = min(cold_legacy_s, _time_best(
-            lambda: totals.__setitem__(
-                "legacy",
-                sweep(batched=False, cache=BlockCache(),
-                      digests=legacy_digests)),
-            1, label="sweep_cold_legacy",
-        ))
-        warm_cache = BlockCache()
-        fast_digests = {}
-        cold_fast_s = min(cold_fast_s, _time_best(
-            lambda: totals.__setitem__(
-                "fast",
-                sweep(batched=True, cache=warm_cache,
-                      digests=fast_digests)),
-            1, label="sweep_cold_fast",
-        ))
-    legacy_totals, fast_totals = totals["legacy"], totals["fast"]
-    mismatches = sorted(
-        case for case in legacy_digests
-        if fast_digests.get(case) != legacy_digests[case]
-    )
-    stats = warm_cache.stats.as_dict() | {"entries": len(warm_cache)}
+def _sweep(cases: Sequence[Case], cache: BlockCache) -> Iterator[SimReport]:
+    """Simulate every case on uni-stc through ``cache``, yielding each report."""
+    for _, bbc, kernel, operands in cases:
+        yield simulate_kernel(kernel, bbc, create_stc("uni-stc"), cache=cache,
+                              **operands)
 
-    warm_legacy_s = _time_best(
-        lambda: sweep(batched=False, cache=warm_cache), repeat,
-        label="sweep_warm_legacy",
-    )
-    warm_fast_s = _time_best(
-        lambda: sweep(batched=True, cache=warm_cache), repeat,
-        label="sweep_warm_fast",
-    )
+
+def _digests(cases: Sequence[Case],
+             reports: Iterable[SimReport]) -> Dict[str, str]:
+    """``kernel:matrix`` -> :func:`report_digest` for one pass's reports."""
+    return {f"{kernel}:{name}": report_digest(report)
+            for (name, _, kernel, _), report in zip(cases, reports)}
+
+
+def _mismatches(want: Dict[str, str], got: Dict[str, str]) -> List[str]:
+    """Cases whose digest in ``got`` differs from ``want``, sorted."""
+    return sorted(case for case in want if got.get(case) != want[case])
+
+
+def bench_enumeration(
+    mats: Sequence[Tuple[str, BBCMatrix]], repeat: int
+) -> Dict[str, Dict[str, object]]:
+    """Per-kernel task enumeration, as the engine consumes it.
+
+    Times ``kernel_task_batches`` plus ``coalesce_raw`` — the full cost
+    of producing the weighted unique-pair stream that
+    ``simulate_batches`` looks up and simulates.
+    """
+    out: Dict[str, Dict[str, object]] = {}
+    for kernel in KERNELS:
+        cases = _cases(mats, (kernel,))
+
+        def enumerate_all() -> None:
+            for _, bbc, _, operands in cases:
+                for batch in kernel_task_batches(kernel, bbc, **operands):
+                    coalesce_raw(batch)
+
+        total_tasks = sum(
+            batch.total_tasks
+            for _, bbc, _, operands in cases
+            for batch in kernel_task_batches(kernel, bbc, **operands)
+        )
+        seconds, _ = _time_best(enumerate_all, repeat, label=f"enum:{kernel}")
+        out[kernel] = {"tasks": int(total_tasks), "seconds": seconds}
+    return out
+
+
+def bench_corpus_sweep(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
+    """End-to-end ``simulate_kernel`` sweep: cold vs LRU-warm.
+
+    Two regimes on the identical case list:
+
+    - **cold** — a fresh :class:`BlockCache` per repetition, so every
+      distinct block pattern pays one model evaluation.  Capped at
+      best-of-2: the model cost dominating this phase makes it the
+      bench's least sensitive — and most expensive — number.  The last
+      cold pass's cache provides the ``cache`` stats snapshot and
+      serves the warm passes.
+    - **warm** — that cache already holds every pattern, the regime a
+      long-lived sweep runs in.  Warm time *is* the enumeration,
+      coalescing, lookup, aggregation and pricing overhead this layer
+      owns; ``speedup`` is cold over warm.
+
+    ``reports_identical`` is the per-case :func:`report_digest`
+    identity of the last cold pass and one more, untimed, warm pass: a
+    memo hit must reproduce exactly what the model computed.
+    ``report_mismatches`` names any case violating it.
+    """
+    def cold_pass() -> Tuple[BlockCache, List[SimReport]]:
+        cache = BlockCache()
+        return cache, list(_sweep(cases, cache))
+
+    cold_s, (cache, cold) = _time_best(
+        cold_pass, min(2, max(1, repeat)), label="sweep_cold")
+    stats = cache.stats.as_dict() | {"entries": len(cache)}
+    warm_s, _ = _time_best(
+        lambda: list(_sweep(cases, cache)), repeat, label="sweep_warm")
+    mismatches = _mismatches(_digests(cases, cold),
+                             _digests(cases, _sweep(cases, cache)))
     return {
         "cases": len(cases),
-        "kernels": list(kernels),
-        "cold": {
-            "legacy_seconds": cold_legacy_s,
-            "fast_seconds": cold_fast_s,
-            "speedup": cold_legacy_s / cold_fast_s if cold_fast_s else 0.0,
-            "reports_identical": not mismatches,
-            "report_mismatches": mismatches,
-        },
-        "warm": {
-            "legacy_seconds": warm_legacy_s,
-            "fast_seconds": warm_fast_s,
-            "speedup": warm_legacy_s / warm_fast_s if warm_fast_s else 0.0,
-        },
-        "speedup": warm_legacy_s / warm_fast_s if warm_fast_s else 0.0,
-        "totals_match": legacy_totals == fast_totals,
-        "totals": fast_totals,
+        "cold_seconds": cold_s,
+        "warm_seconds": warm_s,
+        "speedup": cold_s / warm_s if warm_s else 0.0,
+        "reports_identical": not mismatches,
+        "report_mismatches": mismatches,
+        "totals": {field: sum(getattr(report, field) for report in cold)
+                   for field in ("cycles", "products", "t1_tasks")},
         "cache": stats,
     }
 
 
-def bench_obs_overhead(
-    mats: Sequence[Tuple[str, BBCMatrix]],
-    kernels: Sequence[str],
-    repeat: int,
-) -> Dict[str, object]:
-    """Cost of the observability layer on the warm fast sweep.
+def bench_obs_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
+    """Cost of the observability layer on the warm sweep.
 
     Three numbers, answering "can the instrumentation stay compiled
     in?":
 
-    - ``disabled_seconds`` vs ``enabled_seconds`` — the warm fast
-      sweep with observability off (the default) and on (tracer
+    - ``disabled_seconds`` vs ``enabled_seconds`` — the warm sweep
+      with observability off (the default) and on (tracer
       recording);
     - ``disabled_span_ns`` — per-call cost of a dormant ``obs.span``
       (the null fast path), measured over 100k calls;
@@ -312,27 +265,21 @@ def bench_obs_overhead(
       from deterministic counts rather than differencing two noisy
       wall-clock measurements of the same code path.
     """
-    cases = [
-        (name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
-        for i, (name, bbc) in enumerate(mats)
-        for kernel in kernels
-    ]
     cache = BlockCache()
 
     def sweep() -> None:
-        for _, bbc, kernel, operands in cases:
-            simulate_kernel(kernel, bbc, create_stc("uni-stc"), cache=cache,
-                            **operands)
+        for _ in _sweep(cases, cache):
+            pass
 
     sweep()  # warm the shared cache; both regimes below are warm
 
     was_enabled = obs.enabled()
     obs.disable()
-    disabled_s = _time_best(sweep, repeat, label="sweep_obs_disabled")
+    disabled_s, _ = _time_best(sweep, repeat, label="sweep_obs_disabled")
 
     tracer = obs.enable(fresh=not was_enabled)
     spans_before = len(tracer.spans)
-    enabled_s = _time_best(sweep, repeat, label="sweep_obs_enabled")
+    enabled_s, _ = _time_best(sweep, repeat, label="sweep_obs_enabled")
     reps = max(1, repeat)
     # Subtract the outer bench:* span each repetition adds itself.
     spans_per_sweep = (len(tracer.spans) - spans_before - reps) / reps
@@ -364,12 +311,8 @@ def bench_obs_overhead(
     }
 
 
-def bench_telemetry_overhead(
-    mats: Sequence[Tuple[str, BBCMatrix]],
-    kernels: Sequence[str],
-    repeat: int,
-) -> Dict[str, object]:
-    """Cost of the streaming-telemetry channel on the warm fast sweep.
+def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
+    """Cost of the streaming-telemetry channel on the warm sweep.
 
     A worker streams one ``progress`` record per finished case
     (:meth:`~repro.obs.telemetry.TelemetryWriter.case_done`): a
@@ -391,20 +334,11 @@ def bench_telemetry_overhead(
 
     from repro.obs.telemetry import TelemetryWriter
 
-    cases = [
-        (name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
-        for i, (name, bbc) in enumerate(mats)
-        for kernel in kernels
-    ]
     cache = BlockCache()
 
     def sweep(writer: Optional[TelemetryWriter] = None) -> None:
-        done = 0
-        for _, bbc, kernel, operands in cases:
-            simulate_kernel(kernel, bbc, create_stc("uni-stc"), cache=cache,
-                            **operands)
+        for done, _ in enumerate(_sweep(cases, cache), 1):
             if writer is not None:
-                done += 1
                 writer.case_done(done)
 
     was_enabled = obs.enabled()
@@ -412,13 +346,13 @@ def bench_telemetry_overhead(
     registry = obs.metrics()
     sweep()  # warm the shared cache; both regimes below are warm
 
-    baseline_s = _time_best(sweep, repeat, label="sweep_telemetry_off")
+    baseline_s, _ = _time_best(sweep, repeat, label="sweep_telemetry_off")
     with tempfile.TemporaryDirectory() as tmp:
         writer = TelemetryWriter(
             Path(tmp) / "bench.telemetry.jsonl", "bench",
             total=len(cases), registry=registry,
         )
-        streamed_s = _time_best(
+        streamed_s, _ = _time_best(
             lambda: sweep(writer), repeat, label="sweep_telemetry_on")
 
         # Direct per-emit cost: each call sees a dirty registry (the
@@ -456,15 +390,11 @@ def bench_telemetry_overhead(
     }
 
 
-def bench_store(
-    mats: Sequence[Tuple[str, BBCMatrix]],
-    kernels: Sequence[str],
-    repeat: int,
-) -> Dict[str, object]:
+def bench_store(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
     """Cold vs warm-store corpus sweep through a persistent store.
 
     The regime a repeated campaign actually runs in: the first sweep
-    pays every ``simulate_block`` call and writes each block result
+    pays every model evaluation and writes each block result
     through to a fresh :class:`~repro.store.ResultStore`; the second
     sweep starts with an **empty** process-local :class:`BlockCache`
     (a new process, as far as the cache is concerned) and must get
@@ -483,45 +413,27 @@ def bench_store(
 
     from repro.store import ResultStore
 
-    cases = [
-        (name, bbc, kernel, _operands_for(kernel, bbc, seed=i))
-        for i, (name, bbc) in enumerate(mats)
-        for kernel in kernels
-    ]
-
-    def sweep(cache: BlockCache, digests: Dict[str, str]) -> None:
-        for name, bbc, kernel, operands in cases:
-            report = simulate_kernel(
-                kernel, bbc, create_stc("uni-stc"), cache=cache, **operands
-            )
-            digests[f"{kernel}:{name}"] = report_digest(report)
-
     with tempfile.TemporaryDirectory() as tmp:
         with ResultStore(Path(tmp) / "blockstore") as store:
             # Cold: single pass (a repetition would no longer be cold —
             # the store would already hold every pattern).
-            cold_digests: Dict[str, str] = {}
             cold_cache = BlockCache(store=store)
-            cold_s = _time_best(
-                lambda: sweep(cold_cache, cold_digests), 1,
-                label="store_cold",
+            cold_s, cold = _time_best(
+                lambda: list(_sweep(cases, cold_cache)), 1, label="store_cold",
             )
             store.flush()
 
             # Warm: every repetition gets a fresh LRU, so every block
             # is served from the store, not process memory.
-            warm_digests: Dict[str, str] = {}
             before = store.stats.snapshot()
-            warm_s = _time_best(
-                lambda: sweep(BlockCache(store=store), warm_digests),
+            warm_s, replayed = _time_best(
+                lambda: list(_sweep(cases, BlockCache(store=store))),
                 repeat, label="store_warm",
             )
             warm = store.stats.delta(before)
             reps = max(1, repeat)
-            mismatches = sorted(
-                case for case in cold_digests
-                if warm_digests.get(case) != cold_digests[case]
-            )
+            mismatches = _mismatches(_digests(cases, cold),
+                                     _digests(cases, replayed))
             return {
                 "cases": len(cases),
                 "records": len(store),
@@ -567,27 +479,17 @@ def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
     scale = 0.05 if smoke else 0.125
     graph = dnn_graph(model, scale=scale)
 
-    seq_reports: list = []
+    def sequential() -> list:
+        return [GraphRunner(graph, create_stc("uni-stc"), batch=1,
+                            request_offset=r, cache=BlockCache()).run()
+                for r in range(batch)]
 
-    def sequential() -> None:
-        seq_reports.clear()
-        for r in range(batch):
-            runner = GraphRunner(graph, create_stc("uni-stc"), batch=1,
-                                 request_offset=r, cache=BlockCache())
-            seq_reports.append(runner.run())
-
-    sequential_s = _time_best(sequential, 1, label="infer_sequential")
-
-    batched_holder: list = []
-
-    def batched() -> None:
-        batched_holder.clear()
-        batched_holder.append(GraphRunner(
-            graph, create_stc("uni-stc"), batch=batch, cache=BlockCache(),
-        ).run())
-
-    batched_s = _time_best(batched, 1, label="infer_batched")
-    breport = batched_holder[0]
+    sequential_s, seq_reports = _time_best(sequential, 1, label="infer_sequential")
+    batched_s, breport = _time_best(
+        lambda: GraphRunner(graph, create_stc("uni-stc"), batch=batch,
+                            cache=BlockCache()).run(),
+        1, label="infer_batched",
+    )
     totals_match = (breport.e2e_compute_cycles ==
                     sum(r.e2e_compute_cycles for r in seq_reports))
     seq_hits = sum(r.cache.get("hits", 0.0) for r in seq_reports)
@@ -600,7 +502,7 @@ def bench_infer(repeat: int, smoke: bool = False) -> Dict[str, object]:
                         cache=BlockCache(store=store)).run()
             store.flush()
             before = store.stats.snapshot()
-            replay_s = _time_best(
+            replay_s, _ = _time_best(
                 lambda: GraphRunner(graph, create_stc("uni-stc"), batch=batch,
                                     cache=BlockCache(store=store)).run(),
                 repeat, label="infer_store_replay",
@@ -647,6 +549,7 @@ def run_bench(
         sizes, corpus_limit, repeat = (128,), 4, 1
     specs = corpus(sizes=sizes, limit=corpus_limit)
     mats = [(spec.name, BBCMatrix.from_coo(spec.matrix())) for spec in specs]
+    cases = _cases(mats, kernels)
     report: Dict[str, object] = {
         "schema": BENCH_SCHEMA,
         "config": {
@@ -660,10 +563,10 @@ def run_bench(
         },
         "encode": bench_encode(specs, repeat),
         "enumeration": bench_enumeration(mats, repeat),
-        "corpus_sweep": bench_corpus_sweep(mats, kernels, repeat),
-        "obs": bench_obs_overhead(mats, kernels, repeat),
-        "telemetry": bench_telemetry_overhead(mats, kernels, repeat),
-        "store": bench_store(mats, kernels, repeat),
+        "corpus_sweep": bench_corpus_sweep(cases, repeat),
+        "obs": bench_obs_overhead(cases, repeat),
+        "telemetry": bench_telemetry_overhead(cases, repeat),
+        "store": bench_store(cases, repeat),
         "infer": bench_infer(repeat, smoke),
     }
     if out is not None:
@@ -678,31 +581,23 @@ def render_summary(report: Dict[str, object]) -> str:
     lines = [
         f"encode: {enc['matrices']} matrices, {enc['total_nnz']} nnz "
         f"in {enc['seconds']:.3f}s ({enc['nnz_per_second']:.3g} nnz/s)",
-        "enumeration (legacy -> batched):",
+        "enumeration (kernel_task_batches + coalesce_raw):",
     ]
     for kernel, row in report["enumeration"].items():
         lines.append(
-            f"  {kernel:7s} {row['tasks']:>9d} tasks  "
-            f"{row['legacy_seconds']:.3f}s -> {row['batched_seconds']:.3f}s  "
-            f"({row['speedup']:.1f}x)"
+            f"  {kernel:7s} {row['tasks']:>9d} tasks  {row['seconds']:.3f}s"
         )
-    cold, warm = sweep["cold"], sweep["warm"]
     lines.append(
-        f"corpus sweep ({sweep['cases']} cases, totals_match="
-        f"{sweep['totals_match']}, reports_identical="
-        f"{cold.get('reports_identical')}):"
+        f"corpus sweep ({sweep['cases']} cases, reports_identical="
+        f"{sweep['reports_identical']}):"
     )
     lines.append(
-        f"  cold  {cold['legacy_seconds']:.3f}s -> {cold['fast_seconds']:.3f}s "
-        f"({cold['speedup']:.1f}x)"
+        f"  cold {sweep['cold_seconds']:.3f}s -> LRU-warm "
+        f"{sweep['warm_seconds']:.3f}s ({sweep['speedup']:.1f}x)"
     )
-    if cold.get("report_mismatches"):
-        shown = ", ".join(cold["report_mismatches"][:5])
+    if sweep["report_mismatches"]:
+        shown = ", ".join(sweep["report_mismatches"][:5])
         lines.append(f"  REPORT MISMATCH in: {shown}")
-    lines.append(
-        f"  warm  {warm['legacy_seconds']:.3f}s -> {warm['fast_seconds']:.3f}s "
-        f"({warm['speedup']:.1f}x)"
-    )
     cache = sweep["cache"]
     lines.append(
         f"cache: {cache['entries']} entries, hit rate {cache['hit_rate']:.1%}, "

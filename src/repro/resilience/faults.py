@@ -34,10 +34,10 @@ from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import bbc_kernels, reference
-from repro.kernels.taskstream import kernel_tasks
+from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
 from repro.registry import create_stc
 from repro.sim import engine
-from repro.sim.engine import simulate_tasks
+from repro.sim.engine import simulate_batches
 from repro.store import ResultStore
 
 #: Every fault kind a campaign cycles through.
@@ -188,26 +188,25 @@ class FaultInjector:
 
     # -- task-stream faults ----------------------------------------------
 
-    def corrupt_tasks(self, tasks: Sequence, kind: str) -> Tuple[list, InjectedFault]:
-        """Drop, duplicate or reorder one element of a T1 task stream."""
-        tasks = list(tasks)
-        if not tasks:
+    def corrupt_tasks(self, batch: TaskBatch, kind: str) -> Tuple[TaskBatch, InjectedFault]:
+        """Drop, duplicate or reorder one task entry of a T1 task batch."""
+        count = len(batch)
+        if not count:
             raise ConfigError("cannot corrupt an empty task stream")
         if kind == "task_drop":
-            idx = int(self.rng.integers(len(tasks)))
-            faulted = tasks[:idx] + tasks[idx + 1:]
-            site = f"dropped task {idx}/{len(tasks)}"
+            idx = int(self.rng.integers(count))
+            rows = np.delete(np.arange(count), idx)
+            site = f"dropped task {idx}/{count}"
         elif kind == "task_dup":
-            idx = int(self.rng.integers(len(tasks)))
-            faulted = tasks[:idx + 1] + [tasks[idx]] + tasks[idx + 1:]
-            site = f"duplicated task {idx}/{len(tasks)}"
+            idx = int(self.rng.integers(count))
+            rows = np.insert(np.arange(count), idx + 1, idx)
+            site = f"duplicated task {idx}/{count}"
         elif kind == "task_reorder":
-            perm = self.rng.permutation(len(tasks))
-            faulted = [tasks[i] for i in perm]
-            site = f"shuffled {len(tasks)} tasks"
+            rows = self.rng.permutation(count)
+            site = f"shuffled {count} tasks"
         else:
             raise ConfigError(f"unknown task fault kind {kind!r}")
-        return faulted, InjectedFault(kind=kind, site=site)
+        return batch.take(rows), InjectedFault(kind=kind, site=site)
 
     # -- cached-result faults --------------------------------------------
 
@@ -262,19 +261,19 @@ def classify_matrix_fault(
 
 
 def _classify_task_fault(
-    faulted_tasks: list,
+    faulted: TaskBatch,
     expected_weight: int,
     clean_cycles: int,
     clean_products: int,
     stc,
     kernel: str,
 ) -> Tuple[str, str]:
-    got_weight = sum(t.weight for t in faulted_tasks)
+    got_weight = faulted.total_tasks
     if got_weight != expected_weight:
         return "detected", (
             f"task-count accounting mismatch ({got_weight} != {expected_weight})"
         )
-    report = simulate_tasks(stc, faulted_tasks, kernel=kernel, energy_model=None)
+    report = simulate_batches(stc, [faulted], kernel=kernel, energy_model=None)
     if report.cycles != clean_cycles or report.products != clean_products:
         return "sdc", "simulated totals drifted undetected"
     return "masked", "simulated totals unchanged"
@@ -344,10 +343,12 @@ def run_campaign(
 
     # Clean task stream + simulated totals, for the task/cache trials.
     stc = create_stc("uni-stc")
-    clean_tasks = list(kernel_tasks(kernel, clean_bbc))
-    expected_weight = sum(t.weight for t in clean_tasks)
-    clean_report = simulate_tasks(stc, clean_tasks, kernel=kernel, energy_model=None)
-    cache_keys = sorted({(stc.cache_key(),) + t.cache_key() for t in clean_tasks})
+    (clean_batch,) = kernel_task_batches(kernel, clean_bbc)
+    expected_weight = clean_batch.total_tasks
+    clean_report = simulate_batches(stc, [clean_batch], kernel=kernel, energy_model=None)
+    raw = coalesce_raw(clean_batch)
+    cache_keys = sorted((stc.cache_key(), raw.a_bytes[ai], raw.b_bytes[bi])
+                        for ai, bi, _ in raw.pairs)
     clean_rows = {key: engine._BLOCK_CACHE[key] for key in cache_keys}
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)
@@ -357,7 +358,7 @@ def run_campaign(
             corrupt, fault = injector.inject_matrix(clean_bbc, kind)
             outcome, detail = classify_matrix_fault(corrupt, ref_output, kernel, operand)
         elif kind in ("task_drop", "task_dup", "task_reorder"):
-            faulted, fault = injector.corrupt_tasks(clean_tasks, kind)
+            faulted, fault = injector.corrupt_tasks(clean_batch, kind)
             outcome, detail = _classify_task_fault(
                 faulted, expected_weight, clean_report.cycles,
                 clean_report.products, stc, kernel,
@@ -366,8 +367,8 @@ def run_campaign(
             key = cache_keys[int(rng.integers(len(cache_keys)))]
             original, fault = injector.corrupt_cached_result(key)
             try:
-                poisoned = simulate_tasks(
-                    stc, clean_tasks, kernel=kernel, energy_model=None
+                poisoned = simulate_batches(
+                    stc, [clean_batch], kernel=kernel, energy_model=None
                 )
                 if poisoned.cycles != clean_report.cycles:
                     outcome, detail = "sdc", "poisoned cache shifted reported cycles"

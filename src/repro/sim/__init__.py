@@ -9,7 +9,6 @@ from repro.sim.engine import (
     get_cache,
     simulate_batches,
     simulate_kernel,
-    simulate_tasks,
 )
 from repro.sim.memory import MemoryConfig, RooflineReport, roofline
 from repro.sim.parallel import ParallelReport, simulate_parallel
@@ -38,6 +37,5 @@ __all__ = [
     "simulate_batches",
     "simulate_kernel",
     "simulate_parallel",
-    "simulate_tasks",
     "sweep",
 ]

@@ -1,15 +1,18 @@
 """The kernel-level simulation engine.
 
 ``simulate_kernel`` enumerates a kernel's T1 task stream over BBC
-operands, runs every task on the chosen STC model, and aggregates
-cycles / utilisation / counters / energy into a
+operands as array batches (:mod:`repro.kernels.batched`) and hands them
+to ``simulate_batches``, the one engine entry: each batch is coalesced
+so a distinct bitmap pair is looked up (and, on a miss, simulated)
+exactly once with its combined weight, and the run's cycles /
+utilisation / counters / energy are aggregated into a
 :class:`~repro.sim.results.SimReport`.
 
 A block result is one int64 row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout from the model to the
 report: models return ``[N, VECTOR_WIDTH]`` arrays, the memo holds
-rows, and both entry points fold the rows of a run through one
-weighted int64 reduction (:func:`_aggregate`), building the report's
+rows, and the rows of a run fold through one weighted int64 reduction
+(:func:`_aggregate`), building the report's
 ``Counters``/``UtilHistogram`` once.
 
 Because STC models are pure functions of a task's bitmap pair, rows
@@ -22,12 +25,6 @@ hit/miss/eviction statistics; one process-wide instance is shared by
 every core of ``simulate_parallel``, and a bound
 :class:`~repro.store.ResultStore` (:func:`bind_store`) persists it
 between sweep cases and across processes.
-
-The default enumeration path is *batched*: tasks are built as
-array-of-bitmap-pairs (:mod:`repro.kernels.batched`), coalesced so
-each distinct pattern pair is simulated once, and aggregated with
-their combined weight — identical totals to the per-object generator
-path at a fraction of the Python overhead.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
 from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
-from repro.kernels.taskstream import kernel_tasks
 from repro.sim.blockcache import BlockCache, CacheStats
 from repro.sim.results import SimReport
 
@@ -126,41 +122,6 @@ def cache_stats() -> CacheStats:
     return _BLOCK_CACHE.stats
 
 
-def simulate_tasks(
-    stc: STCModel,
-    tasks: Iterable[T1Task],
-    kernel: str = "custom",
-    energy_model: Optional[EnergyModel] = DEFAULT_MODEL,
-    matrix: Optional[str] = None,
-    cache: Optional[BlockCache] = None,
-) -> SimReport:
-    """Run an explicit T1 task stream on one STC model.
-
-    The per-object reference path: every memo miss steps
-    :meth:`~repro.arch.base.STCModel.simulate_block`.  ``cache``
-    overrides the process-wide memo (used by tests that need isolated
-    caches and by ablations that compare cache policies).
-    """
-    memo = _BLOCK_CACHE if cache is None else cache
-    report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
-    namespace = stc.cache_key()
-    stats_before = memo.stats.snapshot()
-    t0 = perf_counter()
-    rows = []
-    weights = []
-    for task in tasks:
-        key = (namespace,) + task.cache_key()
-        row = memo.lookup(key)
-        if row is None:
-            row = stc.simulate_block(task).row()
-            memo.insert(key, row)
-        rows.append(row)
-        weights.append(task.weight)
-    _aggregate(report, rows, weights, stc, energy_model)
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
-    return report
-
-
 def simulate_batches(
     stc: STCModel,
     batches: Iterable[TaskBatch],
@@ -177,7 +138,9 @@ def simulate_batches(
     :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
     call, since every registered model has an array evaluator — and
     each row of the returned matrix is inserted into the shared cache
-    as is.  Totals equal the per-task reference path exactly.
+    as is.  ``cache`` overrides the process-wide memo (used by tests
+    that need isolated caches and by ablations that compare cache
+    policies).
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
@@ -280,30 +243,20 @@ def simulate_kernel(
     stc: STCModel,
     energy_model: Optional[EnergyModel] = DEFAULT_MODEL,
     matrix: Optional[str] = None,
-    batched: bool = True,
     cache: Optional[BlockCache] = None,
     **operands,
 ) -> SimReport:
     """Simulate one of the four sparse kernels on BBC operand(s).
 
-    ``operands`` forward to the kernel's task generator: ``x`` (a
+    ``operands`` forward to the kernel's task enumeration: ``x`` (a
     :class:`~repro.kernels.vector.SparseVector`) for SpMSpV, ``b_cols``
     for SpMM (default 64, the paper's setting), ``b`` (a second
     :class:`BBCMatrix`) for SpGEMM (default A, i.e. C = A^2).
-
-    ``batched=False`` falls back to the per-object generator path —
-    the reference implementation the batched one is tested against.
     """
     with obs.span("kernel", kernel=kernel.lower(), stc=stc.name,
-                  matrix=matrix, batched=batched):
-        if batched:
-            batches = kernel_task_batches(kernel, a, **operands)
-            return simulate_batches(
-                stc, batches, kernel=kernel.lower(), energy_model=energy_model,
-                matrix=matrix, cache=cache,
-            )
-        tasks = kernel_tasks(kernel, a, **operands)
-        return simulate_tasks(
-            stc, tasks, kernel=kernel.lower(), energy_model=energy_model,
+                  matrix=matrix):
+        batches = kernel_task_batches(kernel, a, **operands)
+        return simulate_batches(
+            stc, batches, kernel=kernel.lower(), energy_model=energy_model,
             matrix=matrix, cache=cache,
         )

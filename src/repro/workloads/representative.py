@@ -23,9 +23,11 @@ from typing import Callable, Dict, List
 
 import math
 
+import numpy as np
+
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
-from repro.kernels.taskstream import spgemm_tasks
+from repro.kernels.batched import spgemm_batch
 from repro.workloads import synthetic
 
 
@@ -56,12 +58,17 @@ INFO_BY_NAME: Dict[str, RepresentativeInfo] = {info.name: info for info in TABLE
 
 
 def mean_products_per_task(a: BBCMatrix) -> float:
-    """Measured #inter-prod/blk of C = A^2 (the Table VII column)."""
-    total = 0
-    count = 0
-    for task in spgemm_tasks(a, a):
-        total += task.intermediate_products() * task.weight
-        count += task.weight
+    """Measured #inter-prod/blk of C = A^2 (the Table VII column).
+
+    A task's products are ``sum_k nnz(A[:, k]) * nnz(B[k, :])``
+    (:meth:`~repro.arch.tasks.T1Task.intermediate_products`), taken
+    here over every pattern pair of the batch at once.
+    """
+    batch = spgemm_batch(a)
+    a_cols = batch.a_patterns.sum(axis=1, dtype=np.int64)[batch.a_index]
+    b_rows = batch.b_patterns.sum(axis=2, dtype=np.int64)[batch.b_index]
+    total = int((a_cols * b_rows).sum(axis=1) @ batch.weights)
+    count = batch.total_tasks
     return total / count if count else 0.0
 
 
@@ -84,8 +91,6 @@ def _pattern_builder(info: RepresentativeInfo, n: int, seed: int) -> Callable[[f
                 n, heavy_rows=max(2, n // 64), heavy_density=min(1.0, 2 * d),
                 background_density=0.0, seed=seed + 1,
             )
-            import numpy as np
-
             rows = np.concatenate([base.rows, heavy.rows])
             cols = np.concatenate([base.cols, heavy.cols])
             vals = np.concatenate([base.vals, heavy.vals])

@@ -86,3 +86,15 @@ def make_block_task(a_density: float, b_density: float, seed: int = 0, n: int = 
     a = gen.random((16, 16)) < a_density
     b = gen.random((16, n)) < b_density
     return T1Task.from_bitmaps(a, b)
+
+
+def task_batch(task, weights):
+    """``task``'s bitmap pair as a :class:`TaskBatch`, one entry per weight."""
+    from repro.kernels.batched import TaskBatch
+
+    index = np.zeros(len(weights), dtype=np.int64)
+    return TaskBatch(
+        a_patterns=task.a_bitmap()[None], b_patterns=task.b_bitmap()[None],
+        a_index=index, b_index=index,
+        weights=np.asarray(weights, dtype=np.int64), n=task.n,
+    )

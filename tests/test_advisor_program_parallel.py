@@ -93,6 +93,27 @@ class TestUWMMAProgram:
         validate_program(result)
         assert result.t1_tasks >= 1
 
+    @pytest.mark.parametrize("kernel,operands", [
+        ("spmv", {}), ("spmspv", {}), ("spmm", {"b_cols": 64}),
+        ("spmm", {"b_cols": 40}), ("spgemm", {}),
+    ], ids=["spmv", "spmspv", "spmm64", "spmm40", "spgemm"])
+    def test_program_equals_stepped_oracle(self, bbc, kernel, operands):
+        """The batch walked in per-object order issues exactly the
+        program the stepped generators and ``simulate_block`` issue
+        (spmm at 40 columns interleaves full and tail panels)."""
+        from repro.arch.program import _issue_program
+        from tests.stepped import kernel_tasks
+
+        if kernel == "spmspv":
+            operands = {"x": SparseVector(bbc.shape[1], [0, 17, 40, 90], [1.0] * 4)}
+        uni = UniSTC()
+        stepped = _issue_program(kernel, uni, (
+            (uni.simulate_block(task).cycles, task.weight)
+            for task in kernel_tasks(kernel, bbc, **operands)))
+        result = compile_kernel(kernel, bbc, uni, **operands)
+        assert result.t1_tasks == stepped.t1_tasks > 0
+        assert result.instructions == stepped.instructions
+
     def test_validate_rejects_malformed(self):
         from repro.arch.program import ExecutedInstruction, ProgramResult
 
@@ -112,10 +133,10 @@ class TestLoadBalancing:
         assert work.sum() == bbc.nnz  # spmv work = nonzeros
 
     def test_spgemm_work_counts_block_pairs(self, bbc):
-        from repro.kernels.taskstream import spgemm_tasks
+        from repro.kernels.batched import spgemm_batch
 
         work = block_row_work(bbc, "spgemm")
-        assert work.sum() == len(list(spgemm_tasks(bbc, bbc)))
+        assert work.sum() == len(spgemm_batch(bbc, bbc))
 
     def test_partition_covers_everything(self):
         work = np.array([5, 1, 9, 2, 2, 7, 1, 3])

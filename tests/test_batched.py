@@ -1,11 +1,14 @@
-"""Batched task enumeration: parity with the per-object generators.
+"""Batched task enumeration and engine: parity with the stepped oracle.
 
-The batched builders (:mod:`repro.kernels.batched`) and the classic
-generators (:mod:`repro.kernels.taskstream`) must describe the *same*
-task stream — these tests pin that down task-for-task, through the
-engine (full ``SimReport`` equality), and across the serial/parallel
-split (a partitioned stream concatenates back to the serial one).
+The batched builders (:mod:`repro.kernels.batched`) and the per-object
+generators of the stepped oracle (:mod:`tests.stepped`) must describe
+the *same* task stream — these tests pin that down task-for-task,
+through the engine (per-case ``report_digest`` identity for every
+registered STC), and across the serial/parallel split (a partitioned
+stream concatenates back to the serial one).
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -16,19 +19,22 @@ from repro.formats.bbc import BBCMatrix
 from repro.kernels import KERNELS
 from repro.kernels.batched import (
     TaskBatch,
-    coalesce,
     coalesce_raw,
     kernel_task_batches,
     spgemm_batch,
     spmm_batch,
     spmv_batch,
 )
-from repro.kernels.taskstream import kernel_tasks
 from repro.kernels.vector import SparseVector
+from repro.perf.bench import _cases, report_digest
+from repro.registry import create_stc, registered_stcs
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.sim.parallel import block_row_work, partition_block_rows
 from repro.workloads import synthetic
+from repro.workloads.suitesparse import corpus
+
+from tests.stepped import kernel_tasks, simulate_stepped
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +88,10 @@ class TestStreamParity:
         for a in matrices.values():
             operands = _operands(kernel, a)
             for batch in kernel_task_batches(kernel, a, **operands):
-                tasks, weights = coalesce(batch)
-                assert sum(t.weight for t in tasks) == batch.total_tasks
-                assert len({t.cache_key() for t in tasks}) == len(tasks)
-                assert weights.sum() == batch.total_tasks
+                raw = coalesce_raw(batch)
+                assert sum(w for _, _, w in raw.pairs) == batch.total_tasks
+                keys = {(raw.a_bytes[ai], raw.b_bytes[bi]) for ai, bi, _ in raw.pairs}
+                assert len(keys) == len(raw.pairs)
 
     def test_coalesce_raw_weights_exact_past_2_53(self):
         """Aggregate weights stay in the integer domain.
@@ -148,29 +154,71 @@ class TestStreamParity:
             assert combined == reference
 
 
+def _cold_pass(simulate, stc_name, cases):
+    """Wall seconds and reports of one pass over ``cases`` from a fresh cache."""
+    cache = BlockCache()
+    t0 = time.perf_counter()
+    reports = [simulate(kernel, bbc, create_stc(stc_name), cache=cache,
+                        matrix=label, **operands)
+               for label, bbc, kernel, operands in cases]
+    return time.perf_counter() - t0, reports
+
+
+@pytest.fixture(scope="module")
+def identity_runs():
+    """Every registered STC x the bench's cases, stepped and vectorised.
+
+    The cases are ``repro bench --smoke``'s: 4 kernels x
+    ``corpus(sizes=(128,), limit=4)`` with the bench's operands, so 16
+    per STC.  Each STC runs cold through both paths; the vectorised
+    path runs best-of-3 for its timing.
+    """
+    mats = [(spec.name, BBCMatrix.from_coo(spec.matrix()))
+            for spec in corpus(sizes=(128,), limit=4)]
+    cases = _cases(mats, KERNELS)
+    runs = {}
+    for name in registered_stcs():
+        stepped_s, stepped = _cold_pass(simulate_stepped, name, cases)
+        timed = [_cold_pass(simulate_kernel, name, cases) for _ in range(3)]
+        runs[name] = {
+            "stepped_s": stepped_s,
+            "vectorised_s": min(seconds for seconds, _ in timed),
+            "stepped": stepped,
+            "vectorised": timed[-1][1],
+        }
+    return runs
+
+
 class TestEngineParity:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_batched_and_legacy_reports_match(self, matrices, kernel):
-        """Full SimReport equality: cycles, products, tasks, histogram,
-        counters, and energy all agree between the engine paths."""
-        for a in matrices.values():
+    def test_batched_and_legacy_reports_match(self, identity_runs, matrices,
+                                              kernel):
+        """Per-case ``report_digest`` identity, stepped oracle vs
+        ``simulate_kernel``: cycles, products, tasks, histogram,
+        counters and energy, byte for byte.  Every registered STC on
+        the bench's cases, plus uni-stc on the synthetic matrices with
+        a tail panel (spmm) and a rectangular B (spgemm)."""
+        for name, run in identity_runs.items():
+            pairs = [(s, v) for s, v in zip(run["stepped"], run["vectorised"])
+                     if s.kernel == kernel]
+            assert len(pairs) == 4
+            for stepped, vectorised in pairs:
+                assert report_digest(vectorised) == report_digest(stepped), (
+                    f"{name} {kernel} {stepped.matrix}")
+        for label, a in matrices.items():
             operands = _operands(kernel, a)
-            legacy = simulate_kernel(
-                kernel, a, UniSTC(), batched=False, cache=BlockCache(), **operands
-            )
-            fast = simulate_kernel(
-                kernel, a, UniSTC(), batched=True, cache=BlockCache(), **operands
-            )
-            assert fast.cycles == legacy.cycles
-            assert fast.products == legacy.products
-            assert fast.t1_tasks == legacy.t1_tasks
-            assert np.array_equal(fast.util_hist.bins, legacy.util_hist.bins)
-            legacy_counters = legacy.counters.as_dict()
-            fast_counters = fast.counters.as_dict()
-            assert set(fast_counters) == set(legacy_counters)
-            for action, count in legacy_counters.items():
-                assert fast_counters[action] == pytest.approx(count)
-            assert fast.energy_pj == pytest.approx(legacy.energy_pj)
+            stepped = simulate_stepped(kernel, a, UniSTC(), cache=BlockCache(),
+                                       matrix=label, **operands)
+            vectorised = simulate_kernel(kernel, a, UniSTC(), cache=BlockCache(),
+                                         matrix=label, **operands)
+            assert report_digest(vectorised) == report_digest(stepped), (
+                f"uni-stc {kernel} {label}")
+
+    def test_vectorised_cold_pass_beats_stepped_oracle(self, identity_runs):
+        """A cold uni-stc pass over the bench's cases is at least 2x
+        faster vectorised than through the stepped oracle."""
+        run = identity_runs["uni-stc"]
+        assert run["stepped_s"] / run["vectorised_s"] >= 2.0
 
     def test_empty_matrix_all_kernels(self):
         empty = BBCMatrix.from_coo(synthetic.random_uniform(64, 64, 0.0, seed=1))

@@ -214,3 +214,45 @@ class TestInfer:
     def test_unknown_stc_is_a_domain_error(self, capsys):
         assert main(["infer", "--stc", "tpu"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestBenchExitStatus:
+    """``repro bench`` fails on any identity check, naming the section."""
+
+    @staticmethod
+    def _report(section=None):
+        report = {
+            "corpus_sweep": {"reports_identical": True, "report_mismatches": []},
+            "store": {"reports_identical": True, "report_mismatches": []},
+            "infer": {"totals_match": True},
+        }
+        if section == "infer":
+            report["infer"]["totals_match"] = False
+        elif section is not None:
+            report[section] = {"reports_identical": False,
+                               "report_mismatches": ["spmv:band"]}
+        return report
+
+    @pytest.fixture
+    def bench(self, monkeypatch):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "render_summary", lambda report: "summary")
+
+        def use(report):
+            monkeypatch.setattr(bench, "run_bench", lambda **_: report)
+        return use
+
+    def test_clean_report_exits_zero(self, bench, capsys):
+        bench(self._report())
+        assert main(["bench", "--smoke"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("section", ["corpus_sweep", "store", "infer"])
+    def test_failed_check_exits_one(self, bench, capsys, section):
+        bench(self._report(section))
+        assert main(["bench", "--smoke"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: ")
+        if section != "infer":
+            assert "spmv:band" in err

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from repro.arch.config import UniSTCConfig
 from repro.arch.tms import ORDERINGS, TileMultiplyScheduler
 from repro.arch.unistc import UniSTC
-from repro.sim.engine import clear_cache, simulate_tasks
+from repro.sim.engine import clear_cache, simulate_batches
 
-from tests.conftest import make_block_task
+from tests.conftest import make_block_task, task_batch
 
 
 @st.composite
@@ -93,15 +93,12 @@ class TestEngineWeightProperties:
     @given(st.integers(1, 9), st.integers(0, 50))
     @settings(max_examples=25, deadline=None)
     def test_weight_linearity(self, weight, seed):
-        from repro.arch.tasks import T1Task
-
         base = make_block_task(0.3, 0.3, seed)
-        weighted = T1Task(base.a_bits, base.b_bits, n=base.n, weight=weight)
         uni = UniSTC()
         clear_cache()
-        single = simulate_tasks(uni, [base])
+        single = simulate_batches(uni, [task_batch(base, [1])])
         clear_cache()
-        many = simulate_tasks(uni, [weighted])
+        many = simulate_batches(uni, [task_batch(base, [weight])])
         assert many.cycles == weight * single.cycles
         assert many.products == weight * single.products
         assert many.util_hist.cycles == weight * single.util_hist.cycles

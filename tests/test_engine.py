@@ -8,14 +8,13 @@ from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC
 from repro.errors import SimulationError
-from repro.kernels.batched import TaskBatch
-from repro.kernels.taskstream import spgemm_tasks
 from repro.kernels.vector import SparseVector
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.results import ComparisonRow, SimReport, compare, geomean
 
-from tests.conftest import make_block_task
+from tests.conftest import make_block_task, task_batch
+from tests.stepped import simulate_tasks, spgemm_tasks
 
 
 class TestMemoisation:
@@ -41,26 +40,31 @@ class TestMemoisation:
         assert engine.cache_size() > size_one
 
 
+def _single_pair_batch(weights, n=16):
+    return task_batch(make_block_task(0.3, 0.3, seed=21, n=n), weights)
+
+
 class TestSimulateTasks:
+    """Explicit weighted task batches through ``simulate_batches``."""
+
     def test_weights_scale_linearly(self, uni):
-        base = make_block_task(0.3, 0.3, 1)
-        heavy = T1Task(base.a_bits, base.b_bits, n=base.n, weight=3)
         engine.clear_cache()
-        r1 = engine.simulate_tasks(uni, [base])
+        r1 = engine.simulate_batches(uni, [_single_pair_batch([1])])
         engine.clear_cache()
-        r3 = engine.simulate_tasks(uni, [heavy])
+        r3 = engine.simulate_batches(uni, [_single_pair_batch([3])])
         assert r3.cycles == 3 * r1.cycles
         assert r3.products == 3 * r1.products
         assert r3.energy_pj == pytest.approx(3 * r1.energy_pj)
         assert r3.t1_tasks == 3
 
     def test_empty_stream(self, uni):
-        report = engine.simulate_tasks(uni, [])
+        report = engine.simulate_batches(uni, [_single_pair_batch([])])
         assert report.cycles == 0
         assert report.t1_tasks == 0
 
     def test_no_energy_model(self, uni):
-        report = engine.simulate_tasks(uni, [make_block_task(0.3, 0.3, 2)], energy_model=None)
+        report = engine.simulate_batches(uni, [_single_pair_batch([2])],
+                                         energy_model=None)
         assert report.energy_pj == 0.0
         assert report.energy_breakdown == {}
 
@@ -107,17 +111,6 @@ class _WeightSensitiveSTC(STCModel):
         return 64
 
 
-def _single_pair_batch(weights, n=16):
-    rng = np.random.default_rng(21)
-    a = (rng.random((1, 16, 16)) < 0.3)
-    b = (rng.random((1, 16, n)) < 0.3)
-    idx = np.zeros(len(weights), dtype=np.int64)
-    return TaskBatch(
-        a_patterns=a, b_patterns=b, a_index=idx, b_index=idx,
-        weights=np.asarray(weights, dtype=np.int64), n=n,
-    )
-
-
 class TestBatchedAggregation:
     def test_cache_misses_simulated_at_unit_weight(self):
         """The memoised block result must never absorb stream weights:
@@ -137,7 +130,7 @@ class TestBatchedAggregation:
             T1Task(task.a_bits, task.b_bits, n=task.n, weight=1)
             for task in batch.iter_tasks() for _ in range(task.weight)
         ]
-        reference = engine.simulate_tasks(
+        reference = simulate_tasks(
             stc, expanded, cache=BlockCache(), energy_model=None
         )
         assert report.cycles == reference.cycles
@@ -165,7 +158,7 @@ class TestBatchedAggregation:
     def test_batched_totals_equal_per_task_reference(self, uni):
         batch = _single_pair_batch([1, 4, 2])
         fast = engine.simulate_batches(uni, [batch], cache=BlockCache())
-        slow = engine.simulate_tasks(uni, batch.iter_tasks(), cache=BlockCache())
+        slow = simulate_tasks(uni, batch.iter_tasks(), cache=BlockCache())
         assert fast.cycles == slow.cycles
         assert fast.products == slow.products
         assert fast.t1_tasks == slow.t1_tasks
@@ -188,7 +181,7 @@ class TestBatchedAggregation:
         with pytest.raises(SimulationError, match="mac_ops"):
             engine.simulate_batches(FractionalSTC(), [batch], cache=BlockCache())
         with pytest.raises(SimulationError, match="mac_ops"):
-            engine.simulate_tasks(FractionalSTC(), batch.iter_tasks(), cache=BlockCache())
+            simulate_tasks(FractionalSTC(), batch.iter_tasks(), cache=BlockCache())
 
     @pytest.mark.parametrize("returned", ["results", "width", "dtype"])
     def test_simulate_blocks_must_return_int64_rows(self, returned):

@@ -18,6 +18,8 @@ from repro.sim import engine
 from repro.workloads.suitesparse import corpus, iter_matrices
 from repro.workloads.synthetic import banded, random_uniform
 
+from tests.conftest import task_batch
+
 
 @pytest.fixture(autouse=True)
 def fresh_engine_cache():
@@ -114,16 +116,21 @@ class TestFaultInjector:
         injector = FaultInjector(seed=2)
         from repro.arch.tasks import T1Task
 
-        tasks = [
-            T1Task.from_bitmaps(np.eye(16, dtype=bool), np.ones((16, 1), dtype=bool))
-            for _ in range(5)
-        ]
-        dropped, _ = injector.corrupt_tasks(tasks, "task_drop")
+        tasks = task_batch(
+            T1Task.from_bitmaps(np.eye(16, dtype=bool), np.ones((16, 1), dtype=bool)),
+            [1, 2, 3, 4, 5],
+        )
+        dropped, fault = injector.corrupt_tasks(tasks, "task_drop")
         assert len(dropped) == 4
+        idx = int(np.random.default_rng(2).integers(5))  # the injector's draw
+        assert fault.site == f"dropped task {idx}/5"
+        assert dropped.weights.tolist() == [w for i, w in enumerate(range(1, 6)) if i != idx]
         duplicated, _ = injector.corrupt_tasks(tasks, "task_dup")
         assert len(duplicated) == 6
+        assert duplicated.total_tasks > tasks.total_tasks
         shuffled, _ = injector.corrupt_tasks(tasks, "task_reorder")
         assert len(shuffled) == 5
+        assert sorted(shuffled.weights.tolist()) == [1, 2, 3, 4, 5]
 
 
 class TestCampaign:

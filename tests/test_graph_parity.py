@@ -4,19 +4,78 @@ The refactor contract: request 0 of the graph runner must call
 ``simulate_kernel`` with exactly the arguments the hand-rolled app
 loops used, so every per-layer ``SimReport`` is byte-identical
 (compared via the canonical ``report_digest``, which excludes only
-host wall time and cache attribution).
+host wall time and cache attribution).  The loops themselves are the
+oracles below; nothing in ``repro`` runs them.
 """
+
+from typing import Optional
 
 import pytest
 
-from repro.apps.dnn import simulate_inference, simulate_inference_legacy
-from repro.apps.gnn import simulate_propagation, simulate_propagation_legacy
+from repro.apps.dnn import InferenceReport, LayerReport, simulate_inference
+from repro.apps.gnn import normalised_adjacency, simulate_propagation
+from repro.arch.base import STCModel
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, RmSTC
-from repro.formats import CSRMatrix
+from repro.formats import BBCMatrix, CSRMatrix
 from repro.perf.bench import report_digest
+from repro.sim.engine import simulate_kernel
+from repro.workloads.dlmc import dlmc_corpus
+from repro.workloads.dnn import activation_matrix
 from repro.workloads.synthetic import random_uniform
+
+
+def simulate_inference_legacy(
+    stc: STCModel,
+    model: str = "resnet50",
+    sparsity: float = 0.70,
+    scale: Optional[float] = None,
+    seed: int = 11,
+) -> InferenceReport:
+    """The historic hand-rolled per-layer loop.
+
+    Kept as the parity reference the graph path is tested against:
+    request 0 of :func:`simulate_inference` must produce byte-identical
+    per-layer reports to this loop.
+    """
+    out = InferenceReport(model=model, stc=stc.name, sparsity=sparsity)
+    for i, (layer, weight) in enumerate(dlmc_corpus(model, sparsity, scale=scale, seed=seed)):
+        bbc = BBCMatrix.from_coo(weight)
+        if layer.kind == "linear":
+            report = simulate_kernel("spmm", bbc, stc, b_cols=layer.n, matrix=layer.name)
+        else:
+            acts = activation_matrix(layer.k, layer.n, seed=seed + 100 + i)
+            report = simulate_kernel(
+                "spgemm", bbc, stc, b=BBCMatrix.from_csr(acts), matrix=layer.name
+            )
+        out.layers.append(LayerReport(layer=layer, report=report))
+    return out
+
+
+def simulate_propagation_legacy(
+    stc: STCModel,
+    adjacency: CSRMatrix,
+    feature_dim: int = 64,
+    layers: int = 2,
+):
+    """The hand-rolled per-kernel loop the graph path must match.
+
+    Returns the per-kernel :class:`~repro.sim.results.SimReport` list in
+    the same order the graph schedules its nodes.
+    """
+    a_hat = BBCMatrix.from_csr(normalised_adjacency(adjacency))
+    reports = []
+    for i in range(1, layers + 1):
+        reports.append(simulate_kernel(
+            "spmm", a_hat, stc, b_cols=feature_dim,
+            matrix=f"gnn.propagate{i}",
+        ))
+    adj = BBCMatrix.from_csr(adjacency)
+    reports.append(simulate_kernel(
+        "spgemm", adj, stc, b=adj, matrix="gnn.two_hop",
+    ))
+    return reports
 
 STCS = {
     "uni-stc": lambda: UniSTC(UniSTCConfig(precision=FP32)),

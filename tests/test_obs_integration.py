@@ -70,11 +70,6 @@ class TestPerRunReportFields:
         assert second.cache["hit_rate"] == pytest.approx(1.0)
         assert second.cache_hit_rate == pytest.approx(1.0)
 
-    def test_legacy_path_also_tracked(self, banded_bbc, uni):
-        report = simulate_kernel("spmv", banded_bbc, uni,
-                                 cache=BlockCache(), batched=False)
-        assert report.wall_s > 0 and report.cache["inserts"] > 0
-
     def test_parallel_report_wall(self, banded_bbc):
         report = simulate_parallel("spmv", banded_bbc, UniSTC, n_cores=2,
                                    cache=BlockCache())

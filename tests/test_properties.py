@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, RmSTC
 from repro.energy.model import DEFAULT_MODEL
@@ -20,7 +19,7 @@ from repro.kernels import bbc_kernels, reference
 from repro.sim.engine import simulate_kernel
 from repro.workloads.matrixmarket import read_mtx, write_mtx
 
-from tests.conftest import make_block_task
+from tests.conftest import make_block_task, task_batch
 
 
 class TestPermutationInvariance:
@@ -152,16 +151,16 @@ class TestSimulatorStability:
     @pytest.mark.parametrize("density", [0.05, 0.2, 0.5, 1.0])
     def test_task_weight_equivalence(self, density):
         """One weighted task equals repeating the unweighted task."""
-        from repro.sim.engine import clear_cache, simulate_tasks
+        from repro.sim.engine import clear_cache, simulate_batches
 
         base = make_block_task(density, density, 3)
-        repeated = [base] * 5
-        weighted = [T1Task(base.a_bits, base.b_bits, n=base.n, weight=5)]
+        repeated = [task_batch(base, [1])] * 5
+        weighted = [task_batch(base, [5])]
         uni = UniSTC()
         clear_cache()
-        a = simulate_tasks(uni, repeated)
+        a = simulate_batches(uni, repeated)
         clear_cache()
-        b = simulate_tasks(uni, weighted)
+        b = simulate_batches(uni, weighted)
         assert a.cycles == b.cycles
         assert a.energy_pj == pytest.approx(b.energy_pj)
         assert np.array_equal(a.util_hist.bins, b.util_hist.bins)

@@ -116,13 +116,13 @@ class TestWarpSpGEMM:
         assert np.allclose(warp.to_dense(), plain.to_dense())
 
     def test_log_matches_task_stream(self, matrix_pair):
-        from repro.kernels.taskstream import spgemm_tasks
+        from repro.kernels.batched import spgemm_batch
 
         _, bbc = matrix_pair
         log = WarpLog()
         warp_spgemm(bbc, bbc, log=log)
         validate_log(log)
-        assert log.opcode_counts["stc.numeric.mm"] == len(list(spgemm_tasks(bbc, bbc)))
+        assert log.opcode_counts["stc.numeric.mm"] == len(spgemm_batch(bbc, bbc))
 
     def test_inner_mismatch(self, rng):
         a = BBCMatrix.from_dense(rng.random((16, 32)))

@@ -122,6 +122,20 @@ class TestRepresentative:
         measured = representative.mean_products_per_task(BBCMatrix.from_coo(matrix))
         assert measured == pytest.approx(info.paper_inter_prod_per_block, rel=0.35)
 
+    def test_mean_products_per_task_equals_stepped_sum(self):
+        """The array expression equals the per-task sum of the stepped
+        generators, to the last bit."""
+        from tests.stepped import spgemm_tasks
+
+        for spec in suitesparse.corpus(sizes=(128,), limit=6):
+            bbc = BBCMatrix.from_coo(spec.matrix())
+            tasks = list(spgemm_tasks(bbc, bbc))
+            expected = (sum(t.intermediate_products() * t.weight for t in tasks)
+                        / sum(t.weight for t in tasks))
+            assert representative.mean_products_per_task(bbc) == expected
+        empty = BBCMatrix.from_dense(np.zeros((32, 32)))
+        assert representative.mean_products_per_task(empty) == 0.0
+
     def test_all_eight_buildable(self):
         mats = representative.representative_matrices(n=128)
         assert len(mats) == 8
