@@ -34,16 +34,18 @@ so every row equals the stepped path's
 (``tests/test_fastpath.py``) asserts this row for row on every
 kernel's block population.
 
-DPG decomposition never steps either: the six summary stats of
-:func:`~repro.arch.dpg.dpg_stats` have a closed form over the 4-bit
-row/column masks (:func:`_dpg_stats_batch`), computed for the whole
-batch's task arrays with bit arithmetic and segment-summed onto blocks
-in the integer domain.
+DPG decomposition never steps either.  Each T3 task's
+:func:`~repro.arch.dpg.dpg_stats` follow from 4-bit masks: an A row
+``m`` selects the B rows it meets, and every per-row count (T4 tasks,
+A fetches) and the B fetches are entries of one 65,536-entry packed
+table (:func:`_dpg_tables`), summed per block in the integer domain
+(:func:`_dpg_totals`).  Both broadcast counts equal the block's
+products, and C writes its T4 count.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +55,7 @@ from repro.arch.batch import evaluate_stacked, result_rows, util_bins
 from repro.arch.tasks import T1Task
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
+from repro.formats.bitarray import popcount_array
 
 
 _EJ_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.int64)
@@ -106,70 +109,84 @@ def decode_b_operands(
     )
 
 
-#: popcount of every 4-bit value (dot patterns are 4-bit masks).
-_POP4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
-#: Same table in uint8 — gathers over [T, 4, 4] pattern arrays stay
-#: byte-wide, with the widening deferred to the dtype of the final sum.
-_POP4_U8 = _POP4.astype(np.uint8)
-
-#: 16-bit tile bitmap -> its four 4-bit row masks / column masks, as
-#: one-gather lookup tables (256 KiB each); the uint8 domain keeps the
-#: [T, 4, 4] dot-pattern intermediates small.
-_ROW_MASKS = (
-    (np.arange(65536, dtype=np.uint32)[:, None] >> (4 * np.arange(4))) & 0xF
-).astype(np.uint8)
-_COL_MASKS = np.zeros((65536, 4), dtype=np.uint8)
-for _n in range(4):
-    for _k in range(4):
-        _COL_MASKS[:, _n] |= (
-            ((np.arange(65536) >> (4 * _k + _n)) & 1) << _k
-        ).astype(np.uint8)
-del _n, _k
+#: Field offsets of a packed :func:`_dpg_tables` entry.  A block has at
+#: most 64 T3 tasks of four rows, so its T4 count (<= 1024) fits below
+#: bit 11 and its A fetches (<= 2048) below bit 23, the popcount
+#: above: per-block int64 sums never carry from one field into the next.
+_A_FETCH_SHIFT = 11
+_POP_SHIFT = 23
 
 
-def _dpg_stats_batch(
-    a_tile_bitmaps: np.ndarray, b_tile_bitmaps: np.ndarray, n_cols: int
-) -> np.ndarray:
-    """Closed-form :func:`~repro.arch.dpg.dpg_stats` over flat task arrays.
+@lru_cache(maxsize=None)
+def _dpg_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The DPG lookup tables (260 KiB), built on first use.
 
-    Returns a ``[T, 6]`` per-T3-task stat matrix in
-    :data:`~repro.arch.dpg.DPG_STAT_FIELDS` order.  The stepped path's
-    :meth:`~repro.arch.dpg.DotProductGenerator.decompose` walks the
-    queue-fill order accumulating per-group ``seen`` masks; its fetch
-    totals reduce to popcounts of bitwise unions — an operand element is
-    fetched once per column-pair group in which any dot pattern uses it:
-
-    - ``pattern[m][n] = a_row[m] & b_col[n]`` (4-bit masks);
-    - ``a_elem_fetches = sum over (group, m) of popcount(union over the
-      group's columns of pattern[m][n])``;
-    - ``b_elem_fetches = sum over n of popcount(b_col[n] & union of all
-      a_row[m])`` (every group spans all four rows);
-    - broadcasts are total pattern popcounts; T4 task count and C
-      writes are the number of nonzero patterns.
-
-    Unions are insensitive to intra-group order, so the ``z`` and ``n``
-    fill orders yield identical stats and the fill order needs no
-    parameter here.  ``tests/test_fastpath.py`` cross-checks this
-    against ``decompose`` exhaustively.
+    - ``stats[x]`` (uint32) packs three counts of a 4x4 tile bitmap
+      ``x`` (bit ``4 * kk + n``): its nonzero columns, its nonzero rows
+      within columns 0-1 plus those within columns 2-3, and its
+      popcount (at :data:`_A_FETCH_SHIFT` / :data:`_POP_SHIFT`).
+    - ``rowsel_lo[h]`` / ``rowsel_hi[h]`` (uint64) map one byte of an A
+      tile bitmap, i.e. two 4-bit A rows, to ``rowselect`` of each row
+      in the 16-bit lanes 0-1 / 2-3.  ``rowselect(r)`` keeps the B rows
+      ``kk`` set in ``r``.
     """
-    a_rows = _ROW_MASKS[a_tile_bitmaps]                          # [T, m]
-    if n_cols == 4:
-        b_cols = _COL_MASKS[b_tile_bitmaps]                      # [T, n]
-    else:
-        b_cols = (np.asarray(b_tile_bitmaps) & 0xF).astype(np.uint8)[:, None]
-    pat = a_rows[:, :, None] & b_cols[:, None, :]                # [T, m, n]
-    t4 = np.count_nonzero(pat, axis=(1, 2)).astype(np.int64)
-    casts = _POP4_U8[pat].sum(axis=(1, 2), dtype=np.int64)
-    union_a = a_rows[:, 0] | a_rows[:, 1] | a_rows[:, 2] | a_rows[:, 3]
-    b_fetch = _POP4_U8[b_cols & union_a[:, None]].sum(axis=1, dtype=np.int64)
-    if n_cols == 4:
-        a_fetch = (
-            _POP4_U8[pat[:, :, 0] | pat[:, :, 1]].sum(axis=1, dtype=np.int64)
-            + _POP4_U8[pat[:, :, 2] | pat[:, :, 3]].sum(axis=1, dtype=np.int64)
-        )
-    else:
-        a_fetch = _POP4_U8[pat[:, :, 0]].sum(axis=1, dtype=np.int64)
-    return np.stack([t4, a_fetch, b_fetch, casts, casts, t4], axis=1)
+    x = np.arange(1 << 16, dtype=np.uint32)
+    rows = [(x >> (4 * kk)) & 0xF for kk in range(4)]
+    cols = popcount_array(rows[0] | rows[1] | rows[2] | rows[3])
+    pairs = sum(((r & 0x3) != 0).astype(np.int64) + ((r & 0xC) != 0)
+                for r in rows)
+    stats = (cols | (pairs << _A_FETCH_SHIFT)
+             | (popcount_array(x) << _POP_SHIFT)).astype(np.uint32)
+    rowsel = [sum(0xF << (4 * kk) for kk in range(4) if r >> kk & 1)
+              for r in range(16)]
+    rowsel_lo = np.array([rowsel[h & 0xF] | rowsel[h >> 4] << 16
+                          for h in range(256)], dtype=np.uint64)
+    tables = (stats, rowsel_lo, rowsel_lo << np.uint64(32))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _dpg_totals(
+    a_tile_bitmaps: np.ndarray,
+    b_tile_bitmaps: np.ndarray,
+    n_cols: int,
+    starts: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-block :func:`~repro.arch.dpg.dpg_stats` totals from lookup tables.
+
+    The flat task arrays hold every T3 task's tile bitmaps, grouped by
+    block (block ``q``'s tasks start at ``starts[q]``).  Returns each
+    block's ``(t4_tasks, a_elem_fetches, b_elem_fetches)``;
+    ``c_writes`` equals ``t4_tasks`` and both broadcast counts equal
+    the block's products.
+
+    Dot pattern ``pattern[m][n]`` is column ``n`` of ``X_m = B &
+    rowselect(A row m)``.  A row ``m`` therefore adds the nonzero
+    columns of ``X_m`` as T4 tasks, and as A fetches the rows of
+    ``X_m`` live in each column-pair group (an operand element is
+    fetched once per group that uses it).  B fetches are
+    ``popcount(B & rowselect(union of A's rows))``, the popcount of the
+    four ``X_m`` ORed.  No union depends on the queue-fill order, so
+    ``z`` and ``n`` fills share the totals.  A vector B
+    (``n_cols == 1``) is column 0 of a 4x4 tile.
+    """
+    stats, rowsel_lo, rowsel_hi = _dpg_tables()
+    a, b = a_tile_bitmaps, b_tile_bitmaps.astype(np.uint64)
+    if n_cols == 1:
+        b = (b & 1) | ((b & 2) << 3) | ((b & 4) << 6) | ((b & 8) << 9)
+    # Lane m of x is X_m: B replicated into four 16-bit lanes, masked.
+    x = b * np.uint64(0x0001000100010001)
+    x &= rowsel_lo[a & 0xFF] | rowsel_hi[a >> 8]
+    row_stats = np.add.reduceat(stats[x.view(np.uint16)], 4 * starts,
+                                dtype=np.int64)
+    x |= x >> np.uint64(32)
+    x |= x >> np.uint64(16)
+    b_fetch = np.add.reduceat(stats[x.astype(np.uint16)], starts,
+                              dtype=np.int64) >> _POP_SHIFT
+    t4 = row_stats & ((1 << _A_FETCH_SHIFT) - 1)
+    a_fetch = (row_stats & ((1 << _POP_SHIFT) - 1)) >> _A_FETCH_SHIFT
+    return t4, a_fetch, b_fetch
 
 
 def _dispatch_order(
@@ -479,13 +496,11 @@ def _evaluate_group(
         block_of_cycle, weights=fetch_per_cycle, minlength=nfast
     ).astype(np.int64)
 
-    # -- DPG stage: closed-form decomposition stats, whole batch at once
-    a_sub = a_tiles[fast_global]
-    b_sub = b_tiles[fast_global]
-    # bb is block-sorted and every fast block has a task: one segment sum.
-    dpg_totals = np.add.reduceat(
-        _dpg_stats_batch(a_sub[bb, ii, kk], b_sub[bb, kk, jj], n_cols),
-        np.cumsum(tasks_per_block) - tasks_per_block, axis=0,
+    # -- DPG stage: per-block totals from lookup tables, whole batch at once
+    # (bb is block-sorted and every fast block has a task).
+    t4, a_fetch, b_fetch = _dpg_totals(
+        a_tiles[fast_global][bb, ii, kk], b_tiles[fast_global][bb, kk, jj],
+        n_cols, np.cumsum(tasks_per_block) - tasks_per_block,
     )
 
     # float32 routes the batched matmul through BLAS; dot values are
@@ -506,7 +521,6 @@ def _evaluate_group(
         active = nd * cycles_total
         gated = 0
     block_products = totals[fast_global]
-    a_fetch, b_fetch = dpg_totals[:, 1], dpg_totals[:, 2]
     rows[fast_global] = result_rows(cycles_total, block_products, bins, {
         "meta_reads": meta[fast_global],
         "dpg_active_cycles": active,
@@ -514,14 +528,14 @@ def _evaluate_group(
         "sched_cycles": cycles_total,
         "lane_cycles": macs * cycles_total,
         "tile_fetches": fetches,
-        "queue_ops": 2 * tasks_per_block + 2 * dpg_totals[:, 0],
+        "queue_ops": 2 * tasks_per_block + 2 * t4,
         "a_elem_reads": a_fetch,
         "b_elem_reads": b_fetch,
         "a_net_transfers": a_fetch,
         "b_net_transfers": b_fetch,
-        "a_broadcasts": dpg_totals[:, 3],
-        "b_broadcasts": dpg_totals[:, 4],
-        "accum_accesses": dpg_totals[:, 5],
+        "a_broadcasts": block_products,
+        "b_broadcasts": block_products,
+        "accum_accesses": t4,
         "c_elem_writes": c_outputs,
         "c_net_transfers": c_outputs,
         "mac_ops": block_products,

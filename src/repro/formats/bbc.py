@@ -47,6 +47,12 @@ _BITMAP_BYTES = 2    # 16-bit level-1 / level-2 bitmaps
 _LV2_PTR_BYTES = 1   # per-tile value offset (<= 240)
 
 
+def _bit_rows(bitmaps: np.ndarray) -> np.ndarray:
+    """``[n]`` 16-bit bitmaps as an ``[n, 16]`` bool array (column ``e`` is bit ``e``)."""
+    octets = bitmaps.astype("<u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+
+
 class BBCMatrix:
     """A sparse matrix stored in the BBC format."""
 
@@ -353,14 +359,7 @@ class BBCMatrix:
         cached = getattr(self, "_tile_ids_cache", None)
         if cached is not None:
             return cached
-        if self.bitmap_lv1.size:
-            bits = (
-                (self.bitmap_lv1[:, None].astype(np.uint32)
-                 >> np.arange(TILES_PER_BLOCK, dtype=np.uint32)) & 1
-            ).astype(bool)
-            ids = np.nonzero(bits)[1].astype(np.uint8)
-        else:
-            ids = np.empty(0, dtype=np.uint8)
+        ids = np.nonzero(_bit_rows(self.bitmap_lv1))[1].astype(np.uint8)
         self._tile_ids_cache = ids
         return ids
 
@@ -380,11 +379,7 @@ class BBCMatrix:
         tile_block = np.repeat(
             np.arange(self.nblocks, dtype=np.int64), np.diff(self.tile_ptr)
         )
-        elem_bits = (
-            (self.bitmap_lv2[:, None].astype(np.uint32)
-             >> np.arange(TILE * TILE, dtype=np.uint32)) & 1
-        ).astype(bool)
-        t_sel, e_sel = np.nonzero(elem_bits)
+        t_sel, e_sel = np.nonzero(_bit_rows(self.bitmap_lv2))
         block_of = tile_block[t_sel]
         brow_of_block = np.repeat(
             np.arange(self.block_rows, dtype=np.int64), np.diff(self.row_ptr)
@@ -398,32 +393,21 @@ class BBCMatrix:
     def block_bitmaps_all(self) -> np.ndarray:
         """All block occupancies as one (nblocks, 16, 16) boolean array.
 
-        Vectorised over stored tiles and cached; this is the fast path
-        the simulation engine uses to enumerate T1 tasks.
+        Each stored tile's level-2 bitmap unpacks to one 16-element row
+        of a tile-major ``[block, ti, tj, ei, ej]`` array, at the slot
+        its level-1 bit names; one transpose to ``[block, ti, ei, tj,
+        ej]`` yields the grids.  Cached; this is the fast path the
+        simulation engine uses to enumerate T1 tasks.
         """
         cached = getattr(self, "_block_bitmaps_cache", None)
         if cached is not None:
             return cached
-        grids = np.zeros((self.nblocks, BLOCK, BLOCK), dtype=bool)
-        if self.ntiles:
-            tile_id = self.tile_ids().astype(np.int64)
-            tile_block = np.repeat(
-                np.arange(self.nblocks, dtype=np.int64), np.diff(self.tile_ptr)
-            )
-            # Element occupancy of every tile: (ntiles, 16) boolean.
-            elem_bits = (
-                (self.bitmap_lv2[:, None].astype(np.uint32) >> np.arange(16, dtype=np.uint32)) & 1
-            ).astype(bool)
-            ti, tj = tile_id // TILES_PER_SIDE, tile_id % TILES_PER_SIDE
-            ei, ej = (
-                np.arange(16, dtype=np.int64) // TILE,
-                np.arange(16, dtype=np.int64) % TILE,
-            )
-            rows = ti[:, None] * TILE + ei[None, :]
-            cols = tj[:, None] * TILE + ej[None, :]
-            blocks = np.broadcast_to(tile_block[:, None], rows.shape)
-            sel = elem_bits
-            grids[blocks[sel], rows[sel], cols[sel]] = True
+        tiles = np.zeros((self.nblocks * TILES_PER_BLOCK, TILE * TILE), dtype=bool)
+        tiles[np.flatnonzero(_bit_rows(self.bitmap_lv1))] = _bit_rows(self.bitmap_lv2)
+        grids = np.ascontiguousarray(
+            tiles.reshape(-1, TILES_PER_SIDE, TILES_PER_SIDE, TILE, TILE)
+            .transpose(0, 1, 3, 2, 4)
+        ).reshape(-1, BLOCK, BLOCK)
         self._block_bitmaps_cache = grids
         return grids
 

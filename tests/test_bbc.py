@@ -8,6 +8,7 @@ from repro.errors import FormatError
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
 from repro.formats.bbc import BLOCK, TILE, TILES_PER_BLOCK
 from repro.formats.bitarray import popcount_array
+from repro.workloads.suitesparse import corpus
 
 
 class TestConstants:
@@ -181,6 +182,32 @@ class TestStructuralInvariants:
             )
 
 
+_BITMAP_CASES = (
+    "all-zero", "empty-block-rows", "partial-last-block", "dense-32x32",
+) + tuple(f"corpus-{i}" for i in range(4))
+
+
+@pytest.fixture(scope="module")
+def bitmap_inputs():
+    """Block-expansion inputs beyond ``small_bbc``, by case name."""
+    rng = np.random.default_rng(17)
+    gaps = rng.random((80, 48)) * (rng.random((80, 48)) < 0.2)
+    gaps[16:48] = 0
+    rect = rng.random((37, 53)) * (rng.random((37, 53)) < 0.3)
+    inputs = {
+        "all-zero": BBCMatrix.from_coo(COOMatrix((40, 24), [], [], [])),
+        "empty-block-rows": BBCMatrix.from_dense(gaps),
+        "partial-last-block": BBCMatrix.from_dense(rect),
+        "dense-32x32": BBCMatrix.from_dense(np.ones((32, 32))),
+    }
+    for i, spec in enumerate(corpus(sizes=(128,), limit=4)):
+        inputs[f"corpus-{i}"] = BBCMatrix.from_coo(spec.matrix())
+    assert inputs["all-zero"].ntiles == 0
+    assert (np.diff(inputs["empty-block-rows"].row_ptr)[1:3] == 0).all()
+    assert inputs["dense-32x32"].ntiles == 4 * TILES_PER_BLOCK
+    return inputs
+
+
 class TestBlockAccess:
     def test_find_block(self, small_bbc):
         for brow, bcol, idx in small_bbc.iter_blocks():
@@ -196,10 +223,13 @@ class TestBlockAccess:
                 small_bbc.block_bitmap(idx), small_bbc.block_dense(idx) != 0
             )
 
-    def test_block_bitmaps_all_matches_scalar(self, small_bbc):
-        grids = small_bbc.block_bitmaps_all()
-        for _, _, idx in small_bbc.iter_blocks():
-            assert np.array_equal(grids[idx], small_bbc.block_bitmap(idx))
+    @pytest.mark.parametrize("case", ("small",) + _BITMAP_CASES)
+    def test_block_bitmaps_all_matches_scalar(self, case, small_bbc, bitmap_inputs):
+        m = small_bbc if case == "small" else bitmap_inputs[case]
+        grids = m.block_bitmaps_all()
+        assert grids.shape == (m.nblocks, BLOCK, BLOCK) and grids.dtype == bool
+        for _, _, idx in m.iter_blocks():
+            assert np.array_equal(grids[idx], m.block_bitmap(idx))
 
     def test_tile_bitmaps_grid(self, small_bbc):
         for _, _, idx in small_bbc.iter_blocks():

@@ -5,8 +5,9 @@ stepped ``UniSTC.simulate_block`` reference — not "close", *equal*,
 because the engine inserts its rows into the same block cache the
 stepped path's rows land in.  These tests enforce that claim row for row
 over every kernel's block population and over the model configurations
-the experiments actually sweep, plus the closed-form DPG statistics
-against the queue-walking decomposition they replace.
+the experiments actually sweep, plus the table-driven DPG totals
+against the closed form they replaced and the queue-walking
+decomposition behind both.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dpg import DotProductGenerator, dpg_stats
 from repro.arch import fastpath
 from repro.arch.fastpath import (
-    _dpg_stats_batch,
+    _dpg_totals,
     _pack_lockstep,
     decode_a_operands,
     decode_b_operands,
@@ -154,7 +155,108 @@ class TestBatchedDecode:
             decode_b_operands(np.zeros((3, 16, 7), dtype=bool))
 
 
+#: popcount of every 4-bit value (dot patterns are 4-bit masks).
+_POP4 = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
+#: Same table in uint8 — gathers over [T, 4, 4] pattern arrays stay
+#: byte-wide, with the widening deferred to the dtype of the final sum.
+_POP4_U8 = _POP4.astype(np.uint8)
+
+#: 16-bit tile bitmap -> its four 4-bit row masks / column masks, as
+#: one-gather lookup tables (256 KiB each); the uint8 domain keeps the
+#: [T, 4, 4] dot-pattern intermediates small.
+_ROW_MASKS = (
+    (np.arange(65536, dtype=np.uint32)[:, None] >> (4 * np.arange(4))) & 0xF
+).astype(np.uint8)
+_COL_MASKS = np.zeros((65536, 4), dtype=np.uint8)
+for _n in range(4):
+    for _k in range(4):
+        _COL_MASKS[:, _n] |= (
+            ((np.arange(65536) >> (4 * _k + _n)) & 1) << _k
+        ).astype(np.uint8)
+del _n, _k
+
+
+def _dpg_stats_batch(
+    a_tile_bitmaps: np.ndarray, b_tile_bitmaps: np.ndarray, n_cols: int
+) -> np.ndarray:
+    """Closed-form :func:`~repro.arch.dpg.dpg_stats` over flat task arrays.
+
+    Returns a ``[T, 6]`` per-T3-task stat matrix in
+    :data:`~repro.arch.dpg.DPG_STAT_FIELDS` order.  The stepped path's
+    :meth:`~repro.arch.dpg.DotProductGenerator.decompose` walks the
+    queue-fill order accumulating per-group ``seen`` masks; its fetch
+    totals reduce to popcounts of bitwise unions — an operand element is
+    fetched once per column-pair group in which any dot pattern uses it:
+
+    - ``pattern[m][n] = a_row[m] & b_col[n]`` (4-bit masks);
+    - ``a_elem_fetches = sum over (group, m) of popcount(union over the
+      group's columns of pattern[m][n])``;
+    - ``b_elem_fetches = sum over n of popcount(b_col[n] & union of all
+      a_row[m])`` (every group spans all four rows);
+    - broadcasts are total pattern popcounts; T4 task count and C
+      writes are the number of nonzero patterns.
+
+    Unions are insensitive to intra-group order, so the ``z`` and ``n``
+    fill orders yield identical stats and the fill order needs no
+    parameter here.  ``tests/test_fastpath.py`` cross-checks this
+    against ``decompose`` exhaustively.
+    """
+    a_rows = _ROW_MASKS[a_tile_bitmaps]                          # [T, m]
+    if n_cols == 4:
+        b_cols = _COL_MASKS[b_tile_bitmaps]                      # [T, n]
+    else:
+        b_cols = (np.asarray(b_tile_bitmaps) & 0xF).astype(np.uint8)[:, None]
+    pat = a_rows[:, :, None] & b_cols[:, None, :]                # [T, m, n]
+    t4 = np.count_nonzero(pat, axis=(1, 2)).astype(np.int64)
+    casts = _POP4_U8[pat].sum(axis=(1, 2), dtype=np.int64)
+    union_a = a_rows[:, 0] | a_rows[:, 1] | a_rows[:, 2] | a_rows[:, 3]
+    b_fetch = _POP4_U8[b_cols & union_a[:, None]].sum(axis=1, dtype=np.int64)
+    if n_cols == 4:
+        a_fetch = (
+            _POP4_U8[pat[:, :, 0] | pat[:, :, 1]].sum(axis=1, dtype=np.int64)
+            + _POP4_U8[pat[:, :, 2] | pat[:, :, 3]].sum(axis=1, dtype=np.int64)
+        )
+    else:
+        a_fetch = _POP4_U8[pat[:, :, 0]].sum(axis=1, dtype=np.int64)
+    return np.stack([t4, a_fetch, b_fetch, casts, casts, t4], axis=1)
+
+
+def _per_task_totals(a, b, n_cols):
+    """``_dpg_totals`` with every task its own block: per-task stats."""
+    return np.stack(
+        _dpg_totals(a, b, n_cols, np.arange(len(a), dtype=np.int64)), axis=1
+    )
+
+
+def _tile_products(a, b, n_cols):
+    """Multiplies of each T3 task: sum over kk of |A col kk| * |B row kk|."""
+    b_rows = [_POP4[(b >> (4 * kk)) & 0xF] if n_cols == 4 else (b >> kk) & 1
+              for kk in range(4)]
+    return sum(
+        sum((a >> (4 * m + kk)) & 1 for m in range(4)) * b_rows[kk]
+        for kk in range(4)
+    )
+
+
 class TestDpgStatsBatch:
+    """The table-driven totals against the closed form (the oracle)."""
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_every_row_mask_and_b_tile(self, row):
+        """All 16 row masks x all 65,536 B tiles, A row in one position."""
+        masks = np.repeat(np.arange(16, dtype=np.int64), 1 << 16)
+        a = masks << (4 * row)
+        b = np.tile(np.arange(1 << 16, dtype=np.int64), 16)
+        assert np.array_equal(_per_task_totals(a, b, 4),
+                              _dpg_stats_batch(a, b, 4)[:, :3])
+
+    def test_every_row_mask_and_vector_b(self):
+        masks, b = np.divmod(np.arange(256, dtype=np.int64), 16)
+        for row in range(4):
+            a = masks << (4 * row)
+            assert np.array_equal(_per_task_totals(a, b, 1),
+                                  _dpg_stats_batch(a, b, 1)[:, :3]), row
+
     @pytest.mark.parametrize("n_cols,mask", [(4, 0xFFFF), (1, 0xF)])
     def test_matches_decompose(self, n_cols, mask):
         rng = np.random.default_rng(9)
@@ -162,9 +264,9 @@ class TestDpgStatsBatch:
         b = rng.integers(0, mask + 1, size=3000, dtype=np.int64)
         a[:4] = [0, 0xFFFF, 0x8001, 0x00F0]
         b[:4] = [0, mask, mask, 0]
-        got = _dpg_stats_batch(a, b, n_cols)
-        # The six summary stats are unions/popcounts, insensitive to
-        # the queue-fill order — both fills must agree with the batch.
+        got = _per_task_totals(a, b, n_cols)
+        # The summary stats are unions/popcounts, insensitive to the
+        # queue-fill order — both fills must agree with the tables.
         for fill in ("z", "n"):
             gen = DotProductGenerator(fill)
             for i in range(200):
@@ -173,18 +275,48 @@ class TestDpgStatsBatch:
                     len(out.t4_tasks),
                     out.a_elem_fetches,
                     out.b_elem_fetches,
-                    out.a_broadcasts,
-                    out.b_broadcasts,
-                    out.c_writes,
                 ), (n_cols, fill, int(a[i]), int(b[i]))
+                assert out.a_broadcasts == out.b_broadcasts == out.products
+                assert out.c_writes == len(out.t4_tasks)
 
     def test_matches_memoised_stepping_helper(self):
         rng = np.random.default_rng(10)
         a = rng.integers(0, 1 << 16, size=500, dtype=np.int64)
         b = rng.integers(0, 1 << 16, size=500, dtype=np.int64)
-        got = _dpg_stats_batch(a, b, 4)
+        got = _per_task_totals(a, b, 4)
         for i in range(a.size):
-            assert tuple(got[i]) == dpg_stats(int(a[i]), int(b[i]), 4, "z")
+            assert tuple(got[i]) == dpg_stats(int(a[i]), int(b[i]), 4, "z")[:3]
+
+    @pytest.mark.parametrize("n_cols,mask", [(4, 0xFFFF), (1, 0xF)])
+    def test_broadcasts_and_writes_identities(self, n_cols, mask):
+        """The stats the tables skip: both broadcast counts equal the
+        task's products, and C writes equal its T4 count."""
+        rng = np.random.default_rng(11)
+        a = rng.integers(0, 1 << 16, size=20000, dtype=np.int64)
+        b = rng.integers(0, mask + 1, size=20000, dtype=np.int64)
+        ref = _dpg_stats_batch(a, b, n_cols)
+        products = _tile_products(a, b, n_cols)
+        assert np.array_equal(ref[:, 3], products)
+        assert np.array_equal(ref[:, 4], products)
+        assert np.array_equal(ref[:, 5], ref[:, 0])
+
+    @pytest.mark.parametrize("n_cols,mask", [(4, 0xFFFF), (1, 0xF)])
+    def test_block_sums(self, n_cols, mask):
+        """Per-block totals, up to the full 64 dense tasks of a block
+        (every packed field at its maximum), equal the oracle's sums."""
+        rng = np.random.default_rng(12)
+        lens = rng.integers(1, 65, size=300)
+        lens[:3] = 64
+        a = rng.integers(0, 1 << 16, size=int(lens.sum()), dtype=np.int64)
+        b = rng.integers(0, mask + 1, size=a.size, dtype=np.int64)
+        a[:64], b[:64] = 0xFFFF, mask
+        a[64:128] = 0
+        starts = np.cumsum(lens) - lens
+        got = np.stack(_dpg_totals(a, b, n_cols, starts), axis=1)
+        ref = np.add.reduceat(_dpg_stats_batch(a, b, n_cols), starts, axis=0)
+        assert np.array_equal(got, ref[:, :3])
+        if n_cols == 4:
+            assert tuple(got[0]) == (1024, 2048, 1024)
 
 
 def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int):
