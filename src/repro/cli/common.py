@@ -109,13 +109,8 @@ def add_exec_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=1.0, metavar="S",
-        help="worker heartbeat period; a heartbeat stale for 10 "
-             "intervals gets the worker killed",
-    )
-    parser.add_argument(
-        "--no-telemetry", action="store_true",
-        help="disable the per-shard telemetry streams (live status.json, "
-             "repro top, crash-proof metrics fold, trace stitching)",
+        help="worker beat period on its telemetry stream; a worker "
+             "whose stream stays silent for 10 intervals gets killed",
     )
     parser.add_argument(
         "--status-json", default="", metavar="FILE",
@@ -165,7 +160,6 @@ def make_spec(
             trace_path=getattr(args, "trace", ""),
             metrics_path=getattr(args, "metrics", ""),
             force=force_obs,
-            telemetry=not getattr(args, "no_telemetry", False),
             status_path=getattr(args, "status_json", ""),
         ),
         cache=CachePolicy(store_dir=getattr(args, "store", "")),

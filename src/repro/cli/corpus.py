@@ -45,7 +45,7 @@ def cmd_corpus(args: argparse.Namespace, session: Session) -> int:
     kernels = split_csv(args.kernel)
     executor = session.executor(matrices, names, kernels)
     checkpoint = session.spec.resilience.checkpoint
-    if session.spec.exec.workers and checkpoint and session.spec.obs.telemetry:
+    if session.spec.exec.workers and checkpoint:
         print(f"live status: repro top {checkpoint}", file=sys.stderr)
     summary = executor.run()
 

@@ -63,10 +63,8 @@ def cmd_dse(args: argparse.Namespace, session: Session) -> int:
         timeout_s=res.timeout,
         max_retries=res.max_retries,
         exec_policy=session.spec.exec,
-        telemetry=session.spec.obs.telemetry,
     )
-    if session.spec.exec.workers and res.checkpoint \
-            and session.spec.obs.telemetry:
+    if session.spec.exec.workers and res.checkpoint:
         print(f"live status: repro top {res.checkpoint}", file=sys.stderr)
     result = campaign.run()
     print(f"dse campaign [{result.strategy}] over {space.n_configs} candidate "

@@ -64,7 +64,7 @@ def _campaign_frame(monitor: CampaignMonitor,
     """
     if journal is None or not journal.exists():
         return
-    from repro.exec.journal import read_raw_journal
+    from repro.resilience.runner import read_raw_journal
 
     try:
         header, entries = read_raw_journal(journal)

@@ -201,8 +201,6 @@ class Campaign:
     max_retries: int = 1
     #: Multi-process batch execution (``None``/``workers=0`` = in-process).
     exec_policy: Optional[object] = None
-    #: Stream per-shard telemetry from distributed batches.
-    telemetry: bool = True
 
     def run(self) -> CampaignResult:
         fingerprint = campaign_fingerprint(self.space,
@@ -215,7 +213,6 @@ class Campaign:
             timeout_s=self.timeout_s,
             max_retries=self.max_retries,
             exec_policy=self.exec_policy,
-            telemetry=self.telemetry,
         )
         evaluated: Dict[Candidate, Optional[ConfigSummary]] = {}
         point_evals: Dict[Candidate, List[Evaluation]] = {}

@@ -197,9 +197,6 @@ class CachedEvaluator:
     #: keeps batches in-process.  Distributed batches run each case
     #: serially inside its worker, so ``n_cores`` is ignored there.
     exec_policy: Optional[ExecPolicy] = None
-    #: Stream per-shard telemetry from distributed batches (live
-    #: ``status.json`` in the batch workdir, ``repro top`` support).
-    telemetry: bool = True
 
     def __post_init__(self) -> None:
         self._sweep = PointSweep(matrices={}, stcs={}, kernels=[],
@@ -299,7 +296,6 @@ class CachedEvaluator:
                     timeout_s=self.timeout_s or 0.0,
                     max_retries=self.max_retries,
                     policy=self.exec_policy,
-                    telemetry=self.telemetry,
                 )
                 summary = executor.run()
             else:

@@ -6,21 +6,18 @@ self-describing :class:`ShardSpec` files, dispatched to a pool of
 ``repro worker`` subprocesses, and supervised with heartbeats,
 wall-clock deadlines enforced by real process kills, bounded crash
 retry, and poison-shard bisection down to the single offending case.
-Per-worker checkpoint journals and obs metric snapshots merge back
-deterministically, preserving the runner's zero-re-simulation resume
-and the campaign's byte-deterministic artifacts.
+Each worker reports through one per-shard telemetry stream: its beats
+are the liveness signal, its journal-aligned progress records the
+metrics.  Per-worker checkpoint journals merge back deterministically,
+preserving the runner's zero-re-simulation resume and the campaign's
+byte-deterministic artifacts.
 
 ``ExecPolicy(workers=0)`` — the default — degrades to the plain
 in-process :class:`~repro.resilience.runner.ResilientRunner` path
 with identical results.  See ``docs/robustness.md``.
 """
 
-from repro.exec.journal import (
-    MergeStats,
-    merge_journals,
-    read_raw_journal,
-    strip_wallclock,
-)
+from repro.exec.journal import MergeStats, merge_journals, strip_wallclock
 from repro.exec.shard import (
     SHARD_SCHEMA,
     CaseListSweep,
@@ -33,10 +30,10 @@ from repro.exec.worker import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_RECYCLE,
-    Heartbeat,
     run_shard,
     worker_main,
 )
+from repro.resilience.runner import read_raw_journal
 
 __all__ = [
     "CampaignExecutor",
@@ -45,7 +42,6 @@ __all__ = [
     "EXIT_OK",
     "EXIT_RECYCLE",
     "ExecPolicy",
-    "Heartbeat",
     "MergeStats",
     "SHARD_SCHEMA",
     "ShardSpec",

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.errors import CheckpointError
-from repro.resilience.runner import check_journal_header, journal_header
+from repro.resilience.runner import journal_header, read_raw_journal
 
 #: Fields that legitimately differ between runs of the same case.
 WALLCLOCK_FIELDS = ("elapsed_s",)
@@ -56,52 +56,6 @@ def strip_wallclock(entry: dict) -> dict:
         for name in WALLCLOCK_REPORT_FIELDS:
             report.pop(name, None)
     return out
-
-
-def entry_key(entry: dict) -> str:
-    """The case key of a raw journal entry (matches ``runner.case_key``)."""
-    case = entry["case"]
-    return f"{case['matrix']}\x1f{case['kernel']}\x1f{case['stc']}"
-
-
-def read_raw_journal(
-    path: Union[str, Path], fingerprint: Optional[str] = None
-) -> Tuple[dict, Dict[str, dict]]:
-    """Header plus last-wins raw entries of one journal.
-
-    Same hardening contract as :func:`repro.resilience.read_journal`:
-    only a truncated final line is tolerated; interior garble raises
-    :class:`CheckpointError` with the line number.  Raw dicts (not
-    :class:`CaseOutcome`) keep the merge byte-faithful.
-    """
-    path = Path(str(path))
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CheckpointError(f"checkpoint journal {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint journal {path} has no valid header") from exc
-    check_journal_header(header, path, fingerprint)
-    entries: Dict[str, dict] = {}
-    last_lineno = len(lines)
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            entry = json.loads(line)
-            key = entry_key(entry)
-            if not isinstance(entry.get("status"), str):
-                raise ValueError("entry has no status")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if lineno == last_lineno:
-                continue  # truncated mid-write; the case simply re-runs
-            raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line {lineno}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        entries[key] = entry
-    return header, entries
 
 
 @dataclass

@@ -4,8 +4,8 @@ A :class:`ShardSpec` is everything one worker process needs to execute
 its slice of a campaign, serialised as JSON: the workload cells
 (matrices carried as registry matrix-spec strings, STCs as
 :class:`StcDef` name+knob records), the explicit case list, the
-resilience envelope, and the artifact paths the worker reports through
-(its journal, heartbeat file and metrics snapshot).  Nothing in a
+resilience envelope, and the two files the worker writes (its journal
+and its telemetry stream).  Nothing in a
 shard references in-memory state of the supervisor — a spec written to
 disk can be re-dispatched after a supervisor crash, bisected into
 sub-shards, or inspected by hand.
@@ -27,7 +27,7 @@ from repro.registry import canonical_stc_name, stc_factory
 from repro.sim.sweep import Sweep, SweepCase
 
 #: Shard spec schema; bumped on incompatible layout changes.
-SHARD_SCHEMA = 1
+SHARD_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,7 @@ class ShardSpec:
     max_leaked_threads: int = 8
     heartbeat_interval_s: float = 1.0
     journal: str = ""                       #: per-worker JSONL journal
-    heartbeat: str = ""                     #: heartbeat file ("" disables)
-    metrics: str = ""                       #: obs snapshot path ("" = obs off)
-    telemetry: str = ""                     #: streaming telemetry JSONL ("" disables)
+    telemetry: str = ""                     #: liveness + metrics stream (JSONL)
     store: str = ""                         #: shared result-store dir ("" disables)
 
     def __post_init__(self) -> None:
@@ -126,6 +124,8 @@ class ShardSpec:
             raise ConfigError(f"shard {self.shard_id} has no cases")
         if not self.journal:
             raise ConfigError(f"shard {self.shard_id} needs a journal path")
+        if not self.telemetry:
+            raise ConfigError(f"shard {self.shard_id} needs a telemetry path")
         names = {name for name, _ in self.matrices}
         stc_names = {d.name for d in self.stcs}
         for matrix, stc, kernel in self.cases:
@@ -160,8 +160,6 @@ class ShardSpec:
             "max_leaked_threads": self.max_leaked_threads,
             "heartbeat_interval_s": self.heartbeat_interval_s,
             "journal": self.journal,
-            "heartbeat": self.heartbeat,
-            "metrics": self.metrics,
             "telemetry": self.telemetry,
             "store": self.store,
         }
@@ -190,10 +188,7 @@ class ShardSpec:
                 heartbeat_interval_s=float(
                     data.get("heartbeat_interval_s", 1.0)),
                 journal=str(data.get("journal", "")),
-                heartbeat=str(data.get("heartbeat", "")),
-                metrics=str(data.get("metrics", "")),
                 telemetry=str(data.get("telemetry", "")),
-                # Absent in shard specs written before the result store.
                 store=str(data.get("store", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -237,8 +232,7 @@ class ShardSpec:
         )
 
     def replace_cases(self, cases: List[SweepCase], shard_id: str,
-                      journal: str, heartbeat: str, metrics: str,
-                      telemetry: str = "") -> "ShardSpec":
+                      journal: str, telemetry: str) -> "ShardSpec":
         """A derived shard (bisection) covering a subset of the cases."""
         used_matrices = {c.matrix_name for c in cases}
         used_stcs = {c.stc_name for c in cases}
@@ -256,8 +250,6 @@ class ShardSpec:
             max_leaked_threads=self.max_leaked_threads,
             heartbeat_interval_s=self.heartbeat_interval_s,
             journal=journal,
-            heartbeat=heartbeat,
-            metrics=metrics,
             telemetry=telemetry,
             store=self.store,
         )

@@ -8,7 +8,7 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   is *actually killed* (SIGTERM, then SIGKILL after
   ``policy.term_grace_s``), unlike the thread-based per-case timeout
   which can only abandon a thread.
-- **Heartbeats** — a worker whose heartbeat file goes stale for
+- **Heartbeats** — a worker whose telemetry file goes unwritten for
   ``heartbeat_interval_s x heartbeat_misses`` is presumed wedged
   (or SIGSTOPped) and killed the same way.
 - **Bounded crash retry** — a crashed/killed/recycled shard is
@@ -22,11 +22,10 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   as a structured ``poison`` failure instead of being retried forever.
 - **Deterministic join** — per-worker journals merge into the campaign
   journal in canonical case order
-  (:func:`repro.exec.journal.merge_journals`) and per-worker obs
-  snapshots fold into the supervisor's registry, so a sharded run's
+  (:func:`repro.exec.journal.merge_journals`), so a sharded run's
   artifacts match a single-process run's modulo wall-clock fields.
-- **Live telemetry** — with ``telemetry=True`` (the default) workers
-  stream journal-aligned metrics deltas and trace spans to per-shard
+- **Telemetry** — the one worker→supervisor channel.  Workers stream
+  beats, journal-aligned metrics deltas and trace spans to per-shard
   JSONL files; the supervisor tails them into a live ``status.json``
   (the ``repro top`` view), folds streamed metrics in even for
   SIGKILLed workers, and stitches every worker's spans into its own
@@ -50,7 +49,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,7 +58,6 @@ from repro.errors import ConfigError
 from repro.exec import worker as worker_mod
 from repro.exec.journal import merge_journals
 from repro.exec.shard import CaseListSweep, ShardSpec, StcDef, shard_cases
-from repro.obs.metrics import tag_gauges
 from repro.obs.stitch import stitch_into_tracer
 from repro.obs.telemetry import CampaignMonitor, telemetry_path
 from repro.registry import parse_matrix_spec
@@ -153,12 +151,8 @@ class CampaignExecutor:
     timeout_s: float = 0.0
     max_retries: int = 1
     policy: ExecPolicy = field(default_factory=ExecPolicy)
-    #: Stream per-shard telemetry (metrics deltas, spans, live status).
-    #: On by default for distributed runs; the in-process path has
-    #: nothing to stream.
-    telemetry: bool = True
-    #: Extra destination for the final campaign status document (the
-    #: workdir always gets ``status.json`` while telemetry is on).
+    #: Extra destination for the final campaign status document (a
+    #: distributed run's workdir always gets ``status.json``).
     status_path: Optional[Union[str, Path]] = None
 
     def __post_init__(self) -> None:
@@ -196,7 +190,8 @@ class CampaignExecutor:
             return RunSummary()
         fingerprint = self.fingerprint or grid_fingerprint(cases)
         if not self.policy.distributed or not sys.executable:
-            return self._run_in_process(cases, fingerprint, progress)
+            return self._run_in_process(cases, fingerprint, progress,
+                                        self.journal_path, self.resume)
         return self._run_distributed(cases, fingerprint, progress)
 
     # -- in-process degradation -----------------------------------------
@@ -206,14 +201,16 @@ class CampaignExecutor:
         cases: List[SweepCase],
         fingerprint: str,
         progress: Optional[Callable[[CaseOutcome], None]],
+        journal_path: Optional[Union[str, Path]],
+        resume: bool,
     ) -> RunSummary:
         """The zero-subprocess path: one ResilientRunner, same results."""
         runner = ResilientRunner(
             sweep=self._build_sweep(cases),
             timeout_s=self.timeout_s or None,
             retry=RetryPolicy(max_retries=self.max_retries),
-            journal_path=self.journal_path,
-            resume=self.resume,
+            journal_path=journal_path,
+            resume=resume,
             seed=self.seed,
             fingerprint=fingerprint,
             max_leaked_threads=self.policy.max_leaked_threads,
@@ -264,17 +261,13 @@ class CampaignExecutor:
                 }
             pending = [c for c in cases if case_key(c) not in prior_ok]
 
-            metric_paths: List[Path] = []
             if pending:
-                specs = self._make_shards(pending, fingerprint, workdir,
-                                          metric_paths)
-                monitor: Optional[CampaignMonitor] = None
-                if self.telemetry:
-                    monitor = CampaignMonitor()
-                    monitor.campaign_total = len(order)
-                    monitor.prior_done = len(prior_ok)
+                specs = self._make_shards(pending, fingerprint, workdir)
+                monitor = CampaignMonitor()
+                monitor.campaign_total = len(order)
+                monitor.prior_done = len(prior_ok)
                 try:
-                    self._supervise(specs, workdir, metric_paths, monitor)
+                    self._supervise(specs, workdir, monitor)
                 except OSError as exc:
                     # Subprocess dispatch is unavailable here (sandbox,
                     # exhausted PIDs, ...): degrade to in-process against
@@ -283,45 +276,23 @@ class CampaignExecutor:
                     logger.warning(
                         "cannot dispatch worker subprocesses (%s); "
                         "falling back to in-process execution", exc)
-                    runner = ResilientRunner(
-                        sweep=self._build_sweep(cases),
-                        timeout_s=self.timeout_s or None,
-                        retry=RetryPolicy(max_retries=self.max_retries),
-                        journal_path=journal,
-                        resume=journal.exists(),
-                        seed=self.seed,
-                        fingerprint=fingerprint,
-                        max_leaked_threads=self.policy.max_leaked_threads,
-                    )
-                    return runner.run(progress=progress)
+                    return self._run_in_process(cases, fingerprint, progress,
+                                                journal, journal.exists())
                 shard_journals = sorted(workdir.glob("*.journal"))
                 merge_journals(journal, shard_journals, fingerprint,
                                order=order, cases=len(order))
-                if monitor is not None:
-                    # Final sweep: records flushed between the last
-                    # supervision tick and the workers' exits.
-                    monitor.poll()
-                    if obs.enabled():
-                        # The stream is the crash-proof metrics channel:
-                        # it already holds every incarnation's last
-                        # journal-aligned state, SIGKILLed ones included.
-                        monitor.fold_into(obs.metrics())
-                        stitch_into_tracer(obs.tracer(),
-                                           monitor.spans_by_shard())
-                    monitor.write_status(workdir / "status.json",
-                                         state="done")
-                    if self.status_path is not None:
-                        monitor.write_status(self.status_path, state="done")
-                elif obs.enabled():
-                    # Legacy channel: per-worker snapshot files, written
-                    # only on clean exits.  Shard-tag the gauges so the
-                    # fold-in order cannot pick the surviving value.
-                    for path in metric_paths:
-                        if path.exists():
-                            shard_id = path.name.split(".", 1)[0]
-                            obs.metrics().merge(tag_gauges(
-                                json.loads(path.read_text(encoding="utf-8")),
-                                shard=shard_id))
+                # Final sweep: records flushed between the last
+                # supervision tick and the workers' exits.
+                monitor.poll()
+                if obs.enabled():
+                    # The stream holds every incarnation's last
+                    # journal-aligned state, SIGKILLed ones included.
+                    monitor.fold_into(obs.metrics())
+                    stitch_into_tracer(obs.tracer(),
+                                       monitor.spans_by_shard())
+                monitor.write_status(workdir / "status.json", state="done")
+                if self.status_path is not None:
+                    monitor.write_status(self.status_path, state="done")
             elif not journal.exists():
                 # Everything resumed and nothing to do; still leave a
                 # well-formed journal behind.
@@ -342,8 +313,7 @@ class CampaignExecutor:
                 path.unlink()
 
     def _make_shards(self, pending: List[SweepCase], fingerprint: str,
-                     workdir: Path, metric_paths: List[Path]
-                     ) -> List[ShardSpec]:
+                     workdir: Path) -> List[ShardSpec]:
         n_shards = min(self.policy.workers, len(pending))
         # Shards inherit the process's bound result store, so a worker
         # fleet shares the memo the in-process path would have used.
@@ -354,14 +324,6 @@ class CampaignExecutor:
             shard_id = f"s{i}"
             used_matrices = {c.matrix_name for c in chunk}
             used_stcs = {c.stc_name for c in chunk}
-            # The telemetry stream subsumes the exit-time metrics file
-            # (and survives SIGKILL); only one channel folds in, or the
-            # campaign's counters would double.
-            metrics = ""
-            if obs.enabled() and not self.telemetry:
-                metrics_path = workdir / f"{shard_id}.metrics.json"
-                metric_paths.append(metrics_path)
-                metrics = str(metrics_path)
             specs.append(ShardSpec(
                 shard_id=shard_id,
                 campaign=fingerprint,
@@ -377,10 +339,7 @@ class CampaignExecutor:
                 max_leaked_threads=self.policy.max_leaked_threads,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
                 journal=str(workdir / f"{shard_id}.journal"),
-                heartbeat=str(workdir / f"{shard_id}.heartbeat"),
-                metrics=metrics,
-                telemetry=(str(telemetry_path(workdir, shard_id))
-                           if self.telemetry else ""),
+                telemetry=str(telemetry_path(workdir, shard_id)),
                 store=store,
             ))
         return specs
@@ -388,8 +347,7 @@ class CampaignExecutor:
     # -- supervision loop ------------------------------------------------
 
     def _supervise(self, specs: List[ShardSpec], workdir: Path,
-                   metric_paths: List[Path],
-                   monitor: Optional[CampaignMonitor] = None) -> None:
+                   monitor: CampaignMonitor) -> None:
         policy = self.policy
         rng = np.random.default_rng(self.seed)
         backoff = RetryPolicy(max_retries=policy.max_shard_retries)
@@ -402,12 +360,10 @@ class CampaignExecutor:
                 while queue and len(active) < policy.workers:
                     spec = queue.pop(0)
                     state = self._prepare(spec, workdir)
-                    if monitor is not None and spec.telemetry:
-                        # Bisection children register here too — every
-                        # dispatched shard is tailed from its first beat.
-                        monitor.add_shard(spec.shard_id,
-                                          Path(spec.telemetry),
-                                          total=len(spec.cases))
+                    # Bisection children register here too — every
+                    # dispatched shard is tailed from its first beat.
+                    monitor.add_shard(spec.shard_id, Path(spec.telemetry),
+                                      total=len(spec.cases))
                     try:
                         self._spawn(state)
                     except OSError:
@@ -428,8 +384,7 @@ class CampaignExecutor:
                     if state.proc is None:
                         if now >= state.respawn_at:
                             if state.crashes > policy.max_shard_retries:
-                                self._exhaust(state, queue, workdir,
-                                              metric_paths)
+                                self._exhaust(state, queue, workdir)
                                 del active[shard_id]
                             else:
                                 try:
@@ -474,7 +429,7 @@ class CampaignExecutor:
                     state.proc = None
                     state.respawn_at = now + backoff.delay(
                         min(state.crashes - 1, policy.max_shard_retries), rng)
-                if monitor is not None and now >= next_tail:
+                if now >= next_tail:
                     next_tail = now + _TAIL_S
                     monitor.poll()
                     if now >= next_status:
@@ -527,11 +482,13 @@ class CampaignExecutor:
                 and now - state.started_at > policy.shard_timeout_s):
             return (f"exceeded the {policy.shard_timeout_s:g}s shard "
                     "deadline")
-        if policy.heartbeat_misses and state.spec.heartbeat:
+        if policy.heartbeat_misses:
             stale_after = (policy.heartbeat_interval_s
                            * policy.heartbeat_misses)
             try:
-                last_beat = os.path.getmtime(state.spec.heartbeat)
+                # Every telemetry record is a flushed append, so the
+                # file's mtime is the worker's last sign of life.
+                last_beat = os.path.getmtime(state.spec.telemetry)
             except OSError:
                 last_beat = 0.0
             # mtime is wall clock; compare ages, not clocks, and never
@@ -558,7 +515,7 @@ class CampaignExecutor:
     # -- poison handling -------------------------------------------------
 
     def _exhaust(self, state: _ShardState, queue: List[ShardSpec],
-                 workdir: Path, metric_paths: List[Path]) -> None:
+                 workdir: Path) -> None:
         """Crash budget spent: bisect the pending cases or quarantine."""
         spec = state.spec
         done = set()
@@ -578,18 +535,10 @@ class CampaignExecutor:
         mid = (len(pending) + 1) // 2
         for suffix, chunk in (("a", pending[:mid]), ("b", pending[mid:])):
             child_id = spec.shard_id + suffix
-            metrics = ""
-            if obs.enabled() and not self.telemetry:
-                metrics_path = workdir / f"{child_id}.metrics.json"
-                metric_paths.append(metrics_path)
-                metrics = str(metrics_path)
             queue.append(spec.replace_cases(
                 chunk, shard_id=child_id,
                 journal=str(workdir / f"{child_id}.journal"),
-                heartbeat=str(workdir / f"{child_id}.heartbeat"),
-                metrics=metrics,
-                telemetry=(str(telemetry_path(workdir, child_id))
-                           if self.telemetry else ""),
+                telemetry=str(telemetry_path(workdir, child_id)),
             ))
         logger.warning(
             "shard %s exhausted its crash budget with %d pending case(s); "

@@ -3,11 +3,12 @@
 A worker process reads one :class:`~repro.exec.shard.ShardSpec`,
 rebuilds its slice of the campaign grid, and runs it through the same
 :class:`~repro.resilience.runner.ResilientRunner` the in-process path
-uses — appending to the shard's private journal, beating a heartbeat
-file, streaming journal-aligned telemetry records (metrics deltas per
-finished case, spans on the heartbeat cadence; see
-:mod:`repro.obs.telemetry`), and dumping an obs metrics snapshot on
-the way out.  The worker
+uses — appending to the shard's private journal and streaming
+journal-aligned telemetry records to the shard's telemetry file: a
+metrics delta per finished case, and a beat plus a span flush on the
+heartbeat cadence (see :mod:`repro.obs.telemetry`).  That stream is the
+worker's only channel to its supervisor: its mtime is the liveness
+signal, its progress records the metrics.  The worker
 *always* resumes from its own journal if one exists: a respawned
 worker (after a crash or a recycle) picks up exactly where its
 predecessor's last flushed line left off, so no finished case is ever
@@ -29,7 +30,7 @@ other signal death / hard crash — the supervisor treats the shard as
       crashed and applies its retry / bisection budget
 ====  =================================================================
 
-Chaos injection (tests and the CI chaos-smoke job) rides the
+Chaos injection (tests and the CI telemetry-smoke job) rides the
 ``REPRO_WORKER_CHAOS`` environment variable::
 
     kill:SUBSTR:MARKER   SIGKILL self before the first case whose key
@@ -46,14 +47,13 @@ resume-and-merge machinery must absorb.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import signal
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from repro import obs
 from repro.errors import ConfigError, ThreadLeakError
@@ -74,63 +74,6 @@ EXIT_RECYCLE = 3
 
 #: Environment variable carrying a chaos directive (see module docs).
 CHAOS_ENV = "REPRO_WORKER_CHAOS"
-
-
-class Heartbeat:
-    """A background thread that refreshes the shard's heartbeat file.
-
-    Each beat rewrites the file with a tiny JSON payload
-    (``{"t": ..., "done": ..., "pid": ...}``); the supervisor only
-    looks at the mtime, the payload is for humans debugging a stuck
-    campaign.  Writes go through a temp file + rename so the
-    supervisor never reads a half-written beat.
-    """
-
-    def __init__(self, path: Path, interval_s: float,
-                 on_beat: Optional[Callable[[], None]] = None) -> None:
-        self._path = path
-        self._interval_s = max(interval_s, 0.05)
-        self._done = 0
-        self._on_beat = on_beat
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-heartbeat", daemon=True
-        )
-
-    def advance(self) -> None:
-        self._done += 1
-
-    def _beat(self) -> None:
-        payload = json.dumps(
-            {"t": time.time(), "done": self._done, "pid": os.getpid()}
-        )
-        tmp = self._path.with_name(self._path.name + ".tmp")
-        try:
-            tmp.write_text(payload + "\n", encoding="utf-8")
-            os.replace(tmp, self._path)
-        except OSError:  # a vanished workdir must not kill the shard
-            logger.warning("could not write heartbeat %s", self._path,
-                           exc_info=True)
-
-    def _loop(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            self._beat()
-            if self._on_beat is not None:
-                try:
-                    self._on_beat()
-                except Exception:   # noqa: BLE001 - never kill the beat
-                    logger.warning("heartbeat side-channel failed",
-                                   exc_info=True)
-
-    def __enter__(self) -> "Heartbeat":
-        self._beat()
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-        self._beat()  # final beat records the terminal done-count
 
 
 def _chaos_hook(directive: str) -> Callable[[SweepCase], None]:
@@ -182,10 +125,9 @@ def run_shard(spec: ShardSpec) -> int:
     append-only per-writer segments are safe under the whole fleet
     (every shard binds the same store as its block-cache second tier).
     """
-    if spec.metrics or spec.telemetry:
-        # Telemetry streams metrics deltas and spans, so it needs the
-        # obs layer recording even when no metrics file was asked for.
-        obs.enable()
+    # The telemetry stream carries metrics deltas and spans, so the obs
+    # layer always records inside a worker.
+    obs.enable()
     store = None
     if spec.store:
         from repro.sim import engine
@@ -218,44 +160,38 @@ def run_shard(spec: ShardSpec) -> int:
 
     signal.signal(signal.SIGTERM, on_sigterm)
 
-    telemetry = None
-    if spec.telemetry:
-        telemetry = TelemetryWriter(
-            spec.telemetry, spec.shard_id, total=len(spec.cases),
-            registry=obs.metrics(), tracer=obs.tracer(),
-        )
+    telemetry = TelemetryWriter(
+        spec.telemetry, spec.shard_id, total=len(spec.cases),
+        registry=obs.metrics(), tracer=obs.tracer(),
+    )
+    stop_beating = threading.Event()
 
-    heartbeat = None
-    if spec.heartbeat:
-        hb_path = Path(spec.heartbeat)
-        hb_path.parent.mkdir(parents=True, exist_ok=True)
-        # The telemetry beat piggybacks on the heartbeat cadence: one
-        # timer thread drives both liveness channels.
-        heartbeat = Heartbeat(
-            hb_path, spec.heartbeat_interval_s,
-            on_beat=telemetry.beat if telemetry is not None else None,
-        )
+    def beat_loop() -> None:
+        # Each beat appends to the telemetry file, so its mtime stays
+        # fresh even while one case runs for a long time.
+        while not stop_beating.wait(max(spec.heartbeat_interval_s, 0.05)):
+            try:
+                telemetry.beat()
+            except Exception:   # noqa: BLE001 - never kill the beat
+                logger.warning("telemetry beat failed", exc_info=True)
 
+    beater = threading.Thread(target=beat_loop, name="repro-heartbeat",
+                              daemon=True)
     done = 0
 
     def progress(outcome: CaseOutcome) -> None:
         nonlocal done
         done += 1
-        if heartbeat is not None:
-            heartbeat.advance()
-        if telemetry is not None:
-            # The runner journals the case before this callback fires,
-            # so every progress record is journal-aligned: whatever a
-            # SIGKILL loses after this line was never journaled either.
-            telemetry.case_done(done)
+        # The runner journals the case before this callback fires, so
+        # every progress record is journal-aligned: whatever a SIGKILL
+        # loses after this line was never journaled either.
+        telemetry.case_done(done)
 
     exit_code = EXIT_OK
     phase = "finished"
     try:
-        if telemetry is not None:
-            telemetry.start()
-        if heartbeat is not None:
-            heartbeat.__enter__()
+        telemetry.start()
+        beater.start()
         try:
             runner.run(progress=progress)
         except ThreadLeakError as exc:
@@ -275,19 +211,10 @@ def run_shard(spec: ShardSpec) -> int:
 
             engine.unbind_store()
             store.close()
-        if heartbeat is not None:
-            heartbeat.__exit__(None, None, None)
-        if telemetry is not None:
-            telemetry.finish(phase)
-        if spec.metrics:
-            # Best-effort: a SIGKILLed worker never reaches this point.
-            # The telemetry stream above is the crash-proof channel;
-            # this file stays for single-artifact debugging.
-            try:
-                obs.metrics().write_json(spec.metrics)
-            except OSError:
-                logger.warning("could not write metrics snapshot %s",
-                               spec.metrics, exc_info=True)
+        stop_beating.set()
+        if beater.is_alive():
+            beater.join(timeout=2.0)
+        telemetry.finish(phase)
     return exit_code
 
 

@@ -37,7 +37,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     expand_delta,
-    tag_gauges,
 )
 from repro.obs.stitch import stitch_chrome_trace, stitch_into_tracer
 from repro.obs.telemetry import (
@@ -85,7 +84,6 @@ __all__ = [
     "span",
     "stitch_chrome_trace",
     "stitch_into_tracer",
-    "tag_gauges",
     "telemetry_path",
     "tracer",
 ]

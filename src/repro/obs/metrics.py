@@ -128,28 +128,6 @@ def _wire_bounds(bounds: Sequence[object]) -> Tuple[float, ...]:
     return tuple(float(b) for b in bounds)
 
 
-def tag_gauges(snapshot: Dict[str, object], **labels) -> Dict[str, object]:
-    """A copy of a snapshot with extra labels on every gauge series.
-
-    Gauge merges are last-write-wins, so folding several worker
-    snapshots into one registry would let fold-in *order* silently pick
-    the surviving value.  Tagging each worker's gauges with its shard
-    id first keeps every reading as its own series and makes the merge
-    order-independent.  Labels already present on a series win over the
-    tags (no silent overwrite of a more specific label).
-    """
-    out = dict(snapshot)
-    out["gauges"] = {
-        name: [
-            {"labels": {**labels, **entry["labels"]},
-             "value": entry["value"]}
-            for entry in entries
-        ]
-        for name, entries in snapshot.get("gauges", {}).items()
-    }
-    return out
-
-
 @dataclass
 class Counter:
     """A monotonically increasing value per label set."""

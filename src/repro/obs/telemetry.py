@@ -11,7 +11,9 @@ Wire format — one JSON object per line, three record kinds:
 
 ``beat``
     Liveness: wall time, done count, phase.  Emitted at startup and on
-    the worker's heartbeat cadence.
+    the worker's heartbeat cadence.  Every record is a flushed append,
+    so the file's mtime is the worker's last sign of life; the
+    supervisor's watchdog reads nothing else.
 ``progress``
     A ``beat`` plus a metrics **delta**: the cumulative values of every
     registry series written since the previous progress record, in the
@@ -35,7 +37,7 @@ final states *add* across incarnations — so a crash followed by a
 journal-resume never double-counts a case's metrics.
 
 Tailing follows the checkpoint-journal hardening contract
-(:func:`repro.exec.journal.read_raw_journal`): a partial trailing line
+(:func:`repro.resilience.runner.read_raw_journal`): a partial trailing line
 is held until its newline arrives, a malformed final line is held as a
 torn write, and malformed *interior* data raises
 :class:`~repro.errors.TelemetryError`.  Truncation or rotation
@@ -593,11 +595,10 @@ class CampaignMonitor:
     def fold_into(self, registry: MetricsRegistry) -> None:
         """Merge every shard's folded metrics into a registry.
 
-        This is the crash-proof replacement for reading per-worker
-        metrics files after a clean exit: the stream already holds the
-        last journal-aligned state of every incarnation, including
-        SIGKILLed ones.  Gauges are tagged with the shard id so the
-        merge is order-independent.
+        The stream is the only metrics channel from a worker and is
+        crash-proof: it holds the last journal-aligned state of every
+        incarnation, including SIGKILLed ones.  Gauges are tagged with
+        the shard id so the merge is order-independent.
         """
         for shard_id in self.shard_ids:
             tail = self._shards[shard_id]

@@ -33,7 +33,8 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, List, Optional, Tuple,
+                    TypeVar, Union)
 
 import numpy as np
 
@@ -55,6 +56,8 @@ from repro.sim.results import SimReport
 from repro.sim.sweep import Sweep, SweepCase, SweepResult
 
 logger = logging.getLogger(__name__)
+
+_T = TypeVar("_T")
 
 #: Journal schema version; bumped on incompatible layout changes.
 JOURNAL_VERSION = 1
@@ -266,6 +269,60 @@ def _outcome_from_entry(entry: dict) -> CaseOutcome:
     )
 
 
+def entry_key(entry: dict) -> str:
+    """The case key of a raw journal entry (matches :func:`case_key`)."""
+    case = entry["case"]
+    return f"{case['matrix']}\x1f{case['kernel']}\x1f{case['stc']}"
+
+
+def _raw_entry(entry: dict) -> dict:
+    if not isinstance(entry.get("status"), str):
+        raise ValueError("entry has no status")
+    return entry
+
+
+def _parse_journal(path: Union[str, Path], fingerprint: Optional[str],
+                   parse: Callable[[dict], _T]
+                   ) -> Tuple[dict, Dict[str, _T]]:
+    """The one journal-line loop behind both readers below.
+
+    Returns the checked header and the last-wins ``parse``d entries by
+    case key; ``parse`` raises on a malformed payload.  The hardening
+    contract is :func:`read_journal`'s.
+    """
+    path = Path(str(path))
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise CheckpointError(f"checkpoint journal {path} is empty")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(
+            f"checkpoint journal {path} has no valid header") from exc
+    check_journal_header(header, path, fingerprint)
+    entries: Dict[str, _T] = {}
+    last_lineno = len(lines)
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            entry = json.loads(line)
+            key = entry_key(entry)
+            value = parse(entry)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            if lineno == last_lineno:
+                logger.warning(
+                    "checkpoint journal %s: ignoring truncated final line %d",
+                    path, lineno,
+                )
+                continue
+            raise CheckpointError(
+                f"checkpoint journal {path} is corrupt at line {lineno}: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        entries[key] = value
+    return header, entries
+
+
 def read_journal(path: Union[str, Path],
                  fingerprint: Optional[str] = None) -> Dict[str, CaseOutcome]:
     """Parse a checkpoint journal into per-case outcomes.
@@ -280,36 +337,18 @@ def read_journal(path: Union[str, Path],
     (a resumed run re-attempts failed cases and appends); the last
     entry wins.
     """
-    path = Path(str(path))
-    outcomes: Dict[str, CaseOutcome] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CheckpointError(f"checkpoint journal {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint journal {path} has no valid header") from exc
-    check_journal_header(header, path, fingerprint)
-    last_lineno = len(lines)
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            entry = json.loads(line)
-            outcome = _outcome_from_entry(entry)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if lineno == last_lineno:
-                logger.warning(
-                    "checkpoint journal %s: ignoring truncated final line %d",
-                    path, lineno,
-                )
-                continue
-            raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line {lineno}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        outcomes[case_key(outcome.case)] = outcome
-    return outcomes
+    return _parse_journal(path, fingerprint, _outcome_from_entry)[1]
+
+
+def read_raw_journal(
+    path: Union[str, Path], fingerprint: Optional[str] = None
+) -> Tuple[dict, Dict[str, dict]]:
+    """Header plus last-wins raw entries of one journal.
+
+    Same contract as :func:`read_journal`; raw dicts (not
+    :class:`CaseOutcome`) keep the sharded-journal merge byte-faithful.
+    """
+    return _parse_journal(path, fingerprint, _raw_entry)
 
 
 # -- the runner ---------------------------------------------------------

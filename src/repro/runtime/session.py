@@ -158,7 +158,6 @@ class Session:
             timeout_s=res.timeout_s,
             max_retries=res.max_retries,
             policy=self.spec.exec,
-            telemetry=self.spec.obs.telemetry,
             status_path=status_path or None,
         )
 

@@ -37,18 +37,14 @@ class ObsPolicy:
 
     ``force`` switches the tracer on even without artifact paths —
     ``repro profile`` reads spans directly instead of dumping them.
-    ``telemetry`` governs the distributed path's streaming channel
-    (per-shard telemetry files, live ``status.json``, ``repro top``);
-    it is independent of ``wanted`` because live status is useful even
-    when no trace/metrics artifact was requested.  ``status_path`` is
-    an extra destination for the final campaign status document, on
-    top of the workdir and run-manifest copies.
+    ``status_path`` is an extra destination for the final campaign
+    status document of a distributed run, on top of the workdir and
+    run-manifest copies.
     """
 
     trace_path: str = ""
     metrics_path: str = ""
     force: bool = False
-    telemetry: bool = True
     status_path: str = ""
 
     @property

@@ -19,6 +19,7 @@ def make_spec(tmp_path, **overrides):
         kernels=("spmv",),
         cases=(("m0", "uni-stc", "spmv"), ("m1", "ds-stc", "spmv")),
         journal=str(tmp_path / "s0.journal"),
+        telemetry=str(tmp_path / "s0.telemetry.jsonl"),
     )
     fields.update(overrides)
     return ShardSpec(**fields)
@@ -51,10 +52,11 @@ class TestStcDef:
 class TestShardSpec:
     def test_round_trip_preserves_everything(self, tmp_path):
         spec = make_spec(tmp_path, seed=7, timeout_s=2.5, max_retries=3,
-                         heartbeat=str(tmp_path / "hb"),
-                         metrics=str(tmp_path / "m.json"))
-        again = ShardSpec.from_json(spec.as_json())
-        assert again == spec
+                         store=str(tmp_path / "blockstore"))
+        data = spec.as_json()
+        assert data["schema"] == SHARD_SCHEMA == 2
+        assert "heartbeat" not in data and "metrics" not in data
+        assert ShardSpec.from_json(data) == spec
 
     def test_write_read(self, tmp_path):
         spec = make_spec(tmp_path)
@@ -87,6 +89,11 @@ class TestShardSpec:
         with pytest.raises(ConfigError, match="journal"):
             make_spec(tmp_path, journal="")
 
+    def test_missing_telemetry_rejected(self, tmp_path):
+        """The telemetry stream is the worker's only channel back."""
+        with pytest.raises(ConfigError, match="telemetry"):
+            make_spec(tmp_path, telemetry="")
+
     def test_build_sweep_reproduces_direct_results(self, tmp_path):
         """A shard rebuilt from its spec simulates the same numbers."""
         from repro.registry import parse_matrix_spec
@@ -109,12 +116,14 @@ class TestShardSpec:
         spec = make_spec(tmp_path)
         child = spec.replace_cases(
             [SweepCase("m0", "uni-stc", "spmv")], shard_id="s0a",
-            journal=str(tmp_path / "s0a.journal"), heartbeat="", metrics="")
+            journal=str(tmp_path / "s0a.journal"),
+            telemetry=str(tmp_path / "s0a.telemetry.jsonl"))
         assert child.shard_id == "s0a"
         assert child.cases == (("m0", "uni-stc", "spmv"),)
         assert dict(child.matrices) == {"m0": "band:64:6:0.5"}
         assert [d.name for d in child.stcs] == ["uni-stc"]
         assert child.campaign == spec.campaign
+        assert child.telemetry == str(tmp_path / "s0a.telemetry.jsonl")
 
 
 class TestShardCases:

@@ -204,6 +204,28 @@ class TestCrashRecovery:
         # The timed-out workers are dead, not leaked.
         assert leaked_workers(journal.name + ".d") == []
 
+    def test_busy_worker_keeps_beating(self, tmp_path, monkeypatch,
+                                       metrics):
+        """A worker stuck in one long case still beats on its telemetry
+        stream, so only the shard deadline kills it — never the 2 s
+        stale-stream watchdog."""
+        monkeypatch.setenv(CHAOS_ENV, "hang:m0")
+        journal = tmp_path / "campaign.journal"
+        policy = ExecPolicy(workers=1, shard_timeout_s=4.0,
+                            heartbeat_interval_s=0.2, heartbeat_misses=10,
+                            term_grace_s=0.5, max_shard_retries=0)
+        summary = make_executor(
+            journal, matrices={"m0": MATRICES["m0"]}, policy=policy).run()
+
+        (poisoned,) = summary.outcomes
+        assert poisoned.status == "failed"
+        assert poisoned.failure.taxonomy == "poison"
+        reasons = [dict(key).get("reason", "") for key in
+                   metrics.counter("exec.worker_kills").series]
+        assert len(reasons) == 1 and "deadline" in reasons[0], reasons
+        assert metrics.counter("exec.worker_kills").total == 1
+        assert leaked_workers(journal.name + ".d") == []
+
     def test_heartbeat_loss_is_detected_and_killed(
             self, tmp_path, monkeypatch, metrics):
         """A SIGSTOPped worker dodges SIGTERM but not the heartbeat
@@ -308,14 +330,19 @@ class TestTelemetry:
         assert "campaign" in printed and "shard" in printed
         assert "s0" in printed and "s1" in printed
 
-    def test_no_telemetry_flag_suppresses_the_stream(self, tmp_path):
+    def test_workdir_holds_only_journal_log_spec_and_telemetry(
+            self, tmp_path):
+        """The telemetry stream is the one worker→supervisor channel:
+        no heartbeat or exit-time metrics files beside it."""
         journal = tmp_path / "campaign.journal"
-        summary = make_executor(
-            journal, policy=ExecPolicy(workers=2), telemetry=False).run()
+        summary = make_executor(journal, policy=ExecPolicy(workers=2)).run()
         assert summary.n_ok == len(MATRICES)
         workdir = tmp_path / "campaign.journal.d"
-        assert list(workdir.glob("*.telemetry.jsonl")) == []
-        assert not (workdir / "status.json").exists()
+        expected = {"status.json"} | {
+            f"{shard}{suffix}" for shard in ("s0", "s1")
+            for suffix in (".journal", ".log", ".spec.json",
+                           ".telemetry.jsonl")}
+        assert {p.name for p in workdir.iterdir()} == expected
 
 
 class TestDseDistributed:

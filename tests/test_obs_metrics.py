@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     label_key,
-    tag_gauges,
     wire_key,
 )
 
@@ -199,17 +198,6 @@ class TestWireFormat:
             series = reg.histogram("h").get()
             assert series.counts == [1, 1, 1]
             assert series.count == 3
-
-    def test_tag_gauges_adds_labels_without_clobbering(self):
-        reg = MetricsRegistry()
-        reg.inc("c", 2)
-        reg.set("g", 1.0)
-        reg.set("g2", 3.0, shard="explicit")
-        tagged = tag_gauges(reg.snapshot(), shard="s0")
-        assert tagged["gauges"]["g"][0]["labels"] == {"shard": "s0"}
-        # A label already on the series wins over the tag.
-        assert tagged["gauges"]["g2"][0]["labels"] == {"shard": "explicit"}
-        assert tagged["counters"] == reg.snapshot()["counters"]
 
 
 class TestSnapshotDelta:

@@ -281,10 +281,18 @@ class TestMetricsFold:
     def test_snapshot_tags_gauges_with_shard(self):
         fold = MetricsFold()
         fold.apply(progress(seq=0, metrics={
-            "gauges": {"cache.entries": [{"labels": {}, "value": 7.0}]}}))
+            "counters": {"c": [{"labels": {}, "value": 2.0}]},
+            "gauges": {
+                "cache.entries": [{"labels": {}, "value": 7.0}],
+                "g2": [{"labels": {"shard": "explicit"}, "value": 3.0}],
+            }}))
         snap = fold.snapshot(shard="s1")
         assert snap["gauges"]["cache.entries"] == \
             [{"labels": {"shard": "s1"}, "value": 7.0}]
+        # A label already on the series wins over the tag.
+        assert snap["gauges"]["g2"] == \
+            [{"labels": {"shard": "explicit"}, "value": 3.0}]
+        assert snap["counters"]["c"] == [{"labels": {}, "value": 2.0}]
         untagged = fold.snapshot()
         assert untagged["gauges"]["cache.entries"][0]["labels"] == {}
 
