@@ -47,8 +47,8 @@ def _dnn_rows():
             ds = reports["ds-stc"]
             for target in ("rm-stc", "uni-stc"):
                 r = reports[target]
-                speed = ds.total_cycles / r.total_cycles
-                energy = ds.total_energy_pj / r.total_energy_pj
+                speed = ds.e2e_compute_cycles / r.e2e_compute_cycles
+                energy = ds.e2e_compute_energy_pj / r.e2e_compute_energy_pj
                 rows.append([f"{model}@{sparsity:.0%}", target, speed, energy, speed * energy])
     return rows
 

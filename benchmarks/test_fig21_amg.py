@@ -1,11 +1,12 @@
 """Fig. 21 — AMG application case study.
 
 Builds a real smoothed-aggregation AMG hierarchy for a 2-D Poisson
-problem, solves it, and replays the solver's recorded SpMV/SpGEMM
-kernel trace on every STC, reporting speedups over DS-STC.  Expected
-shape (paper): Uni-STC leads both kernels (4.84x SpMV / 2.46x SpGEMM);
-Trapezoid is the strongest baseline for SpMV (4.15x) but collapses on
-SpGEMM (1.06x); DS/GAMMA/RM gain little on SpGEMM.
+problem, solves it, lowers the solver's recorded SpMV/SpGEMM kernel
+trace to a chain graph and runs it on every STC, reporting speedups
+over DS-STC.  Expected shape (paper): Uni-STC leads both kernels
+(4.84x SpMV / 2.46x SpGEMM); Trapezoid is the strongest baseline for
+SpMV (4.15x) but collapses on SpGEMM (1.06x); DS/GAMMA/RM gain little
+on SpGEMM.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from benchmarks.harness import all_stcs
 from repro.analysis.tables import print_table
 from repro.apps.amg import AMGSolver
 from repro.formats.csr import CSRMatrix
+from repro.graph import GraphRunner
 from repro.workloads.synthetic import poisson2d
 
 GRID = 24  # 576 unknowns
@@ -25,11 +27,11 @@ def _compute():
     solver = AMGSolver(a)
     result = solver.solve(np.ones(a.shape[0]), max_iterations=10)
     assert result.residuals[-1] < result.residuals[0]
-    stcs = all_stcs()
+    graph = solver.trace.graph("amg")
     per_kernel = {}
-    for name, stc in stcs.items():
-        for kernel, report in solver.trace.replay(stc).items():
-            per_kernel.setdefault(kernel, {})[name] = report.cycles
+    for name, stc in all_stcs().items():
+        for kernel, cycles in GraphRunner(graph, stc).run().kernel_cycles().items():
+            per_kernel.setdefault(kernel, {})[name] = cycles
     return per_kernel
 
 

@@ -2,8 +2,9 @@
 
 Reproduces the paper's §VI-D experiment end-to-end: build a smoothed-
 aggregation AMG hierarchy over the package's own CSR kernels, solve to
-1e-8, then replay the solver's recorded SpMV/SpGEMM kernel trace on
-every tensor-core model and print the Fig. 21 speedups.
+1e-8, then lower the solver's recorded SpMV/SpGEMM kernel trace to a
+chain graph, run it on every tensor-core model and print the Fig. 21
+speedups.
 
 Run:  python examples/amg_solver.py
 """
@@ -15,6 +16,7 @@ from repro.apps.amg import AMGSolver
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
 from repro.formats.csr import CSRMatrix
+from repro.graph import GraphRunner
 from repro.workloads.synthetic import poisson2d
 
 
@@ -40,16 +42,17 @@ def main() -> None:
     print(f"\nkernel trace: {counts['spgemm']} SpGEMM (setup), "
           f"{counts['spmv']} SpMV (V-cycles)")
 
+    graph = solver.trace.graph("amg")
     stcs = [NvDTC(), Gamma(), Sigma(), Trapezoid(), DsSTC(), RmSTC(), UniSTC()]
     per_kernel = {}
     for stc in stcs:
-        for kernel, report in solver.trace.replay(stc).items():
-            per_kernel.setdefault(kernel, {})[stc.name] = report
+        for kernel, cycles in GraphRunner(graph, stc).run().kernel_cycles().items():
+            per_kernel.setdefault(kernel, {})[stc.name] = cycles
     rows = []
     for kernel in ("spmv", "spgemm"):
-        ds_cycles = per_kernel[kernel]["ds-stc"].cycles
-        for name, report in per_kernel[kernel].items():
-            rows.append([kernel, name, report.cycles, ds_cycles / report.cycles])
+        ds_cycles = per_kernel[kernel]["ds-stc"]
+        for name, cycles in per_kernel[kernel].items():
+            rows.append([kernel, name, cycles, ds_cycles / cycles])
     print_table(
         ["kernel", "stc", "cycles", "speedup vs DS-STC"], rows,
         title="Fig. 21 — AMG kernel speedups (paper: Uni-STC 4.84x SpMV, 2.46x SpGEMM)",

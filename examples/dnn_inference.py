@@ -27,10 +27,10 @@ def main() -> None:
             reports = compare_models(stcs, model, sparsity, scale=0.0625)
             ds = reports["ds-stc"]
             for name, report in reports.items():
-                speed = ds.total_cycles / report.total_cycles
-                energy = ds.total_energy_pj / report.total_energy_pj
+                speed = ds.e2e_compute_cycles / report.e2e_compute_cycles
+                energy = ds.e2e_compute_energy_pj / report.e2e_compute_energy_pj
                 rows.append([
-                    model, f"{sparsity:.0%}", name, report.total_cycles,
+                    model, f"{sparsity:.0%}", name, report.e2e_compute_cycles,
                     speed, speed * energy,
                 ])
     print_table(

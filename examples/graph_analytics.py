@@ -4,7 +4,8 @@ Demonstrates the multi-kernel workloads of Table II on one power-law
 graph: a direction-optimising BFS whose push steps are SpMSpV and pull
 steps SpMV, PageRank's SpMV power iteration, and a GCN propagation
 layer plus two-hop neighbourhood expansion (SpMM + SpGEMM).  Every
-kernel call is traced and replayed on the STC models.
+kernel call is traced; the trace is lowered to a chain graph and run
+on the STC models.
 
 Run:  python examples/graph_analytics.py
 """
@@ -18,6 +19,7 @@ from repro.apps.trace import KernelTrace
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, RmSTC
 from repro.formats.csr import CSRMatrix
+from repro.graph import GraphRunner
 from repro.kernels import reference
 from repro.workloads.synthetic import power_law
 
@@ -55,14 +57,15 @@ def main() -> None:
     hops2 = two_hop(adjacency, trace=trace)
     print(f"two-hop neighbourhood: {hops2.nnz} entries (SpGEMM)")
 
-    # --- Replay the combined trace on the STC models ----------------------
+    # --- Run the combined trace on the STC models --------------------------
     print(f"\ncombined kernel trace: {trace.kernel_counts()}")
+    graph = trace.graph("analytics")
     rows = []
     reports = {}
     for stc in (DsSTC(), RmSTC(), UniSTC()):
-        per_kernel = trace.replay(stc)
-        total = sum(r.cycles for r in per_kernel.values())
-        energy = sum(r.energy_pj for r in per_kernel.values())
+        report = GraphRunner(graph, stc).run()
+        total = report.e2e_compute_cycles
+        energy = report.e2e_compute_energy_pj
         reports[stc.name] = (total, energy)
         rows.append([stc.name, total, energy / 1e3])
     base_cycles, base_energy = reports["ds-stc"]

@@ -10,9 +10,10 @@ own CSR kernels:
 - weighted-Jacobi-smoothed V-cycles (SpMV-dominated).
 
 Every SpMV and SpGEMM the solver issues is recorded in a
-:class:`~repro.apps.trace.KernelTrace`, which Fig. 21 replays on each
-STC: the paper substitutes STCs into an existing FP64 AMG solver and
-reports per-kernel speedups, which is exactly what the trace yields.
+:class:`~repro.apps.trace.KernelTrace`; Fig. 21 lowers it to a chain
+graph and runs that on each STC: the paper substitutes STCs into an
+existing FP64 AMG solver and reports per-kernel speedups, which is
+exactly what the trace yields.
 """
 
 from __future__ import annotations
@@ -226,9 +227,10 @@ class AMGSolver:
         self.trace.record("spmv", level.p, label="prolong")
         return self._smooth(level, x, b, sweeps=self.post_sweeps)
 
-    def _vcycle(self, idx: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Backwards-compatible alias for one cycle from level ``idx``."""
-        return self._cycle(idx, b, x)
+    def cycle(self, b: np.ndarray, x: Optional[np.ndarray] = None) -> np.ndarray:
+        """One cycle from the finest level (CG's preconditioner): unlike
+        :meth:`solve`, it traces no residual checks."""
+        return self._cycle(0, b, np.zeros(b.shape) if x is None else x)
 
     def solve(
         self,
@@ -254,7 +256,7 @@ class AMGSolver:
             return result
         for it in range(max_iterations):
             with obs.span("amg_vcycle", iteration=it):
-                x = self._vcycle(0, b, x)
+                x = self.cycle(b, x)
                 res = float(np.linalg.norm(b - reference.spmv(a, x)))
             self.trace.record("spmv", a, label="check")
             result.residuals.append(res)

@@ -4,7 +4,8 @@ The AMG solvers the paper's motivation cites (AmgT, AmgR) are used in
 practice as *preconditioners* inside Krylov methods; this module
 closes that loop: a from-scratch CG over the package's CSR kernels,
 with an optional one-V-cycle AMG preconditioner, tracing every SpMV so
-the whole solve can be replayed on the STC models.
+the whole solve can be lowered to a graph and simulated on the STC
+models.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def conjugate_gradient(
     def apply_preconditioner(residual: np.ndarray) -> np.ndarray:
         if preconditioner is None:
             return residual
-        return preconditioner.solve(residual, tol=1e-300, max_iterations=1).solution
+        return preconditioner.cycle(residual)
 
     z = apply_preconditioner(r)
     p = z.copy()

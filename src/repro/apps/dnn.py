@@ -17,7 +17,6 @@ could never tell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -27,49 +26,14 @@ from repro.errors import ShapeError
 from repro.formats.bbc import BBCMatrix
 from repro.graph import DEFAULT_BUFFER_KIB, GraphRunner, ModelReport, dnn_graph
 from repro.kernels import bbc_kernels
-from repro.sim.results import SimReport
-from repro.workloads.dnn import ACTIVATION_SPARSITY, LayerSpec
+from repro.workloads.dnn import ACTIVATION_SPARSITY
 
 __all__ = [
     "ACTIVATION_SPARSITY",
-    "InferenceReport",
-    "LayerReport",
     "compare_models",
     "forward_layer",
     "simulate_inference",
 ]
-
-
-@dataclass
-class LayerReport:
-    """Per-layer simulation outcome."""
-
-    layer: LayerSpec
-    report: SimReport
-
-
-@dataclass
-class InferenceReport:
-    """Whole-model outcome on one STC."""
-
-    model: str
-    stc: str
-    sparsity: float
-    layers: List[LayerReport] = field(default_factory=list)
-    #: End-to-end view (buffer plan, DRAM traffic, batching) when the
-    #: inference ran through the graph path; ``None`` otherwise.
-    model_report: Optional[ModelReport] = None
-
-    @property
-    def total_cycles(self) -> int:
-        # Accumulate in the integer domain: per-layer cycles are exact
-        # int64 action-vector sums, and a Python-int accumulator keeps
-        # corpus-scale totals exact past any fixed width.
-        return sum(int(l.report.cycles) for l in self.layers)
-
-    @property
-    def total_energy_pj(self) -> float:
-        return sum(l.report.energy_pj for l in self.layers)
 
 
 def simulate_inference(
@@ -80,26 +44,19 @@ def simulate_inference(
     seed: int = 11,
     batch: int = 1,
     buffer_kib: int = DEFAULT_BUFFER_KIB,
-) -> InferenceReport:
+) -> ModelReport:
     """Simulate a model's forward pass on one STC via the graph runner.
 
     Linear layers run SpMM with the layer's activation width; conv
     layers run SpGEMM against a ReLU-sparse activation matrix.  With
-    ``batch > 1`` the graph replays for every request through the same
-    warm block cache (fresh conv activations per request); the
-    per-layer reports exposed on the result are request 0's, identical
-    to those of the historic per-layer loop.
+    ``batch > 1`` the graph runs once per request through the same
+    warm block cache (fresh conv activations per request); request 0's
+    per-layer reports (``per_layer(0)``) are identical to those of the
+    historic per-layer loop.
     """
     graph = dnn_graph(model, sparsity, scale=scale, seed=seed)
-    runner = GraphRunner(graph, stc, batch=batch,
-                         buffer_bytes=buffer_kib * 1024)
-    model_report = runner.run()
-    out = InferenceReport(model=model, stc=stc.name, sparsity=sparsity,
-                          model_report=model_report)
-    for node_result in model_report.per_layer(request=0):
-        layer = graph.node(node_result.node).meta["layer"]
-        out.layers.append(LayerReport(layer=layer, report=node_result.report))
-    return out
+    return GraphRunner(graph, stc, batch=batch,
+                       buffer_bytes=buffer_kib * 1024).run()
 
 
 def forward_layer(weight: BBCMatrix, activations: np.ndarray, relu: bool = True) -> np.ndarray:
@@ -120,7 +77,7 @@ def compare_models(
     sparsity: float = 0.70,
     scale: Optional[float] = None,
     seed: int = 11,
-) -> Dict[str, InferenceReport]:
+) -> Dict[str, ModelReport]:
     """Run the same model on several STCs (all at FP32 by convention).
 
     ``seed`` reaches every STC's weight and activation draws — it used

@@ -4,8 +4,8 @@ Power iteration on the column-stochastic transition matrix with
 damping: ``r' = d * P @ r + (1 - d)/n``.  Every iteration is one SpMV
 over the same matrix, which makes PageRank the textbook case for the
 §VI-B amortisation argument (encode BBC once, reuse across dozens of
-iterations); the recorded trace replays on the STC models like every
-other application in :mod:`repro.apps`.
+iterations); the recorded trace lowers to a chain graph and runs on
+the STC models like every other application in :mod:`repro.apps`.
 """
 
 from __future__ import annotations

@@ -1,31 +1,32 @@
 """Kernel-operation traces: what an application asks of the tensor core.
 
-Applications (AMG, BFS, DNN inference) record every sparse-kernel
-invocation as ``(kernel, operands, count)``.  Replaying a trace on an
-STC model yields the application-level cycle/energy totals of Figs. 17
-(DNN) and 21 (AMG) without re-running the numerics per architecture.
+Applications (AMG, CG, BFS, PageRank, GNN) record every sparse-kernel
+invocation.  :meth:`KernelTrace.graph` lowers a trace to a chain
+:class:`~repro.graph.ir.ModelGraph` that
+:class:`~repro.graph.runner.GraphRunner` runs on each STC, which yields
+the application-level totals of Fig. 21 (AMG) and Table II without
+re-running the numerics per architecture.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.arch.base import STCModel
 from repro.formats.bbc import BBCMatrix
 from repro.formats.csr import CSRMatrix
+from repro.graph.ir import GraphNode, ModelGraph, TensorSpec
 from repro.kernels.vector import SparseVector
-from repro.sim.engine import simulate_kernel
-from repro.sim.results import SimReport
+from repro.sim.memory import spgemm_output_nnz
 
 
 @dataclass
 class TraceOp:
-    """One recorded kernel invocation (repeated ``count`` times)."""
+    """One recorded kernel invocation."""
 
     kernel: str
     a: CSRMatrix
-    count: int = 1
     x: Optional[SparseVector] = None
     b: Optional[CSRMatrix] = None
     b_cols: int = 64
@@ -34,69 +35,57 @@ class TraceOp:
 
 @dataclass
 class KernelTrace:
-    """An append-only log of kernel invocations."""
+    """An append-only log of kernel invocations, one op per call."""
 
     ops: List[TraceOp] = field(default_factory=list)
 
-    def record(self, kernel: str, a: CSRMatrix, count: int = 1, **operands) -> None:
-        """Append an invocation; identical consecutive ops may be merged."""
-        label = operands.pop("label", "")
-        op = TraceOp(kernel=kernel, a=a, count=count, label=label, **operands)
-        if self.ops and self._same_op(self.ops[-1], op):
-            self.ops[-1].count += count
-        else:
-            self.ops.append(op)
-
-    @staticmethod
-    def _same_op(lhs: TraceOp, rhs: TraceOp) -> bool:
-        return (
-            lhs.kernel == rhs.kernel
-            and lhs.a is rhs.a
-            and lhs.b is rhs.b
-            and lhs.x is rhs.x
-            and lhs.b_cols == rhs.b_cols
-        )
+    def record(self, kernel: str, a: CSRMatrix, **operands) -> None:
+        self.ops.append(TraceOp(kernel, a, **operands))
 
     def kernel_counts(self) -> Dict[str, int]:
-        """Invocations per kernel (including repetition counts)."""
-        out: Dict[str, int] = {}
-        for op in self.ops:
-            out[op.kernel] = out.get(op.kernel, 0) + op.count
-        return out
+        """Invocations per kernel."""
+        return dict(Counter(op.kernel for op in self.ops))
 
-    def replay(self, stc: STCModel) -> Dict[str, SimReport]:
-        """Simulate the whole trace on one STC, aggregated per kernel.
+    def graph(self, name: str) -> ModelGraph:
+        """Lower the trace to a chain graph, one node per call.
 
-        Matrices are converted to BBC once and reused; repeated
-        invocations scale the single simulation by their count.
+        Node ``f"{name}.{i}"`` consumes node ``i - 1``'s output and one
+        weight tensor per operand matrix; each distinct matrix (by
+        identity) is BBC-encoded once.  Outputs are declared at their
+        logical shape, SpGEMM's at its exact structural nnz.
         """
-        bbc_cache: Dict[int, BBCMatrix] = {}
+        graph = ModelGraph(name)
+        weights: Dict[int, Tuple[BBCMatrix, str]] = {}
 
-        def to_bbc(m: CSRMatrix) -> BBCMatrix:
-            key = id(m)
-            if key not in bbc_cache:
-                bbc_cache[key] = BBCMatrix.from_csr(m)
-            return bbc_cache[key]
+        def weight(m: CSRMatrix) -> Tuple[BBCMatrix, str]:
+            if id(m) not in weights:
+                tensor = TensorSpec(f"{name}.w{len(weights)}", *m.shape,
+                                    nnz=m.nnz, kind="weight")
+                weights[id(m)] = (BBCMatrix.from_csr(m),
+                                  graph.add_tensor(tensor).name)
+            return weights[id(m)]
 
-        totals: Dict[str, SimReport] = {}
-        for op in self.ops:
-            kwargs = {}
+        previous: Tuple[str, ...] = ()
+        for i, op in enumerate(self.ops):
+            a, a_name = weight(op.a)
+            operands: Dict[str, object] = {"matrix": op.label}
+            inputs = (a_name,)
+            cols, nnz = 1, None          # a dense vector (SpMV, SpMSpV)
             if op.kernel == "spmspv":
-                kwargs["x"] = op.x
-            elif op.kernel == "spgemm" and op.b is not None:
-                kwargs["b"] = to_bbc(op.b)
+                operands["x"] = op.x
             elif op.kernel == "spmm":
-                kwargs["b_cols"] = op.b_cols
-            report = simulate_kernel(op.kernel, to_bbc(op.a), stc, **kwargs)
-            agg = totals.setdefault(op.kernel, SimReport(stc=stc.name, kernel=op.kernel))
-            agg.cycles += report.cycles * op.count
-            agg.products += report.products * op.count
-            agg.t1_tasks += report.t1_tasks * op.count
-            agg.util_hist.merge(report.util_hist, op.count)
-            agg.counters.merge(report.counters, op.count)
-            agg.energy_pj += report.energy_pj * op.count
-        return totals
-
-    def replay_total_cycles(self, stc: STCModel) -> int:
-        """Total cycles of the trace on one STC (all kernels summed)."""
-        return sum(r.cycles for r in self.replay(stc).values())
+                operands["b_cols"] = cols = op.b_cols
+            elif op.kernel == "spgemm":
+                b, b_name = weight(op.a if op.b is None else op.b)
+                operands["b"] = b
+                if b_name != a_name:
+                    inputs += (b_name,)
+                cols, nnz = b.shape[1], spgemm_output_nnz(a, b)
+            output = graph.add_tensor(TensorSpec(
+                f"{name}.{i}.out", a.shape[0], cols, nnz=nnz)).name
+            graph.add_node(GraphNode(
+                f"{name}.{i}", op.kernel, a, inputs=previous + inputs,
+                output=output, operands=operands,
+            ))
+            previous = (output,)
+        return graph

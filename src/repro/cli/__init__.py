@@ -5,7 +5,7 @@ Commands:
 - ``info`` — package, configuration and model inventory.
 - ``kernels`` — run one or more kernels on a matrix across STCs.
 - ``formats`` — Fig. 15-style format analysis of a matrix.
-- ``amg`` — build/solve an AMG hierarchy and replay its trace.
+- ``amg`` — build/solve an AMG hierarchy and simulate its kernel trace.
 - ``area`` — Table IX area breakdown for a DPG count.
 - ``trace`` — cycle-by-cycle dataflow walkthrough of one block.
 - ``corpus`` — Table VIII-style corpus sweep (fault-tolerant runner).

@@ -64,7 +64,6 @@ def dnn_graph(
                 name=layer.name, kernel="spmm", a=bbc,
                 inputs=(previous, w_name), output=out_name,
                 operands={"b_cols": layer.n, "matrix": layer.name},
-                meta={"layer": layer},
             )
         else:
             layer_seed = seed + 100 + i
@@ -78,7 +77,6 @@ def dnn_graph(
                 inputs=(previous, w_name), output=out_name,
                 operands={"matrix": layer.name},
                 request_operands=_acts,
-                meta={"layer": layer},
             )
         graph.add_node(node)
         previous = out_name

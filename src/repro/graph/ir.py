@@ -69,8 +69,7 @@ class GraphNode:
     (``b_cols``, ``b``, ``x``, ``matrix``); ``request_operands``, when
     set, is called with the request index and its result overrides
     ``operands`` for that request — request 0 must reproduce the legacy
-    single-request operands exactly (the parity contract).  ``meta``
-    carries app-level context (e.g. the :class:`LayerSpec`) untouched.
+    single-request operands exactly (the parity contract).
     """
 
     name: str
@@ -80,7 +79,6 @@ class GraphNode:
     output: Optional[str] = None
     operands: Dict[str, object] = field(default_factory=dict)
     request_operands: Optional[Callable[[int], Dict[str, object]]] = None
-    meta: Dict[str, object] = field(default_factory=dict)
 
     def operand_kwargs(self, request: int = 0) -> Dict[str, object]:
         """The ``simulate_kernel`` keyword arguments for one request."""

@@ -96,6 +96,18 @@ class ModelReport:
         return sum(n.compute_cycles for n in self.nodes)
 
     @property
+    def e2e_compute_energy_pj(self) -> float:
+        """Compute energy summed over the nodes, without DRAM."""
+        return sum(float(n.report.energy_pj) for n in self.nodes)
+
+    def kernel_cycles(self) -> Dict[str, int]:
+        """Compute cycles summed per kernel."""
+        out: Dict[str, int] = {}
+        for n in self.nodes:
+            out[n.kernel] = out.get(n.kernel, 0) + n.compute_cycles
+        return out
+
+    @property
     def e2e_latency(self) -> int:
         """Sequential end-to-end latency: per-node compute/memory max."""
         return sum(n.latency_cycles for n in self.nodes)

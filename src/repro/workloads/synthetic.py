@@ -170,6 +170,8 @@ def poisson2d(grid: int, epsilon: float = 1.0) -> COOMatrix:
     the *anisotropic* problem classical AMG coarsening is usually
     stress-tested on.
     """
+    if grid < 1:
+        raise ShapeError(f"Poisson grid must be >= 1, got {grid}")
     n = grid * grid
     rows, cols, vals = [], [], []
     diag = 2.0 + 2.0 * epsilon
@@ -186,6 +188,8 @@ def poisson2d(grid: int, epsilon: float = 1.0) -> COOMatrix:
 
 def poisson3d(grid: int) -> COOMatrix:
     """The 7-point Laplacian on a ``grid^3`` mesh (the 3-D AMG problem)."""
+    if grid < 1:
+        raise ShapeError(f"Poisson grid must be >= 1, got {grid}")
     n = grid ** 3
     rows, cols, vals = [], [], []
     for i in range(grid):

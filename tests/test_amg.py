@@ -127,9 +127,11 @@ class TestTrace:
         """Fig. 21 premise: Uni-STC accelerates the AMG trace most."""
         from repro.arch.unistc import UniSTC
         from repro.baselines import DsSTC
+        from repro.graph import GraphRunner
 
         fresh = AMGSolver(poisson)
         fresh.solve(np.ones(poisson.shape[0]), max_iterations=2)
-        ds = fresh.trace.replay_total_cycles(DsSTC())
-        uni = fresh.trace.replay_total_cycles(UniSTC())
+        graph = fresh.trace.graph("amg")
+        ds = GraphRunner(graph, DsSTC()).run().e2e_compute_cycles
+        uni = GraphRunner(graph, UniSTC()).run().e2e_compute_cycles
         assert uni < ds

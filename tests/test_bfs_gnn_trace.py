@@ -10,6 +10,7 @@ from repro.arch.unistc import UniSTC
 from repro.errors import ShapeError
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
+from repro.graph import GraphRunner
 from repro.kernels import reference
 from repro.kernels.vector import SparseVector
 from repro.workloads.synthetic import power_law
@@ -112,41 +113,32 @@ class TestGNN:
 
 
 class TestKernelTrace:
-    def test_consecutive_identical_merged(self):
-        trace = KernelTrace()
-        m = CSRMatrix.identity(16)
-        trace.record("spmv", m)
-        trace.record("spmv", m)
-        assert len(trace.ops) == 1
-        assert trace.ops[0].count == 2
-
-    def test_distinct_not_merged(self):
-        trace = KernelTrace()
-        trace.record("spmv", CSRMatrix.identity(16))
-        trace.record("spmv", CSRMatrix.identity(16))  # different object
-        assert len(trace.ops) == 2
-
     def test_replay_scales_with_count(self):
         m = CSRMatrix.from_coo(COOMatrix((32, 32), [0, 17], [1, 16], [1.0, 2.0]))
         once, thrice = KernelTrace(), KernelTrace()
-        once.record("spmv", m, count=1)
-        thrice.record("spmv", m, count=3)
+        once.record("spmv", m)
+        for _ in range(3):
+            thrice.record("spmv", m)
+        assert len(thrice.ops) == 3
         uni = UniSTC()
-        assert thrice.replay_total_cycles(uni) == 3 * once.replay_total_cycles(uni)
+        assert (GraphRunner(thrice.graph("t"), uni).run().e2e_compute_cycles
+                == 3 * GraphRunner(once.graph("t"), uni).run().e2e_compute_cycles)
 
     def test_replay_spmspv(self):
         m = CSRMatrix.identity(32)
         trace = KernelTrace()
         trace.record("spmspv", m, x=SparseVector(32, [0], [1.0]))
-        reports = trace.replay(UniSTC())
-        assert "spmspv" in reports
-        assert reports["spmspv"].cycles >= 1
+        cycles = GraphRunner(trace.graph("t"), UniSTC()).run().kernel_cycles()
+        assert "spmspv" in cycles
+        assert cycles["spmspv"] >= 1
 
     def test_replay_aggregates_per_kernel(self):
         m = CSRMatrix.identity(32)
         trace = KernelTrace()
         trace.record("spmv", m)
         trace.record("spgemm", m, b=m)
-        reports = trace.replay(UniSTC())
-        assert set(reports) == {"spmv", "spgemm"}
-        assert all(r.energy_pj > 0 for r in reports.values())
+        report = GraphRunner(trace.graph("t"), UniSTC()).run()
+        assert set(report.kernel_cycles()) == {"spmv", "spgemm"}
+        assert all(n.report.energy_pj > 0 for n in report.nodes)
+        assert report.e2e_compute_energy_pj == sum(
+            n.report.energy_pj for n in report.nodes)

@@ -69,6 +69,21 @@ class TestCommands:
         assert "V-cycles" in out
         assert "spgemm cycles" in out
 
+    def test_amg_one_level_hierarchy_reports_zero_spgemm(self, capsys):
+        # A grid this small is already at the coarse size: the solve
+        # traces SpMVs only.
+        assert main(["amg", "--grid", "4", "--stc", "uni-stc"]) == 0
+        out = capsys.readouterr().out
+        assert "levels [16]" in out
+        row = next(l for l in out.splitlines() if l.lstrip().startswith("uni-stc"))
+        assert row.split()[-1] == "0"
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_amg_rejects_an_empty_grid(self, capsys, grid):
+        assert main(["amg", "--grid", grid, "--stc", "uni-stc"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
     def test_area(self, capsys):
         assert main(["area"]) == 0
         out = capsys.readouterr().out

@@ -21,18 +21,18 @@ class TestSimulateInference:
 
     def test_transformer_layers_covered(self, uni32):
         report = simulate_inference(uni32, "transformer", 0.70, scale=0.125)
-        assert len(report.layers) == len(transformer_layers(0.125))
-        assert report.total_cycles > 0
-        assert report.total_energy_pj > 0
+        assert len(report.per_layer(0)) == len(transformer_layers(0.125))
+        assert report.e2e_compute_cycles > 0
+        assert report.e2e_compute_energy_pj > 0
 
     def test_higher_sparsity_fewer_cycles(self, uni32):
         dense_ish = simulate_inference(uni32, "transformer", 0.70, scale=0.125)
         sparse = simulate_inference(uni32, "transformer", 0.98, scale=0.125)
-        assert sparse.total_cycles < dense_ish.total_cycles
+        assert sparse.e2e_compute_cycles < dense_ish.e2e_compute_cycles
 
     def test_resnet_uses_spgemm_for_conv(self, uni32):
         report = simulate_inference(uni32, "resnet50", 0.70, scale=0.05)
-        kernels = {l.report.kernel for l in report.layers}
+        kernels = {n.report.kernel for n in report.per_layer(0)}
         assert "spgemm" in kernels      # conv layers
         assert "spmm" in kernels        # the fc layer
 
@@ -48,34 +48,36 @@ class TestSimulateInference:
         default = compare_models([UniSTC(cfg)], "transformer", 0.70, scale=0.125)
         pinned = compare_models([UniSTC(cfg)], "transformer", 0.70, scale=0.125, seed=11)
         varied = compare_models([UniSTC(cfg)], "transformer", 0.70, scale=0.125, seed=99)
-        assert default["uni-stc"].total_cycles == pinned["uni-stc"].total_cycles
-        assert varied["uni-stc"].total_cycles != pinned["uni-stc"].total_cycles
+        assert default["uni-stc"].e2e_compute_cycles == pinned["uni-stc"].e2e_compute_cycles
+        assert varied["uni-stc"].e2e_compute_cycles != pinned["uni-stc"].e2e_compute_cycles
 
     def test_total_cycles_aggregates_in_integer_domain(self):
         # A corpus-scale total must not round through float64: two
         # layers at 2^62 cycles each sum exactly, and the result is a
         # Python int even when per-layer cycles arrive as np.int64.
-        from repro.apps.dnn import InferenceReport, LayerReport
+        from repro.graph import BufferPlan, ModelReport, NodeResult
         from repro.sim.results import SimReport
-        from repro.workloads.dnn import LayerSpec
 
-        layer = LayerSpec("huge", 16, 16, 16, "linear")
         big = np.int64(2 ** 62)
-        report = InferenceReport(model="m", stc="uni-stc", sparsity=0.5)
+        report = ModelReport(model="m", stc="uni-stc", batch=1,
+                             buffer_bytes=0, plan=BufferPlan(budget_bytes=0))
         for i in range(2):
-            report.layers.append(LayerReport(
-                layer=layer, report=SimReport("uni-stc", "spmm", cycles=big)))
-        assert report.total_cycles == 2 ** 63
-        assert isinstance(report.total_cycles, int)
-        assert not isinstance(report.total_cycles, np.integer)
+            report.nodes.append(NodeResult(
+                node=f"huge{i}", kernel="spmm", request=0,
+                report=SimReport("uni-stc", "spmm", cycles=big)))
+        for total in (report.e2e_compute_cycles,
+                      report.kernel_cycles()["spmm"]):
+            assert total == 2 ** 63
+            assert isinstance(total, int)
+            assert not isinstance(total, np.integer)
 
     def test_uni_beats_baselines_on_sparse_weights(self):
         cfg = UniSTCConfig(precision=FP32)
         reports = compare_models(
             [UniSTC(cfg), DsSTC(FP32), RmSTC(FP32)], "transformer", 0.98, scale=0.125
         )
-        assert reports["uni-stc"].total_cycles <= reports["rm-stc"].total_cycles
-        assert reports["uni-stc"].total_cycles < reports["ds-stc"].total_cycles
+        assert reports["uni-stc"].e2e_compute_cycles <= reports["rm-stc"].e2e_compute_cycles
+        assert reports["uni-stc"].e2e_compute_cycles < reports["ds-stc"].e2e_compute_cycles
 
 
 class TestForwardLayer:

@@ -11,6 +11,7 @@ from repro.arch.warp import WarpLog, warp_spgemm, warp_spmv
 from repro.baselines import DsSTC, RmSTC
 from repro.formats.bbc import BBCMatrix
 from repro.formats.csr import CSRMatrix
+from repro.graph import GraphRunner
 from repro.kernels import bbc_kernels, reference
 from repro.sim.engine import simulate_kernel
 from repro.workloads.representative import build_matrix
@@ -41,11 +42,9 @@ class TestPreconditionedSolveReplay:
         (<=5 nnz per row: every block sits at the one-cycle floor where
         the row-merge design is equally at home)."""
         _, amg, cg_trace, _, _ = solve
-        combined = KernelTrace()
-        combined.ops = amg.trace.ops + cg_trace.ops
-        ds = sum(r.cycles for r in combined.replay(DsSTC()).values())
-        rm = sum(r.cycles for r in combined.replay(RmSTC()).values())
-        uni = sum(r.cycles for r in combined.replay(UniSTC()).values())
+        graph = KernelTrace(amg.trace.ops + cg_trace.ops).graph("pcg")
+        ds, rm, uni = (GraphRunner(graph, stc).run().e2e_compute_cycles
+                       for stc in (DsSTC(), RmSTC(), UniSTC()))
         assert uni < ds / 3
         assert uni < rm * 1.1
 
@@ -53,6 +52,15 @@ class TestPreconditionedSolveReplay:
         _, amg, cg_trace, _, _ = solve
         assert "spgemm" in amg.trace.kernel_counts()
         assert cg_trace.kernel_counts()["spmv"] >= 2
+
+    def test_preconditioner_traces_no_residual_checks(self, solve):
+        """Each PCG iteration applies one bare V-cycle: the AMG trace
+        after setup holds only the cycle's own SpMVs, none of
+        ``solve``'s residual bookkeeping."""
+        _, amg, _, _, _ = solve
+        labels = {op.label for op in amg.trace.ops}
+        assert "jacobi" in labels     # the preconditioner's cycles ran
+        assert not labels & {"residual0", "check"}
 
 
 class TestNumericsAgreeAcrossLayers:

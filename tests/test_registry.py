@@ -160,6 +160,10 @@ class TestWorkloadRegistry:
         assert parse_matrix_spec("poisson:6").shape == (36, 36)
         assert parse_matrix_spec("rep:consph").shape == (256, 256)
 
+    def test_poisson_rejects_an_empty_grid(self):
+        with pytest.raises(ReproError, match="grid must be >= 1"):
+            parse_matrix_spec("poisson:0")
+
     def test_model_kind_builds_block_diagonal_weights(self):
         from repro.workloads.dnn import resnet50_layers
 

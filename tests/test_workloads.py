@@ -72,6 +72,12 @@ class TestSynthetic:
         # Diagonally dominant and singular-free interior stencil.
         assert np.all(np.linalg.eigvalsh(dense) > 0)
 
+    @pytest.mark.parametrize("build", [synthetic.poisson2d, synthetic.poisson3d])
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_poisson_rejects_an_empty_grid(self, build, grid):
+        with pytest.raises(ShapeError, match="grid must be >= 1"):
+            build(grid)
+
 
 class TestSuiteSparseCorpus:
     def test_specs_deterministic(self):
