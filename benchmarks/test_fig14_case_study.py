@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.harness import headline_stcs
 from repro.analysis.tables import print_table
+from repro.formats.bbc import pack_patterns
 from repro.kernels.batched import TaskBatch
 from repro.sim.engine import simulate_batches
 
@@ -30,7 +31,8 @@ def _case_study_batch(count=60):
     rng = np.random.default_rng(1)
     a, b = (np.stack(side) for side in zip(*(_embedded_task(rng) for _ in range(count))))
     index = np.arange(count, dtype=np.int64)
-    return TaskBatch(a_patterns=a, b_patterns=b, a_index=index, b_index=index,
+    return TaskBatch(a_patterns=pack_patterns(a), b_patterns=pack_patterns(b),
+                     a_index=index, b_index=index,
                      weights=np.ones(count, dtype=np.int64), n=16)
 
 

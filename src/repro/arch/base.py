@@ -5,20 +5,20 @@ result: cycles, intermediate products, a per-cycle MAC-utilisation
 histogram, and the action counters the energy model prices.  Between a
 model and a :class:`~repro.sim.results.SimReport` that result is one
 int64 row in the :data:`VECTOR_WIDTH` layout, ``[cycles, products,
-util bins 0..3, one count per ACTIONS entry]``: batched evaluation
+util bins 0..3, one count per ACTIONS entry]``: batched evaluation of a
+:class:`~repro.kernels.batched.TaskBatch` of packed pattern pairs
 returns ``[N, VECTOR_WIDTH]`` arrays of them, and the block cache, the
 result store and aggregation hold nothing else.  The stepped
 ``simulate_block`` returns a readable :class:`BlockResult`, the parity
 reference; :meth:`BlockResult.row` is its one conversion.  The engine
-(:mod:`repro.sim.engine`) memoises rows on the task's bitmap pair, so
-models must be pure functions of the task.
+(:mod:`repro.sim.engine`) memoises rows on the task's packed pattern
+pair, so models must be pure functions of the task.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -83,17 +83,18 @@ class STCModel(ABC):
     def simulate_block(self, task: T1Task) -> BlockResult:
         """Simulate one 16x16x16 block task and return its outcome."""
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Evaluate a batch of block tasks as one ``[N, VECTOR_WIDTH]`` int64 array.
 
-        Row ``i`` is ``tasks[i]``'s result.  Every registered model
-        overrides this with an array evaluator over operand stacks
-        (built with :mod:`repro.arch.batch`); the default, which stacks
-        :meth:`simulate_block` rows, serves only out-of-tree models.
-        Overrides must equal the stacked stepped rows exactly — the
-        engine's memo treats the two interchangeably.
+        Row ``i`` is the result of pattern pair ``i`` of ``batch``, a
+        :class:`~repro.kernels.batched.TaskBatch`, whatever its weight.  Every registered model overrides
+        this with an array evaluator (built with
+        :mod:`repro.arch.batch`); the default, which steps
+        :meth:`simulate_block` over ``batch.iter_tasks()``, serves only
+        out-of-tree models.  Overrides must equal the stacked stepped
+        rows exactly — the engine's memo treats the two interchangeably.
         """
-        rows = [self.simulate_block(task).row() for task in tasks]
+        rows = [self.simulate_block(task).row() for task in batch.iter_tasks()]
         return np.array(rows, dtype=np.int64).reshape(len(rows), VECTOR_WIDTH)
 
     @property

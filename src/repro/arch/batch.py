@@ -3,11 +3,13 @@
 Every registered model evaluates a batch of T1 tasks the same way
 around its own dataflow accounting:
 
-1. :func:`evaluate_stacked` groups the tasks by B width, stacks each
-   group's bitmaps into ``[N, 16, 16]`` A / ``[N, 16, n]`` B arrays in
-   chunks of at most :data:`CHUNK_BLOCKS` blocks, hands every chunk to
-   the model's array evaluator and writes the chunk's rows into one
-   ``[N, VECTOR_WIDTH]`` int64 array in task order;
+1. :func:`evaluate_packed` gathers a
+   :class:`~repro.kernels.batched.TaskBatch`'s packed patterns in chunks
+   of at most :data:`CHUNK_BLOCKS` blocks (the Uni-STC fastpath reads
+   them as they are) and writes each chunk's rows into one ``[N,
+   VECTOR_WIDTH]`` int64 array in task order; :func:`evaluate_stacked`
+   unpacks each chunk once into the ``[N, 16, 16]`` A / ``[N, 16, n]``
+   bool stacks the baselines read, the only bool operand stacks;
 2. the evaluator computes per-block cycles, products, utilisation
    histograms (binning per-cycle products with :func:`util_bins` /
    :func:`histogram_rows`) and action counts;
@@ -18,12 +20,12 @@ around its own dataflow accounting:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Union
+from typing import Callable, Dict, Union
 
 import numpy as np
 
 from repro.arch.base import ACTION_COL, VECTOR_WIDTH
-from repro.arch.tasks import T1Task
+from repro.formats.bbc import unpack_patterns
 
 #: Most blocks one array pass evaluates.  Every evaluator's
 #: intermediates run to a few KiB per block, so a pass stays at a few
@@ -32,35 +34,31 @@ from repro.arch.tasks import T1Task
 #: this bounds memory rather than adding passes.
 CHUNK_BLOCKS = 2048
 
-#: ``evaluate(a_stack, b_stack, tasks)`` -> one int64 row per task.
-Evaluator = Callable[[np.ndarray, np.ndarray, List[T1Task]], np.ndarray]
+#: ``evaluate(a, b)`` -> one int64 row per block of the chunk.
+Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def evaluate_stacked(tasks: Sequence[T1Task], evaluate: Evaluator) -> np.ndarray:
-    """Run ``evaluate`` over uniform-width operand stacks of ``tasks``.
+def evaluate_packed(batch, evaluate: Evaluator) -> np.ndarray:
+    """Run ``evaluate`` over the packed patterns of ``batch``, chunk by chunk.
 
-    Row ``i`` of the ``[N, VECTOR_WIDTH]`` result is the evaluator's
-    row for ``tasks[i]``; tasks of mixed B widths are grouped per width
-    and each group is evaluated in chunks of at most
-    :data:`CHUNK_BLOCKS` blocks.
+    ``evaluate`` gets ``[c, 16]`` A and ``[c, n]`` B uint16 patterns;
+    row ``i`` of the result is its row for entry ``i`` (weights unread).
     """
-    tasks = list(tasks)
-    groups: dict = {}
-    for index, task in enumerate(tasks):
-        groups.setdefault(task.n, []).append(index)
-    rows = np.empty((len(tasks), VECTOR_WIDTH), dtype=np.int64)
-    for n, indices in groups.items():
-        for lo in range(0, len(indices), CHUNK_BLOCKS):
-            chunk = indices[lo : lo + CHUNK_BLOCKS]
-            part = [tasks[i] for i in chunk]
-            a_stack = np.frombuffer(
-                b"".join(t.a_bits for t in part), dtype=bool
-            ).reshape(len(part), 16, 16)
-            b_stack = np.frombuffer(
-                b"".join(t.b_bits for t in part), dtype=bool
-            ).reshape(len(part), 16, n)
-            rows[chunk] = evaluate(a_stack, b_stack, part)
+    rows = np.empty((len(batch), VECTOR_WIDTH), dtype=np.int64)
+    for lo in range(0, len(batch), CHUNK_BLOCKS):
+        part = slice(lo, lo + CHUNK_BLOCKS)
+        rows[part] = evaluate(batch.a_patterns[batch.a_index[part]],
+                              batch.b_patterns[batch.b_index[part]])
     return rows
+
+
+def evaluate_stacked(batch, evaluate: Evaluator) -> np.ndarray:
+    """:func:`evaluate_packed` with each chunk unpacked to bool stacks.
+
+    ``evaluate`` gets ``[c, 16, 16]`` A and ``[c, 16, n]`` B occupancy.
+    """
+    return evaluate_packed(
+        batch, lambda a, b: evaluate(unpack_patterns(a), unpack_patterns(b)))
 
 
 def util_bins(eff: np.ndarray, macs: int) -> np.ndarray:

@@ -1,13 +1,14 @@
 """Batched + analytic evaluation of Uni-STC block tasks.
 
-:func:`simulate_blocks` evaluates a whole batch of distinct T1 bitmap
+:func:`simulate_blocks` evaluates a whole batch of distinct T1 pattern
 pairs in one pass of numpy array ops — the cold-path complement to the
 engine's warm-path memoisation.  Per batch it
 
-1. takes the operand bitmaps stacked by
-   :func:`~repro.arch.batch.evaluate_stacked` (``[N, 16, 16]`` /
-   ``[N, 16, n]``) and decodes the level-1/level-2 views of *every*
-   block at once (:func:`decode_a_operands` / :func:`decode_b_operands`);
+1. reads the packed patterns of every block
+   (:func:`~repro.arch.batch.evaluate_packed` chunks them): they *are*
+   the level-2 tile bitmaps, so :func:`decode_a_operands` /
+   :func:`decode_b_operands` only reshape them and take per-tile
+   column / row counts from nibble popcounts;
 2. computes every block's T3 product counts with one batched einsum
    (:func:`~repro.arch.tms.tile_products_batch`);
 3. resolves **regular pattern classes analytically** — empty blocks,
@@ -40,72 +41,52 @@ DPG decomposition never steps either.  Each T3 task's
 A fetches) and the B fetches are entries of one 65,536-entry packed
 table (:func:`_dpg_tables`), summed per block in the integer domain
 (:func:`_dpg_totals`).  Both broadcast counts equal the block's
-products, and C writes its T4 count.
+products, and C writes its T4 count.  Only the C-output count unpacks
+the chunk's patterns, once, for one boolean matmul.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.arch.base import VECTOR_WIDTH
-from repro.arch.batch import evaluate_stacked, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, result_rows, util_bins
 from repro.arch.tasks import T1Task
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
+from repro.formats.bbc import tile_col_counts, tile_row_counts, unpack_patterns
 from repro.formats.bitarray import popcount_array
 
-
-_EJ_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.int64)
-_EI_SHIFT = (4 * np.arange(4, dtype=np.int64))[None, None, :, None]
+_NIBBLES = 4 * np.arange(4, dtype=np.int64)
 
 
-def _tile_bitmaps_16x16(bitmaps: np.ndarray) -> np.ndarray:
-    """Pack a ``[N, 16, 16]`` 0/1 stack into ``[N, 4, 4]`` tile bitmaps.
-
-    Tile weight layout is ``1 << (4 * ei + ej)``.  Works on the
-    operands' native contiguous layout: one matmul packs each tile row
-    (the ``ej`` bits), then a shift-sum folds the four rows — cheaper
-    than a tensordot over the strided ``[N, 4, 4, 4, 4]`` tile view.
-    """
-    n = bitmaps.shape[0]
-    rowvals = bitmaps.view(np.uint8).reshape(n, 16, 4, 4) @ _EJ_WEIGHTS
-    return (rowvals.reshape(n, 4, 4, 4) << _EI_SHIFT).sum(axis=2)
-
-
-def decode_a_operands(a_bitmaps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.arch.unistc.decode_a_operand` over ``[N, 16, 16]``.
+def decode_a_operands(a_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`~repro.arch.unistc.decode_a_operand` over ``[N, 16]`` patterns.
 
     Returns ``(tile_bitmaps, col_counts)`` with leading batch axes:
     ``tile_bitmaps[p, i, k]`` and ``col_counts[p, i, k, kk]``.
     """
-    # [p, ti, ei, tj, ej]: sum over ei gives per-tile column counts.
-    col_counts = a_bitmaps.reshape(-1, 4, 4, 4, 4).sum(axis=2, dtype=np.int64)
-    return _tile_bitmaps_16x16(a_bitmaps), col_counts
+    tiles = a_patterns.astype(np.int64).reshape(-1, 4, 4)
+    return tiles, tile_col_counts(tiles)
 
 
 def decode_b_operands(
-    b_bitmaps: np.ndarray,
+    b_patterns: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Batched :func:`~repro.arch.unistc.decode_b_operand` over ``[N, 16, n]``."""
-    if b_bitmaps.shape[1:] == (16, 16):
-        # [p, tk, ei, tj, ej]: sum over ej, then put ei last.
-        row_counts = (
-            b_bitmaps.reshape(-1, 4, 4, 4, 4)
-            .sum(axis=4, dtype=np.int64)
-            .transpose(0, 1, 3, 2)                            # [p, tk, tj, ei]
-        )
-        return _tile_bitmaps_16x16(b_bitmaps), row_counts, 4
-    if b_bitmaps.shape[1:] == (16, 1):
-        segs = b_bitmaps[:, :, 0].reshape(-1, 4, 4)           # [p, tk, ei]
-        row_counts = segs.astype(np.int64)[:, :, None, :]     # [p, tk, 1, ei]
-        weights = 1 << np.arange(4, dtype=np.int64)
-        tile_bitmaps = (segs * weights).sum(axis=2)[:, :, None]
-        return tile_bitmaps, row_counts, 1
+    """Batched :func:`~repro.arch.unistc.decode_b_operand` over ``[N, n]`` patterns."""
+    if b_patterns.shape[1:] == (16,):
+        tiles = b_patterns.astype(np.int64).reshape(-1, 4, 4)
+        return tiles, tile_row_counts(tiles), 4                # [p, tk, tj, ei]
+    if b_patterns.shape[1:] == (1,):
+        # Nibble tk of a segment is rows 4*tk..4*tk+3: a 4x1 tile.
+        tiles = (b_patterns.astype(np.int64) >> _NIBBLES) & 0xF  # [p, tk]
+        row_counts = (tiles[:, :, None, None] >> np.arange(4)) & 1
+        return tiles[:, :, None], row_counts, 1                # [p, tk, 1, ei]
     raise SimulationError(
-        f"unsupported B operand shape {b_bitmaps.shape[1:]}"
+        f"unsupported B operand shape {b_patterns.shape[1:]}"
     )
 
 
@@ -316,24 +297,28 @@ def _pack_lockstep(
             cycle[start + lens] - first_cycle + 1)
 
 
-def simulate_blocks(stc, tasks: Sequence[T1Task]) -> np.ndarray:
+def simulate_blocks(stc, batch) -> np.ndarray:
     """Batched block evaluation for a :class:`~repro.arch.unistc.UniSTC`.
 
-    Row ``i`` of the ``[N, VECTOR_WIDTH]`` int64 result equals
-    ``stc.simulate_block(tasks[i]).row()`` exactly; only the evaluation
-    strategy differs.
+    Row ``i`` of the ``[N, VECTOR_WIDTH]`` int64 result equals the
+    stepped ``stc.simulate_block`` row of task entry ``i`` of ``batch``
+    exactly; only the evaluation strategy differs.
     """
-    return evaluate_stacked(tasks, partial(_evaluate_group, stc))
+    return evaluate_packed(batch, partial(_evaluate_group, stc))
 
 
-def _evaluate_group(
-    stc, a_stack: np.ndarray, b_stack: np.ndarray, tasks: List[T1Task]
-) -> np.ndarray:
-    """Evaluate one uniform-B-width stack of tasks into result rows."""
+def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.ndarray:
+    """Evaluate one chunk of packed pattern pairs into result rows."""
     cfg = stc.config
-    count = len(tasks)
-    a_tiles, a_cols = decode_a_operands(a_stack)
-    b_tiles, b_rows, n_cols = decode_b_operands(b_stack)
+    count = len(a_patterns)
+
+    def stepped(q: int) -> np.ndarray:
+        task = T1Task(a_patterns[q].tobytes(), b_patterns[q].tobytes(),
+                      n=b_patterns.shape[1])
+        return stc.simulate_block(task).row()
+
+    a_tiles, a_cols = decode_a_operands(a_patterns)
+    b_tiles, b_rows, n_cols = decode_b_operands(b_patterns)
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
     totals = products.sum(axis=(1, 2, 3))
     meta = (2 + (a_tiles != 0).sum(axis=(1, 2))
@@ -358,7 +343,7 @@ def _evaluate_group(
     if stc.ordering not in ORDERINGS:
         # Stepping raises the canonical unknown-ordering error.
         for q in ne:
-            rows[q] = stc.simulate_block(tasks[q]).row()
+            rows[q] = stepped(q)
         return rows
 
     # -- flat task arrays in dispatch order -----------------------------
@@ -435,8 +420,7 @@ def _evaluate_group(
                 gcyc = cyc_off[bb] + cyc
 
     for q in np.nonzero(fallback)[0]:
-        gi = int(ne[q])
-        rows[gi] = stc.simulate_block(tasks[gi]).row()
+        rows[ne[q]] = stepped(int(ne[q]))
     fast = np.nonzero(~fallback)[0]
     if fast.size == 0:
         return rows
@@ -506,8 +490,8 @@ def _evaluate_group(
     # float32 routes the batched matmul through BLAS; dot values are
     # bounded by the shared dim (16), so they are exact in float32.
     c_outputs = np.count_nonzero(
-        a_stack[fast_global].astype(np.float32)
-        @ b_stack[fast_global].astype(np.float32),
+        unpack_patterns(a_patterns[fast_global]).astype(np.float32)
+        @ unpack_patterns(b_patterns[fast_global]).astype(np.float32),
         axis=(1, 2),
     )
 

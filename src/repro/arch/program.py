@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.arch.isa import UWMMA
 from repro.arch.pipeline import PIPELINE_STAGES
 from repro.arch.unistc import UniSTC
@@ -93,12 +91,11 @@ def compile_kernel(
     uni = stc or UniSTC()
     blocks: List[Tuple[int, int]] = []  # (cycles, weight) in issue order
     for batch in kernel_task_batches(kernel, a, **operands):
-        # Stable on the A block, so each block's panel tasks keep their
-        # enumeration order: the block-by-block issue of Algorithms 1-2.
-        tasks = list(batch.take(np.argsort(batch.a_index, kind="stable")).iter_tasks())
-        if tasks:
-            cycles = uni.simulate_blocks(tasks)[:, 0].tolist()
-            blocks.extend(zip(cycles, (task.weight for task in tasks)))
+        # Every kernel enumerates block by block (a block's panel tasks
+        # adjacent): the issue order of Algorithms 1-2.
+        if len(batch):
+            cycles = uni.simulate_blocks(batch)[:, 0].tolist()
+            blocks.extend(zip(cycles, batch.weights.tolist()))
     return _issue_program(kernel, uni, blocks)
 
 

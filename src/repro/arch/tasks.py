@@ -18,16 +18,19 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.formats.bbc import pack_patterns, unpack_patterns
+
 
 @dataclass(frozen=True)
 class T1Task:
-    """One 16x16x16 block multiply described by operand occupancy bitmaps.
+    """One 16x16x16 block multiply described by packed operand patterns.
 
-    ``a_bits`` is the 16x16 boolean occupancy of the A block.  ``b_bits``
-    is 16 x N with N = 16 (matrix operand) or N = 1 (vector operand, as
-    in SpMV/SpMSpV).  ``weight`` counts how many identical T1 tasks this
-    one stands for (used when a sparse A block meets several identical
-    dense B column-blocks in SpMM).
+    ``a_bits`` is the A block's packed pattern, sixteen little-endian
+    uint16 level-2 tile bitmaps (:func:`~repro.formats.bbc.pack_patterns`);
+    ``b_bits`` packs the 16 x N B operand, N = 16 (matrix operand) or
+    N = 1 (vector operand, as in SpMV/SpMSpV).  ``weight`` counts how
+    many identical T1 tasks this one stands for (used when a sparse A
+    block meets several identical dense B column-blocks in SpMM).
     """
 
     a_bits: bytes
@@ -38,24 +41,25 @@ class T1Task:
     @staticmethod
     def from_bitmaps(a_bitmap: np.ndarray, b_bitmap: np.ndarray, weight: int = 1) -> "T1Task":
         """Build a task from boolean arrays (16x16 for A, 16xN for B)."""
-        a = np.ascontiguousarray(np.asarray(a_bitmap, dtype=bool))
-        b = np.ascontiguousarray(np.asarray(b_bitmap, dtype=bool))
+        a = np.asarray(a_bitmap, dtype=bool)
+        b = np.asarray(b_bitmap, dtype=bool)
         if a.shape != (16, 16):
             raise ValueError(f"A bitmap must be 16x16, got {a.shape}")
         if b.ndim != 2 or b.shape[0] != 16 or b.shape[1] not in (1, 16):
             raise ValueError(f"B bitmap must be 16x1 or 16x16, got {b.shape}")
-        return T1Task(a.tobytes(), b.tobytes(), n=b.shape[1], weight=weight)
+        return T1Task(pack_patterns(a).tobytes(), pack_patterns(b).tobytes(),
+                      n=b.shape[1], weight=weight)
 
     def a_bitmap(self) -> np.ndarray:
         """A-block occupancy as a 16x16 boolean array."""
-        return np.frombuffer(self.a_bits, dtype=bool).reshape(16, 16)
+        return unpack_patterns(np.frombuffer(self.a_bits, dtype="<u2"))
 
     def b_bitmap(self) -> np.ndarray:
         """B-operand occupancy as a 16xN boolean array."""
-        return np.frombuffer(self.b_bits, dtype=bool).reshape(16, self.n)
+        return unpack_patterns(np.frombuffer(self.b_bits, dtype="<u2"))
 
     def cache_key(self) -> Tuple[bytes, bytes]:
-        """Memoisation key: behaviour depends only on the two bitmaps."""
+        """Memoisation key: the packed patterns, as the engine keys a batch."""
         return (self.a_bits, self.b_bits)
 
     def intermediate_products(self) -> int:

@@ -11,7 +11,7 @@ DPG cycles).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -180,13 +180,14 @@ class UniSTC(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Batched evaluation: array ops across the whole batch.
 
-        Delegates to :mod:`repro.arch.fastpath`, which resolves regular
-        pattern classes analytically and steps only irregular blocks;
-        row ``i`` equals ``simulate_block(tasks[i]).row()`` exactly.
+        Delegates to :mod:`repro.arch.fastpath`, which reads the packed
+        tiles, resolves regular pattern classes analytically and steps
+        only irregular blocks; row ``i`` equals the stepped row of task
+        entry ``i`` exactly.
         """
         from repro.arch import fastpath
 
-        return fastpath.simulate_blocks(self, tasks)
+        return fastpath.simulate_blocks(self, batch)

@@ -18,8 +18,6 @@ model reproduces DS-STC's published strengths and weaknesses:
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
@@ -85,16 +83,16 @@ class DsSTC(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A K layer's rank-1 update splits into full/partial A chunks x
         full/partial B chunks, so its cycles fall into four product
         classes, each counted in closed form.
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ca, cb = self.chunk_a, self.chunk_b
         na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
         nb = b.sum(axis=2, dtype=np.int64)                       # [N, k]

@@ -13,8 +13,6 @@ stays uniform, not for the energy figures.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
@@ -78,15 +76,15 @@ class Gamma(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A live K layer runs its full B chunks plus at most one partial
         one, so its cycles fall into two product classes.
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         cc = self.chunk_cols
         na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
         nb = b.sum(axis=2, dtype=np.int64) * (na > 0)            # [N, k]

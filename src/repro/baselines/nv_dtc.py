@@ -10,7 +10,7 @@ drives Fig. 5's ">84% of cycles below 25% utilisation" observation.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -170,11 +170,11 @@ class NvDTC(STCModel):
         counters.add("meta_reads", 1)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks."""
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         t2_k = 4
         return nv_results(
             a, b, self.t3_m, t2_k,

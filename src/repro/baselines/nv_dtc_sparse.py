@@ -12,8 +12,6 @@ on dual-sided or unstructured patterns.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
@@ -103,15 +101,15 @@ class NvDTCSparse(STCModel):
         counters.add("meta_reads", 2 if structured else 1)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         The stack splits on the 2:4 test, because structured blocks run
         a T2 grid with twice the K extent.
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         satisfied = blocks_satisfy_2to4(a)
         rows = np.empty((a.shape[0], VECTOR_WIDTH), dtype=np.int64)
         for structured in (False, True):

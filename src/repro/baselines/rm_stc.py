@@ -20,7 +20,7 @@ keeps its published limitations:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class RmSTC(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A row's lane slots are its scalar pairs' live-column chunks, in
@@ -156,9 +156,9 @@ class RmSTC(STCModel):
         start cycle; per-cycle products then follow from one bincount
         over (block, cycle).
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         count, n = b.shape[0], b.shape[2]
         first, second = pair_row_masks(a, b)                     # [N, i, p]
         live, both = first | second, first & second

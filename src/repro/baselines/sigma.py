@@ -11,8 +11,6 @@ stated reason Uni-STC beats it (§VI-C.1).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
@@ -79,15 +77,15 @@ class Sigma(STCModel):
         counters.add("sched_cycles", cycles)
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         Column groups chunk each block's *live* B columns by their rank
         among them; a (row, group) pair with products is one cycle.
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         count, n = b.shape[0], b.shape[2]
         groups = ceil_div(n, self.chunk_cols)
         col_nnz = b.sum(axis=1, dtype=np.int64)                  # [N, j]

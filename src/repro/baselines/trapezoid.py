@@ -20,7 +20,7 @@ Two behaviours the paper reports emerge from this shape:
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class Trapezoid(STCModel):
             cycles=cycles, products=total_products, util_hist=hist, counters=counters
         )
 
-    def simulate_blocks(self, tasks: Sequence[T1Task]) -> np.ndarray:
+    def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation of :meth:`simulate_block` over operand stacks.
 
         A cycle's utilisation is a float sum of ``work / row_cycles``
@@ -121,9 +121,9 @@ class Trapezoid(STCModel):
         order; 16 masked row-by-row adds over ``[N, cycles]`` keep that
         order, so every bin edge falls exactly where it does there.
         """
-        return evaluate_stacked(tasks, self._evaluate)
+        return evaluate_stacked(batch, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray, _tasks) -> np.ndarray:
+    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         count = a.shape[0]
         first, second = pair_row_masks(a, b)                     # [N, i, p]
         live = POP16[first | second].astype(np.int64)

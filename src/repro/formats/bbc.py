@@ -18,12 +18,15 @@ Fig. 13 of the paper shows an 8x8 downsized variant):
 
 The two bitmaps are exactly what the TMS (level 1) and DPG (level 2)
 consume without any hardware decoding.
+
+They are also the simulator's one block-pattern form (see
+:meth:`BBCMatrix.block_patterns` and :func:`pack_patterns`).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +54,62 @@ def _bit_rows(bitmaps: np.ndarray) -> np.ndarray:
     """``[n]`` 16-bit bitmaps as an ``[n, 16]`` bool array (column ``e`` is bit ``e``)."""
     octets = bitmaps.astype("<u2").view(np.uint8).reshape(-1, 2)
     return np.unpackbits(octets, axis=1, bitorder="little").view(bool)
+
+
+def pack_patterns(grids: np.ndarray) -> np.ndarray:
+    """``[..., 16, n]`` bool grids as ``[..., n]`` uint16 packed patterns.
+
+    A 16x16 grid (an A block or 16-wide B panel) packs to sixteen
+    level-2 tile bitmaps, slot ``ti*4 + tj`` and bit ``ei*4 + ej``; a
+    16x1 vector segment to one uint16 with bit ``r`` for row ``r``.
+    """
+    grids = np.asarray(grids, dtype=bool)
+    lead, n = grids.shape[:-2], grids.shape[-1]
+    if grids.shape[-2] != BLOCK or n not in (1, BLOCK):
+        raise FormatError(f"patterns are 16x16 or 16x1 grids, got {grids.shape[-2:]}")
+    if n == BLOCK:
+        grids = grids.reshape(*lead, TILES_PER_SIDE, TILE, TILES_PER_SIDE, TILE).swapaxes(-3, -2)
+    octets = np.packbits(grids.reshape(*lead, n, BLOCK), axis=-1, bitorder="little")
+    return octets.view("<u2").reshape(*lead, n)
+
+
+def unpack_patterns(patterns: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`pack_patterns`: ``[..., n]`` uint16 to ``[..., 16, n]`` bool."""
+    patterns = np.asarray(patterns, dtype="<u2")
+    lead, n = patterns.shape[:-1], patterns.shape[-1]
+    octets = np.ascontiguousarray(patterns).view(np.uint8).reshape(*lead, n, 2)
+    bits = np.unpackbits(octets, axis=-1, bitorder="little").view(bool)
+    if n == 1:
+        return bits.reshape(*lead, BLOCK, 1)
+    tiles = bits.reshape(*lead, TILES_PER_SIDE, TILES_PER_SIDE, TILE, TILE)
+    return np.ascontiguousarray(tiles.swapaxes(-3, -2)).reshape(*lead, BLOCK, BLOCK)
+
+
+def distinct_patterns(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
+    """Distinct rows of ``[N, w]`` packed patterns, in byte order, as
+    ``(patterns [U, w], id per input row, each pattern's key bytes)``."""
+    packed = np.ascontiguousarray(packed, dtype="<u2")
+    rows = packed.view(np.dtype((np.void, 2 * packed.shape[1]))).reshape(-1)
+    unique, ids = np.unique(rows, return_inverse=True)
+    patterns = unique.view("<u2").reshape(-1, packed.shape[1])
+    return patterns, ids.reshape(-1).astype(np.int64), unique.tolist()
+
+
+#: Set bits of every 4-bit value.
+_NIBBLE_POP = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
+_LANES = np.arange(TILE, dtype=np.int64)
+
+
+def tile_row_counts(tiles: np.ndarray) -> np.ndarray:
+    """``[..., 4]`` set bits of rows ``ei`` of 4x4 tile bitmaps (nibble ``ei``)."""
+    return _NIBBLE_POP[(tiles[..., None] >> (TILE * _LANES)) & 0xF]
+
+
+def tile_col_counts(tiles: np.ndarray) -> np.ndarray:
+    """``[..., 4]`` set bits of columns ``ej`` of 4x4 tile bitmaps: bits
+    ``ej + 4 ei`` gathered into one nibble by three shifts, popcounted."""
+    spread = (tiles[..., None] >> _LANES) & 0x1111
+    return _NIBBLE_POP[(spread | spread >> 3 | spread >> 6 | spread >> 9) & 0xF]
 
 
 class BBCMatrix:
@@ -390,44 +449,28 @@ class BBCMatrix:
         cols = self.col_idx[block_of] * BLOCK + tj * TILE + ej
         return rows, cols
 
-    def block_bitmaps_all(self) -> np.ndarray:
-        """All block occupancies as one (nblocks, 16, 16) boolean array.
-
-        Each stored tile's level-2 bitmap unpacks to one 16-element row
-        of a tile-major ``[block, ti, tj, ei, ej]`` array, at the slot
-        its level-1 bit names; one transpose to ``[block, ti, ei, tj,
-        ej]`` yields the grids.  Cached; this is the fast path the
-        simulation engine uses to enumerate T1 tasks.
+    def block_patterns(self) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
+        """``(patterns, ids, keys)``: the distinct packed block patterns
+        ``[U, 16]``, stored block ``q``'s pattern ``ids[q]`` and each
+        pattern's 32 key bytes.  The level-2 bitmaps are placed at
+        their level-1 slots (stored tiles fill set bits in ascending
+        order) with no decoding; cached, as kernel enumeration reads
+        nothing else.
         """
-        cached = getattr(self, "_block_bitmaps_cache", None)
+        cached = getattr(self, "_block_patterns_cache", None)
         if cached is not None:
             return cached
-        tiles = np.zeros((self.nblocks * TILES_PER_BLOCK, TILE * TILE), dtype=bool)
-        tiles[np.flatnonzero(_bit_rows(self.bitmap_lv1))] = _bit_rows(self.bitmap_lv2)
-        grids = np.ascontiguousarray(
-            tiles.reshape(-1, TILES_PER_SIDE, TILES_PER_SIDE, TILE, TILE)
-            .transpose(0, 1, 3, 2, 4)
-        ).reshape(-1, BLOCK, BLOCK)
-        self._block_bitmaps_cache = grids
-        return grids
+        tiles = np.zeros(self.nblocks * TILES_PER_BLOCK, dtype="<u2")
+        tiles[np.flatnonzero(_bit_rows(self.bitmap_lv1))] = self.bitmap_lv2
+        cached = distinct_patterns(tiles.reshape(-1, TILES_PER_BLOCK))
+        self._block_patterns_cache = cached
+        return cached
 
     def block_bitmap(self, block_index: int) -> np.ndarray:
-        """16x16 boolean occupancy of a stored block (what the STCs consume)."""
-        grid = np.zeros((BLOCK, BLOCK), dtype=bool)
-        lv1 = int(self.bitmap_lv1[block_index])
-        t_lo = self.tile_ptr[block_index]
-        slot = 0
-        for t in range(TILES_PER_BLOCK):
-            if not lv1 & (1 << t):
-                continue
-            ti, tj = divmod(t, TILES_PER_SIDE)
-            lv2 = int(self.bitmap_lv2[t_lo + slot])
-            slot += 1
-            for e in range(TILE * TILE):
-                if lv2 & (1 << e):
-                    ei, ej = divmod(e, TILE)
-                    grid[ti * TILE + ei, tj * TILE + ej] = True
-        return grid
+        """16x16 boolean occupancy of a stored block, decoded bit by bit."""
+        tiles = self.tile_bitmaps(block_index)
+        return np.array([[int(tiles[r // TILE, c // TILE]) >> (r % TILE * TILE + c % TILE) & 1
+                          for c in range(BLOCK)] for r in range(BLOCK)], dtype=bool)
 
     def block_dense(self, block_index: int) -> np.ndarray:
         """16x16 dense values of a stored block."""
@@ -457,17 +500,12 @@ class BBCMatrix:
         result is the tile at that grid position — the exact operand the
         DPG's bottom-level outer product consumes.
         """
-        grid = np.zeros((TILES_PER_SIDE, TILES_PER_SIDE), dtype=np.uint16)
         lv1 = int(self.bitmap_lv1[block_index])
-        t_lo = self.tile_ptr[block_index]
-        slot = 0
-        for t in range(TILES_PER_BLOCK):
-            if not lv1 & (1 << t):
-                continue
-            ti, tj = divmod(t, TILES_PER_SIDE)
-            grid[ti, tj] = self.bitmap_lv2[t_lo + slot]
-            slot += 1
-        return grid
+        slots = [t for t in range(TILES_PER_BLOCK) if lv1 >> t & 1]
+        lo = int(self.tile_ptr[block_index])
+        grid = np.zeros(TILES_PER_BLOCK, dtype=np.uint16)
+        grid[slots] = self.bitmap_lv2[lo:lo + len(slots)]
+        return grid.reshape(TILES_PER_SIDE, TILES_PER_SIDE)
 
     # -- conversions --------------------------------------------------------
 

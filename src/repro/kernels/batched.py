@@ -1,48 +1,60 @@
 """T1 task enumeration for the four sparse kernels, as arrays.
 
 Every simulator consumes the *same* stream of T1 tasks (16x16x16 block
-multiplies described by occupancy bitmaps), built here with array ops
-over the BBC structure — the one enumeration path of the package:
+multiplies described by packed operand patterns), built here with
+array ops over the BBC structure — the one enumeration path of the
+package:
 
-- a :class:`TaskBatch` holds the operand bitmaps once (``a_patterns``
-  / ``b_patterns``) plus integer index/weight arrays describing every
-  task as an (A pattern, B pattern) pair, in the kernel's dataflow
-  order (§V-A: Algorithm 1 for SpMV/SpMSpV, Algorithm 2 for
-  SpMM/SpGEMM);
-- :func:`coalesce_raw` collapses content-identical pairs into weighted
-  unique pairs with pure array ops, so the engine simulates each
-  distinct bitmap pair once regardless of how many thousand blocks
-  share it.
+- a :class:`TaskBatch` holds distinct packed patterns once
+  (``a_patterns`` / ``b_patterns``, BBC's level-2 tile layout) with
+  their memo-key bytes, plus integer index/weight arrays describing
+  every task as an (A pattern, B pattern) pair, in the kernel's
+  dataflow order (§V-A: Algorithm 1 for SpMV/SpMSpV, Algorithm 2 for
+  SpMM/SpGEMM).  A patterns come from the matrix's cached
+  :meth:`~repro.formats.bbc.BBCMatrix.block_patterns` and the constant
+  B patterns of SpMV and SpMM from module tables, so no case renders
+  a key;
+- :func:`coalesce_raw` collapses identical pairs into weighted unique
+  pairs with one sort over pattern ids, so the engine
+  simulates each distinct pair once regardless of how many thousand
+  blocks share it.  A coalesced batch is a :class:`TaskBatch` too, and
+  its misses reach the models as one.
 
 Every builder takes an optional contiguous ``rows`` block-row range —
 the hook the multi-core partitioner (:mod:`repro.sim.parallel`) uses,
 so the serial and per-core streams cannot drift.  The per-object
 generators the test suite keeps as the stepped oracle describe the
-same weighted bitmap-pair multiset, asserted task-for-task.
+same weighted pattern-pair multiset, asserted task-for-task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.tasks import T1Task
 from repro.errors import ShapeError
-from repro.formats.bbc import BLOCK, BBCMatrix
+from repro.formats.bbc import BLOCK, BBCMatrix, distinct_patterns, pack_patterns
 from repro.kernels.vector import SparseVector
+
+
+def _pattern_keys(patterns: np.ndarray) -> List[bytes]:
+    """Each packed pattern row's little-endian bytes (its memo key)."""
+    return [row.tobytes() for row in np.asarray(patterns, dtype="<u2")]
 
 
 @dataclass(frozen=True)
 class TaskBatch:
-    """An array-of-bitmap-pairs segment of a T1 task stream.
+    """An array-of-pattern-pairs segment of a T1 task stream.
 
-    Task ``i`` multiplies A pattern ``a_patterns[a_index[i]]`` (16x16
-    bool) by B pattern ``b_patterns[b_index[i]]`` (16x``n`` bool) and
-    stands for ``weights[i]`` identical T1 tasks.  Patterns are shared:
-    ``a_patterns`` is typically the matrix's full
-    :meth:`~repro.formats.bbc.BBCMatrix.block_bitmaps_all` array.
+    Task ``i`` multiplies A pattern ``a_patterns[a_index[i]]`` (``[16]``
+    uint16 tile bitmaps) by B pattern ``b_patterns[b_index[i]]``
+    (``[n]`` uint16: tile bitmaps for n = 16, one row bitmap for n = 1)
+    and stands for ``weights[i]`` identical T1 tasks.  Each pattern
+    array holds distinct rows; ``a_keys`` / ``b_keys`` are their memo
+    keys, rendered here only when the builder passes none.
     """
 
     a_patterns: np.ndarray
@@ -51,10 +63,16 @@ class TaskBatch:
     b_index: np.ndarray
     weights: np.ndarray
     n: int
+    a_keys: Optional[Sequence[bytes]] = None
+    b_keys: Optional[Sequence[bytes]] = None
 
     def __post_init__(self) -> None:
         if not (self.a_index.size == self.b_index.size == self.weights.size):
             raise ShapeError("task index and weight arrays must be equal-length")
+        if self.a_keys is None:
+            object.__setattr__(self, "a_keys", _pattern_keys(self.a_patterns))
+        if self.b_keys is None:
+            object.__setattr__(self, "b_keys", _pattern_keys(self.b_patterns))
 
     def __len__(self) -> int:
         """Number of (possibly weighted) task entries."""
@@ -70,19 +88,34 @@ class TaskBatch:
         return replace(self, a_index=self.a_index[rows],
                        b_index=self.b_index[rows], weights=self.weights[rows])
 
+    def cache_keys(self, namespace: str) -> List[Tuple[str, bytes, bytes]]:
+        """Each entry's memo key ``(namespace, A key, B key)``, in order."""
+        a_keys, b_keys = self.a_keys, self.b_keys
+        return [(namespace, a_keys[ai], b_keys[bi])
+                for ai, bi in zip(self.a_index.tolist(), self.b_index.tolist())]
+
     def iter_tasks(self) -> Iterator[T1Task]:
         """Materialise the batch as individual weighted tasks, in order."""
-        for ai, bi, w in zip(self.a_index, self.b_index, self.weights):
-            yield T1Task.from_bitmaps(
-                self.a_patterns[int(ai)], self.b_patterns[int(bi)], weight=int(w)
-            )
+        for ai, bi, w in zip(self.a_index.tolist(), self.b_index.tolist(),
+                             self.weights.tolist()):
+            yield T1Task(self.a_keys[ai], self.b_keys[bi], n=self.n, weight=w)
+
+
+_LIVE = np.arange(BLOCK + 1)[:, None, None]
+#: SpMV's B operands: row ``k`` is the x segment whose first ``k`` of
+#: 16 rows are live (16: every interior segment; less: the padded tail).
+_SEGMENTS = pack_patterns(np.arange(BLOCK)[:, None] < _LIVE)
+#: SpMM's B operands: row ``k`` is a dense panel of ``k`` live columns
+#: (16: a full panel; less: the tail panel of ``b_cols % 16`` columns).
+_PANELS = pack_patterns(np.broadcast_to(np.arange(BLOCK) < _LIVE, (BLOCK + 1, BLOCK, BLOCK)))
+_SEGMENT_KEYS, _PANEL_KEYS = _pattern_keys(_SEGMENTS), _pattern_keys(_PANELS)
 
 
 def _empty_batch(n: int) -> TaskBatch:
     zero = np.empty(0, dtype=np.int64)
     return TaskBatch(
-        a_patterns=np.empty((0, BLOCK, BLOCK), dtype=bool),
-        b_patterns=np.empty((0, BLOCK, n), dtype=bool),
+        a_patterns=np.empty((0, BLOCK), dtype="<u2"),
+        b_patterns=np.empty((0, n), dtype="<u2"),
         a_index=zero, b_index=zero, weights=zero, n=n,
     )
 
@@ -106,28 +139,23 @@ def _block_span(a: BBCMatrix, rows: Optional[range]) -> np.ndarray:
 def spmv_batch(a: BBCMatrix, rows: Optional[range] = None) -> TaskBatch:
     """Batched stream of y = A @ x with dense x.
 
-    The B operand of every task is one of at most two 16x1 masks: the
-    all-live segment, and the padded tail segment of the last block
-    column (computed once per *matrix*, not once per block).
+    The B operand of every task is one of at most two 16x1 segments:
+    the all-live one, and the padded tail of the last block column
+    (rows of the module table, not computed per matrix or block).
     """
     blocks = _block_span(a, rows)
-    n = a.shape[1]
-    tail_len = n - (a.block_cols - 1) * BLOCK
-    patterns = [np.ones((BLOCK, 1), dtype=bool)]
-    if tail_len < BLOCK:
-        tail = np.zeros((BLOCK, 1), dtype=bool)
-        tail[:tail_len, 0] = True
-        patterns.append(tail)
+    patterns, ids, keys = a.block_patterns()
+    tail_len = a.shape[1] - (a.block_cols - 1) * BLOCK
+    live = [BLOCK] if tail_len == BLOCK else [BLOCK, tail_len]
+    b_patterns, b_keys = _SEGMENTS[live], [_SEGMENT_KEYS[k] for k in live]
     b_index = np.zeros(blocks.size, dtype=np.int64)
     if tail_len < BLOCK and blocks.size:
         b_index[a.col_idx[blocks] == a.block_cols - 1] = 1
     return TaskBatch(
-        a_patterns=a.block_bitmaps_all(),
-        b_patterns=np.stack(patterns),
-        a_index=blocks,
-        b_index=b_index,
-        weights=np.ones(blocks.size, dtype=np.int64),
-        n=1,
+        a_patterns=patterns, b_patterns=b_patterns,
+        a_index=ids[blocks], b_index=b_index,
+        weights=np.ones(blocks.size, dtype=np.int64), n=1,
+        a_keys=keys, b_keys=b_keys,
     )
 
 
@@ -137,57 +165,48 @@ def spmspv_batch(a: BBCMatrix, x: SparseVector,
     if x.n != a.shape[1]:
         raise ShapeError(f"x has length {x.n}, expected {a.shape[1]}")
     blocks = _block_span(a, rows)
-    segments = x.nonempty_segments(BLOCK)
-    if blocks.size == 0 or segments.size == 0:
+    if blocks.size == 0 or x.indices.size == 0:
         return _empty_batch(1)
-    b_patterns = np.zeros((segments.size, BLOCK, 1), dtype=bool)
-    seg_pos = np.searchsorted(segments, x.indices // BLOCK)
-    b_patterns[seg_pos, x.indices % BLOCK, 0] = True
+    # x's indices are sorted: one OR per run of equal segment ids.
+    seg_of = x.indices // BLOCK
+    starts = np.flatnonzero(np.concatenate(([True], seg_of[1:] != seg_of[:-1])))
+    segments = seg_of[starts]
+    masks = np.bitwise_or.reduceat((1 << (x.indices % BLOCK)).astype("<u2"), starts)
+    b_patterns, seg_ids, b_keys = distinct_patterns(masks[:, None])
     cols = a.col_idx[blocks]
     pos = np.searchsorted(segments, cols)
     live = (pos < segments.size) & (segments[np.minimum(pos, segments.size - 1)] == cols)
     blocks, pos = blocks[live], pos[live]
+    patterns, ids, keys = a.block_patterns()
     return TaskBatch(
-        a_patterns=a.block_bitmaps_all(),
-        b_patterns=b_patterns,
-        a_index=blocks,
-        b_index=pos,
-        weights=np.ones(blocks.size, dtype=np.int64),
-        n=1,
+        a_patterns=patterns, b_patterns=b_patterns,
+        a_index=ids[blocks], b_index=seg_ids[pos],
+        weights=np.ones(blocks.size, dtype=np.int64), n=1,
+        a_keys=keys, b_keys=b_keys,
     )
 
 
 def spmm_batch(a: BBCMatrix, b_cols: int = 64,
                rows: Optional[range] = None) -> TaskBatch:
-    """Batched stream of C = A @ B with dense B of ``b_cols`` columns."""
+    """Batched stream of C = A @ B with dense B of ``b_cols`` columns.
+
+    Each A block meets one weighted full panel (all ``b_cols // 16`` of
+    them) and, if ``b_cols % 16``, the tail panel, block by block.
+    """
     if b_cols <= 0:
         raise ShapeError("B must have at least one column")
     blocks = _block_span(a, rows)
     full_panels, tail = divmod(b_cols, BLOCK)
-    patterns: List[np.ndarray] = []
-    a_parts: List[np.ndarray] = []
-    b_parts: List[np.ndarray] = []
-    w_parts: List[np.ndarray] = []
-    if full_panels:
-        patterns.append(np.ones((BLOCK, BLOCK), dtype=bool))
-        a_parts.append(blocks)
-        b_parts.append(np.zeros(blocks.size, dtype=np.int64))
-        w_parts.append(np.full(blocks.size, full_panels, dtype=np.int64))
-    if tail:
-        tail_mask = np.zeros((BLOCK, BLOCK), dtype=bool)
-        tail_mask[:, :tail] = True
-        pattern_id = len(patterns)
-        patterns.append(tail_mask)
-        a_parts.append(blocks)
-        b_parts.append(np.full(blocks.size, pattern_id, dtype=np.int64))
-        w_parts.append(np.ones(blocks.size, dtype=np.int64))
+    live = ([BLOCK] if full_panels else []) + ([tail] if tail else [])
+    panel_weights = ([full_panels] if full_panels else []) + ([1] if tail else [])
+    b_patterns, b_keys = _PANELS[live], [_PANEL_KEYS[k] for k in live]
+    b_index = np.arange(blocks.size * len(live), dtype=np.int64) % len(live)
+    patterns, ids, keys = a.block_patterns()
     return TaskBatch(
-        a_patterns=a.block_bitmaps_all(),
-        b_patterns=np.stack(patterns),
-        a_index=np.concatenate(a_parts) if a_parts else np.empty(0, dtype=np.int64),
-        b_index=np.concatenate(b_parts) if b_parts else np.empty(0, dtype=np.int64),
-        weights=np.concatenate(w_parts) if w_parts else np.empty(0, dtype=np.int64),
-        n=BLOCK,
+        a_patterns=patterns, b_patterns=b_patterns,
+        a_index=np.repeat(ids[blocks], len(live)), b_index=b_index,
+        weights=np.array(panel_weights, dtype=np.int64)[b_index],
+        n=BLOCK, a_keys=keys, b_keys=b_keys,
     )
 
 
@@ -207,22 +226,22 @@ def spgemm_batch(a: BBCMatrix, b: Optional[BBCMatrix] = None,
     valid = cols < other.block_rows
     blocks, cols = blocks[valid], cols[valid]
     counts = other.row_ptr[cols + 1] - other.row_ptr[cols]
-    a_index = np.repeat(blocks, counts)
+    a_patterns, a_ids, a_keys = a.block_patterns()
+    b_patterns, b_ids, b_keys = other.block_patterns()
+    a_index = np.repeat(a_ids[blocks], counts)
     if counts.size:
         ends = np.cumsum(counts)
         offsets = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
             ends - counts, counts
         )
-        b_index = np.repeat(other.row_ptr[cols], counts) + offsets
+        b_index = b_ids[np.repeat(other.row_ptr[cols], counts) + offsets]
     else:
         b_index = np.empty(0, dtype=np.int64)
     return TaskBatch(
-        a_patterns=a.block_bitmaps_all(),
-        b_patterns=other.block_bitmaps_all(),
-        a_index=a_index,
-        b_index=b_index,
-        weights=np.ones(a_index.size, dtype=np.int64),
-        n=BLOCK,
+        a_patterns=a_patterns, b_patterns=b_patterns,
+        a_index=a_index, b_index=b_index,
+        weights=np.ones(a_index.size, dtype=np.int64), n=BLOCK,
+        a_keys=a_keys, b_keys=b_keys,
     )
 
 
@@ -251,61 +270,22 @@ def kernel_task_batches(kernel: str, a: BBCMatrix,
     raise ShapeError(f"unknown kernel {kernel!r}")
 
 
-def _content_ids(patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Content-dedup pattern rows: (representative indices, id per row)."""
-    flat = np.ascontiguousarray(
-        patterns.reshape(patterns.shape[0], -1).astype(np.uint8, copy=False)
-    )
-    if flat.shape[0] == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    as_void = flat.view(np.dtype((np.void, flat.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(as_void, return_index=True, return_inverse=True)
-    return first.astype(np.int64), inverse.astype(np.int64).reshape(-1)
+def coalesce_raw(batch: TaskBatch) -> TaskBatch:
+    """Collapse identical pattern pairs into weighted unique pairs.
 
-
-@dataclass(frozen=True)
-class CoalescedBatch:
-    """A batch collapsed to weighted unique bitmap pairs, as raw bytes.
-
-    ``a_bytes``/``b_bytes`` hold one ``bool``-layout byte string per
-    distinct pattern (exactly what :meth:`T1Task.cache_key` exposes),
-    ``pairs`` the ``(a_bytes index, b_bytes index, weight)`` triples.
-    The engine consumes this directly — memo keys need only the byte
-    strings, so :class:`T1Task` objects are built lazily for cache
-    misses alone.
-    """
-
-    a_bytes: List[bytes]
-    b_bytes: List[bytes]
-    pairs: List[Tuple[int, int, int]]
-    n: int
-
-
-def coalesce_raw(batch: TaskBatch) -> CoalescedBatch:
-    """Collapse content-identical bitmap pairs with pure array ops.
-
-    Pattern bytes are rendered once per *distinct pattern*; the pair
-    list only indexes them.  Weight totals are exactly those of the
-    un-coalesced stream; ordering follows the sorted unique keys,
-    which no aggregate depends on.
+    One sort over ``a_index * len(b_patterns) + b_index`` (patterns are
+    distinct, so equal ids are equal content) and one int64 weight sum
+    per pair, in any order: totals are exactly those of the un-coalesced
+    stream, past 2^53 too.  Pairs follow the sorted ids, which no
+    aggregate depends on.
     """
     if len(batch) == 0:
-        return CoalescedBatch([], [], [], batch.n)
-    a_first, a_cid = _content_ids(batch.a_patterns)
-    b_first, b_cid = _content_ids(batch.b_patterns)
-    n_b = int(b_first.size)
-    combined = a_cid[batch.a_index] * n_b + b_cid[batch.b_index]
-    unique_keys, inverse = np.unique(combined, return_inverse=True)
-    # Aggregate weights in the integer domain: bincount's float64
-    # accumulator would round totals past 2^53 (and astype truncates).
-    agg = np.zeros(unique_keys.size, dtype=np.int64)
-    np.add.at(agg, inverse, np.asarray(batch.weights, dtype=np.int64))
-    a_bool = np.ascontiguousarray(batch.a_patterns.astype(bool, copy=False))
-    b_bool = np.ascontiguousarray(batch.b_patterns.astype(bool, copy=False))
-    a_bytes = [a_bool[int(i)].tobytes() for i in a_first]
-    b_bytes = [b_bool[int(i)].tobytes() for i in b_first]
-    pair_a = (unique_keys // n_b).tolist()
-    pair_b = (unique_keys % n_b).tolist()
-    pairs = list(zip(pair_a, pair_b, agg.tolist()))
-    return CoalescedBatch(a_bytes, b_bytes, pairs, batch.n)
-
+        return batch
+    n_b = len(batch.b_patterns)
+    combined = batch.a_index * n_b + batch.b_index
+    order = np.argsort(combined)
+    combined = combined[order]
+    starts = np.flatnonzero(np.concatenate(([True], combined[1:] != combined[:-1])))
+    weights = np.add.reduceat(np.asarray(batch.weights, dtype=np.int64)[order], starts)
+    unique = combined[starts]
+    return replace(batch, a_index=unique // n_b, b_index=unique % n_b, weights=weights)

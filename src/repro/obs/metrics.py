@@ -51,6 +51,10 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
+#: Compact JSON encoder, built once: ``json.dumps`` with non-default
+#: separators constructs a fresh encoder per call.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
 #: A label set in canonical (sorted, hashable) form.
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -235,9 +239,13 @@ class MetricsRegistry:
         #: Series written since the last ``snapshot_delta()``, as
         #: ("counter"|"gauge"|"histogram", name, label_key) triples.
         self._dirty: set = set()
-        #: (name, label_key) -> wire_key cache; series keys recur every
-        #: case, so the delta hot path never re-serialises labels.
-        self._wire_keys: Dict[Tuple[str, LabelKey], str] = {}
+        #: dirty triple -> JSON-encoded wire key plus ":"; series keys
+        #: recur every case, so the delta hot path never re-serialises.
+        self._wire_keys: Dict[Tuple[str, str, LabelKey], str] = {}
+        #: Kind -> (delta section, instruments of that kind).
+        self._sections = {"counter": ("c", self._counters),
+                          "gauge": ("g", self._gauges),
+                          "histogram": ("h", self._histograms)}
 
     # -- instrument access (get-or-create) -------------------------------
 
@@ -335,14 +343,13 @@ class MetricsRegistry:
                 },
             }
 
-    def _wire_key(self, name: str, key: LabelKey) -> str:
-        cached = self._wire_keys.get((name, key))
-        if cached is None:
-            cached = self._wire_keys[(name, key)] = wire_key(name, key)
-        return cached
-
     def snapshot_delta(self) -> Dict[str, object]:
-        """The series written since the previous delta, compact form.
+        """:meth:`snapshot_delta_json`, parsed (``{}`` when idle)."""
+        text = self.snapshot_delta_json()
+        return json.loads(text) if text else {}
+
+    def snapshot_delta_json(self) -> str:
+        """The series written since the previous delta, as compact JSON.
 
         Values are **cumulative** (the series' current value, not an
         increment), so a reader can reconstruct exact registry state by
@@ -352,43 +359,40 @@ class MetricsRegistry:
         The shape is the flat wire form :func:`expand_delta` decodes:
         ``{"c": {wire_key: value}, "g": {...}, "h": {wire_key:
         [bounds, counts, sum, count, min, max]}}``, empty sections
-        omitted (``{}`` when idle).  This runs once per finished case
-        in telemetry workers, hence the key cache and the positional
-        histogram packing.  Clears the dirty set.
+        omitted (``""`` when idle).  This runs once per finished case
+        in telemetry workers, so each series' encoded key is cached and
+        numbers are encoded by hand, exactly as ``json`` would (a
+        ``repr`` for ints and finite floats).  Clears the dirty set.
         """
         with self._lock:
-            c: Dict[str, float] = {}
-            g: Dict[str, float] = {}
-            h: Dict[str, list] = {}
-            for kind, name, key in sorted(self._dirty):
-                if kind == "counter":
-                    inst = self._counters.get(name)
-                    if inst is not None and key in inst.series:
-                        c[self._wire_key(name, key)] = inst.series[key]
-                elif kind == "gauge":
-                    inst = self._gauges.get(name)
-                    if inst is not None and key in inst.series:
-                        g[self._wire_key(name, key)] = inst.series[key]
-                else:
-                    inst = self._histograms.get(name)
-                    series = inst.series.get(key) if inst else None
-                    if series is not None:
-                        h[self._wire_key(name, key)] = [
-                            list(series.bounds) + [None],
-                            list(series.counts),
-                            series.sum, series.count,
-                            series.min if series.count else None,
-                            series.max if series.count else None,
-                        ]
+            if not self._dirty:
+                return ""
+            dirty = sorted(self._dirty)  # kinds sort counter, gauge, histogram
             self._dirty.clear()
-            delta: Dict[str, object] = {}
-            if c:
-                delta["c"] = c
-            if g:
-                delta["g"] = g
-            if h:
-                delta["h"] = h
-            return delta
+            sections: Dict[str, List[str]] = {}
+            for entry in dirty:
+                kind, name, key = entry
+                section, instruments = self._sections[kind]
+                inst = instruments.get(name)
+                value = inst.series.get(key) if inst is not None else None
+                if value is None:
+                    continue
+                head = self._wire_keys.get(entry)
+                if head is None:
+                    head = self._wire_keys[entry] = _compact_json(wire_key(name, key)) + ":"
+                if kind == "histogram":
+                    value = [list(value.bounds) + [None], list(value.counts),
+                             value.sum, value.count,
+                             value.min if value.count else None,
+                             value.max if value.count else None]
+                elif type(value) is int or (type(value) is float and value - value == 0.0):
+                    sections.setdefault(section, []).append(head + repr(value))
+                    continue
+                sections.setdefault(section, []).append(head + _compact_json(value))
+            text = ""
+            for section, items in sections.items():
+                text += f',"{section}":{{{",".join(items)}}}'
+            return "{" + text[1:] + "}" if text else ""
 
     def reset(self) -> None:
         """Drop every instrument and series."""

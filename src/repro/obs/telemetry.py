@@ -18,7 +18,7 @@ Wire format — one JSON object per line, three record kinds:
     A ``beat`` plus a metrics **delta**: the cumulative values of every
     registry series written since the previous progress record, in the
     compact wire form of
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta`
+    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta_json`
     (decoded by :func:`~repro.obs.metrics.expand_delta`).
     Emitted per finished case, aligned with the shard journal — the
     resilient runner flushes the journal line *before* its progress
@@ -67,11 +67,6 @@ logger = logging.getLogger(__name__)
 
 #: Telemetry record schema; bumped on incompatible layout changes.
 TELEMETRY_SCHEMA = 1
-
-#: Compact JSON encoder, built once: ``json.dumps`` with non-default
-#: separators constructs a fresh encoder per call, which would cost
-#: more than the encoding itself on the per-case hot path.
-_compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 #: Campaign status document identity.
 STATUS_KIND = "repro.exec.status"
@@ -125,7 +120,10 @@ class TelemetryWriter:
         self._pid = os.getpid()
         # Unique per process incarnation even if the OS recycles pids.
         self._inst = f"{self._pid}-{os.urandom(3).hex()}"
-        self._shard_json = json.dumps(shard_id)
+        ident = f'"shard":{json.dumps(shard_id)},"pid":{self._pid},"inst":"{self._inst}"'
+        #: Each record kind's fixed head: every field before ``seq``.
+        self._heads = {kind: f'{{"v":{TELEMETRY_SCHEMA},"kind":"{kind}",{ident},"seq":'
+                       for kind in ("beat", "progress", "spans")}
         self._seq = 0
         self._done = 0
         self._lock = threading.Lock()
@@ -135,56 +133,37 @@ class TelemetryWriter:
 
     # -- record assembly (caller holds the lock) -------------------------
 
-    def _base(self, kind: str, phase: str) -> Dict[str, object]:
-        record = {
-            "v": TELEMETRY_SCHEMA,
-            "kind": kind,
-            "shard": self._shard,
-            "pid": self._pid,
-            "inst": self._inst,
-            "seq": self._seq,
-            "t": self._clock(),
-            "phase": phase,
-            "done": self._done,
-            "total": self._total,
-        }
-        self._seq += 1
-        return record
+    def _record(self, kind: str, phase: str, extra: str = "") -> None:
+        """Append one record: the base fields, then ``extra`` (encoded
+        ``,"field":value`` pairs).
 
-    def _emit(self, record: Dict[str, object]) -> None:
-        self._emit_line(json.dumps(record) + "\n")
+        Every base field is a writer-controlled scalar, so the line is
+        assembled by hand: ``json.dumps`` of a dict form costs more than
+        the rest of a per-case emission combined.
+        """
+        seq = self._seq
+        self._seq += 1
+        phase_json = '"running"' if phase == "running" else json.dumps(phase)
+        self._emit_line(
+            f'{self._heads[kind]}{seq},"t":{self._clock()!r},"phase":{phase_json},'
+            f'"done":{self._done},"total":{self._total}{extra}}}\n')
 
     def _emit_line(self, line: str) -> None:
+        # Unbuffered binary: one write() per line, nothing to flush.
         try:
             if self._handle is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self._path, "a", encoding="utf-8")
-            self._handle.write(line)
-            self._handle.flush()
+                self._handle = open(self._path, "ab", buffering=0)
+            data = line.encode("utf-8")
+            while data:
+                data = data[self._handle.write(data):]
         except OSError:
             logger.warning("could not append telemetry record to %s",
                            self._path, exc_info=True)
 
     def _progress_locked(self, phase: str) -> None:
-        # The per-case hot path: every base field is a writer-controlled
-        # scalar, so the line is assembled by hand — json.dumps of the
-        # dict form costs more than the rest of the emission combined.
-        # Field set and order mirror ``_base``; keep them in sync.
-        seq = self._seq
-        self._seq += 1
-        phase_json = '"running"' if phase == "running" else json.dumps(phase)
-        line = (
-            f'{{"v":{TELEMETRY_SCHEMA},"kind":"progress",'
-            f'"shard":{self._shard_json},"pid":{self._pid},'
-            f'"inst":"{self._inst}","seq":{seq},"t":{self._clock()!r},'
-            f'"phase":{phase_json},"done":{self._done},'
-            f'"total":{self._total}'
-        )
-        if self._registry is not None:
-            delta = self._registry.snapshot_delta()
-            if delta:
-                line += ',"metrics":' + _compact_json(delta)
-        self._emit_line(line + "}\n")
+        delta = "" if self._registry is None else self._registry.snapshot_delta_json()
+        self._record("progress", phase, ',"metrics":' + delta if delta else "")
 
     def _flush_spans_locked(self, phase: str) -> None:
         if self._tracer is None:
@@ -194,20 +173,20 @@ class TelemetryWriter:
             return
         self._span_idx += len(spans)
         self._event_idx += len(events)
-        record = self._base("spans", phase)
-        record["epoch_wall_s"] = self._tracer.epoch_wall
-        record["spans"] = [
+        spans = [
             {"name": s.name, "ts_us": s.ts_us, "dur_us": s.dur_us,
              "tid": s.tid, "depth": s.depth, "parent": s.parent,
              "args": dict(s.args)}
             for s in spans
         ]
-        record["events"] = [
+        events = [
             {"name": e.name, "ts_us": e.ts_us, "tid": e.tid,
              "args": dict(e.args)}
             for e in events
         ]
-        self._emit(record)
+        self._record("spans", phase,
+                     f',"epoch_wall_s":{json.dumps(self._tracer.epoch_wall)},'
+                     f'"spans":{json.dumps(spans)},"events":{json.dumps(events)}')
 
     # -- public emit points ----------------------------------------------
 
@@ -215,7 +194,7 @@ class TelemetryWriter:
         """First record: the shard exists and is starting (or resuming)."""
         with self._lock:
             self._done = int(done)
-            self._emit(self._base("beat", "starting"))
+            self._record("beat", "starting")
 
     def case_done(self, done: int) -> None:
         """Journal-aligned progress record with the metrics delta."""
@@ -226,7 +205,7 @@ class TelemetryWriter:
     def beat(self) -> None:
         """Heartbeat-cadence liveness record plus a span flush."""
         with self._lock:
-            self._emit(self._base("beat", "running"))
+            self._record("beat", "running")
             self._flush_spans_locked("running")
 
     def finish(self, phase: str = "finished") -> None:

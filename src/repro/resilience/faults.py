@@ -346,9 +346,7 @@ def run_campaign(
     (clean_batch,) = kernel_task_batches(kernel, clean_bbc)
     expected_weight = clean_batch.total_tasks
     clean_report = simulate_batches(stc, [clean_batch], kernel=kernel, energy_model=None)
-    raw = coalesce_raw(clean_batch)
-    cache_keys = sorted((stc.cache_key(), raw.a_bytes[ai], raw.b_bytes[bi])
-                        for ai, bi, _ in raw.pairs)
+    cache_keys = sorted(coalesce_raw(clean_batch).cache_keys(stc.cache_key()))
     clean_rows = {key: engine._BLOCK_CACHE[key] for key in cache_keys}
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)

@@ -1,7 +1,8 @@
 """Bounded LRU memoisation for per-block simulation results.
 
-The engine memoises block results on ``(model namespace, A bits,
-B bits)``.  A value is the block's int64 result row in the
+The engine memoises block results on ``(model namespace, A key,
+B key)``, the operands' packed patterns (at most 64 bytes, rendered
+once per matrix).  A value is the block's int64 result row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout, usually a view into the
 ``[N, VECTOR_WIDTH]`` matrix one ``simulate_blocks`` call returned;
 rows are never written in place once cached.  The original
@@ -41,14 +42,15 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-#: Cache key: (model namespace, A bitmap bytes, B bitmap bytes).
+#: Cache key: (model namespace, A pattern bytes, B pattern bytes).
 CacheKey = Tuple[str, bytes, bytes]
 
-#: Default entry bound.  tracemalloc measures an entry (key plus row
-#: view, with its share of the ``simulate_blocks`` matrix) at ~580
-#: bytes on uni-stc over the n=128/256 corpus, so the default caps
-#: resident cache memory near 150 MB while holding far more distinct
-#: block patterns than any corpus sweep in the benchmark suite produces.
+#: Default entry bound.  tracemalloc measures an entry (key tuple plus
+#: row view, with its share of the ``simulate_blocks`` matrix; the
+#: pattern bytes belong to the matrices) at ~460 bytes on uni-stc over
+#: the n=128/256 corpus, so the default caps resident cache memory near
+#: 120 MB while holding far more distinct block patterns than any
+#: corpus sweep in the benchmark suite produces.
 DEFAULT_CAPACITY = 1 << 18
 
 

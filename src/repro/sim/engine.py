@@ -3,20 +3,24 @@
 ``simulate_kernel`` enumerates a kernel's T1 task stream over BBC
 operands as array batches (:mod:`repro.kernels.batched`) and hands them
 to ``simulate_batches``, the one engine entry: each batch is coalesced
-so a distinct bitmap pair is looked up (and, on a miss, simulated)
+so a distinct pattern pair is looked up (and, on a miss, simulated)
 exactly once with its combined weight, and the run's cycles /
 utilisation / counters / energy are aggregated into a
-:class:`~repro.sim.results.SimReport`.
+:class:`~repro.sim.results.SimReport`.  Patterns have one form from
+the BBC encoder to the models, packed level-2 tile bitmaps whose key
+bytes each matrix renders once: a warm batch costs one memo lookup per
+unique pair, and its misses reach ``simulate_blocks`` as one
+unit-weight :class:`~repro.kernels.batched.TaskBatch`.
 
 A block result is one int64 row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout from the model to the
 report: models return ``[N, VECTOR_WIDTH]`` arrays, the memo holds
-rows, and the rows of a run fold through one weighted int64 reduction
-(:func:`_aggregate`), building the report's
+rows, and a run's rows fold against its coalesced int64 weights in
+one reduction (:func:`_aggregate`), building the report's
 ``Counters``/``UtilHistogram`` once.
 
-Because STC models are pure functions of a task's bitmap pair, rows
-are memoised keyed by ``(model.cache_key(), a_bits, b_bits)`` — the
+Because STC models are pure functions of a task's pattern pair, rows
+are memoised keyed by ``(model.cache_key(), A key, B key)`` — the
 same tile patterns repeat heavily across a matrix and across a corpus,
 which is what makes corpus-scale sweeps tractable in Python.  The memo
 lives in a bounded LRU
@@ -30,6 +34,7 @@ between sweep cases and across processes.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from time import perf_counter
 from typing import Iterable, Optional
 
@@ -37,7 +42,6 @@ import numpy as np
 
 from repro import obs
 from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
-from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
@@ -130,50 +134,42 @@ def simulate_batches(
     matrix: Optional[str] = None,
     cache: Optional[BlockCache] = None,
 ) -> SimReport:
-    """Run batched (array-of-bitmap-pairs) task streams on one model.
+    """Run batched (array-of-pattern-pairs) task streams on one model.
 
-    Each batch is coalesced so a distinct bitmap pair hits the model
+    Each batch is coalesced so a distinct pattern pair hits the model
     (or the memo) exactly once with its aggregate weight.  All memo
-    misses of a batch are dispatched together through
-    :meth:`~repro.arch.base.STCModel.simulate_blocks` — one array-level
-    call, since every registered model has an array evaluator — and
-    each row of the returned matrix is inserted into the shared cache
-    as is.  ``cache`` overrides the process-wide memo (used by tests
-    that need isolated caches and by ablations that compare cache
-    policies).
+    misses of a batch go to :meth:`~repro.arch.base.STCModel.simulate_blocks`
+    as one unit-weight :class:`TaskBatch` (memoised rows must not depend
+    on the stream weight), and each returned row is inserted into the
+    shared cache as is.  ``cache`` overrides the process-wide memo (used
+    by tests that need isolated caches and by ablations that compare
+    cache policies).
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
     namespace = stc.cache_key()
     stats_before = memo.stats.snapshot()
     t0 = perf_counter()
+    lookup = memo.lookup
     rows = []
     weights = []
     for index, batch in enumerate(batches):
         with obs.span("batch", index=index, tasks=len(batch)):
-            raw = coalesce_raw(batch)
-            a_bytes, b_bytes, n = raw.a_bytes, raw.b_bytes, raw.n
-            pending = []
-            for ai, bi, weight in raw.pairs:
-                key = (namespace, a_bytes[ai], b_bytes[bi])
-                row = memo.lookup(key)
-                if row is None:
-                    # Memoised rows must be weight-independent (the
-                    # stream weight is applied at aggregation time), so
-                    # the model never sees the aggregate weight.
-                    pending.append(
-                        (len(rows), key, T1Task(a_bytes[ai], b_bytes[bi], n=n, weight=1))
-                    )
-                rows.append(row)
-                weights.append(weight)
-            if pending:
-                missed = _checked_rows(
-                    stc, stc.simulate_blocks([task for _, _, task in pending]), len(pending)
-                )
-                for (slot, key, _), row in zip(pending, missed):
-                    memo.insert(key, row)
-                    rows[slot] = row
-    _aggregate(report, rows, weights, stc, energy_model)
+            pairs = coalesce_raw(batch)
+            keys = pairs.cache_keys(namespace)
+            found = [lookup(key) for key in keys]
+            missed = [slot for slot, row in enumerate(found) if row is None]
+            if missed:
+                misses = replace(pairs.take(missed),
+                                 weights=np.ones(len(missed), dtype=np.int64))
+                simulated = _checked_rows(stc, stc.simulate_blocks(misses), len(missed))
+                for slot, row in zip(missed, simulated):
+                    memo.insert(keys[slot], row)
+                    found[slot] = row
+            rows.extend(found)
+            weights.append(pairs.weights)
+    _aggregate(report, rows, np.concatenate(weights) if weights else [], stc,
+               energy_model)
     _finalise_run(report, memo, stats_before, perf_counter() - t0)
     return report
 
@@ -194,12 +190,14 @@ def _aggregate(report: SimReport, rows, weights, stc: STCModel,
                energy_model: Optional[EnergyModel]) -> None:
     """Fold weighted result rows into ``report`` and price its energy.
 
-    One weighted int64 matrix product over the rows, so corpus-scale
-    totals stay exact past 2^53 where float64 accumulation would round.
+    One int64 ``einsum`` over the rows and their weights (an array or
+    any sequence), so corpus-scale totals stay exact past 2^53 where
+    float64 accumulation would round (an int64 matmul has no BLAS
+    path and is several times slower).
     """
-    if rows:
+    if len(rows):
         w = np.asarray(weights, dtype=np.int64)
-        acc = w @ np.array(rows)
+        acc = np.einsum("i,ij->j", w, np.array(rows, dtype=np.int64))
         report.cycles = int(acc[0])
         report.products = int(acc[1])
         report.t1_tasks = int(w.sum())

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.formats.bbc import BLOCK, TILE, BBCMatrix
+from repro.formats.bbc import BLOCK, TILE, BBCMatrix, tile_col_counts
 from repro.formats.bitarray import popcount_array
 from repro.kernels.vector import SparseVector
 from repro.sim.results import SimReport
@@ -123,30 +123,33 @@ _TRIPLE_CHUNK = 8192
 _POP16 = popcount_array(np.arange(1 << 16, dtype=np.uint16)).astype(np.uint8)
 
 
-def _row_masks(m: BBCMatrix, transpose: bool = False) -> np.ndarray:
+def _block_tiles(m: BBCMatrix) -> np.ndarray:
+    """``[nblocks, 4, 4]`` level-2 tile bitmaps of every stored block (0: empty tile)."""
+    patterns, ids, _ = m.block_patterns()
+    return patterns[ids].astype(np.int64).reshape(m.nblocks, TILE, TILE)
+
+
+def _row_masks(m: BBCMatrix) -> np.ndarray:
     """``[nblocks, 16]`` uint16: bit ``c`` of ``[q, r]`` is element ``(r, c)`` of block ``q``.
 
-    ``transpose=True`` gives the column masks instead (bit ``r`` of
-    ``[q, c]``).  Packed from the cached block occupancy the kernel
-    enumeration decodes anyway; a 16-element row is exactly two bytes.
+    Row ``4 ti + ei`` joins nibble ``ei`` of tiles ``(ti, tj)`` at bit ``4 tj``.
     """
-    grids = m.block_bitmaps_all()
-    if transpose:
-        grids = grids.transpose(0, 2, 1)
-    packed = np.packbits(grids.reshape(-1), bitorder="little")
-    return packed.view("<u2").astype(np.uint16, copy=False).reshape(m.nblocks, BLOCK)
+    shifts = TILE * np.arange(TILE, dtype=np.int64)
+    nibbles = (_block_tiles(m)[:, :, None, :] >> shifts[:, None]) & 0xF  # [q, ti, ei, tj]
+    return (nibbles << shifts).sum(axis=3).astype(np.uint16).reshape(m.nblocks, BLOCK)
 
 
 def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
     """Structural flops of A @ B: sum over k of nnz(A[:, k]) * nnz(B[k, :]).
 
-    Counted per block from row/column mask popcounts, never per flop.
+    Counted per block from row masks and tile column counts, never per
+    flop.
     """
     b_counts = np.zeros((b.nblocks + 1, BLOCK), dtype=np.int64)
     np.cumsum(_POP16[_row_masks(b)], axis=0, out=b_counts[1:])
     # Row counts of B per inner block row (K), then per A block (I, K).
     b_rows = b_counts[b.row_ptr[1:]] - b_counts[b.row_ptr[:-1]]
-    a_cols = _POP16[_row_masks(a, transpose=True)]
+    a_cols = tile_col_counts(_block_tiles(a)).sum(axis=1).reshape(a.nblocks, BLOCK)
     return int((a_cols * b_rows[a.col_idx]).sum())
 
 

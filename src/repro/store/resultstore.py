@@ -5,13 +5,13 @@ block-result rows for one process lifetime; every new campaign, DSE
 strategy and worker fleet re-pays the same cold simulation work.  The
 :class:`ResultStore` makes those results durable and shareable: a
 directory of append-only **segment** files plus an in-memory index,
-keyed by the sha256 of ``(STC namespace, A bits, B bits)``.
+keyed by the sha256 of ``(STC namespace, A pattern, B pattern)``.
 
 Design points, in the order they matter:
 
 **Content addressing.**  The key digest covers the model's canonical
 configuration fingerprint (:meth:`~repro.arch.base.STCModel.cache_key`)
-and the exact operand bitmaps.  Block results are pure functions of
+and the exact operand patterns (BBC's packed level-2 tile bitmaps).  Block results are pure functions of
 that triple — the kernel only shapes *which* blocks a sweep visits,
 never what an individual block costs — so any two processes that agree
 on the digest may share the record.  ``tests/test_store.py`` pins the
@@ -55,18 +55,18 @@ Record framing (little-endian)::
     magic  digest  payload_len  crc32(payload)  payload
     4B     32B     u32          u32             payload_len bytes
 
-and the payload is the namespace/bitmap key (each field u16
-length-prefixed) followed by the block's int64 result row in the
+and the payload is the namespace/pattern key (each field u16
+length-prefixed, at most 64 operand bytes) followed by the block's int64 result row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout, little-endian: cycles,
 products, the four utilisation bins and one count per
 :data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  A
 lookup hands that tail back as the row itself (``np.frombuffer``).
 The vocabulary is recorded in ``STORE.json`` so a vocabulary change is
 a loud :class:`~repro.errors.FormatError`, never a silent
-misinterpretation.  Schema 1 stored the counts as float64 in the same
-184 bytes; only the schema check tells the two apart, so opening a
-schema-1 store fails and the store must be rebuilt (it is a cache of
-deterministic results: delete the directory).
+misinterpretation.  Schema 2 keyed records on bool grids and schema
+1 also stored float64 counts; opening either fails and the store must
+be rebuilt (it is a cache of deterministic results: delete the
+directory).
 """
 
 from __future__ import annotations
@@ -93,9 +93,9 @@ from repro.errors import DataCorruptionError, FormatError
 logger = logging.getLogger(__name__)
 
 #: On-disk schema version; bumped on any incompatible format change.
-#: Schema 2 ends each payload in the int64 result row; schema 1 stored
-#: the action counts there as float64.
-STORE_SCHEMA = 2
+#: Schema 3 keys records on packed tile-bitmap patterns; schema 2 keyed
+#: them on bool grids, and schema 1 stored the action counts as float64.
+STORE_SCHEMA = 3
 
 #: Manifest file name inside the store root.
 MANIFEST_NAME = "STORE.json"

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import BLOCK, TILE, BBCMatrix, tile_col_counts, tile_row_counts
 from repro.formats.coo import COOMatrix
 from repro.kernels.batched import spgemm_batch
 from repro.workloads import synthetic
@@ -65,8 +65,10 @@ def mean_products_per_task(a: BBCMatrix) -> float:
     here over every pattern pair of the batch at once.
     """
     batch = spgemm_batch(a)
-    a_cols = batch.a_patterns.sum(axis=1, dtype=np.int64)[batch.a_index]
-    b_rows = batch.b_patterns.sum(axis=2, dtype=np.int64)[batch.b_index]
+    a_tiles = batch.a_patterns.astype(np.int64).reshape(-1, TILE, TILE)
+    b_tiles = batch.b_patterns.astype(np.int64).reshape(-1, TILE, TILE)
+    a_cols = tile_col_counts(a_tiles).sum(axis=1).reshape(-1, BLOCK)[batch.a_index]
+    b_rows = tile_row_counts(b_tiles).sum(axis=2).reshape(-1, BLOCK)[batch.b_index]
     total = int((a_cols * b_rows).sum(axis=1) @ batch.weights)
     count = batch.total_tasks
     return total / count if count else 0.0

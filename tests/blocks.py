@@ -3,7 +3,9 @@
 :func:`kernel_tasks` takes distinct blocks from every kernel's real
 block stream; :func:`handmade_tasks` adds the edge cases such a draw
 may miss.  Every model's ``simulate_blocks`` is checked against its
-stepped ``simulate_block`` on these with :func:`assert_results_equal`.
+stepped ``simulate_block`` on these with :func:`assert_results_equal`,
+fed through :func:`simulate_blocks` (one packed
+:class:`~repro.kernels.batched.TaskBatch` per B width).
 The ``CYCLES``/``PRODUCTS``/``BINS`` indices (and
 :data:`~repro.arch.base.ACTION_COL`) read fields of a result row.
 """
@@ -15,9 +17,9 @@ import numpy as np
 from repro.arch.base import VECTOR_WIDTH
 from repro.arch.counters import ACTIONS
 from repro.arch.tasks import T1Task
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import BBCMatrix, distinct_patterns
 from repro.kernels import KERNELS
-from repro.kernels.batched import coalesce_raw, kernel_task_batches
+from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
 from repro.workloads.synthetic import banded, random_uniform
 
@@ -42,6 +44,32 @@ def assert_results_equal(batch_rows, step_results, label: str) -> None:
             f"{batch_rows[task, col]} != stepped {want[task, col]}")
 
 
+def task_batch(tasks, n: int = 16) -> TaskBatch:
+    """``tasks`` (all of B width ``n``) as one unit-weight batch, in order."""
+    a = np.array([np.frombuffer(t.a_bits, dtype="<u2") for t in tasks],
+                 dtype="<u2").reshape(len(tasks), 16)
+    b = np.array([np.frombuffer(t.b_bits, dtype="<u2") for t in tasks],
+                 dtype="<u2").reshape(len(tasks), n)
+    a_patterns, a_ids, a_keys = distinct_patterns(a)
+    b_patterns, b_ids, b_keys = distinct_patterns(b)
+    return TaskBatch(a_patterns, b_patterns, a_ids, b_ids,
+                     np.ones(len(tasks), dtype=np.int64), n, a_keys, b_keys)
+
+
+def simulate_blocks(stc, tasks) -> np.ndarray:
+    """``stc.simulate_blocks`` rows of ``tasks``, in task order.
+
+    A batch has one B width, so tasks go in as one batch per width —
+    as the engine dispatches them — and the rows are put back in the
+    tasks' slots.  No tasks is one empty n=16 batch.
+    """
+    rows = np.empty((len(tasks), VECTOR_WIDTH), dtype=np.int64)
+    for n in sorted({task.n for task in tasks}) or [16]:
+        slots = [i for i, task in enumerate(tasks) if task.n == n]
+        rows[slots] = stc.simulate_blocks(task_batch([tasks[i] for i in slots], n))
+    return rows
+
+
 def kernel_tasks(limit_per_kernel: int = 80) -> list:
     """Distinct T1 tasks drawn from every kernel's real block stream."""
     rng = np.random.default_rng(7)
@@ -61,15 +89,12 @@ def kernel_tasks(limit_per_kernel: int = 80) -> list:
                 operands["b_cols"] = 32
             taken = 0
             for batch in kernel_task_batches(kernel, bbc, **operands):
-                raw = coalesce_raw(batch)
-                for ai, bi, _ in raw.pairs:
-                    key = (raw.a_bytes[ai], raw.b_bytes[bi], raw.n)
+                for task in coalesce_raw(batch).iter_tasks():
+                    key = (task.a_bits, task.b_bits, task.n)
                     if key in seen:
                         continue
                     seen.add(key)
-                    tasks.append(
-                        T1Task(raw.a_bytes[ai], raw.b_bytes[bi], n=raw.n)
-                    )
+                    tasks.append(T1Task(task.a_bits, task.b_bits, n=task.n))
                     taken += 1
                     if taken >= limit_per_kernel:
                         break

@@ -94,7 +94,8 @@ def task_batch(task, weights):
 
     index = np.zeros(len(weights), dtype=np.int64)
     return TaskBatch(
-        a_patterns=task.a_bitmap()[None], b_patterns=task.b_bitmap()[None],
+        a_patterns=np.frombuffer(task.a_bits, dtype="<u2")[None],
+        b_patterns=np.frombuffer(task.b_bits, dtype="<u2")[None],
         a_index=index, b_index=index,
         weights=np.asarray(weights, dtype=np.int64), n=task.n,
     )

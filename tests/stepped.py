@@ -6,7 +6,10 @@ Production enumerates every kernel as arrays
 readable reference those paths are checked against:
 
 - four generators implementing the kernel dataflows of §V-A one
-  :class:`~repro.arch.tasks.T1Task` at a time, in per-object order:
+  :class:`~repro.arch.tasks.T1Task` at a time, in per-object order,
+  each block's grid decoded by the scalar
+  :meth:`~repro.formats.bbc.BBCMatrix.block_bitmap` (so the oracle
+  shares no code with the packed ``block_patterns`` path):
 
   - SpMV / SpMSpV (Algorithm 1): one task per nonzero A block whose
     x-segment is live; B operand is a 16x1 mask.
@@ -60,7 +63,6 @@ def spmv_tasks(a: BBCMatrix, rows: Optional[range] = None) -> Iterator[T1Task]:
     reused by every block in that column (it only depends on where the
     padded tail of x falls, not on the block).
     """
-    bitmaps = a.block_bitmaps_all()
     n = a.shape[1]
     masks: dict = {}
     for brow in _row_span(a, rows):
@@ -73,7 +75,7 @@ def spmv_tasks(a: BBCMatrix, rows: Optional[range] = None) -> Iterator[T1Task]:
                 masks[bcol] = mask
             if not mask.any():
                 continue
-            yield T1Task.from_bitmaps(bitmaps[idx], mask[:, None])
+            yield T1Task.from_bitmaps(a.block_bitmap(idx), mask[:, None])
 
 
 def spmspv_tasks(a: BBCMatrix, x: SparseVector,
@@ -81,7 +83,6 @@ def spmspv_tasks(a: BBCMatrix, x: SparseVector,
     """Task stream of y = A @ x with sparse x; dead segments are skipped."""
     if x.n != a.shape[1]:
         raise ShapeError(f"x has length {x.n}, expected {a.shape[1]}")
-    bitmaps = a.block_bitmaps_all()
     masks = {int(s): x.segment_mask(int(s), BLOCK) for s in x.nonempty_segments(BLOCK)}
     for brow in _row_span(a, rows):
         cols, idxs = a.block_row(brow)
@@ -89,7 +90,7 @@ def spmspv_tasks(a: BBCMatrix, x: SparseVector,
             mask = masks.get(int(bcol))
             if mask is None:
                 continue
-            yield T1Task.from_bitmaps(bitmaps[idx], mask[:, None])
+            yield T1Task.from_bitmaps(a.block_bitmap(idx), mask[:, None])
 
 
 def spmm_tasks(a: BBCMatrix, b_cols: int = 64,
@@ -102,7 +103,6 @@ def spmm_tasks(a: BBCMatrix, b_cols: int = 64,
     """
     if b_cols <= 0:
         raise ShapeError("B must have at least one column")
-    bitmaps = a.block_bitmaps_all()
     full_panels, tail = divmod(b_cols, BLOCK)
     full_mask = np.ones((BLOCK, BLOCK), dtype=bool)
     tail_mask = np.zeros((BLOCK, BLOCK), dtype=bool)
@@ -110,10 +110,11 @@ def spmm_tasks(a: BBCMatrix, b_cols: int = 64,
     for brow in _row_span(a, rows):
         _, idxs = a.block_row(brow)
         for idx in idxs:
+            grid = a.block_bitmap(idx)
             if full_panels:
-                yield T1Task.from_bitmaps(bitmaps[idx], full_mask, weight=full_panels)
+                yield T1Task.from_bitmaps(grid, full_mask, weight=full_panels)
             if tail:
-                yield T1Task.from_bitmaps(bitmaps[idx], tail_mask)
+                yield T1Task.from_bitmaps(grid, tail_mask)
 
 
 def spgemm_tasks(a: BBCMatrix, b: BBCMatrix,
@@ -121,17 +122,18 @@ def spgemm_tasks(a: BBCMatrix, b: BBCMatrix,
     """Task stream of C = A @ B with both operands sparse."""
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    a_bitmaps = a.block_bitmaps_all()
-    b_bitmaps = b.block_bitmaps_all()
+    b_grids = {}
     for brow in _row_span(a, rows):
         a_cols, a_idx = a.block_row(brow)
         for bcol_a, idx_a in zip(a_cols, a_idx):
             if bcol_a >= b.block_rows:
                 continue
-            a_bits = a_bitmaps[idx_a]
+            a_grid = a.block_bitmap(idx_a)
             _, b_idx = b.block_row(int(bcol_a))
             for idx_b in b_idx:
-                yield T1Task.from_bitmaps(a_bits, b_bitmaps[idx_b])
+                if idx_b not in b_grids:
+                    b_grids[idx_b] = b.block_bitmap(idx_b)
+                yield T1Task.from_bitmaps(a_grid, b_grids[idx_b])
 
 
 def kernel_tasks(kernel: str, a: BBCMatrix, rows: Optional[range] = None,

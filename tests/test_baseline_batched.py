@@ -6,8 +6,8 @@ rows into the same block cache the stepped path's rows land in.  These
 tests enforce that claim row for row — cycles, products, utilisation
 bins and every action count — at FP64 and FP32 over every kernel's
 block population, the edge cases a corpus draw may miss,
-2:4-structured A blocks, mixed-width batches and batches past the
-chunk bound.
+2:4-structured A blocks, shuffled mixed-width task lists and batches
+past the chunk bound, each fed as packed task batches.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from tests.blocks import (
     assert_results_equal,
     handmade_tasks,
     kernel_tasks,
+    simulate_blocks,
 )
 from tests.conftest import stc_at
 
@@ -90,32 +91,33 @@ def corpus_tasks():
 class TestBaselineParity:
     def test_kernel_blocks_match_stepped(self, corpus_tasks, name, precision):
         stc = stc_at(name, precision)
-        batch = stc.simulate_blocks(corpus_tasks)
+        batch = simulate_blocks(stc, corpus_tasks)
         stepped = [stc.simulate_block(t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, f"{name}/{precision.name}")
 
     def test_edge_blocks_match_stepped(self, name, precision):
         stc = stc_at(name, precision)
         tasks = handmade_tasks() + _edge_tasks()
-        batch = stc.simulate_blocks(tasks)
+        batch = simulate_blocks(stc, tasks)
         stepped = [stc.simulate_block(t) for t in tasks]
         assert_results_equal(batch, stepped, f"edge/{name}/{precision.name}")
 
     def test_structured_blocks_match_stepped(self, name, precision):
         stc = stc_at(name, precision)
         tasks = _structured_tasks()
-        batch = stc.simulate_blocks(tasks)
+        batch = simulate_blocks(stc, tasks)
         stepped = [stc.simulate_block(t) for t in tasks]
         assert_results_equal(batch, stepped, f"2:4/{name}/{precision.name}")
 
     def test_mixed_width_batch_keeps_task_order(self, corpus_tasks, name, precision):
-        """n=1 and n=16 tasks interleaved in one batch keep their slots."""
+        """n=1 and n=16 tasks interleaved keep their slots: each width's
+        batch indexes its patterns out of order."""
         widths = {task.n for task in corpus_tasks}
         assert widths == {1, 16}
         order = np.random.default_rng(3).permutation(len(corpus_tasks))
         shuffled = [corpus_tasks[i] for i in order]
         stc = stc_at(name, precision)
-        batch = stc.simulate_blocks(shuffled)
+        batch = simulate_blocks(stc, shuffled)
         stepped = [stc.simulate_block(t) for t in shuffled]
         assert_results_equal(batch, stepped, f"mixed/{name}/{precision.name}")
 
@@ -127,7 +129,7 @@ class TestBaselineParity:
         tasks = distinct * reps
         assert len(tasks) > CHUNK_BLOCKS
         stc = stc_at(name, precision)
-        batch = stc.simulate_blocks(tasks)
+        batch = simulate_blocks(stc, tasks)
         stepped = [stc.simulate_block(t) for t in distinct] * reps
         assert_results_equal(batch, stepped, f"chunked/{name}/{precision.name}")
 
@@ -139,11 +141,11 @@ class TestBaselineParity:
             raise AssertionError("simulate_blocks fell back to simulate_block")
 
         stc.simulate_block = stepped
-        rows = stc.simulate_blocks(corpus_tasks)
+        rows = simulate_blocks(stc, corpus_tasks)
         assert rows.shape == (len(corpus_tasks), VECTOR_WIDTH)
 
     def test_empty_task_list(self, name, precision):
-        rows = stc_at(name, precision).simulate_blocks([])
+        rows = simulate_blocks(stc_at(name, precision), [])
         assert rows.shape == (0, VECTOR_WIDTH) and rows.dtype == np.int64
 
 
@@ -152,7 +154,7 @@ class TestBaselineParity:
 def test_contract_holds_on_kernel_blocks(corpus_tasks, name, precision):
     """The five cross-model invariants over real kernel blocks, batched."""
     stc = stc_at(name, precision)
-    for task, row in zip(corpus_tasks, stc.simulate_blocks(corpus_tasks)):
+    for task, row in zip(corpus_tasks, simulate_blocks(stc, corpus_tasks)):
         products = task.intermediate_products()
         assert row[PRODUCTS] == products
         assert row[ACTION_COL["mac_ops"]] == products

@@ -8,7 +8,7 @@ from repro.arch.config import FP32, FP64
 from repro.arch.tasks import T1Task
 from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
 
-from tests.blocks import BINS, CYCLES, PRODUCTS
+from tests.blocks import BINS, CYCLES, PRODUCTS, simulate_blocks
 from tests.conftest import make_block_task
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
@@ -18,7 +18,7 @@ EMPTY = T1Task.from_bitmaps(np.zeros((16, 16), bool), np.zeros((16, 16), bool))
 
 def both_paths(stc, task):
     """``task``'s result row through ``simulate_block`` and ``simulate_blocks``."""
-    return stc.simulate_block(task).row(), stc.simulate_blocks([task])[0]
+    return stc.simulate_block(task).row(), simulate_blocks(stc, [task])[0]
 
 
 class TestSharedInvariants:

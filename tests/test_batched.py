@@ -88,10 +88,25 @@ class TestStreamParity:
         for a in matrices.values():
             operands = _operands(kernel, a)
             for batch in kernel_task_batches(kernel, a, **operands):
-                raw = coalesce_raw(batch)
-                assert sum(w for _, _, w in raw.pairs) == batch.total_tasks
-                keys = {(raw.a_bytes[ai], raw.b_bytes[bi]) for ai, bi, _ in raw.pairs}
-                assert len(keys) == len(raw.pairs)
+                pairs = coalesce_raw(batch)
+                assert pairs.total_tasks == batch.total_tasks
+                keys = set(pairs.cache_keys("ns"))
+                assert len(keys) == len(pairs)
+                assert _task_multiset(pairs.iter_tasks()) == _task_multiset(
+                    batch.iter_tasks())
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_task_cache_key_is_engine_key(self, matrices, kernel):
+        """The oracle's ``T1Task.cache_key()`` (from the scalar
+        ``block_bitmap``) is the engine's key for the same entry, so
+        stepped and vectorised runs share memo entries."""
+        for a in matrices.values():
+            operands = _operands(kernel, a)
+            (batch,) = kernel_task_batches(kernel, a, **operands)
+            stepped = [("ns",) + task.cache_key()
+                       for task in kernel_tasks(kernel, a, **operands)]
+            assert stepped == batch.cache_keys("ns")
+            assert all(len(k[1]) == 32 and len(k[2]) == 2 * batch.n for k in stepped)
 
     def test_coalesce_raw_weights_exact_past_2_53(self):
         """Aggregate weights stay in the integer domain.
@@ -100,17 +115,17 @@ class TestStreamParity:
         silently rounds totals past 2^53; ``2^53 + 1`` collapses to
         ``2^53`` there, and ``astype(int64)`` then bakes the loss in."""
         big = (1 << 53) + 1
-        a = np.zeros((1, 16, 16), dtype=bool)
-        a[0, 0, 0] = True
-        b = np.ones((1, 16, 16), dtype=bool)
+        a = np.zeros((1, 16), dtype=np.uint16)
+        a[0, 0] = 1
+        b = np.full((1, 16), 0xFFFF, dtype=np.uint16)
         idx = np.zeros(2, dtype=np.int64)
         batch = TaskBatch(
             a_patterns=a, b_patterns=b, a_index=idx, b_index=idx,
             weights=np.array([big, 2], dtype=np.int64), n=16,
         )
-        raw = coalesce_raw(batch)
-        ((_, _, weight),) = raw.pairs
-        assert isinstance(weight, int)
+        pairs = coalesce_raw(batch)
+        (weight,) = pairs.weights.tolist()
+        assert pairs.weights.dtype == np.int64 and isinstance(weight, int)
         assert weight == big + 2
         assert float(weight) != weight  # the exact total has no float64 form
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
-from repro.formats.bbc import BLOCK, TILE, TILES_PER_BLOCK
+from repro.formats.bbc import BLOCK, TILE, TILES_PER_BLOCK, pack_patterns, unpack_patterns
 from repro.formats.bitarray import popcount_array
+from repro.kernels import batched
 from repro.workloads.suitesparse import corpus
 
 
@@ -225,11 +226,23 @@ class TestBlockAccess:
 
     @pytest.mark.parametrize("case", ("small",) + _BITMAP_CASES)
     def test_block_bitmaps_all_matches_scalar(self, case, small_bbc, bitmap_inputs):
+        """``block_patterns`` (which replaced the bool ``block_bitmaps_all``
+        expansion) against the scalar decoders: every stored block's
+        packed pattern is its ``tile_bitmaps`` grid, and two blocks share
+        an id exactly when their ``block_bitmap`` grids are equal."""
         m = small_bbc if case == "small" else bitmap_inputs[case]
-        grids = m.block_bitmaps_all()
-        assert grids.shape == (m.nblocks, BLOCK, BLOCK) and grids.dtype == bool
-        for _, _, idx in m.iter_blocks():
-            assert np.array_equal(grids[idx], m.block_bitmap(idx))
+        patterns, ids, keys = m.block_patterns()
+        assert patterns.dtype == np.dtype("<u2") and patterns.shape[1:] == (16,)
+        assert ids.shape == (m.nblocks,) and len(keys) == len(patterns)
+        assert len({bytes(k) for k in keys}) == len(keys) == len(np.unique(ids))
+        assert all(key == row.tobytes() and len(key) == 32
+                   for key, row in zip(keys, patterns))
+        grids = [m.block_bitmap(q) for q in range(m.nblocks)]
+        for q in range(m.nblocks):
+            assert np.array_equal(patterns[ids[q]].reshape(4, 4), m.tile_bitmaps(q))
+            for r in range(q):
+                assert (ids[q] == ids[r]) == np.array_equal(grids[q], grids[r])
+        assert m.copy().block_patterns() is not m.block_patterns()
 
     def test_tile_bitmaps_grid(self, small_bbc):
         for _, _, idx in small_bbc.iter_blocks():
@@ -250,6 +263,54 @@ class TestBlockAccess:
             lo, hi = small_bbc.tile_ptr[blk], small_bbc.tile_ptr[blk + 1]
             segment = ids[lo:hi].astype(int)
             assert np.all(np.diff(segment) > 0)
+
+
+def _grids(data: bytes, width: int) -> np.ndarray:
+    """``data`` as one 16 x ``width`` bool grid (bit ``i`` of the stream)."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
+    return bits.astype(bool).reshape(BLOCK, width)
+
+
+class TestPackedPatterns:
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=2, max_size=2))
+    def test_round_trip_both_widths(self, block, segment):
+        for grid in (_grids(block, BLOCK), _grids(segment, 1)):
+            packed = pack_patterns(grid)
+            assert packed.shape == (grid.shape[1],) and packed.dtype == np.dtype("<u2")
+            assert np.array_equal(unpack_patterns(packed), grid)
+            assert np.array_equal(unpack_patterns(packed[None])[0], grid)
+
+    def test_layout_is_level2_tiles_and_row_bits(self):
+        grid = np.zeros((BLOCK, BLOCK), bool)
+        grid[5, 9] = True  # tile (1, 2), element (1, 1)
+        packed = pack_patterns(grid)
+        assert packed[1 * 4 + 2] == 1 << (1 * 4 + 1) and packed.sum() == packed[6]
+        segment = np.zeros((BLOCK, 1), bool)
+        segment[[0, 13], 0] = True
+        assert pack_patterns(segment)[0] == (1 << 0) | (1 << 13)
+
+    @pytest.mark.parametrize("width", [BLOCK, 1])
+    def test_empty_and_full(self, width):
+        for fill, word in ((False, 0), (True, 0xFFFF)):
+            packed = pack_patterns(np.full((BLOCK, width), fill))
+            assert (packed == word).all()
+            assert (unpack_patterns(packed) == fill).all()
+
+    @pytest.mark.parametrize("live", range(1, BLOCK + 1))
+    def test_spmv_segments_and_spmm_panels(self, live):
+        """SpMV's tail segment and SpMM's 1-15-column tail panel (16:
+        the full ones) are the module tables' rows."""
+        segment = np.arange(BLOCK)[:, None] < live
+        panel = np.broadcast_to(np.arange(BLOCK)[None, :] < live, (BLOCK, BLOCK))
+        assert np.array_equal(batched._SEGMENTS[live], pack_patterns(segment))
+        assert np.array_equal(batched._PANELS[live], pack_patterns(panel))
+        assert np.array_equal(unpack_patterns(batched._PANELS[live]), panel)
+        assert batched._PANEL_KEYS[live] == pack_patterns(panel).tobytes()
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(FormatError):
+            pack_patterns(np.zeros((16, 7), bool))
 
 
 class TestFileIO:

@@ -190,10 +190,10 @@ class TestBatchedAggregation:
         class StaleSTC(_WeightSensitiveSTC):
             name = "stale-model"
 
-            def simulate_blocks(self, tasks):
-                rows = super().simulate_blocks(tasks)
+            def simulate_blocks(self, batch):
+                rows = super().simulate_blocks(batch)
                 if returned == "results":
-                    return [self.simulate_block(task) for task in tasks]
+                    return [self.simulate_block(task) for task in batch.iter_tasks()]
                 if returned == "width":
                     return rows[:, :-1]
                 return rows.astype(np.float64)

@@ -31,9 +31,10 @@ from repro.arch.fastpath import (
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
 from repro.errors import SimulationError
+from repro.formats.bbc import pack_patterns
 from repro.registry import create_stc
 
-from tests.blocks import assert_results_equal, handmade_tasks, kernel_tasks
+from tests.blocks import assert_results_equal, handmade_tasks, kernel_tasks, simulate_blocks
 
 
 MODEL_VARIANTS = {
@@ -58,7 +59,7 @@ class TestBatchedParity:
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
     def test_kernel_blocks_match_stepped(self, corpus_tasks, variant):
         stc = MODEL_VARIANTS[variant]()
-        batch = stc.simulate_blocks(corpus_tasks)
+        batch = simulate_blocks(stc, corpus_tasks)
         stepped = [stc.simulate_block(t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, variant)
 
@@ -66,18 +67,19 @@ class TestBatchedParity:
         tasks = handmade_tasks()
         for variant, build in MODEL_VARIANTS.items():
             stc = build()
-            batch = stc.simulate_blocks(tasks)
+            batch = simulate_blocks(stc, tasks)
             stepped = [stc.simulate_block(t) for t in tasks]
             assert_results_equal(batch, stepped, f"handmade/{variant}")
 
     def test_mixed_width_group_order_preserved(self):
-        """Matrix-B and vector-B tasks interleaved keep their slots."""
+        """Matrix-B and vector-B tasks interleaved keep their slots: each
+        width's batch indexes its patterns out of order."""
         tasks = handmade_tasks()
         rng = np.random.default_rng(3)
         order = rng.permutation(len(tasks))
         shuffled = [tasks[i] for i in order]
         stc = UniSTC()
-        batch = stc.simulate_blocks(shuffled)
+        batch = simulate_blocks(stc, shuffled)
         stepped = [stc.simulate_block(t) for t in shuffled]
         assert_results_equal(batch, stepped, "mixed-width")
 
@@ -87,12 +89,12 @@ class TestBatchedParity:
         some = corpus_tasks[:20]
         for name in ("ds-stc", "rm-stc"):
             stc = create_stc(name)
-            batch = stc.simulate_blocks(some)
+            batch = simulate_blocks(stc, some)
             stepped = [stc.simulate_block(t) for t in some]
             assert_results_equal(batch, stepped, name)
 
     def test_empty_task_list(self):
-        rows = UniSTC().simulate_blocks([])
+        rows = simulate_blocks(UniSTC(), [])
         assert rows.shape == (0, VECTOR_WIDTH) and rows.dtype == np.int64
 
 
@@ -103,7 +105,7 @@ class TestFallbackRouting:
         calls = []
         original = stc.simulate_block
         stc.simulate_block = lambda task: (calls.append(task), original(task))[1]
-        stc.simulate_blocks(handmade_tasks())
+        simulate_blocks(stc, handmade_tasks())
         assert calls == []
 
     def test_over_budget_block_routes_to_stepping(self):
@@ -116,7 +118,7 @@ class TestFallbackRouting:
         with pytest.raises(SimulationError):
             tiny.simulate_block(dense)
         with pytest.raises(SimulationError):
-            tiny.simulate_blocks([dense])
+            simulate_blocks(tiny, [dense])
 
     def test_unknown_ordering_matches_stepped_error(self):
         odd = UniSTC(ordering="spiral")
@@ -126,14 +128,14 @@ class TestFallbackRouting:
         with pytest.raises(SimulationError):
             odd.simulate_block(task)
         with pytest.raises(SimulationError):
-            odd.simulate_blocks([task])
+            simulate_blocks(odd, [task])
 
 
 class TestBatchedDecode:
     def test_decode_a_matches_scalar(self):
         rng = np.random.default_rng(5)
         stack = rng.random((40, 16, 16)) < 0.35
-        tiles, cols = decode_a_operands(stack)
+        tiles, cols = decode_a_operands(pack_patterns(stack))
         for p in range(stack.shape[0]):
             ref_tiles, ref_cols = decode_a_operand(stack[p])
             assert np.array_equal(tiles[p], ref_tiles)
@@ -143,7 +145,7 @@ class TestBatchedDecode:
     def test_decode_b_matches_scalar(self, width):
         rng = np.random.default_rng(6)
         stack = rng.random((40, 16, width)) < 0.4
-        tiles, rows, n_cols = decode_b_operands(stack)
+        tiles, rows, n_cols = decode_b_operands(pack_patterns(stack))
         for p in range(stack.shape[0]):
             ref_tiles, ref_rows, ref_n = decode_b_operand(stack[p])
             assert n_cols == ref_n
@@ -152,7 +154,7 @@ class TestBatchedDecode:
 
     def test_decode_b_rejects_unknown_width(self):
         with pytest.raises(SimulationError):
-            decode_b_operands(np.zeros((3, 16, 7), dtype=bool))
+            decode_b_operands(np.zeros((3, 7), dtype=np.uint16))
 
 
 #: popcount of every 4-bit value (dot patterns are 4-bit masks).
@@ -419,6 +421,6 @@ class TestLockstepPacking:
                                                  rng.random((16, 16)) < density))
             tasks.append(T1Task.from_bitmaps(dense, dense))
         stc = MODEL_VARIANTS[variant]()
-        batch = stc.simulate_blocks(tasks)
+        batch = simulate_blocks(stc, tasks)
         assert_results_equal(batch, [stc.simulate_block(t) for t in tasks], variant)
         assert packed and packed[0] > 1

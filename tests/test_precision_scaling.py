@@ -11,7 +11,7 @@ from repro.baselines import DsSTC, RmSTC, Trapezoid
 from repro.errors import ConfigError
 from repro.registry import create_stc, registered_stcs
 
-from tests.blocks import BINS, CYCLES
+from tests.blocks import BINS, CYCLES, simulate_blocks
 from tests.conftest import make_block_task, stc_at
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
@@ -98,7 +98,7 @@ class TestFP16:
     @pytest.mark.parametrize("name", FP16_MODELS)
     def test_fp16_models_fill_the_wider_array(self, name):
         stc = stc_at(name, FP16)
-        for row in (stc.simulate_block(DENSE).row(), stc.simulate_blocks([DENSE])[0]):
+        for row in (stc.simulate_block(DENSE).row(), simulate_blocks(stc, [DENSE])[0]):
             assert row[CYCLES] == 16
             assert row[BINS][3] == 16
             assert row[ACTION_COL["lane_cycles"]] == 256 * 16

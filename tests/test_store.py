@@ -20,6 +20,7 @@ from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
 from repro.formats.bbc import BBCMatrix
+from repro.kernels.vector import SparseVector
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
@@ -168,15 +169,17 @@ class TestManifest:
         with pytest.raises(FormatError, match="schema"):
             ResultStore(root)
 
-    def test_schema_1_store_must_be_rebuilt(self, root):
-        """Schema 1 held float64 counts where schema 2 holds int64 ones,
-        in records of the same size: only the manifest tells them apart."""
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_old_schema_store_must_be_rebuilt(self, root, schema):
+        """Schema 1 held float64 counts and schema 2 bool-grid keys where
+        schema 3 holds int64 rows under packed-pattern keys; records
+        frame alike, so only the manifest tells them apart."""
         import json
 
         with ResultStore(root) as store:
             store.insert(_key(1), _row(1))
         manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["schema"] = 1
+        manifest["schema"] = schema
         (root / MANIFEST_NAME).write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="rebuild it: delete"):
             ResultStore(root)
@@ -531,6 +534,31 @@ class TestBlockCacheTier:
         assert second.products == first.products
         assert second.counters.as_dict() == first.counters.as_dict()
 
+    def test_uni_stc_sweep_keys_hold_packed_patterns(self, root):
+        """A real sweep's records key on packed patterns: 32 bytes per A
+        block and 16-wide B panel, 2 per vector segment, so at most 64
+        operand bytes per payload key."""
+        bbc = BBCMatrix.from_coo(banded(96, 10, 0.4, seed=3))
+        x = SparseVector.from_dense(np.arange(96) % 3 == 0)
+        with ResultStore(root) as store:
+            cache = BlockCache(store=store)
+            for kernel, operands in (("spmv", {}), ("spmspv", {"x": x}),
+                                     ("spmm", {"b_cols": 40}), ("spgemm", {})):
+                simulate_kernel(kernel, bbc, UniSTC(), cache=cache, **operands)
+            store.flush()
+            records = len(store)
+        keys = []
+        for seg in _segments(store):
+            blob, offset = seg.read_bytes(), 0
+            while offset < len(blob):
+                _, _, length, _ = resultstore._PREFIX.unpack_from(blob, offset)
+                offset += resultstore._PREFIX.size
+                keys.append(resultstore._payload_key(blob[offset:offset + length]))
+                offset += length
+        assert len(keys) == records == cache.stats.inserts > 0
+        assert {(len(a), len(b)) for _, a, b in keys} == {(32, 2), (32, 32)}
+        assert max(len(a) + len(b) for _, a, b in keys) <= 64
+
     def test_resilient_runner_end_to_end(self, root):
         from repro.resilience.runner import ResilientRunner
         from repro.sim.sweep import Sweep
@@ -557,14 +585,15 @@ class TestBlockCacheTier:
 
 
 class TestStoreCLI:
-    def test_schema_1_store_is_one_error_line(self, root, tmp_path, capsys):
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_old_schema_store_is_one_error_line(self, root, tmp_path, capsys, schema):
         import json
 
         from repro.cli import main
 
         ResultStore(root).close()
         manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["schema"] = 1
+        manifest["schema"] = schema
         (root / MANIFEST_NAME).write_text(json.dumps(manifest))
         argv = ["corpus", "--limit", "1", "--store", str(root),
                 "--run-dir", str(tmp_path / "runs")]

@@ -42,7 +42,7 @@ class TestSpMVTasks:
     def test_vector_operand_shape(self, small_bbc):
         batch = spmv_batch(small_bbc)
         assert batch.n == 1
-        assert batch.b_patterns.shape[1:] == (16, 1)
+        assert batch.b_patterns.shape[1:] == (1,)  # one packed segment
         for task in batch.iter_tasks():
             assert task.n == 1
             assert task.b_bitmap().shape == (16, 1)
