@@ -87,12 +87,13 @@ class STCModel(ABC):
         """Evaluate a batch of block tasks as one ``[N, VECTOR_WIDTH]`` int64 array.
 
         Row ``i`` is the result of pattern pair ``i`` of ``batch``, a
-        :class:`~repro.kernels.batched.TaskBatch`, whatever its weight.  Every registered model overrides
-        this with an array evaluator (built with
-        :mod:`repro.arch.batch`); the default, which steps
-        :meth:`simulate_block` over ``batch.iter_tasks()``, serves only
-        out-of-tree models.  Overrides must equal the stacked stepped
-        rows exactly — the engine's memo treats the two interchangeably.
+        :class:`~repro.kernels.batched.TaskBatch`, whatever its weight.
+        Every registered model overrides this with an array evaluator
+        over the packed patterns, each decoded once per call
+        (:func:`~repro.arch.batch.evaluate_packed`); the default steps
+        :meth:`simulate_block` over ``batch.iter_tasks()`` for
+        out-of-tree models.  Overrides must equal the stepped rows
+        exactly — the engine's memo treats the two interchangeably.
         """
         rows = [self.simulate_block(task).row() for task in batch.iter_tasks()]
         return np.array(rows, dtype=np.int64).reshape(len(rows), VECTOR_WIDTH)

@@ -3,13 +3,13 @@
 Every registered model evaluates a batch of T1 tasks the same way
 around its own dataflow accounting:
 
-1. :func:`evaluate_packed` gathers a
-   :class:`~repro.kernels.batched.TaskBatch`'s packed patterns in chunks
-   of at most :data:`CHUNK_BLOCKS` blocks (the Uni-STC fastpath reads
-   them as they are) and writes each chunk's rows into one ``[N,
-   VECTOR_WIDTH]`` int64 array in task order; :func:`evaluate_stacked`
-   unpacks each chunk once into the ``[N, 16, 16]`` A / ``[N, 16, n]``
-   bool stacks the baselines read, the only bool operand stacks;
+1. :func:`evaluate_packed` decodes each distinct packed pattern of a
+   :class:`~repro.kernels.batched.TaskBatch` once per call, with the
+   model's A and B decoders (lookups over BBC's tile bitmaps, see
+   :func:`~repro.formats.bbc.pattern_row_masks`), gathers the decoded
+   arrays to the pairs of each chunk of at most :data:`CHUNK_BLOCKS`
+   blocks, and writes each chunk's rows into one ``[N, VECTOR_WIDTH]``
+   int64 array in task order;
 2. the evaluator computes per-block cycles, products, utilisation
    histograms (binning per-cycle products with :func:`util_bins` /
    :func:`histogram_rows`) and action counts;
@@ -20,12 +20,13 @@ around its own dataflow accounting:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
 from repro.arch.base import ACTION_COL, VECTOR_WIDTH
-from repro.formats.bbc import unpack_patterns
+from repro.errors import SimulationError
+from repro.formats.bbc import TILE, tile_col_counts, tile_row_counts
 
 #: Most blocks one array pass evaluates.  Every evaluator's
 #: intermediates run to a few KiB per block, so a pass stays at a few
@@ -34,42 +35,73 @@ from repro.formats.bbc import unpack_patterns
 #: this bounds memory rather than adding passes.
 CHUNK_BLOCKS = 2048
 
-#: ``evaluate(a, b)`` -> one int64 row per block of the chunk.
-Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: ``decode(patterns)`` -> arrays with one leading entry per pattern.
+Decoder = Callable[[np.ndarray], Tuple[np.ndarray, ...]]
+#: ``evaluate(*a, *b)`` -> one int64 row per block of the chunk.
+Evaluator = Callable[..., np.ndarray]
 
 
-def evaluate_packed(batch, evaluate: Evaluator) -> np.ndarray:
-    """Run ``evaluate`` over the packed patterns of ``batch``, chunk by chunk.
+def evaluate_packed(batch, decode_a: Decoder, decode_b: Decoder,
+                    evaluate: Evaluator) -> np.ndarray:
+    """Run ``evaluate`` over the pattern pairs of ``batch``, chunk by chunk.
 
-    ``evaluate`` gets ``[c, 16]`` A and ``[c, n]`` B uint16 patterns;
-    row ``i`` of the result is its row for entry ``i`` (weights unread).
+    ``decode_a`` / ``decode_b`` run once per call, on the batch's
+    ``[U, 16]`` A and ``[U, n]`` B pattern tables; ``evaluate`` gets
+    their arrays gathered to the chunk's pairs, A's first.  Row ``i``
+    of the result is its row for entry ``i`` (weights unread).
     """
+    a_tables, b_tables = decode_a(batch.a_patterns), decode_b(batch.b_patterns)
     rows = np.empty((len(batch), VECTOR_WIDTH), dtype=np.int64)
     for lo in range(0, len(batch), CHUNK_BLOCKS):
         part = slice(lo, lo + CHUNK_BLOCKS)
-        rows[part] = evaluate(batch.a_patterns[batch.a_index[part]],
-                              batch.b_patterns[batch.b_index[part]])
+        a_index, b_index = batch.a_index[part], batch.b_index[part]
+        rows[part] = evaluate(*(table[a_index] for table in a_tables),
+                              *(table[b_index] for table in b_tables))
     return rows
 
 
-def evaluate_stacked(batch, evaluate: Evaluator) -> np.ndarray:
-    """:func:`evaluate_packed` with each chunk unpacked to bool stacks.
+_NIBBLES = TILE * np.arange(TILE, dtype=np.int64)
 
-    ``evaluate`` gets ``[c, 16, 16]`` A and ``[c, 16, n]`` B occupancy.
+
+def decode_a_operands(a_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`~repro.arch.unistc.decode_a_operand` over ``[N, 16]`` patterns.
+
+    Returns ``(tile_bitmaps, col_counts)`` with leading batch axes:
+    ``tile_bitmaps[p, i, k]`` and ``col_counts[p, i, k, kk]``.
     """
-    return evaluate_packed(
-        batch, lambda a, b: evaluate(unpack_patterns(a), unpack_patterns(b)))
+    tiles = a_patterns.astype(np.int64).reshape(-1, TILE, TILE)
+    return tiles, tile_col_counts(tiles)
+
+
+def decode_b_operands(b_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`~repro.arch.unistc.decode_b_operand` over ``[N, n]`` patterns.
+
+    Returns ``(tile_bitmaps, row_counts)``, ``[p, tk, tj]`` and ``[p,
+    tk, tj, ei]``; a vector segment's nibble ``tk`` is the 4x1 tile
+    ``(tk, 0)``, so ``tj`` runs over the operand's ``n // 4`` (16 wide)
+    or one (a segment) tile columns.
+    """
+    if b_patterns.shape[1:] == (16,):
+        tiles = b_patterns.astype(np.int64).reshape(-1, TILE, TILE)
+        return tiles, tile_row_counts(tiles)
+    if b_patterns.shape[1:] == (1,):
+        tiles = (b_patterns.astype(np.int64) >> _NIBBLES) & 0xF     # [p, tk]
+        return tiles[:, :, None], ((tiles[:, :, None, None] >> np.arange(TILE)) & 1)
+    raise SimulationError(
+        f"unsupported B operand shape {b_patterns.shape[1:]}"
+    )
 
 
 def util_bins(eff: np.ndarray, macs: int) -> np.ndarray:
     """Fig. 5 utilisation bin of integer per-cycle product counts.
 
     :meth:`~repro.arch.tasks.UtilHistogram.record` of ``eff / macs`` in
-    integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``.  The
+    integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``, which
+    is ``min(max(4 * eff - 1, 0) // macs, 3)`` for ``eff >= 0``.  The
     two agree because the MAC budgets (64/128/256) are powers of two, so
     the float quotient the stepped path bins is exact too.
     """
-    return np.clip((4 * eff + macs - 1) // macs - 1, 0, 3)
+    return np.minimum(np.maximum(4 * eff - 1, 0) // macs, 3)
 
 
 def histogram_rows(bins: np.ndarray, weight: np.ndarray) -> np.ndarray:

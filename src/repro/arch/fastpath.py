@@ -4,90 +4,64 @@
 pairs in one pass of numpy array ops — the cold-path complement to the
 engine's warm-path memoisation.  Per batch it
 
-1. reads the packed patterns of every block
-   (:func:`~repro.arch.batch.evaluate_packed` chunks them): they *are*
-   the level-2 tile bitmaps, so :func:`decode_a_operands` /
-   :func:`decode_b_operands` only reshape them and take per-tile
-   column / row counts from nibble popcounts;
-2. computes every block's T3 product counts with one batched einsum
-   (:func:`~repro.arch.tms.tile_products_batch`);
+1. decodes each distinct packed pattern once
+   (:func:`~repro.arch.batch.evaluate_packed`): its tiles and per-tile
+   column / row counts, its row or column masks and its nonzero tiles;
+2. computes every block's T3 product counts with one batched matmul
+   (:func:`~repro.arch.tms.tile_products_batch`) and lists the tasks
+   in dispatch order by walking a transposed view of them
+   (:func:`_dispatch_tasks`);
 3. resolves **regular pattern classes analytically** — empty blocks,
    uniform-product schedules (dense tiles, the SpMM all-ones B panels)
-   and DPG-bound streams — computing cycles, the utilisation histogram
-   and every energy action counter with closed-form array accounting
-   instead of stepping the TMS cycle by cycle;
+   and DPG-bound streams — with closed-form array accounting of
+   cycles, the utilisation histogram and every energy action counter;
 4. re-packs every MAC-bound non-uniform block greedily in **one
-   lockstep pass** (:func:`_pack_lockstep`): one ``searchsorted`` over
-   a cumulative-products array gives the end of a cycle starting at
-   any task, and all such blocks then advance one dispatch cycle per
-   array step, so no Python loop runs per block;
-5. replays the exact dispatch, per block, of streams whose windows
-   carry an output-tile conflict (round-robin arbitration reshuffles
-   the schedule; :func:`_dispatch_conflicted`), and falls back to
+   lockstep pass** (:func:`_pack_lockstep`);
+5. replays the exact dispatch of streams whose windows carry an
+   output-tile conflict (round-robin arbitration reshuffles the
+   schedule; :func:`_dispatch_conflicted`), and falls back to
    :meth:`UniSTC.simulate_block` stepping only for an over-budget T3
    task or an unknown ordering (the stepped path raises).
 
-The analytic accounting replicates the TMS dispatch rules exactly —
-window packing under the MAC/DPG budgets, wakeup-stall exposure, the
+The accounting replicates the TMS dispatch rules exactly — window
+packing under the MAC/DPG budgets, wakeup-stall exposure, the
 per-cycle tile-fetch delta against the previous cycle's working set —
 so every row equals the stepped path's
-:meth:`~repro.arch.base.BlockResult.row`.  The parity suite
-(``tests/test_fastpath.py``) asserts this row for row on every
-kernel's block population.
-
-DPG decomposition never steps either.  Each T3 task's
-:func:`~repro.arch.dpg.dpg_stats` follow from 4-bit masks: an A row
-``m`` selects the B rows it meets, and every per-row count (T4 tasks,
-A fetches) and the B fetches are entries of one 65,536-entry packed
-table (:func:`_dpg_tables`), summed per block in the integer domain
-(:func:`_dpg_totals`).  Both broadcast counts equal the block's
-products, and C writes its T4 count.  Only the C-output count unpacks
-the chunk's patterns, once, for one boolean matmul.
+:meth:`~repro.arch.base.BlockResult.row`; ``tests/test_fastpath.py``
+asserts this row for row.  DPG totals are sums of entries of one
+65,536-entry packed table (:func:`_dpg_totals`), and the C-output
+count is ``count_nonzero(A row masks & B column masks)``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.arch.base import VECTOR_WIDTH
-from repro.arch.batch import evaluate_packed, result_rows, util_bins
+from repro.arch.batch import (decode_a_operands, decode_b_operands, evaluate_packed,
+                               result_rows, util_bins)
 from repro.arch.tasks import T1Task
 from repro.arch.tms import ORDERINGS, tile_products_batch
 from repro.errors import SimulationError
-from repro.formats.bbc import tile_col_counts, tile_row_counts, unpack_patterns
-from repro.formats.bitarray import popcount_array
-
-_NIBBLES = 4 * np.arange(4, dtype=np.int64)
+from repro.formats.bbc import pattern_col_masks, pattern_row_masks
+from repro.formats.bitarray import popcount16
 
 
-def decode_a_operands(a_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.arch.unistc.decode_a_operand` over ``[N, 16]`` patterns.
-
-    Returns ``(tile_bitmaps, col_counts)`` with leading batch axes:
-    ``tile_bitmaps[p, i, k]`` and ``col_counts[p, i, k, kk]``.
-    """
-    tiles = a_patterns.astype(np.int64).reshape(-1, 4, 4)
-    return tiles, tile_col_counts(tiles)
+def _decode_a(a_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """A patterns, tiles, tile column counts, row masks and nonzero tiles."""
+    tiles, cols = decode_a_operands(a_patterns)
+    return (a_patterns, tiles, cols, pattern_row_masks(a_patterns),
+            np.count_nonzero(a_patterns, axis=1))
 
 
-def decode_b_operands(
-    b_patterns: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Batched :func:`~repro.arch.unistc.decode_b_operand` over ``[N, n]`` patterns."""
-    if b_patterns.shape[1:] == (16,):
-        tiles = b_patterns.astype(np.int64).reshape(-1, 4, 4)
-        return tiles, tile_row_counts(tiles), 4                # [p, tk, tj, ei]
-    if b_patterns.shape[1:] == (1,):
-        # Nibble tk of a segment is rows 4*tk..4*tk+3: a 4x1 tile.
-        tiles = (b_patterns.astype(np.int64) >> _NIBBLES) & 0xF  # [p, tk]
-        row_counts = (tiles[:, :, None, None] >> np.arange(4)) & 1
-        return tiles[:, :, None], row_counts, 1                # [p, tk, 1, ei]
-    raise SimulationError(
-        f"unsupported B operand shape {b_patterns.shape[1:]}"
-    )
+def _decode_b(b_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """B patterns, tiles, tile row counts, column masks and nonzero tiles."""
+    tiles, rows = decode_b_operands(b_patterns)
+    return (b_patterns, tiles, rows, pattern_col_masks(b_patterns),
+            np.count_nonzero(tiles, axis=(1, 2)))
 
 
 #: Field offsets of a packed :func:`_dpg_tables` entry.  A block has at
@@ -112,12 +86,12 @@ def _dpg_tables() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
       ``kk`` set in ``r``.
     """
     x = np.arange(1 << 16, dtype=np.uint32)
+    pop = popcount16().astype(np.uint32)
     rows = [(x >> (4 * kk)) & 0xF for kk in range(4)]
-    cols = popcount_array(rows[0] | rows[1] | rows[2] | rows[3])
+    cols = pop[rows[0] | rows[1] | rows[2] | rows[3]]
     pairs = sum(((r & 0x3) != 0).astype(np.int64) + ((r & 0xC) != 0)
                 for r in rows)
-    stats = (cols | (pairs << _A_FETCH_SHIFT)
-             | (popcount_array(x) << _POP_SHIFT)).astype(np.uint32)
+    stats = (cols | (pairs << _A_FETCH_SHIFT) | (pop << _POP_SHIFT)).astype(np.uint32)
     rowsel = [sum(0xF << (4 * kk) for kk in range(4) if r >> kk & 1)
               for r in range(16)]
     rowsel_lo = np.array([rowsel[h & 0xF] | rowsel[h >> 4] << 16
@@ -170,85 +144,108 @@ def _dpg_totals(
     return t4, a_fetch, b_fetch
 
 
-def _dispatch_order(
-    ordering: str,
-    adaptive: bool,
-    bb: np.ndarray,
-    kk: np.ndarray,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    nblocks: int,
-) -> Optional[np.ndarray]:
-    """Permutation putting the flat task arrays into TMS dispatch order.
+#: Axes of ``[N, k, i, j]`` products each ordering walks in C order.
+_ORDER_AXES = {"outer": (0, 1, 2, 3), "dot": (0, 2, 3, 1), "rowrow": (0, 2, 1, 3)}
+#: Sums the four bytes of a uint32 into its top byte.
+_BYTE_SUM = np.uint32(0x01010101)
 
-    ``None`` means the arrays are already ordered (``np.nonzero``'s
-    C-order *is* the outer, non-flipped ``(block, k, i, j)`` order).
-    Mirrors :meth:`TileMultiplyScheduler.order_tasks` including the
-    adaptive intra-layer row-/column-major switch.
+
+def _dispatch_tasks(
+    ordering: str, adaptive: bool, products: np.ndarray,
+) -> Tuple[np.ndarray, ...]:
+    """Flat ``(bb, kk, ii, jj, pp)`` arrays of every T3 task, in TMS dispatch order.
+
+    ``products`` is ``[N, k, i, j]``; a task is a nonzero entry, and
+    each ordering walks a transposed view of it in C order: outer is
+    ``(block, k, i, j)``, with the adaptive switch transposing every
+    layer holding more live rows than live columns to ``(j, i)`` (a
+    no-op on a vector B's one-column layers); dot is ``(block, i, j,
+    k)`` and row-row ``(block, i, k, j)``.  Mirrors
+    :meth:`TileMultiplyScheduler.order_tasks`.
     """
-    if ordering == "outer":
-        if not adaptive:
-            return None
-        lay = bb * 4 + kk
-        rows_present = np.zeros((nblocks * 4, 4), dtype=bool)
-        cols_present = np.zeros((nblocks * 4, 4), dtype=bool)
-        rows_present[lay, ii] = True
-        cols_present[lay, jj] = True
-        flip = rows_present.sum(axis=1) > cols_present.sum(axis=1)
-        if not flip.any():
-            return None
-        intra = np.where(flip[lay], jj * 4 + ii, ii * 4 + jj)
-        return np.lexsort((intra, lay))
-    if ordering == "dot":
-        return np.lexsort((kk, jj, ii, bb))
-    return np.lexsort((jj, kk, ii, bb))  # rowrow
+    axes = _ORDER_AXES[ordering]
+    view = products.transpose(axes)
+    flip = None
+    if ordering == "outer" and adaptive and products.shape[3] > 1:
+        # A layer row's four live flags as one uint32, byte j each.
+        live = (products > 0).view(np.uint32)[..., 0]            # [N, k, i]
+        rows = ((live != 0).view(np.uint32)[..., 0] * _BYTE_SUM) >> 24
+        cols = ((live[:, :, 0] | live[:, :, 1] | live[:, :, 2] | live[:, :, 3])
+                * _BYTE_SUM) >> 24
+        flip = rows > cols
+        if flip.any():
+            view = np.where(flip[:, :, None, None], products.swapaxes(2, 3), products)
+        else:
+            flip = None
+    view = np.ascontiguousarray(view)
+    flat = np.flatnonzero(view)
+    walked = np.unravel_index(flat, view.shape)
+    bb, kk, ii, jj = (walked[axes.index(axis)] for axis in range(4))
+    if flip is not None:
+        flipped = flip[bb, kk]
+        ii, jj = np.where(flipped, jj, ii), np.where(flipped, ii, jj)
+    return bb, kk, ii, jj, view.reshape(-1)[flat]
 
 
 def _dispatch_conflicted(
-    p: List[int], out_tile: List[int], num_dpgs: int, macs: int
-) -> Tuple[List[int], int]:
-    """Cycle ids of one conflicted block's ordered task stream.
+    p: List[int], bits: List[int], lens: List[int], num_dpgs: int, macs: int
+) -> Tuple[List[int], List[int]]:
+    """Cycle ids of conflicted blocks' ordered task streams.
 
-    Replays :meth:`TileMultiplyScheduler.dispatch` exactly — including
+    The streams lie back to back (block ``q`` has ``lens[q]`` tasks of
+    ``p`` products and one-hot output tile ``bits``).  Replays
+    :meth:`TileMultiplyScheduler.dispatch` exactly — including
     round-robin conflict skips that re-queue tasks at the front — but
-    records only the task → cycle assignment.  Every per-cycle statistic
-    the model consumes (products, task count, tile working sets, wakeup
-    events) is a function of cycle *membership*, not of intra-cycle
-    order, so this is all the downstream array accounting needs.
+    records only the task → cycle assignment, returning every task's
+    cycle id within its block and each block's cycle count.  Every
+    per-cycle statistic the model consumes (products, task count, tile
+    working sets, wakeup events) is a function of cycle *membership*,
+    not of intra-cycle order, so this is all the downstream array
+    accounting needs.
     """
-    total = len(p)
-    cyc = [0] * total
-    # The queue lives reversed in a plain list: the *end* is the front,
-    # so popleft is pop() and appendleft is append() — no deque needed,
-    # and the 16 possible output tiles fit one int as a "used" bitmask.
-    pending = list(range(total - 1, -1, -1))
-    cycle = 0
-    while pending:
-        chosen = 0
-        used = 0
-        skipped: List[int] = []
-        products = 0
-        while pending and chosen < num_dpgs:
-            t = pending.pop()
-            if products + p[t] > macs:
-                pending.append(t)
-                break
-            bit = 1 << out_tile[t]
-            if used & bit:
-                skipped.append(t)
-                if len(skipped) >= num_dpgs:
+    cyc = [0] * len(p)
+    counts = []
+    hi = 0
+    for total in lens:
+        lo, hi = hi, hi + total
+        # The queue lives reversed in a plain list: the *end* is the
+        # front, so popleft is pop() and appendleft is append() — no
+        # deque needed, and the 16 possible output tiles fit one int
+        # as a "used" bitmask.
+        pending = list(range(hi - 1, lo - 1, -1))
+        cycle = 0
+        while pending:
+            chosen = 0
+            used = 0
+            skipped: List[int] = []
+            products = 0
+            while pending and chosen < num_dpgs:
+                t = pending.pop()
+                if products + p[t] > macs:
+                    pending.append(t)
                     break
-                continue
-            cyc[t] = cycle
-            used |= bit
-            chosen += 1
-            products += p[t]
-        for t in reversed(skipped):
-            pending.append(t)
-        if not chosen:
-            raise SimulationError("dispatch made no progress; scheduler bug")
-        cycle += 1
-    return cyc, cycle
+                bit = bits[t]
+                if used & bit:
+                    skipped.append(t)
+                    if len(skipped) >= num_dpgs:
+                        break
+                    continue
+                cyc[t] = cycle
+                used |= bit
+                chosen += 1
+                products += p[t]
+            pending.extend(reversed(skipped))
+            if not chosen:
+                raise SimulationError("dispatch made no progress; scheduler bug")
+            cycle += 1
+        counts.append(cycle)
+    return cyc, counts
+
+
+def _stream_positions(offsets: np.ndarray, blocks: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Flat positions of the tasks of ``blocks`` (``lens`` each), back to back."""
+    ends = np.cumsum(lens)
+    return np.repeat(offsets[blocks] - (ends - lens), lens) + np.arange(int(ends[-1]))
 
 
 def _pack_lockstep(
@@ -304,25 +301,25 @@ def simulate_blocks(stc, batch) -> np.ndarray:
     stepped ``stc.simulate_block`` row of task entry ``i`` of ``batch``
     exactly; only the evaluation strategy differs.
     """
-    return evaluate_packed(batch, partial(_evaluate_group, stc))
+    return evaluate_packed(batch, _decode_a, _decode_b, partial(_evaluate_group, stc))
 
 
-def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.ndarray:
-    """Evaluate one chunk of packed pattern pairs into result rows."""
+def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
+                    b_patterns, b_tiles, b_rows, b_cols, b_live_tiles) -> np.ndarray:
+    """Evaluate one chunk of pattern pairs, decoded by :func:`_decode_a` /
+    :func:`_decode_b`, into result rows."""
     cfg = stc.config
     count = len(a_patterns)
+    n_cols = b_tiles.shape[2]
 
     def stepped(q: int) -> np.ndarray:
         task = T1Task(a_patterns[q].tobytes(), b_patterns[q].tobytes(),
                       n=b_patterns.shape[1])
         return stc.simulate_block(task).row()
 
-    a_tiles, a_cols = decode_a_operands(a_patterns)
-    b_tiles, b_rows, n_cols = decode_b_operands(b_patterns)
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
     totals = products.sum(axis=(1, 2, 3))
-    meta = (2 + (a_tiles != 0).sum(axis=(1, 2))
-            + (b_tiles != 0).sum(axis=(1, 2)))
+    meta = 2 + a_live_tiles + b_live_tiles
 
     # A zero-product block (Fig. 20's sparse regime) retires in one
     # cycle of metadata processing.
@@ -347,14 +344,8 @@ def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.n
         return rows
 
     # -- flat task arrays in dispatch order -----------------------------
-    sub = products[ne]
-    bb, kk, ii, jj = np.nonzero(sub)
-    pp = sub[bb, kk, ii, jj]
-    order = _dispatch_order(
-        stc.ordering, cfg.adaptive_ordering, bb, kk, ii, jj, int(ne.size)
-    )
-    if order is not None:
-        bb, kk, ii, jj, pp = bb[order], kk[order], ii[order], jj[order], pp[order]
+    bb, kk, ii, jj, pp = _dispatch_tasks(
+        stc.ordering, cfg.adaptive_ordering, products[ne])
 
     nblocks = int(ne.size)
     tasks_per_block = np.bincount(bb, minlength=nblocks)
@@ -381,13 +372,11 @@ def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.n
         # Non-uniform MAC-bound blocks: replay the exact greedy packing,
         # all of them in one lockstep pass.
         block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
-        needs_pack = np.unique(block_of_cycle[over])
-        needs_pack = needs_pack[~fallback[needs_pack]]
+        needs_pack = np.flatnonzero(
+            (np.bincount(block_of_cycle[over], minlength=nblocks) > 0) & ~fallback)
         if needs_pack.size:
             lens = tasks_per_block[needs_pack]
-            ends = np.cumsum(lens)
-            task_pos = (np.repeat(offsets[needs_pack] - (ends - lens), lens)
-                        + np.arange(int(ends[-1])))
+            task_pos = _stream_positions(offsets, needs_pack, lens)
             cyc[task_pos], ncyc[needs_pack] = _pack_lockstep(
                 pp[task_pos], lens, nd, macs)
             cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
@@ -399,32 +388,33 @@ def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.n
         # the front) — replay the exact dispatch for those blocks.
         # Downstream accounting only needs cycle membership, so the
         # replay emits task → cycle ids and the array pipeline resumes.
-        key = np.sort(gcyc * 16 + ii * 4 + jj)
-        dup_key = key[1:][key[1:] == key[:-1]]
-        if dup_key.size:
-            # The duplicate's block follows from its global cycle id.
-            dup_blocks = np.searchsorted(
-                cyc_off, dup_key >> 4, side="right") - 1
+        clashes = np.bincount(gcyc * 16 + ii * 4 + jj,
+                              minlength=16 * int(cyc_off[-1])) > 1
+        dup_cycles = np.flatnonzero(clashes) >> 4
+        if dup_cycles.size:
+            # The clash's block follows from its global cycle id.
+            dup_blocks = np.searchsorted(cyc_off, dup_cycles, side="right") - 1
             conflicted = np.zeros(nblocks, dtype=bool)
             conflicted[dup_blocks] = True
             conflicted &= ~fallback
             if conflicted.any():
-                p_list = pp.tolist()
-                out_list = (ii * 4 + jj).tolist()
-                for q in np.nonzero(conflicted)[0]:
-                    lo, hi = int(offsets[q]), int(offsets[q + 1])
-                    cyc[lo:hi], ncyc[q] = _dispatch_conflicted(
-                        p_list[lo:hi], out_list[lo:hi], nd, macs
-                    )
+                replay = np.flatnonzero(conflicted)
+                lens = tasks_per_block[replay]
+                task_pos = _stream_positions(offsets, replay, lens)
+                cyc[task_pos], ncyc[replay] = _dispatch_conflicted(
+                    pp[task_pos].tolist(),
+                    (1 << (ii[task_pos] * 4 + jj[task_pos])).tolist(),
+                    lens.tolist(), nd, macs,
+                )
                 cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
                 gcyc = cyc_off[bb] + cyc
 
-    for q in np.nonzero(fallback)[0]:
-        rows[ne[q]] = stepped(int(ne[q]))
     fast = np.nonzero(~fallback)[0]
-    if fast.size == 0:
-        return rows
-    if fallback.any():
+    if fast.size < nblocks:
+        for q in np.nonzero(fallback)[0]:
+            rows[ne[q]] = stepped(int(ne[q]))
+        if fast.size == 0:
+            return rows
         live = ~fallback[bb]
         remap = np.full(nblocks, -1, dtype=np.int64)
         remap[fast] = np.arange(fast.size)
@@ -482,16 +472,16 @@ def _evaluate_group(stc, a_patterns: np.ndarray, b_patterns: np.ndarray) -> np.n
 
     # -- DPG stage: per-block totals from lookup tables, whole batch at once
     # (bb is block-sorted and every fast block has a task).
+    task_block = fast_global[bb]
     t4, a_fetch, b_fetch = _dpg_totals(
-        a_tiles[fast_global][bb, ii, kk], b_tiles[fast_global][bb, kk, jj],
+        a_tiles.reshape(-1)[task_block * 16 + ii * 4 + kk],
+        b_tiles.reshape(-1)[(task_block * 4 + kk) * n_cols + jj],
         n_cols, np.cumsum(tasks_per_block) - tasks_per_block,
     )
 
-    # float32 routes the batched matmul through BLAS; dot values are
-    # bounded by the shared dim (16), so they are exact in float32.
+    # C element (i, j) is written iff A row i meets B column j.
     c_outputs = np.count_nonzero(
-        unpack_patterns(a_patterns[fast_global]).astype(np.float32)
-        @ unpack_patterns(b_patterns[fast_global]).astype(np.float32),
+        a_rows[fast_global][:, :, None] & b_cols[fast_global][:, None, :],
         axis=(1, 2),
     )
 

@@ -49,13 +49,13 @@ def tile_products(a_col_counts: np.ndarray, b_row_counts: np.ndarray) -> np.ndar
 
 
 def tile_products_batch(a_col_counts: np.ndarray, b_row_counts: np.ndarray) -> np.ndarray:
-    """:func:`tile_products` over a whole batch in one einsum.
+    """:func:`tile_products` over a whole batch in one batched matmul.
 
     ``a_col_counts[p, i, k, kk]`` / ``b_row_counts[p, k, j, kk]`` carry
     a leading batch axis; the result is ``prod[p, k, i, j]`` matching
     the per-block function for every ``p``.
     """
-    return np.einsum("pika,pkja->pkij", a_col_counts, b_row_counts)
+    return a_col_counts.transpose(0, 2, 1, 3) @ b_row_counts.transpose(0, 1, 3, 2)
 
 
 @dataclass

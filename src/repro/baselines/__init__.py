@@ -9,18 +9,3 @@ from repro.baselines.sigma import Sigma
 from repro.baselines.trapezoid import Trapezoid
 
 __all__ = ["DsSTC", "Gamma", "NvDTC", "NvDTCSparse", "RmSTC", "Sigma", "Trapezoid"]
-
-
-def all_baselines(precision=None):
-    """Instantiate every baseline at the given precision (default FP64)."""
-    from repro.arch.config import FP64
-
-    prec = precision or FP64
-    return [
-        NvDTC(prec),
-        Gamma(prec),
-        Sigma(prec),
-        Trapezoid(prec),
-        DsSTC(prec),
-        RmSTC(prec),
-    ]

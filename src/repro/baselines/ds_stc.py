@@ -21,11 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, chunks, operand_arrays, t3_shape
+from repro.baselines.common import ceil_div, chunks, col_masks, operand_arrays, row_masks, t3_shape
+from repro.formats.bitarray import popcount16
 
 
 class DsSTC(STCModel):
@@ -84,18 +85,19 @@ class DsSTC(STCModel):
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over per-K counts.
 
-        A K layer's rank-1 update splits into full/partial A chunks x
+        Layer ``k`` pairs the popcounts of A's column ``k`` and B's row
+        ``k``.  Its rank-1 update splits into full/partial A chunks x
         full/partial B chunks, so its cycles fall into four product
         classes, each counted in closed form.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, col_masks, row_masks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _evaluate(self, a_cols: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         ca, cb = self.chunk_a, self.chunk_b
-        na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
-        nb = b.sum(axis=2, dtype=np.int64)                       # [N, k]
+        na = popcount16()[a_cols].astype(np.int64)               # [N, k]
+        nb = popcount16()[b_rows].astype(np.int64)               # [N, k]
         live = (na > 0) & (nb > 0)
         na_live = na * live
         a_chunks = -(-na_live // ca)

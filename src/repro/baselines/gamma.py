@@ -16,11 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import chunks, operand_arrays, t3_shape
+from repro.baselines.common import chunks, col_masks, operand_arrays, row_masks, t3_shape
+from repro.formats.bitarray import popcount16
 
 
 class Gamma(STCModel):
@@ -77,17 +78,18 @@ class Gamma(STCModel):
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over per-K counts.
 
-        A live K layer runs its full B chunks plus at most one partial
-        one, so its cycles fall into two product classes.
+        Layer ``k`` pairs the popcounts of A's column ``k`` and B's row
+        ``k``.  A live layer runs its full B chunks plus at most one
+        partial one, so its cycles fall into two product classes.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, col_masks, row_masks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _evaluate(self, a_cols: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         cc = self.chunk_cols
-        na = a.sum(axis=1, dtype=np.int64)                       # [N, k]
-        nb = b.sum(axis=2, dtype=np.int64) * (na > 0)            # [N, k]
+        na = popcount16()[a_cols].astype(np.int64)               # [N, k]
+        nb = popcount16()[b_rows].astype(np.int64) * (na > 0)    # [N, k]
         live = nb > 0
         na_live = na * live
         products = (na * nb).sum(axis=1)

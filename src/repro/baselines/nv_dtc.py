@@ -10,15 +10,15 @@ drives Fig. 5's ">84% of cycles below 25% utilisation" observation.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
+from repro.arch.batch import (decode_a_operands, decode_b_operands, evaluate_packed,
+                               histogram_rows, result_rows, util_bins)
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
+from repro.arch.tms import tile_products_batch
 from repro.baselines.common import ceil_div, operand_arrays, t3_shape
 
 #: T2 task M extent, and the T3 N extent, of both NV-DTC modes.
@@ -26,30 +26,11 @@ T2_M = 8
 T3_N = 4
 
 
-def _column_groups(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The T3 column groups of a width-``n`` B operand.
-
-    Returns ``(select, region, width)``: ``select[j, g]`` marks column
-    ``j`` of group ``g``, ``region[g]`` is the T2 column region holding
-    the group and ``width[g]`` its column count — the stepped loops'
-    ``n3`` sub-slices of every ``ni`` region, in order.
-    """
-    t2_n = min(8, n)
-    spans = []
-    for ni in range(ceil_div(n, t2_n)):
-        lo, hi = ni * t2_n, min((ni + 1) * t2_n, n)
-        spans += [(ni, c, min(c + T3_N, hi)) for c in range(lo, hi, T3_N)]
-    select = np.zeros((n, len(spans)), dtype=np.float32)
-    for g, (_, lo, hi) in enumerate(spans):
-        select[lo:hi, g] = 1
-    region = np.array([ni for ni, _, _ in spans])
-    width = np.array([hi - lo for _, lo, hi in spans], dtype=np.int64)
-    return select, region, width
-
-
 def nv_results(
-    a: np.ndarray,
-    b: np.ndarray,
+    a_tiles: np.ndarray,
+    a_cols: np.ndarray,
+    b_tiles: np.ndarray,
+    b_rows: np.ndarray,
     t3_m: int,
     t2_k: int,
     a_reads_per_t3: int,
@@ -60,37 +41,39 @@ def nv_results(
 
     Every T3 task of every unskipped T2 region (K extent ``t2_k``) runs
     one cycle, reading ``a_reads_per_t3`` A elements and its dense B
-    sub-region.
+    sub-region.  The operands come as 4x4 tiles
+    (:func:`~repro.arch.batch.decode_a_operands` /
+    :func:`~repro.arch.batch.decode_b_operands`): a T3 task's column
+    group is one B tile column (a segment's one column), so its
+    products sum the tile triples of its ``t3_m / 4`` tile rows and
+    ``t2_k / 4`` K tiles, and the front-end skip tests whole tiles.
     """
-    count, n = a.shape[0], b.shape[2]
-    k_groups = 16 // t2_k
-    m3 = 16 // t3_m
-    select, region, width = _column_groups(n)
-    # Per-T3 operand sums: A column counts per T3 row group, B row
-    # counts per T3 column group (float32 matmuls, exact here).
-    a_m = a.reshape(count, m3, t3_m, 16).sum(axis=2, dtype=np.float32)
-    b_g = b.astype(np.float32) @ select                            # [N, k, G]
-    eff = (
-        a_m.reshape(count, m3, k_groups, t2_k).transpose(0, 2, 1, 3)
-        @ b_g.reshape(count, k_groups, t2_k, -1)
-    ).astype(np.int64)                                             # [N, kg, m3, G]
+    count, groups = b_tiles.shape[0], b_tiles.shape[2]
+    kf, mf = t2_k // 4, t3_m // 4
+    k_groups, m3 = 4 // kf, 4 // mf
+    eff = tile_products_batch(a_cols, b_rows).reshape(
+        count, k_groups, kf, m3, mf, groups).sum(axis=(2, 4))    # [N, kg, m3, G]
     # The front-end skip: a T2 task runs iff its A and B regions are
-    # both nonempty; a T3 column group's B region is the union of the
-    # groups sharing its T2 column region.
-    a_live = a.reshape(count, 16 // T2_M, T2_M, k_groups, t2_k).any(axis=(2, 4))
-    b_any = b_g.reshape(count, k_groups, t2_k, -1).sum(axis=2) > 0   # [N, kg, G]
-    b_live = np.stack([b_any[..., region == r].any(axis=-1) for r in region], axis=-1)
+    # both nonempty.  An A region is two tile rows; a T3 column group's
+    # B region is its T2 column region, two tile columns (of a 16-wide
+    # B; a segment is one region).
+    a_live = (a_tiles != 0).reshape(count, 2, 2, k_groups, kf).any(axis=(2, 4))
+    b_any = (b_tiles != 0).reshape(count, k_groups, kf, groups).any(axis=2)
+    if groups > 1:
+        b_any = np.repeat(b_any.reshape(count, k_groups, -1, 2).any(axis=3), 2, axis=2)
     a_run = a_live[:, np.arange(m3) // (T2_M // t3_m), :].transpose(0, 2, 1)
-    run = a_run[:, :, :, None] & b_live[:, :, None, :]             # [N, kg, m3, G]
+    run = a_run[:, :, :, None] & b_any[:, :, None, :]             # [N, kg, m3, G]
     steps = run.sum(axis=(1, 2, 3))
     products = (eff * run).sum(axis=(1, 2, 3))
     hist = histogram_rows(util_bins(eff, macs), run)
     cycles = np.maximum(steps, 1)
     hist[:, 0] += steps == 0
     a_reads = a_reads_per_t3 * steps
-    b_reads = t2_k * (run * width).sum(axis=(1, 2, 3))
+    # A column group spans T3_N columns of a 16-wide B, a segment's one.
+    width = T3_N if groups > 1 else 1
+    b_reads = t2_k * width * steps
     # Accumulators are local: C is written once per output element.
-    c_writes = 16 * n
+    c_writes = 16 * width * groups
     return result_rows(cycles, products, hist, {
         "a_elem_reads": a_reads,
         "b_elem_reads": b_reads,
@@ -171,12 +154,13 @@ class NvDTC(STCModel):
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks."""
-        return evaluate_stacked(batch, self._evaluate)
+        """Array evaluation of :meth:`simulate_block` over operand tiles."""
+        return evaluate_packed(batch, decode_a_operands, decode_b_operands,
+                               self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _evaluate(self, a_tiles, a_cols, b_tiles, b_rows) -> np.ndarray:
         t2_k = 4
         return nv_results(
-            a, b, self.t3_m, t2_k,
+            a_tiles, a_cols, b_tiles, b_rows, self.t3_m, t2_k,
             a_reads_per_t3=self.t3_m * t2_k, meta=1, macs=self.macs,
         )

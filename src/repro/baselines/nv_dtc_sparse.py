@@ -15,12 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.base import VECTOR_WIDTH, BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked
+from repro.arch.batch import decode_a_operands, decode_b_operands, evaluate_packed
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
 from repro.baselines.common import ceil_div, operand_arrays, t3_shape
 from repro.baselines.nv_dtc import T2_M, T3_N, nv_results
+from repro.formats.bbc import tile_row_counts
 
 
 def blocks_satisfy_2to4(a: np.ndarray, group: int = 4, keep: int = 2) -> np.ndarray:
@@ -32,6 +33,17 @@ def blocks_satisfy_2to4(a: np.ndarray, group: int = 4, keep: int = 2) -> np.ndar
 def block_satisfies_2to4(a: np.ndarray, group: int = 4, keep: int = 2) -> bool:
     """Does this 16x16 A block satisfy 2:4 along K (its columns)?"""
     return bool(blocks_satisfy_2to4(a[None], group, keep)[0])
+
+
+def patterns_satisfy_2to4(a_patterns: np.ndarray) -> np.ndarray:
+    """:func:`blocks_satisfy_2to4` of ``[N, 16]`` packed A patterns: a 4-wide
+    K window of a row is one nibble of one tile, so no nibble holds > 2 bits."""
+    return (tile_row_counts(a_patterns.astype(np.int64)) <= 2).all(axis=(1, 2))
+
+
+def _decode_a(a_patterns: np.ndarray):
+    """The A tiles and their column counts, plus each pattern's 2:4 test."""
+    return (*decode_a_operands(a_patterns), patterns_satisfy_2to4(a_patterns))
 
 
 class NvDTCSparse(STCModel):
@@ -102,16 +114,15 @@ class NvDTCSparse(STCModel):
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over operand tiles.
 
-        The stack splits on the 2:4 test, because structured blocks run
+        The chunk splits on the 2:4 test, because structured blocks run
         a T2 grid with twice the K extent.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, _decode_a, decode_b_operands, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        satisfied = blocks_satisfy_2to4(a)
-        rows = np.empty((a.shape[0], VECTOR_WIDTH), dtype=np.int64)
+    def _evaluate(self, a_tiles, a_cols, satisfied, b_tiles, b_rows) -> np.ndarray:
+        rows = np.empty((len(a_tiles), VECTOR_WIDTH), dtype=np.int64)
         for structured in (False, True):
             part = satisfied == structured
             if not part.any():
@@ -121,7 +132,8 @@ class NvDTCSparse(STCModel):
             # The stepped path's min(1, eff / macs) bins like eff / macs
             # clipped to the top bin, which util_bins already does.
             rows[part] = nv_results(
-                a[part], b[part], self.t3_m, t2_k,
+                a_tiles[part], a_cols[part], b_tiles[part], b_rows[part],
+                self.t3_m, t2_k,
                 a_reads_per_t3=self.t3_m * t2_k // k_speedup,
                 meta=2 if structured else 1,
                 macs=self.macs,

@@ -25,33 +25,16 @@ from typing import List
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import POP16, ceil_div, operand_arrays, pair_row_masks, t3_shape
-
-
-def _chunk_masks(width: int) -> np.ndarray:
-    """``[65536, 16 // width]`` live-column chunks of every 16-bit mask.
-
-    Chunk ``c`` of a mask holds its set bits of rank ``width * c`` up to
-    ``width * (c + 1) - 1`` — the stepped path's ``c0`` slices of a
-    pair's live columns.
-    """
-    masks = np.arange(1 << 16, dtype=np.uint16)
-    table = np.zeros((1 << 16, 16 // width), dtype=np.uint16)
-    rank = np.zeros(1 << 16, dtype=np.intp)       # set bits below bit j
-    for j in range(16):
-        bit = (masks >> j) & 1
-        table[masks, rank // width] |= bit << j
-        rank += bit
-    return table
-
+from repro.baselines.common import chunk_masks, operand_arrays, row_masks, scalar_pairs, t3_shape
+from repro.formats.bitarray import popcount16
 
 #: Columns per lane slot (the T3 task's N = 4 at both precisions).
 CHUNK_COLS = 4
-_CHUNK_MASKS = _chunk_masks(CHUNK_COLS)
+_ROWS = np.arange(16, dtype=np.uint16)
 
 
 class RmSTC(STCModel):
@@ -147,62 +130,73 @@ class RmSTC(STCModel):
         )
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over row masks.
 
         A row's lane slots are its scalar pairs' live-column chunks, in
-        pair order.  The greedy issue runs as 16 vectorised steps over
-        ``[N, lanes]`` loads — longest row first (ties in row order),
-        each onto the first least-loaded lane — which fixes every row's
-        start cycle; per-cycle products then follow from one bincount
-        over (block, cycle).
+        pair order (:func:`~repro.baselines.common.scalar_pairs`).  The
+        greedy issue puts the ``lanes`` longest rows (ties in row order)
+        at cycle 0 and each later row at the least lane load, the
+        cycle its lane frees; which least-loaded lane takes it never
+        changes a start, so the remaining rows with slots take one
+        vectorised step each over ``[N, lanes]`` loads.  Each live
+        pair's chunks then sit at ``[pair, chunk]``, and one bincount
+        over (block, cycle) gives per-cycle products.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, row_masks, row_masks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        count, n = b.shape[0], b.shape[2]
-        first, second = pair_row_masks(a, b)                     # [N, i, p]
+    def _evaluate(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        pop = popcount16()
+        count = len(a_rows)
+        first, second = scalar_pairs(a_rows, b_rows)             # [N, i, p]
         live, both = first | second, first & second
-        live_cols = POP16[live].astype(np.int64)
+        live_cols = pop[live].astype(np.int64)
         slots = -(-live_cols // self.chunk_cols)
         row_slots = slots.sum(axis=2)                            # [N, i]
         pair_start = np.cumsum(slots, axis=2) - slots            # [N, i, p]
 
-        # Greedy issue: every row's start cycle on its lane.
+        # Greedy issue: every row's start cycle.  Rows past the last
+        # one with slots start nowhere.
         order = np.argsort(-row_slots, axis=1, kind="stable")
         blocks = np.arange(count)
-        loads = np.zeros((count, self.lanes), dtype=np.int64)
+        loads = np.take_along_axis(row_slots, order[:, :self.lanes], axis=1)
         start = np.zeros((count, 16), dtype=np.int64)
-        for step in range(16):
+        busy = int(np.count_nonzero(row_slots, axis=1).max(initial=0))
+        for step in range(self.lanes, busy):
             row = order[:, step]
             lane = loads.argmin(axis=1)
             start[blocks, row] = loads[blocks, lane]
             loads[blocks, lane] += row_slots[blocks, row]
-        steps = loads.max(axis=1)
+        steps = loads.max(axis=1, initial=0)
         cycles = np.maximum(steps, 1)
 
-        # Every (pair, chunk) slot, placed at its row's start cycle.  A
-        # slot multiplies its live columns once per merged row holding
-        # them: one product each, two where both rows do.
-        blk, row, pair, chunk = np.nonzero(
-            np.arange(ceil_div(n, self.chunk_cols)) < slots[..., None]
-        )
-        masks = _CHUNK_MASKS[live[blk, row, pair], chunk]
-        slot_eff = POP16[masks] + POP16[masks & both[blk, row, pair]]
-        span = int(cycles.max())
-        slot_cycle = blk * span + start[blk, row] + pair_start[blk, row, pair] + chunk
+        # Every live pair's chunks, from its row's start cycle plus the
+        # pair's offset.  A slot multiplies its live columns once per
+        # merged row holding them: one product each, two where both
+        # rows do.  Chunks past a pair's slots are empty (no products),
+        # and their cycle stays below span + width, each block's stride.
+        pairs = np.flatnonzero(live)
+        width = int(slots.max(initial=0))
+        masks = chunk_masks(self.chunk_cols)[live.reshape(-1)[pairs], :width]
+        slot_eff = pop[masks] + pop[masks & both.reshape(-1)[pairs, None]]
+        span = int(cycles.max(initial=1))
+        pair_cycle = ((start[:, :, None] + pair_start).reshape(-1)[pairs]
+                      + (span + width) * (pairs // live[0].size))
         cycle_eff = np.bincount(
-            slot_cycle, weights=slot_eff, minlength=count * span
-        ).astype(np.int64).reshape(count, span)
+            (pair_cycle[:, None] + np.arange(width)).reshape(-1),
+            weights=slot_eff.reshape(-1), minlength=count * (span + width),
+        ).astype(np.int64).reshape(count, span + width)[:, :span]
         hist = histogram_rows(
             util_bins(cycle_eff, self.macs), np.arange(span) < cycles[:, None]
         )
 
         products = cycle_eff.sum(axis=1)
-        row_nnz = a.sum(axis=2, dtype=np.int64)
+        row_nnz = pop[a_rows].astype(np.int64)
         a_reads = row_nnz.sum(axis=1)
         # Each B row a live pair uses is fetched once per block; a row
         # no live pair uses is empty anyway, so every K column of A counts.
-        b_traffic = (a.any(axis=1) * b.sum(axis=2, dtype=np.int64)).sum(axis=1)
+        a_columns = np.bitwise_or.reduce(a_rows, axis=1)
+        b_traffic = (((a_columns[:, None] >> _ROWS) & 1) * pop[b_rows]).sum(
+            axis=1, dtype=np.int64)
         c_writes = live_cols.sum(axis=(1, 2))
         return result_rows(cycles, products, hist, {
             "a_elem_reads": a_reads,

@@ -14,11 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, operand_arrays, t3_shape
+from repro.baselines.common import ceil_div, col_masks, operand_arrays, row_masks, t3_shape
+from repro.formats.bitarray import popcount16
 
 
 class Sigma(STCModel):
@@ -78,24 +79,27 @@ class Sigma(STCModel):
         return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over row / column masks.
 
-        Column groups chunk each block's *live* B columns by their rank
-        among them; a (row, group) pair with products is one cycle.
+        A row meets a B column in ``popcount(A row & B column)``
+        products.  Column groups chunk each block's *live* B columns by
+        their rank among them; a (row, group) pair with products is one
+        cycle.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, row_masks, col_masks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        count, n = b.shape[0], b.shape[2]
+    def _evaluate(self, a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
+        pop = popcount16()
+        count, n = b_cols.shape
         groups = ceil_div(n, self.chunk_cols)
-        col_nnz = b.sum(axis=1, dtype=np.int64)                  # [N, j]
+        col_nnz = pop[b_cols].astype(np.int64)                   # [N, j]
         live = col_nnz > 0
         group = (np.cumsum(live, axis=1) - 1) // self.chunk_cols
         select = live[:, :, None] & (group[:, :, None] == np.arange(groups))
         select32 = select.astype(np.float32)                     # [N, j, g]
+        match = pop[a_rows[:, :, None] & b_cols[:, None, :]]     # [N, i, j]
         # float32 matmuls: every sum here is exact (<= 16 * 16).
-        match = a.astype(np.float32) @ b.astype(np.float32)      # [N, i, j]
-        eff = (match @ select32).astype(np.int64)                # [N, i, g]
+        eff = (match.astype(np.float32) @ select32).astype(np.int64)  # [N, i, g]
         writes = ((match > 0).astype(np.float32) @ select32).astype(np.int64)
         group_b = (col_nnz[:, None, :] @ select).reshape(count, groups)
         run = eff > 0
@@ -104,7 +108,7 @@ class Sigma(STCModel):
         hist = histogram_rows(util_bins(eff, self.macs), run)
         cycles = np.maximum(steps, 1)
         hist[:, 0] += steps == 0
-        row_nnz = a.sum(axis=2, dtype=np.int64) * live.any(axis=1)[:, None]
+        row_nnz = pop[a_rows].astype(np.int64) * live.any(axis=1)[:, None]
 
         a_reads = row_nnz.sum(axis=1)
         b_reads = (run * group_b[:, None, :]).sum(axis=(1, 2))

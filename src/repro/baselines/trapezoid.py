@@ -25,12 +25,13 @@ from typing import List
 import numpy as np
 
 from repro.arch.base import BlockResult, STCModel
-from repro.arch.batch import evaluate_stacked, histogram_rows, result_rows
+from repro.arch.batch import evaluate_packed, histogram_rows, result_rows
 from repro.arch.config import FP64, Precision
 from repro.arch.counters import Counters
 from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import POP16, ceil_div, operand_arrays, pair_row_masks
+from repro.baselines.common import ceil_div, operand_arrays, row_masks, scalar_pairs
 from repro.errors import ConfigError
+from repro.formats.bitarray import popcount16
 
 #: Row lanes in the array (the shared M = 16 of all three modes).
 ROW_LANES = 16
@@ -114,21 +115,24 @@ class Trapezoid(STCModel):
         )
 
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand stacks.
+        """Array evaluation of :meth:`simulate_block` over row masks.
 
-        A cycle's utilisation is a float sum of ``work / row_cycles``
-        over the rows still running, which the stepped path adds in row
-        order; 16 masked row-by-row adds over ``[N, cycles]`` keep that
-        order, so every bin edge falls exactly where it does there.
+        A row's K pairs merge the B rows its scalar pairs select
+        (:func:`~repro.baselines.common.scalar_pairs`).  A cycle's
+        utilisation is a float sum of ``work / row_cycles`` over the
+        rows still running, which the stepped path adds in row order;
+        16 masked row-by-row adds over ``[N, cycles]`` keep that order,
+        so every bin edge falls exactly where it does there.
         """
-        return evaluate_stacked(batch, self._evaluate)
+        return evaluate_packed(batch, row_masks, row_masks, self._evaluate)
 
-    def _evaluate(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        count = a.shape[0]
-        first, second = pair_row_masks(a, b)                     # [N, i, p]
-        live = POP16[first | second].astype(np.int64)
+    def _evaluate(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+        pop = popcount16()
+        count = len(a_rows)
+        first, second = scalar_pairs(a_rows, b_rows)             # [N, i, p]
+        live = pop[first | second].astype(np.int64)
         # Every nonzero of a pair's merged rows sits in a live column.
-        work = (POP16[first].astype(np.int64) + POP16[second]).sum(axis=2)  # [N, i]
+        work = (pop[first].astype(np.int64) + pop[second]).sum(axis=2)  # [N, i]
         slots = (-(-(live * self.k_per_step) // self.lane_macs)).sum(axis=2)
         row_cycles = np.where(
             slots > 0, np.maximum(-(-work // self.lane_macs), slots), 0
@@ -146,7 +150,7 @@ class Trapezoid(STCModel):
         hist = histogram_rows(bins, span < cycles[:, None])
 
         products = work.sum(axis=1)
-        a_reads = a.sum(axis=(1, 2), dtype=np.int64)
+        a_reads = pop[a_rows].sum(axis=1, dtype=np.int64)
         c_writes = live.sum(axis=(1, 2))
         return result_rows(cycles, products, hist, {
             "a_elem_reads": a_reads,

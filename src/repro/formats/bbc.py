@@ -25,13 +25,14 @@ They are also the simulator's one block-pattern form (see
 
 from __future__ import annotations
 
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import FormatError
-from repro.formats.bitarray import popcount_array
+from repro.formats.bitarray import popcount16
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 
@@ -110,6 +111,60 @@ def tile_col_counts(tiles: np.ndarray) -> np.ndarray:
     ``ej + 4 ei`` gathered into one nibble by three shifts, popcounted."""
     spread = (tiles[..., None] >> _LANES) & 0x1111
     return _NIBBLE_POP[(spread | spread >> 3 | spread >> 6 | spread >> 9) & 0xF]
+
+
+@lru_cache(maxsize=None)
+def _lane_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(spread, transpose)`` of every 4x4 tile bitmap ``t``
+    (640 KiB): ``spread[t]`` (little-endian uint64) holds row ``ei`` of
+    ``t`` in bits ``16 ei`` up, ``transpose[t]`` (uint16) moves bit
+    ``4 ei + ej`` of ``t`` to ``4 ej + ei``."""
+    t = np.arange(1 << 16, dtype=np.uint16)
+    spread = sum(((t >> (TILE * ei)) & 0xF).astype("<u8") << (BLOCK * ei) for ei in range(TILE))
+    transpose = sum(((t >> (TILE * ei + ej)) & 1) << (TILE * ej + ei)
+                    for ei in range(TILE) for ej in range(TILE))
+    for table in (spread, transpose):
+        table.setflags(write=False)
+    return spread, transpose
+
+
+#: Bit offset of tile column ``tj`` inside a 16-bit block row.
+_TILE_COLUMN_SHIFTS = (TILE * _LANES).astype(np.uint64)
+_ROWS = np.arange(BLOCK, dtype=np.uint16)
+
+
+def pattern_row_masks(patterns: np.ndarray) -> np.ndarray:
+    """``[..., 16]`` uint16 row masks of ``[..., n]`` packed patterns.
+
+    Bit ``c`` of entry ``r`` is element ``(r, c)``.  A block or 16-wide
+    panel spreads each tile's four row nibbles into 16-bit lanes at
+    column offset ``4 tj`` and ORs them over ``tj``; row ``r`` of a
+    vector segment is bit ``r`` of it, as bit 0.
+    """
+    patterns = np.asarray(patterns, dtype=np.uint16)
+    lead, n = patterns.shape[:-1], patterns.shape[-1]
+    if n == 1:
+        return (patterns >> _ROWS) & 1
+    spread, _ = _lane_tables()
+    lanes = spread[patterns.reshape(*lead, TILES_PER_SIDE, TILES_PER_SIDE)] << _TILE_COLUMN_SHIFTS
+    rows = lanes[..., 0] | lanes[..., 1] | lanes[..., 2] | lanes[..., 3]
+    return rows.view("<u2").reshape(*lead, BLOCK)
+
+
+def pattern_col_masks(patterns: np.ndarray) -> np.ndarray:
+    """``[..., n]`` uint16 column masks of ``[..., n]`` packed patterns.
+
+    Bit ``r`` of entry ``c`` is element ``(r, c)``: the row masks of
+    the transposed block (each tile bit-transposed, tile ``(ti, tj)``
+    moved to ``(tj, ti)``).  A vector segment is its own column mask.
+    """
+    patterns = np.asarray(patterns, dtype=np.uint16)
+    lead, n = patterns.shape[:-1], patterns.shape[-1]
+    if n == 1:
+        return patterns
+    _, transpose = _lane_tables()
+    tiles = transpose[patterns.reshape(*lead, TILES_PER_SIDE, TILES_PER_SIDE)]
+    return pattern_row_masks(tiles.swapaxes(-1, -2).reshape(*lead, BLOCK))
 
 
 class BBCMatrix:
@@ -279,7 +334,7 @@ class BBCMatrix:
             issues.append("tile_ptr must start at 0")
         if np.any(np.diff(self.tile_ptr) < 0):
             issues.append("tile_ptr must be monotonically non-decreasing")
-        lv1_pops = popcount_array(self.bitmap_lv1)
+        lv1_pops = popcount16()[self.bitmap_lv1].astype(np.int64)
         expected_tiles = int(lv1_pops.sum())
         if self.bitmap_lv2.size != expected_tiles:
             issues.append("one level-2 bitmap per nonzero tile required")
@@ -298,7 +353,7 @@ class BBCMatrix:
             issues.append("val_ptr_lv1 must be monotonically non-decreasing")
         if self.val_ptr_lv1.size and self.val_ptr_lv1[-1] != self.values.size:
             issues.append("val_ptr_lv1 must end at nnz")
-        lv2_pops = popcount_array(self.bitmap_lv2)
+        lv2_pops = popcount16()[self.bitmap_lv2].astype(np.int64)
         expected_nnz = int(lv2_pops.sum())
         if self.values.size != expected_nnz:
             issues.append("value count must match level-2 bitmap popcounts")

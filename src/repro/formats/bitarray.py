@@ -9,56 +9,22 @@ so a ``uint16`` holds one bitmap exactly.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from functools import lru_cache
+from typing import List
 
 import numpy as np
 
-#: Number of 1-bits for every byte value; used to popcount numpy arrays.
+#: Number of 1-bits for every byte value.
 _BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
-def popcount(value: int) -> int:
-    """Return the number of set bits in a non-negative Python integer."""
-    if value < 0:
-        raise ValueError("popcount is defined for non-negative integers")
-    return bin(value).count("1")
-
-
-def popcount_array(values: np.ndarray) -> np.ndarray:
-    """Vectorised popcount over an unsigned integer numpy array."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "ui":
-        raise TypeError(f"popcount_array needs an integer array, got {arr.dtype}")
-    counts = np.zeros(arr.shape, dtype=np.int64)
-    work = arr.astype(np.uint64)
-    for _ in range(arr.dtype.itemsize):
-        counts += _BYTE_POPCOUNT[(work & np.uint64(0xFF)).astype(np.uint8)]
-        work >>= np.uint64(8)
-    return counts
-
-
-def pack_bits(grid: np.ndarray) -> int:
-    """Pack a 2-D boolean grid into an integer bitmap (row-major, LSB first)."""
-    flat = np.asarray(grid, dtype=bool).ravel()
-    out = 0
-    for pos in np.flatnonzero(flat):
-        out |= 1 << int(pos)
-    return out
-
-
-def unpack_bits(bitmap: int, rows: int, cols: int) -> np.ndarray:
-    """Unpack an integer bitmap into a ``rows x cols`` boolean grid."""
-    if bitmap >> (rows * cols):
-        raise ValueError("bitmap has more bits than the grid can hold")
-    grid = np.zeros(rows * cols, dtype=bool)
-    value = bitmap
-    pos = 0
-    while value:
-        if value & 1:
-            grid[pos] = True
-        value >>= 1
-        pos += 1
-    return grid.reshape(rows, cols)
+@lru_cache(maxsize=None)
+def popcount16() -> np.ndarray:
+    """Read-only uint8 popcount of every 16-bit value (64 KiB), built on first use."""
+    table = (_BYTE_POPCOUNT[np.arange(1 << 16) & 0xFF]
+             + _BYTE_POPCOUNT[np.arange(1 << 16) >> 8])
+    table.setflags(write=False)
+    return table
 
 
 def bit_positions(bitmap: int) -> List[int]:
@@ -88,16 +54,6 @@ def col_mask(bitmap: int, col: int, width: int = 4, height: int = 4) -> int:
     return out
 
 
-def bitmap_from_rows(rows: Sequence[int], width: int = 4) -> int:
-    """Assemble a bitmap from per-row masks (row 0 in the low bits)."""
-    out = 0
-    for i, mask in enumerate(rows):
-        if mask >> width:
-            raise ValueError(f"row mask {mask:#x} wider than {width} bits")
-        out |= mask << (i * width)
-    return out
-
-
 def transpose_bitmap(bitmap: int, rows: int = 4, cols: int = 4) -> int:
     """Transpose a packed ``rows x cols`` bitmap into a ``cols x rows`` one."""
     out = 0
@@ -108,55 +64,6 @@ def transpose_bitmap(bitmap: int, rows: int = 4, cols: int = 4) -> int:
     return out
 
 
-def outer_product_bitmap(col_bits: int, row_bits: int, height: int = 4, width: int = 4) -> int:
-    """Bitmap of the outer product of a column mask with a row mask.
-
-    Bit ``(i, j)`` of the result is set iff bit ``i`` of ``col_bits`` and
-    bit ``j`` of ``row_bits`` are both set.  This is the TMS/DPG primitive:
-    one layer of intermediate-product positions for ``A[:, k] x B[k, :]``.
-    """
-    out = 0
-    for i in range(height):
-        if col_bits & (1 << i):
-            out |= row_bits << (i * width)
-    return out
-
-
 def dot_pattern(row_bits: int, col_bits: int) -> int:
     """Index-matching mask for a sparse dot product (A-row AND B-column)."""
     return row_bits & col_bits
-
-
-def nnz_rows(bitmap: int, rows: int = 4, cols: int = 4) -> int:
-    """Count rows of the bitmap containing at least one set bit."""
-    count = 0
-    for i in range(rows):
-        if row_mask(bitmap, i, cols):
-            count += 1
-    return count
-
-
-def nnz_cols(bitmap: int, rows: int = 4, cols: int = 4) -> int:
-    """Count columns of the bitmap containing at least one set bit."""
-    count = 0
-    for j in range(cols):
-        if col_mask(bitmap, j, cols, rows):
-            count += 1
-    return count
-
-
-def grid_to_tiles(grid: np.ndarray, tile: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Split a 2-D boolean grid into ``tile x tile`` tiles.
-
-    Returns ``(tile_occupancy, tiles)`` where ``tile_occupancy`` is a
-    boolean array of shape ``(R/tile, C/tile)`` marking tiles holding at
-    least one set bit, and ``tiles`` is the reshaped view of shape
-    ``(R/tile, C/tile, tile, tile)``.
-    """
-    grid = np.asarray(grid, dtype=bool)
-    rows, cols = grid.shape
-    if rows % tile or cols % tile:
-        raise ValueError(f"grid shape {grid.shape} not divisible by tile {tile}")
-    tiles = grid.reshape(rows // tile, tile, cols // tile, tile).swapaxes(1, 2)
-    occupancy = tiles.any(axis=(2, 3))
-    return occupancy, tiles

@@ -21,8 +21,8 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.formats.bbc import BLOCK, TILE, BBCMatrix, tile_col_counts
-from repro.formats.bitarray import popcount_array
+from repro.formats.bbc import BLOCK, TILE, BBCMatrix, pattern_col_masks, pattern_row_masks
+from repro.formats.bitarray import popcount16
 from repro.kernels.vector import SparseVector
 from repro.sim.results import SimReport
 
@@ -119,37 +119,25 @@ BLOCK_PATH_MIN_FLOPS_PER_TRIPLE = 8
 #: each temporary is at most this many x 16 lanes (1 MiB at int64).
 _TRIPLE_CHUNK = 8192
 
-#: Set bits of every 16-bit value.
-_POP16 = popcount_array(np.arange(1 << 16, dtype=np.uint16)).astype(np.uint8)
-
-
-def _block_tiles(m: BBCMatrix) -> np.ndarray:
-    """``[nblocks, 4, 4]`` level-2 tile bitmaps of every stored block (0: empty tile)."""
-    patterns, ids, _ = m.block_patterns()
-    return patterns[ids].astype(np.int64).reshape(m.nblocks, TILE, TILE)
-
-
 def _row_masks(m: BBCMatrix) -> np.ndarray:
-    """``[nblocks, 16]`` uint16: bit ``c`` of ``[q, r]`` is element ``(r, c)`` of block ``q``.
-
-    Row ``4 ti + ei`` joins nibble ``ei`` of tiles ``(ti, tj)`` at bit ``4 tj``.
-    """
-    shifts = TILE * np.arange(TILE, dtype=np.int64)
-    nibbles = (_block_tiles(m)[:, :, None, :] >> shifts[:, None]) & 0xF  # [q, ti, ei, tj]
-    return (nibbles << shifts).sum(axis=3).astype(np.uint16).reshape(m.nblocks, BLOCK)
+    """``[nblocks, 16]`` uint16: bit ``c`` of ``[q, r]`` is element ``(r, c)`` of block ``q``."""
+    patterns, ids, _ = m.block_patterns()
+    return pattern_row_masks(patterns)[ids]
 
 
 def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
     """Structural flops of A @ B: sum over k of nnz(A[:, k]) * nnz(B[k, :]).
 
-    Counted per block from row masks and tile column counts, never per
+    Counted per block from row and column mask popcounts, never per
     flop.
     """
+    pop = popcount16()
     b_counts = np.zeros((b.nblocks + 1, BLOCK), dtype=np.int64)
-    np.cumsum(_POP16[_row_masks(b)], axis=0, out=b_counts[1:])
+    np.cumsum(pop[_row_masks(b)], axis=0, out=b_counts[1:])
     # Row counts of B per inner block row (K), then per A block (I, K).
     b_rows = b_counts[b.row_ptr[1:]] - b_counts[b.row_ptr[:-1]]
-    a_cols = tile_col_counts(_block_tiles(a)).sum(axis=1).reshape(a.nblocks, BLOCK)
+    patterns, ids, _ = a.block_patterns()
+    a_cols = pop[pattern_col_masks(patterns)][ids]
     return int((a_cols * b_rows[a.col_idx]).sum())
 
 
@@ -245,6 +233,7 @@ def _block_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
         table = np.concatenate((table, table | b_rows[:, :, t, None]), axis=2)
     table = table.reshape(-1)
 
+    pop = popcount16()
     nnz = 0
     carry = np.zeros(BLOCK, dtype=np.uint16)
     carry_block = -1
@@ -261,10 +250,10 @@ def _block_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
         if blocks[0] == carry_block:
             merged[0] |= carry
         else:
-            nnz += int(_POP16[carry].sum())
+            nnz += int(pop[carry].sum())
         carry, carry_block = merged[-1], blocks[-1]
-        nnz += int(_POP16[merged[:-1]].sum(dtype=np.int64))
-    return nnz + int(_POP16[carry].sum())
+        nnz += int(pop[merged[:-1]].sum(dtype=np.int64))
+    return nnz + int(pop[carry].sum())
 
 
 def memory_cycles(traffic: Dict[str, float], config: MemoryConfig = DEFAULT_MEMORY) -> int:

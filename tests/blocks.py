@@ -56,17 +56,41 @@ def task_batch(tasks, n: int = 16) -> TaskBatch:
                      np.ones(len(tasks), dtype=np.int64), n, a_keys, b_keys)
 
 
-def simulate_blocks(stc, tasks) -> np.ndarray:
+def engine_batch(tasks, n: int = 16) -> TaskBatch:
+    """``tasks`` shaped as the engine hands misses over.
+
+    A miss batch is ``take()`` of a coalesced kernel batch: its pattern
+    tables keep rows no miss references, in the kernel's order, so
+    the indexes run out of order.  Here both tables gain spare rows and
+    are shuffled.
+    """
+    batch = task_batch(tasks, n)
+    rng = np.random.default_rng(len(tasks) + n)
+    tables = []
+    for patterns, index in ((batch.a_patterns, batch.a_index),
+                            (batch.b_patterns, batch.b_index)):
+        spare = rng.integers(0, 1 << 16, (5, patterns.shape[1])).astype("<u2")
+        spare = spare[~(spare[:, None] == patterns[None]).all(axis=2).any(axis=1)]
+        order = rng.permutation(len(patterns) + len(spare))
+        table = np.concatenate((patterns, spare))[order]
+        tables.append((table, np.argsort(order)[index]))
+    (a_patterns, a_index), (b_patterns, b_index) = tables
+    return TaskBatch(a_patterns, b_patterns, a_index, b_index,
+                     np.ones(len(tasks), dtype=np.int64), n)
+
+
+def simulate_blocks(stc, tasks, make_batch=task_batch) -> np.ndarray:
     """``stc.simulate_blocks`` rows of ``tasks``, in task order.
 
-    A batch has one B width, so tasks go in as one batch per width —
-    as the engine dispatches them — and the rows are put back in the
-    tasks' slots.  No tasks is one empty n=16 batch.
+    A batch has one B width, so tasks go in as one batch per width
+    (built by ``make_batch``) — as the engine dispatches them — and the
+    rows are put back in the tasks' slots.  No tasks is one empty n=16
+    batch.
     """
     rows = np.empty((len(tasks), VECTOR_WIDTH), dtype=np.int64)
     for n in sorted({task.n for task in tasks}) or [16]:
         slots = [i for i, task in enumerate(tasks) if task.n == n]
-        rows[slots] = stc.simulate_blocks(task_batch([tasks[i] for i in slots], n))
+        rows[slots] = stc.simulate_blocks(make_batch([tasks[i] for i in slots], n))
     return rows
 
 

@@ -6,8 +6,9 @@ rows into the same block cache the stepped path's rows land in.  These
 tests enforce that claim row for row — cycles, products, utilisation
 bins and every action count — at FP64 and FP32 over every kernel's
 block population, the edge cases a corpus draw may miss,
-2:4-structured A blocks, shuffled mixed-width task lists and batches
-past the chunk bound, each fed as packed task batches.
+2:4-structured A blocks, shuffled mixed-width task lists, engine-shaped
+batches and batches past the chunk bound, each fed as packed task
+batches.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from tests.blocks import (
     CYCLES,
     PRODUCTS,
     assert_results_equal,
+    engine_batch,
     handmade_tasks,
     kernel_tasks,
     simulate_blocks,
@@ -108,6 +110,15 @@ class TestBaselineParity:
         batch = simulate_blocks(stc, tasks)
         stepped = [stc.simulate_block(t) for t in tasks]
         assert_results_equal(batch, stepped, f"2:4/{name}/{precision.name}")
+
+    def test_engine_shaped_batch_matches_stepped(self, corpus_tasks, name, precision):
+        """Pattern tables with unreferenced rows and out-of-order
+        indexes, as the engine's miss batches have them."""
+        stc = stc_at(name, precision)
+        tasks = corpus_tasks + handmade_tasks()
+        batch = simulate_blocks(stc, tasks, make_batch=engine_batch)
+        stepped = [stc.simulate_block(t) for t in tasks]
+        assert_results_equal(batch, stepped, f"engine/{name}/{precision.name}")
 
     def test_mixed_width_batch_keeps_task_order(self, corpus_tasks, name, precision):
         """n=1 and n=16 tasks interleaved keep their slots: each width's

@@ -6,10 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import FormatError
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
-from repro.formats.bbc import BLOCK, TILE, TILES_PER_BLOCK, pack_patterns, unpack_patterns
-from repro.formats.bitarray import popcount_array
+from repro.formats.bbc import (
+    BLOCK,
+    TILE,
+    TILES_PER_BLOCK,
+    pack_patterns,
+    pattern_col_masks,
+    pattern_row_masks,
+    unpack_patterns,
+)
 from repro.kernels import batched
 from repro.workloads.suitesparse import corpus
+
+from tests.bitref import popcount_array
 
 
 class TestConstants:
@@ -311,6 +320,54 @@ class TestPackedPatterns:
     def test_rejects_other_shapes(self):
         with pytest.raises(FormatError):
             pack_patterns(np.zeros((16, 7), bool))
+
+
+def _check_masks(patterns: np.ndarray, grids: np.ndarray) -> None:
+    """Row / column masks of ``[..., n]`` patterns equal the ``[..., 16, n]`` grids' bits."""
+    width = grids.shape[-1]
+    rows = (grids.astype(np.int64) << np.arange(width)).sum(axis=-1)
+    cols = (grids.astype(np.int64) << np.arange(BLOCK)[:, None]).sum(axis=-2)
+    for got, want in ((pattern_row_masks(patterns), rows), (pattern_col_masks(patterns), cols)):
+        assert got.dtype == np.uint16 and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+class TestPatternMasks:
+    """The one decoder of the packed layout against the scalar decoders."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary(min_size=32, max_size=32), st.binary(min_size=2, max_size=2))
+    def test_match_scalar_decoders_both_widths(self, block, segment):
+        grid = _grids(block, BLOCK)
+        bbc = BBCMatrix.from_dense(grid.astype(float))
+        if bbc.nblocks:
+            # tile_bitmaps reads the level-1/2 bitmaps slot by slot,
+            # block_bitmap decodes the block bit by bit.
+            _check_masks(bbc.tile_bitmaps(0).reshape(-1), bbc.block_bitmap(0))
+            patterns, ids, _ = bbc.block_patterns()
+            _check_masks(patterns[ids], grid[None])
+        seg = _grids(segment, 1)
+        _check_masks(pack_patterns(seg), seg)
+
+    @pytest.mark.parametrize("width", [BLOCK, 1])
+    def test_empty_and_full(self, width):
+        for fill in (False, True):
+            grid = np.full((BLOCK, width), fill)
+            _check_masks(pack_patterns(grid), grid)
+
+    @pytest.mark.parametrize("live", range(1, BLOCK + 1))
+    def test_spmv_segments_and_spmm_panels(self, live):
+        segment = np.arange(BLOCK)[:, None] < live
+        panel = np.broadcast_to(np.arange(BLOCK)[None, :] < live, (BLOCK, BLOCK))
+        _check_masks(batched._SEGMENTS[live], segment)
+        _check_masks(batched._PANELS[live], panel)
+
+    def test_leading_axes(self):
+        rng = np.random.default_rng(4)
+        for width in (BLOCK, 1):
+            grids = rng.random((3, 5, BLOCK, width)) < 0.3
+            _check_masks(pack_patterns(grids), grids)
+            _check_masks(pack_patterns(grids[:0]), grids[:0])
 
 
 class TestFileIO:

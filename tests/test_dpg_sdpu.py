@@ -16,6 +16,8 @@ from repro.arch.sdpu import MAX_SEGMENT, SegmentedDotProductUnit
 from repro.errors import SimulationError
 from repro.formats import bitarray as ba
 
+from tests import bitref as ref
+
 
 class TestOverlay:
     def test_dense_tiles_full_patterns(self):
@@ -92,8 +94,8 @@ class TestDecompose:
     @settings(max_examples=30, deadline=None)
     def test_products_match_tile_multiply(self, a_bm, b_bm):
         out = DotProductGenerator().decompose(a_bm, b_bm)
-        a = ba.unpack_bits(a_bm, 4, 4)
-        b = ba.unpack_bits(b_bm, 4, 4)
+        a = ref.unpack_bits(a_bm, 4, 4)
+        b = ref.unpack_bits(b_bm, 4, 4)
         expected = int((a.sum(axis=0) * b.sum(axis=1)).sum())
         assert out.products == expected
 
@@ -109,7 +111,7 @@ class TestDecompose:
     def test_fig9_task_code(self):
         """A tile pair that produces the paper's '49'-style T4 code."""
         # A row 1 has nonzeros at kk=0 and kk=3; B column 3 is dense.
-        a_bm = ba.bitmap_from_rows([0, 0b1001, 0, 0])
+        a_bm = ref.bitmap_from_rows([0, 0b1001, 0, 0])
         b_bm = 0xFFFF
         out = DotProductGenerator().decompose(a_bm, b_bm)
         codes = {t.code for t in out.t4_tasks}

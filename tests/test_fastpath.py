@@ -22,19 +22,21 @@ from repro.arch.base import VECTOR_WIDTH
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dpg import DotProductGenerator, dpg_stats
 from repro.arch import fastpath
-from repro.arch.fastpath import (
-    _dpg_totals,
-    _pack_lockstep,
-    decode_a_operands,
-    decode_b_operands,
-)
+from repro.arch.batch import decode_a_operands, decode_b_operands
+from repro.arch.fastpath import _dpg_totals, _pack_lockstep
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
 from repro.errors import SimulationError
 from repro.formats.bbc import pack_patterns
 from repro.registry import create_stc
 
-from tests.blocks import assert_results_equal, handmade_tasks, kernel_tasks, simulate_blocks
+from tests.blocks import (
+    assert_results_equal,
+    engine_batch,
+    handmade_tasks,
+    kernel_tasks,
+    simulate_blocks,
+)
 
 
 MODEL_VARIANTS = {
@@ -62,6 +64,16 @@ class TestBatchedParity:
         batch = simulate_blocks(stc, corpus_tasks)
         stepped = [stc.simulate_block(t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, variant)
+
+    @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
+    def test_engine_shaped_batch_matches_stepped(self, corpus_tasks, variant):
+        """Pattern tables with unreferenced rows and out-of-order
+        indexes, as the engine's miss batches have them."""
+        stc = MODEL_VARIANTS[variant]()
+        tasks = corpus_tasks + handmade_tasks()
+        batch = simulate_blocks(stc, tasks, make_batch=engine_batch)
+        stepped = [stc.simulate_block(t) for t in tasks]
+        assert_results_equal(batch, stepped, f"engine/{variant}")
 
     def test_handmade_blocks_match_stepped(self):
         tasks = handmade_tasks()
@@ -145,10 +157,10 @@ class TestBatchedDecode:
     def test_decode_b_matches_scalar(self, width):
         rng = np.random.default_rng(6)
         stack = rng.random((40, 16, width)) < 0.4
-        tiles, rows, n_cols = decode_b_operands(pack_patterns(stack))
+        tiles, rows = decode_b_operands(pack_patterns(stack))
         for p in range(stack.shape[0]):
             ref_tiles, ref_rows, ref_n = decode_b_operand(stack[p])
-            assert n_cols == ref_n
+            assert tiles.shape[2] == ref_n
             assert np.array_equal(tiles[p], ref_tiles)
             assert np.array_equal(rows[p], ref_rows)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "check_layering.py"
 
 sys.path.insert(0, str(TOOL.parent))
-from check_layering import LAYERS, NAME_DISPATCH, PREFIX_SNIFF  # noqa: E402
+from check_layering import LAYERS, NAME_DISPATCH, PREFIX_SNIFF, unpack_imports  # noqa: E402
 
 
 def test_tree_is_clean():
@@ -35,3 +35,16 @@ def test_dispatch_pattern_allows_data_tables():
     assert NAME_DISPATCH.search("'rm-stc': RmSTC}")
     assert not NAME_DISPATCH.search('"uni-stc": 75.0,')
     assert not NAME_DISPATCH.search('"ds-stc": [1, 2],')
+
+
+def test_unpack_patterns_import_is_caught():
+    snippets = [
+        "from repro.formats.bbc import pack_patterns, unpack_patterns\n",
+        "def grids(p):\n    from repro.formats.bbc import unpack_patterns\n"
+        "    return unpack_patterns(p)\n",
+        "from repro.formats import bbc\n\ngrid = bbc.unpack_patterns(p)\n",
+    ]
+    for snippet in snippets:
+        errors = unpack_imports(Path("repro/baselines/x.py"), snippet)
+        assert errors and "unpack_patterns outside repro.formats" in errors[0]
+    assert not unpack_imports(Path("x.py"), "from repro.formats.bbc import pack_patterns\n")

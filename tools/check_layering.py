@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Import-layering and STC-name-hygiene lint.
+"""Import-layering, STC-name-hygiene and pattern-form lint.
 
-Two checks, both enforcing the architecture in docs/architecture.md:
+Three checks, each enforcing the architecture in docs/architecture.md:
 
 1. **Layering** — every package in ``src/repro`` has a layer rank;
    a module may only (unconditionally, at module scope) import repro
@@ -18,6 +18,11 @@ Two checks, both enforcing the architecture in docs/architecture.md:
    (``{"uni-stc": UniSTC}``).  Data tables keyed by name with scalar
    values (paper reference numbers) are allowed; name-to-behaviour
    mapping belongs to the registry alone.
+
+3. **One pattern form** — block patterns are BBC's packed tile
+   bitmaps everywhere.  Outside ``repro.formats`` and
+   ``repro.arch.tasks`` (whose ``T1Task`` bitmaps feed the stepped
+   models) no module imports ``unpack_patterns``, at any scope.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
@@ -138,8 +143,39 @@ def check_stc_name_hygiene() -> list[str]:
     return errors
 
 
+#: Where ``unpack_patterns`` may be imported (package, or package/module).
+UNPACK_ALLOWED = ("formats", "arch/tasks.py")
+
+
+def unpack_imports(path: Path, source: str) -> list[str]:
+    """One error per import of ``unpack_patterns`` in ``source``."""
+    errors = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if "unpack_patterns" in names:
+            errors.append(f"{path}:{node.lineno}: unpack_patterns outside "
+                          "repro.formats and repro.arch.tasks: models read "
+                          "packed patterns")
+    return errors
+
+
+def check_pattern_form() -> list[str]:
+    errors = []
+    for path, pkg in iter_modules():
+        rel = path.relative_to(PKG).as_posix()
+        if pkg in UNPACK_ALLOWED or rel in UNPACK_ALLOWED:
+            continue
+        errors += unpack_imports(path, path.read_text(encoding="utf-8"))
+    return errors
+
+
 def main() -> int:
-    errors = check_layering() + check_stc_name_hygiene()
+    errors = check_layering() + check_stc_name_hygiene() + check_pattern_form()
     for error in errors:
         print(error, file=sys.stderr)
     if errors:
