@@ -3,9 +3,10 @@
 Two halves:
 
 - :mod:`repro.store.resultstore` — the durable store itself: an
-  append-only, CRC-checked, multi-process-safe segment format that
-  backs the process LRU (:mod:`repro.sim.blockcache`) as a second
-  tier, so campaigns, DSE strategies and worker fleets replay warm.
+  append-only, CRC-checked, multi-process-safe segment format whose
+  records are addressed by their own key bytes; it backs the process
+  LRU (:mod:`repro.sim.blockcache`) as a second tier, so campaigns,
+  DSE strategies and worker fleets replay warm.
 - :mod:`repro.store.service` — ``repro serve``: a zero-dependency
   ``http.server`` JSON API that memoises RunSpec-shaped simulation
   requests on top of a bound store, with single-flight deduplication
@@ -24,7 +25,6 @@ from repro.store.resultstore import (
     ResultStore,
     StoreStats,
     encode_record,
-    key_digest,
 )
 from repro.store.service import SimulationService
 
@@ -36,5 +36,4 @@ __all__ = [
     "SimulationService",
     "StoreStats",
     "encode_record",
-    "key_digest",
 ]

@@ -5,33 +5,37 @@ block-result rows for one process lifetime; every new campaign, DSE
 strategy and worker fleet re-pays the same cold simulation work.  The
 :class:`ResultStore` makes those results durable and shareable: a
 directory of append-only **segment** files plus an in-memory index,
-keyed by the sha256 of ``(STC namespace, A pattern, B pattern)``.
+addressed by each record's own key bytes: the length-prefixed
+``(STC namespace, A pattern, B pattern)`` triple that opens its payload.
 
 Design points, in the order they matter:
 
-**Content addressing.**  The key digest covers the model's canonical
+**Content addressing.**  The key covers the model's canonical
 configuration fingerprint (:meth:`~repro.arch.base.STCModel.cache_key`)
 and the exact operand patterns (BBC's packed level-2 tile bitmaps).  Block results are pure functions of
 that triple — the kernel only shapes *which* blocks a sweep visits,
 never what an individual block costs — so any two processes that agree
-on the digest may share the record.  ``tests/test_store.py`` pins the
-fingerprint→key stability contract across processes and config knobs.
+on the key bytes may share the record.  ``tests/test_store.py`` pins
+those bytes across processes and config knobs.
 
 **Multi-writer safety without file locks.**  Each writing process
 appends to its *own* segment file (named after its pid plus a random
 suffix), so concurrent workers never interleave writes.  Readers scan
-every segment and deduplicate by digest; racing writers that simulate
+every segment and deduplicate by key; racing writers that simulate
 the same block simply produce duplicate records with identical
 payloads, which :meth:`gc` later compacts away.  *Within* a process a
 single handle may also be shared by several threads (the ``repro
 serve`` front-end does): an internal re-entrant lock serialises every
-index mutation and file-handle seek/read/write, so one handle is
-thread-safe too.
+index mutation, the append handle's end offset and the per-segment
+reader table, so one handle is thread-safe too.
 
-**Crash semantics** mirror the journal-hardening contract of
+**Crash semantics.**  A lookup is one ``os.pread``; an insert is one
+unbuffered ``write()`` of the framed record, so a record ``insert``
+reported survives its process being killed (:meth:`flush`/:meth:`close`
+fsync it to disk).  The rest mirrors the journal-hardening contract of
 :mod:`repro.resilience.runner`: a *torn final record* (short read at
 end of file — the classic power-cut artefact of an append-only log) is
-tolerated and, on the owning writer's next open, truncated away; a
+tolerated and, on a ``repair=True`` open, truncated away; a
 complete record that fails its magic or CRC check is *interior
 corruption* and quarantines the whole segment (renamed to
 ``*.quarantined``, records dropped from the index, structured warning
@@ -52,26 +56,27 @@ On-disk layout::
 
 Record framing (little-endian)::
 
-    magic  digest  payload_len  crc32(payload)  payload
-    4B     32B     u32          u32             payload_len bytes
+    magic  payload_len  crc32(payload)  payload
+    4B     u32          u32             payload_len bytes
 
-and the payload is the namespace/pattern key (each field u16
-length-prefixed, at most 64 operand bytes) followed by the block's int64 result row in the
+and the payload is the record's key bytes — the namespace/pattern key,
+each field u16 length-prefixed, at most 64 operand bytes — followed by
+the block's int64 result row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout, little-endian: cycles,
 products, the four utilisation bins and one count per
 :data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  A
 lookup hands that tail back as the row itself (``np.frombuffer``).
 The vocabulary is recorded in ``STORE.json`` so a vocabulary change is
 a loud :class:`~repro.errors.FormatError`, never a silent
-misinterpretation.  Schema 2 keyed records on bool grids and schema
-1 also stored float64 counts; opening either fails and the store must
-be rebuilt (it is a cache of deterministic results: delete the
-directory).
+misinterpretation.  Schema 3 framed a 32-byte digest of the key, schema
+2 keyed records on bool grids and schema 1 also stored float64 counts;
+opening any of them fails and the store must be rebuilt (it is a cache
+of deterministic results: delete the directory).
 """
 
 from __future__ import annotations
 
-import hashlib
+import io
 import json
 import logging
 import os
@@ -79,7 +84,7 @@ import struct
 import threading
 import uuid
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -93,18 +98,22 @@ from repro.errors import DataCorruptionError, FormatError
 logger = logging.getLogger(__name__)
 
 #: On-disk schema version; bumped on any incompatible format change.
-#: Schema 3 keys records on packed tile-bitmap patterns; schema 2 keyed
-#: them on bool grids, and schema 1 stored the action counts as float64.
-STORE_SCHEMA = 3
+#: Schema 4 addresses records by their key bytes; schema 3 framed a
+#: 32-byte digest of the key, schema 2 keyed records on bool grids, and
+#: schema 1 stored the action counts as float64.
+STORE_SCHEMA = 4
 
 #: Manifest file name inside the store root.
 MANIFEST_NAME = "STORE.json"
 
-#: Record framing magic ("Repro Block Record, format 1").
-_MAGIC = b"RBR1"
+#: Record framing magic ("Repro Block Record, format 2": no digest).
+_MAGIC = b"RBR2"
 
-#: magic + sha256 digest + payload length + payload CRC32.
-_PREFIX = struct.Struct("<4s32sII")
+#: magic + payload length + payload CRC32.
+_PREFIX = struct.Struct("<4sII")
+
+#: The length prefix of one key field.
+_U16 = struct.Struct("<H").pack
 
 #: The payload tail: one little-endian int64 result row.
 _ROW_DTYPE = np.dtype("<i8")
@@ -118,31 +127,22 @@ _MAX_PAYLOAD = 1 << 20
 StoreKey = Tuple[str, bytes, bytes]
 
 
-def key_digest(key: StoreKey) -> bytes:
-    """The 32-byte content address of a cache key.
+def _render(key: StoreKey, headers: Dict[str, bytes]) -> bytes:
+    """A key's record bytes: its index address and its payload's prefix.
 
-    sha256 over ``namespace \\x1f a_bits \\x1f b_bits`` where the
-    namespace is the model's canonical config fingerprint
+    ``namespace | a_bits | b_bits``, each field u16 length-prefixed, where
+    the namespace is the model's canonical config fingerprint
     (:meth:`~repro.arch.base.STCModel.cache_key`).  Stable across
-    processes and platforms by construction.
+    processes and platforms by construction.  ``headers`` caches each
+    namespace's prefixed UTF-8 field.
     """
     namespace, a_bits, b_bits = key
-    h = hashlib.sha256()
-    h.update(namespace.encode("utf-8"))
-    h.update(b"\x1f")
-    h.update(a_bits)
-    h.update(b"\x1f")
-    h.update(b_bits)
-    return h.digest()
-
-
-def _encode_payload(key: StoreKey, row: np.ndarray) -> bytes:
-    namespace, a_bits, b_bits = key
-    ns = namespace.encode("utf-8")
-    return b"".join([struct.pack("<H", len(ns)), ns,
-                     struct.pack("<H", len(a_bits)), a_bits,
-                     struct.pack("<H", len(b_bits)), b_bits,
-                     np.asarray(row, dtype=_ROW_DTYPE).tobytes()])
+    header = headers.get(namespace)
+    if header is None:
+        ns = namespace.encode("utf-8")
+        header = headers[namespace] = _U16(len(ns)) + ns
+    return b"".join((header, _U16(len(a_bits)), a_bits,
+                     _U16(len(b_bits)), b_bits))
 
 
 def _payload_key(payload: bytes) -> StoreKey:
@@ -165,15 +165,15 @@ def _payload_key(payload: bytes) -> StoreKey:
     return fields[0].decode("utf-8"), fields[1], fields[2]
 
 
-def _frame(digest: bytes, payload: bytes, crc: int) -> bytes:
-    """Prefix ``payload`` with its magic, digest, length and CRC32."""
-    return _PREFIX.pack(_MAGIC, digest, len(payload), crc) + payload
+def _frame(payload: bytes, crc: int) -> bytes:
+    """Prefix ``payload`` with its magic, length and CRC32."""
+    return _PREFIX.pack(_MAGIC, len(payload), crc) + payload
 
 
 def encode_record(key: StoreKey, row: np.ndarray) -> bytes:
-    """One framed record: prefix + CRC-checked payload."""
-    payload = _encode_payload(key, row)
-    return _frame(key_digest(key), payload, zlib.crc32(payload))
+    """One framed record: prefix + CRC-checked payload (key bytes, row)."""
+    payload = _render(key, {}) + np.asarray(row, dtype=_ROW_DTYPE).tobytes()
+    return _frame(payload, zlib.crc32(payload))
 
 
 @dataclass
@@ -230,16 +230,6 @@ class StoreStats:
 
 
 @dataclass
-class _Entry:
-    """Index entry: where a record's payload lives on disk."""
-
-    segment: Path
-    offset: int          # offset of the *payload* within the segment
-    length: int          # payload length
-    crc: int
-
-
-@dataclass
 class GCReport:
     """Outcome of one :meth:`ResultStore.gc` compaction."""
 
@@ -288,15 +278,18 @@ class ResultStore:
         self.repair = repair
         self.stats = StoreStats()
         # One handle may serve several threads (ThreadingHTTPServer in
-        # repro serve): the lock serialises index mutation and the
-        # shared reader/writer handles' seek/read/write pairs.
-        # Re-entrant because gc()/verify()/lookup() nest _read_payload.
+        # repro serve): the lock serialises index mutation, the append
+        # handle's end offset and the reader table.  Re-entrant because
+        # gc() nests flush() and close().
         self._lock = threading.RLock()
-        self._index: Dict[bytes, _Entry] = {}
+        # key bytes -> (segment, payload offset, payload length, crc32)
+        self._index: Dict[bytes, Tuple[Path, int, int, int]] = {}
+        self._headers: Dict[str, bytes] = {}     # namespace -> key header
         self._scanned: Dict[Path, int] = {}      # segment -> clean end offset
-        self._writer: Optional[object] = None    # lazily opened file handle
+        self._writer: Optional[io.FileIO] = None  # opened on first insert
         self._writer_path: Optional[Path] = None
-        self._readers: Dict[Path, object] = {}
+        self._writer_end = 0      # the writer's end; _scanned's at close
+        self._readers: Dict[Path, io.FileIO] = {}
         self._load_manifest(create)
         self.segment_dir.mkdir(parents=True, exist_ok=True)
         self.refresh()
@@ -370,16 +363,16 @@ class ResultStore:
                 "there (point the store at a new or empty directory)")
 
     def close(self) -> None:
-        """Flush and release every file handle (safe to call twice)."""
+        """Fsync and release every file handle (safe to call twice)."""
         with self._lock:
             if self._writer is not None:
                 try:
-                    self._writer.flush()
                     os.fsync(self._writer.fileno())
                 except OSError:  # pragma: no cover - best-effort flush
                     pass
                 self._writer.close()
                 self._writer = None
+                self._scanned[self._writer_path] = self._writer_end
             for handle in self._readers.values():
                 handle.close()
             self._readers.clear()
@@ -429,32 +422,32 @@ class ResultStore:
         # the (new) end; stale index entries fail their short-read
         # check in _read_payload and degrade to misses.
         offset, added = min(start, len(data)), 0
-        own = seg == self._writer_path
+        view = memoryview(data)
         while True:
             if offset + _PREFIX.size > len(data):
                 break  # torn or absent prefix at EOF -> tail
-            magic, digest, length, crc = _PREFIX.unpack_from(data, offset)
-            if magic != _MAGIC or length > _MAX_PAYLOAD:
+            magic, length, crc = _PREFIX.unpack_from(data, offset)
+            # A payload too short to hold a row is framing garbage too.
+            if magic != _MAGIC or not _ROW_BYTES < length <= _MAX_PAYLOAD:
                 self._quarantine(seg, offset, "bad record framing")
                 return added
             payload_at = offset + _PREFIX.size
-            if payload_at + length > len(data):
+            end = payload_at + length
+            if end > len(data):
                 break  # torn payload at EOF -> tail
-            payload = data[payload_at:payload_at + length]
-            if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+            if zlib.crc32(view[payload_at:end]) != crc:
                 self._quarantine(seg, offset, "payload CRC mismatch")
                 return added
-            if digest not in self._index:
-                self._index[digest] = _Entry(seg, payload_at, length, crc)
+            address = data[payload_at:end - _ROW_BYTES]
+            if address not in self._index:
+                self._index[address] = (seg, payload_at, length, crc)
                 added += 1
-            offset = payload_at + length
+            offset = end
         self._scanned[seg] = offset
         torn = len(data) - offset
-        if torn > 0 and (own or self.repair):
-            # Either our own segment (no concurrent writer by
-            # construction: names embed pid + random suffix) or a
-            # repair-mode open where the caller asserts sole ownership
-            # -- drop the torn tail so the segment ends clean.
+        if torn > 0 and self.repair:
+            # A repair-mode open, where the caller asserts sole
+            # ownership: drop the torn tail so the segment ends clean.
             logger.warning("store: truncating %d torn byte(s) from %s",
                            torn, seg.name)
             with open(seg, "r+b") as fh:
@@ -467,9 +460,9 @@ class ResultStore:
 
     def _quarantine(self, seg: Path, offset: int, reason: str) -> None:
         """Interior corruption: sideline the segment, drop its records."""
-        dropped = [d for d, e in self._index.items() if e.segment == seg]
-        for digest in dropped:
-            del self._index[digest]
+        dropped = [a for a, entry in self._index.items() if entry[0] == seg]
+        for address in dropped:
+            del self._index[address]
         self._scanned.pop(seg, None)
         handle = self._readers.pop(seg, None)
         if handle is not None:
@@ -495,83 +488,89 @@ class ResultStore:
     def lookup(self, key: StoreKey) -> Optional[np.ndarray]:
         """Fetch a stored result row by cache key; ``None`` on miss.
 
-        The row is a read-only view of the payload's tail.
+        The row is a read-only array over a copy of the payload's tail.
         """
+        address = _render(key, self._headers)
         with self._lock:
-            entry = self._index.get(key_digest(key))
-            if entry is None:
-                self.stats.misses += 1
-                obs.inc("store.misses")
-                return None
-            payload = self._read_payload(entry)
+            entry = self._index.get(address)
+            payload = None if entry is None else self._read_payload(entry)
             if payload is None:
                 self.stats.misses += 1
                 obs.inc("store.misses")
                 return None
             self.stats.hits += 1
-            self.stats.served_bytes += entry.length
+            self.stats.served_bytes += len(payload)
             obs.inc("store.hits")
-            return np.frombuffer(payload[-_ROW_BYTES:], dtype=_ROW_DTYPE)
+        return np.frombuffer(payload[-_ROW_BYTES:], dtype=_ROW_DTYPE)
 
-    def _read_payload(self, entry: _Entry) -> Optional[bytes]:
-        with self._lock:
-            handle = self._readers.get(entry.segment)
-            if handle is None:
-                try:
-                    handle = open(entry.segment, "rb")
-                except FileNotFoundError:
-                    return None  # segment gc'd/quarantined under us
-                self._readers[entry.segment] = handle
-            handle.seek(entry.offset)
-            payload = handle.read(entry.length)
-        if len(payload) != entry.length:
+    def _read_payload(self, entry: Tuple[Path, int, int, int]) -> Optional[bytes]:
+        """One CRC-checked ``pread`` of an indexed payload; the caller
+        holds the lock.  ``None`` if the segment is gone or shrank."""
+        segment, offset, length, crc = entry
+        reader = self._readers.get(segment)
+        if reader is None:
+            try:
+                reader = open(segment, "rb", buffering=0)
+            except FileNotFoundError:
+                return None  # segment gc'd/quarantined under us
+            self._readers[segment] = reader
+        payload = os.pread(reader.fileno(), length, offset)
+        if len(payload) != length:
             return None
-        if zlib.crc32(payload) & 0xFFFFFFFF != entry.crc:
+        if zlib.crc32(payload) != crc:
             raise DataCorruptionError(
-                f"store record in {entry.segment.name} failed its CRC on "
+                f"store record in {segment.name} failed its CRC on "
                 "re-read (disk-level corruption after indexing)")
         return payload
 
     def insert(self, key: StoreKey, row: np.ndarray) -> bool:
-        """Append a record of ``row`` unless its digest is already indexed.
+        """Append a record of ``row`` unless its key is already indexed.
 
-        Returns True when a record was written.  The key is hashed once
-        and a duplicate is dropped before anything is framed.  The
-        write is a single ``write()`` call on an append-mode handle, so
-        concurrent writers to *different* segments never interleave and
-        a crash leaves at worst one torn record at the tail.
+        Returns True when a record was written.  The key bytes are
+        rendered once and a duplicate is dropped before anything is
+        framed.  The record goes out in one ``write()`` on this handle's
+        unbuffered append-only segment, so once this returns True the
+        record is in the OS (:meth:`flush` fsyncs it to disk), concurrent
+        writers to *different* segments never interleave, and a crash
+        leaves at worst one torn record at the tail.  A short write is
+        truncated away and raises :class:`OSError`, indexing nothing.
         """
-        digest = key_digest(key)
+        address = _render(key, self._headers)
         with self._lock:
-            if digest in self._index:
+            if address in self._index:
                 self.stats.duplicates += 1
                 return False
-            payload = _encode_payload(key, row)
+            payload = address + np.asarray(row, dtype=_ROW_DTYPE).tobytes()
             crc = zlib.crc32(payload)
-            writer = self._open_writer()
-            payload_at = writer.tell() + _PREFIX.size
-            writer.write(_frame(digest, payload, crc))
-            writer.flush()
-            self._index[digest] = _Entry(self._writer_path, payload_at,
-                                         len(payload), crc)
-            self._scanned[self._writer_path] = payload_at + len(payload)
+            framed = _frame(payload, crc)
+            if self._writer is None:
+                self._open_writer()
+            written = self._writer.write(framed)
+            if written != len(framed):
+                os.ftruncate(self._writer.fileno(), self._writer_end)
+                raise OSError(f"short write to {self._writer_path.name}: "
+                              f"{written} of {len(framed)} bytes")
+            self._index[address] = (self._writer_path,
+                                    self._writer_end + _PREFIX.size,
+                                    len(payload), crc)
+            self._writer_end += len(framed)
             self.stats.appends += 1
         obs.inc("store.appends")
         return True
 
-    def _open_writer(self):
-        if self._writer is None:
-            name = f"w{os.getpid():d}-{uuid.uuid4().hex[:8]}.seg"
-            self._writer_path = self.segment_dir / name
-            self._writer = open(self._writer_path, "ab")
-            self._scanned[self._writer_path] = 0
-        return self._writer
+    def _open_writer(self) -> None:
+        name = f"w{os.getpid():d}-{uuid.uuid4().hex[:8]}.seg"
+        self._writer_path = self.segment_dir / name
+        # Unbuffered: each insert's one write() reaches the OS before it
+        # returns, and the handle's end offset is tracked, never asked.
+        self._writer = open(self._writer_path, "ab", buffering=0)
+        self._writer_end = 0
+        self._scanned[self._writer_path] = 0
 
     def flush(self) -> None:
-        """Push buffered appends to the OS (fsync included)."""
+        """Fsync this handle's appends (each is in the OS already)."""
         with self._lock:
             if self._writer is not None:
-                self._writer.flush()
                 os.fsync(self._writer.fileno())
 
     # -- maintenance ------------------------------------------------------
@@ -612,7 +611,8 @@ class ResultStore:
         }
 
     def verify(self, strict: bool = False) -> Dict[str, object]:
-        """Re-read every indexed record, checking framing and CRCs.
+        """Re-read every indexed record, checking CRCs and that each
+        payload decodes to its index key.
 
         Returns ``{"records", "bytes", "errors": [...]}``.  With
         ``strict=True`` the first failure raises
@@ -622,23 +622,24 @@ class ResultStore:
         checked = checked_bytes = 0
         with self._lock:
             entries = sorted(self._index.items())
-        for digest, entry in entries:
+        for address, entry in entries:
             try:
-                payload = self._read_payload(entry)
+                with self._lock:
+                    payload = self._read_payload(entry)
                 if payload is None:
                     raise DataCorruptionError(
-                        f"record in {entry.segment.name} vanished")
-                if key_digest(_payload_key(payload)) != digest:
+                        f"record in {entry[0].name} vanished")
+                if _render(_payload_key(payload), self._headers) != address:
                     raise DataCorruptionError(
-                        f"record in {entry.segment.name} decodes to a "
-                        "different key than its digest")
+                        f"record in {entry[0].name} decodes to a different "
+                        "key than its address")
             except DataCorruptionError as exc:
                 if strict:
                     raise
                 errors.append(str(exc))
                 continue
             checked += 1
-            checked_bytes += entry.length
+            checked_bytes += len(payload)
         return {"records": checked, "bytes": checked_bytes, "errors": errors}
 
     def gc(self, max_bytes: Optional[int] = None) -> GCReport:
@@ -662,12 +663,12 @@ class ResultStore:
         # recently appended survive the budget.
         records: List[bytes] = []
         kept = dropped = budget_used = 0
-        for digest, entry in reversed(list(self._index.items())):
+        for entry in reversed(list(self._index.values())):
             payload = self._read_payload(entry)
             if payload is None:
                 dropped += 1
                 continue
-            framed = _frame(digest, payload, entry.crc)
+            framed = _frame(payload, entry[3])
             if max_bytes is not None and budget_used + len(framed) > max_bytes:
                 dropped += 1
                 continue

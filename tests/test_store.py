@@ -8,6 +8,7 @@ as runs reach it through the engine's store binding.
 
 from __future__ import annotations
 
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -29,7 +30,6 @@ from repro.store import (
     ResultStore,
     STORE_SCHEMA,
     encode_record,
-    key_digest,
 )
 from repro.store import resultstore
 from repro.workloads.synthetic import banded
@@ -96,8 +96,8 @@ class TestFormat:
             assert store.stats.appends == 1
             assert store.stats.duplicates == 1
 
-    def test_insert_hashes_once_and_never_frames_a_duplicate(self, root, monkeypatch):
-        calls = {"digest": 0, "encode": 0}
+    def test_insert_renders_once_and_never_frames_a_duplicate(self, root, monkeypatch):
+        calls = {"render": 0, "frame": 0}
 
         def spy(name, original):
             def call(*args):
@@ -105,15 +105,18 @@ class TestFormat:
                 return original(*args)
             return call
 
-        monkeypatch.setattr(resultstore, "key_digest",
-                            spy("digest", resultstore.key_digest))
-        monkeypatch.setattr(resultstore, "_encode_payload",
-                            spy("encode", resultstore._encode_payload))
+        monkeypatch.setattr(resultstore, "_render",
+                            spy("render", resultstore._render))
+        monkeypatch.setattr(resultstore, "_frame",
+                            spy("frame", resultstore._frame))
         with ResultStore(root) as store:
             assert store.insert(_key(1), _row(1)) is True
-            assert calls == {"digest": 1, "encode": 1}
+            assert calls == {"render": 1, "frame": 1}
+            (seg,) = _segments(store)
+            size = seg.stat().st_size
             assert store.insert(_key(1), _row(1)) is False
-            assert calls == {"digest": 2, "encode": 1}
+            assert calls == {"render": 2, "frame": 1}
+            assert seg.stat().st_size == size
 
     def test_stats_traffic_accounting(self, root):
         with ResultStore(root) as store:
@@ -169,11 +172,12 @@ class TestManifest:
         with pytest.raises(FormatError, match="schema"):
             ResultStore(root)
 
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 3])
     def test_old_schema_store_must_be_rebuilt(self, root, schema):
-        """Schema 1 held float64 counts and schema 2 bool-grid keys where
-        schema 3 holds int64 rows under packed-pattern keys; records
-        frame alike, so only the manifest tells them apart."""
+        """Schema 1 held float64 counts, schema 2 bool-grid keys and
+        schema 3 a key digest in every frame, where schema 4 addresses
+        int64 rows by their packed-pattern key bytes; the manifest
+        refuses them before any frame is read."""
         import json
 
         with ResultStore(root) as store:
@@ -341,6 +345,73 @@ class TestCrashSemantics:
         finally:
             store.close()
 
+    @pytest.mark.parametrize("torn", [False, True])
+    def test_killed_writer_keeps_every_returned_insert(self, root, torn):
+        """Each insert that returned True is one write() that reached the
+        OS: a writer SIGKILLed with no flush and no close leaves all of
+        its records readable.  This shows what reached the OS (the page
+        cache), not what reached the disk; only flush()/close() fsync."""
+        script = (
+            "import os, signal, sys\n"
+            "import numpy as np\n"
+            "from repro.arch.base import VECTOR_WIDTH\n"
+            "from repro.store import ResultStore\n"
+            "store = ResultStore(sys.argv[1])\n"
+            "for i in range(1, 51):\n"
+            "    key = ('ns', bytes([i]) * 4, bytes([i % 251, i % 7]))\n"
+            "    row = np.arange(VECTOR_WIDTH, dtype=np.int64) * i\n"
+            "    assert store.insert(key, row)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(root)],
+            env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.wait(timeout=60) == -signal.SIGKILL
+        (seg,) = sorted((root / "segments").glob("*.seg"))
+        clean = seg.stat().st_size
+        if torn:  # the kill landed mid-append: half a frame at the tail
+            record = encode_record(_key(99), _row(99))
+            with open(seg, "ab") as fh:
+                fh.write(record[:len(record) // 2])
+        with ResultStore(root) as store:
+            assert len(store) == 50 and store.stats.quarantined == 0
+            for i in range(1, 51):
+                want = np.arange(VECTOR_WIDTH, dtype=np.int64) * i
+                assert np.array_equal(store.lookup(_key(i)), want)
+        with ResultStore(root, repair=True) as store:
+            assert len(store) == 50
+        assert seg.stat().st_size == clean
+
+    def test_short_write_raises_and_indexes_nothing(self, root):
+        class HalfWriter:
+            """An append handle whose next write() lands half the frame."""
+
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                return self.raw.write(data[:len(data) // 2])
+
+            def __getattr__(self, name):
+                return getattr(self.raw, name)
+
+        with ResultStore(root) as store:
+            assert store.insert(_key(1), _row(1)) is True
+            (seg,) = _segments(store)
+            clean = seg.stat().st_size
+            raw = store._writer
+            store._writer = HalfWriter(raw)
+            with pytest.raises(OSError, match="short write"):
+                store.insert(_key(2), _row(2))
+            store._writer = raw
+            assert len(store) == 1 and store.lookup(_key(2)) is None
+            assert seg.stat().st_size == clean  # the half frame is gone
+            assert store.insert(_key(3), _row(3)) is True
+        with ResultStore(root) as store:
+            assert len(store) == 2 and store.stats.quarantined == 0
+            assert store.lookup(_key(3))[0] == 3
+
     def test_concurrent_writers_converge(self, root):
         script = (
             "import sys\n"
@@ -377,23 +448,39 @@ class TestCrashSemantics:
 class TestThreadSafety:
     def test_one_handle_shared_across_threads(self, root):
         # ThreadingHTTPServer hands one store handle to many handler
-        # threads; interleaved insert (shared writer offset) and
-        # lookup (shared reader seek/read) must stay coherent.
+        # threads; interleaved insert (the writer's end offset) and
+        # lookup (the reader table, one pread each) must stay coherent.
+        # The second input, 16 threads, outnumbers a CI runner's cores,
+        # and a short switch interval preempts threads mid-call.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ResultStore(root) as store:
-            def work(i):
-                for j in range(40):
-                    key = _key(j % 251, ns=f"t{i}")
-                    assert store.insert(key, _row(j % 100)) is True
-                    got = store.lookup(key)
-                    assert got is not None and got[0] == j % 100
+        def work(store, i):
+            for j in range(40):
+                key = _key(j % 251, ns=f"t{i}")
+                assert store.insert(key, _row(j % 100)) is True
+                got = store.lookup(key)
+                assert got is not None and got[0] == j % 100
 
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(work, range(8)))
-            assert len(store) == 8 * 40
-            report = store.verify(strict=True)
-            assert report["records"] == 8 * 40 and report["errors"] == []
+        for threads in (8, 16):
+            path = root / f"threads-{threads}"
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ResultStore(path) as store:
+                    with ThreadPoolExecutor(max_workers=threads) as pool:
+                        futures = [pool.submit(work, store, i)
+                                   for i in range(threads)]
+                        for future in futures:
+                            future.result(timeout=120)
+                    assert len(store) == threads * 40
+                    report = store.verify(strict=True)
+                    assert report["records"] == threads * 40
+            finally:
+                sys.setswitchinterval(interval)
+            with ResultStore(path) as fresh:
+                report = fresh.verify(strict=True)
+            assert report["records"] == threads * 40
+            assert report["errors"] == []
 
 
 class TestGC:
@@ -434,20 +521,26 @@ class TestGC:
 
 
 class TestFingerprintStability:
-    def test_digest_is_stable_across_processes(self, root):
+    def test_record_bytes_are_stable_across_processes(self, root):
+        # The record's key bytes are its address: another process must
+        # frame the same key and row byte for byte.
         key = (UniSTC().cache_key(), b"\x01\x02\x03", b"\x04\x05")
+        row = np.arange(VECTOR_WIDTH, dtype=np.int64)
         script = (
+            "import numpy as np\n"
+            "from repro.arch.base import VECTOR_WIDTH\n"
             "from repro.arch.unistc import UniSTC\n"
-            "from repro.store import key_digest\n"
-            "print(key_digest((UniSTC().cache_key(),\n"
-            "                  b'\\x01\\x02\\x03', b'\\x04\\x05')).hex())\n"
+            "from repro.store import encode_record\n"
+            "print(encode_record((UniSTC().cache_key(),\n"
+            "                     b'\\x01\\x02\\x03', b'\\x04\\x05'),\n"
+            "                    np.arange(VECTOR_WIDTH, dtype=np.int64)).hex())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
             env={"PYTHONPATH": REPO_SRC, "PATH": "/usr/bin:/bin"},
             capture_output=True, text=True, timeout=60, check=True,
         )
-        assert out.stdout.strip() == key_digest(key).hex()
+        assert out.stdout.strip() == encode_record(key, row).hex()
 
     def test_every_knob_changes_the_key(self):
         baseline = UniSTC().cache_key()
@@ -465,10 +558,10 @@ class TestFingerprintStability:
         keys = [stc.cache_key() for stc in variants]
         assert baseline not in keys
         assert len(set(keys)) == len(keys)  # pairwise distinct too
-        digests = {
-            key_digest((ns, b"a", b"b")) for ns in keys + [baseline]
+        records = {
+            encode_record((ns, b"a", b"b"), _row(1)) for ns in keys + [baseline]
         }
-        assert len(digests) == len(keys) + 1
+        assert len(records) == len(keys) + 1
 
     def test_identical_configs_share_a_namespace(self):
         assert UniSTC().cache_key() == UniSTC(UniSTCConfig()).cache_key()
@@ -551,7 +644,7 @@ class TestBlockCacheTier:
         for seg in _segments(store):
             blob, offset = seg.read_bytes(), 0
             while offset < len(blob):
-                _, _, length, _ = resultstore._PREFIX.unpack_from(blob, offset)
+                _, length, _ = resultstore._PREFIX.unpack_from(blob, offset)
                 offset += resultstore._PREFIX.size
                 keys.append(resultstore._payload_key(blob[offset:offset + length]))
                 offset += length
@@ -585,7 +678,7 @@ class TestBlockCacheTier:
 
 
 class TestStoreCLI:
-    @pytest.mark.parametrize("schema", [1, 2])
+    @pytest.mark.parametrize("schema", [1, 2, 3])
     def test_old_schema_store_is_one_error_line(self, root, tmp_path, capsys, schema):
         import json
 
