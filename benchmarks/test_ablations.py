@@ -18,9 +18,9 @@ import pytest
 
 from repro.analysis.tables import print_table
 from repro.arch.config import FP16, FP32, FP64, UniSTCConfig
-from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.energy.model import DEFAULT_MODEL
+from repro.formats.bbc import BBCMatrix
 from repro.sim.engine import simulate_kernel
 from repro.sim.parallel import simulate_parallel
 from repro.workloads.representative import build_matrix
@@ -138,14 +138,16 @@ def test_ablation_conflict_stall(benchmark, workload):
 
 def test_ablation_precision_scaling(benchmark):
     """64 MACs@FP64 / 128@FP32 / 256@FP16 in the same footprint (§IV-A)."""
-    dense = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
+    # One all-ones 16x16 block: its SpGEMM square is one dense T1 task.
+    dense = BBCMatrix.from_dense(np.ones((16, 16)))
 
     def run():
         out = {}
         for precision in (FP64, FP32, FP16):
             stc = UniSTC(UniSTCConfig(precision=precision))
-            result = stc.simulate_block(dense)
-            out[precision.name] = (precision.macs, result.cycles)
+            report = simulate_kernel("spgemm", dense, stc)
+            assert report.t1_tasks == 1
+            out[precision.name] = (precision.macs, report.cycles)
         return out
 
     data = benchmark.pedantic(run, rounds=1, iterations=1)

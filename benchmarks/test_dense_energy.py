@@ -9,24 +9,24 @@ movement matches the dense pattern.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis.tables import print_table
-from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, NvDTC, RmSTC
-from repro.energy.model import DEFAULT_MODEL
+from repro.formats.bbc import BBCMatrix
+from repro.sim.engine import simulate_kernel
 
-DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
+#: One all-ones 16x16 block: its SpGEMM square is one dense T1 task.
+DENSE = BBCMatrix.from_dense(np.ones((16, 16)))
 
 
 def _compute():
     out = {}
     for stc in (NvDTC(), DsSTC(), RmSTC(), UniSTC()):
-        result = stc.simulate_block(DENSE)
-        energy = DEFAULT_MODEL.energy_pj(result.counters, stc.name)
-        util = result.products / (result.cycles * stc.macs)
-        out[stc.name] = (result.cycles, util, energy)
+        report = simulate_kernel("spgemm", DENSE, stc)
+        assert report.t1_tasks == 1
+        util = report.products / (report.cycles * stc.macs)
+        out[stc.name] = (report.cycles, util, report.energy_pj)
     return out
 
 

@@ -34,11 +34,13 @@ def main() -> None:
     print(trace.render(max_cycles=4))
 
     # --- the same task's utilisation profile ---------------------------
+    # A and B as one-block matrices: their SpGEMM is exactly this task.
     uni = UniSTC()
-    result = uni.simulate_block(task)
+    block = simulate_kernel("spgemm", BBCMatrix.from_dense(a), uni,
+                            b=BBCMatrix.from_dense(b))
     print("\nper-cycle utilisation bins:")
     print(histogram(["0-25%", "25-50%", "50-75%", "75-100%"],
-                    result.util_hist.fractions(), width=30))
+                    block.util_hist.fractions(), width=30))
 
     # --- whole-kernel UWMMA program -------------------------------------
     bbc = BBCMatrix.from_coo(banded(128, 12, 0.4, run_length=2, seed=1))

@@ -16,7 +16,7 @@ from repro.arch import (
     tradeoffs,
     warp,
 )
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.config import FP16, FP32, FP64, PRECISIONS, Precision, UniSTCConfig
 from repro.arch.counters import ACTIONS, Counters
 from repro.arch.tasks import T1Task, T3Task, T4Task, UtilHistogram
@@ -24,7 +24,6 @@ from repro.arch.unistc import UniSTC
 
 __all__ = [
     "ACTIONS",
-    "BlockResult",
     "Counters",
     "FP16",
     "FP32",

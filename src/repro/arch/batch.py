@@ -14,8 +14,11 @@ around its own dataflow accounting:
    histograms (binning per-cycle products with :func:`util_bins` /
    :func:`histogram_rows`) and action counts;
 3. :func:`result_rows` lays those out as int64 rows in the
-   :data:`~repro.arch.base.VECTOR_WIDTH` layout, equal to the stepped
-   path's :meth:`~repro.arch.base.BlockResult.row`.
+   :data:`~repro.arch.base.VECTOR_WIDTH` layout.
+
+The tile decoders here are the one operand decoder of ``src/``:
+Uni-STC, NV-DTC and ``repro trace`` read their A and B tiles through
+:func:`decode_a_operands` / :func:`decode_b_operands`.
 """
 
 from __future__ import annotations
@@ -64,22 +67,24 @@ _NIBBLES = TILE * np.arange(TILE, dtype=np.int64)
 
 
 def decode_a_operands(a_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.arch.unistc.decode_a_operand` over ``[N, 16]`` patterns.
+    """A-block level-2 view of ``[N, 16]`` packed patterns.
 
     Returns ``(tile_bitmaps, col_counts)`` with leading batch axes:
-    ``tile_bitmaps[p, i, k]`` and ``col_counts[p, i, k, kk]``.
+    ``tile_bitmaps[p, i, k]`` is the 16-bit bitmap of tile (i, k) and
+    ``col_counts[p, i, k, kk]`` the nonzero count of its column ``kk``.
     """
     tiles = a_patterns.astype(np.int64).reshape(-1, TILE, TILE)
     return tiles, tile_col_counts(tiles)
 
 
 def decode_b_operands(b_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`~repro.arch.unistc.decode_b_operand` over ``[N, n]`` patterns.
+    """B-operand level-2 view of ``[N, n]`` packed patterns.
 
     Returns ``(tile_bitmaps, row_counts)``, ``[p, tk, tj]`` and ``[p,
-    tk, tj, ei]``; a vector segment's nibble ``tk`` is the 4x1 tile
-    ``(tk, 0)``, so ``tj`` runs over the operand's ``n // 4`` (16 wide)
-    or one (a segment) tile columns.
+    tk, tj, ei]`` (the nonzero count of row ``ei`` of tile (tk, tj)); a
+    vector segment's nibble ``tk`` is the 4x1 tile ``(tk, 0)``, so
+    ``tj`` runs over the operand's ``n // 4`` (16 wide) or one (a
+    segment) tile columns.
     """
     if b_patterns.shape[1:] == (16,):
         tiles = b_patterns.astype(np.int64).reshape(-1, TILE, TILE)
@@ -99,7 +104,7 @@ def util_bins(eff: np.ndarray, macs: int) -> np.ndarray:
     integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``, which
     is ``min(max(4 * eff - 1, 0) // macs, 3)`` for ``eff >= 0``.  The
     two agree because the MAC budgets (64/128/256) are powers of two, so
-    the float quotient the stepped path bins is exact too.
+    the float quotient ``eff / macs`` is exact too.
     """
     return np.minimum(np.maximum(4 * eff - 1, 0) // macs, 3)
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+import numpy as np
+
+from repro.arch.batch import decode_a_operands, decode_b_operands
 from repro.arch.config import UniSTCConfig
 from repro.arch.dpg import DotProductGenerator
 from repro.arch.sdpu import SegmentedDotProductUnit
 from repro.arch.tasks import T1Task
-from repro.arch.tms import TileMultiplyScheduler, tile_products
-from repro.arch.unistc import decode_a_operand, decode_b_operand
+from repro.arch.tms import TileMultiplyScheduler, tile_products_batch
 
 
 @dataclass
@@ -92,52 +94,33 @@ class BlockTrace:
 
 def trace_block(task: T1Task, config: Optional[UniSTCConfig] = None,
                 ordering: str = "outer", fill_order: str = "z") -> BlockTrace:
-    """Replay one T1 task and capture the per-cycle dataflow."""
+    """Replay one T1 task and capture the per-cycle dataflow.
+
+    The TMS schedules the block's T3 tasks; each cycle's dispatched
+    tasks go through the DPG, and the SDPU packs their T4 segments,
+    which must fill exactly the lanes the scheduler budgeted.  DPG
+    wake-up stalls are not traced.
+    """
     cfg = config or UniSTCConfig()
-    a_tiles, a_cols = decode_a_operand(task.a_bitmap())
-    b_tiles, b_rows, n_cols = decode_b_operand(task.b_bitmap())
-    products = tile_products(a_cols, b_rows)
+    # The block is a one-entry batch to the tile decoders.
+    a_tiles, a_cols = decode_a_operands(np.frombuffer(task.a_bits, dtype="<u2")[None])
+    b_tiles, b_rows = decode_b_operands(np.frombuffer(task.b_bits, dtype="<u2")[None])
+    products = tile_products_batch(a_cols, b_rows)[0]   # [k, i, j]
+    n_cols = b_tiles.shape[2]
     trace = BlockTrace(macs=cfg.macs)
-    if products.sum() == 0:
+    if not products.any():
         trace.cycles.append(TracedCycle(index=0))
         return trace
 
-    tms = TileMultiplyScheduler(cfg)
     dpg = DotProductGenerator(fill_order)
     sdpu = SegmentedDotProductUnit(cfg.macs)
-    ordered = tms.order_tasks(tms.generate_tasks(products), ordering)
-    outcome = tms.dispatch(ordered)
-
-    # Re-associate dispatched (i, j, k) tuples cycle by cycle.  The
-    # dispatch records carry per-cycle k values and tile sets; to get the
-    # exact tasks we re-run the same dispatch logic on a parallel queue.
-    from collections import deque
-
-    pending = deque(ordered)
+    outcome = TileMultiplyScheduler(cfg).schedule(products, ordering)
     for index, record in enumerate(outcome.cycles):
         cyc = TracedCycle(index=index, conflict=record.conflict)
-        chosen = []
-        used = set()
-        skipped = []
-        total = 0
-        while pending and len(chosen) < cfg.num_dpgs:
-            t3 = pending.popleft()
-            if total + t3.products > cfg.macs:
-                pending.appendleft(t3)
-                break
-            if cfg.conflict_stall and t3.output_tile in used:
-                skipped.append(t3)
-                if len(skipped) >= cfg.num_dpgs:
-                    break
-                continue
-            chosen.append(t3)
-            used.add(t3.output_tile)
-            total += t3.products
-        for t3 in reversed(skipped):
-            pending.appendleft(t3)
         segments: List[int] = []
-        for slot, t3 in enumerate(chosen):
-            out = dpg.decompose(int(a_tiles[t3.i, t3.k]), int(b_tiles[t3.k, t3.j]), n_cols)
+        for slot, t3 in enumerate(record.dispatched):
+            out = dpg.decompose(int(a_tiles[0, t3.i, t3.k]), int(b_tiles[0, t3.k, t3.j]),
+                                n_cols)
             traced = TracedDispatch(dpg=slot, i=t3.i, j=t3.j, k=t3.k, products=t3.products)
             for t4 in out.t4_tasks:
                 traced.t4_tasks.append(

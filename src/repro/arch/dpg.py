@@ -16,11 +16,13 @@ two level-2 bitmaps.  It
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 from repro.arch.tasks import T4Task
 from repro.formats import bitarray
+
+#: Queue-fill orders a DPG implements: Z-shaped (the paper's) and N-shaped.
+FILL_ORDERS = ("z", "n")
 
 #: Broadcast ranges guaranteed by the Z-shaped fill order (§IV-A.2).
 A_BROADCAST_RANGE = 5   # 4 + 1 adjacent multipliers
@@ -96,7 +98,7 @@ class DotProductGenerator:
     """One DPG instance; stateless, so a single object serves all slots."""
 
     def __init__(self, fill_order: str = "z"):
-        if fill_order not in ("z", "n"):
+        if fill_order not in FILL_ORDERS:
             raise ValueError(f"fill order must be 'z' or 'n', got {fill_order!r}")
         self.fill_order = fill_order
 
@@ -139,36 +141,3 @@ class DotProductGenerator:
             a_broadcasts=a_casts,
             b_broadcasts=b_casts,
         )
-
-
-#: Field order of the :func:`dpg_stats` summary tuple.
-DPG_STAT_FIELDS = (
-    "t4_tasks",
-    "a_elem_fetches",
-    "b_elem_fetches",
-    "a_broadcasts",
-    "b_broadcasts",
-    "c_writes",
-)
-
-
-@lru_cache(maxsize=65536)
-def dpg_stats(
-    a_tile_bitmap: int, b_tile_bitmap: int, n_cols: int = 4, fill_order: str = "z"
-) -> Tuple[int, int, int, int, int, int]:
-    """Memoised summary counts of one DPG decomposition.
-
-    Tile-bitmap pairs repeat heavily across blocks, and both the
-    stepped and the batched simulation paths only consume these six
-    integers (in :data:`DPG_STAT_FIELDS` order) — sharing one
-    process-wide memo keeps the two paths consuming identical numbers.
-    """
-    out = DotProductGenerator(fill_order).decompose(a_tile_bitmap, b_tile_bitmap, n_cols)
-    return (
-        len(out.t4_tasks),
-        out.a_elem_fetches,
-        out.b_elem_fetches,
-        out.a_broadcasts,
-        out.b_broadcasts,
-        out.c_writes,
-    )

@@ -19,18 +19,20 @@ engine's warm-path memoisation.  Per batch it
    lockstep pass** (:func:`_pack_lockstep`);
 5. replays the exact dispatch of streams whose windows carry an
    output-tile conflict (round-robin arbitration reshuffles the
-   schedule; :func:`_dispatch_conflicted`), and falls back to
-   :meth:`UniSTC.simulate_block` stepping only for an over-budget T3
-   task or an unknown ordering (the stepped path raises).
+   schedule; :func:`_dispatch_conflicted`).  A T3 task over the MAC
+   budget can never dispatch, so a batch holding one raises
+   :class:`~repro.errors.SimulationError`.
 
-The accounting replicates the TMS dispatch rules exactly — window
+The accounting replicates the TMS dispatch rules of
+:meth:`~repro.arch.tms.TileMultiplyScheduler.dispatch` exactly — window
 packing under the MAC/DPG budgets, wakeup-stall exposure, the
-per-cycle tile-fetch delta against the previous cycle's working set —
-so every row equals the stepped path's
-:meth:`~repro.arch.base.BlockResult.row`; ``tests/test_fastpath.py``
-asserts this row for row.  DPG totals are sums of entries of one
-65,536-entry packed table (:func:`_dpg_totals`), and the C-output
-count is ``count_nonzero(A row masks & B column masks)``.
+per-cycle tile-fetch delta against the previous cycle's working set.
+``tests/test_fastpath.py`` asserts every row against the stepped
+Uni-STC oracle in ``tests/stepped_models.py``, and the cycles, lanes
+and utilisation bins against ``repro trace``
+(:func:`~repro.arch.dataflow_trace.trace_block`).  DPG totals are sums
+of entries of one 65,536-entry packed table (:func:`_dpg_totals`), and
+the C-output count is ``count_nonzero(A row masks & B column masks)``.
 """
 
 from __future__ import annotations
@@ -43,24 +45,23 @@ import numpy as np
 from repro.arch.base import VECTOR_WIDTH
 from repro.arch.batch import (decode_a_operands, decode_b_operands, evaluate_packed,
                                result_rows, util_bins)
-from repro.arch.tasks import T1Task
-from repro.arch.tms import ORDERINGS, tile_products_batch
+from repro.arch.tms import tile_products_batch
 from repro.errors import SimulationError
 from repro.formats.bbc import pattern_col_masks, pattern_row_masks
 from repro.formats.bitarray import popcount16
 
 
 def _decode_a(a_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """A patterns, tiles, tile column counts, row masks and nonzero tiles."""
+    """A tiles, tile column counts, row masks and nonzero tiles."""
     tiles, cols = decode_a_operands(a_patterns)
-    return (a_patterns, tiles, cols, pattern_row_masks(a_patterns),
+    return (tiles, cols, pattern_row_masks(a_patterns),
             np.count_nonzero(a_patterns, axis=1))
 
 
 def _decode_b(b_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """B patterns, tiles, tile row counts, column masks and nonzero tiles."""
+    """B tiles, tile row counts, column masks and nonzero tiles."""
     tiles, rows = decode_b_operands(b_patterns)
-    return (b_patterns, tiles, rows, pattern_col_masks(b_patterns),
+    return (tiles, rows, pattern_col_masks(b_patterns),
             np.count_nonzero(tiles, axis=(1, 2)))
 
 
@@ -108,13 +109,14 @@ def _dpg_totals(
     n_cols: int,
     starts: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-block :func:`~repro.arch.dpg.dpg_stats` totals from lookup tables.
+    """Per-block DPG decomposition totals from lookup tables.
 
     The flat task arrays hold every T3 task's tile bitmaps, grouped by
     block (block ``q``'s tasks start at ``starts[q]``).  Returns each
-    block's ``(t4_tasks, a_elem_fetches, b_elem_fetches)``;
-    ``c_writes`` equals ``t4_tasks`` and both broadcast counts equal
-    the block's products.
+    block's sums of the per-task
+    :meth:`~repro.arch.dpg.DotProductGenerator.decompose` counts
+    ``(T4 tasks, A element fetches, B element fetches)``; its C writes
+    equal its T4 tasks and both broadcast counts equal its products.
 
     Dot pattern ``pattern[m][n]`` is column ``n`` of ``X_m = B &
     rowselect(A row m)``.  A row ``m`` therefore adds the nonzero
@@ -259,8 +261,8 @@ def _pack_lockstep(
     next cycle.  ``p`` holds the blocks' streams back to back (block
     ``q`` has ``lens[q]`` tasks); returns each task's cycle id within
     its block and each block's cycle count.  Every task must satisfy
-    ``p <= macs`` (callers route over-budget blocks to the stepped
-    path, which raises).
+    ``p <= macs`` (:func:`_evaluate_group` raises on a batch holding an
+    over-budget task before packing).
 
     One ``searchsorted`` over a cumulative-products array finds, for
     every task, where a cycle starting at it ends; a sentinel of
@@ -297,25 +299,19 @@ def _pack_lockstep(
 def simulate_blocks(stc, batch) -> np.ndarray:
     """Batched block evaluation for a :class:`~repro.arch.unistc.UniSTC`.
 
-    Row ``i`` of the ``[N, VECTOR_WIDTH]`` int64 result equals the
-    stepped ``stc.simulate_block`` row of task entry ``i`` of ``batch``
-    exactly; only the evaluation strategy differs.
+    Row ``i`` of the ``[N, VECTOR_WIDTH]`` int64 result is the block
+    result of task entry ``i`` of ``batch``.
     """
     return evaluate_packed(batch, _decode_a, _decode_b, partial(_evaluate_group, stc))
 
 
-def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
-                    b_patterns, b_tiles, b_rows, b_cols, b_live_tiles) -> np.ndarray:
+def _evaluate_group(stc, a_tiles, a_cols, a_rows, a_live_tiles,
+                    b_tiles, b_rows, b_cols, b_live_tiles) -> np.ndarray:
     """Evaluate one chunk of pattern pairs, decoded by :func:`_decode_a` /
     :func:`_decode_b`, into result rows."""
     cfg = stc.config
-    count = len(a_patterns)
+    count = len(a_tiles)
     n_cols = b_tiles.shape[2]
-
-    def stepped(q: int) -> np.ndarray:
-        task = T1Task(a_patterns[q].tobytes(), b_patterns[q].tobytes(),
-                      n=b_patterns.shape[1])
-        return stc.simulate_block(task).row()
 
     products = tile_products_batch(a_cols, b_rows)  # [p, k, i, j]
     totals = products.sum(axis=(1, 2, 3))
@@ -337,11 +333,6 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
     ne = np.nonzero(~empty)[0]
     if ne.size == 0:
         return rows
-    if stc.ordering not in ORDERINGS:
-        # Stepping raises the canonical unknown-ordering error.
-        for q in ne:
-            rows[q] = stepped(q)
-        return rows
 
     # -- flat task arrays in dispatch order -----------------------------
     bb, kk, ii, jj, pp = _dispatch_tasks(
@@ -356,8 +347,10 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
     macs, nd = cfg.macs, cfg.num_dpgs
     pmax = np.maximum.reduceat(pp, offsets[:-1])
     pmin = np.minimum.reduceat(pp, offsets[:-1])
-    fallback = pmax > macs  # stepping raises "no progress" for these
-    uniform = (pmax == pmin) & ~fallback
+    if pmax.max() > macs:
+        # A task over the MAC budget never fits a cycle.
+        raise SimulationError("dispatch made no progress; scheduler bug")
+    uniform = pmax == pmin
     step = np.full(nblocks, nd, dtype=np.int64)
     step[uniform] = np.minimum(nd, macs // np.maximum(pmin[uniform], 1))
     step = np.maximum(step, 1)
@@ -373,14 +366,13 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
         # all of them in one lockstep pass.
         block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
         needs_pack = np.flatnonzero(
-            (np.bincount(block_of_cycle[over], minlength=nblocks) > 0) & ~fallback)
-        if needs_pack.size:
-            lens = tasks_per_block[needs_pack]
-            task_pos = _stream_positions(offsets, needs_pack, lens)
-            cyc[task_pos], ncyc[needs_pack] = _pack_lockstep(
-                pp[task_pos], lens, nd, macs)
-            cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-            gcyc = cyc_off[bb] + cyc
+            np.bincount(block_of_cycle[over], minlength=nblocks) > 0)
+        lens = tasks_per_block[needs_pack]
+        task_pos = _stream_positions(offsets, needs_pack, lens)
+        cyc[task_pos], ncyc[needs_pack] = _pack_lockstep(
+            pp[task_pos], lens, nd, macs)
+        cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
+        gcyc = cyc_off[bb] + cyc
 
     if cfg.conflict_stall:
         # A same-output-tile conflict inside any window reshuffles the
@@ -393,52 +385,29 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
         dup_cycles = np.flatnonzero(clashes) >> 4
         if dup_cycles.size:
             # The clash's block follows from its global cycle id.
-            dup_blocks = np.searchsorted(cyc_off, dup_cycles, side="right") - 1
             conflicted = np.zeros(nblocks, dtype=bool)
-            conflicted[dup_blocks] = True
-            conflicted &= ~fallback
-            if conflicted.any():
-                replay = np.flatnonzero(conflicted)
-                lens = tasks_per_block[replay]
-                task_pos = _stream_positions(offsets, replay, lens)
-                cyc[task_pos], ncyc[replay] = _dispatch_conflicted(
-                    pp[task_pos].tolist(),
-                    (1 << (ii[task_pos] * 4 + jj[task_pos])).tolist(),
-                    lens.tolist(), nd, macs,
-                )
-                cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-                gcyc = cyc_off[bb] + cyc
+            conflicted[np.searchsorted(cyc_off, dup_cycles, side="right") - 1] = True
+            replay = np.flatnonzero(conflicted)
+            lens = tasks_per_block[replay]
+            task_pos = _stream_positions(offsets, replay, lens)
+            cyc[task_pos], ncyc[replay] = _dispatch_conflicted(
+                pp[task_pos].tolist(),
+                (1 << (ii[task_pos] * 4 + jj[task_pos])).tolist(),
+                lens.tolist(), nd, macs,
+            )
+            cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
+            gcyc = cyc_off[bb] + cyc
 
-    fast = np.nonzero(~fallback)[0]
-    if fast.size < nblocks:
-        for q in np.nonzero(fallback)[0]:
-            rows[ne[q]] = stepped(int(ne[q]))
-        if fast.size == 0:
-            return rows
-        live = ~fallback[bb]
-        remap = np.full(nblocks, -1, dtype=np.int64)
-        remap[fast] = np.arange(fast.size)
-        bb, kk, ii, jj, pp, cyc = (
-            arr[live] for arr in (bb, kk, ii, jj, pp, cyc)
-        )
-        bb = remap[bb]
-        tasks_per_block = tasks_per_block[fast]
-        ncyc = ncyc[fast]
-        cyc_off = np.concatenate(([0], np.cumsum(ncyc)))
-        gcyc = cyc_off[bb] + cyc
-    nfast = int(fast.size)
-    fast_global = ne[fast]
-
-    # -- per-cycle accounting, vectorised over every fast block ---------
+    # -- per-cycle accounting, vectorised over every nonempty block -----
     ncycles = int(cyc_off[-1])
-    block_of_cycle = np.repeat(np.arange(nfast), ncyc)
+    block_of_cycle = np.repeat(np.arange(nblocks), ncyc)
     cycle_products = np.bincount(
         gcyc, weights=pp, minlength=ncycles
     ).astype(np.int64)
     cycle_tasks = np.bincount(gcyc, minlength=ncycles)
     bins = np.bincount(
-        block_of_cycle * 4 + util_bins(cycle_products, macs), minlength=nfast * 4
-    ).reshape(nfast, 4)
+        block_of_cycle * 4 + util_bins(cycle_products, macs), minlength=nblocks * 4
+    ).reshape(nblocks, 4)
 
     first_cycle = np.zeros(ncycles, dtype=bool)
     first_cycle[cyc_off[:-1]] = True
@@ -449,10 +418,10 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
     if cfg.dynamic_gating:
         exposed = max(0, cfg.dpg_wakeup_cycles - cfg.lookahead_cycles)
         stalls = exposed * np.bincount(
-            block_of_cycle[cycle_tasks > prev_tasks], minlength=nfast
+            block_of_cycle[cycle_tasks > prev_tasks], minlength=nblocks
         )
     else:
-        stalls = np.zeros(nfast, dtype=np.int64)
+        stalls = np.zeros(nblocks, dtype=np.int64)
 
     # Tile fetches: per-cycle working-set delta vs the previous cycle.
     a_presence = np.zeros((ncycles, 16), dtype=bool)
@@ -467,12 +436,12 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
     new_b[first_cycle] = b_presence[first_cycle]
     fetch_per_cycle = new_a.sum(axis=1) + new_b.sum(axis=1)
     fetches = np.bincount(
-        block_of_cycle, weights=fetch_per_cycle, minlength=nfast
+        block_of_cycle, weights=fetch_per_cycle, minlength=nblocks
     ).astype(np.int64)
 
     # -- DPG stage: per-block totals from lookup tables, whole batch at once
-    # (bb is block-sorted and every fast block has a task).
-    task_block = fast_global[bb]
+    # (bb is block-sorted and every nonempty block has a task).
+    task_block = ne[bb]
     t4, a_fetch, b_fetch = _dpg_totals(
         a_tiles.reshape(-1)[task_block * 16 + ii * 4 + kk],
         b_tiles.reshape(-1)[(task_block * 4 + kk) * n_cols + jj],
@@ -481,7 +450,7 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
 
     # C element (i, j) is written iff A row i meets B column j.
     c_outputs = np.count_nonzero(
-        a_rows[fast_global][:, :, None] & b_cols[fast_global][:, None, :],
+        a_rows[ne][:, :, None] & b_cols[ne][:, None, :],
         axis=(1, 2),
     )
 
@@ -494,9 +463,9 @@ def _evaluate_group(stc, a_patterns, a_tiles, a_cols, a_rows, a_live_tiles,
     else:
         active = nd * cycles_total
         gated = 0
-    block_products = totals[fast_global]
-    rows[fast_global] = result_rows(cycles_total, block_products, bins, {
-        "meta_reads": meta[fast_global],
+    block_products = totals[ne]
+    rows[ne] = result_rows(cycles_total, block_products, bins, {
+        "meta_reads": meta[ne],
         "dpg_active_cycles": active,
         "dpg_gated_cycles": gated,
         "sched_cycles": cycles_total,

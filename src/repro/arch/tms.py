@@ -30,30 +30,17 @@ from repro.errors import SimulationError
 ORDERINGS = ("outer", "dot", "rowrow")
 
 
-def tile_products(a_col_counts: np.ndarray, b_row_counts: np.ndarray) -> np.ndarray:
-    """Intermediate-product counts of every T3 task of a T1 block.
-
-    ``a_col_counts[i, k, kk]`` is the nonzero count of column ``kk``
-    inside A's tile ``(i, k)``; ``b_row_counts[k, j, kk]`` likewise for
-    rows of B's tile ``(k, j)``.  The result ``prod[k, i, j]`` is
-    ``sum_kk a_col_counts[i, k, kk] * b_row_counts[k, j, kk]`` — the
-    exact multiply count of ``C_tile(i,j) += A_tile(i,k) x B_tile(k,j)``.
-    """
-    ts = a_col_counts.shape[0]
-    nb = b_row_counts.shape[1]
-    prod = np.zeros((ts, ts, nb), dtype=np.int64)
-    for k in range(ts):
-        # (i, kk) x (j, kk) -> (i, j)
-        prod[k] = a_col_counts[:, k, :] @ b_row_counts[k, :, :].T
-    return prod
-
-
 def tile_products_batch(a_col_counts: np.ndarray, b_row_counts: np.ndarray) -> np.ndarray:
-    """:func:`tile_products` over a whole batch in one batched matmul.
+    """Intermediate-product counts of every T3 task of a batch of T1 blocks.
 
-    ``a_col_counts[p, i, k, kk]`` / ``b_row_counts[p, k, j, kk]`` carry
-    a leading batch axis; the result is ``prod[p, k, i, j]`` matching
-    the per-block function for every ``p``.
+    ``a_col_counts[p, i, k, kk]`` is the nonzero count of column ``kk``
+    inside block ``p``'s A tile ``(i, k)``; ``b_row_counts[p, k, j, kk]``
+    likewise for rows of its B tile ``(k, j)``
+    (:func:`~repro.arch.batch.decode_a_operands` /
+    :func:`~repro.arch.batch.decode_b_operands`).  The result
+    ``prod[p, k, i, j]`` is ``sum_kk a_col_counts[p, i, k, kk] *
+    b_row_counts[p, k, j, kk]`` — the exact multiply count of
+    ``C_tile(i,j) += A_tile(i,k) x B_tile(k,j)`` — in one batched matmul.
     """
     return a_col_counts.transpose(0, 2, 1, 3) @ b_row_counts.transpose(0, 1, 3, 2)
 
@@ -63,11 +50,21 @@ class CycleRecord:
     """One dispatch cycle: what ran and whether arbitration stalled."""
 
     products: int
-    tasks: int
     conflict: bool
     a_tiles: Tuple[Tuple[int, int], ...]
     b_tiles: Tuple[Tuple[int, int], ...]
-    k_values: Tuple[int, ...]
+    #: The T3 tasks the cycle took, in dispatch (DPG slot) order.
+    dispatched: Tuple[T3Task, ...]
+
+    @property
+    def tasks(self) -> int:
+        """T3 tasks dispatched this cycle."""
+        return len(self.dispatched)
+
+    @property
+    def k_values(self) -> Tuple[int, ...]:
+        """The K layer of each dispatched task, in dispatch order."""
+        return tuple(t.k for t in self.dispatched)
 
 
 @dataclass
@@ -233,11 +230,10 @@ class TileMultiplyScheduler:
             outcome.cycles.append(
                 CycleRecord(
                     products=products,
-                    tasks=len(chosen),
                     conflict=conflict,
                     a_tiles=a_tiles,
                     b_tiles=b_tiles,
-                    k_values=tuple(t.k for t in chosen),
+                    dispatched=tuple(chosen),
                 )
             )
             outcome.conflict_cycles += int(conflict)

@@ -2,35 +2,20 @@
 
 The array evaluators read per-pattern row / column masks
 (:func:`row_masks`, :func:`col_masks`) and the bit tables here, built
-once per process on first use; only the stepped ``simulate_block``
-oracles read bool grids (:func:`operand_arrays`).
+once per process on first use.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.arch.config import Precision
-from repro.arch.tasks import T1Task
 from repro.errors import ConfigError
 from repro.formats.bbc import pattern_col_masks, pattern_row_masks
 from repro.formats.bitarray import popcount16
-
-
-def operand_arrays(task: T1Task) -> Tuple[np.ndarray, np.ndarray]:
-    """The task's A (16x16) and B (16xN) occupancy arrays."""
-    return task.a_bitmap(), task.b_bitmap()
-
-
-def chunks(count: int, size: int) -> Iterator[int]:
-    """Yield chunk sizes covering ``count`` items ``size`` at a time."""
-    remaining = count
-    while remaining > 0:
-        yield min(size, remaining)
-        remaining -= size
 
 
 def ceil_div(a: int, b: int) -> int:

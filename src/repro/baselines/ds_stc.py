@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, chunks, col_masks, operand_arrays, row_masks, t3_shape
+from repro.baselines.common import col_masks, row_masks, t3_shape
 from repro.formats.bitarray import popcount16
 
 
@@ -45,52 +43,16 @@ class DsSTC(STCModel):
     def cache_key(self) -> str:
         return f"ds:{self.precision.name}"
 
-    def simulate_block(self, task: T1Task) -> BlockResult:
-        a, b = operand_arrays(task)
-        hist = UtilHistogram()
-        counters = Counters()
-        cycles = 0
-        products = 0
-
-        a_col_nnz = a.sum(axis=0)
-        b_row_nnz = b.sum(axis=1)
-        for k in range(16):
-            na, nb = int(a_col_nnz[k]), int(b_row_nnz[k])
-            if na == 0 or nb == 0:
-                continue  # dual-side skipping of a dead rank-1 update
-            counters.add("meta_reads", 2)
-            # Gathered A chunk stays resident while B chunks stream past.
-            counters.add("a_elem_reads", na)
-            counters.add("a_net_transfers", na)
-            counters.add("b_elem_reads", nb * ceil_div(na, self.chunk_a))
-            counters.add("b_net_transfers", nb * ceil_div(na, self.chunk_a))
-            for ca in chunks(na, self.chunk_a):
-                for cb in chunks(nb, self.chunk_b):
-                    eff = ca * cb
-                    cycles += 1
-                    products += eff
-                    hist.record(eff / self.macs)
-                    counters.add("mac_ops", eff)
-                    # Outer product: every partial product is written out
-                    # across the monolithic network for later merging.
-                    counters.add("c_elem_writes", eff)
-                    counters.add("c_net_transfers", eff)
-                    counters.add("accum_accesses", eff)
-
-        if cycles == 0:
-            hist.record(0.0)
-            cycles = 1
-        counters.add("lane_cycles", self.macs * cycles)
-        counters.add("sched_cycles", cycles)
-        return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
-
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over per-K counts.
+        """Array evaluation over per-K counts.
 
         Layer ``k`` pairs the popcounts of A's column ``k`` and B's row
-        ``k``.  Its rank-1 update splits into full/partial A chunks x
-        full/partial B chunks, so its cycles fall into four product
-        classes, each counted in closed form.
+        ``k``; a layer with both nonzero is one gathered rank-1 update
+        (a dead layer is skipped).  The update splits into full/partial
+        A chunks x full/partial B chunks, one cycle each, so its cycles
+        fall into four product classes, each counted in closed form.
+        The resident A chunk is read once; each B chunk is re-read for
+        every A chunk, and every product is written out to C.
         """
         return evaluate_packed(batch, col_masks, row_masks, self._evaluate)
 

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.batch import (decode_a_operands, decode_b_operands, evaluate_packed,
                                histogram_rows, result_rows, util_bins)
 from repro.arch.config import FP64, Precision
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
 from repro.arch.tms import tile_products_batch
-from repro.baselines.common import ceil_div, operand_arrays, t3_shape
+from repro.baselines.common import t3_shape
 
 #: T2 task M extent, and the T3 N extent, of both NV-DTC modes.
 T2_M = 8
@@ -37,7 +35,7 @@ def nv_results(
     meta: int,
     macs: int,
 ) -> np.ndarray:
-    """Array form of the stepped NV-DTC T2/T3 loops: one row per block.
+    """NV-DTC's T2/T3 task grid as arrays: one row per block.
 
     Every T3 task of every unskipped T2 region (K extent ``t2_k``) runs
     one cycle, reading ``a_reads_per_t3`` A elements and its dense B
@@ -96,8 +94,6 @@ class NvDTC(STCModel):
         self.precision = precision
         # T3 task shape: M grows with the MAC budget (Table VI row NV-DTC).
         self.t3_m = t3_shape("nv-dtc", {64: 4, 128: 8}, precision)
-        self.t3_n = T3_N
-        self.t3_k = 4
         self.name = "nv-dtc"
 
     @property
@@ -107,54 +103,8 @@ class NvDTC(STCModel):
     def cache_key(self) -> str:
         return f"nv:{self.precision.name}"
 
-    def simulate_block(self, task: T1Task) -> BlockResult:
-        a, b = operand_arrays(task)
-        n = b.shape[1]
-        hist = UtilHistogram()
-        counters = Counters()
-        cycles = 0
-        products = 0
-
-        t2_m, t2_n, t2_k = T2_M, min(8, n), 4
-        for mi in range(ceil_div(16, t2_m)):
-            for ni in range(ceil_div(n, t2_n)):
-                for ki in range(ceil_div(16, t2_k)):
-                    a_region = a[mi * t2_m : (mi + 1) * t2_m, ki * t2_k : (ki + 1) * t2_k]
-                    b_region = b[ki * t2_k : (ki + 1) * t2_k, ni * t2_n : (ni + 1) * t2_n]
-                    if not a_region.any() or not b_region.any():
-                        continue  # the front-end skip mechanism
-                    # Execute the full T3 grid of this T2 task.
-                    for m3 in range(ceil_div(t2_m, self.t3_m)):
-                        for n3 in range(ceil_div(b_region.shape[1], self.t3_n)):
-                            a_sub = a_region[m3 * self.t3_m : (m3 + 1) * self.t3_m]
-                            b_sub = b_region[:, n3 * self.t3_n : (n3 + 1) * self.t3_n]
-                            eff = int((a_sub.sum(axis=0) * b_sub.sum(axis=1)).sum())
-                            cycles += 1
-                            products += eff
-                            hist.record(eff / self.macs)
-                            # Dense operand delivery: the full region is
-                            # fetched whether or not elements are zero.
-                            counters.add("a_elem_reads", a_sub.size)
-                            counters.add("b_elem_reads", b_sub.size)
-                            counters.add("a_net_transfers", a_sub.size)
-                            counters.add("b_net_transfers", b_sub.size)
-                            counters.add("mac_ops", eff)
-
-        if cycles == 0:
-            hist.record(0.0)
-            cycles = 1
-        # Accumulators are local: C is written once per output element.
-        c_writes = 16 * n
-        counters.add("c_elem_writes", c_writes)
-        counters.add("c_net_transfers", c_writes)
-        counters.add("accum_accesses", c_writes)
-        counters.add("lane_cycles", self.macs * cycles)
-        counters.add("sched_cycles", cycles)
-        counters.add("meta_reads", 1)
-        return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
-
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over operand tiles."""
+        """Array evaluation over operand tiles (:func:`nv_results`)."""
         return evaluate_packed(batch, decode_a_operands, decode_b_operands,
                                self._evaluate)
 

@@ -20,16 +20,12 @@ keeps its published limitations:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import chunk_masks, operand_arrays, row_masks, scalar_pairs, t3_shape
+from repro.baselines.common import chunk_masks, row_masks, scalar_pairs, t3_shape
 from repro.formats.bitarray import popcount16
 
 #: Columns per lane slot (the T3 task's N = 4 at both precisions).
@@ -44,7 +40,6 @@ class RmSTC(STCModel):
         self.precision = precision
         self.lanes = t3_shape("rm-stc", {64: 8, 128: 16}, precision)
         self.chunk_cols = CHUNK_COLS
-        self.k_pair = 2
         self.name = "rm-stc"
 
     @property
@@ -54,85 +49,11 @@ class RmSTC(STCModel):
     def cache_key(self) -> str:
         return f"rm:{self.precision.name}"
 
-    def simulate_block(self, task: T1Task) -> BlockResult:
-        a, b = operand_arrays(task)
-        hist = UtilHistogram()
-        counters = Counters()
-
-        # Per row: gather its nonzero scalars, pair them, and for each
-        # pair count the 4-column chunks of the merged B rows.  Each
-        # (pair, chunk) combination is one lane-slot of work.
-        slot_products: List[List[int]] = []   # per row, products per slot
-        slot_writes: List[List[int]] = []
-        total_products = 0
-        used_ks: set = set()
-        for i in range(16):
-            ks = np.flatnonzero(a[i])
-            if ks.size == 0:
-                continue
-            counters.add("a_elem_reads", int(ks.size))
-            counters.add("a_net_transfers", int(ks.size))
-            counters.add("meta_reads", 1)
-            row_slots_p: List[int] = []
-            row_slots_w: List[int] = []
-            for p in range(0, ks.size, self.k_pair):
-                pair = ks[p : p + self.k_pair]
-                merged = b[pair]                      # (<=2, N)
-                live = np.flatnonzero(merged.any(axis=0))
-                if live.size == 0:
-                    continue
-                used_ks.update(int(k) for k in pair)
-                per_col = merged[:, live].sum(axis=0)  # matched products/col
-                for c0 in range(0, live.size, self.chunk_cols):
-                    seg = per_col[c0 : c0 + self.chunk_cols]
-                    eff = int(seg.sum())
-                    row_slots_p.append(eff)
-                    row_slots_w.append(int(np.count_nonzero(seg)))
-                    total_products += eff
-            if row_slots_p:
-                slot_products.append(row_slots_p)
-                slot_writes.append(row_slots_w)
-        # B rows are fetched once per block into the shared row-merge
-        # buffer and broadcast to the lanes that need them.
-        b_traffic = int(sum(b[k].sum() for k in used_ks))
-        counters.add("b_elem_reads", b_traffic)
-        counters.add("b_net_transfers", b_traffic)
-
-        if not slot_products:
-            hist.record(0.0)
-            counters.add("lane_cycles", self.macs)
-            counters.add("sched_cycles", 1)
-            return BlockResult(cycles=1, products=0, util_hist=hist, counters=counters)
-
-        # Schedule rows onto the lane array: longest-row first onto the
-        # least-loaded lane (the hardware's greedy issue), then the
-        # block finishes with the fullest lane.
-        lane_loads = [0] * self.lanes
-        lane_queues: List[List[int]] = [[] for _ in range(self.lanes)]
-        order = sorted(range(len(slot_products)), key=lambda r: -len(slot_products[r]))
-        for r in order:
-            lane = lane_loads.index(min(lane_loads))
-            lane_queues[lane].extend(slot_products[r])
-            lane_loads[lane] += len(slot_products[r])
-            counters.add("c_elem_writes", sum(slot_writes[r]))
-            counters.add("c_net_transfers", sum(slot_writes[r]))
-            counters.add("accum_accesses", sum(slot_writes[r]))
-        cycles = max(lane_loads)
-        for c in range(cycles):
-            eff = sum(queue[c] for queue in lane_queues if c < len(queue))
-            hist.record(eff / self.macs)
-
-        counters.add("mac_ops", total_products)
-        counters.add("lane_cycles", self.macs * cycles)
-        counters.add("sched_cycles", cycles)
-        return BlockResult(
-            cycles=cycles, products=total_products, util_hist=hist, counters=counters
-        )
-
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over row masks.
+        """Array evaluation over row masks.
 
-        A row's lane slots are its scalar pairs' live-column chunks, in
+        A row's lane slots are its scalar pairs' live-column chunks of
+        the merged B rows (each chunk one slot), in
         pair order (:func:`~repro.baselines.common.scalar_pairs`).  The
         greedy issue puts the ``lanes`` longest rows (ties in row order)
         at cycle 0 and each later row at the least lane load, the

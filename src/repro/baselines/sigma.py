@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
 from repro.arch.config import FP64, Precision
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, col_masks, operand_arrays, row_masks, t3_shape
+from repro.baselines.common import ceil_div, col_masks, row_masks, t3_shape
 from repro.formats.bitarray import popcount16
 
 
@@ -37,54 +35,14 @@ class Sigma(STCModel):
     def cache_key(self) -> str:
         return f"sigma:{self.precision.name}"
 
-    def simulate_block(self, task: T1Task) -> BlockResult:
-        a, b = operand_arrays(task)
-        hist = UtilHistogram()
-        counters = Counters()
-        cycles = 0
-        products = 0
-
-        # Software can restrict work to B's nonzero columns, but within a
-        # column group delivery is dense (single-sided sparsity).
-        live_cols = np.flatnonzero(b.any(axis=0))
-        match = a.astype(np.int64) @ b.astype(np.int64)  # (16, N) effective products
-        for i in range(16):
-            row_nnz = int(a[i].sum())
-            if row_nnz == 0 or live_cols.size == 0:
-                continue
-            counters.add("meta_reads", 1)
-            counters.add("a_elem_reads", row_nnz)
-            counters.add("a_net_transfers", row_nnz)
-            for ci in range(ceil_div(int(live_cols.size), self.chunk_cols)):
-                cols = live_cols[ci * self.chunk_cols : (ci + 1) * self.chunk_cols]
-                eff = int(match[i, cols].sum())
-                if eff == 0:
-                    continue  # flexible interconnect skips an empty group
-                cycles += 1
-                products += eff
-                hist.record(eff / self.macs)
-                counters.add("mac_ops", eff)
-                counters.add("b_elem_reads", int(b[:, cols].sum()))
-                counters.add("b_net_transfers", int(b[:, cols].sum()))
-                writes = int(np.count_nonzero(match[i, cols]))
-                counters.add("c_elem_writes", writes)
-                counters.add("c_net_transfers", writes)
-                counters.add("accum_accesses", writes)
-
-        if cycles == 0:
-            hist.record(0.0)
-            cycles = 1
-        counters.add("lane_cycles", self.macs * cycles)
-        counters.add("sched_cycles", cycles)
-        return BlockResult(cycles=cycles, products=products, util_hist=hist, counters=counters)
-
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over row / column masks.
+        """Array evaluation over row / column masks.
 
         A row meets a B column in ``popcount(A row & B column)``
         products.  Column groups chunk each block's *live* B columns by
         their rank among them; a (row, group) pair with products is one
-        cycle.
+        cycle, which reads the group's whole B columns (dense delivery)
+        and writes one C element per matched column.
         """
         return evaluate_packed(batch, row_masks, col_masks, self._evaluate)
 

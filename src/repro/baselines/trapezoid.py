@@ -20,16 +20,12 @@ Two behaviours the paper reports emerge from this shape:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.batch import evaluate_packed, histogram_rows, result_rows
 from repro.arch.config import FP64, Precision
-from repro.arch.counters import Counters
-from repro.arch.tasks import T1Task, UtilHistogram
-from repro.baselines.common import ceil_div, operand_arrays, row_masks, scalar_pairs
+from repro.baselines.common import row_masks, scalar_pairs
 from repro.errors import ConfigError
 from repro.formats.bitarray import popcount16
 
@@ -58,71 +54,17 @@ class Trapezoid(STCModel):
     def cache_key(self) -> str:
         return f"trapezoid:{self.precision.name}"
 
-    def simulate_block(self, task: T1Task) -> BlockResult:
-        a, b = operand_arrays(task)
-        hist = UtilHistogram()
-        counters = Counters()
-
-        row_cycles: List[int] = []
-        row_work: List[int] = []
-        total_products = 0
-        for i in range(16):
-            ks = np.flatnonzero(a[i])
-            if ks.size == 0:
-                continue
-            counters.add("a_elem_reads", int(ks.size))
-            counters.add("a_net_transfers", int(ks.size))
-            work = 0
-            slots = 0
-            for p in range(0, ks.size, self.k_per_step):
-                pair = ks[p : p + self.k_per_step]
-                merged = b[pair]
-                live = int(merged.any(axis=0).sum())
-                if live == 0:
-                    continue
-                counters.add("b_elem_reads", int(merged.sum()))
-                counters.add("b_net_transfers", int(merged.sum()))
-                work += int(merged.sum(axis=0)[merged.any(axis=0)].sum())
-                slots += ceil_div(live * self.k_per_step, self.lane_macs)
-                writes = live
-                counters.add("c_elem_writes", writes)
-                counters.add("c_net_transfers", writes)
-                counters.add("accum_accesses", writes)
-            if slots == 0:
-                continue
-            cycles_i = max(ceil_div(work, self.lane_macs), slots)
-            row_cycles.append(cycles_i)
-            row_work.append(work)
-            total_products += work
-
-        if not row_cycles:
-            hist.record(0.0)
-            counters.add("lane_cycles", self.macs)
-            counters.add("sched_cycles", 1)
-            return BlockResult(cycles=1, products=0, util_hist=hist, counters=counters)
-
-        cycles = max(row_cycles)
-        for c in range(cycles):
-            eff = sum(w / rc for w, rc in zip(row_work, row_cycles) if c < rc)
-            hist.record(min(1.0, eff / self.macs))
-
-        counters.add("mac_ops", total_products)
-        counters.add("lane_cycles", self.macs * cycles)
-        counters.add("sched_cycles", cycles)
-        counters.add("meta_reads", 2)
-        return BlockResult(
-            cycles=cycles, products=total_products, util_hist=hist, counters=counters
-        )
-
     def simulate_blocks(self, batch) -> np.ndarray:
-        """Array evaluation of :meth:`simulate_block` over row masks.
+        """Array evaluation over row masks.
 
         A row's K pairs merge the B rows its scalar pairs select
-        (:func:`~repro.baselines.common.scalar_pairs`).  A cycle's
-        utilisation is a float sum of ``work / row_cycles`` over the
-        rows still running, which the stepped path adds in row order;
-        16 masked row-by-row adds over ``[N, cycles]`` keep that order,
-        so every bin edge falls exactly where it does there.
+        (:func:`~repro.baselines.common.scalar_pairs`); a row runs
+        ``max(ceil(work / lane MACs), slots)`` cycles and the block
+        finishes with its slowest row.  A cycle's utilisation is a
+        float sum of ``work / row_cycles`` over the rows still running,
+        added in row order: 16 masked row-by-row adds over ``[N,
+        cycles]`` keep that order, so every bin edge falls exactly where
+        the per-row sum puts it.
         """
         return evaluate_packed(batch, row_masks, row_masks, self._evaluate)
 

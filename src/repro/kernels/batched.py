@@ -22,19 +22,18 @@ package:
 
 Every builder takes an optional contiguous ``rows`` block-row range —
 the hook the multi-core partitioner (:mod:`repro.sim.parallel`) uses,
-so the serial and per-core streams cannot drift.  The per-object
-generators the test suite keeps as the stepped oracle describe the
-same weighted pattern-pair multiset, asserted task-for-task.
+so the serial and per-core streams cannot drift.  The test suite's
+per-object task generators (``tests/stepped.py``) describe the same
+weighted pattern-pair multiset, asserted task-for-task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.tasks import T1Task
 from repro.errors import ShapeError
 from repro.formats.bbc import BLOCK, BBCMatrix, distinct_patterns, pack_patterns
 from repro.kernels.vector import SparseVector
@@ -93,12 +92,6 @@ class TaskBatch:
         a_keys, b_keys = self.a_keys, self.b_keys
         return [(namespace, a_keys[ai], b_keys[bi])
                 for ai, bi in zip(self.a_index.tolist(), self.b_index.tolist())]
-
-    def iter_tasks(self) -> Iterator[T1Task]:
-        """Materialise the batch as individual weighted tasks, in order."""
-        for ai, bi, w in zip(self.a_index.tolist(), self.b_index.tolist(),
-                             self.weights.tolist()):
-            yield T1Task(self.a_keys[ai], self.b_keys[bi], n=self.n, weight=w)
 
 
 _LIVE = np.arange(BLOCK + 1)[:, None, None]

@@ -19,8 +19,8 @@ Each core runs through :func:`repro.sim.engine.simulate_batches`, so
 the cold misses of every core are dispatched through the model's
 batched evaluator (:meth:`~repro.arch.base.STCModel.simulate_blocks`,
 an array evaluator for every registered model) — multi-core
-sweeps get the fast cold path for free, with results identical to the
-stepped reference by that API's contract.
+sweeps get the fast cold path for free, with the same block rows a
+serial run gets.
 """
 
 from __future__ import annotations

@@ -3,14 +3,17 @@
 :func:`kernel_tasks` takes distinct blocks from every kernel's real
 block stream; :func:`handmade_tasks` adds the edge cases such a draw
 may miss.  Every model's ``simulate_blocks`` is checked against its
-stepped ``simulate_block`` on these with :func:`assert_results_equal`,
-fed through :func:`simulate_blocks` (one packed
-:class:`~repro.kernels.batched.TaskBatch` per B width).
+stepped oracle (:func:`tests.stepped_models.stepped_block`) on these
+with :func:`assert_results_equal`, fed through :func:`simulate_blocks`
+(one packed :class:`~repro.kernels.batched.TaskBatch` per B width);
+:func:`iter_tasks` turns a batch back into per-object tasks.
 The ``CYCLES``/``PRODUCTS``/``BINS`` indices (and
 :data:`~repro.arch.base.ACTION_COL`) read fields of a result row.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -42,6 +45,13 @@ def assert_results_equal(batch_rows, step_results, label: str) -> None:
         raise AssertionError(
             f"{label}, task {task}, column {COLUMNS[col]}: batched "
             f"{batch_rows[task, col]} != stepped {want[task, col]}")
+
+
+def iter_tasks(batch: TaskBatch) -> Iterator[T1Task]:
+    """``batch`` as individual weighted tasks, in entry order."""
+    for ai, bi, w in zip(batch.a_index.tolist(), batch.b_index.tolist(),
+                         batch.weights.tolist()):
+        yield T1Task(batch.a_keys[ai], batch.b_keys[bi], n=batch.n, weight=w)
 
 
 def task_batch(tasks, n: int = 16) -> TaskBatch:
@@ -113,7 +123,7 @@ def kernel_tasks(limit_per_kernel: int = 80) -> list:
                 operands["b_cols"] = 32
             taken = 0
             for batch in kernel_task_batches(kernel, bbc, **operands):
-                for task in coalesce_raw(batch).iter_tasks():
+                for task in iter_tasks(coalesce_raw(batch)):
                     key = (task.a_bits, task.b_bits, task.n)
                     if key in seen:
                         continue

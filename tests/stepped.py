@@ -21,9 +21,9 @@ readable reference those paths are checked against:
 
   Every generator takes an optional contiguous ``rows`` range, the
   hook the multi-core partitioner restricts enumeration with;
-- :func:`simulate_tasks`, which steps
-  :meth:`~repro.arch.base.STCModel.simulate_block` on every memo miss
-  and folds the rows through the engine's own aggregation;
+- :func:`simulate_tasks`, which steps the model's oracle
+  (:func:`tests.stepped_models.stepped_block`) on every memo miss and
+  folds the rows through the engine's own aggregation;
 - :func:`simulate_stepped`, the two chained: a kernel simulated the
   per-object way, whose report must equal ``simulate_kernel``'s.
 """
@@ -44,6 +44,8 @@ from repro.kernels.vector import SparseVector, dense_segment_mask
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import _BLOCK_CACHE, _aggregate, _finalise_run
 from repro.sim.results import SimReport
+
+from tests.stepped_models import stepped_block
 
 
 def _row_span(a: BBCMatrix, rows: Optional[range]) -> range:
@@ -172,8 +174,8 @@ def simulate_tasks(
 ) -> SimReport:
     """Run an explicit T1 task stream on one STC model.
 
-    The per-object reference path: every memo miss steps
-    :meth:`~repro.arch.base.STCModel.simulate_block`.  ``cache``
+    The per-object reference path: every memo miss steps the model's
+    stepped oracle (:func:`~tests.stepped_models.stepped_block`).  ``cache``
     overrides the process-wide memo (used by tests that need isolated
     caches and by ablations that compare cache policies).
     """
@@ -188,7 +190,7 @@ def simulate_tasks(
         key = (namespace,) + task.cache_key()
         row = memo.lookup(key)
         if row is None:
-            row = stc.simulate_block(task).row()
+            row = stepped_block(stc, task).row()
             memo.insert(key, row)
         rows.append(row)
         weights.append(task.weight)

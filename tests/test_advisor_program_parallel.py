@@ -17,6 +17,8 @@ from repro.sim.parallel import (
 )
 from repro.workloads.synthetic import banded, long_rows, random_uniform
 
+from tests.stepped_models import stepped_block
+
 
 class TestAdvisor:
     def test_dense_blocks_pick_bbc(self):
@@ -99,7 +101,7 @@ class TestUWMMAProgram:
     ], ids=["spmv", "spmspv", "spmm64", "spmm40", "spgemm"])
     def test_program_equals_stepped_oracle(self, bbc, kernel, operands):
         """The batch walked in per-object order issues exactly the
-        program the stepped generators and ``simulate_block`` issue
+        program the stepped generators and models issue
         (spmm at 40 columns interleaves full and tail panels)."""
         from repro.arch.program import _issue_program
         from tests.stepped import kernel_tasks
@@ -108,7 +110,7 @@ class TestUWMMAProgram:
             operands = {"x": SparseVector(bbc.shape[1], [0, 17, 40, 90], [1.0] * 4)}
         uni = UniSTC()
         stepped = _issue_program(kernel, uni, (
-            (uni.simulate_block(task).cycles, task.weight)
+            (stepped_block(uni, task).cycles, task.weight)
             for task in kernel_tasks(kernel, bbc, **operands)))
         result = compile_kernel(kernel, bbc, uni, **operands)
         assert result.t1_tasks == stepped.t1_tasks > 0

@@ -14,7 +14,7 @@ from repro.formats import BBCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.formats.transpose import transpose_bbc
 from repro.sim.engine import simulate_kernel
-from repro.workloads.synthetic import banded, poisson2d
+from repro.workloads.synthetic import poisson2d
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,9 @@
 """Parity tests for the baseline models' array evaluators.
 
 Every registered baseline's ``simulate_blocks`` claims exact equality
-with its stepped ``simulate_block``, because the engine inserts its
-rows into the same block cache the stepped path's rows land in.  These
-tests enforce that claim row for row — cycles, products, utilisation
+with its stepped oracle (``tests/stepped_models.py``), because the
+memo, the result store and every report are built from its rows.
+These tests enforce that claim row for row — cycles, products, utilisation
 bins and every action count — at FP64 and FP32 over every kernel's
 block population, the edge cases a corpus draw may miss,
 2:4-structured A blocks, shuffled mixed-width task lists, engine-shaped
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.arch.base import ACTION_COL, VECTOR_WIDTH
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
 from repro.arch.batch import CHUNK_BLOCKS
 from repro.arch.config import FP32, FP64
 from repro.arch.tasks import T1Task
@@ -33,6 +33,7 @@ from tests.blocks import (
     simulate_blocks,
 )
 from tests.conftest import stc_at
+from tests.stepped_models import stepped_block
 
 BASELINES = [name for name in registered_stcs() if name != "uni-stc"]
 
@@ -94,21 +95,21 @@ class TestBaselineParity:
     def test_kernel_blocks_match_stepped(self, corpus_tasks, name, precision):
         stc = stc_at(name, precision)
         batch = simulate_blocks(stc, corpus_tasks)
-        stepped = [stc.simulate_block(t) for t in corpus_tasks]
+        stepped = [stepped_block(stc, t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, f"{name}/{precision.name}")
 
     def test_edge_blocks_match_stepped(self, name, precision):
         stc = stc_at(name, precision)
         tasks = handmade_tasks() + _edge_tasks()
         batch = simulate_blocks(stc, tasks)
-        stepped = [stc.simulate_block(t) for t in tasks]
+        stepped = [stepped_block(stc, t) for t in tasks]
         assert_results_equal(batch, stepped, f"edge/{name}/{precision.name}")
 
     def test_structured_blocks_match_stepped(self, name, precision):
         stc = stc_at(name, precision)
         tasks = _structured_tasks()
         batch = simulate_blocks(stc, tasks)
-        stepped = [stc.simulate_block(t) for t in tasks]
+        stepped = [stepped_block(stc, t) for t in tasks]
         assert_results_equal(batch, stepped, f"2:4/{name}/{precision.name}")
 
     def test_engine_shaped_batch_matches_stepped(self, corpus_tasks, name, precision):
@@ -117,7 +118,7 @@ class TestBaselineParity:
         stc = stc_at(name, precision)
         tasks = corpus_tasks + handmade_tasks()
         batch = simulate_blocks(stc, tasks, make_batch=engine_batch)
-        stepped = [stc.simulate_block(t) for t in tasks]
+        stepped = [stepped_block(stc, t) for t in tasks]
         assert_results_equal(batch, stepped, f"engine/{name}/{precision.name}")
 
     def test_mixed_width_batch_keeps_task_order(self, corpus_tasks, name, precision):
@@ -129,7 +130,7 @@ class TestBaselineParity:
         shuffled = [corpus_tasks[i] for i in order]
         stc = stc_at(name, precision)
         batch = simulate_blocks(stc, shuffled)
-        stepped = [stc.simulate_block(t) for t in shuffled]
+        stepped = [stepped_block(stc, t) for t in shuffled]
         assert_results_equal(batch, stepped, f"mixed/{name}/{precision.name}")
 
     def test_batch_past_the_chunk_bound(self, corpus_tasks, name, precision):
@@ -141,17 +142,15 @@ class TestBaselineParity:
         assert len(tasks) > CHUNK_BLOCKS
         stc = stc_at(name, precision)
         batch = simulate_blocks(stc, tasks)
-        stepped = [stc.simulate_block(t) for t in distinct] * reps
+        stepped = [stepped_block(stc, t) for t in distinct] * reps
         assert_results_equal(batch, stepped, f"chunked/{name}/{precision.name}")
 
     def test_batched_path_never_steps(self, corpus_tasks, name, precision):
-        """No block falls back to stepping."""
+        """The model has no stepped ``simulate_block`` to fall back to:
+        ``simulate_blocks`` is the one abstract evaluator."""
+        assert STCModel.__abstractmethods__ == {"simulate_blocks", "macs"}
         stc = stc_at(name, precision)
-
-        def stepped(task):
-            raise AssertionError("simulate_blocks fell back to simulate_block")
-
-        stc.simulate_block = stepped
+        assert not hasattr(stc, "simulate_block")
         rows = simulate_blocks(stc, corpus_tasks)
         assert rows.shape == (len(corpus_tasks), VECTOR_WIDTH)
 

@@ -9,6 +9,7 @@ from repro.formats.csr import CSRMatrix
 from repro.workloads.synthetic import poisson2d, poisson3d
 
 from tests.conftest import make_block_task
+from tests.stepped_models import simulate_block
 
 
 class TestGammaFormula:
@@ -24,7 +25,7 @@ class TestGammaFormula:
             live = int(b[k].sum())
             if live:
                 expected += -(-live // 4)
-        result = Gamma().simulate_block(task)
+        result = simulate_block(Gamma(), task)
         assert result.cycles == max(1, expected)
 
     def test_empty_rows_do_not_reduce_cycles(self):
@@ -35,8 +36,8 @@ class TestGammaFormula:
         a_thin = np.zeros((16, 16), dtype=bool)
         a_thin[0, :] = True
         a_fat = np.ones((16, 16), dtype=bool)
-        thin = Gamma().simulate_block(make_task(a_thin, b))
-        fat = Gamma().simulate_block(make_task(a_fat, b))
+        thin = simulate_block(Gamma(), make_task(a_thin, b))
+        fat = simulate_block(Gamma(), make_task(a_fat, b))
         assert thin.cycles == fat.cycles
         assert thin.products < fat.products
 
@@ -56,14 +57,14 @@ class TestSigmaFormula:
         live_cols = int(b.any(axis=0).sum())
         nz_rows = int(a.any(axis=1).sum())
         bound = max(1, nz_rows * (-(-live_cols // 4) if live_cols else 0))
-        assert Sigma().simulate_block(task).cycles <= bound
+        assert simulate_block(Sigma(), task).cycles <= bound
 
     def test_row_serial(self):
         """One dense row costs as many cycles as its column chunks."""
         a = np.zeros((16, 16), dtype=bool)
         a[3, :] = True
         b = np.ones((16, 16), dtype=bool)
-        result = Sigma().simulate_block(make_task(a, b))
+        result = simulate_block(Sigma(), make_task(a, b))
         assert result.cycles == 4  # 16 live cols / 4-wide groups
 
 

@@ -10,6 +10,7 @@ from repro.baselines import DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid
 
 from tests.blocks import BINS, CYCLES, PRODUCTS, simulate_blocks
 from tests.conftest import make_block_task
+from tests.stepped_models import simulate_block
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
 DENSE_VEC = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool))
@@ -17,13 +18,13 @@ EMPTY = T1Task.from_bitmaps(np.zeros((16, 16), bool), np.zeros((16, 16), bool))
 
 
 def both_paths(stc, task):
-    """``task``'s result row through ``simulate_block`` and ``simulate_blocks``."""
-    return stc.simulate_block(task).row(), simulate_blocks(stc, [task])[0]
+    """``task``'s result row through the stepped oracle and ``simulate_blocks``."""
+    return simulate_block(stc, task).row(), simulate_blocks(stc, [task])[0]
 
 
 class TestSharedInvariants:
     """The cross-model contract, for every registered architecture (the
-    any_stc fixture) through both the stepped and the batched path."""
+    any_stc fixture) through both the stepped oracle and the batched path."""
 
     def test_dense_block_full_throughput(self, any_stc):
         for row in both_paths(any_stc, DENSE):
@@ -76,7 +77,7 @@ class TestSharedInvariants:
     def test_deterministic(self, any_stc):
         task = make_block_task(0.3, 0.3, 42)
         r1, r2 = both_paths(any_stc, task)
-        r3 = any_stc.simulate_block(task).row()
+        r3 = simulate_block(any_stc, task).row()
         assert np.array_equal(r1, r2) and np.array_equal(r2, r3)
 
 
@@ -88,7 +89,7 @@ class TestStructuralCaps:
         ds = DsSTC()
         for seed in range(6):
             task = make_block_task(0.8, 1.0, seed, n=1)
-            result = ds.simulate_block(task)
+            result = simulate_block(ds, task)
             assert result.products / (result.cycles * 64) <= 0.125 + 1e-9
 
     def test_rm_stc_spmv_cap_25_percent(self):
@@ -96,18 +97,18 @@ class TestStructuralCaps:
         rm = RmSTC()
         for seed in range(6):
             task = make_block_task(0.8, 1.0, seed, n=1)
-            result = rm.simulate_block(task)
+            result = simulate_block(rm, task)
             assert result.products / (result.cycles * 64) <= 0.25 + 1e-9
 
     def test_uni_stc_beats_both_caps_on_dense_vector(self, uni):
-        result = uni.simulate_block(DENSE_VEC)
+        result = simulate_block(uni, DENSE_VEC)
         assert result.products / (result.cycles * 64) > 0.25
 
     def test_ds_dense_spmv_32_cycles(self):
-        assert DsSTC().simulate_block(DENSE_VEC).cycles == 32
+        assert simulate_block(DsSTC(), DENSE_VEC).cycles == 32
 
     def test_rm_dense_spmv_16_cycles(self):
-        assert RmSTC().simulate_block(DENSE_VEC).cycles == 16
+        assert simulate_block(RmSTC(), DENSE_VEC).cycles == 16
 
 
 class TestDsSTC:
@@ -116,7 +117,7 @@ class TestDsSTC:
         b = np.zeros((16, 16), bool)
         a[:, 3] = True
         b[3, :] = True
-        result = DsSTC().simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(DsSTC(), T1Task.from_bitmaps(a, b))
         # One live K layer: 2 chunks x 2 chunks = 4 cycles.
         assert result.cycles == 4
         assert result.products == 256
@@ -127,24 +128,24 @@ class TestDsSTC:
         b = np.zeros((16, 16), bool)
         a[0, :] = True   # one nonzero per K layer
         b[:, 0] = True
-        result = DsSTC().simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(DsSTC(), T1Task.from_bitmaps(a, b))
         assert result.cycles == 16  # 16 rank-1 updates, one each
 
     def test_outer_product_writes_all_partials(self):
         task = make_block_task(0.3, 0.3, 7)
-        result = DsSTC().simulate_block(task)
+        result = simulate_block(DsSTC(), task)
         assert result.counters.get("c_elem_writes") == result.products
 
     def test_fp32_widens_b_chunk(self):
         ds = DsSTC(FP32)
-        result = ds.simulate_block(DENSE)
+        result = simulate_block(ds, DENSE)
         assert result.cycles == 32
 
 
 class TestRmSTC:
     def test_merge_factor_at_most_two(self):
         task = make_block_task(0.4, 0.4, 3)
-        result = RmSTC().simulate_block(task)
+        result = simulate_block(RmSTC(), task)
         writes = result.counters.get("c_elem_writes")
         assert result.products / 2 <= writes <= result.products
 
@@ -154,7 +155,7 @@ class TestRmSTC:
         slower = faster = 0
         for seed in range(8):
             task = make_block_task(0.15, 0.5, seed)
-            if rm.simulate_block(task).cycles <= ds.simulate_block(task).cycles:
+            if simulate_block(rm, task).cycles <= simulate_block(ds, task).cycles:
                 faster += 1
             else:
                 slower += 1
@@ -163,7 +164,7 @@ class TestRmSTC:
     def test_b_fetched_once_per_block(self):
         """Shared row-merge buffer: B traffic bounded by nnz(B) x live K."""
         task = make_block_task(0.5, 0.5, 11)
-        result = RmSTC().simulate_block(task)
+        result = simulate_block(RmSTC(), task)
         b_nnz = int(task.b_bitmap().sum())
         assert result.counters.get("b_elem_reads") <= b_nnz
 
@@ -175,7 +176,7 @@ class TestNvDTC:
         b = np.zeros((16, 16), bool)
         a[0, 0] = True
         b[0, 0] = True
-        result = NvDTC().simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(NvDTC(), T1Task.from_bitmaps(a, b))
         assert result.cycles == 4  # one live 8x8x4 T2 -> 4 dense T3 tasks
         assert result.products == 1
 
@@ -184,13 +185,13 @@ class TestNvDTC:
         a = np.zeros((16, 16), bool)
         b = np.ones((16, 16), bool)
         a[0:8, 0:4] = True  # only T2 (0, *, 0) regions live
-        result = NvDTC().simulate_block(T1Task.from_bitmaps(a, b))
-        dense_cycles = NvDTC().simulate_block(DENSE).cycles
+        result = simulate_block(NvDTC(), T1Task.from_bitmaps(a, b))
+        dense_cycles = simulate_block(NvDTC(), DENSE).cycles
         assert result.cycles < dense_cycles
 
     def test_dense_reads_include_zeros(self):
         task = make_block_task(0.1, 0.1, 5)
-        result = NvDTC().simulate_block(task)
+        result = simulate_block(NvDTC(), task)
         nnz_a = int(task.a_bitmap().sum())
         assert result.counters.get("a_elem_reads") >= nnz_a
 
@@ -201,14 +202,14 @@ class TestGammaSigmaTrapezoid:
         a = np.zeros((16, 16), bool)
         b = np.ones((16, 16), bool)
         a[0, 0] = True
-        result = Gamma().simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(Gamma(), T1Task.from_bitmaps(a, b))
         assert result.cycles == 4  # 16 B columns / 4-wide chunks
         assert result.util_hist.fractions()[0] == 1.0  # all low-util
 
     def test_sigma_single_sided(self):
         """SIGMA reads B densely within a live column group."""
         task = make_block_task(0.5, 0.2, 9)
-        result = Sigma().simulate_block(task)
+        result = simulate_block(Sigma(), task)
         assert result.counters.get("b_elem_reads") >= result.products / 4
 
     def test_trapezoid_row_imbalance(self):
@@ -216,16 +217,16 @@ class TestGammaSigmaTrapezoid:
         a = np.zeros((16, 16), bool)
         b = np.ones((16, 16), bool)
         a[0, :] = True   # one dense row
-        heavy = Trapezoid().simulate_block(T1Task.from_bitmaps(a, b))
+        heavy = simulate_block(Trapezoid(), T1Task.from_bitmaps(a, b))
         a2 = np.zeros((16, 16), bool)
         for i in range(16):
             a2[i, i] = True  # same nnz spread over all rows
-        balanced = Trapezoid().simulate_block(T1Task.from_bitmaps(a2, b))
+        balanced = simulate_block(Trapezoid(), T1Task.from_bitmaps(a2, b))
         assert heavy.cycles > balanced.cycles
 
     def test_trapezoid_strong_on_vector(self):
         """TrIP dot-product acceleration: dense SpMV in 8 cycles."""
-        assert Trapezoid().simulate_block(DENSE_VEC).cycles == 8
+        assert simulate_block(Trapezoid(), DENSE_VEC).cycles == 8
 
     def test_cache_keys_distinct(self):
         names = {m().cache_key() for m in (DsSTC, Gamma, NvDTC, RmSTC, Sigma, Trapezoid)}

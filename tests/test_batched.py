@@ -34,6 +34,7 @@ from repro.sim.parallel import block_row_work, partition_block_rows
 from repro.workloads import synthetic
 from repro.workloads.suitesparse import corpus
 
+from tests.blocks import iter_tasks
 from tests.stepped import kernel_tasks, simulate_stepped
 
 
@@ -79,7 +80,7 @@ class TestStreamParity:
             reference = _task_multiset(kernel_tasks(kernel, a, **operands))
             batched = {}
             for batch in kernel_task_batches(kernel, a, **operands):
-                for key, weight in _task_multiset(batch.iter_tasks()).items():
+                for key, weight in _task_multiset(iter_tasks(batch)).items():
                     batched[key] = batched.get(key, 0) + weight
             assert batched == reference, f"{kernel} stream differs on {name}"
 
@@ -92,8 +93,8 @@ class TestStreamParity:
                 assert pairs.total_tasks == batch.total_tasks
                 keys = set(pairs.cache_keys("ns"))
                 assert len(keys) == len(pairs)
-                assert _task_multiset(pairs.iter_tasks()) == _task_multiset(
-                    batch.iter_tasks())
+                assert _task_multiset(iter_tasks(pairs)) == _task_multiset(
+                    iter_tasks(batch))
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_task_cache_key_is_engine_key(self, matrices, kernel):
@@ -164,7 +165,7 @@ class TestStreamParity:
             )
             for rows in partition_block_rows(work, 4):
                 for batch in kernel_task_batches(kernel, a, rows=rows, **operands):
-                    for key, w in _task_multiset(batch.iter_tasks()).items():
+                    for key, w in _task_multiset(iter_tasks(batch)).items():
                         combined[key] = combined.get(key, 0) + w
             assert combined == reference
 

@@ -16,9 +16,11 @@ import pytest
 
 from repro.arch.fastpath import _dpg_tables
 from repro.baselines.common import chunk_masks, scalar_pairs, select_table
-from repro.baselines.nv_dtc_sparse import blocks_satisfy_2to4, patterns_satisfy_2to4
+from repro.baselines.nv_dtc_sparse import patterns_satisfy_2to4
 from repro.formats.bbc import _lane_tables, pack_patterns, pattern_row_masks, unpack_patterns
 from repro.formats.bitarray import popcount16
+
+from tests.stepped_models import blocks_satisfy_2to4
 
 MASKS = np.arange(1 << 16)
 

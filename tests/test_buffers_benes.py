@@ -17,6 +17,7 @@ from repro.arch.unistc import UniSTC
 from repro.errors import ConfigError
 
 from tests.conftest import make_block_task
+from tests.stepped_models import simulate_block
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
 
@@ -111,7 +112,7 @@ class TestWakeupModel:
         ungated = UniSTC(UniSTCConfig(dynamic_gating=False))
         for seed in range(5):
             task = make_block_task(0.3, 0.3, seed)
-            assert hidden.simulate_block(task).cycles == ungated.simulate_block(task).cycles
+            assert simulate_block(hidden, task).cycles == simulate_block(ungated, task).cycles
 
     def test_no_lookahead_exposes_stalls(self):
         exposed = UniSTC(UniSTCConfig(dpg_wakeup_cycles=2, lookahead_cycles=0))
@@ -119,20 +120,20 @@ class TestWakeupModel:
         slower = 0
         for seed in range(6):
             task = make_block_task(0.25, 0.4, seed)
-            if exposed.simulate_block(task).cycles > hidden.simulate_block(task).cycles:
+            if simulate_block(exposed, task).cycles > simulate_block(hidden, task).cycles:
                 slower += 1
         assert slower >= 3  # demand fluctuates, so stalls appear often
 
     def test_stall_cycles_counted_in_histogram(self):
         exposed = UniSTC(UniSTCConfig(dpg_wakeup_cycles=3, lookahead_cycles=0))
         task = make_block_task(0.25, 0.4, 1)
-        result = exposed.simulate_block(task)
+        result = simulate_block(exposed, task)
         assert result.util_hist.cycles == result.cycles
 
     def test_dpg_cycle_partition_preserved(self):
         exposed = UniSTC(UniSTCConfig(dpg_wakeup_cycles=2, lookahead_cycles=0))
         task = make_block_task(0.3, 0.3, 2)
-        result = exposed.simulate_block(task)
+        result = simulate_block(exposed, task)
         total = (result.counters.get("dpg_active_cycles")
                  + result.counters.get("dpg_gated_cycles"))
         assert total == exposed.config.num_dpgs * result.cycles

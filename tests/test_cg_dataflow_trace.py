@@ -14,6 +14,7 @@ from repro.formats.csr import CSRMatrix
 from repro.workloads.synthetic import poisson2d
 
 from tests.conftest import make_block_task
+from tests.stepped_models import simulate_block
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +85,7 @@ class TestDataflowTrace:
         for seed in range(4):
             task = make_block_task(0.3, 0.3, seed)
             trace = trace_block(task)
-            result = UniSTC().simulate_block(task)
+            result = simulate_block(UniSTC(), task)
             assert len(trace.cycles) == result.cycles
             assert sum(c.lanes_used for c in trace.cycles) == result.products
 
@@ -122,5 +123,5 @@ class TestDataflowTrace:
     def test_vector_task(self):
         task = make_block_task(0.5, 0.8, 4, n=1)
         trace = trace_block(task)
-        result = UniSTC().simulate_block(task)
+        result = simulate_block(UniSTC(), task)
         assert sum(c.lanes_used for c in trace.cycles) == result.products

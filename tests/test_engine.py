@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult, STCModel
-from repro.arch.tasks import T1Task
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC
 from repro.errors import SimulationError
@@ -13,8 +12,10 @@ from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.results import ComparisonRow, SimReport, compare, geomean
 
+from tests.blocks import iter_tasks
 from tests.conftest import make_block_task, task_batch
 from tests.stepped import simulate_tasks, spgemm_tasks
+from tests.stepped_models import BlockResult, simulate_block
 
 
 class TestMemoisation:
@@ -101,10 +102,12 @@ class _WeightSensitiveSTC(STCModel):
 
     name = "weight-spy"
 
-    def simulate_block(self, task):
-        result = BlockResult(cycles=10 * task.weight, products=task.weight)
-        result.counters.add("mac_ops", 7 * task.weight)
-        return result
+    def simulate_blocks(self, batch):
+        rows = np.zeros((len(batch), VECTOR_WIDTH), dtype=np.int64)
+        rows[:, 0] = 10 * batch.weights
+        rows[:, 1] = batch.weights
+        rows[:, ACTION_COL["mac_ops"]] = 7 * batch.weights
+        return rows
 
     @property
     def macs(self):
@@ -126,11 +129,8 @@ class TestBatchedAggregation:
         assert report.counters.get("mac_ops") == 35
         # And it matches the ground truth: the stream fully expanded to
         # five unit-weight tasks (weights exist only as a compression).
-        expanded = [
-            T1Task(task.a_bits, task.b_bits, n=task.n, weight=1)
-            for task in batch.iter_tasks() for _ in range(task.weight)
-        ]
-        reference = simulate_tasks(
+        expanded = [_single_pair_batch([1]) for _ in range(5)]
+        reference = engine.simulate_batches(
             stc, expanded, cache=BlockCache(), energy_model=None
         )
         assert report.cycles == reference.cycles
@@ -143,7 +143,7 @@ class TestBatchedAggregation:
         batch = _single_pair_batch([weight])
         stc = UniSTC()
         report = engine.simulate_batches(stc, [batch], cache=BlockCache())
-        block = stc.simulate_block(next(iter(batch.iter_tasks())))
+        block = simulate_block(stc, next(iter_tasks(batch)))
         assert block.products % 2 == 1  # odd, so the product below is odd
         exact = block.products * weight  # python ints: exact
         assert float(exact) != exact  # float64 could not have held this
@@ -158,7 +158,7 @@ class TestBatchedAggregation:
     def test_batched_totals_equal_per_task_reference(self, uni):
         batch = _single_pair_batch([1, 4, 2])
         fast = engine.simulate_batches(uni, [batch], cache=BlockCache())
-        slow = simulate_tasks(uni, batch.iter_tasks(), cache=BlockCache())
+        slow = simulate_tasks(uni, iter_tasks(batch), cache=BlockCache())
         assert fast.cycles == slow.cycles
         assert fast.products == slow.products
         assert fast.t1_tasks == slow.t1_tasks
@@ -167,33 +167,38 @@ class TestBatchedAggregation:
         assert fast.energy_breakdown == slow.energy_breakdown
 
     def test_fractional_counter_raises(self):
-        """Counts are integers by construction: a model emitting a
-        fractional one is rejected by name, not aggregated in float64."""
+        """Counts are integers by construction: the stepped oracle names
+        a fractional count, and the engine rejects a model whose rows
+        could carry one (not int64) by name instead of aggregating it."""
+        result = BlockResult(cycles=4, products=2)
+        result.counters.add("mac_ops", 1.5)
+        with pytest.raises(SimulationError, match="mac_ops"):
+            result.row()
+
         class FractionalSTC(_WeightSensitiveSTC):
             name = "fractional"
 
-            def simulate_block(self, task):
-                result = BlockResult(cycles=4, products=2)
-                result.counters.add("mac_ops", 1.5)
-                return result
+            def simulate_blocks(self, batch):
+                rows = super().simulate_blocks(batch).astype(np.float64)
+                rows[:, ACTION_COL["mac_ops"]] = 1.5
+                return rows
 
         batch = _single_pair_batch([3])
-        with pytest.raises(SimulationError, match="mac_ops"):
+        with pytest.raises(SimulationError, match="'fractional'"):
             engine.simulate_batches(FractionalSTC(), [batch], cache=BlockCache())
-        with pytest.raises(SimulationError, match="mac_ops"):
-            simulate_tasks(FractionalSTC(), batch.iter_tasks(), cache=BlockCache())
 
     @pytest.mark.parametrize("returned", ["results", "width", "dtype"])
     def test_simulate_blocks_must_return_int64_rows(self, returned):
-        """An out-of-tree model still returning BlockResults, or rows of
-        the wrong width or dtype, is named instead of mis-aggregated."""
+        """A model returning one result per block instead of one array,
+        or rows of the wrong width or dtype, is named instead of
+        mis-aggregated."""
         class StaleSTC(_WeightSensitiveSTC):
             name = "stale-model"
 
             def simulate_blocks(self, batch):
                 rows = super().simulate_blocks(batch)
                 if returned == "results":
-                    return [self.simulate_block(task) for task in batch.iter_tasks()]
+                    return list(rows)
                 if returned == "width":
                     return rows[:, :-1]
                 return rows.astype(np.float64)

@@ -1,13 +1,14 @@
 """Parity and unit tests for the batched/analytic evaluation fast path.
 
 ``repro.arch.fastpath.simulate_blocks`` claims exact equality with the
-stepped ``UniSTC.simulate_block`` reference — not "close", *equal*,
-because the engine inserts its rows into the same block cache the
-stepped path's rows land in.  These tests enforce that claim row for row
-over every kernel's block population and over the model configurations
-the experiments actually sweep, plus the table-driven DPG totals
-against the closed form they replaced and the queue-walking
-decomposition behind both.
+stepped Uni-STC oracle (``tests/stepped_models.py``) — not "close",
+*equal*, because the memo, the result store and every report are built
+from its rows.  These tests enforce that claim row for row over every
+kernel's block population and over the model configurations the
+experiments actually sweep; check ``repro trace``'s cycle-by-cycle walk
+against the same rows; and pin the table-driven DPG totals against the
+closed form they replaced and the queue-walking decomposition behind
+both.
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from repro.arch.base import VECTOR_WIDTH
+from repro.arch.base import VECTOR_WIDTH, STCModel
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
-from repro.arch.dpg import DotProductGenerator, dpg_stats
+from repro.arch.dataflow_trace import trace_block
+from repro.arch.dpg import DotProductGenerator
 from repro.arch import fastpath
-from repro.arch.batch import decode_a_operands, decode_b_operands
+from repro.arch.batch import decode_a_operands, decode_b_operands, util_bins
 from repro.arch.fastpath import _dpg_totals, _pack_lockstep
 from repro.arch.tasks import T1Task
-from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
-from repro.errors import SimulationError
+from repro.arch.tms import TileMultiplyScheduler
+from repro.arch.unistc import UniSTC
+from repro.errors import ConfigError, SimulationError
 from repro.formats.bbc import pack_patterns
 from repro.registry import create_stc
 
@@ -37,6 +40,7 @@ from tests.blocks import (
     kernel_tasks,
     simulate_blocks,
 )
+from tests.stepped_models import decode_a_operand, decode_b_operand, dpg_stats, stepped_block
 
 
 MODEL_VARIANTS = {
@@ -62,7 +66,7 @@ class TestBatchedParity:
     def test_kernel_blocks_match_stepped(self, corpus_tasks, variant):
         stc = MODEL_VARIANTS[variant]()
         batch = simulate_blocks(stc, corpus_tasks)
-        stepped = [stc.simulate_block(t) for t in corpus_tasks]
+        stepped = [stepped_block(stc, t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, variant)
 
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
@@ -72,7 +76,7 @@ class TestBatchedParity:
         stc = MODEL_VARIANTS[variant]()
         tasks = corpus_tasks + handmade_tasks()
         batch = simulate_blocks(stc, tasks, make_batch=engine_batch)
-        stepped = [stc.simulate_block(t) for t in tasks]
+        stepped = [stepped_block(stc, t) for t in tasks]
         assert_results_equal(batch, stepped, f"engine/{variant}")
 
     def test_handmade_blocks_match_stepped(self):
@@ -80,7 +84,7 @@ class TestBatchedParity:
         for variant, build in MODEL_VARIANTS.items():
             stc = build()
             batch = simulate_blocks(stc, tasks)
-            stepped = [stc.simulate_block(t) for t in tasks]
+            stepped = [stepped_block(stc, t) for t in tasks]
             assert_results_equal(batch, stepped, f"handmade/{variant}")
 
     def test_mixed_width_group_order_preserved(self):
@@ -92,7 +96,7 @@ class TestBatchedParity:
         shuffled = [tasks[i] for i in order]
         stc = UniSTC()
         batch = simulate_blocks(stc, shuffled)
-        stepped = [stc.simulate_block(t) for t in shuffled]
+        stepped = [stepped_block(stc, t) for t in shuffled]
         assert_results_equal(batch, stepped, "mixed-width")
 
     def test_baseline_models_honour_block_api(self, corpus_tasks):
@@ -102,7 +106,7 @@ class TestBatchedParity:
         for name in ("ds-stc", "rm-stc"):
             stc = create_stc(name)
             batch = simulate_blocks(stc, some)
-            stepped = [stc.simulate_block(t) for t in some]
+            stepped = [stepped_block(stc, t) for t in some]
             assert_results_equal(batch, stepped, name)
 
     def test_empty_task_list(self):
@@ -112,35 +116,66 @@ class TestBatchedParity:
 
 class TestFallbackRouting:
     def test_regular_and_conflicted_blocks_never_step(self):
-        """Conflict replay is analytic — no simulate_block calls."""
-        stc = UniSTC()
-        calls = []
-        original = stc.simulate_block
-        stc.simulate_block = lambda task: (calls.append(task), original(task))[1]
-        simulate_blocks(stc, handmade_tasks())
-        assert calls == []
+        """Uni-STC has one evaluator: no variant carries a stepped
+        ``simulate_block``, ``simulate_blocks`` is the abstract method
+        every model must implement, and conflicted blocks (the replay
+        path) evaluate without one."""
+        assert STCModel.__abstractmethods__ == {"simulate_blocks", "macs"}
+        for variant, build in MODEL_VARIANTS.items():
+            stc = build()
+            assert not hasattr(stc, "simulate_block"), variant
+        rows = simulate_blocks(UniSTC(), handmade_tasks())
+        assert rows.shape == (len(handmade_tasks()), VECTOR_WIDTH)
 
-    def test_over_budget_block_routes_to_stepping(self):
-        """A T3 task over the MAC budget must behave like the stepped
-        path — which raises — rather than being silently mis-scheduled."""
+    def test_over_budget_block_raises(self):
+        """A T3 task over the MAC budget can never dispatch: the batch
+        raises the stepped path's error instead of mis-scheduling."""
         tiny = UniSTC(UniSTCConfig(precision=Precision("tiny", 64, 32)))
         dense = T1Task.from_bitmaps(
             np.ones((16, 16), bool), np.ones((16, 16), bool)
         )
-        with pytest.raises(SimulationError):
-            tiny.simulate_block(dense)
-        with pytest.raises(SimulationError):
-            simulate_blocks(tiny, [dense])
+        sparse = T1Task.from_bitmaps(np.eye(16, dtype=bool), np.eye(16, dtype=bool))
+        with pytest.raises(SimulationError, match="no progress") as stepped:
+            stepped_block(tiny, dense)
+        with pytest.raises(SimulationError) as batched:
+            simulate_blocks(tiny, [sparse, dense])
+        assert str(batched.value) == str(stepped.value)
 
     def test_unknown_ordering_matches_stepped_error(self):
-        odd = UniSTC(ordering="spiral")
-        task = T1Task.from_bitmaps(
-            np.eye(16, dtype=bool), np.eye(16, dtype=bool)
-        )
-        with pytest.raises(SimulationError):
-            odd.simulate_block(task)
-        with pytest.raises(SimulationError):
-            simulate_blocks(odd, [task])
+        """An unknown ordering or fill order fails when the model is
+        built, with the texts the scheduler and the DPG raise."""
+        with pytest.raises(ConfigError, match="unknown ordering 'spiral'") as built:
+            UniSTC(ordering="spiral")
+        with pytest.raises(SimulationError) as stepped:
+            TileMultiplyScheduler(UniSTCConfig()).order_tasks([], "spiral")
+        assert str(built.value) == str(stepped.value)
+        with pytest.raises(ConfigError, match="fill order must be 'z' or 'n'") as built:
+            UniSTC(fill_order="q")
+        with pytest.raises(ValueError) as stepped:
+            DotProductGenerator("q")
+        assert str(built.value) == str(stepped.value)
+
+
+class TestTraceParity:
+    """``repro trace`` walks a block through the TMS, DPG and SDPU one
+    cycle at a time; its schedule must be the fastpath's."""
+
+    @pytest.fixture(scope="class")
+    def parity_tasks(self):
+        return kernel_tasks() + handmade_tasks()
+
+    @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
+    def test_trace_matches_fastpath(self, parity_tasks, variant):
+        """Cycles, lanes and Fig. 5 bins of every parity block's trace
+        equal its production row (no variant exposes a wake-up stall,
+        which the trace does not model)."""
+        stc = MODEL_VARIANTS[variant]()
+        rows = simulate_blocks(stc, parity_tasks)
+        for index, (task, row) in enumerate(zip(parity_tasks, rows)):
+            trace = trace_block(task, stc.config, stc.ordering, stc.fill_order)
+            lanes = np.array([cyc.lanes_used for cyc in trace.cycles])
+            bins = np.bincount(util_bins(lanes, stc.macs), minlength=4)
+            assert [len(lanes), lanes.sum(), *bins] == row[:6].tolist(), (variant, index)
 
 
 class TestBatchedDecode:
@@ -193,10 +228,10 @@ del _n, _k
 def _dpg_stats_batch(
     a_tile_bitmaps: np.ndarray, b_tile_bitmaps: np.ndarray, n_cols: int
 ) -> np.ndarray:
-    """Closed-form :func:`~repro.arch.dpg.dpg_stats` over flat task arrays.
+    """Closed-form :func:`~tests.stepped_models.dpg_stats` over flat task arrays.
 
     Returns a ``[T, 6]`` per-T3-task stat matrix in
-    :data:`~repro.arch.dpg.DPG_STAT_FIELDS` order.  The stepped path's
+    :data:`~tests.stepped_models.DPG_STAT_FIELDS` order.  The stepped path's
     :meth:`~repro.arch.dpg.DotProductGenerator.decompose` walks the
     queue-fill order accumulating per-group ``seen`` masks; its fetch
     totals reduce to popcounts of bitwise unions — an operand element is
@@ -434,5 +469,5 @@ class TestLockstepPacking:
             tasks.append(T1Task.from_bitmaps(dense, dense))
         stc = MODEL_VARIANTS[variant]()
         batch = simulate_blocks(stc, tasks)
-        assert_results_equal(batch, [stc.simulate_block(t) for t in tasks], variant)
+        assert_results_equal(batch, [stepped_block(stc, t) for t in tasks], variant)
         assert packed and packed[0] > 1

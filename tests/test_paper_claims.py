@@ -21,6 +21,8 @@ from repro.sim.results import geomean
 from repro.workloads.representative import build_matrix
 from repro.workloads.synthetic import random_uniform
 
+from tests.stepped_models import simulate_block
+
 
 @pytest.fixture(scope="module")
 def rep_matrices():
@@ -110,7 +112,7 @@ class TestEnergyClaims:
         dense = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
         energies = {}
         for stc in (NvDTC(), DsSTC(), RmSTC(), UniSTC()):
-            result = stc.simulate_block(dense)
+            result = simulate_block(stc, dense)
             energies[stc.name] = DEFAULT_MODEL.energy_pj(result.counters, stc.name)
         assert energies["uni-stc"] <= 1.3 * energies["nv-dtc"]
         assert energies["uni-stc"] < energies["rm-stc"] < energies["ds-stc"]
@@ -144,12 +146,12 @@ class TestUtilisationClaims:
     def test_dynamic_dpg_activation(self):
         """§VI-C/Fig. 20: sparse blocks activate few DPGs, dense more."""
         uni = UniSTC()
-        sparse = uni.simulate_block(
+        sparse = simulate_block(uni,
             T1Task.from_bitmaps(
                 np.eye(16, dtype=bool), np.eye(16, dtype=bool)
             )
         )
-        dense = uni.simulate_block(
+        dense = simulate_block(uni,
             T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
         )
         sparse_active = sparse.counters.get("dpg_active_cycles") / sparse.cycles

@@ -13,6 +13,7 @@ from repro.registry import create_stc, registered_stcs
 
 from tests.blocks import BINS, CYCLES, simulate_blocks
 from tests.conftest import make_block_task, stc_at
+from tests.stepped_models import simulate_block
 
 DENSE = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
 DENSE_VEC = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool))
@@ -28,7 +29,7 @@ class TestFP32:
     @pytest.mark.parametrize("model_idx", range(len(MODELS)))
     def test_dense_block_halves_cycles(self, model_idx):
         stc = stc_at(MODELS[model_idx], FP32)
-        result = stc.simulate_block(DENSE)
+        result = simulate_block(stc, DENSE)
         assert result.cycles == 32
         assert result.products == 4096
         assert result.util_hist.fractions()[3] == 1.0
@@ -38,7 +39,7 @@ class TestFP32:
     def test_products_conserved(self, model_idx, seed):
         stc = stc_at(MODELS[model_idx], FP32)
         task = make_block_task(0.3, 0.3, seed)
-        assert stc.simulate_block(task).products == task.intermediate_products()
+        assert simulate_block(stc, task).products == task.intermediate_products()
 
     @pytest.mark.parametrize("model_idx", range(len(MODELS)))
     def test_fp32_never_slower_than_fp64(self, model_idx):
@@ -46,18 +47,18 @@ class TestFP32:
         fp64 = stc_at(MODELS[model_idx], FP64)
         for seed in range(4):
             task = make_block_task(0.4, 0.4, seed)
-            assert fp32.simulate_block(task).cycles <= fp64.simulate_block(task).cycles
+            assert simulate_block(fp32, task).cycles <= simulate_block(fp64, task).cycles
 
     def test_ds_stc_spmv_cap_shrinks(self):
         """At FP32 the outer product's vector cap drops to 8/128."""
         ds = DsSTC(FP32)
-        result = ds.simulate_block(DENSE_VEC)
+        result = simulate_block(ds, DENSE_VEC)
         assert result.products / (result.cycles * 128) <= 8 / 128 + 1e-9
 
     def test_rm_stc_spmv_cap_constant(self):
         """RM-STC's 16x4x2 at FP32 keeps the 25% vector cap (32/128)."""
         rm = RmSTC(FP32)
-        result = rm.simulate_block(DENSE_VEC)
+        result = simulate_block(rm, DENSE_VEC)
         assert result.products / (result.cycles * 128) <= 0.25 + 1e-9
 
     def test_uni_dense_vec_fp32(self):
@@ -65,16 +66,16 @@ class TestFP32:
         accumulator-conflict rule (one writer per tile per cycle) keeps
         the dense SpMV block at 4 cycles even with 128 MACs."""
         uni = UniSTC(UniSTCConfig(precision=FP32))
-        result = uni.simulate_block(DENSE_VEC)
+        result = simulate_block(uni, DENSE_VEC)
         assert result.cycles == 4
         no_stall = UniSTC(UniSTCConfig(precision=FP32, conflict_stall=False))
-        assert no_stall.simulate_block(DENSE_VEC).cycles == 2
+        assert simulate_block(no_stall, DENSE_VEC).cycles == 2
 
 
 class TestFP16:
     def test_uni_dense_block(self):
         uni = UniSTC(UniSTCConfig(precision=FP16))
-        result = uni.simulate_block(DENSE)
+        result = simulate_block(uni, DENSE)
         assert result.cycles == 16
         assert result.util_hist.fractions()[3] == 1.0
 
@@ -83,7 +84,7 @@ class TestFP16:
         cycles = {}
         for precision in (FP64, FP32, FP16):
             uni = UniSTC(UniSTCConfig(precision=precision))
-            cycles[precision.macs] = uni.simulate_block(DENSE).cycles
+            cycles[precision.macs] = simulate_block(uni, DENSE).cycles
         assert cycles[64] == 2 * cycles[128] == 4 * cycles[256]
 
     @pytest.mark.parametrize(
@@ -98,7 +99,7 @@ class TestFP16:
     @pytest.mark.parametrize("name", FP16_MODELS)
     def test_fp16_models_fill_the_wider_array(self, name):
         stc = stc_at(name, FP16)
-        for row in (stc.simulate_block(DENSE).row(), simulate_blocks(stc, [DENSE])[0]):
+        for row in (simulate_block(stc, DENSE).row(), simulate_blocks(stc, [DENSE])[0]):
             assert row[CYCLES] == 16
             assert row[BINS][3] == 16
             assert row[ACTION_COL["lane_cycles"]] == 256 * 16

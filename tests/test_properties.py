@@ -20,6 +20,7 @@ from repro.sim.engine import simulate_kernel
 from repro.workloads.matrixmarket import read_mtx, write_mtx
 
 from tests.conftest import make_block_task, task_batch
+from tests.stepped_models import simulate_block
 
 
 class TestPermutationInvariance:
@@ -55,21 +56,21 @@ class TestAnalyticCrossChecks:
             na, nb = int(a[:, k].sum()), int(b[k].sum())
             if na and nb:
                 expected += -(-na // 8) * (-(-nb // 8))
-        result = DsSTC().simulate_block(task)
+        result = simulate_block(DsSTC(), task)
         assert result.cycles == max(1, expected)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_uni_products_formula(self, seed):
         task = make_block_task(0.35, 0.35, seed)
         a, b = task.a_bitmap().astype(int), task.b_bitmap().astype(int)
-        assert UniSTC().simulate_block(task).products == int((a.sum(0) * b.sum(1)).sum())
+        assert simulate_block(UniSTC(), task).products == int((a.sum(0) * b.sum(1)).sum())
 
     @pytest.mark.parametrize("seed", range(4))
     def test_uni_c_outputs_formula(self, seed):
         task = make_block_task(0.3, 0.3, seed)
         a, b = task.a_bitmap().astype(int), task.b_bitmap().astype(int)
         expected = int(np.count_nonzero(a @ b))
-        result = UniSTC().simulate_block(task)
+        result = simulate_block(UniSTC(), task)
         assert result.counters.get("c_elem_writes") == expected
 
 

@@ -9,8 +9,7 @@ from repro.arch.queues import (
     replay_queues,
 )
 from repro.arch.tms import TileMultiplyScheduler
-from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
-from repro.arch.tms import tile_products
+from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC
 from repro.errors import SimulationError
 from repro.sim.sweep import Sweep, SweepCase, geomean_speedups, rows_from_results
@@ -18,6 +17,7 @@ from repro.workloads.stats import compute_stats, coverage_summary, describe_corp
 from repro.workloads.synthetic import banded, long_rows, power_law, random_uniform
 
 from tests.conftest import make_block_task
+from tests.stepped_models import decode_a_operand, decode_b_operand, tile_products
 
 
 class TestHardwareQueue:

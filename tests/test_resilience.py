@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult, STCModel
+from repro.arch.base import STCModel
 from repro.arch.unistc import UniSTC
 from repro.cli import main
 from repro.errors import (
@@ -77,14 +77,14 @@ class FlakyFactory:
 
 
 class HangModel(STCModel):
-    """Blocks inside simulate_block until an event is set."""
+    """Blocks inside simulate_blocks until an event is set."""
 
     name = "hang"
 
     def __init__(self, release: threading.Event):
         self.release = release
 
-    def simulate_block(self, task) -> BlockResult:
+    def simulate_blocks(self, batch) -> np.ndarray:
         self.release.wait(timeout=30)
         raise SimulationError("released")
 

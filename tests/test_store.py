@@ -552,7 +552,8 @@ class TestFingerprintStability:
             UniSTC(UniSTCConfig(conflict_stall=False)),
             UniSTC(UniSTCConfig(dpg_wakeup_cycles=3)),
             UniSTC(UniSTCConfig(lookahead_cycles=2)),
-            UniSTC(ordering="inner"),
+            UniSTC(ordering="dot"),
+            UniSTC(ordering="rowrow"),
             UniSTC(fill_order="n"),
         ]
         keys = [stc.cache_key() for stc in variants]

@@ -6,12 +6,13 @@ import pytest
 from repro.arch.tasks import T1Task
 from repro.arch.unistc import UniSTC
 from repro.baselines import NvDTC, NvDTCSparse
-from repro.baselines.nv_dtc_sparse import block_satisfies_2to4
 from repro.errors import ShapeError
 from repro.formats import BBCMatrix
 from repro.formats.csr import CSRMatrix
 from repro.sim.engine import simulate_kernel
 from repro.workloads.structured import nm_pruned_weight, rmat, verify_nm_pattern
+
+from tests.stepped_models import block_satisfies_2to4, simulate_block
 
 
 class TestNMPruning:
@@ -54,20 +55,20 @@ class TestNvDTCSparseMode:
         w = nm_pruned_weight(16, 16, seed=4)
         a = w.to_dense() != 0
         task = T1Task.from_bitmaps(a, np.ones((16, 16), bool))
-        dense_tc = NvDTC().simulate_block(task)
-        sparse_tc = NvDTCSparse().simulate_block(task)
+        dense_tc = simulate_block(NvDTC(), task)
+        sparse_tc = simulate_block(NvDTCSparse(), task)
         assert sparse_tc.cycles * 2 == dense_tc.cycles
         assert sparse_tc.products == dense_tc.products
 
     def test_unstructured_block_no_speedup(self, rng):
         a = rng.random((16, 16)) < 0.5
         task = T1Task.from_bitmaps(a, np.ones((16, 16), bool))
-        assert (NvDTCSparse().simulate_block(task).cycles
-                == NvDTC().simulate_block(task).cycles)
+        assert (simulate_block(NvDTCSparse(), task).cycles
+                == simulate_block(NvDTC(), task).cycles)
 
     def test_dense_block_unchanged(self):
         task = T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
-        result = NvDTCSparse().simulate_block(task)
+        result = simulate_block(NvDTCSparse(), task)
         assert result.cycles == 64
         assert result.products == 4096
 
@@ -83,8 +84,8 @@ class TestNvDTCSparseMode:
     def test_structured_reads_compressed_a(self):
         w = nm_pruned_weight(16, 16, seed=6)
         task = T1Task.from_bitmaps(w.to_dense() != 0, np.ones((16, 16), bool))
-        sparse_tc = NvDTCSparse().simulate_block(task)
-        dense_tc = NvDTC().simulate_block(task)
+        sparse_tc = simulate_block(NvDTCSparse(), task)
+        dense_tc = simulate_block(NvDTC(), task)
         assert (sparse_tc.counters.get("a_elem_reads")
                 < dense_tc.counters.get("a_elem_reads"))
 

@@ -19,10 +19,12 @@ from repro.kernels.batched import (
 )
 from repro.kernels.vector import SparseVector
 
+from tests.blocks import iter_tasks
+
 
 def _total_products(batches):
     return sum(t.intermediate_products() * t.weight
-               for batch in batches for t in batch.iter_tasks())
+               for batch in batches for t in iter_tasks(batch))
 
 
 def _expected_products(a_dense, b_dense):
@@ -43,7 +45,7 @@ class TestSpMVTasks:
         batch = spmv_batch(small_bbc)
         assert batch.n == 1
         assert batch.b_patterns.shape[1:] == (1,)  # one packed segment
-        for task in batch.iter_tasks():
+        for task in iter_tasks(batch):
             assert task.n == 1
             assert task.b_bitmap().shape == (16, 1)
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.arch.config import UniSTCConfig
-from repro.arch.tms import ORDERINGS, TileMultiplyScheduler, tile_products
+from repro.arch.tms import ORDERINGS, TileMultiplyScheduler, tile_products_batch
 from repro.errors import SimulationError
+
+from tests.stepped_models import tile_products
 
 
 @pytest.fixture
@@ -31,9 +33,12 @@ class TestTileProducts:
         assert tile_products(zero, zero).sum() == 0
 
     def test_formula(self, rng):
+        """The per-block oracle and the production batched matmul both
+        count sum_kk |A col kk| * |B row kk| per tile triple."""
         a_cols = rng.integers(0, 5, size=(4, 4, 4))
         b_rows = rng.integers(0, 5, size=(4, 4, 4))
         prod = tile_products(a_cols, b_rows)
+        assert np.array_equal(tile_products_batch(a_cols[None], b_rows[None])[0], prod)
         for k in range(4):
             for i in range(4):
                 for j in range(4):
@@ -45,6 +50,7 @@ class TestTileProducts:
         b_rows = rng.integers(0, 2, size=(4, 1, 4))
         prod = tile_products(a_cols, b_rows)
         assert prod.shape == (4, 4, 1)
+        assert np.array_equal(tile_products_batch(a_cols[None], b_rows[None])[0], prod)
 
 
 class TestTaskGeneration:

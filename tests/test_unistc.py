@@ -5,10 +5,11 @@ import pytest
 
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.tasks import T1Task
-from repro.arch.unistc import UniSTC, decode_a_operand, decode_b_operand
+from repro.arch.unistc import UniSTC
 from repro.errors import SimulationError
 
 from tests.conftest import make_block_task
+from tests.stepped_models import decode_a_operand, decode_b_operand, simulate_block
 
 
 class TestDecode:
@@ -45,7 +46,7 @@ class TestDecode:
 
 class TestDenseBehaviour:
     def test_dense_block_cycles_and_util(self, uni):
-        result = uni.simulate_block(
+        result = simulate_block(uni,
             T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
         )
         assert result.cycles == 64
@@ -54,13 +55,13 @@ class TestDenseBehaviour:
 
     def test_dense_fp32_halves_cycles(self):
         uni32 = UniSTC(UniSTCConfig(precision=FP32))
-        result = uni32.simulate_block(
+        result = simulate_block(uni32,
             T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 16), bool))
         )
         assert result.cycles == 32
 
     def test_dense_spmv_block(self, uni):
-        result = uni.simulate_block(
+        result = simulate_block(uni,
             T1Task.from_bitmaps(np.ones((16, 16), bool), np.ones((16, 1), bool))
         )
         assert result.products == 256
@@ -69,7 +70,7 @@ class TestDenseBehaviour:
 
 class TestEmptyAndEdge:
     def test_empty_block_single_cycle(self, uni):
-        result = uni.simulate_block(
+        result = simulate_block(uni,
             T1Task.from_bitmaps(np.zeros((16, 16), bool), np.ones((16, 16), bool))
         )
         assert result.cycles == 1
@@ -82,7 +83,7 @@ class TestEmptyAndEdge:
         b = np.zeros((16, 16), bool)
         a[:, 0] = True
         b[1, :] = True
-        result = uni.simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(uni, T1Task.from_bitmaps(a, b))
         assert result.products == 0
         assert result.cycles == 1
 
@@ -91,7 +92,7 @@ class TestEmptyAndEdge:
         b = np.zeros((16, 16), bool)
         a[0, 0] = True
         b[0, 0] = True
-        result = uni.simulate_block(T1Task.from_bitmaps(a, b))
+        result = simulate_block(uni, T1Task.from_bitmaps(a, b))
         assert result.products == 1
         assert result.cycles == 1
         assert result.counters.get("c_elem_writes") == 1
@@ -101,19 +102,19 @@ class TestInvariants:
     @pytest.mark.parametrize("seed", range(8))
     def test_products_conserved(self, uni, seed):
         task = make_block_task(0.3, 0.3, seed)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         assert result.products == task.intermediate_products()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cycles_at_least_ideal(self, uni, seed):
         task = make_block_task(0.4, 0.4, seed)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         assert result.cycles >= -(-task.intermediate_products() // 64)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_histogram_covers_all_cycles(self, uni, seed):
         task = make_block_task(0.2, 0.5, seed)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         assert result.util_hist.cycles == result.cycles
 
     @pytest.mark.parametrize("seed", range(8))
@@ -121,7 +122,7 @@ class TestInvariants:
         """C crosses the output network once per distinct output element
         (the accumulator buffer absorbs T4 partial writes, §IV-C)."""
         task = make_block_task(0.3, 0.3, seed)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         writes = result.counters.get("c_elem_writes")
         expected = int(np.count_nonzero(
             task.a_bitmap().astype(int) @ task.b_bitmap().astype(int)
@@ -136,7 +137,7 @@ class TestInvariants:
     def test_dpg_cycles_partition(self, uni, seed):
         """Active + gated DPG-cycles = num_dpgs x cycles (gating on)."""
         task = make_block_task(0.3, 0.3, seed)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         total = (result.counters.get("dpg_active_cycles")
                  + result.counters.get("dpg_gated_cycles"))
         assert total == uni.config.num_dpgs * result.cycles
@@ -144,13 +145,13 @@ class TestInvariants:
     def test_gating_disabled_keeps_all_active(self):
         uni = UniSTC(UniSTCConfig(dynamic_gating=False))
         task = make_block_task(0.2, 0.2, 1)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         assert result.counters.get("dpg_gated_cycles") == 0
         assert result.counters.get("dpg_active_cycles") == uni.config.num_dpgs * result.cycles
 
     def test_vector_task_invariants(self, uni):
         task = make_block_task(0.4, 0.6, 3, n=1)
-        result = uni.simulate_block(task)
+        result = simulate_block(uni, task)
         assert result.products == task.intermediate_products()
         assert result.cycles >= 1
 
@@ -162,7 +163,7 @@ class TestConfigurations:
         uni16 = UniSTC(UniSTCConfig(num_dpgs=16))
         for seed in range(6):
             task = make_block_task(0.25, 0.25, seed)
-            assert uni16.simulate_block(task).cycles <= uni4.simulate_block(task).cycles
+            assert simulate_block(uni16, task).cycles <= simulate_block(uni4, task).cycles
 
     def test_cache_keys_distinguish_configs(self):
         assert UniSTC().cache_key() != UniSTC(UniSTCConfig(num_dpgs=4, tile_queue_depth=8)).cache_key()
@@ -178,4 +179,4 @@ class TestConfigurations:
         z, n = UniSTC(fill_order="z"), UniSTC(fill_order="n")
         for seed in range(4):
             task = make_block_task(0.3, 0.3, seed)
-            assert z.simulate_block(task).cycles == n.simulate_block(task).cycles
+            assert simulate_block(z, task).cycles == simulate_block(n, task).cycles

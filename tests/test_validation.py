@@ -4,9 +4,10 @@ rejected loudly, never silently mis-simulated."""
 import numpy as np
 import pytest
 
-from repro.arch.base import BlockResult
 from repro.errors import ConfigError, FormatError, ReproError, SimulationError
 from repro.formats import BBCMatrix, COOMatrix
+
+from tests.stepped_models import BlockResult
 
 
 @pytest.fixture
@@ -75,6 +76,8 @@ class TestCorruptedBBC:
 
 
 class TestBlockResultValidation:
+    """The stepped oracle's result type refuses impossible counts."""
+
     def test_negative_cycles_rejected(self):
         with pytest.raises(SimulationError):
             BlockResult(cycles=-1, products=0)

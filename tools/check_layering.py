@@ -21,8 +21,9 @@ Three checks, each enforcing the architecture in docs/architecture.md:
 
 3. **One pattern form** — block patterns are BBC's packed tile
    bitmaps everywhere.  Outside ``repro.formats`` and
-   ``repro.arch.tasks`` (whose ``T1Task`` bitmaps feed the stepped
-   models) no module imports ``unpack_patterns``, at any scope.
+   ``repro.arch.tasks`` (whose ``T1Task`` bool grids serve per-block
+   readers such as the buffer model) no module imports
+   ``unpack_patterns``, at any scope.
 
 Exit status 0 when clean, 1 with one line per violation otherwise.
 """
