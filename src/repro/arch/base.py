@@ -8,10 +8,13 @@ row in the :data:`VECTOR_WIDTH` layout, ``[cycles, products, util bins
 0..3, one count per ACTIONS entry]``, from the model to the
 :class:`~repro.sim.results.SimReport`: :meth:`STCModel.simulate_blocks`
 evaluates a :class:`~repro.kernels.batched.TaskBatch` of packed
-pattern pairs into a ``[N, VECTOR_WIDTH]`` array of them, and the
-block cache, the result store and aggregation hold nothing else.  The
-engine (:mod:`repro.sim.engine`) memoises rows on the task's packed
-pattern pair, so models must be pure functions of the pair.
+pattern pairs into a ``[N, VECTOR_WIDTH]`` array of them.  Once
+memoised, a row has one form: its values as :data:`ROW_BYTES`
+little-endian bytes, which the block cache holds, the result store
+persists as its record tail, and aggregation folds back into one
+matrix per run (:func:`row_matrix`).  The engine
+(:mod:`repro.sim.engine`) memoises rows on the task's packed pattern
+pair, so models must be pure functions of the pair.
 """
 
 from __future__ import annotations
@@ -28,6 +31,15 @@ VECTOR_WIDTH = 2 + 4 + len(ACTIONS)
 
 #: Column of each action inside a result row.
 ACTION_COL = {name: 6 + j for j, name in enumerate(ACTIONS)}
+
+#: A memoised row's byte form: ``VECTOR_WIDTH`` little-endian int64s.
+ROW_DTYPE = np.dtype("<i8")
+ROW_BYTES = VECTOR_WIDTH * ROW_DTYPE.itemsize
+
+
+def row_matrix(rows) -> np.ndarray:
+    """Byte rows as one read-only ``[len(rows), VECTOR_WIDTH]`` int64 array."""
+    return np.frombuffer(b"".join(rows), ROW_DTYPE).reshape(-1, VECTOR_WIDTH)
 
 
 class STCModel(ABC):

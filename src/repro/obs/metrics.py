@@ -22,12 +22,14 @@ the resilient runner, cores in ``simulate_parallel``, or entire
 processes) combine at join time.  :meth:`MetricsRegistry.snapshot_delta`
 is the streaming variant: just the series written since the last delta
 (values stay cumulative), in a **compact wire form** — flat
-``{"c"|"g"|"h": {series-key: value}}`` maps whose keys are cached
+``{"c"|"g"|"h": {series-key: value}}`` maps whose keys are
 ``name U+001F labels-json`` strings — because it runs once per finished
 case on the telemetry hot path (``repro.obs.telemetry``) where the
 verbose snapshot shape would cost more to serialise than it is worth.
-:func:`expand_delta` converts the compact form back to snapshot shape
-on the (cold) reader side.
+Each series is resolved once per label set, on its first write, into
+a record of its section, its encoded key and where its value lives, so
+a delta does no label work.  :func:`expand_delta` converts the compact
+form back to snapshot shape on the (cold) reader side.
 
 On the wire, histogram ``bounds`` carry an explicit ``null`` terminator
 marking the +Inf overflow bucket, so ``len(bounds) == len(counts)`` and
@@ -46,6 +48,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -140,9 +143,12 @@ class Counter:
     series: Dict[LabelKey, float] = field(default_factory=dict)
 
     def inc(self, value: float = 1.0, **labels) -> None:
+        self.add(label_key(labels), value)
+
+    def add(self, key: LabelKey, value: float) -> None:
+        """:meth:`inc` for a canonical label key."""
         if value < 0:
             raise ConfigError(f"counter {self.name!r} cannot decrease")
-        key = label_key(labels)
         self.series[key] = self.series.get(key, 0.0) + value
 
     def value(self, **labels) -> float:
@@ -218,7 +224,10 @@ class Histogram:
         self.bounds = bounds
 
     def observe(self, value: float, **labels) -> None:
-        key = label_key(labels)
+        self.observe_key(label_key(labels), value)
+
+    def observe_key(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` for a canonical label key."""
         series = self.series.get(key)
         if series is None:
             series = self.series[key] = HistogramSeries(bounds=self.bounds)
@@ -226,6 +235,34 @@ class Histogram:
 
     def get(self, **labels) -> Optional[HistogramSeries]:
         return self.series.get(label_key(labels))
+
+
+#: Instrument kind -> its compact-delta section.
+_SECTIONS = {"counter": "c", "gauge": "g", "histogram": "h"}
+
+
+class _Series:
+    """One written series, resolved once per label set.
+
+    ``values`` is its instrument's series dict and ``key`` its label
+    key in it; ``head`` is its encoded wire key plus ``:``.  ``order``
+    sorts deltas by kind (so by section), name and labels.  A
+    histogram's ``bounds`` are encoded on its first delta: a series'
+    bucket bounds never change.
+    """
+
+    __slots__ = ("order", "section", "head", "values", "key", "bounds")
+
+    def __init__(self, kind: str, name: str, key: LabelKey, values: dict) -> None:
+        self.order = (kind, name, key)
+        self.section = _SECTIONS[kind]
+        self.head = _compact_json(wire_key(name, key)) + ":"
+        self.values = values
+        self.key = key
+        self.bounds = None
+
+
+_series_order = attrgetter("order")
 
 
 class MetricsRegistry:
@@ -236,16 +273,11 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: Series written since the last ``snapshot_delta()``, as
-        #: ("counter"|"gauge"|"histogram", name, label_key) triples.
+        #: Every series written through the registry, by
+        #: ("counter"|"gauge"|"histogram", name, label_key).
+        self._series: Dict[Tuple[str, str, LabelKey], _Series] = {}
+        #: Series written since the last ``snapshot_delta_json()``.
         self._dirty: set = set()
-        #: dirty triple -> JSON-encoded wire key plus ":"; series keys
-        #: recur every case, so the delta hot path never re-serialises.
-        self._wire_keys: Dict[Tuple[str, str, LabelKey], str] = {}
-        #: Kind -> (delta section, instruments of that kind).
-        self._sections = {"counter": ("c", self._counters),
-                          "gauge": ("g", self._gauges),
-                          "histogram": ("h", self._histograms)}
 
     # -- instrument access (get-or-create) -------------------------------
 
@@ -274,29 +306,39 @@ class MetricsRegistry:
 
     # -- convenience write paths -----------------------------------------
 
+    def _touch(self, kind: str, name: str, key: LabelKey, values: dict) -> None:
+        """Mark a series written; the caller holds the lock."""
+        series = self._series.get((kind, name, key))
+        if series is None:
+            series = self._series[kind, name, key] = _Series(kind, name, key, values)
+        self._dirty.add(series)
+
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
+        key = label_key(labels)
         with self._lock:
             inst = self._counters.get(name)
             if inst is None:
                 inst = self._counters[name] = Counter(name)
-            inst.inc(value, **labels)
-            self._dirty.add(("counter", name, label_key(labels)))
+            inst.add(key, value)
+            self._touch("counter", name, key, inst.series)
 
     def set(self, name: str, value: float, **labels) -> None:
+        key = label_key(labels)
         with self._lock:
             inst = self._gauges.get(name)
             if inst is None:
                 inst = self._gauges[name] = Gauge(name)
-            inst.set(value, **labels)
-            self._dirty.add(("gauge", name, label_key(labels)))
+            inst.series[key] = float(value)
+            self._touch("gauge", name, key, inst.series)
 
     def observe(self, name: str, value: float, **labels) -> None:
+        key = label_key(labels)
         with self._lock:
             inst = self._histograms.get(name)
             if inst is None:
                 inst = self._histograms[name] = Histogram(name)
-            inst.observe(value, **labels)
-            self._dirty.add(("histogram", name, label_key(labels)))
+            inst.observe_key(key, value)
+            self._touch("histogram", name, key, inst.series)
 
     # -- snapshot / reset / merge ----------------------------------------
 
@@ -360,39 +402,39 @@ class MetricsRegistry:
         ``{"c": {wire_key: value}, "g": {...}, "h": {wire_key:
         [bounds, counts, sum, count, min, max]}}``, empty sections
         omitted (``""`` when idle).  This runs once per finished case
-        in telemetry workers, so each series' encoded key is cached and
-        numbers are encoded by hand, exactly as ``json`` would (a
-        ``repr`` for ints and finite floats).  Clears the dirty set.
+        in telemetry workers, so each dirty series arrives resolved
+        (:class:`_Series`) and numbers are encoded by hand, exactly as
+        ``json`` would (a ``repr`` for ints and finite floats).  Clears
+        the dirty set.
         """
         with self._lock:
             if not self._dirty:
                 return ""
-            dirty = sorted(self._dirty)  # kinds sort counter, gauge, histogram
+            dirty = sorted(self._dirty, key=_series_order)
             self._dirty.clear()
-            sections: Dict[str, List[str]] = {}
-            for entry in dirty:
-                kind, name, key = entry
-                section, instruments = self._sections[kind]
-                inst = instruments.get(name)
-                value = inst.series.get(key) if inst is not None else None
+            text = section = ""
+            for series in dirty:
+                value = series.values.get(series.key)
                 if value is None:
                     continue
-                head = self._wire_keys.get(entry)
-                if head is None:
-                    head = self._wire_keys[entry] = _compact_json(wire_key(name, key)) + ":"
-                if kind == "histogram":
-                    value = [list(value.bounds) + [None], list(value.counts),
-                             value.sum, value.count,
-                             value.min if value.count else None,
-                             value.max if value.count else None]
+                if type(value) is HistogramSeries:
+                    if series.bounds is None:
+                        series.bounds = "[" + _compact_json(list(value.bounds) + [None])
+                    value = series.bounds + "," + _compact_json(
+                        [value.counts, value.sum, value.count,
+                         value.min if value.count else None,
+                         value.max if value.count else None])[1:]
                 elif type(value) is int or (type(value) is float and value - value == 0.0):
-                    sections.setdefault(section, []).append(head + repr(value))
-                    continue
-                sections.setdefault(section, []).append(head + _compact_json(value))
-            text = ""
-            for section, items in sections.items():
-                text += f',"{section}":{{{",".join(items)}}}'
-            return "{" + text[1:] + "}" if text else ""
+                    value = repr(value)
+                else:
+                    value = _compact_json(value)
+                if series.section != section:
+                    text += f'{"}," if section else ""}"{series.section}":{{'
+                    section = series.section
+                else:
+                    text += ","
+                text += series.head + value
+            return "{" + text + "}}" if text else ""
 
     def reset(self) -> None:
         """Drop every instrument and series."""
@@ -400,8 +442,8 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._series.clear()
             self._dirty.clear()
-            self._wire_keys.clear()
 
     def merge(self, other: Union["MetricsRegistry", Dict[str, object]]) -> None:
         """Fold another registry (or its :meth:`snapshot`) into this one.
@@ -439,7 +481,7 @@ class MetricsRegistry:
                     if entry["count"]:
                         series.min = min(series.min, entry["min"])
                         series.max = max(series.max, entry["max"])
-                    self._dirty.add(("histogram", name, key))
+                    self._touch("histogram", name, key, hist.series)
 
     def write_json(self, path: Union[str, Path]) -> None:
         """Dump :meth:`snapshot` as indented JSON."""

@@ -10,7 +10,8 @@ exit.
 Wire format — one JSON object per line, three record kinds:
 
 ``beat``
-    Liveness: wall time, done count, phase.  Emitted at startup and on
+    Liveness: wall time (``t_us``, integer microseconds since the
+    epoch), done count, phase.  Emitted at startup and on
     the worker's heartbeat cadence.  Every record is a flushed append,
     so the file's mtime is the worker's last sign of life; the
     supervisor's watchdog reads nothing else.
@@ -66,7 +67,9 @@ from repro.obs.tracer import Tracer
 logger = logging.getLogger(__name__)
 
 #: Telemetry record schema; bumped on incompatible layout changes.
-TELEMETRY_SCHEMA = 1
+#: Schema 2 stamps records with integer ``t_us`` (schema 1: float ``t``
+#: seconds, whose ``repr`` costs about 3x an integer's on every record).
+TELEMETRY_SCHEMA = 2
 
 #: Campaign status document identity.
 STATUS_KIND = "repro.exec.status"
@@ -120,7 +123,8 @@ class TelemetryWriter:
         self._pid = os.getpid()
         # Unique per process incarnation even if the OS recycles pids.
         self._inst = f"{self._pid}-{os.urandom(3).hex()}"
-        ident = f'"shard":{json.dumps(shard_id)},"pid":{self._pid},"inst":"{self._inst}"'
+        ident = (f'"shard":{json.dumps(shard_id)},"pid":{self._pid},'
+                 f'"inst":"{self._inst}","total":{self._total}')
         #: Each record kind's fixed head: every field before ``seq``.
         self._heads = {kind: f'{{"v":{TELEMETRY_SCHEMA},"kind":"{kind}",{ident},"seq":'
                        for kind in ("beat", "progress", "spans")}
@@ -135,26 +139,22 @@ class TelemetryWriter:
 
     def _record(self, kind: str, phase: str, extra: str = "") -> None:
         """Append one record: the base fields, then ``extra`` (encoded
-        ``,"field":value`` pairs).
+        ``,"field":value`` pairs), in one unbuffered ``write()``.
 
         Every base field is a writer-controlled scalar, so the line is
-        assembled by hand: ``json.dumps`` of a dict form costs more than
-        the rest of a per-case emission combined.
+        assembled by hand from the kind's precomputed head: ``json.dumps``
+        of a dict form costs more than the rest of a per-case emission
+        combined.
         """
         seq = self._seq
         self._seq += 1
         phase_json = '"running"' if phase == "running" else json.dumps(phase)
-        self._emit_line(
-            f'{self._heads[kind]}{seq},"t":{self._clock()!r},"phase":{phase_json},'
-            f'"done":{self._done},"total":{self._total}{extra}}}\n')
-
-    def _emit_line(self, line: str) -> None:
-        # Unbuffered binary: one write() per line, nothing to flush.
+        data = (f'{self._heads[kind]}{seq},"t_us":{int(self._clock() * 1e6)},'
+                f'"phase":{phase_json},"done":{self._done}{extra}}}\n').encode()
         try:
             if self._handle is None:
                 self._path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self._path, "ab", buffering=0)
-            data = line.encode("utf-8")
             while data:
                 data = data[self._handle.write(data):]
         except OSError:
@@ -471,10 +471,10 @@ class _ShardTail:
         self.pid = record.get("pid", self.pid)
         if record.get("total") is not None:
             self.total = int(record["total"])
-        t = record.get("t")
-        if isinstance(t, (int, float)):
-            self.last_t = float(t)
-            self.samples.append((float(t), self.done))
+        t_us = record.get("t_us")
+        if isinstance(t_us, int):
+            self.last_t = t_us / 1e6
+            self.samples.append((self.last_t, self.done))
 
     def rate(self) -> float:
         """Cases per second over the sample window (0 when unknown)."""

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.arch.base import ROW_DTYPE
 from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
 from repro.formats.coo import COOMatrix
@@ -210,15 +211,16 @@ class FaultInjector:
 
     # -- cached-result faults --------------------------------------------
 
-    def corrupt_cached_result(self, key: tuple) -> Tuple[np.ndarray, InjectedFault]:
-        """Swap one memoised row for a poisoned copy; returns the original."""
+    def corrupt_cached_result(self, key: tuple) -> Tuple[bytes, InjectedFault]:
+        """Swap one memoised byte row for a poisoned one; returns the original."""
         original = engine._BLOCK_CACHE[key]
         delta = int(self.rng.integers(1, 1000))
-        poisoned = original.copy()
-        poisoned[0] += delta  # the cycles column
-        engine._BLOCK_CACHE[key] = poisoned
+        values = np.frombuffer(original, ROW_DTYPE).copy()
+        cycles = int(values[0])
+        values[0] += delta  # the cycles column
+        engine._BLOCK_CACHE[key] = values.tobytes()
         return original, InjectedFault(
-            kind="cache_result", site=f"cached cycles {int(original[0]):+d}{delta:+d}"
+            kind="cache_result", site=f"cached cycles {cycles:+d}{delta:+d}"
         )
 
 
@@ -279,7 +281,7 @@ def _classify_task_fault(
     return "masked", "simulated totals unchanged"
 
 
-def _classify_cache_file_fault(rows: Dict[tuple, np.ndarray],
+def _classify_cache_file_fault(rows: Dict[tuple, bytes],
                                rng: np.random.Generator) -> Tuple[str, str]:
     """Persist ``rows`` to a fresh store, flip one segment byte, reopen."""
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
@@ -296,7 +298,7 @@ def _classify_cache_file_fault(rows: Dict[tuple, np.ndarray],
             if store.stats.quarantined:
                 return "detected", f"byte {pos} flip quarantined the segment"
             found = {key: store.lookup(key) for key in rows}
-        if any(got is not None and not np.array_equal(got, rows[key])
+        if any(got is not None and got != rows[key]
                for key, got in found.items()):
             return "sdc", f"byte {pos} flip changed a stored row undetected"
         misses = sum(got is None for got in found.values())

@@ -2,10 +2,11 @@
 
 The engine memoises block results on ``(model namespace, A key,
 B key)``, the operands' packed patterns (at most 64 bytes, rendered
-once per matrix).  A value is the block's int64 result row in the
-:data:`~repro.arch.base.VECTOR_WIDTH` layout, usually a view into the
-``[N, VECTOR_WIDTH]`` matrix one ``simulate_blocks`` call returned;
-rows are never written in place once cached.  The original
+once per matrix).  A value is the block's result row in its one
+memoised form: the :data:`~repro.arch.base.VECTOR_WIDTH` int64 values
+as :data:`~repro.arch.base.ROW_BYTES` little-endian bytes, which is
+also the result store's record tail.  Bytes are immutable and own their
+storage, so a cached row never aliases a model's output.  The original
 implementation was an unbounded process-wide dict — fine for one
 matrix, a slow leak for a corpus-scale sweep service.
 :class:`BlockCache` keeps the same mapping semantics behind a bounded
@@ -23,7 +24,7 @@ second tier (below) persists it between sweep cases and across
 processes.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
-object with ``lookup(key) -> Optional[np.ndarray]`` and
+object with ``lookup(key) -> Optional[bytes]`` and
 ``insert(key, row)`` (duck-typed so this module needn't import it;
 in practice a :class:`repro.store.ResultStore`).  Misses consult the
 tier and promote its hits into the LRU; inserts write through.  Tier
@@ -38,19 +39,17 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 
 #: Cache key: (model namespace, A pattern bytes, B pattern bytes).
 CacheKey = Tuple[str, bytes, bytes]
 
 #: Default entry bound.  tracemalloc measures an entry (key tuple plus
-#: row view, with its share of the ``simulate_blocks`` matrix; the
-#: pattern bytes belong to the matrices) at ~460 bytes on uni-stc over
-#: the n=128/256 corpus, so the default caps resident cache memory near
-#: 120 MB while holding far more distinct block patterns than any
-#: corpus sweep in the benchmark suite produces.
+#: its 184-byte row; the pattern bytes belong to the matrices) at ~370
+#: bytes on uni-stc over the n=128/256 corpus (34,914 entries), so the
+#: default caps resident cache memory near 100 MB while holding far more
+#: distinct block patterns than any corpus sweep in the benchmark suite
+#: produces.
 DEFAULT_CAPACITY = 1 << 18
 
 
@@ -138,7 +137,7 @@ class CacheStats:
 
 @dataclass
 class BlockCache:
-    """A bounded LRU mapping from cache keys to int64 result rows.
+    """A bounded LRU mapping from cache keys to byte result rows.
 
     ``capacity=None`` disables the bound (the legacy unbounded
     behaviour, still useful for short-lived unit tests).
@@ -154,11 +153,11 @@ class BlockCache:
     def __post_init__(self) -> None:
         if self.capacity is not None and self.capacity <= 0:
             raise ConfigError("cache capacity must be positive (or None)")
-        self._data: "OrderedDict[CacheKey, np.ndarray]" = OrderedDict()
+        self._data: "OrderedDict[CacheKey, bytes]" = OrderedDict()
 
     # -- engine API (stats-aware) ----------------------------------------
 
-    def lookup(self, key: CacheKey) -> Optional[np.ndarray]:
+    def lookup(self, key: CacheKey) -> Optional[bytes]:
         """Fetch a memoised row, refreshing its recency; None on miss.
 
         On an LRU miss with a second tier bound, the tier is consulted
@@ -182,7 +181,7 @@ class BlockCache:
         self.stats.misses += 1
         return None
 
-    def insert(self, key: CacheKey, row: np.ndarray) -> None:
+    def insert(self, key: CacheKey, row: bytes) -> None:
         """Store a row as most-recent, evicting LRU entries if full.
 
         Writes through to the second tier when one is bound (the tier
@@ -225,10 +224,10 @@ class BlockCache:
     def __iter__(self) -> Iterator[CacheKey]:
         return iter(self._data)
 
-    def __getitem__(self, key: CacheKey) -> np.ndarray:
+    def __getitem__(self, key: CacheKey) -> bytes:
         return self._data[key]
 
-    def __setitem__(self, key: CacheKey, row: np.ndarray) -> None:
+    def __setitem__(self, key: CacheKey, row: bytes) -> None:
         self._data[key] = row
         self._evict()
 

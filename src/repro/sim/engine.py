@@ -14,9 +14,13 @@ unit-weight :class:`~repro.kernels.batched.TaskBatch`.
 
 A block result is one int64 row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout from the model to the
-report: models return ``[N, VECTOR_WIDTH]`` arrays, the memo holds
-rows, and a run's rows fold against its coalesced int64 weights in
-one reduction (:func:`_aggregate`), building the report's
+report.  Models return ``[N, VECTOR_WIDTH]`` arrays, which the engine
+renders to bytes once per call and slices into one immutable
+:data:`~repro.arch.base.ROW_BYTES` row per miss: the form both memo
+tiers hold, so no cached row aliases a model's output.  A run's rows
+are joined into one matrix (:func:`~repro.arch.base.row_matrix`) and
+folded against its coalesced int64 weights in one reduction
+(:func:`_aggregate`), building the report's
 ``Counters``/``UtilHistogram`` once.
 
 Because STC models are pure functions of a task's pattern pair, rows
@@ -41,7 +45,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro import obs
-from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
+from repro.arch.base import (ACTION_COL, ROW_BYTES, ROW_DTYPE, VECTOR_WIDTH,
+                             STCModel, row_matrix)
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
@@ -140,10 +145,10 @@ def simulate_batches(
     (or the memo) exactly once with its aggregate weight.  All memo
     misses of a batch go to :meth:`~repro.arch.base.STCModel.simulate_blocks`
     as one unit-weight :class:`TaskBatch` (memoised rows must not depend
-    on the stream weight), and each returned row is inserted into the
-    shared cache as is.  ``cache`` overrides the process-wide memo (used
-    by tests that need isolated caches and by ablations that compare
-    cache policies).
+    on the stream weight); the returned matrix is rendered to bytes once
+    and each row's slice is inserted into the shared cache.  ``cache``
+    overrides the process-wide memo (used by tests that need isolated
+    caches and by ablations that compare cache policies).
     """
     memo = _BLOCK_CACHE if cache is None else cache
     report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
@@ -163,13 +168,15 @@ def simulate_batches(
                 misses = replace(pairs.take(missed),
                                  weights=np.ones(len(missed), dtype=np.int64))
                 simulated = _checked_rows(stc, stc.simulate_blocks(misses), len(missed))
-                for slot, row in zip(missed, simulated):
+                data = simulated.astype(ROW_DTYPE, copy=False).tobytes()
+                for start, slot in zip(range(0, len(data), ROW_BYTES), missed):
+                    row = data[start:start + ROW_BYTES]
                     memo.insert(keys[slot], row)
                     found[slot] = row
             rows.extend(found)
             weights.append(pairs.weights)
-    _aggregate(report, rows, np.concatenate(weights) if weights else [], stc,
-               energy_model)
+    _aggregate(report, row_matrix(rows),
+               np.concatenate(weights) if weights else [], stc, energy_model)
     _finalise_run(report, memo, stats_before, perf_counter() - t0)
     return report
 
@@ -186,18 +193,18 @@ def _checked_rows(stc: STCModel, rows, count: int) -> np.ndarray:
     return rows
 
 
-def _aggregate(report: SimReport, rows, weights, stc: STCModel,
+def _aggregate(report: SimReport, rows: np.ndarray, weights, stc: STCModel,
                energy_model: Optional[EnergyModel]) -> None:
-    """Fold weighted result rows into ``report`` and price its energy.
+    """Fold a run's weighted result rows into ``report`` and price its energy.
 
-    One int64 ``einsum`` over the rows and their weights (an array or
-    any sequence), so corpus-scale totals stay exact past 2^53 where
-    float64 accumulation would round (an int64 matmul has no BLAS
-    path and is several times slower).
+    One int64 ``einsum`` over the ``[N, VECTOR_WIDTH]`` row matrix and
+    its weights (an array or any sequence), so corpus-scale totals stay
+    exact past 2^53 where float64 accumulation would round (an int64
+    matmul has no BLAS path and is several times slower).
     """
     if len(rows):
         w = np.asarray(weights, dtype=np.int64)
-        acc = np.einsum("i,ij->j", w, np.array(rows, dtype=np.int64))
+        acc = np.einsum("i,ij->j", w, rows)
         report.cycles = int(acc[0])
         report.products = int(acc[1])
         report.t1_tasks = int(w.sum())

@@ -64,14 +64,16 @@ each field u16 length-prefixed, at most 64 operand bytes — followed by
 the block's int64 result row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout, little-endian: cycles,
 products, the four utilisation bins and one count per
-:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  A
-lookup hands that tail back as the row itself (``np.frombuffer``).
-The vocabulary is recorded in ``STORE.json`` so a vocabulary change is
-a loud :class:`~repro.errors.FormatError`, never a silent
-misinterpretation.  Schema 3 framed a 32-byte digest of the key, schema
-2 keyed records on bool grids and schema 1 also stored float64 counts;
-opening any of them fails and the store must be rebuilt (it is a cache
-of deterministic results: delete the directory).
+:data:`~repro.arch.counters.ACTIONS` entry, in vocabulary order.  That
+tail is the row's one memoised form (:data:`~repro.arch.base.ROW_BYTES`
+bytes, as the block cache holds it): an insert appends it after the
+key bytes and a lookup hands it back unchanged.  The vocabulary is
+recorded in ``STORE.json`` so a vocabulary change is a loud
+:class:`~repro.errors.FormatError`, never a silent misinterpretation.
+Schema 3 framed a 32-byte digest of the key, schema 2 keyed records on
+bool grids and schema 1 also stored float64 counts; opening any of them
+fails and the store must be rebuilt (it is a cache of deterministic
+results: delete the directory).
 """
 
 from __future__ import annotations
@@ -88,10 +90,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro import obs
-from repro.arch.base import VECTOR_WIDTH
+from repro.arch.base import ROW_BYTES
 from repro.arch.counters import ACTIONS
 from repro.errors import DataCorruptionError, FormatError
 
@@ -114,10 +114,6 @@ _PREFIX = struct.Struct("<4sII")
 
 #: The length prefix of one key field.
 _U16 = struct.Struct("<H").pack
-
-#: The payload tail: one little-endian int64 result row.
-_ROW_DTYPE = np.dtype("<i8")
-_ROW_BYTES = VECTOR_WIDTH * _ROW_DTYPE.itemsize
 
 #: Sanity bound on payload size — far above any real record (a record
 #: is ~300 bytes); a "length" beyond this is corruption, not a payload.
@@ -158,10 +154,10 @@ def _payload_key(payload: bytes) -> StoreKey:
             raise DataCorruptionError("store payload key overruns record")
         fields.append(payload[offset:offset + length])
         offset += length
-    if len(payload) - offset != _ROW_BYTES:
+    if len(payload) - offset != ROW_BYTES:
         raise DataCorruptionError(
             f"store payload row is {len(payload) - offset} bytes, "
-            f"expected {_ROW_BYTES} (ACTIONS vocabulary mismatch?)")
+            f"expected {ROW_BYTES} (ACTIONS vocabulary mismatch?)")
     return fields[0].decode("utf-8"), fields[1], fields[2]
 
 
@@ -170,9 +166,19 @@ def _frame(payload: bytes, crc: int) -> bytes:
     return _PREFIX.pack(_MAGIC, len(payload), crc) + payload
 
 
-def encode_record(key: StoreKey, row: np.ndarray) -> bytes:
+def _checked_row(row: bytes) -> bytes:
+    """``row`` if it is one row's byte form, else raise ``ValueError``."""
+    if type(row) is not bytes or len(row) != ROW_BYTES:
+        got = (f"{len(row)} bytes" if isinstance(row, bytes)
+               else f"a {type(row).__name__}")
+        raise ValueError(f"a store row is {ROW_BYTES} little-endian int64 "
+                         f"bytes, got {got}")
+    return row
+
+
+def encode_record(key: StoreKey, row: bytes) -> bytes:
     """One framed record: prefix + CRC-checked payload (key bytes, row)."""
-    payload = _render(key, {}) + np.asarray(row, dtype=_ROW_DTYPE).tobytes()
+    payload = _render(key, {}) + _checked_row(row)
     return _frame(payload, zlib.crc32(payload))
 
 
@@ -428,7 +434,7 @@ class ResultStore:
                 break  # torn or absent prefix at EOF -> tail
             magic, length, crc = _PREFIX.unpack_from(data, offset)
             # A payload too short to hold a row is framing garbage too.
-            if magic != _MAGIC or not _ROW_BYTES < length <= _MAX_PAYLOAD:
+            if magic != _MAGIC or not ROW_BYTES < length <= _MAX_PAYLOAD:
                 self._quarantine(seg, offset, "bad record framing")
                 return added
             payload_at = offset + _PREFIX.size
@@ -438,7 +444,7 @@ class ResultStore:
             if zlib.crc32(view[payload_at:end]) != crc:
                 self._quarantine(seg, offset, "payload CRC mismatch")
                 return added
-            address = data[payload_at:end - _ROW_BYTES]
+            address = data[payload_at:end - ROW_BYTES]
             if address not in self._index:
                 self._index[address] = (seg, payload_at, length, crc)
                 added += 1
@@ -485,10 +491,11 @@ class ResultStore:
 
     # -- lookups and appends ----------------------------------------------
 
-    def lookup(self, key: StoreKey) -> Optional[np.ndarray]:
+    def lookup(self, key: StoreKey) -> Optional[bytes]:
         """Fetch a stored result row by cache key; ``None`` on miss.
 
-        The row is a read-only array over a copy of the payload's tail.
+        The row is the payload's :data:`~repro.arch.base.ROW_BYTES` tail,
+        a copy that does not pin the rest of the payload.
         """
         address = _render(key, self._headers)
         with self._lock:
@@ -501,7 +508,7 @@ class ResultStore:
             self.stats.hits += 1
             self.stats.served_bytes += len(payload)
             obs.inc("store.hits")
-        return np.frombuffer(payload[-_ROW_BYTES:], dtype=_ROW_DTYPE)
+        return payload[-ROW_BYTES:]
 
     def _read_payload(self, entry: Tuple[Path, int, int, int]) -> Optional[bytes]:
         """One CRC-checked ``pread`` of an indexed payload; the caller
@@ -523,9 +530,12 @@ class ResultStore:
                 "re-read (disk-level corruption after indexing)")
         return payload
 
-    def insert(self, key: StoreKey, row: np.ndarray) -> bool:
+    def insert(self, key: StoreKey, row: bytes) -> bool:
         """Append a record of ``row`` unless its key is already indexed.
 
+        ``row`` is the row's byte form, exactly
+        :data:`~repro.arch.base.ROW_BYTES` bytes; anything else raises
+        :class:`ValueError` before a byte is written or indexed.
         Returns True when a record was written.  The key bytes are
         rendered once and a duplicate is dropped before anything is
         framed.  The record goes out in one ``write()`` on this handle's
@@ -535,12 +545,13 @@ class ResultStore:
         leaves at worst one torn record at the tail.  A short write is
         truncated away and raises :class:`OSError`, indexing nothing.
         """
+        _checked_row(row)
         address = _render(key, self._headers)
         with self._lock:
             if address in self._index:
                 self.stats.duplicates += 1
                 return False
-            payload = address + np.asarray(row, dtype=_ROW_DTYPE).tobytes()
+            payload = address + row
             crc = zlib.crc32(payload)
             framed = _frame(payload, crc)
             if self._writer is None:

@@ -22,8 +22,10 @@ readable reference those paths are checked against:
   Every generator takes an optional contiguous ``rows`` range, the
   hook the multi-core partitioner restricts enumeration with;
 - :func:`simulate_tasks`, which steps the model's oracle
-  (:func:`tests.stepped_models.stepped_block`) on every memo miss and
-  folds the rows through the engine's own aggregation;
+  (:func:`tests.stepped_models.stepped_block`) on every memo miss,
+  memoises its row in the engine's byte form (so stepped and vectorised
+  runs share memo entries) and folds the rows through the engine's own
+  aggregation;
 - :func:`simulate_stepped`, the two chained: a kernel simulated the
   per-object way, whose report must equal ``simulate_kernel``'s.
 """
@@ -35,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from repro.arch.base import STCModel
+from repro.arch.base import ROW_DTYPE, STCModel, row_matrix
 from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import ShapeError
@@ -190,11 +192,11 @@ def simulate_tasks(
         key = (namespace,) + task.cache_key()
         row = memo.lookup(key)
         if row is None:
-            row = stepped_block(stc, task).row()
+            row = stepped_block(stc, task).row().astype(ROW_DTYPE).tobytes()
             memo.insert(key, row)
         rows.append(row)
         weights.append(task.weight)
-    _aggregate(report, rows, weights, stc, energy_model)
+    _aggregate(report, row_matrix(rows), weights, stc, energy_model)
     _finalise_run(report, memo, stats_before, perf_counter() - t0)
     return report
 

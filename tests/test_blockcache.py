@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.arch.base import VECTOR_WIDTH
+from repro.arch.base import VECTOR_WIDTH, STCModel
 from repro.arch.unistc import UniSTC
 from repro.errors import ConfigError
 from repro.formats.bbc import BBCMatrix
 from repro.kernels.batched import kernel_task_batches
+from repro.perf.bench import report_digest
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_batches, simulate_kernel
@@ -24,7 +25,36 @@ def _key(i):
 
 
 def _row(i):
-    return np.full(VECTOR_WIDTH, i, dtype=np.int64)
+    """A result row in the memo's byte form: every column ``i``."""
+    return np.full(VECTOR_WIDTH, i, dtype="<i8").tobytes()
+
+
+class _BufferReusingSTC(STCModel):
+    """Uni-STC's rows, returned in one buffer that every call overwrites.
+
+    Models own their output arrays; the memo must not keep views into
+    them.
+    """
+
+    name = "buffer-reuse"
+
+    def __init__(self):
+        self._inner = UniSTC()
+        self._buffer = np.zeros((4096, VECTOR_WIDTH), dtype=np.int64)
+        self.calls = 0
+
+    @property
+    def macs(self):
+        return self._inner.macs
+
+    def cache_key(self):
+        return f"{self.name}/{self._inner.cache_key()}"
+
+    def simulate_blocks(self, batch):
+        self.calls += 1
+        out = self._buffer[:len(batch)]
+        out[:] = self._inner.simulate_blocks(batch)
+        return out
 
 
 @pytest.fixture()
@@ -37,7 +67,7 @@ class TestStats:
         cache = BlockCache()
         assert cache.lookup(_key(1)) is None
         cache.insert(_key(1), _row(1))
-        assert cache.lookup(_key(1))[0] == 1
+        assert cache.lookup(_key(1)) == _row(1)
         assert cache.lookup(_key(2)) is None
         stats = cache.stats
         assert (stats.hits, stats.misses, stats.inserts) == (1, 2, 1)
@@ -70,7 +100,7 @@ class TestStats:
         cache = BlockCache()
         cache[_key(1)] = _row(1)
         assert _key(1) in cache
-        assert cache[_key(1)][0] == 1
+        assert cache[_key(1)] == _row(1)
         assert cache.get(_key(2)) is None
         assert dict(cache.items())
         cache.update({_key(2): _row(2)})
@@ -162,6 +192,22 @@ class TestLRUBound:
         assert bounded.cycles == unbounded.cycles
         assert bounded.products == unbounded.products
         assert bounded.energy_pj == pytest.approx(unbounded.energy_pj)
+
+    def test_cached_rows_never_alias_a_models_output(self, bbc):
+        """A later ``simulate_blocks`` call overwriting its output buffer
+        changes neither the memoised rows nor a warm replay's report."""
+        stc = _BufferReusingSTC()
+        cache = BlockCache()
+        cold = simulate_kernel("spmv", bbc, stc, energy_model=None, cache=cache)
+        rows = {key: bytes(row) for key, row in cache.items()}
+        calls = stc.calls
+        simulate_kernel("spgemm", bbc, stc, energy_model=None, cache=cache)
+        assert stc.calls > calls  # spgemm's misses overwrote the buffer
+        assert {key: bytes(cache[key]) for key in rows} == rows
+        calls = stc.calls
+        warm = simulate_kernel("spmv", bbc, stc, energy_model=None, cache=cache)
+        assert stc.calls == calls  # served by the memo alone
+        assert report_digest(warm) == report_digest(cold)
 
 
 class TestSharing:

@@ -123,7 +123,8 @@ class TestBatchedAggregation:
         batch = _single_pair_batch([2, 3])  # coalesces to one pair, weight 5
         report = engine.simulate_batches(stc, [batch], cache=cache, energy_model=None)
         (cached,) = cache.values()
-        assert cached[0] == 10 and cached[1] == 1  # cycles, products
+        cycles, products = np.frombuffer(cached, "<i8")[:2]
+        assert cycles == 10 and products == 1
         assert report.cycles == 50 and report.products == 5
         assert report.t1_tasks == 5
         assert report.counters.get("mac_ops") == 35

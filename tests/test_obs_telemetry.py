@@ -42,11 +42,12 @@ def make_writer(tmp_path, shard="s0", total=4, **kwargs):
 
 def progress(shard="s0", inst="a", seq=0, done=0, total=4,
              phase="running", metrics=None, t=0.0):
-    """A hand-written progress record (snapshot-shaped metrics)."""
+    """A hand-written progress record (snapshot-shaped metrics), stamped
+    ``t`` seconds."""
     record = {
         "v": TELEMETRY_SCHEMA, "kind": "progress", "shard": shard,
-        "pid": 100, "inst": inst, "seq": seq, "t": t, "phase": phase,
-        "done": done, "total": total,
+        "pid": 100, "inst": inst, "seq": seq, "t_us": round(t * 1e6),
+        "phase": phase, "done": done, "total": total,
     }
     if metrics is not None:
         record["metrics"] = metrics
@@ -509,7 +510,8 @@ class TestStitch:
         ]
         return {
             "v": TELEMETRY_SCHEMA, "kind": "spans", "shard": shard,
-            "pid": pid, "inst": f"{pid}-x", "seq": 0, "t": epoch,
+            "pid": pid, "inst": f"{pid}-x", "seq": 0,
+            "t_us": round(epoch * 1e6),
             "phase": "running", "done": 0, "total": 1,
             "epoch_wall_s": epoch, "spans": payload, "events": [],
         }

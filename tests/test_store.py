@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.arch.base import ACTION_COL, VECTOR_WIDTH
+from repro.arch.base import ACTION_COL, ROW_BYTES, VECTOR_WIDTH
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
@@ -41,12 +41,17 @@ def _key(i: int, ns: str = "ns"):
     return (ns, bytes([i]) * 4, bytes([i % 251, i % 7]))
 
 
-def _row(i: int) -> np.ndarray:
+def _values(i: int) -> np.ndarray:
     """A result row: cycles i, products 2i, bins [i, 0, 2i, 1], mac_ops 3i."""
     row = np.zeros(VECTOR_WIDTH, dtype=np.int64)
     row[:6] = [i, 2 * i, i, 0, 2 * i, 1]
     row[ACTION_COL["mac_ops"]] = 3 * i
     return row
+
+
+def _row(i: int) -> bytes:
+    """:func:`_values` in the memo's byte form."""
+    return _values(i).astype("<i8").tobytes()
 
 
 def _segments(store: ResultStore):
@@ -73,11 +78,40 @@ class TestFormat:
             assert store.lookup(_key(1)) is None
             assert store.insert(_key(1), _row(1)) is True
             got = store.lookup(_key(1))
-        assert got.dtype == np.int64 and np.array_equal(got, _row(1))
+        assert type(got) is bytes and got == _row(1)
+        assert np.array_equal(np.frombuffer(got, "<i8"), _values(1))
 
     def test_record_payload_ends_in_the_row_bytes(self):
         record = encode_record(_key(3), _row(3))
-        assert record.endswith(_row(3).astype("<i8").tobytes())
+        assert record.endswith(_values(3).astype("<i8").tobytes())
+
+    @pytest.mark.parametrize("row", [
+        np.arange(5, dtype=np.int64),
+        np.arange(5, dtype="<i8").tobytes(),
+        np.full(VECTOR_WIDTH, 1.7),
+        np.arange(VECTOR_WIDTH, dtype=np.int64),
+        bytearray(ROW_BYTES),
+        bytes(ROW_BYTES + 8),
+    ], ids=["short-array", "short-bytes", "float-array", "int64-array",
+            "bytearray", "long-bytes"])
+    def test_insert_rejects_a_malformed_row(self, root, row):
+        """Only a row's byte form is framed: anything else raises before
+        a byte is written or indexed, so no lookup serves a row cut from
+        key bytes and no reopen quarantines the segment's good records."""
+        with ResultStore(root) as store:
+            assert store.insert(_key(1), _row(1)) is True
+            (seg,) = _segments(store)
+            size = seg.stat().st_size
+            with pytest.raises(ValueError, match=f"{ROW_BYTES} little-endian"):
+                store.insert(_key(2), row)
+            assert len(store) == 1 and store.lookup(_key(2)) is None
+            assert store.stats.appends == 1
+            assert seg.stat().st_size == size
+        with ResultStore(root) as store:
+            assert store.stats.quarantined == 0 and len(store) == 1
+            assert store.lookup(_key(1)) == _row(1)
+        with pytest.raises(ValueError):
+            encode_record(_key(2), row)
 
     def test_persists_across_reopen(self, root):
         with ResultStore(root) as store:
@@ -86,7 +120,7 @@ class TestFormat:
             store.flush()
         with ResultStore(root) as store:
             assert len(store) == 5
-            assert store.lookup(_key(3))[0] == 3
+            assert store.lookup(_key(3)) == _row(3)
 
     def test_duplicate_insert_is_dropped(self, root):
         with ResultStore(root) as store:
@@ -151,10 +185,47 @@ class TestFormat:
             writer.flush()
             assert reader.lookup(_key(1)) is None  # not yet scanned
             assert reader.refresh() == 1
-            assert reader.lookup(_key(1))[0] == 1
+            assert reader.lookup(_key(1)) == _row(1)
         finally:
             writer.close()
             reader.close()
+
+
+class TestSchema4Records:
+    """Store schema 4's framing is unchanged by the memo's byte rows.
+
+    ``PINNED_RECORD`` is the ``encode_record`` output for ``PINNED_KEY``
+    and ``PINNED_VALUES`` of the schema-4 store as first released, when
+    rows reached the store as int64 arrays; a store holding it must
+    still open and serve the row, so ``STORE_SCHEMA`` needs no bump.
+    """
+
+    PINNED_KEY = ("uni-stc/pinned", bytes(range(32)), b"\x0f\x00")
+    PINNED_VALUES = np.arange(VECTOR_WIDTH, dtype=np.int64) * 1000003 - 7
+    PINNED_RECORD = bytes.fromhex(
+        "52425232ee000000cc97070d0e00756e692d7374632f70696e6e656420000001"
+        "02030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f0200"
+        "0f00f9ffffffffffffff3c420f00000000007f841e0000000000c2c62d000000"
+        "000005093d0000000000484b4c00000000008b8d5b0000000000cecf6a000000"
+        "000011127a000000000054548900000000009796980000000000dad8a7000000"
+        "00001d1bb70000000000605dc60000000000a39fd50000000000e6e1e4000000"
+        "00002924f400000000006c66030100000000afa8120100000000f2ea21010000"
+        "0000352d310100000000786f400100000000bbb14f0100000000"
+    )
+
+    def test_encode_record_reproduces_the_pinned_record(self):
+        assert STORE_SCHEMA == 4
+        row = self.PINNED_VALUES.astype("<i8").tobytes()
+        assert encode_record(self.PINNED_KEY, row) == self.PINNED_RECORD
+
+    def test_a_segment_of_the_pinned_record_serves_its_row(self, root):
+        ResultStore(root).close()  # a fresh schema-4 manifest
+        (root / "segments" / "pinned.seg").write_bytes(self.PINNED_RECORD)
+        with ResultStore(root) as store:
+            assert store.stats.quarantined == 0 and len(store) == 1
+            got = store.lookup(self.PINNED_KEY)
+            assert store.verify()["errors"] == []
+        assert np.array_equal(np.frombuffer(got, "<i8"), self.PINNED_VALUES)
 
 
 class TestManifest:
@@ -220,7 +291,7 @@ class TestManifest:
         with ResultStore(empty) as store:
             store.insert(_key(1), _row(1))
         with ResultStore(empty) as store:
-            assert store.lookup(_key(1))[0] == 1
+            assert store.lookup(_key(1)) == _row(1)
 
 
 class TestCrashSemantics:
@@ -241,7 +312,7 @@ class TestCrashSemantics:
         seg, clean = self._store_with_torn_tail(root)
         with ResultStore(root) as store:
             assert len(store) == 3
-            assert store.lookup(_key(2))[0] == 2
+            assert store.lookup(_key(2)) == _row(2)
         # A live reader must not touch a foreign segment: the tail may
         # be another writer's append in progress.
         assert seg.stat().st_size == clean + 20
@@ -287,7 +358,7 @@ class TestCrashSemantics:
             writer.insert(_key(9), _row(9))
             writer.flush()
             assert reader.refresh() >= 1
-            assert reader.lookup(_key(9))[0] == 9
+            assert reader.lookup(_key(9)) == _row(9)
             reader.close()
 
     def test_interior_corruption_quarantines_segment(self, root):
@@ -307,7 +378,7 @@ class TestCrashSemantics:
             assert len(quarantined) == 1
             # The store stays writable after quarantine.
             assert store.insert(_key(7), _row(7)) is True
-            assert store.lookup(_key(7))[0] == 7
+            assert store.lookup(_key(7)) == _row(7)
 
     def test_bad_magic_quarantines_segment(self, root):
         with ResultStore(root) as store:
@@ -359,7 +430,7 @@ class TestCrashSemantics:
             "store = ResultStore(sys.argv[1])\n"
             "for i in range(1, 51):\n"
             "    key = ('ns', bytes([i]) * 4, bytes([i % 251, i % 7]))\n"
-            "    row = np.arange(VECTOR_WIDTH, dtype=np.int64) * i\n"
+            "    row = (np.arange(VECTOR_WIDTH, dtype=np.int64) * i).tobytes()\n"
             "    assert store.insert(key, row)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
         )
@@ -378,7 +449,7 @@ class TestCrashSemantics:
             assert len(store) == 50 and store.stats.quarantined == 0
             for i in range(1, 51):
                 want = np.arange(VECTOR_WIDTH, dtype=np.int64) * i
-                assert np.array_equal(store.lookup(_key(i)), want)
+                assert store.lookup(_key(i)) == want.astype("<i8").tobytes()
         with ResultStore(root, repair=True) as store:
             assert len(store) == 50
         assert seg.stat().st_size == clean
@@ -410,7 +481,7 @@ class TestCrashSemantics:
             assert store.insert(_key(3), _row(3)) is True
         with ResultStore(root) as store:
             assert len(store) == 2 and store.stats.quarantined == 0
-            assert store.lookup(_key(3))[0] == 3
+            assert store.lookup(_key(3)) == _row(3)
 
     def test_concurrent_writers_converge(self, root):
         script = (
@@ -422,9 +493,9 @@ class TestCrashSemantics:
             "with ResultStore(root) as store:\n"
             "    for i in range(40):\n"
             "        store.insert(('ns', b'\\x01\\x02', b'\\x03'),\n"
-            "                     np.full(VECTOR_WIDTH, 11, dtype=np.int64))\n"
+            "                     np.full(VECTOR_WIDTH, 11, dtype='<i8').tobytes())\n"
             "        store.insert(('w%d' % tag, bytes([i]), b'x'),\n"
-            "                     np.full(VECTOR_WIDTH, i, dtype=np.int64))\n"
+            "                     np.full(VECTOR_WIDTH, i, dtype='<i8').tobytes())\n"
             "    store.flush()\n"
         )
         procs = [
@@ -439,7 +510,7 @@ class TestCrashSemantics:
         with ResultStore(root) as store:
             # The racing key converged to exactly one readable record...
             got = store.lookup(("ns", b"\x01\x02", b"\x03"))
-            assert got is not None and got[0] == 11
+            assert got == np.full(VECTOR_WIDTH, 11, dtype="<i8").tobytes()
             # ...and nothing either writer appended was lost.
             assert len(store) == 1 + 2 * 40
             assert store.verify()["errors"] == []
@@ -459,7 +530,7 @@ class TestThreadSafety:
                 key = _key(j % 251, ns=f"t{i}")
                 assert store.insert(key, _row(j % 100)) is True
                 got = store.lookup(key)
-                assert got is not None and got[0] == j % 100
+                assert got == _row(j % 100)
 
         for threads in (8, 16):
             path = root / f"threads-{threads}"
@@ -498,7 +569,7 @@ class TestGC:
             assert report.segments_removed == 3
             assert store.segments == 1
             assert len(store) == 12
-            assert store.lookup(_key(21))[0] == 21
+            assert store.lookup(_key(21)) == _row(21)
         # The compacted store reopens clean.
         with ResultStore(root) as store:
             assert len(store) == 12
@@ -525,7 +596,7 @@ class TestFingerprintStability:
         # The record's key bytes are its address: another process must
         # frame the same key and row byte for byte.
         key = (UniSTC().cache_key(), b"\x01\x02\x03", b"\x04\x05")
-        row = np.arange(VECTOR_WIDTH, dtype=np.int64)
+        row = np.arange(VECTOR_WIDTH, dtype="<i8").tobytes()
         script = (
             "import numpy as np\n"
             "from repro.arch.base import VECTOR_WIDTH\n"
@@ -533,7 +604,7 @@ class TestFingerprintStability:
             "from repro.store import encode_record\n"
             "print(encode_record((UniSTC().cache_key(),\n"
             "                     b'\\x01\\x02\\x03', b'\\x04\\x05'),\n"
-            "                    np.arange(VECTOR_WIDTH, dtype=np.int64)).hex())\n"
+            "                    np.arange(VECTOR_WIDTH, dtype='<i8').tobytes()).hex())\n"
         )
         out = subprocess.run(
             [sys.executable, "-c", script],
@@ -573,10 +644,10 @@ class TestBlockCacheTier:
         with ResultStore(root) as store:
             store.insert(_key(1), _row(1))
             cache = BlockCache(store=store)
-            assert cache.lookup(_key(1))[0] == 1
+            assert cache.lookup(_key(1)) == _row(1)
             assert (cache.stats.hits, cache.stats.store_hits) == (1, 1)
             # Promotion: the second lookup is pure LRU.
-            assert cache.lookup(_key(1))[0] == 1
+            assert cache.lookup(_key(1)) == _row(1)
             assert (cache.stats.hits, cache.stats.store_hits) == (2, 1)
             assert store.stats.hits == 1
 
@@ -590,7 +661,7 @@ class TestBlockCacheTier:
         with ResultStore(root) as store:
             cache = BlockCache(store=store)
             cache.insert(_key(5), _row(5))
-            assert store.lookup(_key(5))[0] == 5
+            assert store.lookup(_key(5)) == _row(5)
 
     def test_as_dict_keys_appear_only_with_store_traffic(self, root):
         cache = BlockCache()
