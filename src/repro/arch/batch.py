@@ -16,9 +16,10 @@ around its own dataflow accounting:
 3. :func:`result_rows` lays those out as int64 rows in the
    :data:`~repro.arch.base.VECTOR_WIDTH` layout.
 
-The tile decoders here are the one operand decoder of ``src/``:
-Uni-STC, NV-DTC and ``repro trace`` read their A and B tiles through
-:func:`decode_a_operands` / :func:`decode_b_operands`.
+NV-DTC and ``repro trace`` read their A and B tiles through the tile
+decoders here, :func:`decode_a_operands` / :func:`decode_b_operands`;
+Uni-STC's evaluator packs the same per-tile counts into table words
+(:mod:`repro.arch.fastpath`).
 """
 
 from __future__ import annotations
@@ -131,11 +132,13 @@ def result_rows(
 
     ``hist`` is ``[N, 4]``; ``counters`` maps action names to per-block
     counts (or one count for every block).  Actions left out are zero.
+    The rows are a transposed view of one column-major buffer, so each
+    field is one contiguous write.
     """
-    rows = np.zeros((len(cycles), VECTOR_WIDTH), dtype=np.int64)
-    rows[:, 0] = cycles
-    rows[:, 1] = products
-    rows[:, 2:6] = hist
+    fields = np.zeros((VECTOR_WIDTH, len(cycles)), dtype=np.int64)
+    fields[0] = cycles
+    fields[1] = products
+    fields[2:6] = hist.T
     for name, count in counters.items():
-        rows[:, ACTION_COL[name]] = count
-    return rows
+        fields[ACTION_COL[name]] = count
+    return fields.T

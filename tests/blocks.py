@@ -1,11 +1,13 @@
 """T1 block draws and the equality check of the batched parity tests.
 
 :func:`kernel_tasks` takes distinct blocks from every kernel's real
-block stream; :func:`handmade_tasks` adds the edge cases such a draw
-may miss.  Every model's ``simulate_blocks`` is checked against its
-stepped oracle (:func:`tests.stepped_models.stepped_block`) on these
-with :func:`assert_results_equal`, fed through :func:`simulate_blocks`
-(one packed :class:`~repro.kernels.batched.TaskBatch` per B width);
+block stream; :func:`dnn_tasks` the MAC-bound dense blocks of an
+inference request's conv layers; :func:`handmade_tasks` adds the edge
+cases such draws may miss.  Every model's ``simulate_blocks`` is
+checked against its stepped oracle
+(:func:`tests.stepped_models.stepped_block`) on these with
+:func:`assert_results_equal`, fed through :func:`simulate_blocks` (one
+packed :class:`~repro.kernels.batched.TaskBatch` per B width);
 :func:`iter_tasks` turns a batch back into per-object tasks.
 The ``CYCLES``/``PRODUCTS``/``BINS`` indices (and
 :data:`~repro.arch.base.ACTION_COL`) read fields of a result row.
@@ -21,6 +23,7 @@ from repro.arch.base import VECTOR_WIDTH
 from repro.arch.counters import ACTIONS
 from repro.arch.tasks import T1Task
 from repro.formats.bbc import BBCMatrix, distinct_patterns
+from repro.graph import dnn_graph
 from repro.kernels import KERNELS
 from repro.kernels.batched import TaskBatch, coalesce_raw, kernel_task_batches
 from repro.kernels.vector import SparseVector
@@ -134,6 +137,30 @@ def kernel_tasks(limit_per_kernel: int = 80) -> list:
                         break
                 if taken >= limit_per_kernel:
                     break
+    return tasks
+
+
+def dnn_tasks(limit: int = 48) -> list:
+    """Distinct blocks of ResNet-50's conv-layer SpGEMM streams.
+
+    Pruned weights times ReLU activations (``dnn_graph("resnet50",
+    scale=0.05)``, requests 0 and 1) hold about 60 T3 tasks per block
+    whose products vary from task to task: the MAC-bound regime of an
+    inference request's miss batches, which the sparse corpus draw of
+    :func:`kernel_tasks` barely reaches.
+    """
+    graph = dnn_graph("resnet50", scale=0.05)
+    seen = set()
+    tasks = []
+    for request in (0, 1):
+        for node in graph.nodes:
+            if node.kernel != "spgemm":
+                continue
+            for batch in kernel_task_batches("spgemm", node.a, **node.operand_kwargs(request)):
+                for task in iter_tasks(coalesce_raw(batch)):
+                    if (task.a_bits, task.b_bits) not in seen and len(tasks) < limit:
+                        seen.add((task.a_bits, task.b_bits))
+                        tasks.append(T1Task(task.a_bits, task.b_bits, n=task.n))
     return tasks
 
 

@@ -14,7 +14,7 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from repro.arch.fastpath import _dpg_tables
+from repro.arch.fastpath import _cell_bits, _count_tables
 from repro.baselines.common import chunk_masks, scalar_pairs, select_table
 from repro.baselines.nv_dtc_sparse import patterns_satisfy_2to4
 from repro.formats.bbc import _lane_tables, pack_patterns, pattern_row_masks, unpack_patterns
@@ -81,13 +81,32 @@ def test_lane_tables_every_tile():
     assert np.array_equal(flipped[:, :4, :4], tiles[:, :4, :4].swapaxes(1, 2))
 
 
+def test_count_tables_every_tile():
+    """Uni-STC's packed line counts of every tile, and byte 3 of their
+    product against the per-line multiply count, for every A tile
+    against sampled B tiles and every B tile against sampled A tiles."""
+    cols, rows = _count_tables()
+    bits = (MASKS[:, None] >> np.arange(16)) & 1                     # bit 4 r + c
+    grid = bits.reshape(-1, 4, 4)
+    col_counts, row_counts = grid.sum(axis=1), grid.sum(axis=2)
+    assert np.array_equal(cols, (col_counts << (8 * np.arange(4))).sum(axis=1))
+    assert np.array_equal(rows, (row_counts << (8 * np.arange(3, -1, -1))).sum(axis=1))
+    rng = np.random.default_rng(0)
+    for a, b in ((MASKS, rng.integers(0, 1 << 16, MASKS.size)),
+                 (rng.integers(0, 1 << 16, MASKS.size), MASKS)):
+        product = (cols[a].astype(np.int64) * rows[b].astype(np.int64) >> 24) & 0xFF
+        assert np.array_equal(product, (col_counts[a] * row_counts[b]).sum(axis=1))
+
+
 def test_tables_are_read_only_and_built_once():
-    tables = [popcount16(), select_table(), chunk_masks(4), *_lane_tables(), *_dpg_tables()]
+    tables = [popcount16(), select_table(), chunk_masks(4), *_lane_tables(), *_count_tables(),
+              _cell_bits("outer", 4)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
     assert select_table() is select_table() and chunk_masks(4) is chunk_masks(4)
+    assert _count_tables() is _count_tables()
 
 
 def test_packed_2to4_every_tile_value():

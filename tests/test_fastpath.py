@@ -6,9 +6,10 @@ stepped Uni-STC oracle (``tests/stepped_models.py``) — not "close",
 from its rows.  These tests enforce that claim row for row over every
 kernel's block population and over the model configurations the
 experiments actually sweep; check ``repro trace``'s cycle-by-cycle walk
-against the same rows; and pin the table-driven DPG totals against the
-closed form they replaced and the queue-walking decomposition behind
-both.
+against the same rows; pin the order-free DPG totals against the
+per-task closed form and the queue-walking decomposition behind it; and
+pin the lockstep packer against the per-block greedy walk and the
+closed form it replaced.
 """
 
 from __future__ import annotations
@@ -19,22 +20,24 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from repro.arch.base import VECTOR_WIDTH, STCModel
+from repro.arch.base import ACTION_COL, VECTOR_WIDTH, STCModel
 from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dataflow_trace import trace_block
 from repro.arch.dpg import DotProductGenerator
 from repro.arch import fastpath
 from repro.arch.batch import decode_a_operands, decode_b_operands, util_bins
-from repro.arch.fastpath import _dpg_totals, _pack_lockstep
+from repro.arch.fastpath import _decode_a, _decode_b, _dpg_totals, _pack_lockstep
 from repro.arch.tasks import T1Task
 from repro.arch.tms import TileMultiplyScheduler
 from repro.arch.unistc import UniSTC
 from repro.errors import ConfigError, SimulationError
-from repro.formats.bbc import pack_patterns
+from repro.formats.bbc import pack_patterns, unpack_patterns
 from repro.registry import create_stc
 
 from tests.blocks import (
+    PRODUCTS,
     assert_results_equal,
+    dnn_tasks,
     engine_batch,
     handmade_tasks,
     kernel_tasks,
@@ -57,6 +60,11 @@ MODEL_VARIANTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def conv_tasks():
+    return dnn_tasks()
+
+
 class TestBatchedParity:
     @pytest.fixture(scope="class")
     def corpus_tasks(self):
@@ -68,6 +76,16 @@ class TestBatchedParity:
         batch = simulate_blocks(stc, corpus_tasks)
         stepped = [stepped_block(stc, t) for t in corpus_tasks]
         assert_results_equal(batch, stepped, variant)
+
+    @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
+    def test_conv_blocks_match_stepped(self, conv_tasks, variant):
+        """MAC-bound dense blocks of ResNet-50's conv layers (about 60
+        T3 tasks each, products varying from task to task), as one
+        engine-shaped batch."""
+        stc = MODEL_VARIANTS[variant]()
+        batch = simulate_blocks(stc, conv_tasks, make_batch=engine_batch)
+        stepped = [stepped_block(stc, t) for t in conv_tasks]
+        assert_results_equal(batch, stepped, f"conv/{variant}")
 
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
     def test_engine_shaped_batch_matches_stepped(self, corpus_tasks, variant):
@@ -108,6 +126,21 @@ class TestBatchedParity:
             batch = simulate_blocks(stc, some)
             stepped = [stepped_block(stc, t) for t in some]
             assert_results_equal(batch, stepped, name)
+
+    def test_zero_product_batch(self):
+        """Batches of zero-product blocks only (no T3 task to pack) retire
+        each block in one metadata cycle, as stepping does."""
+        empty, dense = np.zeros((16, 16), bool), np.ones((16, 16), bool)
+        left, bottom = empty.copy(), empty.copy()
+        left[:, :8], bottom[8:] = True, True      # nonzero tiles, no product
+        tasks = [T1Task.from_bitmaps(empty, dense), T1Task.from_bitmaps(dense, empty),
+                 T1Task.from_bitmaps(left, bottom),
+                 T1Task.from_bitmaps(dense, np.zeros((16, 1), bool))]
+        for variant, build in MODEL_VARIANTS.items():
+            stc = build()
+            rows = simulate_blocks(stc, tasks)
+            assert_results_equal(rows, [stepped_block(stc, t) for t in tasks], variant)
+            assert (rows[:, PRODUCTS] == 0).all()
 
     def test_empty_task_list(self):
         rows = simulate_blocks(UniSTC(), [])
@@ -161,8 +194,8 @@ class TestTraceParity:
     cycle at a time; its schedule must be the fastpath's."""
 
     @pytest.fixture(scope="class")
-    def parity_tasks(self):
-        return kernel_tasks() + handmade_tasks()
+    def parity_tasks(self, conv_tasks):
+        return kernel_tasks() + conv_tasks + handmade_tasks()
 
     @pytest.mark.parametrize("variant", sorted(MODEL_VARIANTS))
     def test_trace_matches_fastpath(self, parity_tasks, variant):
@@ -270,11 +303,42 @@ def _dpg_stats_batch(
     return np.stack([t4, a_fetch, b_fetch, casts, casts, t4], axis=1)
 
 
+def _block_totals(a_patterns, b_patterns):
+    """``_dpg_totals`` of packed blocks as ``[N, 5]``: products, T4 tasks,
+    A fetches, B fetches and C outputs."""
+    a, b = _decode_a(a_patterns), _decode_b(b_patterns)
+    return np.stack(_dpg_totals(a[2], a[1], b[2], b[1]), axis=1)
+
+
 def _per_task_totals(a, b, n_cols):
-    """``_dpg_totals`` with every task its own block: per-task stats."""
-    return np.stack(
-        _dpg_totals(a, b, n_cols, np.arange(len(a), dtype=np.int64)), axis=1
-    )
+    """``_dpg_totals`` with every task its own block: per-task stats.
+
+    Block ``t`` holds A tile ``a[t]`` at tile (0, 0) and B tile
+    ``b[t]`` at tile (0, 0) (a vector B's nibble 0), its one tile pair;
+    each distinct pattern is decoded once, as ``simulate_blocks`` does.
+    Returns ``[T, 3]`` (T4 tasks, A fetches, B fetches), checking on the
+    way that each block's products are the pair's multiplies and its C
+    outputs its T4 tasks.
+    """
+    tables = []
+    b_width = 16 if n_cols == 4 else 1
+    for tiles, width, decode in ((a, 16, _decode_a), (b, b_width, _decode_b)):
+        distinct, index = np.unique(tiles, return_inverse=True)
+        patterns = np.zeros((distinct.size, width), dtype=np.uint16)
+        patterns[:, 0] = distinct
+        _, slots, lines, _ = decode(patterns)
+        tables.append((lines, slots, index.reshape(-1)))
+    (a_lines, a_slots, a_index), (b_lines, b_subsets, b_index) = tables
+    got = []
+    for lo in range(0, len(a), 1 << 16):
+        part = slice(lo, lo + (1 << 16))
+        ai, bi = a_index[part], b_index[part]
+        totals = np.stack(_dpg_totals(a_lines[ai], a_slots[ai], b_lines[bi], b_subsets[bi]),
+                          axis=1)
+        assert np.array_equal(totals[:, 0], _tile_products(a[part], b[part], n_cols))
+        assert np.array_equal(totals[:, 4], totals[:, 1])
+        got.append(totals[:, 1:4])
+    return np.concatenate(got)
 
 
 def _tile_products(a, b, n_cols):
@@ -288,7 +352,8 @@ def _tile_products(a, b, n_cols):
 
 
 class TestDpgStatsBatch:
-    """The table-driven totals against the closed form (the oracle)."""
+    """The order-free block totals against the per-task closed form (the
+    oracle)."""
 
     @pytest.mark.parametrize("row", range(4))
     def test_every_row_mask_and_b_tile(self, row):
@@ -351,21 +416,32 @@ class TestDpgStatsBatch:
 
     @pytest.mark.parametrize("n_cols,mask", [(4, 0xFFFF), (1, 0xF)])
     def test_block_sums(self, n_cols, mask):
-        """Per-block totals, up to the full 64 dense tasks of a block
-        (every packed field at its maximum), equal the oracle's sums."""
+        """Per-block totals equal the oracle summed over all of a block's
+        ``(i, k, j)`` tile pairs (a pair with no products adds zero), up
+        to a dense block (every packed field at its maximum); the C
+        outputs are the nonzeros of the block's product."""
         rng = np.random.default_rng(12)
-        lens = rng.integers(1, 65, size=300)
-        lens[:3] = 64
-        a = rng.integers(0, 1 << 16, size=int(lens.sum()), dtype=np.int64)
-        b = rng.integers(0, mask + 1, size=a.size, dtype=np.int64)
-        a[:64], b[:64] = 0xFFFF, mask
-        a[64:128] = 0
-        starts = np.cumsum(lens) - lens
-        got = np.stack(_dpg_totals(a, b, n_cols, starts), axis=1)
-        ref = np.add.reduceat(_dpg_stats_batch(a, b, n_cols), starts, axis=0)
-        assert np.array_equal(got, ref[:, :3])
+        tiles = rng.integers(0, 1 << 16, size=(300, 16))
+        tiles[rng.random(tiles.shape) < 0.3] = 0
+        b_tiles = rng.integers(0, mask + 1, size=(300, 4 * n_cols))
+        b_tiles[rng.random(b_tiles.shape) < 0.3] = 0
+        tiles[0], b_tiles[0] = 0xFFFF, mask
+        tiles[1] = 0
+        i, k, j = np.indices((4, 4, n_cols)).reshape(3, -1)
+        ref = _dpg_stats_batch(tiles[:, 4 * i + k].ravel(), b_tiles[:, n_cols * k + j].ravel(),
+                               n_cols).reshape(300, -1, 6).sum(axis=1)
+        if n_cols == 1:
+            b_tiles = (b_tiles << (4 * np.arange(4))).sum(axis=1, keepdims=True)
+        a_patterns, b_patterns = tiles.astype(np.uint16), b_tiles.astype(np.uint16)
+        got = _block_totals(a_patterns, b_patterns)
+        assert np.array_equal(got[:, 1:4], ref[:, :3])
+        assert np.array_equal(got[:, 0], ref[:, 3])
+        product = (unpack_patterns(a_patterns).astype(np.int64)
+                   @ unpack_patterns(b_patterns).astype(np.int64))
+        assert np.array_equal(got[:, 4], np.count_nonzero(product, axis=(1, 2)))
+        assert not got[1].any()
         if n_cols == 4:
-            assert tuple(got[0]) == (1024, 2048, 1024)
+            assert tuple(got[0]) == (4096, 1024, 2048, 1024, 256)
 
 
 def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int):
@@ -388,13 +464,36 @@ def _pack_sequential(p: np.ndarray, num_dpgs: int, macs: int):
     return cyc, cycle
 
 
-def _assert_packing_matches(p, lens, num_dpgs, macs):
-    cyc, ncyc = _pack_lockstep(p, lens, num_dpgs, macs)
+def _pack_closed_form(p: np.ndarray, num_dpgs: int, macs: int) -> np.ndarray:
+    """Cycle ids of one uniform or DPG-bound stream in closed form.
+
+    On these streams greedy packing needs no search: a uniform stream
+    of ``p``-product tasks fills ``min(num_dpgs, macs // p)`` tasks per
+    cycle, a DPG-bound one (no aligned window of ``num_dpgs`` tasks over
+    ``macs`` products) ``num_dpgs``; task ``pos`` runs in cycle ``pos //
+    step``.  The evaluator packs every stream with
+    :func:`_pack_lockstep`, which must agree.
+    """
+    step = num_dpgs if p.min() != p.max() else min(num_dpgs, macs // int(p[0]))
+    return np.arange(p.size) // step
+
+
+def _pack_cycles(p, lens, num_dpgs, macs):
+    """``_pack_lockstep``'s cycle starts as each block's ``(cycle ids, cycles)``."""
+    first = _pack_lockstep(p, lens, num_dpgs, macs)
+    assert first.shape == p.shape and first.dtype == bool
     ends = np.cumsum(lens)
-    for q, (lo, hi) in enumerate(zip(ends - lens, ends)):
+    return [(np.cumsum(first[lo:hi]) - 1, int(first[lo:hi].sum()))
+            for lo, hi in zip(ends - lens, ends)]
+
+
+def _assert_packing_matches(p, lens, num_dpgs, macs):
+    ends = np.cumsum(lens)
+    packed = _pack_cycles(p, lens, num_dpgs, macs)
+    for q, ((cyc, ncyc), lo, hi) in enumerate(zip(packed, ends - lens, ends)):
         ref_cyc, ref_n = _pack_sequential(p[lo:hi], num_dpgs, macs)
-        assert ncyc[q] == ref_n, (q, num_dpgs, macs)
-        assert np.array_equal(cyc[lo:hi], ref_cyc), (q, num_dpgs, macs)
+        assert ncyc == ref_n, (q, num_dpgs, macs)
+        assert np.array_equal(cyc, ref_cyc), (q, num_dpgs, macs)
 
 
 def _random_streams(rng, blocks, max_len, macs, low=1):
@@ -403,7 +502,8 @@ def _random_streams(rng, blocks, max_len, macs, low=1):
 
 
 class TestLockstepPacking:
-    """The lockstep packer against the per-block greedy reference."""
+    """The lockstep packer against the per-block greedy reference, and
+    against the closed form it replaced on uniform and DPG-bound streams."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_streams(self, seed):
@@ -422,23 +522,30 @@ class TestLockstepPacking:
             _assert_packing_matches(p, lens, 8, macs)
             full = np.full(int(lens.sum()), macs)
             _assert_packing_matches(full, lens, 8, macs)
-            cyc, ncyc = _pack_lockstep(full, lens, 8, macs)
-            assert np.array_equal(ncyc, lens)  # one task per cycle
+            assert _pack_lockstep(full, lens, 8, macs).all()  # one task per cycle
 
     def test_single_dpg(self):
         rng = np.random.default_rng(2)
         p, lens = _random_streams(rng, 7, 64, 64)
         _assert_packing_matches(p, lens, 1, 64)
-        cyc, ncyc = _pack_lockstep(p, lens, 1, 64)
-        assert np.array_equal(ncyc, lens)
+        assert _pack_lockstep(p, lens, 1, 64).all()
 
     def test_one_task_blocks(self):
         rng = np.random.default_rng(3)
         lens = np.ones(25, dtype=np.int64)
         p = rng.integers(1, 65, size=25)
         _assert_packing_matches(p, lens, 8, 64)
-        cyc, ncyc = _pack_lockstep(p, lens, 8, 64)
-        assert not cyc.any() and (ncyc == 1).all()
+        assert _pack_lockstep(p, lens, 8, 64).all()
+
+    def test_empty_blocks_between_streams(self):
+        """Blocks with no tasks (a batch's zero-product blocks) add no
+        cycle start and split no neighbour's stream."""
+        rng = np.random.default_rng(5)
+        p, lens = _random_streams(rng, 12, 64, 64)
+        lens[[0, 4, 5, 11]] = 0
+        p = p[:int(lens.sum())]
+        _assert_packing_matches(p, lens, 8, 64)
+        assert not _pack_lockstep(p[:0], np.zeros(3, dtype=np.int64), 8, 64).size
 
     @pytest.mark.parametrize("num_dpgs", [1, 4, 8, 16])
     def test_single_full_block_per_call(self, num_dpgs):
@@ -448,20 +555,38 @@ class TestLockstepPacking:
                 p = rng.integers(1, macs + 1, size=64)
                 _assert_packing_matches(p, np.array([64]), num_dpgs, macs)
 
+    @pytest.mark.parametrize("num_dpgs", [1, 4, 8, 16])
+    def test_uniform_and_dpg_bound_streams_match_closed_form(self, num_dpgs):
+        rng = np.random.default_rng(20 + num_dpgs)
+        for macs in (16, 64, 256):
+            lens = rng.integers(1, 65, size=30)
+            uniform = np.repeat(rng.integers(1, macs + 1, size=30), lens)
+            dpg_bound = rng.integers(1, max(macs // num_dpgs, 1) + 1, size=int(lens.sum()))
+            ends = np.cumsum(lens)
+            for p in (uniform, dpg_bound):
+                packed = _pack_cycles(p, lens, num_dpgs, macs)
+                for q, ((cyc, ncyc), lo, hi) in enumerate(zip(packed, ends - lens, ends)):
+                    want = _pack_closed_form(p[lo:hi], num_dpgs, macs)
+                    assert np.array_equal(cyc, want), (q, num_dpgs, macs)
+                    assert ncyc == want[-1] + 1
+
     def test_over_budget_task_raises(self):
         with pytest.raises(SimulationError, match="no progress"):
             _pack_lockstep(np.array([3, 65, 2]), np.array([3]), 8, 64)
 
     @pytest.mark.parametrize("variant", ["default", "no-conflict", "4dpg", "16dpg", "fp32"])
     def test_mixed_uniform_and_packed_batch(self, variant, monkeypatch):
-        """A batch mixing uniform and MAC-bound non-uniform blocks equals
-        stepping, and its non-uniform blocks share one lockstep call."""
+        """A batch mixing uniform, MAC-bound non-uniform and empty blocks
+        equals stepping, and every block reaches the batch's one
+        ``_pack_lockstep`` call with all its T3 tasks (none for the empty
+        one): no block is packed any other way."""
         packed = []
         monkeypatch.setattr(fastpath, "_pack_lockstep", lambda p, lens, *rest: (
-            packed.append(lens.size), _pack_lockstep(p, lens, *rest))[1])
+            packed.append(lens.copy()), _pack_lockstep(p, lens, *rest))[1])
         rng = np.random.default_rng(4)
         dense = np.ones((16, 16), bool)
-        tasks = [T1Task.from_bitmaps(dense, dense)]
+        tasks = [T1Task.from_bitmaps(dense, dense),
+                 T1Task.from_bitmaps(np.zeros((16, 16), bool), dense)]
         for density in (0.3, 0.5, 0.7, 0.9):
             for _ in range(4):
                 tasks.append(T1Task.from_bitmaps(rng.random((16, 16)) < density,
@@ -470,4 +595,7 @@ class TestLockstepPacking:
         stc = MODEL_VARIANTS[variant]()
         batch = simulate_blocks(stc, tasks)
         assert_results_equal(batch, [stepped_block(stc, t) for t in tasks], variant)
-        assert packed and packed[0] > 1
+        t3_tasks = batch[:, ACTION_COL["queue_ops"]] // 2 - batch[:, ACTION_COL["accum_accesses"]]
+        assert len(packed) == 1 and np.array_equal(packed[0], t3_tasks)
+        assert np.array_equal(packed[0] > 0, batch[:, PRODUCTS] > 0)
+        assert (packed[0] > 0).sum() == len(tasks) - 1
