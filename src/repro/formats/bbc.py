@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.errors import FormatError, ShapeError
 from repro.formats.bitarray import popcount16
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -275,8 +275,57 @@ class BBCMatrix:
 
     @classmethod
     def from_dense(cls, dense: np.ndarray) -> "BBCMatrix":
-        """Encode a dense array into BBC, dropping zeros."""
-        return cls.from_coo(COOMatrix.from_dense(dense))
+        """Encode a 2-D dense array into BBC by its layout, dropping zeros.
+
+        The array, zero-padded to whole blocks, is copied once into
+        value order: block row, block column, ``ti``, ``tj``, ``ei``,
+        ``ej``.  Sixteen consecutive entries are one tile and sixteen
+        consecutive tiles one block, so packing the ``!= 0`` mask gives
+        every tile slot's level-2 bitmap, and packing their ``!= 0``
+        flags every block slot's level-1 bitmap.  The pointers are
+        cumsums of popcounts.  No COO and no sort: every array equals
+        ``from_coo(COOMatrix.from_dense(dense))``'s.
+        """
+        dense = np.asarray(dense, dtype=np.float64)
+        if dense.ndim != 2:
+            raise ShapeError("from_dense expects a 2-D array")
+        nrows, ncols = dense.shape
+        nbrows, nbcols = max(1, -(-nrows // BLOCK)), max(1, -(-ncols // BLOCK))
+        grid = dense
+        if dense.shape != (nbrows * BLOCK, nbcols * BLOCK):
+            grid = np.zeros((nbrows * BLOCK, nbcols * BLOCK))
+            grid[:nrows, :ncols] = dense
+        flat = grid.reshape(
+            nbrows, TILES_PER_SIDE, TILE, nbcols, TILES_PER_SIDE, TILE,
+        ).transpose(0, 3, 1, 4, 2, 5).ravel()
+        nonzero = flat != 0
+        slot_lv2 = np.packbits(nonzero, bitorder="little").view("<u2")
+        slot_lv1 = np.packbits(slot_lv2 != 0, bitorder="little").view("<u2")
+
+        blocks = np.flatnonzero(slot_lv1)
+        bitmap_lv1 = slot_lv1[blocks]
+        bitmap_lv2 = slot_lv2[slot_lv2 != 0]
+        pop = popcount16()
+        tile_ptr = np.zeros(blocks.size + 1, dtype=np.int64)
+        np.cumsum(pop[bitmap_lv1], out=tile_ptr[1:])
+        tile_first = np.zeros(bitmap_lv2.size + 1, dtype=np.int64)
+        np.cumsum(pop[bitmap_lv2], out=tile_first[1:])
+        val_ptr_lv1 = tile_first[tile_ptr]
+        val_ptr_lv2 = tile_first[:-1] - np.repeat(val_ptr_lv1[:-1], np.diff(tile_ptr))
+        return cls(
+            dense.shape,
+            np.searchsorted(blocks, np.arange(nbrows + 1) * nbcols),
+            blocks % nbcols,
+            bitmap_lv1,
+            tile_ptr,
+            bitmap_lv2,
+            val_ptr_lv1,
+            val_ptr_lv2,
+            # The boolean selection, as np.compress: about 3x faster
+            # than ``flat[nonzero]`` on half-dense activations.
+            np.compress(nonzero, flat),
+            _skip_checks=True,
+        )
 
     # -- validation -------------------------------------------------------
 
@@ -519,6 +568,15 @@ class BBCMatrix:
         tiles[np.flatnonzero(_bit_rows(self.bitmap_lv1))] = self.bitmap_lv2
         cached = distinct_patterns(tiles.reshape(-1, TILES_PER_BLOCK))
         self._block_patterns_cache = cached
+        return cached
+
+    def block_row_masks(self) -> np.ndarray:
+        """``[U, 16]`` :func:`pattern_row_masks` of the distinct block
+        patterns, indexed by :meth:`block_patterns`' ids; cached, so an
+        operand that several structural passes read is decoded once."""
+        cached = getattr(self, "_block_row_masks_cache", None)
+        if cached is None:
+            cached = self._block_row_masks_cache = pattern_row_masks(self.block_patterns()[0])
         return cached
 
     def block_bitmap(self, block_index: int) -> np.ndarray:

@@ -69,8 +69,7 @@ def dnn_graph(
             layer_seed = seed + 100 + i
 
             def _acts(request: int, k=layer.k, n=layer.n, s=layer_seed):
-                acts = activation_matrix(k, n, s + REQUEST_SEED_STRIDE * request)
-                return {"b": BBCMatrix.from_csr(acts)}
+                return {"b": activation_matrix(k, n, s + REQUEST_SEED_STRIDE * request)}
 
             node = GraphNode(
                 name=layer.name, kernel="spgemm", a=bbc,

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ShapeError
-from repro.formats.bbc import BLOCK, TILE, BBCMatrix, pattern_col_masks, pattern_row_masks
+from repro.formats.bbc import BLOCK, TILE, BBCMatrix, pattern_col_masks
 from repro.formats.bitarray import popcount16
 from repro.kernels.vector import SparseVector
 from repro.sim.results import SimReport
@@ -119,12 +119,6 @@ BLOCK_PATH_MIN_FLOPS_PER_TRIPLE = 8
 #: each temporary is at most this many x 16 lanes (1 MiB at int64).
 _TRIPLE_CHUNK = 8192
 
-def _row_masks(m: BBCMatrix) -> np.ndarray:
-    """``[nblocks, 16]`` uint16: bit ``c`` of ``[q, r]`` is element ``(r, c)`` of block ``q``."""
-    patterns, ids, _ = m.block_patterns()
-    return pattern_row_masks(patterns)[ids]
-
-
 def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
     """Structural flops of A @ B: sum over k of nnz(A[:, k]) * nnz(B[k, :]).
 
@@ -133,7 +127,7 @@ def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
     """
     pop = popcount16()
     b_counts = np.zeros((b.nblocks + 1, BLOCK), dtype=np.int64)
-    np.cumsum(pop[_row_masks(b)], axis=0, out=b_counts[1:])
+    np.cumsum(pop[b.block_row_masks()][b.block_patterns()[1]], axis=0, out=b_counts[1:])
     # Row counts of B per inner block row (K), then per A block (I, K).
     b_rows = b_counts[b.row_ptr[1:]] - b_counts[b.row_ptr[:-1]]
     patterns, ids, _ = a.block_patterns()
@@ -206,10 +200,11 @@ def _block_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
     Row ``i`` of output block ``(I, J)`` is the OR, over every set bit
     ``k`` of row ``i`` of A block ``(I, K)``, of row ``k`` of B block
     ``(K, J)``.  Each triple's sixteen row masks are built four A bits
-    at a time from a per-B-block nibble table, triples are merged per
-    output block with ``bitwise_or.reduceat``, and the merged masks are
-    popcounted, :data:`_TRIPLE_CHUNK` triples at a time: memory is
-    O(triples) for the indices plus one bounded chunk of masks.
+    at a time from a nibble table per distinct B pattern, triples are
+    merged per output block with ``bitwise_or.reduceat``, and the
+    merged masks are popcounted, :data:`_TRIPLE_CHUNK` triples at a
+    time: memory is O(triples) for the indices plus one bounded chunk
+    of masks.
     """
     per_a = np.diff(b.row_ptr)[a.col_idx]
     ends = np.cumsum(per_a)
@@ -224,22 +219,27 @@ def _block_output_nnz(a: BBCMatrix, b: BBCMatrix) -> int:
     order = np.argsort(out_block, kind="stable")
     out_block, a_of, b_of = out_block[order], a_of[order], b_of[order]
 
-    a_masks = _row_masks(a)
-    # table[q, g, n]: the OR of the rows 4g + t of B block q over the
-    # set bits t of nibble n, built by doubling one row at a time.
-    b_rows = _row_masks(b).reshape(b.nblocks, TILE, TILE)
-    table = np.zeros((b.nblocks, TILE, 1), dtype=np.uint16)
+    # Each operand's distinct patterns are decoded once (and cached
+    # with it); a triple reaches them through its blocks' pattern ids.
+    a_rows = a.block_row_masks()
+    a_pattern = a.block_patterns()[1][a_of]
+    # table[p, g, n]: the OR of the rows 4g + t of distinct B pattern p
+    # over the set bits t of nibble n, built by doubling one row at a
+    # time.
+    b_rows = b.block_row_masks().reshape(-1, TILE, TILE)
+    table = np.zeros((b_rows.shape[0], TILE, 1), dtype=np.uint16)
     for t in range(TILE):
         table = np.concatenate((table, table | b_rows[:, :, t, None]), axis=2)
     table = table.reshape(-1)
+    b_base = b.block_patterns()[1][b_of] * (TILE * 16)
 
     pop = popcount16()
     nnz = 0
     carry = np.zeros(BLOCK, dtype=np.uint16)
     carry_block = -1
     for lo in range(0, ntriples, _TRIPLE_CHUNK):
-        rows = a_masks[a_of[lo:lo + _TRIPLE_CHUNK]]
-        base = (b_of[lo:lo + _TRIPLE_CHUNK] * (TILE * 16))[:, None]
+        rows = a_rows[a_pattern[lo:lo + _TRIPLE_CHUNK]]
+        base = b_base[lo:lo + _TRIPLE_CHUNK, None]
         masks = table[base + (rows & 0xF)]
         for g in range(1, TILE):
             masks |= table[base + (16 * g) + ((rows >> (TILE * g)) & 0xF)]

@@ -16,23 +16,25 @@ from typing import List
 
 import numpy as np
 
-from repro.formats.csr import CSRMatrix
+from repro.formats.bbc import BBCMatrix
 
 #: Typical post-ReLU activation sparsity for the conv-as-SpGEMM path.
 ACTIVATION_SPARSITY = 0.5
 
 
-def activation_matrix(k: int, n: int, seed: int) -> CSRMatrix:
-    """A ReLU'd (half-sparse) ``k x n`` activation matrix.
+def activation_matrix(k: int, n: int, seed: int) -> BBCMatrix:
+    """A ReLU'd (half-sparse) ``k x n`` activation matrix, BBC-encoded.
 
     The operand the conv-as-SpGEMM path feeds as B; seeded so the same
     request always sees the same feature map (the graph runner derives
-    per-request seeds from this one).
+    per-request seeds from this one).  The dense draw is encoded
+    straight from its layout (:meth:`BBCMatrix.from_dense`), array for
+    array what the CSR route would give.
     """
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((k, n))
-    dense[dense < 0] = 0.0  # ReLU: ~50% sparsity
-    return CSRMatrix.from_dense(dense)
+    np.maximum(dense, 0.0, out=dense)  # ReLU: ~50% sparsity
+    return BBCMatrix.from_dense(dense)
 
 
 @dataclass(frozen=True)

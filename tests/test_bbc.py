@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.errors import FormatError
+from repro.errors import FormatError, ShapeError
 from repro.formats import BBCMatrix, COOMatrix, CSRMatrix
 from repro.formats.bbc import (
     BLOCK,
@@ -113,13 +113,17 @@ def _reference_arrays(coo: COOMatrix) -> dict:
     }
 
 
+def _assert_same_arrays(got: BBCMatrix, want: BBCMatrix) -> None:
+    assert got.shape == want.shape
+    for field in _ARRAYS:
+        mine, theirs = getattr(got, field), getattr(want, field)
+        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+
+
 def _assert_reference_encoding(coo: COOMatrix) -> None:
-    got = BBCMatrix.from_coo(coo)
     ref = BBCMatrix(coo.shape, *(_reference_arrays(coo)[f] for f in _ARRAYS),
                     _skip_checks=True)
-    for field in _ARRAYS:
-        mine, theirs = getattr(got, field), getattr(ref, field)
-        assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
+    _assert_same_arrays(BBCMatrix.from_coo(coo), ref)
 
 
 class TestEncoderReference:
@@ -150,6 +154,40 @@ class TestEncoderReference:
         rng = np.random.default_rng(5)
         rows, cols = rng.integers(0, 5000, 4000), rng.integers(0, 3000, 4000)
         _assert_reference_encoding(COOMatrix((5000, 3000), rows, cols, rng.random(4000) + 1))
+
+
+@st.composite
+def _dense_inputs(draw) -> np.ndarray:
+    """Ragged and whole-block shapes (zero sides too), from all-zero to
+    all-dense, with negative values and ``-0.0`` among the zeros."""
+    m, n = draw(st.integers(0, 70)), draw(st.integers(0, 70))
+    density = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    dense = rng.standard_normal((m, n))
+    dense[rng.random((m, n)) >= density] = 0.0
+    dense[(dense == 0) & (rng.random((m, n)) < 0.5)] = -0.0
+    return dense.astype(draw(st.sampled_from([np.float64, np.float32, np.int64])))
+
+
+class TestDenseEncoder:
+    """``from_dense`` encodes by the layout, array for array the COO route."""
+
+    @given(_dense_inputs())
+    @example(np.ones((1, 1)))
+    @example(np.zeros((1, 1)))
+    @example(np.full((16, 48), -2.5))
+    @example(np.zeros((33, 17)))
+    @example(np.array([[-0.0, 1.0], [0.0, -0.0]]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_coo_route(self, dense):
+        got = BBCMatrix.from_dense(dense)
+        _assert_same_arrays(got, BBCMatrix.from_coo(COOMatrix.from_dense(dense)))
+        assert got.validate() == []
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 16, 16)])
+    def test_rejects_non_2d(self, shape):
+        with pytest.raises(ShapeError):
+            BBCMatrix.from_dense(np.ones(shape))
 
 
 class TestStructuralInvariants:

@@ -7,7 +7,9 @@ loops used, so every per-layer ``SimReport`` is byte-identical
 host wall time and cache attribution).  The loops themselves are the
 oracles below; nothing in ``repro`` runs them.  The same holds for
 kernel traces: a trace lowered by ``KernelTrace.graph`` must match one
-``simulate_kernel`` call per recorded invocation.
+``simulate_kernel`` call per recorded invocation.  The DNN oracle builds
+its conv activations by the historic CSR route, so the graph's direct
+dense encode is checked against it, operand by operand.
 """
 
 from typing import List, Optional, Tuple
@@ -27,7 +29,9 @@ from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.baselines import DsSTC, RmSTC
 from repro.formats import BBCMatrix, CSRMatrix
-from repro.graph import GraphRunner
+from repro.graph import GraphRunner, dnn_graph
+from repro.graph import runner as graph_runner
+from repro.graph.build import REQUEST_SEED_STRIDE
 from repro.kernels import reference
 from repro.perf.bench import report_digest
 from repro.registry import create_stc, registered_stcs
@@ -35,9 +39,19 @@ from repro.sim.engine import simulate_kernel
 from repro.sim.memory import spgemm_output_nnz
 from repro.sim.results import SimReport
 from repro.workloads.dlmc import dlmc_corpus
-from repro.workloads.dnn import activation_matrix
 from repro.workloads.structured import rmat
 from repro.workloads.synthetic import poisson2d, random_uniform
+
+
+def legacy_activation(k: int, n: int, seed: int) -> BBCMatrix:
+    """A conv activation by the historic route: draw, ReLU, CSR, BBC.
+
+    The oracle's own copy, apart from ``activation_matrix``'s direct
+    dense encode, so the parity checks below stay independent of it.
+    """
+    dense = np.random.default_rng(seed).standard_normal((k, n))
+    dense[dense < 0] = 0.0
+    return BBCMatrix.from_csr(CSRMatrix.from_dense(dense))
 
 
 def simulate_inference_legacy(
@@ -60,10 +74,8 @@ def simulate_inference_legacy(
         if layer.kind == "linear":
             report = simulate_kernel("spmm", bbc, stc, b_cols=layer.n, matrix=layer.name)
         else:
-            acts = activation_matrix(layer.k, layer.n, seed=seed + 100 + i)
-            report = simulate_kernel(
-                "spgemm", bbc, stc, b=BBCMatrix.from_csr(acts), matrix=layer.name
-            )
+            acts = legacy_activation(layer.k, layer.n, seed + 100 + i)
+            report = simulate_kernel("spgemm", bbc, stc, b=acts, matrix=layer.name)
         out.append((layer.name, report))
     return out
 
@@ -180,6 +192,40 @@ def test_dnn_parity_tracks_the_seed():
     assert _digests(graph.per_layer(0)) == _legacy_digests(legacy)
     default = simulate_inference_legacy(uni, "resnet50", 0.70, scale=0.05)
     assert _digests(graph.per_layer(0)) != _legacy_digests(default)
+
+
+_BBC_ARRAYS = ("row_ptr", "col_idx", "bitmap_lv1", "tile_ptr", "bitmap_lv2",
+               "val_ptr_lv1", "val_ptr_lv2", "values")
+
+
+@pytest.mark.parametrize("batch,offset", [(3, 0), (1, 7)])
+def test_conv_operands_match_the_csr_route(batch, offset, monkeypatch):
+    """Every conv node's ``b``, as the runner passes it, equals the
+    legacy route's encoding array for array, at every request."""
+    seen = []
+    real = graph_runner.simulate_kernel
+
+    def spy(kernel, a, stc, **kwargs):
+        if kernel == "spgemm":
+            seen.append(kwargs["b"])
+        return real(kernel, a, stc, **kwargs)
+
+    monkeypatch.setattr(graph_runner, "simulate_kernel", spy)
+    seed = 11
+    GraphRunner(dnn_graph("resnet50", scale=0.05, seed=seed),
+                UniSTC(UniSTCConfig(precision=FP32)),
+                batch=batch, request_offset=offset).run()
+    corpus = dlmc_corpus("resnet50", 0.70, scale=0.05, seed=seed)
+    want = [legacy_activation(layer.k, layer.n,
+                              seed + 100 + i + REQUEST_SEED_STRIDE * request)
+            for request in range(offset, offset + batch)
+            for i, (layer, _) in enumerate(corpus) if layer.kind == "conv"]
+    assert len(seen) == len(want) == 5 * batch
+    for got, legacy in zip(seen, want):
+        assert got.shape == legacy.shape
+        for field in _BBC_ARRAYS:
+            mine, theirs = getattr(got, field), getattr(legacy, field)
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs), field
 
 
 def _amg_pcg_trace() -> KernelTrace:
