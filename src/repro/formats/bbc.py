@@ -20,18 +20,23 @@ The two bitmaps are exactly what the TMS (level 1) and DPG (level 2)
 consume without any hardware decoding.
 
 They are also the simulator's one block-pattern form (see
-:meth:`BBCMatrix.block_patterns` and :func:`pack_patterns`).
+:meth:`BBCMatrix.block_patterns` and :func:`pack_patterns`), and the
+memo's key: :data:`PATTERNS` interns each distinct pattern's key bytes
+once into a dense int id, and a memo key is one int over a pair of ids
+(:class:`PatternTable`).
 """
 
 from __future__ import annotations
 
+import struct
+import threading
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import FormatError, ShapeError
+from repro.errors import ConfigError, FormatError, ShapeError
 from repro.formats.bitarray import popcount16
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
@@ -86,14 +91,232 @@ def unpack_patterns(patterns: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(tiles.swapaxes(-3, -2)).reshape(*lead, BLOCK, BLOCK)
 
 
-def distinct_patterns(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
+def distinct_patterns(packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, "PatternKeys"]:
     """Distinct rows of ``[N, w]`` packed patterns, in byte order, as
-    ``(patterns [U, w], id per input row, each pattern's key bytes)``."""
+    ``(patterns [U, w], id per input row, each pattern's key field)``."""
     packed = np.ascontiguousarray(packed, dtype="<u2")
     rows = packed.view(np.dtype((np.void, 2 * packed.shape[1]))).reshape(-1)
     unique, ids = np.unique(rows, return_inverse=True)
     patterns = unique.view("<u2").reshape(-1, packed.shape[1])
-    return patterns, ids.reshape(-1).astype(np.int64), unique.tolist()
+    return patterns, ids.reshape(-1).astype(np.int64), pattern_keys(patterns)
+
+
+def pattern_keys(patterns: np.ndarray) -> "PatternKeys":
+    """Each ``[U, w]`` packed pattern row's key field: its byte length
+    (u16) then its little-endian bytes, as a store address spells it."""
+    width = 2 * patterns.shape[1]
+    fields = np.empty((len(patterns), 2 + width), dtype=np.uint8)
+    fields[:, :2] = np.frombuffer(_U16(width), dtype=np.uint8)
+    fields[:, 2:] = np.ascontiguousarray(patterns, dtype="<u2").view(np.uint8).reshape(-1, width)
+    return PatternKeys(fields.view(np.dtype((np.void, 2 + width))).reshape(-1).tolist())
+
+
+#: Bits of one interned pattern id in a memo key.
+ID_BITS = 20
+_ID_MASK = (1 << ID_BITS) - 1
+#: A memo key is ``prefix << PAIR_BITS | a_id << ID_BITS | b_id``.
+PAIR_BITS = 2 * ID_BITS
+#: Key prefixes an int64 memo key can carry, one per (namespace, epoch).
+_PREFIXES = 1 << (63 - PAIR_BITS)
+#: Patterns the process-wide table holds before it starts a new epoch.
+#: tracemalloc measures ~150 bytes per pattern (key field, id and index
+#: entry) once the matrices that held the fields are gone, so the table
+#: stays under ~20 MB.  The warm-lru corpus interns about 6,700
+#: patterns, and a batch-1 ResNet-50 request at scale 0.125 about 228
+#: fresh ones: some 570 fresh requests per epoch.
+DEFAULT_PATTERN_BOUND = 1 << 17
+_U16 = struct.Struct("<H").pack
+
+
+class PatternKeys(list):
+    """Distinct patterns' key fields (:func:`pattern_keys`), with their
+    interned ids cached.
+
+    ``interned`` is ``(epoch, ids)`` from :meth:`PatternTable.ids`, so
+    a matrix or module table interns its patterns once per epoch.
+    """
+
+    __slots__ = ("interned",)
+
+    def __init__(self, keys: Iterable[bytes] = ()) -> None:
+        super().__init__(keys)
+        self.interned: Tuple[int, Optional[np.ndarray]] = (-1, None)
+
+    def __reduce__(self):
+        # Ids and epochs belong to one process's table: a copy or an
+        # unpickled list interns afresh.
+        return PatternKeys, (list(self),)
+
+
+class _Epoch:
+    """One generation of a :class:`PatternTable`, replaced whole on reset."""
+
+    __slots__ = ("number", "ids", "fields", "bases", "headers")
+
+    def __init__(self, number: int) -> None:
+        self.number = number
+        self.ids: Dict[bytes, int] = {}      # key field -> id
+        self.fields: List[bytes] = []        # id -> key field
+        self.bases: Dict[str, int] = {}      # namespace -> prefix << PAIR_BITS
+        self.headers: Dict[int, bytes] = {}  # prefix -> u16-prefixed namespace
+
+
+class PatternTable:
+    """Dense process-wide int ids for packed-pattern key fields.
+
+    A key field is a pattern's byte length (u16) and its bytes
+    (:func:`pattern_keys`): what the result store's record address
+    spells for it, so the table holds one bytes object per pattern and
+    renders addresses by joining them.  Each distinct field gets the
+    next id of the current epoch, and a memo key is one int:
+    ``a_id << ID_BITS | b_id`` under a prefix for the (model namespace,
+    epoch) pair.  Ids are a bijection within an epoch, and a prefix is
+    never reused, so a key names one ``(namespace, A, B)`` for the life
+    of the process.
+
+    The table is bounded.  An intern that would push it past ``bound``
+    patterns starts a new epoch: the old ids, fields and prefixes are
+    dropped whole, and key lists re-intern on next use.  So the table
+    holds at most ``bound`` patterns, or one intern call's if a single
+    call needs more.  A key made before the reset keeps naming its old
+    triple in the memo, but its prefix no longer resolves, so
+    :meth:`address` and :meth:`key_bytes` return ``None`` for it.
+    Interning and prefix allocation hold a lock; readers see one epoch
+    object at a time.
+    """
+
+    def __init__(self, bound: int = DEFAULT_PATTERN_BOUND) -> None:
+        self._lock = threading.Lock()
+        self._state = _Epoch(0)
+        self._next_prefix = 0
+        self.bound = _checked_bound(bound)
+
+    @property
+    def epoch(self) -> int:
+        """The current epoch (bumped by every reset)."""
+        return self._state.number
+
+    def __len__(self) -> int:
+        return len(self._state.fields)
+
+    def rebound(self, bound: int) -> None:
+        """Change the bound; a table already past it resets now."""
+        with self._lock:
+            self.bound = _checked_bound(bound)
+            if len(self._state.fields) > bound:
+                self._state = _Epoch(self._state.number + 1)
+
+    def intern(self, *key_lists: Sequence[bytes]) -> Tuple[int, List[np.ndarray]]:
+        """``(epoch, read-only int64 ids of each list)``, all in one epoch.
+
+        Each list holds key fields (:func:`pattern_keys`).  Fields not
+        yet held get the next ids, in first-seen order.  If they would
+        push the table past its bound, it resets first; one call with
+        more distinct fields than the bound gets an epoch of its own
+        (the next new field resets it), up to the ``2**ID_BITS`` ids a
+        key can carry, past which it raises :class:`~repro.errors.ConfigError`.
+        """
+        with self._lock:
+            state = self._state
+            fresh = dict.fromkeys(key for keys in key_lists for key in keys
+                                  if key not in state.ids)
+            if fresh and len(state.ids) + len(fresh) > self.bound:
+                fresh = dict.fromkeys(key for keys in key_lists for key in keys)
+                if len(fresh) > 1 << ID_BITS:
+                    raise ConfigError(f"{len(fresh)} distinct patterns exceed the "
+                                      f"{1 << ID_BITS} ids a memo key can carry")
+                state = self._state = _Epoch(state.number + 1)
+            ids, fields = state.ids, state.fields
+            for key in fresh:
+                ids[key] = len(fields)
+                fields.append(key)
+            out = []
+            for keys in key_lists:
+                got = np.fromiter(map(ids.__getitem__, keys), np.int64, len(keys))
+                got.setflags(write=False)
+                out.append(got)
+            return state.number, out
+
+    def ids(self, *keys: PatternKeys) -> Tuple[int, List[np.ndarray]]:
+        """:meth:`intern` of each list, reusing ids cached in this epoch;
+        only the lists without them are interned."""
+        current = self._state.number
+        out = [k.interned for k in keys]
+        stale = [i for i, cached in enumerate(out) if cached[0] != current]
+        if not stale:
+            return current, [cached[1] for cached in out]
+        epoch, got = self.intern(*(keys[i] for i in stale))
+        if epoch != current and len(stale) < len(keys):
+            # The table reset under us: every list interns anew.
+            stale = range(len(keys))
+            epoch, got = self.intern(*keys)
+        for i, ids in zip(stale, got):
+            out[i] = keys[i].interned = (epoch, ids)
+        return epoch, [cached[1] for cached in out]
+
+    def key_base(self, namespace: str, epoch: int) -> int:
+        """``prefix << PAIR_BITS`` of ``namespace``'s keys over ``epoch``'s ids.
+
+        A stale epoch gets a fresh prefix that nothing resolves.
+        """
+        state = self._state
+        if state.number == epoch:
+            base = state.bases.get(namespace)
+            if base is not None:
+                return base
+        with self._lock:
+            state = self._state
+            if state.number == epoch and namespace in state.bases:
+                return state.bases[namespace]
+            prefix = self._next_prefix
+            if prefix >= _PREFIXES:
+                raise ConfigError("memo key prefixes exhausted")
+            self._next_prefix += 1
+            base = prefix << PAIR_BITS
+            if state.number == epoch:
+                ns = namespace.encode("utf-8")
+                state.headers[prefix] = _U16(len(ns)) + ns
+                state.bases[namespace] = base
+            return base
+
+    def memo_key(self, namespace: str, a_bits: bytes, b_bits: bytes) -> int:
+        """The memo key of one ``(namespace, A key, B key)`` triple."""
+        epoch, (ids,) = self.intern((_U16(len(a_bits)) + a_bits, _U16(len(b_bits)) + b_bits))
+        return self.key_base(namespace, epoch) | int(ids[0]) << ID_BITS | int(ids[1])
+
+    def _fields(self, key: int) -> Optional[Tuple[bytes, bytes, bytes]]:
+        """A key's u16-length-prefixed namespace, A and B fields;
+        ``None`` if its epoch is gone."""
+        state = self._state
+        header = state.headers.get(key >> PAIR_BITS)
+        if header is None:
+            return None
+        fields = state.fields
+        return header, fields[key >> ID_BITS & _ID_MASK], fields[key & _ID_MASK]
+
+    def address(self, key: int) -> Optional[bytes]:
+        """A key's result-store address: its fields joined, the bytes
+        ``_render`` makes of its byte key."""
+        fields = self._fields(key)
+        return None if fields is None else b"".join(fields)
+
+    def key_bytes(self, key: int) -> Optional[Tuple[str, bytes, bytes]]:
+        """A key's ``(namespace, A key, B key)``, the triple it names."""
+        fields = self._fields(key)
+        if fields is None:
+            return None
+        namespace, a_key, b_key = (field[2:] for field in fields)
+        return namespace.decode("utf-8"), a_key, b_key
+
+
+def _checked_bound(bound: int) -> int:
+    if not 0 < bound <= 1 << ID_BITS:
+        raise ConfigError(f"pattern table bound must be in 1..{1 << ID_BITS}, got {bound}")
+    return bound
+
+
+#: The process-wide pattern table every memo key is interned in.
+PATTERNS = PatternTable()
 
 
 #: Set bits of every 4-bit value.
@@ -553,13 +776,15 @@ class BBCMatrix:
         cols = self.col_idx[block_of] * BLOCK + tj * TILE + ej
         return rows, cols
 
-    def block_patterns(self) -> Tuple[np.ndarray, np.ndarray, List[bytes]]:
+    def block_patterns(self) -> Tuple[np.ndarray, np.ndarray, PatternKeys]:
         """``(patterns, ids, keys)``: the distinct packed block patterns
         ``[U, 16]``, stored block ``q``'s pattern ``ids[q]`` and each
-        pattern's 32 key bytes.  The level-2 bitmaps are placed at
-        their level-1 slots (stored tiles fill set bits in ascending
-        order) with no decoding; cached, as kernel enumeration reads
-        nothing else.
+        pattern's key field (u16 length 32, then its 32 bytes).  The
+        level-2 bitmaps are placed at their level-1 slots (stored tiles
+        fill set bits in ascending order) with no decoding; cached, as
+        kernel enumeration reads nothing else.  ``keys`` caches its
+        :data:`PATTERNS` ids, so a matrix interns its patterns once per
+        table epoch.
         """
         cached = getattr(self, "_block_patterns_cache", None)
         if cached is not None:

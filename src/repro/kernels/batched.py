@@ -7,13 +7,16 @@ package:
 
 - a :class:`TaskBatch` holds distinct packed patterns once
   (``a_patterns`` / ``b_patterns``, BBC's level-2 tile layout) with
-  their memo-key bytes, plus integer index/weight arrays describing
-  every task as an (A pattern, B pattern) pair, in the kernel's
-  dataflow order (§V-A: Algorithm 1 for SpMV/SpMSpV, Algorithm 2 for
-  SpMM/SpGEMM).  A patterns come from the matrix's cached
-  :meth:`~repro.formats.bbc.BBCMatrix.block_patterns` and the constant
-  B patterns of SpMV and SpMM from module tables, so no case renders
-  a key;
+  their interned ids (:data:`~repro.formats.bbc.PATTERNS`), plus
+  integer index/weight arrays describing every task as an (A pattern,
+  B pattern) pair, in the kernel's dataflow order (§V-A: Algorithm 1
+  for SpMV/SpMSpV, Algorithm 2 for SpMM/SpGEMM).  A patterns come from
+  the matrix's cached :meth:`~repro.formats.bbc.BBCMatrix.block_patterns`
+  and the constant B patterns of SpMV and SpMM from module tables, each
+  with its ids cached per table epoch, so a warm case interns no matrix
+  pattern (only SpMSpV's few x segments, derived per call) and
+  :meth:`TaskBatch.cache_keys` is one int per pair from one numpy
+  expression;
 - :func:`coalesce_raw` collapses identical pairs into weighted unique
   pairs with one sort over pattern ids, so the engine
   simulates each distinct pair once regardless of how many thousand
@@ -30,18 +33,14 @@ weighted pattern-pair multiset, asserted task-for-task.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import ShapeError
-from repro.formats.bbc import BLOCK, BBCMatrix, distinct_patterns, pack_patterns
+from repro.formats.bbc import (BLOCK, ID_BITS, PATTERNS, BBCMatrix, distinct_patterns,
+                               pack_patterns, pattern_keys)
 from repro.kernels.vector import SparseVector
-
-
-def _pattern_keys(patterns: np.ndarray) -> List[bytes]:
-    """Each packed pattern row's little-endian bytes (its memo key)."""
-    return [row.tobytes() for row in np.asarray(patterns, dtype="<u2")]
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,9 @@ class TaskBatch:
     uint16 tile bitmaps) by B pattern ``b_patterns[b_index[i]]``
     (``[n]`` uint16: tile bitmaps for n = 16, one row bitmap for n = 1)
     and stands for ``weights[i]`` identical T1 tasks.  Each pattern
-    array holds distinct rows; ``a_keys`` / ``b_keys`` are their memo
-    keys, rendered here only when the builder passes none.
+    array holds distinct rows; ``a_ids`` / ``b_ids`` are their
+    :data:`~repro.formats.bbc.PATTERNS` ids, all of table epoch
+    ``epoch``, interned here only when the builder passes none.
     """
 
     a_patterns: np.ndarray
@@ -62,16 +62,19 @@ class TaskBatch:
     b_index: np.ndarray
     weights: np.ndarray
     n: int
-    a_keys: Optional[Sequence[bytes]] = None
-    b_keys: Optional[Sequence[bytes]] = None
+    a_ids: Optional[np.ndarray] = None
+    b_ids: Optional[np.ndarray] = None
+    epoch: int = -1
 
     def __post_init__(self) -> None:
         if not (self.a_index.size == self.b_index.size == self.weights.size):
             raise ShapeError("task index and weight arrays must be equal-length")
-        if self.a_keys is None:
-            object.__setattr__(self, "a_keys", _pattern_keys(self.a_patterns))
-        if self.b_keys is None:
-            object.__setattr__(self, "b_keys", _pattern_keys(self.b_patterns))
+        if self.a_ids is None or self.b_ids is None:
+            epoch, (a_ids, b_ids) = PATTERNS.intern(
+                pattern_keys(self.a_patterns), pattern_keys(self.b_patterns))
+            object.__setattr__(self, "a_ids", a_ids)
+            object.__setattr__(self, "b_ids", b_ids)
+            object.__setattr__(self, "epoch", epoch)
 
     def __len__(self) -> int:
         """Number of (possibly weighted) task entries."""
@@ -87,11 +90,12 @@ class TaskBatch:
         return replace(self, a_index=self.a_index[rows],
                        b_index=self.b_index[rows], weights=self.weights[rows])
 
-    def cache_keys(self, namespace: str) -> List[Tuple[str, bytes, bytes]]:
-        """Each entry's memo key ``(namespace, A key, B key)``, in order."""
-        a_keys, b_keys = self.a_keys, self.b_keys
-        return [(namespace, a_keys[ai], b_keys[bi])
-                for ai, bi in zip(self.a_index.tolist(), self.b_index.tolist())]
+    def cache_keys(self, namespace: str) -> List[int]:
+        """Each entry's memo key, in order: one int naming ``(namespace,
+        A key, B key)`` (:class:`~repro.formats.bbc.PatternTable`)."""
+        base = PATTERNS.key_base(namespace, self.epoch)
+        pairs = self.a_ids[self.a_index] << ID_BITS | self.b_ids[self.b_index]
+        return (pairs + base).tolist()
 
 
 _LIVE = np.arange(BLOCK + 1)[:, None, None]
@@ -101,7 +105,7 @@ _SEGMENTS = pack_patterns(np.arange(BLOCK)[:, None] < _LIVE)
 #: SpMM's B operands: row ``k`` is a dense panel of ``k`` live columns
 #: (16: a full panel; less: the tail panel of ``b_cols % 16`` columns).
 _PANELS = pack_patterns(np.broadcast_to(np.arange(BLOCK) < _LIVE, (BLOCK + 1, BLOCK, BLOCK)))
-_SEGMENT_KEYS, _PANEL_KEYS = _pattern_keys(_SEGMENTS), _pattern_keys(_PANELS)
+_SEGMENT_KEYS, _PANEL_KEYS = pattern_keys(_SEGMENTS), pattern_keys(_PANELS)
 
 
 def _empty_batch(n: int) -> TaskBatch:
@@ -138,17 +142,17 @@ def spmv_batch(a: BBCMatrix, rows: Optional[range] = None) -> TaskBatch:
     """
     blocks = _block_span(a, rows)
     patterns, ids, keys = a.block_patterns()
+    epoch, (a_ids, segment_ids) = PATTERNS.ids(keys, _SEGMENT_KEYS)
     tail_len = a.shape[1] - (a.block_cols - 1) * BLOCK
     live = [BLOCK] if tail_len == BLOCK else [BLOCK, tail_len]
-    b_patterns, b_keys = _SEGMENTS[live], [_SEGMENT_KEYS[k] for k in live]
     b_index = np.zeros(blocks.size, dtype=np.int64)
     if tail_len < BLOCK and blocks.size:
         b_index[a.col_idx[blocks] == a.block_cols - 1] = 1
     return TaskBatch(
-        a_patterns=patterns, b_patterns=b_patterns,
+        a_patterns=patterns, b_patterns=_SEGMENTS[live],
         a_index=ids[blocks], b_index=b_index,
         weights=np.ones(blocks.size, dtype=np.int64), n=1,
-        a_keys=keys, b_keys=b_keys,
+        a_ids=a_ids, b_ids=segment_ids[live], epoch=epoch,
     )
 
 
@@ -171,11 +175,12 @@ def spmspv_batch(a: BBCMatrix, x: SparseVector,
     live = (pos < segments.size) & (segments[np.minimum(pos, segments.size - 1)] == cols)
     blocks, pos = blocks[live], pos[live]
     patterns, ids, keys = a.block_patterns()
+    epoch, (a_ids, b_ids) = PATTERNS.ids(keys, b_keys)
     return TaskBatch(
         a_patterns=patterns, b_patterns=b_patterns,
         a_index=ids[blocks], b_index=seg_ids[pos],
         weights=np.ones(blocks.size, dtype=np.int64), n=1,
-        a_keys=keys, b_keys=b_keys,
+        a_ids=a_ids, b_ids=b_ids, epoch=epoch,
     )
 
 
@@ -192,14 +197,14 @@ def spmm_batch(a: BBCMatrix, b_cols: int = 64,
     full_panels, tail = divmod(b_cols, BLOCK)
     live = ([BLOCK] if full_panels else []) + ([tail] if tail else [])
     panel_weights = ([full_panels] if full_panels else []) + ([1] if tail else [])
-    b_patterns, b_keys = _PANELS[live], [_PANEL_KEYS[k] for k in live]
     b_index = np.arange(blocks.size * len(live), dtype=np.int64) % len(live)
     patterns, ids, keys = a.block_patterns()
+    epoch, (a_ids, panel_ids) = PATTERNS.ids(keys, _PANEL_KEYS)
     return TaskBatch(
-        a_patterns=patterns, b_patterns=b_patterns,
+        a_patterns=patterns, b_patterns=_PANELS[live],
         a_index=np.repeat(ids[blocks], len(live)), b_index=b_index,
         weights=np.array(panel_weights, dtype=np.int64)[b_index],
-        n=BLOCK, a_keys=keys, b_keys=b_keys,
+        n=BLOCK, a_ids=a_ids, b_ids=panel_ids[live], epoch=epoch,
     )
 
 
@@ -219,22 +224,23 @@ def spgemm_batch(a: BBCMatrix, b: Optional[BBCMatrix] = None,
     valid = cols < other.block_rows
     blocks, cols = blocks[valid], cols[valid]
     counts = other.row_ptr[cols + 1] - other.row_ptr[cols]
-    a_patterns, a_ids, a_keys = a.block_patterns()
-    b_patterns, b_ids, b_keys = other.block_patterns()
-    a_index = np.repeat(a_ids[blocks], counts)
+    a_patterns, a_of, a_keys = a.block_patterns()
+    b_patterns, b_of, b_keys = other.block_patterns()
+    epoch, (a_ids, b_ids) = PATTERNS.ids(a_keys, b_keys)
+    a_index = np.repeat(a_of[blocks], counts)
     if counts.size:
         ends = np.cumsum(counts)
         offsets = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
             ends - counts, counts
         )
-        b_index = b_ids[np.repeat(other.row_ptr[cols], counts) + offsets]
+        b_index = b_of[np.repeat(other.row_ptr[cols], counts) + offsets]
     else:
         b_index = np.empty(0, dtype=np.int64)
     return TaskBatch(
         a_patterns=a_patterns, b_patterns=b_patterns,
         a_index=a_index, b_index=b_index,
         weights=np.ones(a_index.size, dtype=np.int64), n=BLOCK,
-        a_keys=a_keys, b_keys=b_keys,
+        a_ids=a_ids, b_ids=b_ids, epoch=epoch,
     )
 
 

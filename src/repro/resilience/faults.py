@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.arch.base import ROW_DTYPE
 from repro.errors import ConfigError
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import PATTERNS, BBCMatrix
 from repro.formats.coo import COOMatrix
 from repro.formats.csr import CSRMatrix
 from repro.kernels import bbc_kernels, reference
@@ -211,7 +211,7 @@ class FaultInjector:
 
     # -- cached-result faults --------------------------------------------
 
-    def corrupt_cached_result(self, key: tuple) -> Tuple[bytes, InjectedFault]:
+    def corrupt_cached_result(self, key: int) -> Tuple[bytes, InjectedFault]:
         """Swap one memoised byte row for a poisoned one; returns the original."""
         original = engine._BLOCK_CACHE[key]
         delta = int(self.rng.integers(1, 1000))
@@ -281,7 +281,7 @@ def _classify_task_fault(
     return "masked", "simulated totals unchanged"
 
 
-def _classify_cache_file_fault(rows: Dict[tuple, bytes],
+def _classify_cache_file_fault(rows: Dict[int, bytes],
                                rng: np.random.Generator) -> Tuple[str, str]:
     """Persist ``rows`` to a fresh store, flip one segment byte, reopen."""
     with tempfile.TemporaryDirectory(prefix="repro-faults-") as tmp:
@@ -348,7 +348,10 @@ def run_campaign(
     (clean_batch,) = kernel_task_batches(kernel, clean_bbc)
     expected_weight = clean_batch.total_tasks
     clean_report = simulate_batches(stc, [clean_batch], kernel=kernel, energy_model=None)
-    cache_keys = sorted(coalesce_raw(clean_batch).cache_keys(stc.cache_key()))
+    # Ordered by key bytes: int ids depend on what the process interned
+    # first, and a seed must poison the same rows in any process.
+    cache_keys = sorted(coalesce_raw(clean_batch).cache_keys(stc.cache_key()),
+                        key=PATTERNS.key_bytes)
     clean_rows = {key: engine._BLOCK_CACHE[key] for key in cache_keys}
 
     report = CampaignReport(matrix=matrix_name, kernel=kernel, seed=seed)

@@ -1,8 +1,8 @@
 """Bounded LRU memoisation for per-block simulation results.
 
 The engine memoises block results on ``(model namespace, A key,
-B key)``, the operands' packed patterns (at most 64 bytes, rendered
-once per matrix).  A value is the block's result row in its one
+B key)``, the operands' packed patterns, as one int
+(:data:`CacheKey`).  A value is the block's result row in its one
 memoised form: the :data:`~repro.arch.base.VECTOR_WIDTH` int64 values
 as :data:`~repro.arch.base.ROW_BYTES` little-endian bytes, which is
 also the result store's record tail.  Bytes are immutable and own their
@@ -25,9 +25,11 @@ processes.
 
 A :class:`BlockCache` may also be backed by a **second tier**: any
 object with ``lookup(key) -> Optional[bytes]`` and
-``insert(key, row)`` (duck-typed so this module needn't import it;
-in practice a :class:`repro.store.ResultStore`).  Misses consult the
-tier and promote its hits into the LRU; inserts write through.  Tier
+``insert(key, row)`` on the same int keys (duck-typed so this module
+needn't import it; in practice a :class:`repro.store.ResultStore`,
+which renders each key's record address from the pattern table).
+Misses consult the tier and promote its hits into the LRU; inserts
+write through.  Tier
 hits count as ``hits`` (the caller was served without simulating) and
 additionally as ``store_hits``, so the split is observable without
 changing the meaning of ``hit_rate``.
@@ -37,19 +39,24 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.errors import ConfigError
 
-#: Cache key: (model namespace, A pattern bytes, B pattern bytes).
-CacheKey = Tuple[str, bytes, bytes]
+#: Cache key: one int naming (model namespace, A pattern bytes, B
+#: pattern bytes), ``prefix << PAIR_BITS | a_id << ID_BITS | b_id`` over
+#: :data:`repro.formats.bbc.PATTERNS` ids; the prefix stands for the
+#: namespace and the table's epoch and is never reused, so a key never
+#: names another triple.  ``PATTERNS.key_bytes(key)`` maps it back.
+CacheKey = int
 
-#: Default entry bound.  tracemalloc measures an entry (key tuple plus
-#: its 184-byte row; the pattern bytes belong to the matrices) at ~370
-#: bytes on uni-stc over the n=128/256 corpus (34,914 entries), so the
-#: default caps resident cache memory near 100 MB while holding far more
-#: distinct block patterns than any corpus sweep in the benchmark suite
-#: produces.
+#: Default entry bound.  tracemalloc measures an entry (int key plus its
+#: 184-byte row) at ~335 bytes on uni-stc over the n=128/256 corpus
+#: (34,914 entries; ~367 with the earlier key tuple), so the default caps
+#: resident cache memory near 88 MB while holding far more distinct block
+#: patterns than any corpus sweep in the benchmark suite produces.  The
+#: patterns the keys name live in :data:`repro.formats.bbc.PATTERNS`
+#: (~150 bytes each, ``DEFAULT_PATTERN_BOUND`` = 2^17 of them at most).
 DEFAULT_CAPACITY = 1 << 18
 
 

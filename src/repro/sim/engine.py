@@ -7,8 +7,9 @@ so a distinct pattern pair is looked up (and, on a miss, simulated)
 exactly once with its combined weight, and the run's cycles /
 utilisation / counters / energy are aggregated into a
 :class:`~repro.sim.results.SimReport`.  Patterns have one form from
-the BBC encoder to the models, packed level-2 tile bitmaps whose key
-bytes each matrix renders once: a warm batch costs one memo lookup per
+the BBC encoder to the models, packed level-2 tile bitmaps that each
+matrix interns once (:data:`~repro.formats.bbc.PATTERNS`): a warm batch
+builds its memo keys as one int array and costs one memo lookup per
 unique pair, and its misses reach ``simulate_blocks`` as one
 unit-weight :class:`~repro.kernels.batched.TaskBatch`.
 
@@ -24,10 +25,13 @@ folded against its coalesced int64 weights in one reduction
 ``Counters``/``UtilHistogram`` once.
 
 Because STC models are pure functions of a task's pattern pair, rows
-are memoised keyed by ``(model.cache_key(), A key, B key)`` — the
-same tile patterns repeat heavily across a matrix and across a corpus,
-which is what makes corpus-scale sweeps tractable in Python.  The memo
-lives in a bounded LRU
+are memoised keyed by ``(model.cache_key(), A key, B key)``, as one
+int: the two patterns' interned ids under a prefix for the namespace
+and the pattern table's epoch
+(:meth:`~repro.kernels.batched.TaskBatch.cache_keys`).  The same tile
+patterns repeat heavily across a matrix and across a corpus, which is
+what makes corpus-scale sweeps tractable in Python.  The memo lives in
+a bounded LRU
 (:class:`~repro.sim.blockcache.BlockCache`) with observable
 hit/miss/eviction statistics; one process-wide instance is shared by
 every core of ``simulate_parallel``, and a bound

@@ -7,6 +7,9 @@ strategy and worker fleet re-pays the same cold simulation work.  The
 directory of append-only **segment** files plus an in-memory index,
 addressed by each record's own key bytes: the length-prefixed
 ``(STC namespace, A pattern, B pattern)`` triple that opens its payload.
+:meth:`~ResultStore.lookup` and :meth:`~ResultStore.insert` take the
+block cache's int memo key and render that address from the pattern
+table's pre-rendered fields (:meth:`repro.formats.bbc.PatternTable.address`).
 
 Design points, in the order they matter:
 
@@ -94,6 +97,7 @@ from repro import obs
 from repro.arch.base import ROW_BYTES
 from repro.arch.counters import ACTIONS
 from repro.errors import DataCorruptionError, FormatError
+from repro.formats.bbc import PATTERNS
 
 logger = logging.getLogger(__name__)
 
@@ -119,7 +123,8 @@ _U16 = struct.Struct("<H").pack
 #: is ~300 bytes); a "length" beyond this is corruption, not a payload.
 _MAX_PAYLOAD = 1 << 20
 
-#: Store key type — mirrors :data:`repro.sim.blockcache.CacheKey`.
+#: A record's key as bytes: ``(namespace, A key, B key)``, what an int
+#: memo key (:data:`repro.sim.blockcache.CacheKey`) names.
 StoreKey = Tuple[str, bytes, bytes]
 
 
@@ -130,7 +135,8 @@ def _render(key: StoreKey, headers: Dict[str, bytes]) -> bytes:
     the namespace is the model's canonical config fingerprint
     (:meth:`~repro.arch.base.STCModel.cache_key`).  Stable across
     processes and platforms by construction.  ``headers`` caches each
-    namespace's prefixed UTF-8 field.
+    namespace's prefixed UTF-8 field.  An int memo key renders the same
+    bytes through :meth:`repro.formats.bbc.PatternTable.address`.
     """
     namespace, a_bits, b_bits = key
     header = headers.get(namespace)
@@ -491,13 +497,14 @@ class ResultStore:
 
     # -- lookups and appends ----------------------------------------------
 
-    def lookup(self, key: StoreKey) -> Optional[bytes]:
-        """Fetch a stored result row by cache key; ``None`` on miss.
+    def lookup(self, key: int) -> Optional[bytes]:
+        """Fetch a stored result row by int memo key; ``None`` on miss.
 
         The row is the payload's :data:`~repro.arch.base.ROW_BYTES` tail,
-        a copy that does not pin the rest of the payload.
+        a copy that does not pin the rest of the payload.  A key whose
+        pattern-table epoch is gone has no address and misses.
         """
-        address = _render(key, self._headers)
+        address = PATTERNS.address(key)
         with self._lock:
             entry = self._index.get(address)
             payload = None if entry is None else self._read_payload(entry)
@@ -530,23 +537,27 @@ class ResultStore:
                 "re-read (disk-level corruption after indexing)")
         return payload
 
-    def insert(self, key: StoreKey, row: bytes) -> bool:
+    def insert(self, key: int, row: bytes) -> bool:
         """Append a record of ``row`` unless its key is already indexed.
 
-        ``row`` is the row's byte form, exactly
-        :data:`~repro.arch.base.ROW_BYTES` bytes; anything else raises
-        :class:`ValueError` before a byte is written or indexed.
+        ``key`` is an int memo key.  ``row`` is the row's byte form,
+        exactly :data:`~repro.arch.base.ROW_BYTES` bytes; anything else
+        raises :class:`ValueError` before a byte is written or indexed.
         Returns True when a record was written.  The key bytes are
-        rendered once and a duplicate is dropped before anything is
-        framed.  The record goes out in one ``write()`` on this handle's
-        unbuffered append-only segment, so once this returns True the
-        record is in the OS (:meth:`flush` fsyncs it to disk), concurrent
-        writers to *different* segments never interleave, and a crash
-        leaves at worst one torn record at the tail.  A short write is
+        rendered once from the pattern table, and a duplicate (or a key
+        whose table epoch is gone, which has no bytes to write) is
+        dropped before anything is framed.  The record goes out in one
+        ``write()`` on this handle's unbuffered append-only segment, so
+        once this returns True the record is in the OS (:meth:`flush`
+        fsyncs it to disk), concurrent writers to *different* segments
+        never interleave, and a crash leaves at worst one torn record at
+        the tail.  A short write is
         truncated away and raises :class:`OSError`, indexing nothing.
         """
         _checked_row(row)
-        address = _render(key, self._headers)
+        address = PATTERNS.address(key)
+        if address is None:
+            return False
         with self._lock:
             if address in self._index:
                 self.stats.duplicates += 1

@@ -54,7 +54,8 @@ def iter_tasks(batch: TaskBatch) -> Iterator[T1Task]:
     """``batch`` as individual weighted tasks, in entry order."""
     for ai, bi, w in zip(batch.a_index.tolist(), batch.b_index.tolist(),
                          batch.weights.tolist()):
-        yield T1Task(batch.a_keys[ai], batch.b_keys[bi], n=batch.n, weight=w)
+        yield T1Task(batch.a_patterns[ai].tobytes(), batch.b_patterns[bi].tobytes(),
+                     n=batch.n, weight=w)
 
 
 def task_batch(tasks, n: int = 16) -> TaskBatch:
@@ -63,10 +64,10 @@ def task_batch(tasks, n: int = 16) -> TaskBatch:
                  dtype="<u2").reshape(len(tasks), 16)
     b = np.array([np.frombuffer(t.b_bits, dtype="<u2") for t in tasks],
                  dtype="<u2").reshape(len(tasks), n)
-    a_patterns, a_ids, a_keys = distinct_patterns(a)
-    b_patterns, b_ids, b_keys = distinct_patterns(b)
+    a_patterns, a_ids, _ = distinct_patterns(a)
+    b_patterns, b_ids, _ = distinct_patterns(b)
     return TaskBatch(a_patterns, b_patterns, a_ids, b_ids,
-                     np.ones(len(tasks), dtype=np.int64), n, a_keys, b_keys)
+                     np.ones(len(tasks), dtype=np.int64), n)
 
 
 def engine_batch(tasks, n: int = 16) -> TaskBatch:

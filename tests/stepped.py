@@ -23,9 +23,10 @@ readable reference those paths are checked against:
   hook the multi-core partitioner restricts enumeration with;
 - :func:`simulate_tasks`, which steps the model's oracle
   (:func:`tests.stepped_models.stepped_block`) on every memo miss,
-  memoises its row in the engine's byte form (so stepped and vectorised
-  runs share memo entries) and folds the rows through the engine's own
-  aggregation;
+  memoises its row in the engine's byte form under the engine's int key
+  (``T1Task.cache_key()`` mapped through the pattern table, so stepped
+  and vectorised runs share memo entries) and folds the rows through
+  the engine's own aggregation;
 - :func:`simulate_stepped`, the two chained: a kernel simulated the
   per-object way, whose report must equal ``simulate_kernel``'s.
 """
@@ -41,7 +42,7 @@ from repro.arch.base import ROW_DTYPE, STCModel, row_matrix
 from repro.arch.tasks import T1Task
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import ShapeError
-from repro.formats.bbc import BLOCK, BBCMatrix
+from repro.formats.bbc import BLOCK, PATTERNS, BBCMatrix
 from repro.kernels.vector import SparseVector, dense_segment_mask
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import _BLOCK_CACHE, _aggregate, _finalise_run
@@ -189,7 +190,7 @@ def simulate_tasks(
     rows = []
     weights = []
     for task in tasks:
-        key = (namespace,) + task.cache_key()
+        key = PATTERNS.memo_key(namespace, *task.cache_key())
         row = memo.lookup(key)
         if row is None:
             row = stepped_block(stc, task).row().astype(ROW_DTYPE).tobytes()

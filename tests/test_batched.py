@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch.unistc import UniSTC
 from repro.errors import ShapeError
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import PATTERNS, BBCMatrix
 from repro.kernels import KERNELS
 from repro.kernels.batched import (
     TaskBatch,
@@ -99,15 +99,33 @@ class TestStreamParity:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_task_cache_key_is_engine_key(self, matrices, kernel):
         """The oracle's ``T1Task.cache_key()`` (from the scalar
-        ``block_bitmap``) is the engine's key for the same entry, so
-        stepped and vectorised runs share memo entries."""
+        ``block_bitmap``), mapped through the pattern table, is the
+        engine's int key for the same entry, so stepped and vectorised
+        runs share memo entries."""
         for a in matrices.values():
             operands = _operands(kernel, a)
             (batch,) = kernel_task_batches(kernel, a, **operands)
-            stepped = [("ns",) + task.cache_key()
-                       for task in kernel_tasks(kernel, a, **operands)]
+            tasks = list(kernel_tasks(kernel, a, **operands))
+            stepped = [PATTERNS.memo_key("ns", *task.cache_key()) for task in tasks]
             assert stepped == batch.cache_keys("ns")
-            assert all(len(k[1]) == 32 and len(k[2]) == 2 * batch.n for k in stepped)
+            assert all(len(t.a_bits) == 32 and len(t.b_bits) == 2 * batch.n
+                       for t in tasks)
+            assert [PATTERNS.key_bytes(k) for k in stepped] == [
+                ("ns",) + t.cache_key() for t in tasks]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_stepped_run_after_engine_run_is_all_hits(self, matrices, kernel):
+        """Both paths key one memo: a stepped run of a case the engine
+        has just simulated is served from the memo, entry for entry."""
+        stc = UniSTC()
+        for name, a in matrices.items():
+            operands = _operands(kernel, a)
+            cache = BlockCache(capacity=None)
+            engine_report = simulate_kernel(kernel, a, stc, cache=cache, **operands)
+            stepped_report = simulate_stepped(kernel, a, stc, cache=cache, **operands)
+            assert stepped_report.cache["misses"] == 0, name
+            assert stepped_report.cache["hits"] > 0 or not engine_report.t1_tasks, name
+            assert report_digest(stepped_report) == report_digest(engine_report), name
 
     def test_coalesce_raw_weights_exact_past_2_53(self):
         """Aggregate weights stay in the integer domain.

@@ -282,7 +282,7 @@ class TestBlockAccess:
         assert patterns.dtype == np.dtype("<u2") and patterns.shape[1:] == (16,)
         assert ids.shape == (m.nblocks,) and len(keys) == len(patterns)
         assert len({bytes(k) for k in keys}) == len(keys) == len(np.unique(ids))
-        assert all(key == row.tobytes() and len(key) == 32
+        assert all(key == b"\x20\x00" + row.tobytes() and len(key) == 34
                    for key, row in zip(keys, patterns))
         grids = [m.block_bitmap(q) for q in range(m.nblocks)]
         for q in range(m.nblocks):
@@ -353,7 +353,7 @@ class TestPackedPatterns:
         assert np.array_equal(batched._SEGMENTS[live], pack_patterns(segment))
         assert np.array_equal(batched._PANELS[live], pack_patterns(panel))
         assert np.array_equal(unpack_patterns(batched._PANELS[live]), panel)
-        assert batched._PANEL_KEYS[live] == pack_patterns(panel).tobytes()
+        assert batched._PANEL_KEYS[live] == b"\x20\x00" + pack_patterns(panel).tobytes()
 
     def test_rejects_other_shapes(self):
         with pytest.raises(FormatError):

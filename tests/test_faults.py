@@ -5,16 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.arch.unistc import UniSTC
 from repro.cli import main
 from repro.errors import ConfigError
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import DEFAULT_PATTERN_BOUND, PATTERNS, BBCMatrix
 from repro.formats.coo import COOMatrix
+from repro.kernels.batched import kernel_task_batches
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
     run_campaign,
 )
 from repro.sim import engine
+from repro.sim.engine import simulate_kernel
 from repro.workloads.suitesparse import corpus, iter_matrices
 from repro.workloads.synthetic import banded, random_uniform
 
@@ -191,6 +194,39 @@ class TestCampaign:
         engine.clear_cache()
         cold = simulate_kernel("spmv", bbc, UniSTC())
         assert warm.cycles == cold.cycles
+
+    def test_trials_do_not_depend_on_earlier_interning(self):
+        """Memo keys are drawn in key-byte order, so a campaign run after
+        other work (an unrelated simulation, and an intern of this
+        matrix's patterns in reverse order) poisons the same rows and
+        flips the same store bytes as a campaign run first."""
+        coo = banded(96, 12, 0.5, seed=5)
+
+        def fresh_epoch():
+            PATTERNS.rebound(1)
+            PATTERNS.rebound(DEFAULT_PATTERN_BOUND)
+
+        def trials():
+            campaign = run_campaign(coo, trials=12, seed=3,
+                                    kinds=("cache_result", "cache_file"))
+            return [(t.fault.kind, t.fault.site, t.outcome, t.detail)
+                    for t in campaign.trials]
+
+        try:
+            fresh_epoch()
+            alone = trials()
+            engine.clear_cache()
+            fresh_epoch()
+            other = BBCMatrix.from_coo(random_uniform(96, 96, 0.1, seed=8))
+            simulate_kernel("spgemm", other, UniSTC())
+            clean = BBCMatrix.from_coo(coo)
+            PATTERNS.intern(list(reversed(clean.block_patterns()[2])))
+            (batch,) = kernel_task_batches("spmv", clean)
+            keys = batch.cache_keys(UniSTC().cache_key())
+            assert sorted(keys) != sorted(keys, key=PATTERNS.key_bytes)
+            assert trials() == alone
+        finally:
+            PATTERNS.rebound(DEFAULT_PATTERN_BOUND)
 
     def test_store_segment_flips_are_never_silent(self):
         # A flipped segment byte is caught by the store's framing/CRC

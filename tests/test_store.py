@@ -20,7 +20,7 @@ from repro.arch.base import ACTION_COL, ROW_BYTES, VECTOR_WIDTH
 from repro.arch.config import FP32, UniSTCConfig
 from repro.arch.unistc import UniSTC
 from repro.errors import DataCorruptionError, FormatError
-from repro.formats.bbc import BBCMatrix
+from repro.formats.bbc import PATTERNS, BBCMatrix
 from repro.kernels.vector import SparseVector
 from repro.sim import engine
 from repro.sim.blockcache import BlockCache
@@ -37,8 +37,13 @@ from repro.workloads.synthetic import banded
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def _key(i: int, ns: str = "ns"):
+def _byte_key(i: int, ns: str = "ns"):
     return (ns, bytes([i]) * 4, bytes([i % 251, i % 7]))
+
+
+def _key(i: int, ns: str = "ns") -> int:
+    """:func:`_byte_key` as the int memo key the store takes."""
+    return PATTERNS.memo_key(*_byte_key(i, ns))
 
 
 def _values(i: int) -> np.ndarray:
@@ -82,7 +87,7 @@ class TestFormat:
         assert np.array_equal(np.frombuffer(got, "<i8"), _values(1))
 
     def test_record_payload_ends_in_the_row_bytes(self):
-        record = encode_record(_key(3), _row(3))
+        record = encode_record(_byte_key(3), _row(3))
         assert record.endswith(_values(3).astype("<i8").tobytes())
 
     @pytest.mark.parametrize("row", [
@@ -111,7 +116,7 @@ class TestFormat:
             assert store.stats.quarantined == 0 and len(store) == 1
             assert store.lookup(_key(1)) == _row(1)
         with pytest.raises(ValueError):
-            encode_record(_key(2), row)
+            encode_record(_byte_key(2), row)
 
     def test_persists_across_reopen(self, root):
         with ResultStore(root) as store:
@@ -131,7 +136,10 @@ class TestFormat:
             assert store.stats.duplicates == 1
 
     def test_insert_renders_once_and_never_frames_a_duplicate(self, root, monkeypatch):
-        calls = {"render": 0, "frame": 0}
+        """An insert renders its address once, from the pattern table's
+        interned fields (never from a byte key), and frames nothing for
+        a duplicate."""
+        calls = {"address": 0, "render": 0, "frame": 0}
 
         def spy(name, original):
             def call(*args):
@@ -139,17 +147,19 @@ class TestFormat:
                 return original(*args)
             return call
 
+        monkeypatch.setattr(PATTERNS, "address", spy("address", PATTERNS.address))
         monkeypatch.setattr(resultstore, "_render",
                             spy("render", resultstore._render))
         monkeypatch.setattr(resultstore, "_frame",
                             spy("frame", resultstore._frame))
+        key = _key(1)
         with ResultStore(root) as store:
-            assert store.insert(_key(1), _row(1)) is True
-            assert calls == {"render": 1, "frame": 1}
+            assert store.insert(key, _row(1)) is True
+            assert calls == {"address": 1, "render": 0, "frame": 1}
             (seg,) = _segments(store)
             size = seg.stat().st_size
-            assert store.insert(_key(1), _row(1)) is False
-            assert calls == {"render": 2, "frame": 1}
+            assert store.insert(key, _row(1)) is False
+            assert calls == {"address": 2, "render": 0, "frame": 1}
             assert seg.stat().st_size == size
 
     def test_stats_traffic_accounting(self, root):
@@ -223,7 +233,7 @@ class TestSchema4Records:
         (root / "segments" / "pinned.seg").write_bytes(self.PINNED_RECORD)
         with ResultStore(root) as store:
             assert store.stats.quarantined == 0 and len(store) == 1
-            got = store.lookup(self.PINNED_KEY)
+            got = store.lookup(PATTERNS.memo_key(*self.PINNED_KEY))
             assert store.verify()["errors"] == []
         assert np.array_equal(np.frombuffer(got, "<i8"), self.PINNED_VALUES)
 
@@ -303,7 +313,7 @@ class TestCrashSemantics:
             store.flush()
             (seg,) = _segments(store)
         clean = seg.stat().st_size
-        extra = encode_record(_key(99), _row(99))[:torn]
+        extra = encode_record(_byte_key(99), _row(99))[:torn]
         with open(seg, "ab") as fh:
             fh.write(extra)
         return seg, clean
@@ -426,10 +436,11 @@ class TestCrashSemantics:
             "import os, signal, sys\n"
             "import numpy as np\n"
             "from repro.arch.base import VECTOR_WIDTH\n"
+            "from repro.formats.bbc import PATTERNS\n"
             "from repro.store import ResultStore\n"
             "store = ResultStore(sys.argv[1])\n"
             "for i in range(1, 51):\n"
-            "    key = ('ns', bytes([i]) * 4, bytes([i % 251, i % 7]))\n"
+            "    key = PATTERNS.memo_key('ns', bytes([i]) * 4, bytes([i % 251, i % 7]))\n"
             "    row = (np.arange(VECTOR_WIDTH, dtype=np.int64) * i).tobytes()\n"
             "    assert store.insert(key, row)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n"
@@ -442,7 +453,7 @@ class TestCrashSemantics:
         (seg,) = sorted((root / "segments").glob("*.seg"))
         clean = seg.stat().st_size
         if torn:  # the kill landed mid-append: half a frame at the tail
-            record = encode_record(_key(99), _row(99))
+            record = encode_record(_byte_key(99), _row(99))
             with open(seg, "ab") as fh:
                 fh.write(record[:len(record) // 2])
         with ResultStore(root) as store:
@@ -489,12 +500,13 @@ class TestCrashSemantics:
             "import numpy as np\n"
             "from repro.store import ResultStore\n"
             "from repro.arch.base import VECTOR_WIDTH\n"
+            "from repro.formats.bbc import PATTERNS\n"
             "root, tag = sys.argv[1], int(sys.argv[2])\n"
             "with ResultStore(root) as store:\n"
             "    for i in range(40):\n"
-            "        store.insert(('ns', b'\\x01\\x02', b'\\x03'),\n"
+            "        store.insert(PATTERNS.memo_key('ns', b'\\x01\\x02', b'\\x03'),\n"
             "                     np.full(VECTOR_WIDTH, 11, dtype='<i8').tobytes())\n"
-            "        store.insert(('w%d' % tag, bytes([i]), b'x'),\n"
+            "        store.insert(PATTERNS.memo_key('w%d' % tag, bytes([i]), b'x'),\n"
             "                     np.full(VECTOR_WIDTH, i, dtype='<i8').tobytes())\n"
             "    store.flush()\n"
         )
@@ -509,7 +521,7 @@ class TestCrashSemantics:
             assert proc.wait(timeout=60) == 0
         with ResultStore(root) as store:
             # The racing key converged to exactly one readable record...
-            got = store.lookup(("ns", b"\x01\x02", b"\x03"))
+            got = store.lookup(PATTERNS.memo_key("ns", b"\x01\x02", b"\x03"))
             assert got == np.full(VECTOR_WIDTH, 11, dtype="<i8").tobytes()
             # ...and nothing either writer appended was lost.
             assert len(store) == 1 + 2 * 40
