@@ -5,9 +5,15 @@ order, ``batch`` requests deep, pushing every node through the same
 ``simulate_kernel`` fastpath the apps always used — so the shared
 :class:`~repro.sim.blockcache.BlockCache` (and any bound
 :class:`~repro.store.ResultStore` tier) amortises identical tile
-patterns across layers *and* across requests.  Request 0 reproduces the
-legacy per-layer loops bit for bit; later requests vary only where the
-model's operands genuinely vary (fresh conv activations per request).
+patterns across layers *and* across requests.  Each request runs inside
+one :func:`~repro.sim.engine.miss_pool`: its nodes' ``simulate_kernel``
+calls only probe the memo, and the pool simulates the request's misses
+together when it closes (one ``simulate_blocks`` call per model and B
+width, a pair shared by two nodes once).  A node's report is complete
+only after that, so the runner prices traffic afterwards.  Request 0
+reproduces the legacy per-layer loops bit for bit; later requests vary
+only where the model's operands genuinely vary (fresh conv activations
+per request).
 
 On top of the untouched per-node reports it overlays the system story:
 the buffer plan decides which inter-layer activations stay on chip,
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.arch.base import STCModel
@@ -31,7 +37,7 @@ from repro.errors import GraphError
 from repro.graph.buffer import DEFAULT_BUFFER_KIB, BufferPlan, plan_buffers
 from repro.graph.ir import GraphNode, ModelGraph
 from repro.sim.blockcache import BlockCache
-from repro.sim.engine import get_cache, simulate_kernel
+from repro.sim.engine import get_cache, miss_pool, simulate_kernel
 from repro.sim.memory import (
     DEFAULT_MEMORY,
     MemoryConfig,
@@ -215,9 +221,7 @@ class GraphRunner:
                       batch=self.batch, nodes=len(order)):
             for request in range(self.request_offset,
                                  self.request_offset + self.batch):
-                for node in order:
-                    report.nodes.append(
-                        self._run_node(node, request, plan))
+                report.nodes.extend(self._run_request(order, request, plan))
         report.wall_s = perf_counter() - t0
         report.cache = memo.stats.delta(stats_before).as_dict()
         if obs.enabled():
@@ -229,15 +233,28 @@ class GraphRunner:
 
     # -- internals -------------------------------------------------------
 
-    def _run_node(self, node: GraphNode, request: int,
-                  plan: BufferPlan) -> NodeResult:
-        kwargs = node.operand_kwargs(request)
-        with obs.span("graph.node", graph=self.graph.name, node=node.name,
-                      kernel=node.kernel, request=request):
-            sim = simulate_kernel(
-                node.kernel, node.a, self.stc,
-                energy_model=self.energy_model, cache=self.cache, **kwargs,
-            )
+    def _run_request(self, order: List[GraphNode], request: int,
+                     plan: BufferPlan) -> List[NodeResult]:
+        """One request: every node's kernel in one miss pool, then pricing."""
+        calls: List[Tuple[GraphNode, dict, SimReport]] = []
+        with miss_pool():
+            for node in order:
+                kwargs = node.operand_kwargs(request)
+                with obs.span("graph.node", graph=self.graph.name,
+                              node=node.name, kernel=node.kernel,
+                              request=request):
+                    sim = simulate_kernel(
+                        node.kernel, node.a, self.stc,
+                        energy_model=self.energy_model, cache=self.cache,
+                        **kwargs,
+                    )
+                calls.append((node, kwargs, sim))
+        return [self._price_node(node, request, plan, kwargs, sim)
+                for node, kwargs, sim in calls]
+
+    def _price_node(self, node: GraphNode, request: int, plan: BufferPlan,
+                    kwargs: dict, sim: SimReport) -> NodeResult:
+        """A node's traffic and memory cycles, from its finished report."""
         read_resident = any(
             plan.is_resident(t) for t in node.inputs
             if self.graph.producer(t) is not None

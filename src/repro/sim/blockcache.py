@@ -76,12 +76,19 @@ class CacheStats:
 
     @property
     def lookups(self) -> int:
-        """Total lookups served."""
+        """Total lookups served, ``hits + misses``.
+
+        Inside an engine miss pool (:func:`repro.sim.engine.miss_pool`)
+        a pair that an earlier call of the pool missed is served from
+        that call's pending row without a :meth:`BlockCache.lookup`, and
+        counts as a hit, so this can exceed the number of ``lookup``
+        calls; ``docs/graph.md`` gives the rule.
+        """
         return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """hits / lookups (0.0 before any lookup)."""
+        """hits / lookups (0.0 before any lookup), pool-served pairs included."""
         total = self.lookups
         return self.hits / total if total else 0.0
 

@@ -2,16 +2,29 @@
 
 ``simulate_kernel`` enumerates a kernel's T1 task stream over BBC
 operands as array batches (:mod:`repro.kernels.batched`) and hands them
-to ``simulate_batches``, the one engine entry: each batch is coalesced
-so a distinct pattern pair is looked up (and, on a miss, simulated)
-exactly once with its combined weight, and the run's cycles /
-utilisation / counters / energy are aggregated into a
-:class:`~repro.sim.results.SimReport`.  Patterns have one form from
-the BBC encoder to the models, packed level-2 tile bitmaps that each
-matrix interns once (:data:`~repro.formats.bbc.PATTERNS`): a warm batch
-builds its memo keys as one int array and costs one memo lookup per
-unique pair, and its misses reach ``simulate_blocks`` as one
-unit-weight :class:`~repro.kernels.batched.TaskBatch`.
+to ``simulate_batches``, the one engine entry.  A call runs in three
+steps:
+
+- **probe**: each batch is coalesced so a distinct pattern pair is
+  looked up exactly once with its combined weight, its memo keys are
+  built as one int array, and each unique pair costs one memo
+  ``lookup``;
+- **resolve**: the misses reach
+  :meth:`~repro.arch.base.STCModel.simulate_blocks` as one unit-weight
+  :class:`~repro.kernels.batched.TaskBatch`, and each returned row is
+  ``insert``-ed into the memo;
+- **fold**: the run's cycles / utilisation / counters / energy are
+  aggregated into a :class:`~repro.sim.results.SimReport`.
+
+Resolve belongs to a *miss pool*.  Outside one, a call is a pool of one
+and resolves before it returns.  Inside :func:`miss_pool` (the graph
+runner opens one per inference request) a call only probes: it returns
+its report unfinished, and the pool resolves every call's misses when
+it closes, with one ``simulate_blocks`` call per (memo, model
+namespace, B width, pattern-table epoch), each distinct pair once, then
+folds each call's report from its own rows.  Patterns have one form
+from the BBC encoder to the models, packed level-2 tile bitmaps that
+each matrix interns once (:data:`~repro.formats.bbc.PATTERNS`).
 
 A block result is one int64 row in the
 :data:`~repro.arch.base.VECTOR_WIDTH` layout from the model to the
@@ -42,9 +55,10 @@ between sweep cases and across processes.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import replace
 from time import perf_counter
-from typing import Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -146,43 +160,259 @@ def simulate_batches(
     """Run batched (array-of-pattern-pairs) task streams on one model.
 
     Each batch is coalesced so a distinct pattern pair hits the model
-    (or the memo) exactly once with its aggregate weight.  All memo
-    misses of a batch go to :meth:`~repro.arch.base.STCModel.simulate_blocks`
-    as one unit-weight :class:`TaskBatch` (memoised rows must not depend
-    on the stream weight); the returned matrix is rendered to bytes once
-    and each row's slice is inserted into the shared cache.  ``cache``
+    (or the memo) exactly once with its aggregate weight.  The call's
+    misses go to :meth:`~repro.arch.base.STCModel.simulate_blocks` as
+    one unit-weight :class:`TaskBatch` (memoised rows must not depend
+    on the stream weight); the returned matrix is rendered to bytes
+    once and each row's slice is inserted into the memo.  ``cache``
     overrides the process-wide memo (used by tests that need isolated
     caches and by ablations that compare cache policies).
+
+    Inside :func:`miss_pool` the call only probes: the returned report
+    is complete only once the pool closes.
     """
-    memo = _BLOCK_CACHE if cache is None else cache
-    report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
-    namespace = stc.cache_key()
-    stats_before = memo.stats.snapshot()
-    t0 = perf_counter()
-    lookup = memo.lookup
-    rows = []
-    weights = []
-    for index, batch in enumerate(batches):
-        with obs.span("batch", index=index, tasks=len(batch)):
-            pairs = coalesce_raw(batch)
-            keys = pairs.cache_keys(namespace)
-            found = [lookup(key) for key in keys]
-            missed = [slot for slot, row in enumerate(found) if row is None]
-            if missed:
-                misses = replace(pairs.take(missed),
-                                 weights=np.ones(len(missed), dtype=np.int64))
-                simulated = _checked_rows(stc, stc.simulate_blocks(misses), len(missed))
-                data = simulated.astype(ROW_DTYPE, copy=False).tobytes()
-                for start, slot in zip(range(0, len(data), ROW_BYTES), missed):
-                    row = data[start:start + ROW_BYTES]
-                    memo.insert(keys[slot], row)
-                    found[slot] = row
-            rows.extend(found)
-            weights.append(pairs.weights)
-    _aggregate(report, row_matrix(rows),
-               np.concatenate(weights) if weights else [], stc, energy_model)
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
+    pool = _POOL.get()
+    if pool is not None:
+        return pool.probe(stc, batches, kernel, energy_model, matrix, cache)
+    pool = _MissPool()
+    report = pool.probe(stc, batches, kernel, energy_model, matrix, cache)
+    pool.resolve()
     return report
+
+
+_POOL: ContextVar[Optional["_MissPool"]] = ContextVar("miss_pool", default=None)
+#: What a pool without parts has pending.
+_NOTHING_PENDING: frozenset = frozenset()
+#: A probed row slot that a pending pair's row fills at resolve.
+_SERVED = object()
+
+
+@contextmanager
+def miss_pool():
+    """Pool the memo misses of every ``simulate_batches`` call inside.
+
+    The calls only probe the memo and return unfinished reports.  When
+    the block exits normally, one ``simulate_blocks`` call per (memo,
+    model namespace, B width, pattern-table epoch) simulates each
+    distinct missed pair once, the rows are inserted in pooled order
+    (call by call, each call's misses in probe order), and each report
+    is folded from its own rows, byte-identical to a standalone call's.
+    A pair an earlier call of the pool missed counts as a hit, as it
+    would after that call's insert.  If the block raises, the pool
+    resolves nothing and no row of it reaches the memo or a bound
+    store.  Pools live in a context variable, so threads never share
+    one, and nest as independent scopes.  ``docs/graph.md`` gives the
+    per-report ``cache`` and ``wall_s`` rules and what pooled insertion
+    order changes past the LRU's capacity.
+    """
+    pool = _MissPool()
+    token = _POOL.set(pool)
+    try:
+        yield
+    finally:
+        _POOL.reset(token)
+    pool.resolve()
+
+
+class _Run:
+    """One ``simulate_batches`` call in a pool, from probe to fold."""
+
+    __slots__ = ("report", "stc", "memo", "energy_model", "rows", "weights",
+                 "parts", "holes", "misses", "probed", "own_s")
+
+    def __init__(self, report, stc, memo, energy_model) -> None:
+        self.report, self.stc, self.memo = report, stc, memo
+        self.energy_model = energy_model
+        self.rows: List[Optional[bytes]] = []
+        self.weights: List[np.ndarray] = []
+        #: The misses this run saw first in its pool, one part per batch:
+        #: it inserts them.
+        self.parts: List[_Part] = []
+        #: ``(batch offset in rows, slots, batch keys)`` of the pairs
+        #: an earlier part of the pool missed first.
+        self.holes: List[Tuple[int, List[int], List[int]]] = []
+        self.misses = 0
+        self.probed: Optional[CacheStats] = None
+        #: Seconds spent on this run alone: probe, inserts and fold.
+        self.own_s = 0.0
+
+
+class _Part:
+    """One batch's first misses: where they sit in the run and in the model's result."""
+
+    __slots__ = ("pairs", "slots", "keys", "offset", "data", "start")
+
+    def __init__(self, pairs: TaskBatch, slots: List[int], keys: List[int],
+                 offset: int) -> None:
+        self.pairs, self.slots, self.keys, self.offset = pairs, slots, keys, offset
+        #: The pooled call's rows as bytes, and this part's first byte.
+        self.data, self.start = b"", 0
+
+
+class _MissPool:
+    """The pending misses of some ``simulate_batches`` calls (see :func:`miss_pool`)."""
+
+    def __init__(self) -> None:
+        self.runs: List[_Run] = []
+        self.misses = 0
+        #: (id(memo), namespace, n, epoch) -> [stc, parts]: one
+        #: ``simulate_blocks`` call each.
+        self.groups: Dict[tuple, list] = {}
+        #: ``id(memo)`` -> the keys the parts so far missed.  Built when
+        #: a batch probes after a part exists, so a lone batch (every
+        #: call outside a pool) keeps no per-miss set.
+        self.pending: Optional[Dict[int, Set[int]]] = None
+
+    def _pending(self, memo: BlockCache):
+        """The keys an earlier part of this pool missed in ``memo``."""
+        if self.pending is None:
+            if not self.groups:
+                return _NOTHING_PENDING
+            self.pending = {}
+            for (memo_id, *_), (_, parts) in self.groups.items():
+                keys = self.pending.setdefault(memo_id, set())
+                for part in parts:
+                    keys.update(map(part.keys.__getitem__, part.slots))
+        return self.pending.setdefault(id(memo), set())
+
+    def probe(self, stc: STCModel, batches: Iterable[TaskBatch], kernel: str,
+              energy_model: Optional[EnergyModel], matrix: Optional[str],
+              cache: Optional[BlockCache]) -> SimReport:
+        """Look a call's unique pairs up and queue its misses; its report is unfinished."""
+        t0 = perf_counter()
+        memo = _BLOCK_CACHE if cache is None else cache
+        run = _Run(SimReport(stc=stc.name, kernel=kernel, matrix=matrix),
+                   stc, memo, energy_model)
+        self.runs.append(run)
+        namespace = stc.cache_key()
+        stats_before = memo.stats.snapshot()
+        lookup = memo.lookup
+        for index, batch in enumerate(batches):
+            with obs.span("batch", index=index, tasks=len(batch)):
+                pairs = coalesce_raw(batch)
+                keys = pairs.cache_keys(namespace)
+                offset = len(run.rows)
+                pending = self._pending(memo)
+                # Only a batch with something pending checks its keys: the
+                # check made a warm uni-stc pass over the n=128/256/512
+                # corpus 5% slower and cold calls of every STC 1-2% slower
+                # (one process, interleaved, 2-core host).
+                if pending:
+                    # A pair an earlier part missed is served from that
+                    # part's row without a lookup, and counts as a hit.
+                    found = [_SERVED if key in pending else lookup(key) for key in keys]
+                    served = [slot for slot, row in enumerate(found) if row is _SERVED]
+                    if served:
+                        memo.stats.hits += len(served)
+                        run.holes.append((offset, served, keys))
+                else:
+                    found = [lookup(key) for key in keys]
+                missed = [slot for slot, row in enumerate(found) if row is None]
+                if missed:
+                    part = _Part(pairs, missed, keys, offset)
+                    run.parts.append(part)
+                    run.misses += len(missed)
+                    self.misses += len(missed)
+                    self.groups.setdefault((id(memo), namespace, pairs.n, pairs.epoch),
+                                           [stc, []])[1].append(part)
+                    if self.pending is not None:
+                        pending.update(map(keys.__getitem__, missed))
+                run.rows.extend(found)
+                run.weights.append(pairs.weights)
+        run.probed = memo.stats.delta(stats_before)
+        run.own_s = perf_counter() - t0
+        return run.report
+
+    def resolve(self) -> None:
+        """Simulate every pending miss, insert the rows and fold each run.
+
+        Every group is simulated before any insert, so a model that
+        raises leaves the memo as the probes left it.  A run's
+        ``wall_s`` is its own probe, inserts and fold plus the pool's
+        model time split over the runs by the misses each owns; its
+        ``cache`` dict is its own lookups plus the inserts and
+        evictions of its own misses.
+        """
+        model_s = 0.0
+        if self.groups:
+            t0 = perf_counter()
+            with obs.span("resolve", runs=len(self.runs)):
+                for (_, _, n, epoch), (stc, parts) in self.groups.items():
+                    misses = _pooled_batch(parts, n, epoch)
+                    data = _checked_rows(stc, stc.simulate_blocks(misses), len(misses)
+                                         ).astype(ROW_DTYPE, copy=False).tobytes()
+                    start = 0
+                    for part in parts:
+                        part.data, part.start = data, start
+                        start += len(part.slots) * ROW_BYTES
+            model_s = (perf_counter() - t0) / self.misses
+        resolved = None
+        for run in self.runs:
+            t0 = perf_counter()
+            memo, delta, rows = run.memo, run.probed, run.rows
+            if run.parts:
+                # An insert moves only these two counters, so adding their
+                # change to the probe's delta covers the run's lookups and
+                # its own inserts and evictions, not other runs'.
+                stats = memo.stats
+                inserts, evictions = stats.inserts, stats.evictions
+                insert = memo.insert
+                for part in run.parts:
+                    keys, offset, data = part.keys, part.offset, part.data
+                    for at, slot in zip(range(part.start, len(data), ROW_BYTES), part.slots):
+                        row = data[at:at + ROW_BYTES]
+                        insert(keys[slot], row)
+                        rows[offset + slot] = row
+                delta.inserts += stats.inserts - inserts
+                delta.evictions += stats.evictions - evictions
+            if run.holes and resolved is None:
+                resolved = {part.keys[slot]: part.data[at:at + ROW_BYTES]
+                            for _, parts in self.groups.values() for part in parts
+                            for at, slot in zip(range(part.start, len(part.data), ROW_BYTES),
+                                                part.slots)}
+            for offset, slots, keys in run.holes:
+                for slot in slots:
+                    rows[offset + slot] = resolved[keys[slot]]
+            _aggregate(run.report, row_matrix(rows),
+                       np.concatenate(run.weights) if run.weights else [],
+                       run.stc, run.energy_model)
+            _finalise_run(run.report, memo, delta,
+                          run.own_s + model_s * run.misses + perf_counter() - t0)
+
+
+def _pooled_batch(parts, n: int, epoch: int) -> TaskBatch:
+    """One unit-weight batch of the parts' missed pairs, in pooled order.
+
+    A lone part keeps its own (distinct) pattern tables.  Several parts'
+    tables are joined and deduplicated by interned id (all of one
+    epoch, so equal ids are equal patterns); nothing is re-interned.
+    """
+    if len(parts) == 1:
+        part = parts[0]
+        return replace(part.pairs.take(part.slots),
+                       weights=np.ones(len(part.slots), dtype=np.int64))
+    picks = [(part.pairs, np.array(part.slots)) for part in parts]
+    a_patterns, a_ids, a_index = _distinct(
+        [(pairs.a_patterns, pairs.a_ids, pairs.a_index[slots]) for pairs, slots in picks])
+    b_patterns, b_ids, b_index = _distinct(
+        [(pairs.b_patterns, pairs.b_ids, pairs.b_index[slots]) for pairs, slots in picks])
+    return TaskBatch(
+        a_patterns=a_patterns, b_patterns=b_patterns, a_index=a_index, b_index=b_index,
+        weights=np.ones(a_index.size, dtype=np.int64), n=n,
+        a_ids=a_ids, b_ids=b_ids, epoch=epoch,
+    )
+
+
+def _distinct(operands):
+    """The rows ``(table, ids, index)`` operands pick, as ``(patterns, ids, index)``.
+
+    Equal ids are equal patterns, so each distinct id keeps its first row.
+    """
+    offsets = np.cumsum([0] + [len(table) for table, _, _ in operands[:-1]])
+    index = np.concatenate([picked + offset for (_, _, picked), offset in zip(operands, offsets)])
+    ids, first, index_of = np.unique(np.concatenate([ids for _, ids, _ in operands])[index],
+                                     return_index=True, return_inverse=True)
+    return np.concatenate([table for table, _, _ in operands])[index[first]], ids, index_of
 
 
 def _checked_rows(stc: STCModel, rows, count: int) -> np.ndarray:
@@ -224,16 +454,15 @@ def _aggregate(report: SimReport, rows: np.ndarray, weights, stc: STCModel,
 def _finalise_run(
     report: SimReport,
     memo: BlockCache,
-    stats_before: CacheStats,
+    delta: CacheStats,
     wall_s: float,
 ) -> None:
-    """Attach per-run wall time and cache-counter deltas to a report.
+    """Attach a run's wall time and cache-counter delta to its report.
 
-    Always on (two clock reads and four subtractions); the metric
-    emission below is gated on the observability switch.
+    Always on; the metric emission below is gated on the observability
+    switch.
     """
     report.wall_s = wall_s
-    delta = memo.stats.delta(stats_before)
     report.cache = delta.as_dict()
     if obs.enabled():
         labels = {"kernel": report.kernel, "stc": report.stc}
@@ -260,7 +489,8 @@ def simulate_kernel(
     ``operands`` forward to the kernel's task enumeration: ``x`` (a
     :class:`~repro.kernels.vector.SparseVector`) for SpMSpV, ``b_cols``
     for SpMM (default 64, the paper's setting), ``b`` (a second
-    :class:`BBCMatrix`) for SpGEMM (default A, i.e. C = A^2).
+    :class:`BBCMatrix`) for SpGEMM (default A, i.e. C = A^2).  Inside
+    :func:`miss_pool` the report is complete only once the pool closes.
     """
     with obs.span("kernel", kernel=kernel.lower(), stc=stc.name,
                   matrix=matrix):

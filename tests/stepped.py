@@ -198,7 +198,7 @@ def simulate_tasks(
         rows.append(row)
         weights.append(task.weight)
     _aggregate(report, row_matrix(rows), weights, stc, energy_model)
-    _finalise_run(report, memo, stats_before, perf_counter() - t0)
+    _finalise_run(report, memo, memo.stats.delta(stats_before), perf_counter() - t0)
     return report
 
 
