@@ -2,7 +2,8 @@
 
 ``repro top CHECKPOINT`` points at the same ``--checkpoint`` journal
 path the campaign was started with (or directly at its ``<journal>.d``
-workdir) and tails the per-shard telemetry streams the workers write
+workdir) and tails the shard journals the workers write, whose beats,
+case records and metrics deltas are the campaign's telemetry
 (:mod:`repro.obs.telemetry`).  It is a pure *reader*: it attaches to
 files only, so it can run from another terminal, after the supervisor
 died, or against a finished campaign's leftovers.

@@ -57,9 +57,8 @@ class WorkerCrashError(ReproError):
 
 
 class TelemetryError(ReproError):
-    """A streamed telemetry file is corrupt past its final line.
+    """A campaign status document is malformed or inconsistent.
 
-    Mirrors the checkpoint-journal contract: a torn final line is a
-    normal crash artifact and is tolerated, interior garble means the
-    stream cannot be trusted.
+    (A corrupt shard journal raises :class:`CheckpointError`, like any
+    other journal.)
     """

@@ -8,7 +8,9 @@ campaign journal, mirroring how :class:`ResilientRunner` itself
 appends on resume — and deterministic: new entries land in canonical
 case order, so a cold sharded campaign's merged journal is
 byte-identical to a single-process run's journal modulo the wall-clock
-fields (``elapsed_s``, per-report ``wall_s``/``cache``).
+fields (``elapsed_s``, per-report ``wall_s``/``cache``).  Only a case
+record's journal fields are merged: a worker's stamp, metrics deltas,
+beats and spans stay in its shard journal.
 
 Duplicate case keys across sources are classified, not silently
 dropped:
@@ -25,15 +27,20 @@ dropped:
 from __future__ import annotations
 
 import copy
-import json
 import os
+import shutil
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.errors import CheckpointError
-from repro.resilience.runner import journal_header, read_raw_journal
+from repro.obs.journal import JournalReader, JournalWriter
+from repro.resilience.runner import (
+    journal_entries,
+    journal_header,
+    read_raw_journal,
+)
 
 #: Fields that legitimately differ between runs of the same case.
 WALLCLOCK_FIELDS = ("elapsed_s",)
@@ -122,44 +129,29 @@ def merge_journals(
 
     ``order`` is the canonical case-key order (the full grid's);
     entries are appended in that order, unknown keys last in sorted
-    order.  Missing source files are skipped (a worker that never
-    started has nothing to merge); unreadable or mismatched ones —
-    wrong kind, a *different journal version* (mixed-version headers),
-    or a foreign fingerprint — raise :class:`CheckpointError`.  The
-    write is atomic (tmp + rename), so a crash mid-merge leaves the
-    previous journal intact and the sources still on disk.
+    order.  Sources with no record are skipped (a worker that never
+    started, or died writing its header, has nothing to merge);
+    unreadable or mismatched ones — wrong kind, a *different journal
+    version* (mixed-version headers), or a foreign fingerprint — raise
+    :class:`CheckpointError`.  The write is atomic (a copy of the
+    campaign journal, appended to, then renamed over it), so a crash
+    mid-merge leaves the previous journal intact and the sources still
+    on disk.
     """
     target = Path(str(target))
     loaded: List[Tuple[str, Dict[str, dict]]] = []
     for source in sources:
         source = Path(str(source))
-        if not source.exists():
-            continue
-        lines = source.read_text(encoding="utf-8").splitlines()
-        if not lines:
-            continue  # worker died before its first journal write
-        if len(lines) == 1:
-            try:
-                json.loads(lines[0])
-            except json.JSONDecodeError:
-                continue  # torn header: killed mid-first-write, no entries
-        _, entries = read_raw_journal(source, fingerprint)
-        loaded.append((source.name, entries))
+        records = JournalReader(source).poll()
+        if records:   # a worker killed before its header landed has none
+            loaded.append(
+                (source.name, journal_entries(source, records, fingerprint)[1]))
     folded, stats = fold_entries(loaded)
 
     existing: Dict[str, dict] = {}
-    header_line: Optional[str] = None
-    body_lines: List[str] = []
-    if target.exists():
-        with open(target, "r", encoding="utf-8") as handle:
-            raw_lines = handle.read().splitlines()
+    appending = target.exists()
+    if appending:
         _, existing = read_raw_journal(target, fingerprint)
-        header_line = raw_lines[0]
-        body_lines = raw_lines[1:]
-    else:
-        header_line = json.dumps(
-            journal_header(fingerprint, cases if cases is not None
-                           else len(order or folded)))
 
     to_append: List[Tuple[str, dict]] = []
     for key, entry in folded.items():
@@ -187,14 +179,15 @@ def merge_journals(
     stats.appended = len(to_append)
 
     tmp = target.with_name(target.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(header_line + "\n")
-        for line in body_lines:
-            handle.write(line + "\n")
+    if appending:
+        shutil.copyfile(target, tmp)
+    with JournalWriter(tmp) as writer:
+        writer.open(journal_header(fingerprint, cases if cases is not None
+                                   else len(order or folded)),
+                    fresh=not appending)
         for _, entry in to_append:
-            handle.write(json.dumps(entry) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
+            writer.append(entry)
+        writer.sync()
     os.replace(tmp, target)
     obs.inc("exec.journal_entries_merged", stats.appended)
     return stats

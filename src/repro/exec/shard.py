@@ -4,9 +4,9 @@ A :class:`ShardSpec` is everything one worker process needs to execute
 its slice of a campaign, serialised as JSON: the workload cells
 (matrices carried as registry matrix-spec strings, STCs as
 :class:`StcDef` name+knob records), the explicit case list, the
-resilience envelope, and the two files the worker writes (its journal
-and its telemetry stream).  Nothing in a
-shard references in-memory state of the supervisor — a spec written to
+resilience envelope, and the one file the worker writes (its journal,
+which also carries its telemetry).  Nothing in a shard references
+in-memory state of the supervisor — a spec written to
 disk can be re-dispatched after a supervisor crash, bisected into
 sub-shards, or inspected by hand.
 
@@ -26,8 +26,9 @@ from repro.errors import ConfigError
 from repro.registry import canonical_stc_name, stc_factory
 from repro.sim.sweep import Sweep, SweepCase
 
-#: Shard spec schema; bumped on incompatible layout changes.
-SHARD_SCHEMA = 2
+#: Shard spec schema; bumped on incompatible layout changes.  Schema 3
+#: dropped the telemetry path: the journal carries the telemetry.
+SHARD_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,6 @@ class ShardSpec:
     max_leaked_threads: int = 8
     heartbeat_interval_s: float = 1.0
     journal: str = ""                       #: per-worker JSONL journal
-    telemetry: str = ""                     #: liveness + metrics stream (JSONL)
     store: str = ""                         #: shared result-store dir ("" disables)
 
     def __post_init__(self) -> None:
@@ -124,8 +124,6 @@ class ShardSpec:
             raise ConfigError(f"shard {self.shard_id} has no cases")
         if not self.journal:
             raise ConfigError(f"shard {self.shard_id} needs a journal path")
-        if not self.telemetry:
-            raise ConfigError(f"shard {self.shard_id} needs a telemetry path")
         names = {name for name, _ in self.matrices}
         stc_names = {d.name for d in self.stcs}
         for matrix, stc, kernel in self.cases:
@@ -160,7 +158,6 @@ class ShardSpec:
             "max_leaked_threads": self.max_leaked_threads,
             "heartbeat_interval_s": self.heartbeat_interval_s,
             "journal": self.journal,
-            "telemetry": self.telemetry,
             "store": self.store,
         }
 
@@ -188,7 +185,6 @@ class ShardSpec:
                 heartbeat_interval_s=float(
                     data.get("heartbeat_interval_s", 1.0)),
                 journal=str(data.get("journal", "")),
-                telemetry=str(data.get("telemetry", "")),
                 store=str(data.get("store", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -232,7 +228,7 @@ class ShardSpec:
         )
 
     def replace_cases(self, cases: List[SweepCase], shard_id: str,
-                      journal: str, telemetry: str) -> "ShardSpec":
+                      journal: str) -> "ShardSpec":
         """A derived shard (bisection) covering a subset of the cases."""
         used_matrices = {c.matrix_name for c in cases}
         used_stcs = {c.stc_name for c in cases}
@@ -250,7 +246,6 @@ class ShardSpec:
             max_leaked_threads=self.max_leaked_threads,
             heartbeat_interval_s=self.heartbeat_interval_s,
             journal=journal,
-            telemetry=telemetry,
             store=self.store,
         )
 

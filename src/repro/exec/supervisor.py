@@ -8,7 +8,7 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   is *actually killed* (SIGTERM, then SIGKILL after
   ``policy.term_grace_s``), unlike the thread-based per-case timeout
   which can only abandon a thread.
-- **Heartbeats** — a worker whose telemetry file goes unwritten for
+- **Heartbeats** — a worker whose shard journal goes unwritten for
   ``heartbeat_interval_s x heartbeat_misses`` is presumed wedged
   (or SIGSTOPped) and killed the same way.
 - **Bounded crash retry** — a crashed/killed/recycled shard is
@@ -24,9 +24,10 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   journal in canonical case order
   (:func:`repro.exec.journal.merge_journals`), so a sharded run's
   artifacts match a single-process run's modulo wall-clock fields.
-- **Telemetry** — the one worker→supervisor channel.  Workers stream
-  beats, journal-aligned metrics deltas and trace spans to per-shard
-  JSONL files; the supervisor tails them into a live ``status.json``
+- **Telemetry** — the shard journal is the one worker→supervisor
+  channel.  Beside each case's outcome it carries the case's metrics
+  delta, and beats and trace spans ride the same file.  The
+  supervisor tails every shard journal into a live ``status.json``
   (the ``repro top`` view), folds streamed metrics in even for
   SIGKILLed workers, and stitches every worker's spans into its own
   tracer so the campaign exports one Chrome trace with real worker
@@ -40,7 +41,6 @@ results and journal bytes.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import subprocess
@@ -58,8 +58,9 @@ from repro.errors import ConfigError
 from repro.exec import worker as worker_mod
 from repro.exec.journal import merge_journals
 from repro.exec.shard import CaseListSweep, ShardSpec, StcDef, shard_cases
+from repro.obs.journal import JournalWriter
 from repro.obs.stitch import stitch_into_tracer
-from repro.obs.telemetry import CampaignMonitor, telemetry_path
+from repro.obs.telemetry import CampaignMonitor
 from repro.registry import parse_matrix_spec
 from repro.resilience.runner import (
     CaseFailure,
@@ -81,8 +82,8 @@ logger = logging.getLogger(__name__)
 #: one tick.  Small enough for tests, cheap enough for real campaigns.
 _POLL_S = 0.05
 
-#: Telemetry tailing cadence — one stat() per shard per tail, so this
-#: stays coarser than the supervision tick.
+#: Journal tailing cadence — one open and stat() per shard per tail,
+#: so this stays coarser than the supervision tick.
 _TAIL_S = 0.25
 
 #: Live ``status.json`` refresh cadence inside the campaign workdir.
@@ -285,8 +286,8 @@ class CampaignExecutor:
                 # supervision tick and the workers' exits.
                 monitor.poll()
                 if obs.enabled():
-                    # The stream holds every incarnation's last
-                    # journal-aligned state, SIGKILLed ones included.
+                    # The journals hold every incarnation's state as of
+                    # its last journaled case, SIGKILLed ones included.
                     monitor.fold_into(obs.metrics())
                     stitch_into_tracer(obs.tracer(),
                                        monitor.spans_by_shard())
@@ -296,9 +297,8 @@ class CampaignExecutor:
             elif not journal.exists():
                 # Everything resumed and nothing to do; still leave a
                 # well-formed journal behind.
-                journal.write_text(
-                    json.dumps(journal_header(fingerprint, len(order)))
-                    + "\n", encoding="utf-8")
+                with JournalWriter(journal) as writer:
+                    writer.open(journal_header(fingerprint, len(order)))
 
             return self._summarise(journal, fingerprint, cases, prior_ok,
                                    progress)
@@ -339,7 +339,6 @@ class CampaignExecutor:
                 max_leaked_threads=self.policy.max_leaked_threads,
                 heartbeat_interval_s=self.policy.heartbeat_interval_s,
                 journal=str(workdir / f"{shard_id}.journal"),
-                telemetry=str(telemetry_path(workdir, shard_id)),
                 store=store,
             ))
         return specs
@@ -361,8 +360,8 @@ class CampaignExecutor:
                     spec = queue.pop(0)
                     state = self._prepare(spec, workdir)
                     # Bisection children register here too — every
-                    # dispatched shard is tailed from its first beat.
-                    monitor.add_shard(spec.shard_id, Path(spec.telemetry),
+                    # dispatched shard is tailed from its first record.
+                    monitor.add_shard(spec.shard_id, spec.journal,
                                       total=len(spec.cases))
                     try:
                         self._spawn(state)
@@ -397,7 +396,8 @@ class CampaignExecutor:
                         continue
                     returncode = state.proc.poll()
                     if returncode is None:
-                        reason = self._overdue(state, now)
+                        reason = self._overdue(
+                            state, now, monitor.last_write(shard_id))
                         if reason is None:
                             continue
                         obs.inc("exec.worker_kills", reason=reason)
@@ -475,8 +475,14 @@ class CampaignExecutor:
             state.log_handle.close()
             state.log_handle = None
 
-    def _overdue(self, state: _ShardState, now: float) -> Optional[str]:
-        """Why a running worker should be killed, or ``None``."""
+    def _overdue(self, state: _ShardState, now: float,
+                 last_write: Optional[float]) -> Optional[str]:
+        """Why a running worker should be killed, or ``None``.
+
+        ``last_write`` is the shard journal's mtime as the monitor last
+        read it: every record is an append, so it is the worker's last
+        sign of life.
+        """
         policy = self.policy
         if (policy.shard_timeout_s
                 and now - state.started_at > policy.shard_timeout_s):
@@ -485,15 +491,10 @@ class CampaignExecutor:
         if policy.heartbeat_misses:
             stale_after = (policy.heartbeat_interval_s
                            * policy.heartbeat_misses)
-            try:
-                # Every telemetry record is a flushed append, so the
-                # file's mtime is the worker's last sign of life.
-                last_beat = os.path.getmtime(state.spec.telemetry)
-            except OSError:
-                last_beat = 0.0
             # mtime is wall clock; compare ages, not clocks, and never
             # declare a worker stale before it had a chance to beat.
-            age = min(time.time() - last_beat, now - state.started_at)
+            age = min(time.time() - (last_write or 0.0),
+                      now - state.started_at)
             if age > stale_after:
                 return (f"heartbeat stale for {age:.1f}s "
                         f"(> {stale_after:g}s)")
@@ -538,7 +539,6 @@ class CampaignExecutor:
             queue.append(spec.replace_cases(
                 chunk, shard_id=child_id,
                 journal=str(workdir / f"{child_id}.journal"),
-                telemetry=str(telemetry_path(workdir, child_id)),
             ))
         logger.warning(
             "shard %s exhausted its crash budget with %d pending case(s); "
@@ -569,13 +569,9 @@ class CampaignExecutor:
                             f"{crashes} time(s) and was quarantined"),
             },
         }
-        journal = Path(spec.journal)
-        if not journal.exists():
-            journal.write_text(
-                json.dumps(journal_header(spec.campaign, len(spec.cases)))
-                + "\n", encoding="utf-8")
-        with open(journal, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
+        with JournalWriter(spec.journal) as writer:
+            writer.open(journal_header(spec.campaign, len(spec.cases)))
+            writer.append(entry)
 
     # -- join ------------------------------------------------------------
 

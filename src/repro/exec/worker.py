@@ -3,15 +3,16 @@
 A worker process reads one :class:`~repro.exec.shard.ShardSpec`,
 rebuilds its slice of the campaign grid, and runs it through the same
 :class:`~repro.resilience.runner.ResilientRunner` the in-process path
-uses — appending to the shard's private journal and streaming
-journal-aligned telemetry records to the shard's telemetry file: a
-metrics delta per finished case, and a beat plus a span flush on the
-heartbeat cadence (see :mod:`repro.obs.telemetry`).  That stream is the
+uses, appending to the shard's journal through one
+:class:`~repro.obs.journal.JournalWriter`: one record per finished
+case, carrying the case's journal entry and its metrics delta, and a
+beat plus a span flush on the heartbeat cadence.  That journal is the
 worker's only channel to its supervisor: its mtime is the liveness
-signal, its progress records the metrics.  The worker
+signal, its case records the progress and the metrics.  The worker
 *always* resumes from its own journal if one exists: a respawned
-worker (after a crash or a recycle) picks up exactly where its
-predecessor's last flushed line left off, so no finished case is ever
+worker (after a crash or a recycle) cuts the torn tail its
+predecessor may have left and picks up after its last whole record,
+writing nothing for the cases it resumes, so no finished case is ever
 re-simulated.
 
 Exit-code protocol (what the supervisor branches on):
@@ -58,12 +59,8 @@ from typing import Callable
 from repro import obs
 from repro.errors import ConfigError, ThreadLeakError
 from repro.exec.shard import ShardSpec
-from repro.obs.telemetry import TelemetryWriter
-from repro.resilience.runner import (
-    CaseOutcome,
-    ResilientRunner,
-    RetryPolicy,
-)
+from repro.obs.journal import JournalWriter
+from repro.resilience.runner import ResilientRunner, RetryPolicy, journal_header
 from repro.sim.sweep import SweepCase
 
 logger = logging.getLogger(__name__)
@@ -117,16 +114,16 @@ def run_shard(spec: ShardSpec) -> int:
     """Execute one shard; returns the process exit code.
 
     The runner journals every finished case to ``spec.journal`` and
-    resumes from it when the file already exists (a respawn).  The
-    shard's ``campaign`` fingerprint binds the journal, so a stale
-    journal from a different campaign is rejected rather than
-    silently replayed.  Shared persistence rides ``spec.store``: the
-    root of the result store the supervisor had bound, whose
-    append-only per-writer segments are safe under the whole fleet
-    (every shard binds the same store as its block-cache second tier).
+    resumes from it.  The shard's ``campaign`` fingerprint binds the
+    journal, so a stale journal from a different campaign is rejected
+    rather than silently replayed.  Shared persistence rides
+    ``spec.store``: the root of the result store the supervisor had
+    bound, whose append-only per-writer segments are safe under the
+    whole fleet (every shard binds the same store as its block-cache
+    second tier).
     """
-    # The telemetry stream carries metrics deltas and spans, so the obs
-    # layer always records inside a worker.
+    # The journal carries metrics deltas and spans, so the obs layer
+    # always records inside a worker.
     obs.enable()
     store = None
     if spec.store:
@@ -140,60 +137,49 @@ def run_shard(spec: ShardSpec) -> int:
     if chaos:
         sweep.pre_case = _chaos_hook(chaos)
 
-    journal = Path(spec.journal)
-    journal.parent.mkdir(parents=True, exist_ok=True)
+    log = JournalWriter(spec.journal, registry=obs.metrics(),
+                        tracer=obs.tracer())
     runner = ResilientRunner(
         sweep=sweep,
         timeout_s=spec.timeout_s or None,
         retry=RetryPolicy(max_retries=spec.max_retries),
-        journal_path=journal,
-        resume=journal.exists(),
+        journal_path=spec.journal,
+        resume=True,
         seed=spec.seed,
         fingerprint=spec.campaign,
         max_leaked_threads=spec.max_leaked_threads,
+        journal_writer=log,
     )
 
     def on_sigterm(signum, frame):  # noqa: ARG001 - signal signature
-        # The journal is flushed per line, so exiting between cases (or
-        # even mid-case) costs at most the in-flight attempt.
+        # Every record is one append, so exiting between cases (or even
+        # mid-case) costs at most the in-flight attempt.
         raise SystemExit(128 + signal.SIGTERM)
 
     signal.signal(signal.SIGTERM, on_sigterm)
 
-    telemetry = TelemetryWriter(
-        spec.telemetry, spec.shard_id, total=len(spec.cases),
-        registry=obs.metrics(), tracer=obs.tracer(),
-    )
     stop_beating = threading.Event()
 
     def beat_loop() -> None:
-        # Each beat appends to the telemetry file, so its mtime stays
-        # fresh even while one case runs for a long time.
+        # Each beat appends to the journal, so its mtime stays fresh
+        # even while one case runs for a long time.
         while not stop_beating.wait(max(spec.heartbeat_interval_s, 0.05)):
             try:
-                telemetry.beat()
+                log.beat()
             except Exception:   # noqa: BLE001 - never kill the beat
-                logger.warning("telemetry beat failed", exc_info=True)
+                logger.warning("heartbeat failed", exc_info=True)
 
     beater = threading.Thread(target=beat_loop, name="repro-heartbeat",
                               daemon=True)
-    done = 0
-
-    def progress(outcome: CaseOutcome) -> None:
-        nonlocal done
-        done += 1
-        # The runner journals the case before this callback fires, so
-        # every progress record is journal-aligned: whatever a SIGKILL
-        # loses after this line was never journaled either.
-        telemetry.case_done(done)
-
     exit_code = EXIT_OK
     phase = "finished"
     try:
-        telemetry.start()
+        # The header goes first, so no beat can land ahead of it.
+        log.open(journal_header(spec.campaign, len(spec.cases)))
+        log.beat("starting")
         beater.start()
         try:
-            runner.run(progress=progress)
+            runner.run()
         except ThreadLeakError as exc:
             logger.warning("shard %s requests a recycle: %s",
                            spec.shard_id, exc)
@@ -214,7 +200,7 @@ def run_shard(spec: ShardSpec) -> int:
         stop_beating.set()
         if beater.is_alive():
             beater.join(timeout=2.0)
-        telemetry.finish(phase)
+        log.close(phase)
     return exit_code
 
 

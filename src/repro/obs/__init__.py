@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.obs.journal import JournalReader, JournalWriter
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -42,14 +43,9 @@ from repro.obs.stitch import stitch_chrome_trace, stitch_into_tracer
 from repro.obs.telemetry import (
     STATUS_KIND,
     STATUS_SCHEMA,
-    TELEMETRY_SCHEMA,
     CampaignMonitor,
     MetricsFold,
-    TelemetryTailer,
-    TelemetryWriter,
     check_status,
-    fold_metrics,
-    telemetry_path,
 )
 from repro.obs.tracer import NULL_SPAN, EventRecord, Span, SpanRecord, Tracer
 
@@ -59,6 +55,8 @@ __all__ = [
     "EventRecord",
     "Gauge",
     "Histogram",
+    "JournalReader",
+    "JournalWriter",
     "MetricsFold",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -66,9 +64,6 @@ __all__ = [
     "STATUS_SCHEMA",
     "Span",
     "SpanRecord",
-    "TELEMETRY_SCHEMA",
-    "TelemetryTailer",
-    "TelemetryWriter",
     "Tracer",
     "check_status",
     "disable",
@@ -76,7 +71,6 @@ __all__ = [
     "enabled",
     "event",
     "expand_delta",
-    "fold_metrics",
     "inc",
     "metrics",
     "observe",
@@ -84,7 +78,6 @@ __all__ = [
     "span",
     "stitch_chrome_trace",
     "stitch_into_tracer",
-    "telemetry_path",
     "tracer",
 ]
 

@@ -1,50 +1,20 @@
-"""Streaming campaign telemetry across the supervisor/worker boundary.
+"""Live campaign telemetry, read from the shard journals.
 
-Workers append small JSON records to a per-shard
-``<shard>.telemetry.jsonl`` file; the supervisor (and the ``repro
-top`` viewer, which is just another reader) tails those files
-incrementally to maintain a live :func:`CampaignMonitor.status` model
-and to fold a crashed worker's metrics in without waiting for a clean
-exit.
+A sharded worker's journal (:mod:`repro.obs.journal`) is its one
+channel to the supervisor.  Its case records carry each finished
+case's metrics delta beside the case's outcome, its ``beat`` records
+mark liveness and phase, and its ``spans`` records carry trace spans.
+The supervisor, and the ``repro top`` viewer (just another reader),
+tail those journals with :class:`~repro.obs.journal.JournalReader`
+into a live :meth:`CampaignMonitor.status` model, and fold a crashed
+worker's metrics in without waiting for a clean exit.
 
-Wire format — one JSON object per line, three record kinds:
-
-``beat``
-    Liveness: wall time (``t_us``, integer microseconds since the
-    epoch), done count, phase.  Emitted at startup and on
-    the worker's heartbeat cadence.  Every record is a flushed append,
-    so the file's mtime is the worker's last sign of life; the
-    supervisor's watchdog reads nothing else.
-``progress``
-    A ``beat`` plus a metrics **delta**: the cumulative values of every
-    registry series written since the previous progress record, in the
-    compact wire form of
-    :meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta_json`
-    (decoded by :func:`~repro.obs.metrics.expand_delta`).
-    Emitted per finished case, aligned with the shard journal — the
-    resilient runner flushes the journal line *before* its progress
-    callback fires, so the union of progress records at any SIGKILL
-    covers exactly the journaled cases.
-``spans``
-    Finished tracer spans/events since the last flush, plus the worker
-    tracer's wall-clock epoch for cross-process rebasing (see
-    :mod:`repro.obs.stitch`).
-
-Every record carries the shard id, the writer's pid and an ``inst``
-incarnation token.  A respawned worker appends to the same file under
-a fresh token; :class:`MetricsFold` replays each incarnation
-independently — cumulative values *overwrite* within an incarnation,
-final states *add* across incarnations — so a crash followed by a
-journal-resume never double-counts a case's metrics.
-
-Tailing follows the checkpoint-journal hardening contract
-(:func:`repro.resilience.runner.read_raw_journal`): a partial trailing line
-is held until its newline arrives, a malformed final line is held as a
-torn write, and malformed *interior* data raises
-:class:`~repro.errors.TelemetryError`.  Truncation or rotation
-(the file shrank, or vanished and came back) restarts from offset
-zero; a seen-set keyed on ``(inst, seq)`` deduplicates records that
-were already delivered before the reset.
+A respawned worker appends to the same journal under a fresh ``inst``
+token.  :class:`MetricsFold` replays each incarnation independently:
+cumulative values *overwrite* within an incarnation, and final states
+*add* across incarnations.  A case's delta lands in the same append as
+its outcome, so wherever a SIGKILL lands the fold covers exactly the
+journaled cases, and a journal resume never double-counts one.
 """
 
 from __future__ import annotations
@@ -53,23 +23,17 @@ import json
 import logging
 import os
 import statistics
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
-from repro.errors import TelemetryError
+from repro.errors import CheckpointError, TelemetryError
+from repro.obs.journal import JournalReader, entry_key
 from repro.obs.metrics import MetricsRegistry, expand_delta, label_key
-from repro.obs.tracer import Tracer
 
 logger = logging.getLogger(__name__)
-
-#: Telemetry record schema; bumped on incompatible layout changes.
-#: Schema 2 stamps records with integer ``t_us`` (schema 1: float ``t``
-#: seconds, whose ``repr`` costs about 3x an integer's on every record).
-TELEMETRY_SCHEMA = 2
 
 #: Campaign status document identity.
 STATUS_KIND = "repro.exec.status"
@@ -85,226 +49,13 @@ _RATE_WINDOW = 32
 _SLOW_FACTOR = 0.5
 
 
-def telemetry_path(workdir: Union[str, Path], shard_id: str) -> Path:
-    """Canonical telemetry file location for one shard."""
-    return Path(str(workdir)) / f"{shard_id}.telemetry.jsonl"
-
-
-# ---------------------------------------------------------------------------
-# writer (worker side)
-# ---------------------------------------------------------------------------
-
-
-class TelemetryWriter:
-    """Appends one shard's telemetry records (worker side).
-
-    Thread-safe: the per-case ``case_done`` calls come from the
-    runner's thread while ``beat`` rides the heartbeat thread.  Every
-    write is one flushed line, so the supervisor's tailer never sees a
-    torn interior record from a live writer.  I/O failures are logged
-    and swallowed — telemetry must never take the shard down.
-    """
-
-    def __init__(
-        self,
-        path: Union[str, Path],
-        shard_id: str,
-        total: int,
-        registry: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        self._path = Path(str(path))
-        self._shard = shard_id
-        self._total = int(total)
-        self._registry = registry
-        self._tracer = tracer
-        self._clock = clock
-        self._pid = os.getpid()
-        # Unique per process incarnation even if the OS recycles pids.
-        self._inst = f"{self._pid}-{os.urandom(3).hex()}"
-        ident = (f'"shard":{json.dumps(shard_id)},"pid":{self._pid},'
-                 f'"inst":"{self._inst}","total":{self._total}')
-        #: Each record kind's fixed head: every field before ``seq``.
-        self._heads = {kind: f'{{"v":{TELEMETRY_SCHEMA},"kind":"{kind}",{ident},"seq":'
-                       for kind in ("beat", "progress", "spans")}
-        self._seq = 0
-        self._done = 0
-        self._lock = threading.Lock()
-        self._handle = None
-        self._span_idx = 0
-        self._event_idx = 0
-
-    # -- record assembly (caller holds the lock) -------------------------
-
-    def _record(self, kind: str, phase: str, extra: str = "") -> None:
-        """Append one record: the base fields, then ``extra`` (encoded
-        ``,"field":value`` pairs), in one unbuffered ``write()``.
-
-        Every base field is a writer-controlled scalar, so the line is
-        assembled by hand from the kind's precomputed head: ``json.dumps``
-        of a dict form costs more than the rest of a per-case emission
-        combined.
-        """
-        seq = self._seq
-        self._seq += 1
-        phase_json = '"running"' if phase == "running" else json.dumps(phase)
-        data = (f'{self._heads[kind]}{seq},"t_us":{int(self._clock() * 1e6)},'
-                f'"phase":{phase_json},"done":{self._done}{extra}}}\n').encode()
-        try:
-            if self._handle is None:
-                self._path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self._path, "ab", buffering=0)
-            while data:
-                data = data[self._handle.write(data):]
-        except OSError:
-            logger.warning("could not append telemetry record to %s",
-                           self._path, exc_info=True)
-
-    def _progress_locked(self, phase: str) -> None:
-        delta = "" if self._registry is None else self._registry.snapshot_delta_json()
-        self._record("progress", phase, ',"metrics":' + delta if delta else "")
-
-    def _flush_spans_locked(self, phase: str) -> None:
-        if self._tracer is None:
-            return
-        spans, events = self._tracer.drain(self._span_idx, self._event_idx)
-        if not spans and not events:
-            return
-        self._span_idx += len(spans)
-        self._event_idx += len(events)
-        spans = [
-            {"name": s.name, "ts_us": s.ts_us, "dur_us": s.dur_us,
-             "tid": s.tid, "depth": s.depth, "parent": s.parent,
-             "args": dict(s.args)}
-            for s in spans
-        ]
-        events = [
-            {"name": e.name, "ts_us": e.ts_us, "tid": e.tid,
-             "args": dict(e.args)}
-            for e in events
-        ]
-        self._record("spans", phase,
-                     f',"epoch_wall_s":{json.dumps(self._tracer.epoch_wall)},'
-                     f'"spans":{json.dumps(spans)},"events":{json.dumps(events)}')
-
-    # -- public emit points ----------------------------------------------
-
-    def start(self, done: int = 0) -> None:
-        """First record: the shard exists and is starting (or resuming)."""
-        with self._lock:
-            self._done = int(done)
-            self._record("beat", "starting")
-
-    def case_done(self, done: int) -> None:
-        """Journal-aligned progress record with the metrics delta."""
-        with self._lock:
-            self._done = int(done)
-            self._progress_locked("running")
-
-    def beat(self) -> None:
-        """Heartbeat-cadence liveness record plus a span flush."""
-        with self._lock:
-            self._record("beat", "running")
-            self._flush_spans_locked("running")
-
-    def finish(self, phase: str = "finished") -> None:
-        """Terminal records: final span flush, then a final progress."""
-        with self._lock:
-            self._flush_spans_locked(phase)
-            self._progress_locked(phase)
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
-
-
-# ---------------------------------------------------------------------------
-# tailer (supervisor / viewer side)
-# ---------------------------------------------------------------------------
-
-
-class TelemetryTailer:
-    """Incremental reader of one shard's telemetry JSONL."""
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        self._path = Path(str(path))
-        self._offset = 0
-        self._seen: set = set()
-        self.rotations = 0   #: truncation/rotation resets observed
-
-    def poll(self) -> List[dict]:
-        """Records appended since the last poll (possibly empty).
-
-        Raises :class:`TelemetryError` on interior corruption; a
-        missing file, a partial trailing line and a malformed final
-        line all just mean "nothing new yet".
-        """
-        try:
-            with open(self._path, "rb") as handle:
-                handle.seek(0, os.SEEK_END)
-                size = handle.tell()
-                if size < self._offset:
-                    # Truncated or rotated: start over; the seen-set
-                    # drops records delivered before the reset.
-                    self.rotations += 1
-                    self._offset = 0
-                if size == self._offset:
-                    return []
-                handle.seek(self._offset)
-                chunk = handle.read(size - self._offset)
-        except FileNotFoundError:
-            if self._offset:
-                self.rotations += 1
-                self._offset = 0
-            return []
-
-        end = chunk.rfind(b"\n")
-        if end < 0:
-            return []   # partial trailing line; wait for its newline
-        complete, trailing = chunk[:end], chunk[end + 1:]
-        lines = complete.split(b"\n")
-        records: List[dict] = []
-        consumed = 0
-        for i, line in enumerate(lines):
-            is_last = (i == len(lines) - 1) and not trailing
-            if not line.strip():
-                consumed += len(line) + 1
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict) or "kind" not in record:
-                    raise ValueError("not a telemetry record")
-                key = (record["inst"], record["seq"])
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
-                if is_last:
-                    # A torn final write that still got a newline: hold
-                    # it un-consumed.  If later data lands behind it,
-                    # it becomes interior garble and raises then —
-                    # exactly read_raw_journal's positional contract.
-                    break
-                raise TelemetryError(
-                    f"telemetry file {self._path} is corrupt at byte "
-                    f"{self._offset + consumed}: {type(exc).__name__}: {exc}"
-                ) from exc
-            consumed += len(line) + 1
-            if key in self._seen:
-                continue
-            self._seen.add(key)
-            records.append(record)
-        self._offset += consumed
-        return records
-
-
 # ---------------------------------------------------------------------------
 # metrics fold (exactly-once across crash/respawn)
 # ---------------------------------------------------------------------------
 
 
 class MetricsFold:
-    """Replays progress records into registry-mergeable snapshot state.
+    """Replays streamed metrics deltas into registry-mergeable state.
 
     Within one incarnation, streamed values are cumulative: a later
     record's series value *overwrites* an earlier one.  Across
@@ -319,8 +70,8 @@ class MetricsFold:
         self._order: List[str] = []
 
     def apply(self, record: dict) -> None:
-        if record.get("kind") != "progress":
-            return
+        """Fold the delta a record carries, if any: a worker's case
+        records and its terminal beat carry one."""
         metrics = record.get("metrics")
         if not metrics:
             return
@@ -425,15 +176,6 @@ def _opt_max(a, b):
     return b if a is None else (a if b is None else max(a, b))
 
 
-def fold_metrics(records: List[dict],
-                 shard: Optional[str] = None) -> Dict[str, object]:
-    """One-shot :class:`MetricsFold` over a record list."""
-    fold = MetricsFold()
-    for record in sorted(records, key=lambda r: r.get("seq", 0)):
-        fold.apply(record)
-    return fold.snapshot(shard=shard)
-
-
 # ---------------------------------------------------------------------------
 # live status model
 # ---------------------------------------------------------------------------
@@ -441,36 +183,44 @@ def fold_metrics(records: List[dict],
 
 @dataclass
 class _ShardTail:
-    """One shard's tailer plus everything replayed from it so far."""
+    """One shard's journal reader plus everything replayed from it."""
 
     shard_id: str
-    tailer: TelemetryTailer
+    reader: JournalReader
     total: Optional[int] = None
-    records: List[dict] = field(default_factory=list)
+    spans: List[dict] = field(default_factory=list)
     fold: MetricsFold = field(default_factory=MetricsFold)
     insts: List[str] = field(default_factory=list)
-    done: int = 0
+    cases: Set[str] = field(default_factory=set)   #: journaled case keys
     phase: str = "pending"
     pid: Optional[int] = None
     last_t: Optional[float] = None
     samples: Deque[Tuple[float, int]] = field(
         default_factory=lambda: deque(maxlen=_RATE_WINDOW))
-    broken: bool = False   #: tailer hit interior corruption
+    broken: bool = False   #: the reader hit interior corruption
+
+    @property
+    def done(self) -> int:
+        return len(self.cases)
 
     def apply(self, record: dict) -> None:
-        self.records.append(record)
         self.fold.apply(record)
-        inst = str(record.get("inst", ""))
-        if inst and inst not in self.insts:
+        inst = record.get("inst")
+        if inst is not None and inst not in self.insts:
             self.insts.append(inst)
         kind = record.get("kind")
         if kind == "spans":
+            self.spans.append(record)
             return
-        self.done = int(record.get("done", self.done))
-        self.phase = str(record.get("phase", self.phase))
-        self.pid = record.get("pid", self.pid)
-        if record.get("total") is not None:
-            self.total = int(record["total"])
+        if kind == "beat":
+            self.phase = str(record.get("phase", self.phase))
+            self.pid = record.get("pid", self.pid)
+        elif "case" in record:
+            self.cases.add(entry_key(record))
+            if self.phase not in TERMINAL_PHASES:
+                self.phase = "running"
+        elif self.total is None:   # the header
+            self.total = int(record.get("cases", 0))
         t_us = record.get("t_us")
         if isinstance(t_us, int):
             self.last_t = t_us / 1e6
@@ -494,13 +244,13 @@ class _ShardTail:
 
 
 class CampaignMonitor:
-    """Tails every shard's telemetry into one live campaign status.
+    """Tails every shard's journal into one live campaign status.
 
     Used in-process by the supervisor (which registers shards as it
     dispatches them) and externally by ``repro top`` (which discovers
-    telemetry files in a campaign workdir).  A shard whose stream goes
-    interior-corrupt is marked broken and stops updating; it never
-    takes the campaign down.
+    the shard journals in a campaign workdir).  A shard whose journal
+    goes interior-corrupt is marked broken and stops updating; it
+    never takes the campaign down.
     """
 
     def __init__(self, clock: Callable[[], float] = time.time) -> None:
@@ -516,17 +266,17 @@ class CampaignMonitor:
 
     def add_shard(self, shard_id: str, path: Union[str, Path],
                   total: Optional[int] = None) -> None:
-        """Register a shard's telemetry file (idempotent)."""
+        """Register a shard's journal (idempotent)."""
         if shard_id in self._shards:
             return
         self._shards[shard_id] = _ShardTail(
-            shard_id=shard_id, tailer=TelemetryTailer(path), total=total)
+            shard_id=shard_id, reader=JournalReader(path), total=total)
 
     def discover(self, workdir: Union[str, Path]) -> int:
-        """Register every ``*.telemetry.jsonl`` under a campaign workdir."""
+        """Register every shard journal (``*.journal``) in a workdir."""
         added = 0
-        for path in sorted(Path(str(workdir)).glob("*.telemetry.jsonl")):
-            shard_id = path.name[:-len(".telemetry.jsonl")]
+        for path in sorted(Path(str(workdir)).glob("*.journal")):
+            shard_id = path.stem
             if shard_id not in self._shards:
                 self.add_shard(shard_id, path)
                 added += 1
@@ -545,11 +295,10 @@ class CampaignMonitor:
             if tail.broken:
                 continue
             try:
-                records = tail.tailer.poll()
-            except TelemetryError:
-                logger.warning("shard %s telemetry stream is corrupt; "
-                               "freezing its status", tail.shard_id,
-                               exc_info=True)
+                records = tail.reader.poll()
+            except CheckpointError:
+                logger.warning("shard %s journal is corrupt; freezing its "
+                               "status", tail.shard_id, exc_info=True)
                 tail.broken = True
                 tail.phase = "corrupt"
                 continue
@@ -558,25 +307,24 @@ class CampaignMonitor:
             ingested += len(records)
         return ingested
 
-    def records(self, shard_id: str) -> List[dict]:
-        """Every record replayed from one shard so far."""
-        return list(self._shards[shard_id].records)
+    def last_write(self, shard_id: str) -> Optional[float]:
+        """The wall time of the shard journal's last write, as of the
+        last poll: the watchdog's liveness signal."""
+        return self._shards[shard_id].reader.mtime
 
     def spans_by_shard(self) -> Dict[str, List[dict]]:
         """The ``spans`` records per shard (trace-stitch input)."""
-        return {
-            shard_id: [r for r in tail.records if r.get("kind") == "spans"]
-            for shard_id, tail in self._shards.items()
-        }
+        return {shard_id: list(tail.spans)
+                for shard_id, tail in self._shards.items()}
 
     # -- fold-out --------------------------------------------------------
 
     def fold_into(self, registry: MetricsRegistry) -> None:
         """Merge every shard's folded metrics into a registry.
 
-        The stream is the only metrics channel from a worker and is
-        crash-proof: it holds the last journal-aligned state of every
-        incarnation, including SIGKILLed ones.  Gauges are tagged with
+        The journal is the only metrics channel from a worker and is
+        crash-exact: it holds the state as of every incarnation's last
+        journaled case, SIGKILLed ones included.  Gauges are tagged with
         the shard id so the merge is order-independent.
         """
         for shard_id in self.shard_ids:

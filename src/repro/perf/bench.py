@@ -12,10 +12,10 @@ Sections, mirroring where corpus sweeps actually spend time:
 - **obs** — the observability layer's cost: warm sweep with tracing
   off vs on, plus the dormant null-span fast path measured directly
   (the <2%-when-disabled budget from ``docs/observability.md``);
-- **telemetry** — the streaming-telemetry channel's cost on the warm
-  sweep: one journal-aligned ``case_done`` emission per case (metrics
-  delta + flushed JSONL line), per-emit cost measured directly and the
-  <2% budget asserted on the deterministic emits x cost estimate;
+- **telemetry** — streaming telemetry's cost on the warm sweep: what
+  it adds to a worker's per-case journal append (the record's stamp
+  and metrics delta), per-emit cost measured directly and the <2%
+  budget asserted on the deterministic emits x cost estimate;
 - **store** — the persistent result store as the block cache's second
   tier (:mod:`repro.store`): a cold sweep populating a fresh store vs
   a warm sweep replaying from it with an empty process-local LRU —
@@ -40,6 +40,7 @@ JSON; the CLI front-end is ``repro bench``.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -312,17 +313,19 @@ def bench_obs_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
 
 
 def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
-    """Cost of the streaming-telemetry channel on the warm sweep.
+    """Cost of streaming telemetry on the warm sweep.
 
-    A worker streams one ``progress`` record per finished case
-    (:meth:`~repro.obs.telemetry.TelemetryWriter.case_done`): a
-    metrics **delta** snapshot plus one flushed JSONL line.  Both
-    regimes here run with the obs registry recording (as a telemetry
-    worker does), so the difference is the emission channel alone:
+    A worker appends one record per finished case to its shard journal
+    (:meth:`~repro.obs.journal.JournalWriter.append`).  The ``write()``
+    is the journal's own; telemetry adds the record's envelope
+    (:meth:`~repro.obs.journal.JournalWriter.envelope`): its stamp and
+    the metrics **delta** since the previous case, encoded.  Both
+    regimes here run with the obs registry recording (as a worker
+    does), so the difference is the envelope alone:
 
     - ``baseline_seconds`` vs ``streamed_seconds`` — the warm sweep
-      without/with a per-case ``case_done`` emission;
-    - ``per_emit_us`` — one emission's cost measured directly over a
+      without/with a per-case envelope;
+    - ``per_emit_us`` — one envelope's cost measured directly over a
       few thousand calls against a registry with dirty series;
     - ``estimated_overhead_pct`` — emissions per sweep x per-emit cost
       as a percentage of the baseline wall time.  Like the obs
@@ -330,16 +333,14 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
       bench smoke test) is checked against this deterministic estimate
       rather than the difference of two noisy wall-clock numbers.
     """
-    import tempfile
-
-    from repro.obs.telemetry import TelemetryWriter
+    from repro.obs.journal import JournalWriter
 
     cache = BlockCache()
 
-    def sweep(writer: Optional[TelemetryWriter] = None) -> None:
-        for done, _ in enumerate(_sweep(cases, cache), 1):
+    def sweep(writer: Optional[JournalWriter] = None) -> None:
+        for _ in _sweep(cases, cache):
             if writer is not None:
-                writer.case_done(done)
+                writer.envelope()
 
     was_enabled = obs.enabled()
     obs.enable(fresh=not was_enabled)
@@ -347,30 +348,26 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
     sweep()  # warm the shared cache; both regimes below are warm
 
     baseline_s, _ = _time_best(sweep, repeat, label="sweep_telemetry_off")
-    with tempfile.TemporaryDirectory() as tmp:
-        writer = TelemetryWriter(
-            Path(tmp) / "bench.telemetry.jsonl", "bench",
-            total=len(cases), registry=registry,
-        )
-        streamed_s, _ = _time_best(
-            lambda: sweep(writer), repeat, label="sweep_telemetry_on")
+    # An envelope is only encoded: nothing is written to this path.
+    writer = JournalWriter(os.devnull, registry=registry)
+    streamed_s, _ = _time_best(
+        lambda: sweep(writer), repeat, label="sweep_telemetry_on")
 
-        # Direct per-emit cost: each call sees a dirty registry (the
-        # tick counter) so it pays the full delta + write + flush path.
-        # The tick itself is baseline registry work, not emission, so
-        # its separately-measured cost is subtracted back out.
-        n_emits = 5_000
-        t0 = time.perf_counter()
-        for i in range(n_emits):
-            registry.inc("bench.telemetry.tick")
-            writer.case_done(i)
-        emit_loop_s = (time.perf_counter() - t0) / n_emits
-        t0 = time.perf_counter()
-        for _ in range(n_emits):
-            registry.inc("bench.telemetry.tick")
-        inc_s = (time.perf_counter() - t0) / n_emits
-        per_emit_s = max(0.0, emit_loop_s - inc_s)
-        writer.finish()
+    # Direct per-emit cost: each call sees a dirty registry (the tick
+    # counter) so it pays the full stamp + delta path.  The tick itself
+    # is baseline registry work, not emission, so its separately
+    # measured cost is subtracted back out.
+    n_emits = 5_000
+    t0 = time.perf_counter()
+    for _ in range(n_emits):
+        registry.inc("bench.telemetry.tick")
+        writer.envelope()
+    emit_loop_s = (time.perf_counter() - t0) / n_emits
+    t0 = time.perf_counter()
+    for _ in range(n_emits):
+        registry.inc("bench.telemetry.tick")
+    inc_s = (time.perf_counter() - t0) / n_emits
+    per_emit_s = max(0.0, emit_loop_s - inc_s)
 
     if not was_enabled:
         obs.disable()

@@ -14,8 +14,9 @@ failure-isolation properties a long-running sweep service needs:
   the sweep continues; only ``KeyboardInterrupt``/``SystemExit``
   propagate.
 - **Checkpoint journal** — every finished case is appended to a JSONL
-  journal; ``resume=True`` replays journaled successes (their reports
-  are reconstructed, not re-simulated) and re-runs only the rest.
+  journal (:mod:`repro.obs.journal`, one ``write()`` per case);
+  ``resume=True`` replays journaled successes (their reports are
+  reconstructed, not re-simulated) and re-runs only the rest.
 - **Persistent memo** — block results persist through whatever
   :class:`repro.store.ResultStore` the process has bound as the block
   cache's second tier (:func:`repro.sim.engine.store_tier`); the store
@@ -26,15 +27,13 @@ failure-isolation properties a long-running sweep service needs:
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Callable, Dict, FrozenSet, List, Optional, Tuple,
-                    TypeVar, Union)
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -52,12 +51,16 @@ from repro.errors import (
 )
 from repro.arch.counters import Counters
 from repro.arch.tasks import UtilHistogram
+from repro.obs.journal import (
+    JournalReader,
+    JournalWriter,
+    entry_key,
+    journal_fields,
+)
 from repro.sim.results import SimReport
 from repro.sim.sweep import Sweep, SweepCase, SweepResult
 
 logger = logging.getLogger(__name__)
-
-_T = TypeVar("_T")
 
 #: Journal schema version; bumped on incompatible layout changes.
 JOURNAL_VERSION = 1
@@ -269,75 +272,21 @@ def _outcome_from_entry(entry: dict) -> CaseOutcome:
     )
 
 
-def entry_key(entry: dict) -> str:
-    """The case key of a raw journal entry (matches :func:`case_key`)."""
-    case = entry["case"]
-    return f"{case['matrix']}\x1f{case['kernel']}\x1f{case['stc']}"
+def journal_entries(path: Union[str, Path], records: List[dict],
+                    fingerprint: Optional[str] = None
+                    ) -> Tuple[dict, Dict[str, dict]]:
+    """A journal's checked header and its last-wins entries by case key.
 
-
-def _raw_entry(entry: dict) -> dict:
-    if not isinstance(entry.get("status"), str):
-        raise ValueError("entry has no status")
-    return entry
-
-
-def _parse_journal(path: Union[str, Path], fingerprint: Optional[str],
-                   parse: Callable[[dict], _T]
-                   ) -> Tuple[dict, Dict[str, _T]]:
-    """The one journal-line loop behind both readers below.
-
-    Returns the checked header and the last-wins ``parse``d entries by
-    case key; ``parse`` raises on a malformed payload.  The hardening
-    contract is :func:`read_journal`'s.
+    ``records`` are what :class:`~repro.obs.journal.JournalReader` read
+    from ``path``; each entry is a case record's journal fields.
     """
-    path = Path(str(path))
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CheckpointError(f"checkpoint journal {path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(
-            f"checkpoint journal {path} has no valid header") from exc
-    check_journal_header(header, path, fingerprint)
-    entries: Dict[str, _T] = {}
-    last_lineno = len(lines)
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            entry = json.loads(line)
-            key = entry_key(entry)
-            value = parse(entry)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            if lineno == last_lineno:
-                logger.warning(
-                    "checkpoint journal %s: ignoring truncated final line %d",
-                    path, lineno,
-                )
-                continue
-            raise CheckpointError(
-                f"checkpoint journal {path} is corrupt at line {lineno}: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
-        entries[key] = value
+    if not records:
+        raise CheckpointError(f"checkpoint journal {path} has no header")
+    header = records[0]
+    check_journal_header(header, Path(str(path)), fingerprint)
+    entries = {entry_key(r): journal_fields(r)
+               for r in records[1:] if "case" in r}
     return header, entries
-
-
-def read_journal(path: Union[str, Path],
-                 fingerprint: Optional[str] = None) -> Dict[str, CaseOutcome]:
-    """Parse a checkpoint journal into per-case outcomes.
-
-    Only a truncated *final* line (the process died mid-write) is
-    tolerated.  An interior garbled line means the journal lost data —
-    silently skipping it would drop a completed case and break resume
-    accounting — so it raises :class:`CheckpointError` naming the line.
-    A missing/garbled header, a version mismatch, or (when
-    ``fingerprint`` is given) a journal written for a different grid
-    raise :class:`CheckpointError` too.  Duplicate case keys are legal
-    (a resumed run re-attempts failed cases and appends); the last
-    entry wins.
-    """
-    return _parse_journal(path, fingerprint, _outcome_from_entry)[1]
 
 
 def read_raw_journal(
@@ -348,7 +297,30 @@ def read_raw_journal(
     Same contract as :func:`read_journal`; raw dicts (not
     :class:`CaseOutcome`) keep the sharded-journal merge byte-faithful.
     """
-    return _parse_journal(path, fingerprint, _raw_entry)
+    return journal_entries(path, JournalReader(path).poll(), fingerprint)
+
+
+def read_journal(path: Union[str, Path],
+                 fingerprint: Optional[str] = None) -> Dict[str, CaseOutcome]:
+    """Parse a checkpoint journal into per-case outcomes.
+
+    Only a torn *final* line (the process died mid-write) is tolerated.
+    An interior garbled line means the journal lost data — silently
+    skipping it would drop a completed case and break resume
+    accounting — so it raises :class:`CheckpointError` naming the line.
+    A missing/garbled header, a version mismatch, or (when
+    ``fingerprint`` is given) a journal written for a different grid
+    raise :class:`CheckpointError` too.  Duplicate case keys are legal
+    (a resumed run re-attempts failed cases and appends); the last
+    entry wins.
+    """
+    entries = read_raw_journal(path, fingerprint)[1]
+    try:
+        return {key: _outcome_from_entry(e) for key, e in entries.items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"checkpoint journal {path} has a malformed entry: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 # -- the runner ---------------------------------------------------------
@@ -387,6 +359,10 @@ class ResilientRunner:
     #: into a process restart, which is the only way the leaked threads
     #: actually die.
     max_leaked_threads: int = 8
+    #: The writer that appends to ``journal_path``.  A supervised worker
+    #: passes the one its heartbeat shares, so that all of its records
+    #: go through one writer; by default the run opens a plain one.
+    journal_writer: Optional[JournalWriter] = None
 
     def __post_init__(self) -> None:
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -398,10 +374,6 @@ class ResilientRunner:
         return self._leaked_threads
 
     # -- journal ---------------------------------------------------------
-
-    def _read_journal(self, fingerprint: str) -> Dict[str, CaseOutcome]:
-        """Parse the runner's journal (see :func:`read_journal`)."""
-        return read_journal(self.journal_path, fingerprint)
 
     @staticmethod
     def _journal_entry(outcome: CaseOutcome) -> dict:
@@ -519,31 +491,27 @@ class ResilientRunner:
     def run(self, progress: Optional[Callable[[CaseOutcome], None]] = None) -> RunSummary:
         """Execute the grid; returns every case's terminal outcome.
 
-        A crash or interrupt can cost at most the in-flight case: the
-        journal is flushed per line, and a bound result store writes
-        every block result through as it is simulated.
+        A crash or interrupt can cost at most the in-flight case: each
+        case is one unbuffered append to the journal, and a bound result
+        store writes every block result through as it is simulated.
         """
         rng = np.random.default_rng(self.seed)
         cases = self.sweep.cases()
         fingerprint = self.fingerprint or _grid_fingerprint(cases)
 
         journaled: Dict[str, CaseOutcome] = {}
-        journal_handle = None
+        writer = None
         if self.journal_path is not None:
             path = Path(str(self.journal_path))
             if self.resume and path.exists():
-                journaled = self._read_journal(fingerprint)
-                journal_handle = open(path, "a", encoding="utf-8")
-            else:
-                if self.resume:
-                    logger.warning(
-                        "no checkpoint journal at %s; starting a fresh run", path
-                    )
-                journal_handle = open(path, "w", encoding="utf-8")
-                journal_handle.write(
-                    json.dumps(journal_header(fingerprint, len(cases))) + "\n"
+                journaled = read_journal(path, fingerprint)
+            elif self.resume:
+                logger.warning(
+                    "no checkpoint journal at %s; starting a fresh run", path
                 )
-                journal_handle.flush()
+            writer = self.journal_writer or JournalWriter(path)
+            writer.open(journal_header(fingerprint, len(cases)),
+                        fresh=not self.resume)
 
         summary = RunSummary()
         sweep_span = obs.span("sweep", cases=len(cases), resilient=True)
@@ -558,11 +526,8 @@ class ResilientRunner:
                         continue
                     outcome = self._run_case(case, rng)
                     summary.outcomes.append(outcome)
-                    if journal_handle is not None:
-                        journal_handle.write(
-                            json.dumps(self._journal_entry(outcome)) + "\n"
-                        )
-                        journal_handle.flush()
+                    if writer is not None:
+                        writer.append(self._journal_entry(outcome))
                     if progress is not None:
                         progress(outcome)
                     if (self.max_leaked_threads
@@ -578,8 +543,8 @@ class ResilientRunner:
                             "and resume from the checkpoint journal"
                         )
         finally:
-            if journal_handle is not None:
-                journal_handle.close()
+            if writer is not None and self.journal_writer is None:
+                writer.close()
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
                 self._executor = None

@@ -19,7 +19,6 @@ def make_spec(tmp_path, **overrides):
         kernels=("spmv",),
         cases=(("m0", "uni-stc", "spmv"), ("m1", "ds-stc", "spmv")),
         journal=str(tmp_path / "s0.journal"),
-        telemetry=str(tmp_path / "s0.telemetry.jsonl"),
     )
     fields.update(overrides)
     return ShardSpec(**fields)
@@ -54,8 +53,9 @@ class TestShardSpec:
         spec = make_spec(tmp_path, seed=7, timeout_s=2.5, max_retries=3,
                          store=str(tmp_path / "blockstore"))
         data = spec.as_json()
-        assert data["schema"] == SHARD_SCHEMA == 2
+        assert data["schema"] == SHARD_SCHEMA == 3
         assert "heartbeat" not in data and "metrics" not in data
+        assert "telemetry" not in data
         assert ShardSpec.from_json(data) == spec
 
     def test_write_read(self, tmp_path):
@@ -89,10 +89,14 @@ class TestShardSpec:
         with pytest.raises(ConfigError, match="journal"):
             make_spec(tmp_path, journal="")
 
-    def test_missing_telemetry_rejected(self, tmp_path):
-        """The telemetry stream is the worker's only channel back."""
-        with pytest.raises(ConfigError, match="telemetry"):
-            make_spec(tmp_path, telemetry="")
+    def test_schema_2_spec_with_a_telemetry_path_rejected(self, tmp_path):
+        """Schema 3 dropped the telemetry path with no migration: the
+        journal carries the telemetry, and the supervisor rewrites
+        every spec on dispatch."""
+        data = make_spec(tmp_path).as_json()
+        data.update(schema=2, telemetry=str(tmp_path / "s0.telemetry.jsonl"))
+        with pytest.raises(ConfigError, match="schema mismatch"):
+            ShardSpec.from_json(data)
 
     def test_build_sweep_reproduces_direct_results(self, tmp_path):
         """A shard rebuilt from its spec simulates the same numbers."""
@@ -116,14 +120,13 @@ class TestShardSpec:
         spec = make_spec(tmp_path)
         child = spec.replace_cases(
             [SweepCase("m0", "uni-stc", "spmv")], shard_id="s0a",
-            journal=str(tmp_path / "s0a.journal"),
-            telemetry=str(tmp_path / "s0a.telemetry.jsonl"))
+            journal=str(tmp_path / "s0a.journal"))
         assert child.shard_id == "s0a"
         assert child.cases == (("m0", "uni-stc", "spmv"),)
         assert dict(child.matrices) == {"m0": "band:64:6:0.5"}
         assert [d.name for d in child.stcs] == ["uni-stc"]
         assert child.campaign == spec.campaign
-        assert child.telemetry == str(tmp_path / "s0a.telemetry.jsonl")
+        assert child.journal == str(tmp_path / "s0a.journal")
 
 
 class TestShardCases:

@@ -206,9 +206,9 @@ class TestCrashRecovery:
 
     def test_busy_worker_keeps_beating(self, tmp_path, monkeypatch,
                                        metrics):
-        """A worker stuck in one long case still beats on its telemetry
-        stream, so only the shard deadline kills it — never the 2 s
-        stale-stream watchdog."""
+        """A worker stuck in one long case still beats on its shard
+        journal, so only the shard deadline kills it — never the 2 s
+        stale-journal watchdog."""
         monkeypatch.setenv(CHAOS_ENV, "hang:m0")
         journal = tmp_path / "campaign.journal"
         policy = ExecPolicy(workers=1, shard_timeout_s=4.0,
@@ -330,18 +330,16 @@ class TestTelemetry:
         assert "campaign" in printed and "shard" in printed
         assert "s0" in printed and "s1" in printed
 
-    def test_workdir_holds_only_journal_log_spec_and_telemetry(
-            self, tmp_path):
-        """The telemetry stream is the one worker→supervisor channel:
-        no heartbeat or exit-time metrics files beside it."""
+    def test_workdir_holds_only_journal_log_and_spec(self, tmp_path):
+        """The shard journal is the one worker→supervisor channel: no
+        telemetry, heartbeat or exit-time metrics files beside it."""
         journal = tmp_path / "campaign.journal"
         summary = make_executor(journal, policy=ExecPolicy(workers=2)).run()
         assert summary.n_ok == len(MATRICES)
         workdir = tmp_path / "campaign.journal.d"
         expected = {"status.json"} | {
             f"{shard}{suffix}" for shard in ("s0", "s1")
-            for suffix in (".journal", ".log", ".spec.json",
-                           ".telemetry.jsonl")}
+            for suffix in (".journal", ".log", ".spec.json")}
         assert {p.name for p in workdir.iterdir()} == expected
 
 

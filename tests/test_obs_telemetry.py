@@ -1,18 +1,21 @@
-"""Tests for streaming campaign telemetry (repro.obs.telemetry).
+"""Tests for the shard journal's writer and reader (repro.obs.journal)
+and the telemetry read from it (repro.obs.telemetry).
 
-Covers the wire format (writer -> tailer round trips, the compact
-metrics-delta encoding), the tailer's corruption/rotation hardening
-(which mirrors the checkpoint-journal contract), the exactly-once
-crash fold, the live status model, and trace stitching.
+Covers the record format (writer -> reader round trips, the compact
+metrics-delta encoding), the reader's torn-tail contract and the
+writer's torn-tail cut, the exactly-once crash fold, the live status
+model, and trace stitching.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
-from repro.errors import TelemetryError
+from repro.errors import CheckpointError, TelemetryError
+from repro.obs.journal import JournalReader, JournalWriter
 from repro.obs.metrics import (
     MetricsRegistry,
     expand_delta,
@@ -23,35 +26,44 @@ from repro.obs.stitch import stitch_chrome_trace, stitch_into_tracer
 from repro.obs.telemetry import (
     STATUS_KIND,
     STATUS_SCHEMA,
-    TELEMETRY_SCHEMA,
     CampaignMonitor,
     MetricsFold,
-    TelemetryTailer,
-    TelemetryWriter,
     check_status,
-    fold_metrics,
-    telemetry_path,
 )
 from repro.obs.tracer import Tracer
+from repro.resilience.runner import journal_header
 
 
-def make_writer(tmp_path, shard="s0", total=4, **kwargs):
-    return TelemetryWriter(
-        telemetry_path(tmp_path, shard), shard, total, **kwargs)
+def journal_path(tmp_path, shard="s0"):
+    return tmp_path / f"{shard}.journal"
 
 
-def progress(shard="s0", inst="a", seq=0, done=0, total=4,
-             phase="running", metrics=None, t=0.0):
-    """A hand-written progress record (snapshot-shaped metrics), stamped
-    ``t`` seconds."""
-    record = {
-        "v": TELEMETRY_SCHEMA, "kind": "progress", "shard": shard,
-        "pid": 100, "inst": inst, "seq": seq, "t_us": round(t * 1e6),
-        "phase": phase, "done": done, "total": total,
-    }
+def make_writer(tmp_path, shard="s0", total=4, registry=None, **kwargs):
+    """An open worker writer (stamped: it has a registry)."""
+    writer = JournalWriter(journal_path(tmp_path, shard),
+                           registry=registry or MetricsRegistry(), **kwargs)
+    writer.open(journal_header("fp", total))
+    return writer
+
+
+def entry(matrix="m0"):
+    """A minimal journal entry for one finished case."""
+    return {"case": {"matrix": matrix, "stc": "uni-stc", "kernel": "spmv"},
+            "status": "ok", "attempts": 1, "elapsed_s": 0.0}
+
+
+def case(matrix="m0", inst="a", seq=0, t=0.0, metrics=None):
+    """A hand-written stamped case record, stamped ``t`` seconds."""
+    record = {**entry(matrix), "inst": inst, "seq": seq,
+              "t_us": round(t * 1e6)}
     if metrics is not None:
         record["metrics"] = metrics
     return record
+
+
+def beat(inst="a", seq=0, phase="running", t=0.0):
+    return {"kind": "beat", "inst": inst, "seq": seq,
+            "t_us": round(t * 1e6), "pid": 100, "phase": phase}
 
 
 def counters(**values):
@@ -65,58 +77,99 @@ def counters(**values):
 class TestWriterTailerRoundTrip:
     def test_lifecycle_records_in_order(self, tmp_path):
         writer = make_writer(tmp_path)
-        tailer = TelemetryTailer(telemetry_path(tmp_path, "s0"))
-        writer.start()
-        writer.case_done(1)
+        reader = JournalReader(journal_path(tmp_path))
+        writer.beat("starting")
+        writer.append(entry("m0"))
         writer.beat()
-        writer.case_done(2)
-        writer.finish()
+        writer.append(entry("m1"))
+        writer.close("finished")
 
-        records = tailer.poll()
-        assert [r["kind"] for r in records] == \
-            ["beat", "progress", "beat", "progress", "progress"]
+        header, *records = reader.poll()
+        assert header == journal_header("fp", 4)
+        assert [r.get("kind", "case") for r in records] == \
+            ["beat", "case", "beat", "case", "beat"]
         assert [r["seq"] for r in records] == list(range(5))
-        assert all(r["v"] == TELEMETRY_SCHEMA for r in records)
-        assert all(r["shard"] == "s0" and r["total"] == 4 for r in records)
+        assert {r["inst"] for r in records} == {writer.inst}
+        assert all(isinstance(r["t_us"], int) for r in records)
         assert records[-1]["phase"] == "finished"
-        assert records[-1]["done"] == 2
-        assert tailer.poll() == []   # nothing new
+        assert reader.poll() == []   # nothing new
 
     def test_incremental_polls_see_only_new_records(self, tmp_path):
         writer = make_writer(tmp_path)
-        tailer = TelemetryTailer(telemetry_path(tmp_path, "s0"))
-        writer.start()
-        assert len(tailer.poll()) == 1
-        writer.case_done(1)
-        writer.case_done(2)
-        assert [r["done"] for r in tailer.poll()] == [1, 2]
+        reader = JournalReader(journal_path(tmp_path))
+        assert len(reader.poll()) == 1   # the header
+        writer.append(entry("m0"))
+        writer.append(entry("m1"))
+        assert [r["case"]["matrix"] for r in reader.poll()] == ["m0", "m1"]
 
     def test_missing_file_is_empty_not_an_error(self, tmp_path):
-        assert TelemetryTailer(tmp_path / "nope.telemetry.jsonl").poll() == []
+        assert JournalReader(tmp_path / "nope.journal").poll() == []
 
     def test_resume_start_carries_prior_done(self, tmp_path):
-        writer = make_writer(tmp_path)
-        writer.start(done=3)
-        (record,) = TelemetryTailer(telemetry_path(tmp_path, "s0")).poll()
-        assert record["phase"] == "starting" and record["done"] == 3
+        """A respawn writes nothing for the cases it resumes: its status
+        still counts the predecessor's journaled cases."""
+        first = make_writer(tmp_path)
+        for matrix in ("m0", "m1", "m2"):
+            first.append(entry(matrix))   # then SIGKILLed: no close
+        second = make_writer(tmp_path)
+        second.beat("starting")
+        monitor = CampaignMonitor()
+        monitor.add_shard("s0", journal_path(tmp_path))
+        monitor.poll()
+        (shard,) = monitor.status()["shards"]
+        assert (shard["phase"], shard["done"], shard["total"]) == \
+            ("starting", 3, 4)
+        assert shard["crashes"] == 1
 
     def test_writer_survives_unwritable_path(self, tmp_path):
-        writer = TelemetryWriter(
-            tmp_path / "no_such_dir_file" / "x" / "s0.telemetry.jsonl",
-            "s0", 1)
-        # Parent mkdir succeeds, so make the path itself a directory.
         path = tmp_path / "adir"
         path.mkdir()
-        writer._path = path
-        writer.start()   # logged and swallowed, never raises
-        writer.finish()
+        writer = JournalWriter(path, registry=MetricsRegistry())
+        with pytest.raises(OSError):
+            writer.open(journal_header("fp", 1))   # the journal must exist
+        writer.beat()          # telemetry never raises...
+        writer.close("finished")
+
+        writer = make_writer(tmp_path)
+        os.close(writer._fd)
+        writer._fd = os.open(journal_path(tmp_path), os.O_RDONLY)
+        writer.beat()          # ...not even when a write fails,
+        with pytest.raises(OSError):
+            writer.append(entry())   # but a case record must land
+        writer.close("finished")
+
+    def test_plain_writer_appends_json_dumps_bytes(self, tmp_path):
+        """A campaign journal's bytes: the header and bare entries."""
+        path = tmp_path / "campaign.journal"
+        writer = JournalWriter(path)
+        writer.open(journal_header("fp", 2), fresh=True)
+        writer.append(entry("m0"))
+        writer.beat()   # not a worker's writer: no telemetry records
+        writer.close("finished")
+        assert path.read_text() == "".join(
+            json.dumps(doc) + "\n"
+            for doc in (journal_header("fp", 2), entry("m0")))
+
+    def test_writer_cuts_a_torn_tail_before_its_first_append(self, tmp_path):
+        writer = make_writer(tmp_path)
+        writer.append(entry("m0"))
+        writer.close()
+        path = journal_path(tmp_path)
+        whole = path.read_bytes()
+        path.write_bytes(whole + json.dumps(entry("m1")).encode()[:25])
+
+        respawn = make_writer(tmp_path)   # the cut happens at open
+        assert path.read_bytes() == whole
+        respawn.append(entry("m1"))
+        records = JournalReader(path).poll()
+        assert [r["case"]["matrix"] for r in records[1:]] == ["m0", "m1"]
 
 
 class TestTailerHardening:
-    """Mirrors read_raw_journal's torn-write and rotation contract."""
+    """The reader's torn-tail contract."""
 
     def path(self, tmp_path):
-        return telemetry_path(tmp_path, "s0")
+        return journal_path(tmp_path)
 
     def write_lines(self, path, *lines, mode="a"):
         with open(path, mode, encoding="utf-8") as handle:
@@ -124,94 +177,93 @@ class TestTailerHardening:
 
     def test_partial_trailing_line_is_held(self, tmp_path):
         path = self.path(tmp_path)
-        full = json.dumps(progress(seq=0)) + "\n"
-        torn = json.dumps(progress(seq=1))
+        full = json.dumps(case(seq=0)) + "\n"
+        torn = json.dumps(case(seq=1))
         self.write_lines(path, full, torn[:20])
-        tailer = TelemetryTailer(path)
-        assert [r["seq"] for r in tailer.poll()] == [0]
-        assert tailer.poll() == []          # still waiting for the newline
+        reader = JournalReader(path)
+        assert [r["seq"] for r in reader.poll()] == [0]
+        assert reader.poll() == []          # still waiting for the newline
         self.write_lines(path, torn[20:] + "\n")
-        assert [r["seq"] for r in tailer.poll()] == [1]
+        assert [r["seq"] for r in reader.poll()] == [1]
 
     def test_malformed_final_line_is_held_not_fatal(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, json.dumps(progress(seq=0)) + "\n",
-                         '{"kind": "progre\n')
-        tailer = TelemetryTailer(path)
-        assert [r["seq"] for r in tailer.poll()] == [0]
-        assert tailer.poll() == []          # torn write held un-consumed
+        self.write_lines(path, json.dumps(case(seq=0)) + "\n",
+                         '{"case": {"matr\n')
+        reader = JournalReader(path)
+        assert [r["seq"] for r in reader.poll()] == [0]
+        assert reader.poll() == []          # torn write held un-consumed
 
     def test_garble_becomes_interior_and_raises_once_buried(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, json.dumps(progress(seq=0)) + "\n",
+        self.write_lines(path, json.dumps(case(seq=0)) + "\n",
                          "not json at all\n")
-        tailer = TelemetryTailer(path)
-        tailer.poll()                       # garble held as a torn final line
-        self.write_lines(path, json.dumps(progress(seq=1)) + "\n")
-        with pytest.raises(TelemetryError, match="corrupt at byte"):
-            tailer.poll()
+        reader = JournalReader(path)
+        reader.poll()                       # garble held as a torn final line
+        self.write_lines(path, json.dumps(case(seq=1)) + "\n")
+        with pytest.raises(CheckpointError, match="corrupt at line 2"):
+            reader.poll()
 
     def test_interior_corruption_raises_immediately(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, "][\n", json.dumps(progress(seq=0)) + "\n")
-        with pytest.raises(TelemetryError):
-            TelemetryTailer(path).poll()
+        self.write_lines(path, "][\n", json.dumps(case(seq=0)) + "\n")
+        with pytest.raises(CheckpointError, match="line 1"):
+            JournalReader(path).poll()
 
     def test_non_record_json_line_is_rejected(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, "[1, 2]\n", json.dumps(progress(seq=0)) + "\n")
-        with pytest.raises(TelemetryError):
-            TelemetryTailer(path).poll()
+        bad_case = {"case": {"matrix": "m0"}, "status": "ok"}
+        for line in ([1, 2], bad_case):
+            self.write_lines(path, json.dumps(line) + "\n",
+                             json.dumps(case(seq=0)) + "\n", mode="w")
+            with pytest.raises(CheckpointError):
+                JournalReader(path).poll()
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, "\n", json.dumps(progress(seq=0)) + "\n", "\n")
-        assert [r["seq"] for r in TelemetryTailer(path).poll()] == [0]
+        self.write_lines(path, "\n", json.dumps(case(seq=0)) + "\n", "\n")
+        assert [r["seq"] for r in JournalReader(path).poll()] == [0]
 
     def test_truncation_resets_and_seen_set_dedups(self, tmp_path):
         path = self.path(tmp_path)
-        first = json.dumps(progress(seq=0, done=1)) + "\n"
-        second = json.dumps(progress(seq=1, done=2)) + "\n"
+        first = json.dumps(case("m0", seq=0)) + "\n"
+        second = json.dumps(case("m1", seq=1)) + "\n"
         self.write_lines(path, first, second)
-        tailer = TelemetryTailer(path)
-        assert len(tailer.poll()) == 2
+        reader = JournalReader(path)
+        assert len(reader.poll()) == 2
 
-        # Rotation rewrites the file shorter, starting with an
-        # already-seen line: the reset re-reads it, the seen-set drops
-        # it, and only the genuinely new record comes out.
+        # The file is rewritten shorter, starting with an already-seen
+        # record: the reader starts over, the seen-set drops that
+        # record, and only the genuinely new one comes out.
         self.write_lines(path, first, mode="w")
-        assert tailer.poll() == []
-        assert tailer.rotations == 1
-        fresh = json.dumps(progress(seq=2, done=3)) + "\n"
-        self.write_lines(path, fresh)
-        assert [r["seq"] for r in tailer.poll()] == [2]
+        assert reader.poll() == []
+        self.write_lines(path, json.dumps(case("m2", seq=2)) + "\n")
+        assert [r["seq"] for r in reader.poll()] == [2]
 
     def test_vanished_file_counts_as_rotation(self, tmp_path):
         path = self.path(tmp_path)
-        self.write_lines(path, json.dumps(progress(seq=0)) + "\n")
-        tailer = TelemetryTailer(path)
-        assert len(tailer.poll()) == 1
+        self.write_lines(path, json.dumps(case(seq=0)) + "\n")
+        reader = JournalReader(path)
+        assert len(reader.poll()) == 1
         path.unlink()
-        assert tailer.poll() == []
-        assert tailer.rotations == 1
-        self.write_lines(path, json.dumps(progress(seq=1)) + "\n")
-        assert [r["seq"] for r in tailer.poll()] == [1]
+        assert reader.poll() == []
+        self.write_lines(path, json.dumps(case(seq=1)) + "\n")
+        assert [r["seq"] for r in reader.poll()] == [1]
 
     def test_interleaved_writers_share_one_file(self, tmp_path):
         """A respawned worker appends under a fresh incarnation token
-        while the tailer is mid-stream; both streams come through."""
-        path = self.path(tmp_path)
-        a = TelemetryWriter(path, "s0", 4)
-        tailer = TelemetryTailer(path)
-        a.start()
-        a.case_done(1)
-        assert len(tailer.poll()) == 2
+        while the reader is mid-stream; both streams come through."""
+        a = make_writer(tmp_path)
+        reader = JournalReader(journal_path(tmp_path))
+        a.beat("starting")
+        a.append(entry("m0"))
+        assert len(reader.poll()) == 3
 
-        b = TelemetryWriter(path, "s0", 4)   # fresh inst, same file
-        b.start(done=1)
-        a.case_done(2)                       # stale writer races a line in
-        b.case_done(2)
-        records = tailer.poll()
+        b = make_writer(tmp_path)   # fresh inst, same file
+        b.beat("starting")
+        a.append(entry("m1"))       # stale writer races a record in
+        b.append(entry("m1"))
+        records = reader.poll()
         assert len(records) == 3
         assert len({r["inst"] for r in records}) == 2
         # Per-incarnation seq restarts; (inst, seq) stays unique.
@@ -250,38 +302,41 @@ class TestCompactWireForm:
 class TestMetricsFold:
     def test_within_incarnation_cumulative_overwrites(self):
         fold = MetricsFold()
-        fold.apply(progress(seq=0, metrics=counters(cases=1.0)))
-        fold.apply(progress(seq=1, metrics=counters(cases=2.0)))
-        fold.apply(progress(seq=2, metrics=counters(cases=3.0)))
+        fold.apply(case(seq=0, metrics=counters(cases=1.0)))
+        fold.apply(case(seq=1, metrics=counters(cases=2.0)))
+        fold.apply(case(seq=2, metrics=counters(cases=3.0)))
         assert fold.incarnations == 1
         assert fold.counter_total("cases") == 3.0
 
     def test_across_incarnations_final_states_add(self):
         """SIGKILL after case 2, respawn does 2 more: 2 + 2, not 2 + 4."""
         fold = MetricsFold()
-        fold.apply(progress(inst="a", seq=0, metrics=counters(cases=1.0)))
-        fold.apply(progress(inst="a", seq=1, metrics=counters(cases=2.0)))
-        fold.apply(progress(inst="b", seq=0, metrics=counters(cases=1.0)))
-        fold.apply(progress(inst="b", seq=1, metrics=counters(cases=2.0)))
+        fold.apply(case(inst="a", seq=0, metrics=counters(cases=1.0)))
+        fold.apply(case(inst="a", seq=1, metrics=counters(cases=2.0)))
+        fold.apply(case(inst="b", seq=0, metrics=counters(cases=1.0)))
+        fold.apply(case(inst="b", seq=1, metrics=counters(cases=2.0)))
         assert fold.incarnations == 2
         assert fold.counter_total("cases") == 4.0
 
     def test_non_progress_and_empty_records_are_ignored(self):
+        """Only records carrying a delta fold: a plain beat, a case
+        record without metrics and the header do not."""
         fold = MetricsFold()
-        fold.apply({"kind": "beat", "inst": "a", "seq": 0})
-        fold.apply(progress(seq=1))   # no metrics payload
+        fold.apply(beat(seq=0))
+        fold.apply(case(seq=1))   # no metrics payload
+        fold.apply(journal_header("fp", 1))
         assert fold.incarnations == 0
 
     def test_compact_form_is_expanded(self):
         reg = MetricsRegistry()
         reg.inc("sim.cycles", 90, kernel="spmv")
         fold = MetricsFold()
-        fold.apply(progress(seq=0, metrics=reg.snapshot_delta()))
+        fold.apply(case(seq=0, metrics=reg.snapshot_delta()))
         assert fold.counter_total("sim.cycles") == 90
 
     def test_snapshot_tags_gauges_with_shard(self):
         fold = MetricsFold()
-        fold.apply(progress(seq=0, metrics={
+        fold.apply(case(seq=0, metrics={
             "counters": {"c": [{"labels": {}, "value": 2.0}]},
             "gauges": {
                 "cache.entries": [{"labels": {}, "value": 7.0}],
@@ -299,9 +354,9 @@ class TestMetricsFold:
 
     def test_gauge_respawn_reading_supersedes(self):
         fold = MetricsFold()
-        fold.apply(progress(inst="a", seq=0, metrics={
+        fold.apply(case(inst="a", seq=0, metrics={
             "gauges": {"g": [{"labels": {}, "value": 1.0}]}}))
-        fold.apply(progress(inst="b", seq=0, metrics={
+        fold.apply(case(inst="b", seq=0, metrics={
             "gauges": {"g": [{"labels": {}, "value": 5.0}]}}))
         assert fold.snapshot()["gauges"]["g"][0]["value"] == 5.0
 
@@ -315,79 +370,84 @@ class TestMetricsFold:
         a.observe("wall", 5.0)
         b.observe("wall", 0.05)
         fold = MetricsFold()
-        fold.apply(progress(inst="a", seq=0, metrics=hist_delta(a)))
-        fold.apply(progress(inst="b", seq=0, metrics=hist_delta(b)))
+        fold.apply(case(inst="a", seq=0, metrics=hist_delta(a)))
+        fold.apply(case(inst="b", seq=0, metrics=hist_delta(b)))
         (entry,) = fold.snapshot()["histograms"]["wall"]
         assert entry["count"] == 3
         assert sum(entry["counts"]) == 3
         assert entry["min"] == 0.05 and entry["max"] == 5.0
 
     def test_streamed_replay_equals_full_snapshot(self, tmp_path):
-        """The tentpole identity: fold(tailed deltas) == registry state."""
+        """The tentpole identity: fold(journaled deltas) == registry."""
         reg = MetricsRegistry()
         writer = make_writer(tmp_path, registry=reg)
-        tailer = TelemetryTailer(telemetry_path(tmp_path, "s0"))
-        writer.start()
-        for case in range(1, 4):
-            reg.inc("sim.t1_tasks", 10 * case, kernel="spmv")
+        writer.beat("starting")
+        for n in range(1, 4):
+            reg.inc("sim.t1_tasks", 10 * n, kernel="spmv")
             reg.inc("sim.cycles", 7, kernel="spmv", stc="uni")
-            reg.observe("sim.run_wall_s", 0.01 * case)
-            reg.set("sim.cache.entries", float(case))
-            writer.case_done(case)
-        writer.finish()
+            reg.observe("sim.run_wall_s", 0.01 * n)
+            reg.set("sim.cache.entries", float(n))
+            writer.append(entry(f"m{n}"))
+        reg.inc("store.flushes")   # after the last case
+        writer.close("finished")
 
-        folded = fold_metrics(tailer.poll())
-        snap = reg.snapshot()
+        fold = MetricsFold()
+        for record in JournalReader(journal_path(tmp_path)).poll():
+            fold.apply(record)
+        folded, snap = fold.snapshot(), reg.snapshot()
         assert folded["counters"] == snap["counters"]
         assert folded["histograms"] == snap["histograms"]
         assert folded["gauges"] == snap["gauges"]
+        # The terminal beat carried the delta written after the last case.
+        assert fold.counter_total("store.flushes") == 1
 
 
 class TestCampaignMonitor:
-    def feed(self, monitor, tmp_path, shard, records):
-        path = telemetry_path(tmp_path, shard)
+    def feed(self, monitor, tmp_path, shard, records, total=4):
+        """Append records to a shard journal (its header first)."""
+        path = journal_path(tmp_path, shard)
         with open(path, "a", encoding="utf-8") as handle:
+            if handle.tell() == 0:
+                handle.write(json.dumps(journal_header("fp", total)) + "\n")
             for record in records:
                 handle.write(json.dumps(record) + "\n")
-        monitor.add_shard(shard, path, total=records[-1].get("total"))
+        monitor.add_shard(shard, path)
 
     def test_status_sums_shards_and_prior(self, tmp_path):
         monitor = CampaignMonitor(clock=lambda: 100.0)
         monitor.campaign_total = 10
         monitor.prior_done = 2
         self.feed(monitor, tmp_path, "s0",
-                  [progress(shard="s0", seq=0, done=3, total=4, t=99.0)])
-        self.feed(monitor, tmp_path, "s1",
-                  [progress(shard="s1", seq=0, done=1, total=4, t=99.5)])
+                  [case(f"m{i}", seq=i, t=99.0) for i in range(3)])
+        self.feed(monitor, tmp_path, "s1", [case("m9", t=99.5)])
         monitor.poll()
         doc = check_status(monitor.status())
         assert doc["state"] == "running"
         assert doc["done"] == 6 and doc["total"] == 10
         assert doc["prior_done"] == 2
         assert [s["shard"] for s in doc["shards"]] == ["s0", "s1"]
+        assert [s["total"] for s in doc["shards"]] == [4, 4]
         assert doc["shards"][0]["age_s"] == pytest.approx(1.0)
 
     def test_done_state_requires_terminal_phases(self, tmp_path):
         monitor = CampaignMonitor(clock=lambda: 10.0)
         self.feed(monitor, tmp_path, "s0", [
-            progress(shard="s0", seq=0, done=2, total=2, phase="finished")])
-        self.feed(monitor, tmp_path, "s1", [
-            progress(shard="s1", seq=0, done=1, total=2, phase="running")])
+            case("m0", seq=0), case("m1", seq=1),
+            beat(seq=2, phase="finished")], total=2)
+        self.feed(monitor, tmp_path, "s1", [case("m2", seq=0)], total=2)
         monitor.poll()
         assert monitor.status()["state"] == "running"
         self.feed(monitor, tmp_path, "s1", [
-            progress(shard="s1", seq=1, done=2, total=2, phase="finished")])
+            case("m3", seq=1), beat(seq=2, phase="finished")])
         monitor.poll()
         assert monitor.status()["state"] == "done"
 
     def test_rate_eta_and_slow_flag(self, tmp_path):
         monitor = CampaignMonitor(clock=lambda: 20.0)
-        fast = [progress(shard="s0", seq=i, done=i, total=100, t=float(i))
-                for i in range(11)]
-        slow = [progress(shard="s1", seq=i, done=i, total=100, t=float(4 * i))
-                for i in range(11)]
-        self.feed(monitor, tmp_path, "s0", fast)
-        self.feed(monitor, tmp_path, "s1", slow)
+        fast = [case(f"m{i}", seq=i, t=float(i)) for i in range(1, 11)]
+        slow = [case(f"m{i}", seq=i, t=float(4 * i)) for i in range(1, 11)]
+        self.feed(monitor, tmp_path, "s0", fast, total=100)
+        self.feed(monitor, tmp_path, "s1", slow, total=100)
         monitor.poll()
         doc = monitor.status()
         by_id = {s["shard"]: s for s in doc["shards"]}
@@ -400,21 +460,21 @@ class TestCampaignMonitor:
     def test_crash_count_is_extra_incarnations(self, tmp_path):
         monitor = CampaignMonitor(clock=lambda: 0.0)
         self.feed(monitor, tmp_path, "s0", [
-            progress(shard="s0", inst="a", seq=0, done=1),
-            progress(shard="s0", inst="b", seq=0, done=2),
+            case("m0", inst="a", seq=0),
+            case("m1", inst="b", seq=0),
         ])
         monitor.poll()
         (shard,) = monitor.status()["shards"]
         assert shard["crashes"] == 1
+        assert shard["done"] == 2
 
     def test_corrupt_stream_freezes_shard_not_campaign(self, tmp_path):
         monitor = CampaignMonitor(clock=lambda: 0.0)
-        self.feed(monitor, tmp_path, "s0",
-                  [progress(shard="s0", seq=0, done=1)])
+        self.feed(monitor, tmp_path, "s0", [case("m0", seq=0)])
         monitor.poll()   # the good record lands first
-        path = telemetry_path(tmp_path, "s0")
+        path = journal_path(tmp_path, "s0")
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write("garbage\n" + json.dumps(progress(seq=1)) + "\n")
+            handle.write("garbage\n" + json.dumps(case("m1", seq=1)) + "\n")
         monitor.poll()   # interior garble -> shard frozen
         (shard,) = monitor.status()["shards"]
         assert shard["phase"] == "corrupt"
@@ -422,8 +482,7 @@ class TestCampaignMonitor:
 
     def test_discover_finds_workdir_telemetry(self, tmp_path):
         for shard in ("s0", "s1"):
-            self.feed(CampaignMonitor(), tmp_path, shard,
-                      [progress(shard=shard, seq=0)])
+            self.feed(CampaignMonitor(), tmp_path, shard, [case(seq=0)])
         monitor = CampaignMonitor()
         assert monitor.discover(tmp_path) == 2
         assert monitor.shard_ids == ["s0", "s1"]
@@ -432,8 +491,8 @@ class TestCampaignMonitor:
     def test_fold_into_registry_tags_gauges_per_shard(self, tmp_path):
         monitor = CampaignMonitor()
         for shard, cycles in (("s0", 10.0), ("s1", 32.0)):
-            self.feed(monitor, tmp_path, shard, [progress(
-                shard=shard, seq=0, metrics={
+            self.feed(monitor, tmp_path, shard, [case(
+                seq=0, metrics={
                     **counters(cycles=cycles),
                     "gauges": {"g": [{"labels": {}, "value": cycles}]}})])
         monitor.poll()
@@ -447,8 +506,8 @@ class TestCampaignMonitor:
         monitor = CampaignMonitor(clock=lambda: 1.0)
         monitor.campaign_total = 4
         self.feed(monitor, tmp_path, "s0",
-                  [progress(shard="s0", seq=0, done=4, total=4,
-                            phase="finished")])
+                  [case(f"m{i}", seq=i) for i in range(4)]
+                  + [beat(seq=4, phase="finished")])
         monitor.poll()
         out = tmp_path / "status.json"
         monitor.write_status(out, state="done")
@@ -509,10 +568,8 @@ class TestStitch:
             for s, (name, ts, dur) in zip(drained, spans)
         ]
         return {
-            "v": TELEMETRY_SCHEMA, "kind": "spans", "shard": shard,
-            "pid": pid, "inst": f"{pid}-x", "seq": 0,
-            "t_us": round(epoch * 1e6),
-            "phase": "running", "done": 0, "total": 1,
+            "kind": "spans", "inst": f"{pid}-x", "seq": 0,
+            "t_us": round(epoch * 1e6), "pid": pid,
             "epoch_wall_s": epoch, "spans": payload, "events": [],
         }
 

@@ -20,10 +20,13 @@ from repro.errors import (
     ShapeError,
     SimulationError,
 )
+from repro.obs.journal import entry_key
 from repro.resilience.runner import (
     ResilientRunner,
     RetryPolicy,
+    case_key,
     classify_error,
+    read_journal,
 )
 from repro.sim import engine
 from repro.sim.sweep import Sweep
@@ -299,6 +302,35 @@ class TestCheckpointResume:
             make_sweep(2), journal_path=journal, resume=True
         ).run()
         assert summary.n_ok == len(make_sweep(2).cases())
+
+    @pytest.mark.parametrize("n_cases", [2, 3])
+    def test_resume_cuts_a_torn_last_line(self, tmp_path, monkeypatch,
+                                          n_cases):
+        """A crash mid-append leaves half a line.  Resume cuts it before
+        appending, so the journal reads back with every case exactly
+        once, and a second resume simulates nothing."""
+        journal = tmp_path / "sweep.jsonl"
+        ResilientRunner(make_sweep(n_cases), journal_path=journal).run()
+        text = journal.read_text()
+        journal.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
+        summary = ResilientRunner(
+            make_sweep(n_cases), journal_path=journal, resume=True
+        ).run()
+        assert summary.n_ok == n_cases
+
+        keys = sorted(case_key(c) for c in make_sweep(n_cases).cases())
+        assert sorted(read_journal(journal)) == keys
+        entries = [json.loads(line)
+                   for line in journal.read_text().splitlines()[1:]]
+        assert sorted(entry_key(e) for e in entries) == keys
+
+        sweep = make_sweep(n_cases)
+        calls = []
+        run_case = sweep.run_case
+        monkeypatch.setattr(sweep, "run_case",
+                            lambda case: calls.append(case) or run_case(case))
+        again = ResilientRunner(sweep, journal_path=journal, resume=True).run()
+        assert again.n_resumed == n_cases and calls == []
 
     def test_resume_without_journal_starts_fresh(self, tmp_path):
         journal = tmp_path / "missing.jsonl"
