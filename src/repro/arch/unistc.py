@@ -38,22 +38,24 @@ class UniSTC(STCModel):
             raise ConfigError(f"unknown ordering {ordering!r}; use one of {ORDERINGS}")
         if fill_order not in FILL_ORDERS:
             raise ConfigError(f"fill order must be 'z' or 'n', got {fill_order!r}")
-        self.config = config or UniSTCConfig()
+        self.config = cfg = config or UniSTCConfig()
         self.ordering = ordering
         self.fill_order = fill_order
-        self.name = f"uni-stc({self.config.num_dpgs}dpg)" if self.config.num_dpgs != 8 else "uni-stc"
+        self.name = f"uni-stc({cfg.num_dpgs}dpg)" if cfg.num_dpgs != 8 else "uni-stc"
+        # Built once: the config is frozen and nothing reassigns these
+        # fields, while every simulate_batches call asks for the key.
+        self._cache_key = (
+            f"uni:{cfg.precision.name}:{cfg.num_dpgs}:{ordering}:{fill_order}:"
+            f"{int(cfg.adaptive_ordering)}{int(cfg.dynamic_gating)}{int(cfg.conflict_stall)}:"
+            f"{cfg.dpg_wakeup_cycles}-{cfg.lookahead_cycles}"
+        )
 
     @property
     def macs(self) -> int:
         return self.config.macs
 
     def cache_key(self) -> str:
-        cfg = self.config
-        return (
-            f"uni:{cfg.precision.name}:{cfg.num_dpgs}:{self.ordering}:{self.fill_order}:"
-            f"{int(cfg.adaptive_ordering)}{int(cfg.dynamic_gating)}{int(cfg.conflict_stall)}:"
-            f"{cfg.dpg_wakeup_cycles}-{cfg.lookahead_cycles}"
-        )
+        return self._cache_key
 
     def simulate_blocks(self, batch) -> np.ndarray:
         """Batched evaluation: array ops across the whole batch.

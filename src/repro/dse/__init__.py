@@ -18,7 +18,6 @@ from repro.dse.campaign import Campaign, CampaignResult, ConfigSummary, summaris
 from repro.dse.evaluate import (
     CachedEvaluator,
     Evaluation,
-    PointSweep,
     campaign_fingerprint,
     tile_cycle_scale,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "MODEL_OBJECTIVES",
     "ModelEvaluation",
     "OBJECTIVES",
-    "PointSweep",
     "RandomSearch",
     "SearchStrategy",
     "campaign_fingerprint",

@@ -204,7 +204,8 @@ class Campaign:
 
     def run(self) -> CampaignResult:
         fingerprint = campaign_fingerprint(self.space,
-                                           self.strategy.signature())
+                                           self.strategy.signature(),
+                                           self.n_cores)
         evaluator = CachedEvaluator(
             fingerprint=fingerprint,
             n_cores=self.n_cores,

@@ -4,19 +4,21 @@ The evaluator turns strategy-proposed batches of
 :class:`~repro.dse.space.DesignPoint` into :class:`Evaluation` records
 by composing the existing execution stack end to end:
 
-- **simulation** through :func:`repro.sim.parallel.simulate_parallel`
-  (statically balanced cores sharing the engine's process-wide block
-  cache) or the serial engine for ``n_cores=1`` — either way the cold
-  misses of each candidate config flow through the model's batched
-  evaluator (:mod:`repro.arch.fastpath` for Uni-STC variants), which
-  is what keeps wide campaigns over mostly-distinct configs tractable:
-  a new config shares no cache entries, so DSE throughput is bound by
-  exactly the cold path the batched evaluator accelerates;
-- **fault isolation, retries and journaling** through
-  :class:`repro.resilience.runner.ResilientRunner` — every evaluated
-  point (and every baseline run) is appended to one campaign journal,
-  so a killed campaign resumes by *replaying* journaled reports
-  instead of re-simulating them;
+- **execution** through one :class:`repro.exec.CampaignExecutor` per
+  campaign — in-process or sharded over worker processes, the one way
+  a grid of cases runs.  It gives fault isolation, retries and
+  journaling: every evaluated point (and every baseline run) is
+  appended to one campaign journal, so a killed campaign resumes by
+  *replaying* journaled reports instead of re-simulating them;
+- **simulation** through :meth:`repro.sim.sweep.Sweep.run_case`, which
+  balances each case across ``n_cores`` statically partitioned cores
+  (:func:`repro.sim.parallel.simulate_parallel`, sharing the block
+  cache) or runs the serial engine for ``n_cores=1``.  Either way the
+  cold misses of each candidate config flow through the model's
+  batched evaluator (:mod:`repro.arch.fastpath` for Uni-STC variants),
+  which is what keeps wide campaigns over mostly-distinct configs
+  tractable: a new config shares no cache entries, so DSE throughput
+  is bound by exactly the cold path the batched evaluator accelerates;
 - **observability** through ``dse.*`` metrics and spans.
 
 Baseline hoisting: speedup/energy-reduction/EED are measured against
@@ -37,7 +39,7 @@ per-workload behaviour.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -49,11 +51,8 @@ from repro.energy.area import eed as eed_metric
 from repro.energy.area import total_area_mm2
 from repro.errors import ConfigError
 from repro.exec import CampaignExecutor, ExecPolicy, StcDef
-from repro.registry import parse_matrix_spec, stc_factory
-from repro.resilience.runner import ResilientRunner, RetryPolicy
-from repro.sim.parallel import ParallelReport, simulate_parallel
 from repro.sim.results import SimReport
-from repro.sim.sweep import Sweep, SweepCase, SweepResult
+from repro.sim.sweep import SweepCase
 
 BASELINE_STC = "ds-stc"
 
@@ -100,76 +99,19 @@ class Evaluation:
         }
 
 
-def _fold_parallel(preport: ParallelReport, matrix: str) -> SimReport:
-    """Collapse a multi-core report into one journal-ready SimReport.
+def campaign_fingerprint(space: DesignSpace, strategy_signature: str,
+                         n_cores: int = 1) -> str:
+    """Journal-binding digest: the space, the strategy and its seed.
 
-    Cycles follow the parallel completion rule (slowest core); work,
-    energy, wall time and cache deltas are summed; utilisation bins and
-    counters merge exactly as the serial path would accumulate them.
+    A core count above 1 is bound too (it changes every report); one
+    core adds nothing, so a one-core journal keeps its fingerprint.
     """
-    report = SimReport(stc=preport.stc, kernel=preport.kernel, matrix=matrix)
-    report.cycles = preport.wall_cycles
-    cache: Dict[str, float] = {}
-    for core in preport.per_core:
-        report.products += core.products
-        report.t1_tasks += core.t1_tasks
-        report.util_hist.merge(core.util_hist, 1)
-        report.counters.merge(core.counters, 1)
-        report.energy_pj += core.energy_pj
-        for name, value in core.energy_breakdown.items():
-            report.energy_breakdown[name] = report.energy_breakdown.get(name, 0.0) + value
-        report.wall_s += core.wall_s
-        for name, value in core.cache.items():
-            cache[name] = cache.get(name, 0.0) + value
-    if cache:
-        total = cache.get("hits", 0.0) + cache.get("misses", 0.0)
-        cache["hit_rate"] = cache.get("hits", 0.0) / total if total else 0.0
-    report.cache = cache
-    return report
-
-
-@dataclass
-class PointSweep(Sweep):
-    """A sweep over an explicit case list instead of a full grid.
-
-    DSE batches are heterogeneous — each point binds its own config to
-    its own workload cell — so the cross product a plain
-    :class:`Sweep` enumerates would evaluate every config everywhere.
-    ``cases()`` returns exactly the requested cells; ``run_case``
-    optionally fans each cell across ``n_cores`` via
-    :func:`simulate_parallel` (cores share the process-wide block
-    cache).
-    """
-
-    case_list: List[SweepCase] = field(default_factory=list)
-    n_cores: int = 1
-
-    def cases(self) -> List[SweepCase]:
-        return list(self.case_list)
-
-    def run_case(self, case: SweepCase) -> SweepResult:
-        if self.n_cores <= 1:
-            return super().run_case(case)
-        with obs.span("matrix", matrix=case.matrix_name, stc=case.stc_name,
-                      kernel=case.kernel):
-            bbc = self.encode(case.matrix_name)
-            kwargs = {}
-            if case.kernel == "spmspv":
-                kwargs["x"] = self._operand(case.matrix_name, bbc)
-            preport = simulate_parallel(
-                case.kernel, bbc, self.stcs[case.stc_name],
-                n_cores=self.n_cores, **kwargs,
-            )
-        return SweepResult(case=case,
-                           report=_fold_parallel(preport, case.matrix_name))
-
-
-def campaign_fingerprint(space: DesignSpace, strategy_signature: str) -> str:
-    """Journal-binding digest: the space, the strategy and its seed."""
     digest = hashlib.sha256()
     digest.update(space.fingerprint().encode("utf-8"))
     digest.update(b"\x1f")
     digest.update(strategy_signature.encode("utf-8"))
+    if n_cores > 1:
+        digest.update(f"\x1fcores={n_cores}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
@@ -177,12 +119,18 @@ def campaign_fingerprint(space: DesignSpace, strategy_signature: str) -> str:
 class CachedEvaluator:
     """Journal-backed batch evaluator shared by all strategies.
 
-    One instance serves one campaign: matrix encodings, the DS-STC
-    baseline reports and the resume state persist across batches.  The
-    journal (``journal_path``) is a :mod:`repro.resilience` checkpoint
-    journal bound to the campaign fingerprint; with ``resume=True`` a
-    prior journal's evaluations are replayed instead of re-simulated.
-    Block results persist through the result store the caller bound
+    One instance serves one campaign: its executor (whose sweep keeps
+    every matrix encoding and built STC), the DS-STC baseline reports
+    and the resume state persist across batches.  Every batch runs
+    through that :class:`~repro.exec.CampaignExecutor` — in-process,
+    or sharded over ``exec_policy.workers`` worker processes — with the
+    same ``n_cores``, so both paths run the same
+    :meth:`~repro.sim.sweep.Sweep.run_case` and report the same
+    numbers.  The journal (``journal_path``) is a
+    :mod:`repro.resilience` checkpoint journal bound to the campaign
+    fingerprint; with ``resume=True`` a prior journal's evaluations are
+    replayed instead of re-simulated.  Block results persist through
+    the result store the caller bound
     (:func:`repro.sim.engine.store_tier`, as a session does); worker
     shards inherit its root.
     """
@@ -194,44 +142,39 @@ class CachedEvaluator:
     timeout_s: Optional[float] = None
     max_retries: int = 1
     #: Multi-process execution envelope; ``None`` (or ``workers=0``)
-    #: keeps batches in-process.  Distributed batches run each case
-    #: serially inside its worker, so ``n_cores`` is ignored there.
+    #: keeps batches in-process.
     exec_policy: Optional[ExecPolicy] = None
 
     def __post_init__(self) -> None:
-        self._sweep = PointSweep(matrices={}, stcs={}, kernels=[],
-                                 n_cores=self.n_cores)
+        self._executor = CampaignExecutor(
+            matrices={}, stcs=[], kernels=[],
+            journal_path=self.journal_path,
+            resume=bool(self.resume and self.journal_path is not None
+                        and Path(str(self.journal_path)).exists()),
+            fingerprint=self.fingerprint,
+            timeout_s=self.timeout_s or 0.0,
+            max_retries=self.max_retries,
+            n_cores=self.n_cores,
+            policy=self.exec_policy or ExecPolicy(),
+        )
         self._stc_defs: Dict[str, StcDef] = {}
         self._baselines: Dict[Tuple[str, str], SimReport] = {}
-        self._resume_next = bool(
-            self.resume and self.journal_path is not None
-            and Path(str(self.journal_path)).exists()
-        )
         self.n_simulated = 0
         self.n_resumed = 0
         self.n_failed = 0
 
-    # -- sweep-state plumbing --------------------------------------------
-
-    def _ensure_matrix(self, spec: str) -> None:
-        if spec not in self._sweep.matrices:
-            self._sweep.matrices[spec] = parse_matrix_spec(spec)
-
     def _ensure_stc(self, point: DesignPoint) -> str:
-        """Register the point's config under its variant name.
+        """Declare the point's config under its variant name.
 
         The sweep key stays ``point.stc_name()`` (``uni-stc[...]``) so
-        journal entries — and therefore campaign resume — are unchanged;
-        the factory itself is registry-bound with the config validated
-        once at registration, not re-captured per closure call.
+        journal entries — and therefore campaign resume — are unchanged.
+        The config is validated here, once; the declaration is the
+        serialisable identity (knobs -> :meth:`DesignPoint.config`, the
+        one authoritative path) every execution path rebuilds it from.
         """
         name = point.stc_name()
-        if name not in self._sweep.stcs:
-            config = point.config()  # ConfigError propagates to the caller
-            self._sweep.stcs[name] = stc_factory("uni-stc", config)
-            # The serialisable identity worker processes rebuild the
-            # same config from (knobs -> DesignPoint.config, the one
-            # authoritative path).
+        if name not in self._stc_defs:
+            point.config()  # ConfigError propagates to the caller
             self._stc_defs[name] = StcDef.from_knobs(name, dict(point.knobs))
         return name
 
@@ -250,7 +193,6 @@ class CachedEvaluator:
         for point in points:
             try:
                 stc_name = self._ensure_stc(point)
-                self._ensure_matrix(point.matrix)
             except ConfigError:
                 # An unbuildable point is a terminal failure of that
                 # point, not of the campaign.
@@ -260,9 +202,8 @@ class CachedEvaluator:
                 continue
             cell = (point.matrix, point.kernel)
             if cell not in self._baselines:
-                if BASELINE_STC not in self._sweep.stcs:
-                    self._sweep.stcs[BASELINE_STC] = stc_factory(BASELINE_STC)
-                    self._stc_defs[BASELINE_STC] = StcDef.plain(BASELINE_STC)
+                self._stc_defs.setdefault(BASELINE_STC,
+                                          StcDef.plain(BASELINE_STC))
                 base_case = SweepCase(point.matrix, BASELINE_STC, point.kernel)
                 if base_case not in cases:
                     cases.append(base_case)
@@ -275,43 +216,22 @@ class CachedEvaluator:
         if not cases:
             return out
 
-        distributed = (self.exec_policy is not None
-                       and self.exec_policy.distributed)
+        # The batch declares exactly its own cells.  DSE matrix names
+        # ARE registry specs, so shards carry them verbatim; worker
+        # journals merge back into the campaign journal in this batch's
+        # case order.
+        executor = self._executor
+        executor.matrices = {c.matrix_name: c.matrix_name for c in cases}
+        executor.stcs = [self._stc_defs[name]
+                         for name in sorted({c.stc_name for c in cases})]
+        executor.kernels = sorted({c.kernel for c in cases})
+        executor.cases = cases
         with obs.span("dse.batch", cases=len(cases),
-                      workers=self.exec_policy.workers if distributed else 0):
-            if distributed:
-                # DSE matrix names ARE registry specs, so shards carry
-                # them verbatim; worker journals merge back into the
-                # campaign journal in this batch's case order.
-                executor = CampaignExecutor(
-                    matrices={case.matrix_name: case.matrix_name
-                              for case in cases},
-                    stcs=[self._stc_defs[name]
-                          for name in sorted({c.stc_name for c in cases})],
-                    kernels=sorted({c.kernel for c in cases}),
-                    cases=cases,
-                    journal_path=self.journal_path,
-                    resume=self._resume_next,
-                    fingerprint=self.fingerprint,
-                    timeout_s=self.timeout_s or 0.0,
-                    max_retries=self.max_retries,
-                    policy=self.exec_policy,
-                )
-                summary = executor.run()
-            else:
-                self._sweep.case_list = cases
-                runner = ResilientRunner(
-                    self._sweep,
-                    timeout_s=self.timeout_s,
-                    retry=RetryPolicy(max_retries=self.max_retries),
-                    journal_path=self.journal_path,
-                    resume=self._resume_next,
-                    fingerprint=self.fingerprint,
-                )
-                summary = runner.run()
+                      workers=executor.policy.workers):
+            summary = executor.run()
         if self.journal_path is not None:
             # Later batches must append to the journal just written.
-            self._resume_next = True
+            executor.resume = True
 
         reports: Dict[Tuple[str, str, str], Tuple[SimReport, bool]] = {}
         for outcome in summary.outcomes:

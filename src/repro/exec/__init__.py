@@ -20,7 +20,6 @@ with identical results.  See ``docs/robustness.md``.
 from repro.exec.journal import MergeStats, merge_journals, strip_wallclock
 from repro.exec.shard import (
     SHARD_SCHEMA,
-    CaseListSweep,
     ShardSpec,
     StcDef,
     shard_cases,
@@ -37,7 +36,6 @@ from repro.resilience.runner import read_raw_journal
 
 __all__ = [
     "CampaignExecutor",
-    "CaseListSweep",
     "EXIT_ERROR",
     "EXIT_OK",
     "EXIT_RECYCLE",

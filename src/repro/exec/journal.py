@@ -41,10 +41,11 @@ from repro.resilience.runner import (
     journal_header,
     read_raw_journal,
 )
+from repro.sim.results import HOST_FIELDS
 
-#: Fields that legitimately differ between runs of the same case.
+#: Entry fields that legitimately differ between runs of the same case
+#: (a report's are :data:`~repro.sim.results.HOST_FIELDS`).
 WALLCLOCK_FIELDS = ("elapsed_s",)
-WALLCLOCK_REPORT_FIELDS = ("wall_s", "cache")
 
 
 def strip_wallclock(entry: dict) -> dict:
@@ -60,7 +61,7 @@ def strip_wallclock(entry: dict) -> dict:
         out.pop(name, None)
     report = out.get("report")
     if isinstance(report, dict):
-        for name in WALLCLOCK_REPORT_FIELDS:
+        for name in HOST_FIELDS:
             report.pop(name, None)
     return out
 

@@ -4,11 +4,11 @@ A :class:`ShardSpec` is everything one worker process needs to execute
 its slice of a campaign, serialised as JSON: the workload cells
 (matrices carried as registry matrix-spec strings, STCs as
 :class:`StcDef` name+knob records), the explicit case list, the
-resilience envelope, and the one file the worker writes (its journal,
-which also carries its telemetry).  Nothing in a shard references
-in-memory state of the supervisor — a spec written to
-disk can be re-dispatched after a supervisor crash, bisected into
-sub-shards, or inspected by hand.
+cores each case is balanced across, the resilience envelope, and the
+one file the worker writes (its journal, which also carries its
+telemetry).  Nothing in a shard references in-memory state of the
+supervisor — a spec written to disk can be re-dispatched after a
+supervisor crash, bisected into sub-shards, or inspected by hand.
 
 This mirrors the job-configuration/execution split of jade and the
 nipype CommandLine-runner pattern: configuration is a declarative
@@ -18,7 +18,7 @@ artifact, execution is a subprocess reading it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -76,27 +76,6 @@ class StcDef:
         return cls.from_knobs(data["name"], knobs)
 
 
-@dataclass
-class CaseListSweep(Sweep):
-    """A sweep over an explicit case list instead of the full grid.
-
-    ``pre_case`` is an injectable hook called before each case runs —
-    the worker's chaos-injection point (see
-    :mod:`repro.exec.worker`); it defaults to a no-op.
-    """
-
-    case_list: List[SweepCase] = field(default_factory=list)
-    pre_case: Optional[Callable[[SweepCase], None]] = None
-
-    def cases(self) -> List[SweepCase]:
-        return list(self.case_list)
-
-    def run_case(self, case: SweepCase):
-        if self.pre_case is not None:
-            self.pre_case(case)
-        return super().run_case(case)
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """One worker's slice of a campaign, fully self-describing."""
@@ -108,6 +87,7 @@ class ShardSpec:
     kernels: Tuple[str, ...]
     cases: Tuple[Tuple[str, str, str], ...]  #: (matrix, stc, kernel)
     seed: int = 0
+    n_cores: int = 1                        #: cores each case is balanced across
     timeout_s: float = 0.0                  #: per-case budget (0 = unlimited)
     max_retries: int = 1
     max_leaked_threads: int = 8
@@ -153,6 +133,7 @@ class ShardSpec:
             "kernels": list(self.kernels),
             "cases": [list(c) for c in self.cases],
             "seed": self.seed,
+            "n_cores": self.n_cores,
             "timeout_s": self.timeout_s,
             "max_retries": self.max_retries,
             "max_leaked_threads": self.max_leaked_threads,
@@ -179,6 +160,7 @@ class ShardSpec:
                 cases=tuple((str(m), str(s), str(k))
                             for m, s, k in data["cases"]),
                 seed=int(data.get("seed", 0)),
+                n_cores=int(data.get("n_cores", 1)),
                 timeout_s=float(data.get("timeout_s", 0.0)),
                 max_retries=int(data.get("max_retries", 1)),
                 max_leaked_threads=int(data.get("max_leaked_threads", 8)),
@@ -210,7 +192,7 @@ class ShardSpec:
     def sweep_cases(self) -> List[SweepCase]:
         return [SweepCase(m, s, k) for m, s, k in self.cases]
 
-    def build_sweep(self) -> CaseListSweep:
+    def build_sweep(self) -> Sweep:
         """Materialise the shard's workload as a runnable sweep.
 
         Matrices resolve through the workload registry's spec grammar
@@ -219,34 +201,29 @@ class ShardSpec:
         """
         from repro.registry import parse_matrix_spec
 
-        return CaseListSweep(
+        return Sweep(
             matrices={name: parse_matrix_spec(spec)
                       for name, spec in self.matrices},
             stcs={d.name: d.factory() for d in self.stcs},
             kernels=list(self.kernels),
             case_list=self.sweep_cases(),
+            n_cores=self.n_cores,
         )
 
     def replace_cases(self, cases: List[SweepCase], shard_id: str,
                       journal: str) -> "ShardSpec":
-        """A derived shard (bisection) covering a subset of the cases."""
+        """A derived shard (bisection) covering a subset of the cases;
+        every other field carries over unchanged."""
         used_matrices = {c.matrix_name for c in cases}
         used_stcs = {c.stc_name for c in cases}
-        return ShardSpec(
+        return replace(
+            self,
             shard_id=shard_id,
-            campaign=self.campaign,
             matrices=tuple((n, s) for n, s in self.matrices
                            if n in used_matrices),
             stcs=tuple(d for d in self.stcs if d.name in used_stcs),
-            kernels=self.kernels,
             cases=tuple((c.matrix_name, c.stc_name, c.kernel) for c in cases),
-            seed=self.seed,
-            timeout_s=self.timeout_s,
-            max_retries=self.max_retries,
-            max_leaked_threads=self.max_leaked_threads,
-            heartbeat_interval_s=self.heartbeat_interval_s,
             journal=journal,
-            store=self.store,
         )
 
 

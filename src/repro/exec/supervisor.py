@@ -57,7 +57,7 @@ from repro import obs
 from repro.errors import ConfigError
 from repro.exec import worker as worker_mod
 from repro.exec.journal import merge_journals
-from repro.exec.shard import CaseListSweep, ShardSpec, StcDef, shard_cases
+from repro.exec.shard import ShardSpec, StcDef, shard_cases
 from repro.obs.journal import JournalWriter
 from repro.obs.stitch import stitch_into_tracer
 from repro.obs.telemetry import CampaignMonitor
@@ -74,7 +74,7 @@ from repro.resilience.runner import (
     read_journal,
 )
 from repro.sim import engine
-from repro.sim.sweep import SweepCase
+from repro.sim.sweep import Sweep, SweepCase
 
 logger = logging.getLogger(__name__)
 
@@ -138,7 +138,14 @@ class CampaignExecutor:
     :class:`StcDef` records — so shards can be serialised and rebuilt
     inside worker processes.  ``cases`` defaults to the full grid in
     :meth:`Sweep.cases` order (matrices outermost); a DSE batch passes
-    its explicit case list instead.
+    its explicit case list instead.  ``n_cores`` is how many cores each
+    case is balanced across (:mod:`repro.sim.parallel`), in-process and
+    in every shard alike.
+
+    One executor may run several times (a DSE campaign runs each batch
+    through one): its in-process sweep keeps the matrices it parsed
+    and the STCs it built, a matrix name standing for the spec its
+    first run declared.
     """
 
     matrices: Dict[str, str]
@@ -151,6 +158,7 @@ class CampaignExecutor:
     seed: int = 0
     timeout_s: float = 0.0
     max_retries: int = 1
+    n_cores: int = 1
     policy: ExecPolicy = field(default_factory=ExecPolicy)
     #: Extra destination for the final campaign status document (a
     #: distributed run's workdir always gets ``status.json``).
@@ -159,6 +167,7 @@ class CampaignExecutor:
     def __post_init__(self) -> None:
         if self.resume and self.journal_path is None:
             raise ConfigError("resume requires a journal path")
+        self._sweep = Sweep(matrices={}, stcs={}, kernels=())
 
     # -- grid material ---------------------------------------------------
 
@@ -172,14 +181,19 @@ class CampaignExecutor:
             for s in [d.name for d in self.stcs]
         ]
 
-    def _build_sweep(self, cases: List[SweepCase]) -> CaseListSweep:
-        return CaseListSweep(
-            matrices={name: parse_matrix_spec(spec)
-                      for name, spec in self.matrices.items()},
-            stcs={d.name: d.factory() for d in self.stcs},
-            kernels=list(self.kernels),
-            case_list=cases,
-        )
+    def _sweep_for(self, cases: List[SweepCase]) -> Sweep:
+        """The in-process sweep over ``cases``, grown by what the
+        declaration gained since the last run."""
+        sweep = self._sweep
+        for name, spec in self.matrices.items():
+            if name not in sweep.matrices:
+                sweep.matrices[name] = parse_matrix_spec(spec)
+        for stc in self.stcs:
+            if stc.name not in sweep.stcs:
+                sweep.stcs[stc.name] = stc.factory()
+        sweep.case_list = cases
+        sweep.n_cores = self.n_cores
+        return sweep
 
     # -- public entry ----------------------------------------------------
 
@@ -190,16 +204,19 @@ class CampaignExecutor:
         if not cases:
             return RunSummary()
         fingerprint = self.fingerprint or grid_fingerprint(cases)
+        # Every declared matrix parses here, sharded or not: a bad spec
+        # is one error before anything runs, not a crash in each worker.
+        sweep = self._sweep_for(cases)
         if not self.policy.distributed or not sys.executable:
-            return self._run_in_process(cases, fingerprint, progress,
+            return self._run_in_process(sweep, fingerprint, progress,
                                         self.journal_path, self.resume)
-        return self._run_distributed(cases, fingerprint, progress)
+        return self._run_distributed(sweep, fingerprint, progress)
 
     # -- in-process degradation -----------------------------------------
 
     def _run_in_process(
         self,
-        cases: List[SweepCase],
+        sweep: Sweep,
         fingerprint: str,
         progress: Optional[Callable[[CaseOutcome], None]],
         journal_path: Optional[Union[str, Path]],
@@ -207,7 +224,7 @@ class CampaignExecutor:
     ) -> RunSummary:
         """The zero-subprocess path: one ResilientRunner, same results."""
         runner = ResilientRunner(
-            sweep=self._build_sweep(cases),
+            sweep=sweep,
             timeout_s=self.timeout_s or None,
             retry=RetryPolicy(max_retries=self.max_retries),
             journal_path=journal_path,
@@ -222,10 +239,11 @@ class CampaignExecutor:
 
     def _run_distributed(
         self,
-        cases: List[SweepCase],
+        sweep: Sweep,
         fingerprint: str,
         progress: Optional[Callable[[CaseOutcome], None]],
     ) -> RunSummary:
+        cases = sweep.cases()
         order = [case_key(c) for c in cases]
         tempdir: Optional[tempfile.TemporaryDirectory] = None
         if self.journal_path is not None:
@@ -277,7 +295,7 @@ class CampaignExecutor:
                     logger.warning(
                         "cannot dispatch worker subprocesses (%s); "
                         "falling back to in-process execution", exc)
-                    return self._run_in_process(cases, fingerprint, progress,
+                    return self._run_in_process(sweep, fingerprint, progress,
                                                 journal, journal.exists())
                 shard_journals = sorted(workdir.glob("*.journal"))
                 merge_journals(journal, shard_journals, fingerprint,
@@ -334,6 +352,7 @@ class CampaignExecutor:
                 cases=tuple((c.matrix_name, c.stc_name, c.kernel)
                             for c in chunk),
                 seed=self.seed,
+                n_cores=self.n_cores,
                 timeout_s=self.timeout_s,
                 max_retries=self.max_retries,
                 max_leaked_threads=self.policy.max_leaked_threads,

@@ -51,10 +51,15 @@ logger = logging.getLogger(__name__)
 STAMP_FIELDS = ("inst", "seq", "t_us", "metrics")
 
 
+def format_case_key(matrix: str, kernel: str, stc: str) -> str:
+    """The journal identity of one (matrix, kernel, STC) case."""
+    return f"{matrix}\x1f{kernel}\x1f{stc}"
+
+
 def entry_key(entry: dict) -> str:
-    """The case key of a case record (matches ``case_key`` of its case)."""
+    """The case key of a case record."""
     case = entry["case"]
-    return f"{case['matrix']}\x1f{case['kernel']}\x1f{case['stc']}"
+    return format_case_key(case["matrix"], case["kernel"], case["stc"])
 
 
 def journal_fields(record: dict) -> dict:

@@ -57,7 +57,7 @@ from repro.kernels.vector import SparseVector
 from repro.registry import create_stc
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
-from repro.sim.results import SimReport
+from repro.sim.results import HOST_FIELDS, SimReport
 from repro.workloads.suitesparse import MatrixSpec, corpus
 
 #: Report schema version; bump when the JSON layout changes.
@@ -91,26 +91,14 @@ def _time_best(fn: Callable[[], T], repeat: int,
 def report_digest(report) -> str:
     """Canonical JSON of everything a simulation's semantics determine.
 
-    Host-dependent fields (wall time, cache attribution) are excluded;
-    two evaluation paths claiming equivalence must produce identical
-    digests case-for-case.  Used by the bench's per-case identity
-    checks and by the test suite's stepped-vs-vectorised check.
+    The report's journal form (:meth:`~repro.sim.results.SimReport.as_json`)
+    without its host fields (:data:`~repro.sim.results.HOST_FIELDS`),
+    keys sorted: two evaluation paths claiming equivalence must produce
+    identical digests case-for-case.  Used by the bench's per-case
+    identity checks and by the test suite's stepped-vs-vectorised check.
     """
-    return json.dumps(
-        {
-            "stc": report.stc,
-            "kernel": report.kernel,
-            "matrix": report.matrix,
-            "cycles": report.cycles,
-            "products": report.products,
-            "t1_tasks": report.t1_tasks,
-            "util_bins": [int(v) for v in report.util_hist.bins],
-            "counters": report.counters.as_dict(),
-            "energy_pj": report.energy_pj,
-            "energy_breakdown": report.energy_breakdown,
-        },
-        sort_keys=True,
-    )
+    return json.dumps({k: v for k, v in report.as_json().items()
+                       if k not in HOST_FIELDS}, sort_keys=True)
 
 
 def _operands_for(kernel: str, bbc: BBCMatrix, seed: int) -> Dict[str, object]:

@@ -49,12 +49,11 @@ from repro.errors import (
     SimulationError,
     ThreadLeakError,
 )
-from repro.arch.counters import Counters
-from repro.arch.tasks import UtilHistogram
 from repro.obs.journal import (
     JournalReader,
     JournalWriter,
     entry_key,
+    format_case_key,
     journal_fields,
 )
 from repro.sim.results import SimReport
@@ -171,52 +170,9 @@ class RunSummary:
         return counts
 
 
-# -- report (de)serialisation for the journal ---------------------------
-
-
-def _report_to_json(report: SimReport) -> dict:
-    return {
-        "stc": report.stc,
-        "kernel": report.kernel,
-        "matrix": report.matrix,
-        "cycles": int(report.cycles),
-        "products": int(report.products),
-        "t1_tasks": int(report.t1_tasks),
-        "util_bins": [int(x) for x in report.util_hist.bins],
-        "counters": report.counters.as_dict(),
-        "energy_pj": float(report.energy_pj),
-        "energy_breakdown": {k: float(v) for k, v in report.energy_breakdown.items()},
-        "wall_s": float(report.wall_s),
-        "cache": {k: float(v) for k, v in report.cache.items()},
-    }
-
-
-def _report_from_json(data: dict) -> SimReport:
-    report = SimReport(
-        stc=data["stc"],
-        kernel=data["kernel"],
-        matrix=data.get("matrix"),
-        cycles=int(data["cycles"]),
-        products=int(data["products"]),
-        t1_tasks=int(data["t1_tasks"]),
-        util_hist=UtilHistogram(bins=np.asarray(data["util_bins"], dtype=np.int64)),
-        counters=Counters(data["counters"]),
-        energy_pj=float(data["energy_pj"]),
-        energy_breakdown={k: float(v) for k, v in data["energy_breakdown"].items()},
-        # Absent in journals written before the observability layer.
-        wall_s=float(data.get("wall_s", 0.0)),
-        cache={k: float(v) for k, v in data.get("cache", {}).items()},
-    )
-    return report
-
-
 def case_key(case: SweepCase) -> str:
     """The journal identity of one sweep case."""
-    return f"{case.matrix_name}\x1f{case.kernel}\x1f{case.stc_name}"
-
-
-#: Backwards-compatible private alias.
-_case_key = case_key
+    return format_case_key(case.matrix_name, case.kernel, case.stc_name)
 
 
 def grid_fingerprint(cases: List[SweepCase]) -> str:
@@ -226,9 +182,6 @@ def grid_fingerprint(cases: List[SweepCase]) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:16]
-
-
-_grid_fingerprint = grid_fingerprint
 
 
 def journal_header(fingerprint: str, cases: int) -> dict:
@@ -262,7 +215,7 @@ def _outcome_from_entry(entry: dict) -> CaseOutcome:
     case = SweepCase(entry["case"]["matrix"], entry["case"]["stc"],
                      entry["case"]["kernel"])
     status = entry["status"]
-    report = _report_from_json(entry["report"]) if status == "ok" else None
+    report = SimReport.from_json(entry["report"]) if status == "ok" else None
     failure = CaseFailure(**entry["error"]) if entry.get("error") else None
     return CaseOutcome(
         case=case, status=status, report=report, failure=failure,
@@ -388,7 +341,7 @@ class ResilientRunner:
             "elapsed_s": round(outcome.elapsed_s, 6),
         }
         if outcome.report is not None:
-            entry["report"] = _report_to_json(outcome.report)
+            entry["report"] = outcome.report.as_json()
         if outcome.failure is not None:
             entry["error"] = {
                 "taxonomy": outcome.failure.taxonomy,
@@ -497,7 +450,7 @@ class ResilientRunner:
         """
         rng = np.random.default_rng(self.seed)
         cases = self.sweep.cases()
-        fingerprint = self.fingerprint or _grid_fingerprint(cases)
+        fingerprint = self.fingerprint or grid_fingerprint(cases)
 
         journaled: Dict[str, CaseOutcome] = {}
         writer = None
@@ -518,7 +471,7 @@ class ResilientRunner:
         try:
             with sweep_span:
                 for case in cases:
-                    prior = journaled.get(_case_key(case))
+                    prior = journaled.get(case_key(case))
                     if prior is not None and prior.status == "ok":
                         summary.outcomes.append(prior)
                         if progress is not None:

@@ -5,8 +5,9 @@ wants the same guarantees — runs inside a :class:`Session`::
 
     spec = RunSpec(command="kernels", params={...}, seed=7)
     with Session(spec) as session:
-        sweep = session.sweep(matrices, ["ds-stc", "uni-stc"], ["spmv"])
-        summary = session.runner(sweep).run()
+        executor = session.executor({"m": "band:64:8:0.5"},
+                                    ["ds-stc", "uni-stc"], ["spmv"])
+        summary = executor.run()
 
 The session owns, uniformly for every run:
 
@@ -15,11 +16,11 @@ The session owns, uniformly for every run:
 - **observability wiring** — the tracer/metrics registry is enabled
   per the spec's :class:`~repro.runtime.spec.ObsPolicy`, artifacts are
   written on exit, and the previous obs state is restored;
-- **result store and resilience policy** — the spec's result store is
-  bound as the block cache's second tier for the whole run, and
-  :meth:`runner` builds a
-  :class:`~repro.resilience.runner.ResilientRunner` already configured
-  with the spec's timeout/retry/journal settings;
+- **result store and execution policies** — the spec's result store
+  is bound as the block cache's second tier for the whole run, and
+  :meth:`executor` builds the one thing every grid of cases runs
+  through, a :class:`~repro.exec.CampaignExecutor` already configured
+  with the spec's timeout/retry/journal and worker settings;
 - the **run manifest** — a JSON record (config fingerprint, seed,
   package version, wall time, block-cache delta, metrics snapshot,
   exit status) written into ``spec.manifest_dir`` for every run, even
@@ -33,17 +34,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.formats.coo import COOMatrix
-from repro.registry import parse_matrix_spec, stc_factory
-from repro.resilience.runner import ResilientRunner
+from repro.registry import parse_matrix_spec
 from repro.runtime.spec import RunSpec
 from repro.sim.engine import bind_store, bound_store, cache_stats
-from repro.sim.sweep import Sweep
 from repro.store import ResultStore
 
 #: Manifest schema version; bumped on incompatible layout changes.
@@ -93,33 +92,6 @@ class Session:
         """Materialise a matrix through the workload registry."""
         return parse_matrix_spec(spec)
 
-    def sweep(
-        self,
-        matrices: Dict[str, COOMatrix],
-        stc_names: Sequence[str],
-        kernels: Sequence[str],
-    ) -> Sweep:
-        """A sweep grid with STCs resolved through the registry."""
-        return Sweep.from_names(matrices, stc_names, kernels)
-
-    def stcs(self, names: Sequence[str]) -> List:
-        """Fresh model instances for the given registry names."""
-        return [stc_factory(name)() for name in names]
-
-    def runner(self, sweep: Sweep,
-               fingerprint: Optional[str] = None) -> ResilientRunner:
-        """A fault-tolerant runner configured from the spec's policies."""
-        res = self.spec.resilience
-        return ResilientRunner(
-            sweep,
-            timeout_s=res.timeout,
-            retry=res.retry_policy(),
-            journal_path=res.checkpoint or None,
-            resume=res.resume,
-            seed=self.spec.seed,
-            fingerprint=fingerprint,
-        )
-
     def executor(
         self,
         matrices: Dict[str, str],
@@ -133,11 +105,10 @@ class Session:
         materialised matrices) — the executor's shards must be
         self-describing so worker processes can rebuild them.  With the
         spec's default :class:`~repro.exec.ExecPolicy` (``workers=0``)
-        this runs in-process through the same
-        :class:`~repro.resilience.runner.ResilientRunner` path as
-        :meth:`runner`, with identical results and journal bytes.  Both
-        paths use the session's result store: in-process through the
-        binding itself, worker shards by inheriting its root.
+        this runs in-process, with the results and journal bytes a
+        sharded run gives.  Both paths use the session's result store:
+        in-process through the binding itself, worker shards by
+        inheriting its root.
         """
         from repro.exec import CampaignExecutor, StcDef
 

@@ -28,7 +28,6 @@ from typing import Dict, Optional
 
 from repro.errors import ConfigError
 from repro.exec.supervisor import ExecPolicy
-from repro.resilience.runner import RetryPolicy
 
 
 @dataclass(frozen=True)
@@ -84,9 +83,6 @@ class ResiliencePolicy:
     def timeout(self) -> Optional[float]:
         """The wall-clock budget, ``None`` when unlimited."""
         return self.timeout_s if self.timeout_s > 0 else None
-
-    def retry_policy(self) -> RetryPolicy:
-        return RetryPolicy(max_retries=self.max_retries)
 
 
 @dataclass(frozen=True)

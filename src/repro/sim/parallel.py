@@ -26,7 +26,7 @@ serial run gets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro import obs
 from repro.arch.base import STCModel
@@ -85,6 +85,35 @@ class ParallelReport:
     def speedup_vs_single(self) -> float:
         """Parallel speedup over running all work on one core."""
         return self.total_cycles / self.wall_cycles if self.wall_cycles else 1.0
+
+    def fold(self, matrix: Optional[str] = None) -> SimReport:
+        """Collapse the cores into one journal-ready :class:`SimReport`.
+
+        Cycles follow the parallel completion rule (slowest core); work,
+        energy, wall time and cache deltas are summed; utilisation bins
+        and counters merge exactly as the serial path would accumulate
+        them.
+        """
+        report = SimReport(stc=self.stc, kernel=self.kernel, matrix=matrix)
+        report.cycles = self.wall_cycles
+        cache: Dict[str, float] = {}
+        for core in self.per_core:
+            report.products += core.products
+            report.t1_tasks += core.t1_tasks
+            report.util_hist.merge(core.util_hist, 1)
+            report.counters.merge(core.counters, 1)
+            report.energy_pj += core.energy_pj
+            for name, value in core.energy_breakdown.items():
+                report.energy_breakdown[name] = (
+                    report.energy_breakdown.get(name, 0.0) + value)
+            report.wall_s += core.wall_s
+            for name, value in core.cache.items():
+                cache[name] = cache.get(name, 0.0) + value
+        if cache:
+            total = cache.get("hits", 0.0) + cache.get("misses", 0.0)
+            cache["hit_rate"] = cache.get("hits", 0.0) / total if total else 0.0
+        report.cache = cache
+        return report
 
 
 def simulate_parallel(

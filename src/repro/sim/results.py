@@ -11,6 +11,11 @@ from repro.arch.counters import Counters
 from repro.arch.tasks import UtilHistogram
 from repro.errors import SimulationError
 
+#: Host fields of a report: how long it took and how the block cache
+#: served it.  They differ between runs of the same case, so report
+#: digests, journal merges and service bodies leave them out.
+HOST_FIELDS = ("wall_s", "cache")
+
 
 @dataclass
 class SimReport:
@@ -71,6 +76,45 @@ class SimReport:
         if self.energy_pj <= 0:
             raise SimulationError("cannot compute energy reduction of an empty report")
         return baseline.energy_pj / self.energy_pj
+
+    def as_json(self) -> dict:
+        """The report's one JSON form (checkpoint journals, the service)."""
+        return {
+            "stc": self.stc,
+            "kernel": self.kernel,
+            "matrix": self.matrix,
+            "cycles": int(self.cycles),
+            "products": int(self.products),
+            "t1_tasks": int(self.t1_tasks),
+            "util_bins": [int(x) for x in self.util_hist.bins],
+            "counters": self.counters.as_dict(),
+            "energy_pj": float(self.energy_pj),
+            "energy_breakdown": {k: float(v)
+                                 for k, v in self.energy_breakdown.items()},
+            "wall_s": float(self.wall_s),
+            "cache": {k: float(v) for k, v in self.cache.items()},
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "SimReport":
+        """Rebuild a report from :meth:`as_json`'s form."""
+        return cls(
+            stc=data["stc"],
+            kernel=data["kernel"],
+            matrix=data.get("matrix"),
+            cycles=int(data["cycles"]),
+            products=int(data["products"]),
+            t1_tasks=int(data["t1_tasks"]),
+            util_hist=UtilHistogram(
+                bins=np.asarray(data["util_bins"], dtype=np.int64)),
+            counters=Counters(data["counters"]),
+            energy_pj=float(data["energy_pj"]),
+            energy_breakdown={k: float(v)
+                              for k, v in data["energy_breakdown"].items()},
+            # Absent in journals written before the observability layer.
+            wall_s=float(data.get("wall_s", 0.0)),
+            cache={k: float(v) for k, v in data.get("cache", {}).items()},
+        )
 
 
 def geomean(values: Iterable[float]) -> float:

@@ -19,6 +19,7 @@ from repro.formats.coo import COOMatrix
 from repro.kernels.vector import SparseVector
 from repro.registry import stc_factory
 from repro.sim.engine import simulate_kernel
+from repro.sim.parallel import simulate_parallel
 from repro.sim.results import SimReport, geomean
 
 
@@ -46,13 +47,21 @@ class Sweep:
     ``matrices`` maps names to COO matrices; ``stcs`` maps names to
     zero-argument model factories; ``kernels`` lists kernel names.
     SpMSpV operands are generated at 50% sparsity unless supplied via
-    ``spmspv_operands``.
+    ``spmspv_operands``.  ``case_list`` runs those cells instead of the
+    full grid (a DSE batch binds each config to its own cell, a shard
+    holds a slice); ``n_cores`` above 1 balances each case across that
+    many cores (:func:`~repro.sim.parallel.simulate_parallel`, sharing
+    the block cache) and folds them into one report.  ``pre_case`` is
+    called before each case runs (a worker's chaos-injection point).
     """
 
     matrices: Dict[str, COOMatrix]
     stcs: Dict[str, Callable[[], STCModel]]
     kernels: Sequence[str]
     spmspv_operands: Dict[str, SparseVector] = field(default_factory=dict)
+    case_list: Optional[Sequence[SweepCase]] = None
+    n_cores: int = 1
+    pre_case: Optional[Callable[[SweepCase], None]] = None
     _encoded: Dict[str, BBCMatrix] = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -78,7 +87,10 @@ class Sweep:
         )
 
     def cases(self) -> List[SweepCase]:
-        """Every cell of the grid, matrices outermost (cache-friendly)."""
+        """The case list, or every cell of the grid, matrices outermost
+        (cache-friendly)."""
+        if self.case_list is not None:
+            return list(self.case_list)
         return [
             SweepCase(m, s, k)
             for m in self.matrices
@@ -121,18 +133,24 @@ class Sweep:
         (:mod:`repro.resilience.runner`) times out, retries and
         journals; encodings are shared across cases via :meth:`encode`.
         """
+        if self.pre_case is not None:
+            self.pre_case(case)
         if case.stc_name not in self.stcs:
             raise SimulationError(f"unknown sweep STC {case.stc_name!r}")
+        factory = self.stcs[case.stc_name]
         with obs.span("matrix", matrix=case.matrix_name, stc=case.stc_name,
                       kernel=case.kernel):
             bbc = self.encode(case.matrix_name)
             kwargs = {}
             if case.kernel == "spmspv":
                 kwargs["x"] = self._operand(case.matrix_name, bbc)
-            report = simulate_kernel(
-                case.kernel, bbc, self.stcs[case.stc_name](),
-                matrix=case.matrix_name, **kwargs
-            )
+            if self.n_cores > 1:
+                report = simulate_parallel(
+                    case.kernel, bbc, factory, n_cores=self.n_cores, **kwargs
+                ).fold(case.matrix_name)
+            else:
+                report = simulate_kernel(case.kernel, bbc, factory(),
+                                         matrix=case.matrix_name, **kwargs)
         return SweepResult(case=case, report=report)
 
     def run(self, progress: Optional[Callable[[SweepCase], None]] = None) -> List[SweepResult]:

@@ -43,10 +43,6 @@ from repro.store.resultstore import ResultStore
 
 logger = logging.getLogger(__name__)
 
-#: Wall-clock / process-local report fields stripped from service
-#: responses so memoised and freshly computed bodies are byte-identical.
-_EPHEMERAL_REPORT_FIELDS = ("wall_s", "cache")
-
 
 def _canonical_params(body: Dict[str, object]) -> Dict[str, object]:
     """Validate and normalise a ``/v1/run`` request body.
@@ -271,7 +267,7 @@ class SimulationService:
                  fp: str) -> Dict[str, object]:
         # Upward imports are function-scoped by design (see module doc).
         from repro.registry import parse_matrix_spec
-        from repro.resilience.runner import _report_to_json
+        from repro.sim.results import HOST_FIELDS
         from repro.sim.sweep import Sweep
 
         with self._mutex:
@@ -293,9 +289,10 @@ class SimulationService:
                 self.executions += 1
                 cases: List[Dict[str, object]] = []
                 for res in results:
-                    report = _report_to_json(res.report)
-                    for field in _EPHEMERAL_REPORT_FIELDS:
-                        report.pop(field, None)
+                    # Host fields are stripped so memoised and freshly
+                    # computed bodies are byte-identical.
+                    report = {k: v for k, v in res.report.as_json().items()
+                              if k not in HOST_FIELDS}
                     cases.append({"matrix": res.case.matrix_name,
                                   "stc": res.case.stc_name,
                                   "kernel": res.case.kernel,

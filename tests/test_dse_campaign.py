@@ -19,6 +19,7 @@ from repro.dse import (
 )
 from repro.dse.evaluate import campaign_fingerprint
 from repro.errors import CheckpointError
+from repro.exec import ExecPolicy
 
 MATRIX = "band:64:8:0.5"
 
@@ -254,3 +255,40 @@ class TestCampaignFingerprint:
         with pytest.raises(CheckpointError):
             Campaign(space, make_strategy("random", seed=1, budget=2),
                      journal_path=journal, resume=True).run()
+
+
+class TestCores:
+    """A core count means the same in-process, sharded and on resume."""
+
+    def test_sharded_frontier_equals_in_process(self, tmp_path):
+        space = tiny_space(kernels=("spmv", "spgemm"))
+        paths = {}
+        for name, policy in (("local", None), ("sharded", ExecPolicy(workers=2))):
+            result = Campaign(space, GridSearch(), n_cores=2,
+                              journal_path=tmp_path / f"{name}.jsonl",
+                              exec_policy=policy).run()
+            paths[name] = tmp_path / f"{name}.json"
+            result.write_json(paths[name])
+        assert paths["local"].read_bytes() == paths["sharded"].read_bytes()
+        serial = Campaign(space, GridSearch()).run().to_json()
+        assert json.loads(paths["local"].read_text())["points"] != serial["points"]
+
+    def test_resume_at_another_core_count_refused(self, tmp_path):
+        space = tiny_space()
+        journal = tmp_path / "dse.jsonl"
+        Campaign(space, GridSearch(), n_cores=2, journal_path=journal).run()
+        with pytest.raises(CheckpointError, match="different sweep grid"):
+            Campaign(space, GridSearch(), journal_path=journal,
+                     resume=True).run()
+        warm = Campaign(space, GridSearch(), n_cores=2, journal_path=journal,
+                        resume=True).run()
+        assert warm.n_simulated == 0
+        assert warm.n_resumed == 3
+
+    def test_one_core_fingerprint_unchanged(self):
+        # The value from before the core count was bound: every one-core
+        # journal keeps its fingerprint and still resumes.
+        before = "5f37adbdc27ca27f"
+        assert campaign_fingerprint(tiny_space(), "grid:0") == before
+        assert campaign_fingerprint(tiny_space(), "grid:0", n_cores=1) == before
+        assert campaign_fingerprint(tiny_space(), "grid:0", n_cores=2) != before

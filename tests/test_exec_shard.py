@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.dse.space import DesignPoint
 from repro.errors import ConfigError, ReproError
-from repro.exec import SHARD_SCHEMA, ShardSpec, StcDef, shard_cases
+from repro.exec import SHARD_SCHEMA, CampaignExecutor, ShardSpec, StcDef, shard_cases
+from repro.exec.supervisor import _ShardState
 from repro.sim.sweep import Sweep, SweepCase
 
 
@@ -50,8 +53,8 @@ class TestStcDef:
 
 class TestShardSpec:
     def test_round_trip_preserves_everything(self, tmp_path):
-        spec = make_spec(tmp_path, seed=7, timeout_s=2.5, max_retries=3,
-                         store=str(tmp_path / "blockstore"))
+        spec = make_spec(tmp_path, seed=7, n_cores=2, timeout_s=2.5,
+                         max_retries=3, store=str(tmp_path / "blockstore"))
         data = spec.as_json()
         assert data["schema"] == SHARD_SCHEMA == 3
         assert "heartbeat" not in data and "metrics" not in data
@@ -115,6 +118,26 @@ class TestShardSpec:
             key = (case.matrix_name, case.stc_name)
             if key in results:
                 assert direct.run_case(case).report.cycles == results[key]
+
+    def test_bisection_keeps_every_other_field(self, tmp_path):
+        """Splitting a poisoned shard narrows its workload and nothing
+        else: both halves of a cores-2 shard still run on 2 cores."""
+        spec = make_spec(tmp_path, seed=7, n_cores=2, timeout_s=2.5,
+                         max_retries=3, store=str(tmp_path / "blockstore"))
+        executor = CampaignExecutor(matrices=dict(spec.matrices),
+                                    stcs=list(spec.stcs),
+                                    kernels=list(spec.kernels), n_cores=2)
+        queue = []
+        executor._exhaust(_ShardState(spec=spec, spec_path=tmp_path / "s.json",
+                                      log_path=tmp_path / "s.log"),
+                          queue, tmp_path)
+        assert [child.shard_id for child in queue] == ["s0a", "s0b"]
+        assert [child.n_cores for child in queue] == [2, 2]
+        narrowed = {"shard_id", "matrices", "stcs", "cases", "journal"}
+        for child in queue:
+            for f in fields(ShardSpec):
+                if f.name not in narrowed:
+                    assert getattr(child, f.name) == getattr(spec, f.name), f.name
 
     def test_replace_cases_narrows_the_workload(self, tmp_path):
         spec = make_spec(tmp_path)

@@ -17,6 +17,7 @@ import pytest
 
 from repro import obs
 from repro.cli import main
+from repro.errors import ReproError
 from repro.exec import CampaignExecutor, ExecPolicy, StcDef, strip_wallclock
 from repro.exec.worker import CHAOS_ENV
 from repro.obs.telemetry import check_status
@@ -112,6 +113,20 @@ class TestInProcessPath:
         header, entries = normalised(journal)
         assert len(entries) == len(MATRICES)
         assert all(e["status"] == "ok" for e in entries)
+
+    def test_bad_matrix_spec_fails_before_dispatch(self, tmp_path,
+                                                   monkeypatch):
+        """A spec that cannot parse is one error, not a worker crash
+        retried and bisected down to quarantine in every shard."""
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a worker was dispatched")
+
+        monkeypatch.setattr(subprocess, "Popen", no_dispatch)
+        executor = make_executor(tmp_path / "campaign.journal",
+                                 matrices={"m0": "band:abc"},
+                                 policy=ExecPolicy(workers=2))
+        with pytest.raises(ReproError, match="bad matrix spec"):
+            executor.run()
 
 
 class TestDistributedIdentity:

@@ -150,7 +150,7 @@ class TestSession:
             simulate_kernel("spmv", bbc, create_stc("uni-stc"))
         assert "sim.cycles" in session.artifact.manifest["metrics"]["counters"]
 
-    def test_sweep_and_runner_compose_through_registry(self, tmp_path):
+    def test_executor_composes_through_registry(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         spec = self._spec(
             tmp_path, seed=3,
@@ -158,13 +158,13 @@ class TestSession:
                                         checkpoint=str(journal)),
         )
         with Session(spec) as session:
-            matrices = {"m": session.matrix("band:64:8:0.5")}
-            sweep = session.sweep(matrices, ["ds-stc", "uni-stc"], ["spmv"])
-            runner = session.runner(sweep)
-            assert runner.timeout_s == 30.0
-            assert runner.retry.max_retries == 2
-            assert runner.seed == 3
-            summary = runner.run()
+            executor = session.executor({"m": "band:64:8:0.5"},
+                                        ["ds-stc", "uni-stc"], ["spmv"])
+            assert executor.timeout_s == 30.0
+            assert executor.max_retries == 2
+            assert executor.seed == 3
+            assert executor.journal_path == str(journal)
+            summary = executor.run()
         assert summary.n_ok == 2
         assert journal.exists()
 
