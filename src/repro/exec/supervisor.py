@@ -15,7 +15,8 @@ them to a pool of ``repro worker`` subprocesses, and supervises them:
   respawned with seeded :class:`~repro.resilience.runner.RetryPolicy`
   backoff, up to ``policy.max_shard_retries`` times; the respawn
   resumes from the shard's own journal, so finished cases never
-  re-simulate.
+  re-simulate.  A worker's structured error (exit 2) is not a crash:
+  it fails the campaign with the worker's ``error:`` line.
 - **Poison bisection** — a shard that exhausts its crash budget is
   split in half (pending cases only) and each half gets a fresh
   budget; recursion bottoms out at a single case, which is journaled
@@ -54,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import obs
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.exec import worker as worker_mod
 from repro.exec.journal import merge_journals
 from repro.exec.shard import ShardSpec, StcDef, shard_cases
@@ -113,6 +114,14 @@ class ExecPolicy:
     @property
     def distributed(self) -> bool:
         return self.workers > 0
+
+
+def _error_line(log_path: Path) -> str:
+    """The last ``error:`` line a worker logged (exit 2's diagnosis)."""
+    prefix = worker_mod.ERROR_PREFIX
+    errors = [line[len(prefix):] for line in log_path.read_text(errors="replace").splitlines()
+              if line.startswith(prefix)]
+    return errors[-1] if errors else f"exit 2 with no error line in {log_path}"
 
 
 @dataclass
@@ -431,6 +440,11 @@ class CampaignExecutor:
                     if returncode == worker_mod.EXIT_OK:
                         del active[shard_id]
                         continue
+                    if returncode == worker_mod.EXIT_ERROR:
+                        # A structured error (a bad spec, a corrupt journal)
+                        # recurs on every respawn: fail, don't poison cases.
+                        raise ReproError(f"shard {shard_id} worker failed: "
+                                         f"{_error_line(state.log_path)}")
                     if returncode == worker_mod.EXIT_RECYCLE:
                         obs.inc("exec.workers_recycled")
                         logger.info("recycling shard %s worker "

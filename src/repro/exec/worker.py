@@ -22,13 +22,16 @@ code  meaning
 ====  =================================================================
 0     shard complete — every case has a journaled terminal outcome
       (case *failures* are outcomes, not worker crashes)
-2     structured worker error (bad spec, corrupt journal, ...); the
-      message on stderr is the diagnosis
+2     structured worker error (a :class:`~repro.errors.ReproError`:
+      bad spec, corrupt journal, ...); the last ``error:`` line on
+      stderr is the diagnosis, and the supervisor fails the campaign
+      with it
 3     recycle request — the worker hit its leaked-thread cap
       (:class:`~repro.errors.ThreadLeakError`) and wants to be
       restarted; only a process exit actually frees zombie threads
-other signal death / hard crash — the supervisor treats the shard as
-      crashed and applies its retry / bisection budget
+other signal death / hard crash / any other exception — the
+      supervisor treats the shard as crashed and applies its retry /
+      bisection budget
 ====  =================================================================
 
 Chaos injection (tests and the CI telemetry-smoke job) rides the
@@ -57,7 +60,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro import obs
-from repro.errors import ConfigError, ThreadLeakError
+from repro.errors import ConfigError, ReproError, ThreadLeakError
 from repro.exec.shard import ShardSpec
 from repro.obs.journal import JournalWriter
 from repro.resilience.runner import ResilientRunner, RetryPolicy, journal_header
@@ -68,6 +71,9 @@ logger = logging.getLogger(__name__)
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_RECYCLE = 3
+
+#: How an exit-2 worker's diagnosis line starts in its log.
+ERROR_PREFIX = "error: "
 
 #: Environment variable carrying a chaos directive (see module docs).
 CHAOS_ENV = "REPRO_WORKER_CHAOS"
@@ -209,13 +215,13 @@ def worker_main(spec_path: str) -> int:
     try:
         spec = ShardSpec.read(spec_path)
     except ConfigError as exc:
-        logger.error("bad shard spec: %s", exc)
+        logger.error("%sbad shard spec: %s", ERROR_PREFIX, exc)
         return EXIT_ERROR
     try:
         return run_shard(spec)
-    except SystemExit:
-        raise
-    except Exception as exc:  # noqa: BLE001 - report, don't traceback-spam
-        logger.error("shard %s failed: %s: %s",
-                     spec.shard_id, type(exc).__name__, exc, exc_info=True)
+    except ReproError as exc:
+        # Any other exception ends the worker as a crash: the supervisor
+        # respawns and, past the budget, bisects the shard.
+        logger.error("%s%s: %s", ERROR_PREFIX, type(exc).__name__, exc,
+                     exc_info=True)
         return EXIT_ERROR

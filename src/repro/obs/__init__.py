@@ -11,6 +11,10 @@ metric helpers return immediately — one boolean check per call site,
 so dormant instrumentation costs <2% of warm-sweep time (``repro
 bench`` measures this in its ``obs`` section).
 
+A simulation run's ``sim.*`` and ``store.{hits,misses,appends}``
+series come from its report, folded in once per run
+(:meth:`~repro.obs.metrics.MetricsRegistry.fold_run`).
+
 Typical use::
 
     from repro import obs

@@ -11,10 +11,11 @@ A sharded worker's journal is also its one channel to the supervisor:
 - every record the worker appends is stamped with ``inst`` (the worker
   incarnation's token), ``seq`` (its record number) and ``t_us``
   (integer microseconds since the epoch);
-- a case record also carries ``metrics``, the registry's compact delta
-  since the previous case
-  (:meth:`~repro.obs.metrics.MetricsRegistry.snapshot_delta_json`).
-  A case's outcome and its metrics land in one append, or neither does;
+- a case record also carries ``metrics``: the report-fold rows and
+  instrument series changed since the previous record
+  (:meth:`~repro.obs.metrics.MetricsRegistry.record_delta_json`; a
+  plain case changes one fold row and no series).  A case's outcome
+  and its metrics land in one append, or neither does;
 - ``beat`` records (``kind``, the stamp, ``pid``, ``phase``) mark
   liveness at startup and on the heartbeat cadence.  The terminal beat
   also carries any delta since the last case;
@@ -149,7 +150,7 @@ class JournalWriter:
 
     def envelope(self) -> str:
         """What a worker adds to a case record: its stamp, then the
-        metrics delta since the previous case (the telemetry gate's
+        metrics delta since the previous record (the telemetry gate's
         price).  :meth:`append` calls it under the lock."""
         return self._stamp() + self._delta()
 
@@ -200,7 +201,7 @@ class JournalWriter:
                 f'"t_us":{int(time.time() * 1e6)}')
 
     def _delta(self) -> str:
-        delta = "" if self._registry is None else self._registry.snapshot_delta_json()
+        delta = "" if self._registry is None else self._registry.record_delta_json()
         return ',"metrics":' + delta if delta else ""
 
     def _record(self, kind: str, body: str) -> None:

@@ -1,54 +1,39 @@
 """Zero-dependency metrics: counters, gauges and histograms with labels.
 
-A :class:`MetricsRegistry` is a named collection of instruments.  Each
-instrument keys its values by a **label set** (a frozen tuple of
-``(key, value)`` pairs), so one logical metric — say
-``sim.cache.hits`` — carries independent series per kernel or per STC
-without pre-declaring the fan-out.
+A :class:`MetricsRegistry` is a named collection of instruments, each
+keying its values by a **label set** (a frozen tuple of ``(key,
+value)`` pairs).  Counters add, gauges are last-write-wins and
+histograms add bucket-wise, in :meth:`MetricsRegistry.merge` too.
 
-Semantics are deliberately simple and merge-friendly:
+The series a simulation run restates (:data:`FOLD_COUNTERS`,
+:data:`FOLD_STORE`, :data:`FOLD_GAUGE`, :data:`FOLD_HISTOGRAM`) live in
+the registry's :class:`ReportFold`: integer totals fed once per run by
+:meth:`MetricsRegistry.fold_run` and rendered as those series by every
+snapshot.
 
-- **Counter** — monotonically increasing float; ``merge`` adds.
-- **Gauge** — last-written value; ``merge`` is last-write-wins (the
-  incoming snapshot overwrites, which is what per-worker joins want
-  for "current" readings like cache occupancy).
-- **Histogram** — fixed bucket bounds, per-bucket counts plus running
-  ``sum``/``count``/``min``/``max``; ``merge`` adds bucket-wise.
+:meth:`MetricsRegistry.snapshot` is a JSON-ready view.
+:meth:`MetricsRegistry.snapshot_delta` holds the instrument series
+written since the last delta (values stay cumulative) in a compact
+wire form — ``{"c"|"g"|"h": {series-key: value}}`` keyed by ``name
+U+001F labels-json`` — that :func:`expand_delta` turns back into
+snapshot shape.  A sharded worker's journal record carries
+:meth:`MetricsRegistry.record_delta_json`: that delta plus the fold's.
+On the wire, histogram ``bounds`` end with a ``null`` marking the +Inf
+bucket, so ``len(bounds) == len(counts)``; ``merge`` accepts bounds
+with or without it.
 
-``snapshot()`` returns a plain-dict, JSON-ready view; ``reset()``
-zeroes everything; :meth:`MetricsRegistry.merge` folds another
-registry's snapshot in, which is how per-worker registries (threads in
-the resilient runner, cores in ``simulate_parallel``, or entire
-processes) combine at join time.  :meth:`MetricsRegistry.snapshot_delta`
-is the streaming variant: just the series written since the last delta
-(values stay cumulative), in a **compact wire form** — flat
-``{"c"|"g"|"h": {series-key: value}}`` maps whose keys are
-``name U+001F labels-json`` strings — because it runs once per finished
-case on the telemetry hot path (``repro.obs.telemetry``) where the
-verbose snapshot shape would cost more to serialise than it is worth.
-Each series is resolved once per label set, on its first write, into
-a record of its section, its encoded key and where its value lives, so
-a delta does no label work.  :func:`expand_delta` converts the compact
-form back to snapshot shape on the (cold) reader side.
-
-On the wire, histogram ``bounds`` carry an explicit ``null`` terminator
-marking the +Inf overflow bucket, so ``len(bounds) == len(counts)`` and
-bucket counts always sum to ``count``; :meth:`MetricsRegistry.merge`
-accepts snapshots with or without the marker.
-
-All mutation goes through one registry lock.  The instruments are
-value holders, not live handles: hot paths should keep calls coarse
-(per batch / per case, never per element) — the engine's per-run
-numbers come from :class:`~repro.sim.blockcache.CacheStats` deltas
-precisely so the innermost loops stay untouched.
+All mutation goes through one registry lock; keep calls coarse (per
+batch or per case, never per element).
 """
 
 from __future__ import annotations
 
 import json
+import operator
+import struct
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -73,10 +58,6 @@ def label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
-def _labels_dict(key: LabelKey) -> Dict[str, str]:
-    return {k: v for k, v in key}
-
-
 def wire_key(name: str, key: LabelKey) -> str:
     """The compact-delta series key: name + U+001F + labels JSON.
 
@@ -84,10 +65,11 @@ def wire_key(name: str, key: LabelKey) -> str:
     canonical JSON (sorted, compact), so the key is unambiguous and
     cheap to split.  A label-less series is just the bare name.
     """
-    if not key:
-        return name
-    return name + "\x1f" + json.dumps(
-        _labels_dict(key), sort_keys=True, separators=(",", ":"))
+    return name + "\x1f" + _compact_json(dict(key)) if key else name
+
+
+#: A compact-delta histogram value's positions.
+_HISTOGRAM_FIELDS = ("bounds", "counts", "sum", "count", "min", "max")
 
 
 def parse_wire_key(key: str) -> Tuple[str, Dict[str, str]]:
@@ -103,24 +85,13 @@ def expand_delta(delta: Dict[str, object]) -> Dict[str, object]:
     Histogram values arrive as ``[bounds, counts, sum, count, min,
     max]`` positional lists and leave as full entry dicts.
     """
-    counters: Dict[str, List[dict]] = {}
-    gauges: Dict[str, List[dict]] = {}
-    histograms: Dict[str, List[dict]] = {}
-    for section, out in (("c", counters), ("g", gauges)):
+    snap: Dict[str, Dict[str, List[dict]]] = {"counters": {}, "gauges": {}, "histograms": {}}
+    for section, out in zip("cgh", snap.values()):
         for key, value in delta.get(section, {}).items():
             name, labels = parse_wire_key(key)
-            out.setdefault(name, []).append(
-                {"labels": labels, "value": value})
-    for key, packed in delta.get("h", {}).items():
-        name, labels = parse_wire_key(key)
-        bounds, counts, total, count, lo, hi = packed
-        histograms.setdefault(name, []).append({
-            "labels": labels, "bounds": list(bounds),
-            "counts": list(counts), "sum": total, "count": count,
-            "min": lo, "max": hi,
-        })
-    return {"counters": counters, "gauges": gauges,
-            "histograms": histograms}
+            fields = zip(_HISTOGRAM_FIELDS, value) if section == "h" else [("value", value)]
+            out.setdefault(name, []).append({"labels": labels, **dict(fields)})
+    return snap
 
 
 def _wire_bounds(bounds: Sequence[object]) -> Tuple[float, ...]:
@@ -129,10 +100,7 @@ def _wire_bounds(bounds: Sequence[object]) -> Tuple[float, ...]:
     Snapshots written before the marker existed carry the bare bounds;
     both forms must merge.
     """
-    bounds = list(bounds)
-    if bounds and bounds[-1] is None:
-        bounds.pop()
-    return tuple(float(b) for b in bounds)
+    return tuple(float(b) for b in bounds if b is not None)
 
 
 @dataclass
@@ -191,12 +159,7 @@ class HistogramSeries:
             self.counts = [0] * (len(self.bounds) + 1)
 
     def observe(self, value: float) -> None:
-        idx = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                idx = i
-                break
-        self.counts[idx] += 1
+        self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
         self.min = min(self.min, value)
@@ -205,6 +168,16 @@ class HistogramSeries:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
+
+    def absorb(self, counts: Sequence[int], total: float, count: int,
+               lo: Optional[float], hi: Optional[float]) -> None:
+        """Add another series' buckets and running stats (a merge)."""
+        self.counts = [a + b for a, b in zip(self.counts, counts)]
+        self.sum += total
+        self.count += count
+        if count:
+            self.min = min(self.min, lo)
+            self.max = max(self.max, hi)
 
 
 @dataclass
@@ -237,119 +210,177 @@ class Histogram:
         return self.series.get(label_key(labels))
 
 
-#: Instrument kind -> its compact-delta section.
-_SECTIONS = {"counter": "c", "gauge": "g", "histogram": "h"}
+#: The series the report fold renders: a run's totals, labelled by
+#: kernel and STC; its store traffic and the memo's size, unlabelled;
+#: its wall seconds, labelled.
+FOLD_COUNTERS = ("sim.t1_tasks", "sim.cycles", "sim.cache.hits",
+                 "sim.cache.misses", "sim.cache.evictions")
+FOLD_STORE = ("store.hits", "store.misses", "store.appends")
+FOLD_GAUGE, FOLD_HISTOGRAM = "sim.cache.entries", "sim.run_wall_s"
+#: Row slots after the counters: the wall seconds' sum, min and max,
+#: then a run count per bucket (+Inf last).
+_SUM, _MIN, _MAX, _BUCKETS = 5, 6, 7, 8
+_NBUCKETS = len(DEFAULT_BUCKETS) + 1
+_INF = float("inf")
+#: A row on the wire: its int64s and float64s, little-endian, as hex.
+_ROW = struct.Struct(f"<5q3d{_NBUCKETS}q")
 
 
-class _Series:
-    """One written series, resolved once per label set.
-
-    ``values`` is its instrument's series dict and ``key`` its label
-    key in it; ``head`` is its encoded wire key plus ``:``.  ``order``
-    sorts deltas by kind (so by section), name and labels.  A
-    histogram's ``bounds`` are encoded on its first delta: a series'
-    bucket bounds never change.
-    """
-
-    __slots__ = ("order", "section", "head", "values", "key", "bounds")
-
-    def __init__(self, kind: str, name: str, key: LabelKey, values: dict) -> None:
-        self.order = (kind, name, key)
-        self.section = _SECTIONS[kind]
-        self.head = _compact_json(wire_key(name, key)) + ":"
-        self.values = values
-        self.key = key
-        self.bounds = None
+def _empty_row() -> list:
+    return [0] * 5 + [0.0, _INF, -_INF] + [0] * _NBUCKETS
 
 
-_series_order = attrgetter("order")
+class ReportFold:
+    """Totals of finished runs, the home of the series above: ``rows``
+    per ``(kernel, stc)`` (:meth:`MetricsRegistry.fold_run` adds each
+    run in place), ``store`` totals and the memo size per label set.
+    Guarded by its registry's lock."""
+
+    def __init__(self) -> None:
+        self.rows: Dict[Tuple[str, str], list] = {}
+        self.store = [0, 0, 0]
+        self.entries: Dict[LabelKey, float] = {}
+        self.dirty: set = set()   #: rows runs changed since the last delta
+        self._wire: Dict[Tuple[str, str], str] = {}
+        self._sent: tuple = ()    #: store and memo size the last delta carried
+
+    def render(self, counters: dict, gauges: dict, histograms: dict) -> None:
+        """Add the fold's series to per-name ``{label key: value}`` maps
+        (an instrument series of the same name and labels adds in)."""
+        for (kernel, stc), row in self.rows.items():
+            key = (("kernel", kernel), ("stc", stc))
+            for name, n in zip(FOLD_COUNTERS, row):
+                series = counters.setdefault(name, {})
+                series[key] = series.get(key, 0.0) + n
+            runs = sum(row[_BUCKETS:])
+            if runs:
+                hist = HistogramSeries(DEFAULT_BUCKETS, row[_BUCKETS:], row[_SUM],
+                                       runs, row[_MIN], row[_MAX])
+                series = histograms.setdefault(FOLD_HISTOGRAM, {})
+                if key in series:
+                    have = series[key]
+                    hist.absorb(have.counts, have.sum, have.count, have.min, have.max)
+                series[key] = hist
+        for name, n in zip(FOLD_STORE, self.store):
+            if n:
+                series = counters.setdefault(name, {})
+                series[()] = series.get((), 0.0) + n
+        for key, n in self.entries.items():
+            gauges.setdefault(FOLD_GAUGE, {})[key] = float(n)
+
+    def delta(self) -> str:
+        """What runs changed since the last delta, as JSON object
+        members: ``"r"``, each changed row as :data:`_ROW` hex by
+        ``kernel U+001F stc``, then ``"s"`` (the store totals) and
+        ``"e"`` (the memo size) if either changed.  Values are
+        cumulative; clears the dirty set."""
+        rows = []
+        for key in self.dirty:
+            wire = self._wire.get(key)
+            if wire is None:
+                wire = self._wire[key] = _compact_json("\x1f".join(key)) + ':"'
+            rows.append(wire + _ROW.pack(*self.rows[key]).hex() + '"')
+        self.dirty.clear()
+        sent = (*self.store, self.entries[()])
+        if sent == self._sent:
+            return '"r":{' + ",".join(rows) + "}"
+        self._sent = sent
+        return '"r":{' + ",".join(rows) + f'}},"s":{self.store!r},"e":{sent[-1]!r}'
 
 
 class MetricsRegistry:
-    """A named, lockable collection of counters, gauges and histograms."""
+    """A named, lockable collection of counters, gauges and histograms,
+    plus the report fold."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        #: Every series written through the registry, by
-        #: ("counter"|"gauge"|"histogram", name, label_key).
-        self._series: Dict[Tuple[str, str, LabelKey], _Series] = {}
-        #: Series written since the last ``snapshot_delta_json()``.
+        self._fold = ReportFold()
+        #: (compact-delta section "c"|"g"|"h", name, label_key) of every
+        #: series written since the last ``snapshot_delta()``.
         self._dirty: set = set()
 
     # -- instrument access (get-or-create) -------------------------------
 
+    @staticmethod
+    def _instrument(table: dict, kind: type, name: str, *args):
+        """Get or create ``table[name]``; the caller holds the lock."""
+        inst = table.get(name)
+        if inst is None:
+            inst = table[name] = kind(name, *args)
+        return inst
+
     def counter(self, name: str) -> Counter:
         with self._lock:
-            inst = self._counters.get(name)
-            if inst is None:
-                inst = self._counters[name] = Counter(name)
-            return inst
+            if name in FOLD_COUNTERS + FOLD_STORE:   # a copy of what a snapshot shows
+                return Counter(name, self._series()[0].get(name, {}))
+            return self._instrument(self._counters, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
         with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                inst = self._gauges[name] = Gauge(name)
-            return inst
+            return self._instrument(self._gauges, Gauge, name)
 
-    def histogram(
-        self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         with self._lock:
-            inst = self._histograms.get(name)
-            if inst is None:
-                inst = self._histograms[name] = Histogram(name, tuple(bounds))
-            return inst
+            return self._instrument(self._histograms, Histogram, name, tuple(bounds))
 
     # -- convenience write paths -----------------------------------------
-
-    def _touch(self, kind: str, name: str, key: LabelKey, values: dict) -> None:
-        """Mark a series written; the caller holds the lock."""
-        series = self._series.get((kind, name, key))
-        if series is None:
-            series = self._series[kind, name, key] = _Series(kind, name, key, values)
-        self._dirty.add(series)
 
     def inc(self, name: str, value: float = 1.0, **labels) -> None:
         key = label_key(labels)
         with self._lock:
-            inst = self._counters.get(name)
-            if inst is None:
-                inst = self._counters[name] = Counter(name)
-            inst.add(key, value)
-            self._touch("counter", name, key, inst.series)
+            self._instrument(self._counters, Counter, name).add(key, value)
+            self._dirty.add(("c", name, key))
 
     def set(self, name: str, value: float, **labels) -> None:
         key = label_key(labels)
         with self._lock:
-            inst = self._gauges.get(name)
-            if inst is None:
-                inst = self._gauges[name] = Gauge(name)
-            inst.series[key] = float(value)
-            self._touch("gauge", name, key, inst.series)
+            self._instrument(self._gauges, Gauge, name).series[key] = float(value)
+            self._dirty.add(("g", name, key))
 
     def observe(self, name: str, value: float, **labels) -> None:
         key = label_key(labels)
         with self._lock:
-            inst = self._histograms.get(name)
-            if inst is None:
-                inst = self._histograms[name] = Histogram(name)
-            inst.observe_key(key, value)
-            self._touch("histogram", name, key, inst.series)
+            self._instrument(self._histograms, Histogram, name).observe_key(key, value)
+            self._dirty.add(("h", name, key))
+
+    def fold_run(self, kernel: str, stc: str, counts: Sequence[int],
+                 wall_s: float, entries: int) -> None:
+        """Fold one finished simulation run into the report fold:
+        ``counts`` in :data:`FOLD_COUNTERS` then :data:`FOLD_STORE`
+        order, its wall seconds and the memo's size after it.  This
+        runs once per engine run, so it works in place on literal row
+        slots (a loop over them reads ~1% slower in a warm sweep)."""
+        key = (kernel, stc)
+        with self._lock:
+            fold = self._fold
+            row = fold.rows.get(key) or fold.rows.setdefault(key, _empty_row())
+            row[0] += counts[0]
+            row[1] += counts[1]
+            row[2] += counts[2]
+            row[3] += counts[3]
+            row[4] += counts[4]
+            row[5] += wall_s
+            if wall_s < row[6]:
+                row[6] = wall_s
+            if wall_s > row[7]:
+                row[7] = wall_s
+            row[8 + bisect_left(DEFAULT_BUCKETS, wall_s)] += 1
+            fold.dirty.add(key)
+            if counts[5] or counts[6] or counts[7]:
+                fold.store = [a + b for a, b in zip(fold.store, counts[5:])]
+            fold.entries[()] = entries
 
     # -- snapshot / reset / merge ----------------------------------------
 
     @staticmethod
     def _histogram_entry(key: LabelKey,
                          series: HistogramSeries) -> Dict[str, object]:
-        # The trailing null is the explicit +Inf bucket bound, so a
-        # consumer zipping bounds with counts sees the overflow bucket
-        # instead of silently dropping it.
+        # The trailing null is the +Inf bucket's bound (module docs).
         return {
-            "labels": _labels_dict(key),
+            "labels": dict(key),
             "bounds": list(series.bounds) + [None],
             "counts": list(series.counts),
             "sum": series.sum,
@@ -358,130 +389,117 @@ class MetricsRegistry:
             "max": series.max if series.count else None,
         }
 
+    def _series(self) -> Tuple[dict, dict, dict]:
+        """Every series as per-name ``{label key: value}`` maps, the
+        fold's added in; the caller holds the lock."""
+        maps = tuple({name: dict(inst.series) for name, inst in table.items()}
+                     for table in (self._counters, self._gauges, self._histograms))
+        self._fold.render(*maps)
+        return maps
+
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready view of every series (labels expanded to dicts)."""
         with self._lock:
-            return {
-                "counters": {
-                    name: [
-                        {"labels": _labels_dict(key), "value": value}
-                        for key, value in sorted(inst.series.items())
-                    ]
-                    for name, inst in sorted(self._counters.items())
-                },
-                "gauges": {
-                    name: [
-                        {"labels": _labels_dict(key), "value": value}
-                        for key, value in sorted(inst.series.items())
-                    ]
-                    for name, inst in sorted(self._gauges.items())
-                },
-                "histograms": {
-                    name: [
-                        self._histogram_entry(key, series)
-                        for key, series in sorted(inst.series.items())
-                    ]
-                    for name, inst in sorted(self._histograms.items())
-                },
-            }
+            counters, gauges, histograms = self._series()
+            snap = {section: {name: [{"labels": dict(key), "value": value}
+                                     for key, value in sorted(series.items())]
+                              for name, series in sorted(maps.items())}
+                    for section, maps in (("counters", counters), ("gauges", gauges))}
+            snap["histograms"] = {
+                name: [self._histogram_entry(key, s) for key, s in sorted(series.items())]
+                for name, series in sorted(histograms.items())}
+        return snap
+
+    def _delta(self) -> Dict[str, Dict[str, object]]:
+        """:meth:`snapshot_delta`, the lock held."""
+        out: Dict[str, Dict[str, object]] = {}
+        tables = {"c": self._counters, "g": self._gauges, "h": self._histograms}
+        for section, name, key in sorted(self._dirty):
+            value = tables[section][name].series[key]
+            if section == "h":
+                value = list(map(self._histogram_entry(key, value).get, _HISTOGRAM_FIELDS))
+            out.setdefault(section, {})[wire_key(name, key)] = value
+        self._dirty.clear()
+        return out
 
     def snapshot_delta(self) -> Dict[str, object]:
-        """:meth:`snapshot_delta_json`, parsed (``{}`` when idle)."""
-        text = self.snapshot_delta_json()
-        return json.loads(text) if text else {}
+        """The instrument series written since the previous delta, in
+        the wire form :func:`expand_delta` decodes (``{}`` when idle).
 
-    def snapshot_delta_json(self) -> str:
-        """The series written since the previous delta, as compact JSON.
-
-        Values are **cumulative** (the series' current value, not an
-        increment), so a reader can reconstruct exact registry state by
-        overwriting series as deltas arrive — the replay rule
-        ``repro.obs.telemetry`` folds streamed worker metrics with.
-
-        The shape is the flat wire form :func:`expand_delta` decodes:
-        ``{"c": {wire_key: value}, "g": {...}, "h": {wire_key:
-        [bounds, counts, sum, count, min, max]}}``, empty sections
-        omitted (``""`` when idle).  This runs once per finished case
-        in telemetry workers, so each dirty series arrives resolved
-        (:class:`_Series`) and numbers are encoded by hand, exactly as
-        ``json`` would (a ``repr`` for ints and finite floats).  Clears
-        the dirty set.
+        Values are **cumulative**, so a reader rebuilds the registry by
+        overwriting series as deltas arrive (``repro.obs.telemetry``).
+        Clears the dirty set.  The report fold's rows ride
+        :meth:`record_delta_json`.
         """
         with self._lock:
+            return self._delta()
+
+    def record_delta_json(self) -> str:
+        """A worker journal record's ``metrics``, as compact JSON
+        (``""`` when nothing changed): :meth:`snapshot_delta`'s sections
+        plus the report fold's (:meth:`ReportFold.delta`)."""
+        with self._lock:
+            fold = self._fold.delta() if self._fold.dirty else ""
             if not self._dirty:
-                return ""
-            dirty = sorted(self._dirty, key=_series_order)
-            self._dirty.clear()
-            text = section = ""
-            for series in dirty:
-                value = series.values.get(series.key)
-                if value is None:
-                    continue
-                if type(value) is HistogramSeries:
-                    if series.bounds is None:
-                        series.bounds = "[" + _compact_json(list(value.bounds) + [None])
-                    value = series.bounds + "," + _compact_json(
-                        [value.counts, value.sum, value.count,
-                         value.min if value.count else None,
-                         value.max if value.count else None])[1:]
-                elif type(value) is int or (type(value) is float and value - value == 0.0):
-                    value = repr(value)
-                else:
-                    value = _compact_json(value)
-                if series.section != section:
-                    text += f'{"}," if section else ""}"{series.section}":{{'
-                    section = series.section
-                else:
-                    text += ","
-                text += series.head + value
-            return "{" + text + "}}" if text else ""
+                return "{" + fold + "}" if fold else ""
+            delta = _compact_json(self._delta())
+        return "{" + fold + "," + delta[1:] if fold else delta
 
     def reset(self) -> None:
-        """Drop every instrument and series."""
+        """Drop every instrument, series and fold total."""
         with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-            self._series.clear()
-            self._dirty.clear()
+            for table in (self._counters, self._gauges, self._histograms, self._dirty):
+                table.clear()
+            self._fold = ReportFold()
+
+    def merge_fold(self, delta: Dict[str, object], shard: Optional[str] = None) -> None:
+        """Add in a record delta's fold part (its ``"r"``, ``"s"`` and
+        ``"e"``), as :meth:`record_delta_json` wrote it: rows add, min
+        and max widen.  ``shard`` labels the memo size."""
+        with self._lock:
+            fold = self._fold
+            for wire, packed in delta.get("r", {}).items():
+                row = _ROW.unpack(bytes.fromhex(packed))
+                mine = fold.rows.setdefault(tuple(wire.split("\x1f")), _empty_row())
+                mine[:] = [*map(operator.add, mine[:_MIN], row[:_MIN]),
+                           min(mine[_MIN], row[_MIN]), max(mine[_MAX], row[_MAX]),
+                           *map(operator.add, mine[_BUCKETS:], row[_BUCKETS:])]
+            fold.store = [a + b for a, b in zip(fold.store, delta.get("s", (0, 0, 0)))]
+            if "e" in delta:
+                fold.entries[(("shard", shard),) if shard else ()] = delta["e"]
 
     def merge(self, other: Union["MetricsRegistry", Dict[str, object]]) -> None:
         """Fold another registry (or its :meth:`snapshot`) into this one.
 
         Counters and histogram buckets add; gauges take the incoming
         value.  This is the join operation for per-worker registries.
+        Series the report fold renders arrive as instrument series; a
+        snapshot adds the fold's values to them (see
+        :meth:`ReportFold.render`).  Rows travel by :meth:`merge_fold`.
         """
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        for name, entries in snap.get("counters", {}).items():
-            for entry in entries:
-                self.inc(name, entry["value"], **entry["labels"])
-        for name, entries in snap.get("gauges", {}).items():
-            for entry in entries:
-                self.set(name, entry["value"], **entry["labels"])
-        for name, entries in snap.get("histograms", {}).items():
-            hist = self.histogram(name)
-            for entry in entries:
-                key = label_key(entry["labels"])
-                bounds = _wire_bounds(entry["bounds"])
-                with self._lock:
-                    series = hist.series.get(key)
-                    if series is None:
-                        series = hist.series[key] = HistogramSeries(
-                            bounds=bounds
-                        )
-                    if bounds != series.bounds:
-                        raise ConfigError(
-                            f"histogram {name!r} bucket bounds disagree on merge"
-                        )
-                    series.counts = [
-                        a + b for a, b in zip(series.counts, entry["counts"])
-                    ]
-                    series.sum += entry["sum"]
-                    series.count += entry["count"]
-                    if entry["count"]:
-                        series.min = min(series.min, entry["min"])
-                        series.max = max(series.max, entry["max"])
-                    self._touch("histogram", name, key, hist.series)
+        for section, write in (("counters", self.inc), ("gauges", self.set),
+                               ("histograms", self._merge_histogram)):
+            for name, entries in snap.get(section, {}).items():
+                for entry in entries:
+                    if section == "histograms":
+                        write(name, entry)
+                    else:
+                        write(name, entry["value"], **entry["labels"])
+
+    def _merge_histogram(self, name: str, entry: Dict[str, object]) -> None:
+        key = label_key(entry["labels"])
+        bounds = _wire_bounds(entry["bounds"])
+        with self._lock:
+            hist = self._instrument(self._histograms, Histogram, name)
+            series = hist.series.get(key)
+            if series is None:
+                series = hist.series[key] = HistogramSeries(bounds=bounds)
+            if bounds != series.bounds:
+                raise ConfigError(f"histogram {name!r} bucket bounds disagree on merge")
+            series.absorb(entry["counts"], entry["sum"], entry["count"],
+                          entry["min"], entry["max"])
+            self._dirty.add(("h", name, key))
 
     def write_json(self, path: Union[str, Path]) -> None:
         """Dump :meth:`snapshot` as indented JSON."""

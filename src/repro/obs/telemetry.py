@@ -2,7 +2,8 @@
 
 A sharded worker's journal (:mod:`repro.obs.journal`) is its one
 channel to the supervisor.  Its case records carry each finished
-case's metrics delta beside the case's outcome, its ``beat`` records
+case's metrics delta (the report-fold rows and instrument series it
+changed) beside the case's outcome, its ``beat`` records
 mark liveness and phase, and its ``spans`` records carry trace spans.
 The supervisor, and the ``repro top`` viewer (just another reader),
 tail those journals with :class:`~repro.obs.journal.JournalReader`
@@ -31,7 +32,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import CheckpointError, TelemetryError
 from repro.obs.journal import JournalReader, entry_key
-from repro.obs.metrics import MetricsRegistry, expand_delta, label_key
+from repro.obs.metrics import MetricsRegistry, expand_delta
 
 logger = logging.getLogger(__name__)
 
@@ -55,19 +56,21 @@ _SLOW_FACTOR = 0.5
 
 
 class MetricsFold:
-    """Replays streamed metrics deltas into registry-mergeable state.
+    """Replays streamed record deltas into registry-mergeable state.
 
-    Within one incarnation, streamed values are cumulative: a later
-    record's series value *overwrites* an earlier one.  Across
-    incarnations (a respawned worker), final states *add* — each
+    A record's ``metrics``
+    (:meth:`~repro.obs.metrics.MetricsRegistry.record_delta_json`)
+    holds cumulative values: the report-fold rows and instrument series
+    changed since the incarnation's previous record.  Within one
+    incarnation a later value *overwrites* an earlier one; across
+    incarnations (a respawned worker) final states *add* — each
     incarnation only ever counted work it did itself, so the sum is
     exact regardless of where a SIGKILL landed.
     """
 
     def __init__(self) -> None:
-        # inst -> {"counters": {name: {label_key: value}}, ...}
-        self._insts: Dict[str, Dict[str, dict]] = {}
-        self._order: List[str] = []
+        #: inst -> its latest {"c"|"g"|"h"|"r": {wire key: value}, "s", "e"}
+        self._insts: Dict[str, Dict[str, object]] = {}
 
     def apply(self, record: dict) -> None:
         """Fold the delta a record carries, if any: a worker's case
@@ -75,105 +78,47 @@ class MetricsFold:
         metrics = record.get("metrics")
         if not metrics:
             return
-        if any(k in metrics for k in ("c", "g", "h")):
-            # The writer streams the compact wire form; snapshot-shaped
-            # deltas (tests, hand-written records) pass through as-is.
-            metrics = expand_delta(metrics)
-        inst = str(record.get("inst", ""))
-        state = self._insts.get(inst)
-        if state is None:
-            state = self._insts[inst] = {
-                "counters": {}, "gauges": {}, "histograms": {}}
-            self._order.append(inst)
-        for section in ("counters", "gauges"):
-            for name, entries in metrics.get(section, {}).items():
-                series = state[section].setdefault(name, {})
-                for entry in entries:
-                    series[label_key(entry["labels"])] = entry["value"]
-        for name, entries in metrics.get("histograms", {}).items():
-            series = state["histograms"].setdefault(name, {})
-            for entry in entries:
-                series[label_key(entry["labels"])] = entry
+        state = self._insts.setdefault(str(record.get("inst", "")), {})
+        for section, value in metrics.items():
+            if isinstance(value, dict):
+                state.setdefault(section, {}).update(value)
+            else:
+                state[section] = value
 
     @property
     def incarnations(self) -> int:
-        return len(self._order)
+        return len(self._insts)
 
     def counter_total(self, name: str) -> float:
         """Sum of a counter's final value across series and incarnations."""
-        return sum(
-            value
-            for state in self._insts.values()
-            for value in state["counters"].get(name, {}).values()
-        )
+        return self.counter_totals().get(name, 0.0)
 
-    def snapshot(self, shard: Optional[str] = None) -> Dict[str, object]:
-        """A snapshot-shaped dict ready for ``MetricsRegistry.merge``.
+    def counter_totals(self) -> Dict[str, float]:
+        """:meth:`counter_total` of every counter."""
+        return {name: sum(entry["value"] for entry in entries)
+                for name, entries in self.snapshot()["counters"].items()}
+
+    def merge_into(self, registry: MetricsRegistry,
+                   shard: Optional[str] = None) -> None:
+        """Add every incarnation's state into ``registry``.
 
         ``shard`` tags every gauge series with a ``shard`` label so
         multi-worker fold-in stays order-independent (gauge merges are
         last-write-wins); counters and histograms add and need no tag.
         """
-        counters: Dict[str, Dict[tuple, float]] = {}
-        gauges: Dict[str, Dict[tuple, float]] = {}
-        histograms: Dict[str, Dict[tuple, dict]] = {}
-        for inst in self._order:
-            state = self._insts[inst]
-            for name, series in state["counters"].items():
-                out = counters.setdefault(name, {})
-                for key, value in series.items():
-                    out[key] = out.get(key, 0.0) + value
-            for name, series in state["gauges"].items():
-                # Incarnation order: the respawn's reading supersedes.
-                gauges.setdefault(name, {}).update(series)
-            for name, series in state["histograms"].items():
-                out = histograms.setdefault(name, {})
-                for key, entry in series.items():
-                    prior = out.get(key)
-                    if prior is None:
-                        out[key] = dict(entry)
-                        continue
-                    out[key] = {
-                        "labels": entry["labels"],
-                        "bounds": entry["bounds"],
-                        "counts": [a + b for a, b in
-                                   zip(prior["counts"], entry["counts"])],
-                        "sum": prior["sum"] + entry["sum"],
-                        "count": prior["count"] + entry["count"],
-                        "min": _opt_min(prior["min"], entry["min"]),
-                        "max": _opt_max(prior["max"], entry["max"]),
-                    }
+        for state in self._insts.values():   # the respawn's gauges supersede
+            delta = expand_delta(state)
+            for entries in delta["gauges"].values() if shard else ():
+                for entry in entries:
+                    entry["labels"] = {"shard": shard, **entry["labels"]}
+            registry.merge(delta)
+            registry.merge_fold(state, shard)
 
-        def labels_of(key: tuple) -> Dict[str, str]:
-            return {k: v for k, v in key}
-
-        snap: Dict[str, object] = {
-            "counters": {
-                name: [{"labels": labels_of(key), "value": value}
-                       for key, value in sorted(series.items())]
-                for name, series in sorted(counters.items())
-            },
-            "gauges": {
-                name: [{"labels": ({"shard": shard, **labels_of(key)}
-                                   if shard else labels_of(key)),
-                        "value": value}
-                       for key, value in sorted(series.items())]
-                for name, series in sorted(gauges.items())
-            },
-            "histograms": {
-                name: [dict(entry) for _, entry in sorted(series.items())]
-                for name, series in sorted(histograms.items())
-            },
-        }
-        return snap
-
-
-def _opt_min(a, b):
-    return b if a is None else (a if b is None else min(a, b))
-
-
-def _opt_max(a, b):
-    return b if a is None else (a if b is None else max(a, b))
+    def snapshot(self, shard: Optional[str] = None) -> Dict[str, object]:
+        """What :meth:`merge_into` adds to an empty registry, snapshotted."""
+        registry = MetricsRegistry()
+        self.merge_into(registry, shard)
+        return registry.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +179,6 @@ class _ShardTail:
         if t1 <= t0 or d1 <= d0:
             return 0.0
         return (d1 - d0) / (t1 - t0)
-
-    def cache_hit_rate(self) -> Optional[float]:
-        hits = self.fold.counter_total("sim.cache.hits")
-        misses = self.fold.counter_total("sim.cache.misses")
-        if hits + misses <= 0:
-            return None
-        return hits / (hits + misses)
 
 
 class CampaignMonitor:
@@ -328,8 +266,7 @@ class CampaignMonitor:
         the shard id so the merge is order-independent.
         """
         for shard_id in self.shard_ids:
-            tail = self._shards[shard_id]
-            registry.merge(tail.fold.snapshot(shard=shard_id))
+            self._shards[shard_id].fold.merge_into(registry, shard=shard_id)
 
     # -- status ----------------------------------------------------------
 
@@ -355,6 +292,9 @@ class CampaignMonitor:
             slow = (len(active_rates) >= 2
                     and tail.phase not in TERMINAL_PHASES
                     and 0 < rate < _SLOW_FACTOR * median_rate)
+            totals = tail.fold.counter_totals()
+            hits = totals.get("sim.cache.hits", 0.0)
+            lookups = hits + totals.get("sim.cache.misses", 0.0)
             shards.append({
                 "shard": shard_id,
                 "phase": tail.phase,
@@ -363,11 +303,9 @@ class CampaignMonitor:
                 "pid": tail.pid,
                 "cases_per_s": round(rate, 3),
                 "eta_s": round(eta, 1) if eta is not None else None,
-                "cache_hit_rate": (round(tail.cache_hit_rate(), 4)
-                                   if tail.cache_hit_rate() is not None
-                                   else None),
-                "retries": tail.fold.counter_total("runner.retries"),
-                "failures": tail.fold.counter_total("runner.failures"),
+                "cache_hit_rate": round(hits / lookups, 4) if lookups > 0 else None,
+                "retries": totals.get("runner.retries", 0),
+                "failures": totals.get("runner.failures", 0),
                 "crashes": max(0, len(tail.insts) - 1),
                 "age_s": (round(now - tail.last_t, 1)
                           if tail.last_t is not None else None),

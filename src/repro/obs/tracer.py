@@ -90,15 +90,13 @@ class EventRecord:
 class Span:
     """A live span; use as a context manager (or ``start()``/``finish()``)."""
 
-    __slots__ = ("_tracer", "name", "args", "_start", "_ts_us", "_tid",
-                 "_depth", "_parent")
+    __slots__ = ("_tracer", "name", "args", "_start", "_tid", "_depth", "_parent")
 
     def __init__(self, tracer: "Tracer", name: str, args: Dict[str, object]):
         self._tracer = tracer
         self.name = name
         self.args = args
         self._start = 0.0
-        self._ts_us = 0.0
         self._tid = 0
         self._depth = 0
         self._parent: Optional[str] = None
@@ -114,18 +112,17 @@ class Span:
 
     def __enter__(self) -> "Span":
         tracer = self._tracer
-        stack = tracer._stack()
+        stack = getattr(tracer._local, "stack", None) or tracer._stack()
         self._parent = stack[-1].name if stack else None
         self._depth = len(stack)
         stack.append(self)
         self._tid = threading.get_ident()
         self._start = tracer.clock()
-        self._ts_us = (self._start - tracer.epoch) * 1e6
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         tracer = self._tracer
-        dur_us = (tracer.clock() - self._start) * 1e6
+        end = tracer.clock()
         stack = tracer._stack()
         if stack and stack[-1] is self:
             stack.pop()
@@ -133,11 +130,10 @@ class Span:
             stack.remove(self)
         if exc_type is not None:
             self.args.setdefault("error", exc_type.__name__)
-        record = SpanRecord(
-            name=self.name, ts_us=self._ts_us, dur_us=dur_us,
-            tid=self._tid, depth=self._depth, parent=self._parent,
-            args=self.args,
-        )
+        # Positional: this runs once per span while tracing.
+        record = SpanRecord(self.name, (self._start - tracer.epoch) * 1e6,
+                            (end - self._start) * 1e6, self._tid, self._depth,
+                            self._parent, self.args)
         with tracer._lock:
             tracer.spans.append(record)
         return False

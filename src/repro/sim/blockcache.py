@@ -32,7 +32,8 @@ Misses consult the tier and promote its hits into the LRU; inserts
 write through.  Tier
 hits count as ``hits`` (the caller was served without simulating) and
 additionally as ``store_hits``, so the split is observable without
-changing the meaning of ``hit_rate``.
+changing the meaning of ``hit_rate``; an insert the tier writes counts
+as a ``store_appends``.
 """
 
 from __future__ import annotations
@@ -69,10 +70,12 @@ class CacheStats:
     evictions: int = 0
     inserts: int = 0
     #: Lookups served by the persistent second tier (a subset of
-    #: ``hits``) and lookups that missed both tiers while a tier was
-    #: bound (a subset of ``misses``).
+    #: ``hits``), lookups that missed both tiers while a tier was bound
+    #: (a subset of ``misses``), and inserts the tier wrote (not a
+    #: duplicate of a record it held).
     store_hits: int = 0
     store_misses: int = 0
+    store_appends: int = 0
 
     @property
     def lookups(self) -> int:
@@ -101,7 +104,7 @@ class CacheStats:
     def reset(self) -> None:
         """Zero every counter."""
         self.hits = self.misses = self.evictions = self.inserts = 0
-        self.store_hits = self.store_misses = 0
+        self.store_hits = self.store_misses = self.store_appends = 0
 
     def snapshot(self) -> "CacheStats":
         """An independent copy of the current counters.
@@ -115,6 +118,7 @@ class CacheStats:
             hits=self.hits, misses=self.misses,
             evictions=self.evictions, inserts=self.inserts,
             store_hits=self.store_hits, store_misses=self.store_misses,
+            store_appends=self.store_appends,
         )
 
     def delta(self, since: "CacheStats") -> "CacheStats":
@@ -126,6 +130,7 @@ class CacheStats:
             inserts=self.inserts - since.inserts,
             store_hits=self.store_hits - since.store_hits,
             store_misses=self.store_misses - since.store_misses,
+            store_appends=self.store_appends - since.store_appends,
         )
 
     def as_dict(self) -> Dict[str, float]:
@@ -145,6 +150,7 @@ class CacheStats:
         if self.store_hits or self.store_misses:
             out["store_hits"] = self.store_hits
             out["store_misses"] = self.store_misses
+            out["store_appends"] = self.store_appends
             out["store_hit_rate"] = self.store_hit_rate
         return out
 
@@ -205,8 +211,8 @@ class BlockCache:
         self._data[key] = row
         self._data.move_to_end(key)
         self.stats.inserts += 1
-        if self.store is not None:
-            self.store.insert(key, row)
+        if self.store is not None and self.store.insert(key, row):
+            self.stats.store_appends += 1
         self._evict()
 
     def _evict(self) -> None:

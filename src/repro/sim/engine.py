@@ -351,11 +351,12 @@ class _MissPool:
             t0 = perf_counter()
             memo, delta, rows = run.memo, run.probed, run.rows
             if run.parts:
-                # An insert moves only these two counters, so adding their
+                # An insert moves only these three counters, so adding their
                 # change to the probe's delta covers the run's lookups and
-                # its own inserts and evictions, not other runs'.
+                # its own inserts, evictions and store appends, not other
+                # runs'.
                 stats = memo.stats
-                inserts, evictions = stats.inserts, stats.evictions
+                inserts, evictions, appends = stats.inserts, stats.evictions, stats.store_appends
                 insert = memo.insert
                 for part in run.parts:
                     keys, offset, data = part.keys, part.offset, part.data
@@ -365,6 +366,7 @@ class _MissPool:
                         rows[offset + slot] = row
                 delta.inserts += stats.inserts - inserts
                 delta.evictions += stats.evictions - evictions
+                delta.store_appends += stats.store_appends - appends
             if run.holes and resolved is None:
                 resolved = {part.keys[slot]: part.data[at:at + ROW_BYTES]
                             for _, parts in self.groups.values() for part in parts
@@ -447,8 +449,7 @@ def _aggregate(report: SimReport, rows: np.ndarray, weights, stc: STCModel,
             if acc[col]:
                 report.counters.add(action, int(acc[col]))
     if energy_model is not None:
-        report.energy_breakdown = energy_model.breakdown(report.counters, stc.name)
-        report.energy_pj = sum(report.energy_breakdown.values())
+        report.price(energy_model)
 
 
 def _finalise_run(
@@ -457,22 +458,16 @@ def _finalise_run(
     delta: CacheStats,
     wall_s: float,
 ) -> None:
-    """Attach a run's wall time and cache-counter delta to its report.
-
-    Always on; the metric emission below is gated on the observability
-    switch.
-    """
+    """Attach a run's wall time and cache-counter delta to its report,
+    and fold the finished run into the metrics while observability is on."""
     report.wall_s = wall_s
     report.cache = delta.as_dict()
     if obs.enabled():
-        labels = {"kernel": report.kernel, "stc": report.stc}
-        obs.inc("sim.t1_tasks", report.t1_tasks, **labels)
-        obs.inc("sim.cycles", report.cycles, **labels)
-        obs.inc("sim.cache.hits", delta.hits, **labels)
-        obs.inc("sim.cache.misses", delta.misses, **labels)
-        obs.inc("sim.cache.evictions", delta.evictions, **labels)
-        obs.set_gauge("sim.cache.entries", len(memo))
-        obs.observe("sim.run_wall_s", wall_s, **labels)
+        obs.metrics().fold_run(
+            report.kernel, report.stc,
+            (report.t1_tasks, report.cycles, delta.hits, delta.misses, delta.evictions,
+             delta.store_hits, delta.store_misses, delta.store_appends),
+            wall_s, len(memo))
 
 
 def simulate_kernel(

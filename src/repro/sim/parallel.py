@@ -6,7 +6,8 @@ that assigns each warp a contiguous range of block rows with roughly
 equal work.  This module implements that partitioner over BBC block
 rows and simulates a kernel across ``n_cores`` independent STC
 instances: wall-clock cycles are the slowest core's (the parallel
-completion rule), energy is the sum.
+completion rule), energy is priced from the cores' summed action
+counts.
 
 Per-core task enumeration delegates to the *same* batched builders the
 serial engine uses (:mod:`repro.kernels.batched`, restricted to the
@@ -54,6 +55,9 @@ class ParallelReport:
     stc: str
     n_cores: int
     per_core: List[SimReport] = field(default_factory=list)
+    #: The model that priced every core; :meth:`fold` prices the merged
+    #: counters with it.
+    energy_model: Optional[EnergyModel] = None
 
     @property
     def wall_cycles(self) -> int:
@@ -90,9 +94,10 @@ class ParallelReport:
         """Collapse the cores into one journal-ready :class:`SimReport`.
 
         Cycles follow the parallel completion rule (slowest core); work,
-        energy, wall time and cache deltas are summed; utilisation bins
-        and counters merge exactly as the serial path would accumulate
-        them.
+        wall time and cache deltas are summed; utilisation bins and
+        counters merge exactly as the serial path would accumulate them,
+        and the merged counters are priced once, so the energy equals
+        the serial report's bit for bit.
         """
         report = SimReport(stc=self.stc, kernel=self.kernel, matrix=matrix)
         report.cycles = self.wall_cycles
@@ -102,10 +107,6 @@ class ParallelReport:
             report.t1_tasks += core.t1_tasks
             report.util_hist.merge(core.util_hist, 1)
             report.counters.merge(core.counters, 1)
-            report.energy_pj += core.energy_pj
-            for name, value in core.energy_breakdown.items():
-                report.energy_breakdown[name] = (
-                    report.energy_breakdown.get(name, 0.0) + value)
             report.wall_s += core.wall_s
             for name, value in core.cache.items():
                 cache[name] = cache.get(name, 0.0) + value
@@ -113,6 +114,8 @@ class ParallelReport:
             total = cache.get("hits", 0.0) + cache.get("misses", 0.0)
             cache["hit_rate"] = cache.get("hits", 0.0) / total if total else 0.0
         report.cache = cache
+        if self.energy_model is not None:
+            report.price(self.energy_model)
         return report
 
 
@@ -151,7 +154,8 @@ def simulate_parallel(
         operands["b_cols"] = b_cols
     elif kernel == "spgemm" and b is not None:
         operands["b"] = b
-    report = ParallelReport(kernel=kernel, stc=stcs[0].name, n_cores=n_cores)
+    report = ParallelReport(kernel=kernel, stc=stcs[0].name, n_cores=n_cores,
+                            energy_model=energy_model)
     with obs.span("parallel", kernel=kernel, stc=stcs[0].name,
                   n_cores=n_cores):
         for core, (stc, rows) in enumerate(zip(stcs, parts)):

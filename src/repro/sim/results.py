@@ -40,6 +40,13 @@ class SimReport:
     #: totals.
     cache: Dict[str, float] = field(default_factory=dict)
 
+    def price(self, energy_model) -> None:
+        """Price the energy of this report's action counters: one
+        ``energy_model.breakdown`` call, so two reports that agree on
+        every counter price to bit-identical energy."""
+        self.energy_breakdown = energy_model.breakdown(self.counters, self.stc)
+        self.energy_pj = sum(self.energy_breakdown.values())
+
     @property
     def cache_hit_rate(self) -> float:
         """This run's block-cache hit rate (0.0 when untracked)."""

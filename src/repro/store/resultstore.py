@@ -510,11 +510,9 @@ class ResultStore:
             payload = None if entry is None else self._read_payload(entry)
             if payload is None:
                 self.stats.misses += 1
-                obs.inc("store.misses")
                 return None
             self.stats.hits += 1
             self.stats.served_bytes += len(payload)
-            obs.inc("store.hits")
         return payload[-ROW_BYTES:]
 
     def _read_payload(self, entry: Tuple[Path, int, int, int]) -> Optional[bytes]:
@@ -577,7 +575,6 @@ class ResultStore:
                                     len(payload), crc)
             self._writer_end += len(framed)
             self.stats.appends += 1
-        obs.inc("store.appends")
         return True
 
     def _open_writer(self) -> None:

@@ -22,7 +22,7 @@ from repro.exec import CampaignExecutor, ExecPolicy, StcDef, strip_wallclock
 from repro.exec.worker import CHAOS_ENV
 from repro.obs.telemetry import check_status
 from repro.registry import parse_matrix_spec
-from repro.resilience.runner import ResilientRunner, RetryPolicy
+from repro.resilience.runner import ResilientRunner, RetryPolicy, journal_header
 from repro.sim import engine
 from repro.sim.sweep import Sweep
 from repro.store import ResultStore
@@ -218,6 +218,37 @@ class TestCrashRecovery:
         assert metrics.counter("exec.cases_quarantined").total == 1
         # The timed-out workers are dead, not leaked.
         assert leaked_workers(journal.name + ".d") == []
+
+    def test_structured_worker_error_fails_the_campaign(
+            self, tmp_path, monkeypatch, metrics):
+        """A worker that refuses its shard exits 2 with an ``error:``
+        line (here its journal has a corrupt interior line): the
+        campaign fails with that line, and no case is respawned,
+        bisected or quarantined."""
+        prepare = CampaignExecutor._prepare
+
+        def corrupt_journal(self, spec, workdir):
+            state = prepare(self, spec, workdir)
+            beat = {"kind": "beat", "inst": "x", "seq": 0, "t_us": 0,
+                    "pid": 1, "phase": "running"}
+            Path(spec.journal).write_text(
+                json.dumps(journal_header(spec.campaign, len(spec.cases)))
+                + "\nnot json\n" + json.dumps(beat) + "\n")
+            return state
+
+        monkeypatch.setattr(CampaignExecutor, "_prepare", corrupt_journal)
+        journal = tmp_path / "campaign.journal"
+        with pytest.raises(ReproError) as raised:
+            make_executor(journal, policy=ExecPolicy(workers=1)).run()
+        message = str(raised.value)
+        assert message.startswith("shard s0 worker failed: CheckpointError: ")
+        assert "is corrupt at line 2" in message
+        assert metrics.counter("exec.worker_crashes").total == 0
+        assert metrics.counter("exec.shards_bisected").total == 0
+        assert metrics.counter("exec.cases_quarantined").total == 0
+        workdir = tmp_path / "campaign.journal.d"
+        assert "poison" not in (workdir / "s0.journal").read_text()
+        assert leaked_workers(workdir) == []
 
     def test_busy_worker_keeps_beating(self, tmp_path, monkeypatch,
                                        metrics):

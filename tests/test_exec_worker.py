@@ -10,8 +10,10 @@ metrics always agree.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -23,16 +25,22 @@ import pytest
 import repro
 from repro import obs
 from repro.exec import ShardSpec, StcDef, merge_journals
-from repro.exec.worker import EXIT_OK, run_shard
+from repro.errors import CheckpointError
+from repro.exec import worker as worker_mod
+from repro.exec.worker import EXIT_ERROR, EXIT_OK, run_shard, worker_main
 from repro.obs import journal as journal_mod
 from repro.obs.journal import JournalReader, entry_key
+from repro.obs.metrics import FOLD_COUNTERS, FOLD_GAUGE, FOLD_HISTOGRAM, FOLD_STORE
 from repro.obs.telemetry import MetricsFold
 from repro.resilience.runner import case_key, read_journal
 from repro.sim import engine
+from repro.store import ResultStore
 
 MATRICES = (("m0", "band:48:4:0.5"), ("m1", "band:48:6:0.5"),
             ("m2", "band:48:8:0.5"))
 KERNELS = ("spmv", "spgemm")
+#: The series the report fold renders.
+FOLD_SERIES = FOLD_COUNTERS + FOLD_STORE + (FOLD_GAUGE, FOLD_HISTOGRAM)
 
 
 def make_spec(tmp_path, **overrides):
@@ -83,6 +91,27 @@ class _CountingOs:
 
     def __getattr__(self, name):
         return getattr(os, name)
+
+
+class TestWorkerMainExitCodes:
+    """Only a ``ReproError`` is a structured error (exit 2, which fails
+    the campaign); any other exception ends the worker as a crash, so
+    the shard keeps its retry and bisection budget."""
+
+    def refuse(self, tmp_path, monkeypatch, error):
+        def refuse_shard(spec):
+            raise error
+        monkeypatch.setattr(worker_mod, "run_shard", refuse_shard)
+        return str(make_spec(tmp_path).write(tmp_path / "s0.spec.json"))
+
+    def test_a_repro_error_exits_2(self, tmp_path, monkeypatch):
+        spec = self.refuse(tmp_path, monkeypatch, CheckpointError("corrupt"))
+        assert worker_main(spec) == EXIT_ERROR
+
+    def test_another_exception_escapes_as_a_crash(self, tmp_path, monkeypatch):
+        spec = self.refuse(tmp_path, monkeypatch, OSError("append failed"))
+        with pytest.raises(OSError, match="append failed"):
+            worker_main(spec)
 
 
 class TestOneAppendPerCase:
@@ -211,3 +240,66 @@ class TestCrashExactFold:
                 dict(count), cut
         # The cuts covered every prefix from no case to all of them.
         assert cases_seen == set(range(len(spec.cases) + 1))
+
+    @staticmethod
+    def fold_view(snapshot):
+        """The report-fold series of a snapshot; histograms by count."""
+        return {(section, name, json.dumps(e["labels"], sort_keys=True)):
+                e["count"] if section == "histograms" else e["value"]
+                for section in ("counters", "gauges", "histograms")
+                for name, entries in snapshot[section].items()
+                if name in FOLD_SERIES for e in entries}
+
+    @pytest.mark.parametrize("variant", ["cores2", "store"])
+    def test_every_cut_folds_what_an_in_process_run_folds(
+            self, tmp_path, variant, in_process):
+        """A cores-2 shard's reports are folds of two runs each, and a
+        store-bound shard's cache deltas carry its store traffic: at
+        every cut, the supervisor's fold of the journaled records equals
+        an in-process run of the journaled cases, store.* included."""
+        spec = make_spec(tmp_path, **(
+            {"n_cores": 2} if variant == "cores2"
+            else {"store": str(tmp_path / "worker-store")}))
+        sweep = spec.build_sweep()
+        cases = sweep.cases()
+        stores = []
+        if variant == "store":
+            # Both stores start holding the first case's rows, so the
+            # runs see store hits as well as misses and appends.
+            with ResultStore(tmp_path / "prefill") as store, \
+                    engine.store_tier(store):
+                sweep.run_case(cases[0])
+            engine.clear_cache()
+            stores = [tmp_path / "worker-store", tmp_path / "process-store"]
+            for root in stores:
+                shutil.copytree(tmp_path / "prefill", root)
+        done = run_worker(spec.write(tmp_path / "s0.spec.json"))
+        assert done.returncode == EXIT_OK, done.stdout + done.stderr
+
+        obs.enable(fresh=True)
+        with contextlib.ExitStack() as stack:
+            if stores:
+                stack.enter_context(engine.store_tier(
+                    stack.enter_context(ResultStore(stores[1]))))
+            expected = [self.fold_view(obs.metrics().snapshot())]
+            for case in cases:
+                sweep.run_case(case)
+                expected.append(self.fold_view(obs.metrics().snapshot()))
+        names = {name for _, name, _ in expected[-1]}
+        assert {"sim.cycles", "sim.run_wall_s", "sim.cache.entries"} <= names
+        if variant == "store":
+            assert {"store.hits", "store.misses", "store.appends"} <= names
+
+        data = Path(spec.journal).read_bytes()
+        ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        path = tmp_path / "cut.journal"
+        cases_seen = set()
+        for cut in ends + [len(data) - 1]:
+            path.write_bytes(data[:cut])
+            journaled = len(read_journal(path, spec.campaign))
+            fold = MetricsFold()
+            for record in JournalReader(path).poll():
+                fold.apply(record)
+            assert self.fold_view(fold.snapshot()) == expected[journaled], cut
+            cases_seen.add(journaled)
+        assert cases_seen == set(range(len(cases) + 1))

@@ -67,11 +67,8 @@ def beat(inst="a", seq=0, phase="running", t=0.0):
 
 
 def counters(**values):
-    """Snapshot-shaped counter section: name -> unlabelled value."""
-    return {"counters": {
-        name: [{"labels": {}, "value": value}]
-        for name, value in values.items()
-    }}
+    """A compact-delta counter section: name -> unlabelled value."""
+    return {"c": dict(values)}
 
 
 class TestWriterTailerRoundTrip:
@@ -337,11 +334,9 @@ class TestMetricsFold:
     def test_snapshot_tags_gauges_with_shard(self):
         fold = MetricsFold()
         fold.apply(case(seq=0, metrics={
-            "counters": {"c": [{"labels": {}, "value": 2.0}]},
-            "gauges": {
-                "cache.entries": [{"labels": {}, "value": 7.0}],
-                "g2": [{"labels": {"shard": "explicit"}, "value": 3.0}],
-            }}))
+            "c": {"c": 2.0},
+            "g": {"cache.entries": 7.0,
+                  wire_key("g2", (("shard", "explicit"),)): 3.0}}))
         snap = fold.snapshot(shard="s1")
         assert snap["gauges"]["cache.entries"] == \
             [{"labels": {"shard": "s1"}, "value": 7.0}]
@@ -354,16 +349,13 @@ class TestMetricsFold:
 
     def test_gauge_respawn_reading_supersedes(self):
         fold = MetricsFold()
-        fold.apply(case(inst="a", seq=0, metrics={
-            "gauges": {"g": [{"labels": {}, "value": 1.0}]}}))
-        fold.apply(case(inst="b", seq=0, metrics={
-            "gauges": {"g": [{"labels": {}, "value": 5.0}]}}))
+        fold.apply(case(inst="a", seq=0, metrics={"g": {"g": 1.0}}))
+        fold.apply(case(inst="b", seq=0, metrics={"g": {"g": 5.0}}))
         assert fold.snapshot()["gauges"]["g"][0]["value"] == 5.0
 
     def test_histograms_add_across_incarnations(self):
         def hist_delta(reg):
-            return {"histograms":
-                    expand_delta(reg.snapshot_delta())["histograms"]}
+            return {"h": reg.snapshot_delta()["h"]}
 
         a, b = MetricsRegistry(), MetricsRegistry()
         a.observe("wall", 0.5)
@@ -492,9 +484,7 @@ class TestCampaignMonitor:
         monitor = CampaignMonitor()
         for shard, cycles in (("s0", 10.0), ("s1", 32.0)):
             self.feed(monitor, tmp_path, shard, [case(
-                seq=0, metrics={
-                    **counters(cycles=cycles),
-                    "gauges": {"g": [{"labels": {}, "value": cycles}]}})])
+                seq=0, metrics={**counters(cycles=cycles), "g": {"g": cycles}})])
         monitor.poll()
         reg = MetricsRegistry()
         monitor.fold_into(reg)
