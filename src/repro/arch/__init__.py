@@ -14,7 +14,6 @@ from repro.arch import (
     tasks,
     tms,
     tradeoffs,
-    warp,
 )
 from repro.arch.base import STCModel
 from repro.arch.config import FP16, FP32, FP64, PRECISIONS, Precision, UniSTCConfig
@@ -50,5 +49,4 @@ __all__ = [
     "tasks",
     "tms",
     "tradeoffs",
-    "warp",
 ]

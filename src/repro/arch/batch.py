@@ -12,18 +12,20 @@ around its own dataflow accounting:
    int64 array in task order;
 2. the evaluator computes per-block cycles, products, utilisation
    histograms (binning per-cycle products with :func:`util_bins` /
-   :func:`histogram_rows`) and action counts;
+   :func:`histogram_rows`, or summing :func:`cycle_words`) and action
+   counts;
 3. :func:`result_rows` lays those out as int64 rows in the
    :data:`~repro.arch.base.VECTOR_WIDTH` layout.
 
-NV-DTC and ``repro trace`` read their A and B tiles through the tile
-decoders here, :func:`decode_a_operands` / :func:`decode_b_operands`;
-Uni-STC's evaluator packs the same per-tile counts into table words
-(:mod:`repro.arch.fastpath`).
+Per-tile line counts have one form, the packed count words of
+:func:`count_tables` (:func:`b_count_words` for a B operand): byte 3 of
+an A word times a B word is a tile pair's products.  Uni-STC, NV-DTC,
+DS-STC, GAMMA and ``repro trace`` read them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
@@ -64,50 +66,56 @@ def evaluate_packed(batch, decode_a: Decoder, decode_b: Decoder,
     return rows
 
 
-_NIBBLES = TILE * np.arange(TILE, dtype=np.int64)
+_NIBBLES = TILE * np.arange(TILE, dtype=np.uint16)
+#: Bit offsets of the four byte lanes of a packed count word.
+_BYTES = 8 * np.arange(TILE, dtype=np.int64)
+_QUARTERS = np.array([0.25, 0.5, 0.75])
 
 
-def decode_a_operands(a_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """A-block level-2 view of ``[N, 16]`` packed patterns.
+@lru_cache(maxsize=None)
+def count_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Packed per-line counts of every 4x4 tile bitmap (512 KiB), built on first use.
 
-    Returns ``(tile_bitmaps, col_counts)`` with leading batch axes:
-    ``tile_bitmaps[p, i, k]`` is the 16-bit bitmap of tile (i, k) and
-    ``col_counts[p, i, k, kk]`` the nonzero count of its column ``kk``.
+    ``cols[t]`` (uint32) holds the nonzero count of column ``kk`` of
+    tile ``t`` in byte ``kk``, ``rows[t]`` that of row ``kk`` in byte
+    ``3 - kk``.  Byte 3 of ``cols[a] * rows[b]`` is then the product
+    count ``sum_kk |A col kk| * |B row kk|`` of the T3 task multiplying
+    A tile ``a`` by B tile ``b``: each byte of the product sums at most
+    four terms of at most 16, so no byte carries into the next.
     """
-    tiles = a_patterns.astype(np.int64).reshape(-1, TILE, TILE)
-    return tiles, tile_col_counts(tiles)
+    tiles = np.arange(1 << 16, dtype=np.int64)
+    tables = ((tile_col_counts(tiles) << _BYTES).sum(axis=1).astype("<u4"),
+              (tile_row_counts(tiles) << _BYTES[::-1]).sum(axis=1).astype("<u4"))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
-def decode_b_operands(b_patterns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """B-operand level-2 view of ``[N, n]`` packed patterns.
+#: Row-count word of a vector segment's nibble: row ``kk`` in byte ``3 - kk``.
+_SEGMENT_WORDS = (((np.arange(16)[:, None] >> np.arange(TILE)) & 1)
+                  << _BYTES[::-1]).sum(axis=1).astype("<u4")
 
-    Returns ``(tile_bitmaps, row_counts)``, ``[p, tk, tj]`` and ``[p,
-    tk, tj, ei]`` (the nonzero count of row ``ei`` of tile (tk, tj)); a
-    vector segment's nibble ``tk`` is the 4x1 tile ``(tk, 0)``, so
-    ``tj`` runs over the operand's ``n // 4`` (16 wide) or one (a
-    segment) tile columns.
-    """
-    if b_patterns.shape[1:] == (16,):
-        tiles = b_patterns.astype(np.int64).reshape(-1, TILE, TILE)
-        return tiles, tile_row_counts(tiles)
-    if b_patterns.shape[1:] == (1,):
-        tiles = (b_patterns.astype(np.int64) >> _NIBBLES) & 0xF     # [p, tk]
-        return tiles[:, :, None], ((tiles[:, :, None, None] >> np.arange(TILE)) & 1)
-    raise SimulationError(
-        f"unsupported B operand shape {b_patterns.shape[1:]}"
-    )
+
+def b_count_words(b_patterns: np.ndarray) -> np.ndarray:
+    """``[U, k, j]`` uint32 row-count words (:func:`count_tables`) of B's
+    tiles; a vector segment's nibble ``k`` is the 4x1 tile ``(k, 0)``."""
+    if b_patterns.shape[1] == 1:
+        return _SEGMENT_WORDS[(b_patterns >> _NIBBLES) & 0xF][:, :, None]
+    if b_patterns.shape[1] != 16:
+        raise SimulationError(f"unsupported B operand shape {b_patterns.shape[1:]}")
+    return count_tables()[1][b_patterns].reshape(-1, TILE, TILE)
 
 
 def util_bins(eff: np.ndarray, macs: int) -> np.ndarray:
     """Fig. 5 utilisation bin of integer per-cycle product counts.
 
     :meth:`~repro.arch.tasks.UtilHistogram.record` of ``eff / macs`` in
-    integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``, which
-    is ``min(max(4 * eff - 1, 0) // macs, 3)`` for ``eff >= 0``.  The
-    two agree because the MAC budgets (64/128/256) are powers of two, so
-    the float quotient ``eff / macs`` is exact too.
+    integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``, the
+    number of the quarter marks ``k * macs / 4`` (k = 1, 2, 3) that
+    ``eff`` exceeds.  The two agree because the MAC budgets (64/128/256)
+    are powers of two, so the float quotient ``eff / macs`` is exact too.
     """
-    return np.minimum(np.maximum(4 * eff - 1, 0) // macs, 3)
+    return np.searchsorted(_QUARTERS * macs, eff)
 
 
 def histogram_rows(bins: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -120,6 +128,43 @@ def histogram_rows(bins: np.ndarray, weight: np.ndarray) -> np.ndarray:
     index = (np.arange(count)[:, None] * 4 + bins.reshape(count, -1)).ravel()
     hist = np.bincount(index, weights=weight.reshape(-1), minlength=4 * count)
     return hist.astype(np.int64).reshape(count, 4)
+
+
+#: Bit offsets of a cycle word's fields (:func:`cycle_words`): one count
+#: in its utilisation bin's 12-bit field, its products from bit 48.
+_BIN_FIELDS = np.arange(0, 48, 12, dtype=np.uint64)
+_PRODUCTS = np.uint64(48)
+
+
+@lru_cache(maxsize=None)
+def cycle_words(macs: int, most: int) -> np.ndarray:
+    """``[most + 2]`` uint64, read-only: one word per cycle code.
+
+    Code 0 is no cycle; code ``1 + eff`` is one cycle of ``eff``
+    products, counted in its :func:`util_bins` bin's field, with
+    ``eff`` in the products field.  Summed over a block's cycles (at
+    most 4095, with at most 65535 products) no field carries, so
+    :func:`cycle_totals` reads the block's histogram and products off
+    the sum.
+    """
+    eff = np.arange(most + 1)
+    words = np.zeros(most + 2, dtype=np.uint64)
+    words[1:] = ((np.uint64(1) << _BIN_FIELDS[util_bins(eff, macs)])
+                 | eff.astype(np.uint64) << _PRODUCTS)
+    words.setflags(write=False)
+    return words
+
+
+def cycle_totals(words: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(cycles, steps, products, hist)`` of blocks' summed :func:`cycle_words`.
+
+    ``steps`` counts the cycles the words name; a block with none
+    retires in one cycle of metadata processing, in bin 0.
+    """
+    hist = ((words[:, None] >> _BIN_FIELDS) & np.uint64(0xFFF)).view(np.int64)
+    steps = hist.sum(axis=1)
+    hist[:, 0] += steps == 0
+    return np.maximum(steps, 1), steps, (words >> _PRODUCTS).view(np.int64), hist
 
 
 def result_rows(

@@ -15,12 +15,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.arch.batch import decode_a_operands, decode_b_operands
+from repro.arch.batch import b_count_words, count_tables
 from repro.arch.config import UniSTCConfig
 from repro.arch.dpg import DotProductGenerator
 from repro.arch.sdpu import SegmentedDotProductUnit
 from repro.arch.tasks import T1Task
-from repro.arch.tms import TileMultiplyScheduler, tile_products_batch
+from repro.arch.tms import TileMultiplyScheduler
+
+
+_NIBBLES = np.arange(0, 16, 4, dtype=np.uint16)
 
 
 @dataclass
@@ -102,11 +105,14 @@ def trace_block(task: T1Task, config: Optional[UniSTCConfig] = None,
     wake-up stalls are not traced.
     """
     cfg = config or UniSTCConfig()
-    # The block is a one-entry batch to the tile decoders.
-    a_tiles, a_cols = decode_a_operands(np.frombuffer(task.a_bits, dtype="<u2")[None])
-    b_tiles, b_rows = decode_b_operands(np.frombuffer(task.b_bits, dtype="<u2")[None])
-    products = tile_products_batch(a_cols, b_rows)[0]   # [k, i, j]
-    n_cols = b_tiles.shape[2]
+    a_tiles = np.frombuffer(task.a_bits, dtype="<u2").reshape(4, 4)
+    b = np.frombuffer(task.b_bits, dtype="<u2")
+    # A segment's nibble k is its tile (k, 0).
+    b_tiles = b.reshape(4, 4) if b.size > 1 else ((b >> _NIBBLES) & 0xF)[:, None]
+    # Byte 3 of a column-count word times a row-count word: the tile pair's products.
+    products = ((count_tables()[0][a_tiles].T[:, :, None] * b_count_words(b[None])[0][:, None])
+                >> 24).astype(np.int64)                        # [k, i, j]
+    n_cols = b_tiles.shape[1]
     trace = BlockTrace(macs=cfg.macs)
     if not products.any():
         trace.cycles.append(TracedCycle(index=0))
@@ -119,7 +125,7 @@ def trace_block(task: T1Task, config: Optional[UniSTCConfig] = None,
         cyc = TracedCycle(index=index, conflict=record.conflict)
         segments: List[int] = []
         for slot, t3 in enumerate(record.dispatched):
-            out = dpg.decompose(int(a_tiles[0, t3.i, t3.k]), int(b_tiles[0, t3.k, t3.j]),
+            out = dpg.decompose(int(a_tiles[t3.i, t3.k]), int(b_tiles[t3.k, t3.j]),
                                 n_cols)
             traced = TracedDispatch(dpg=slot, i=t3.i, j=t3.j, k=t3.k, products=t3.products)
             for t4 in out.t4_tasks:

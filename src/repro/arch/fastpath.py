@@ -6,9 +6,9 @@ engine's warm-path memoisation.  Per batch it
 
 1. decodes each distinct packed pattern once
    (:func:`~repro.arch.batch.evaluate_packed`): its tiles' column / row
-   counts packed into bytes (:func:`_count_tables`), the per-column
-   counts and row-mask unions the DPG totals read, and its nonzero
-   tiles;
+   counts packed into bytes (:func:`~repro.arch.batch.count_tables`),
+   the per-column counts and row-mask unions the DPG totals read, and
+   its nonzero tiles;
 2. multiplies the packed counts into every block's T3 product counts,
    laid out in the ordering's walk, and lists the tasks in dispatch
    order, each with one bitmask of its A, B and output tiles
@@ -45,13 +45,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.arch.batch import evaluate_packed, result_rows, util_bins
+from repro.arch.batch import (b_count_words, count_tables, evaluate_packed, result_rows,
+                              util_bins)
 from repro.errors import SimulationError
-from repro.formats.bbc import pattern_row_masks, tile_col_counts, tile_row_counts
+from repro.formats.bbc import pattern_row_masks, tile_col_counts
 from repro.formats.bitarray import popcount16
 
-#: Bit offsets of the four byte lanes of a packed count word.
-_BYTES = 8 * np.arange(4, dtype=np.int64)
 #: Bit offsets of the four row nibbles of a 4x4 tile bitmap.
 _NIBBLES = np.arange(0, 16, 4, dtype=np.uint16)
 #: Offset of K tile ``k``'s subsets in a B pattern's ``[k, s]`` table.
@@ -62,62 +61,53 @@ _FIELD = 21
 
 
 @lru_cache(maxsize=None)
-def _count_tables() -> Tuple[np.ndarray, np.ndarray]:
-    """Packed per-line counts of every 4x4 tile bitmap (512 KiB), built on first use.
+def _line_tables() -> Tuple[np.ndarray, np.ndarray]:
+    """Per-line fields of :func:`_dpg_totals` (2.5 MiB), built on first use.
 
-    ``cols[t]`` (uint32) holds the nonzero count of column ``kk`` of
-    tile ``t`` in byte ``kk``, ``rows[t]`` that of row ``kk`` in byte
-    ``3 - kk``.  Byte 3 of ``cols[a] * rows[b]`` is then the product
-    count ``sum_kk |A col kk| * |B row kk|`` of the T3 task multiplying
-    A tile ``a`` by B tile ``b``: each byte of the product sums at most
-    four terms of at most 16, so no byte carries into the next.
+    ``cols[t, kk]`` (uint64) holds the nonzero count of column ``kk`` of
+    4x4 tile bitmap ``t``, plus one at bit ``_FIELD`` if it has any, so
+    a block column's field is the sum over its tile rows; ``rows[r]``
+    holds the popcount of 16-bit row mask ``r``, plus its live column
+    pairs from bit ``2 _FIELD``.
     """
-    tiles = np.arange(1 << 16, dtype=np.int64)
-    tables = ((tile_col_counts(tiles) << _BYTES).sum(axis=1).astype("<u4"),
-              (tile_row_counts(tiles) << _BYTES[::-1]).sum(axis=1).astype("<u4"))
+    masks = np.arange(1 << 16)
+    counts = tile_col_counts(masks).astype(np.uint64)
+    pop = popcount16()
+    tables = (counts | (counts != 0).astype(np.uint64) << np.uint64(_FIELD),
+              pop[masks].astype(np.uint64)
+              | pop[(masks | masks >> 1) & 0x5555].astype(np.uint64) << np.uint64(2 * _FIELD))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
 def _decode_a(a_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """A's packed tile column counts ``[U, i, k]``, its rows' nibbles
-    ``[U, k, r]`` (row ``r``'s columns ``4k..4k+3``, plus ``16 k``),
-    each column's count and live tile rows packed ``[U, 16]`` and its
-    nonzero tiles."""
-    words = _count_tables()[0][a_patterns]
-    counts = words.view(np.uint8).reshape(-1, 4, 4, 4)                  # [U, i, k, kk]
-    lines = (counts.sum(axis=1, dtype=np.uint64)
-             | (counts != 0).sum(axis=1, dtype=np.uint64) << np.uint64(_FIELD))
+    """A's packed tile column counts ``[U, i, k]`` (uint32), its rows'
+    nibbles ``[U, k, r]`` (row ``r``'s columns ``4k..4k+3``, plus ``16
+    k``), each column's count and live tile rows packed ``[U, 16]`` and
+    its nonzero tiles."""
+    lines = _line_tables()[0][a_patterns].reshape(-1, 4, 16).sum(axis=1)  # [U, 4k + kk]
     slots = np.right_shift(a_patterns.reshape(-1, 4, 4).transpose(0, 2, 1)[..., None],
                            _NIBBLES, order="C")                        # [U, k, i, m]
     slots &= 0xF
     slots += _SLOT_BASE
-    return (words.astype(np.int64).reshape(-1, 4, 4), slots.reshape(-1, 4, 16),
-            lines.reshape(-1, 16), np.count_nonzero(a_patterns, axis=1))
+    return (count_tables()[0][a_patterns].reshape(-1, 4, 4), slots.reshape(-1, 4, 16),
+            lines, (a_patterns != 0).sum(axis=1))
 
 
 def _decode_b(b_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """B's packed tile row counts ``[U, k, j]``, the OR of its rows ``4k
-    + kk`` over every set ``s`` of ``kk`` ``[U, k, s]``, each row's
-    count and live column pairs packed ``[U, 16]`` and its nonzero
-    tiles.  A vector segment's nibble ``k`` is the 4x1 tile ``(k, 0)``."""
+    """B's packed tile row counts ``[U, k, j]`` (uint32,
+    :func:`~repro.arch.batch.b_count_words`), the OR of its rows ``4k +
+    kk`` over every set ``s`` of ``kk`` ``[U, k, s]``, each row's count
+    and live column pairs packed ``[U, 16]`` and its nonzero tiles."""
     rows = pattern_row_masks(b_patterns)
-    lanes = rows.reshape(-1, 4, 4)                                       # [U, k, kk]
-    if b_patterns.shape[1] == 1:
-        packed = (lanes << _BYTES[::-1]).sum(axis=2)[:, :, None]
-        live = np.count_nonzero(lanes.any(axis=2), axis=1)
-    else:
-        packed = _count_tables()[1][b_patterns].astype(np.int64).reshape(-1, 4, 4)
-        live = np.count_nonzero(b_patterns, axis=1)
+    packed = b_count_words(b_patterns)
     # Subset-major, by doubling: set s + 2^kk (s < 2^kk) is set s ORed with row kk.
     subsets = np.zeros((16, rows.size // 4), dtype=np.uint16)
-    for kk, row in enumerate(lanes.reshape(-1, 4).T):
+    for kk, row in enumerate(rows.reshape(-1, 4).T):
         np.bitwise_or(subsets[:1 << kk], row, out=subsets[1 << kk:2 << kk])
-    pop = popcount16()
-    lines = (pop[rows]
-             | pop[(rows | rows >> 1) & 0x5555].astype(np.uint64) << np.uint64(2 * _FIELD))
-    return packed, subsets.T.reshape(-1, 4, 16), lines, live
+    return (packed, subsets.T.reshape(-1, 4, 16), _line_tables()[1][rows],
+            (packed != 0).sum(axis=(1, 2)))
 
 
 def _dpg_totals(a_lines, a_slots, b_lines, b_subsets) -> Tuple[np.ndarray, ...]:
@@ -189,8 +179,9 @@ def _dispatch_tasks(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(block, products, tile bits)`` of every T3 task, in TMS dispatch order.
 
-    A block's ``[i, k, j]`` products are byte 3 of ``a_packed[i, k] *
-    b_packed[k, j]`` (:func:`_count_tables`), computed in the ordering's
+    A block's ``[i, k, j]`` products are byte 3 of the uint32 product
+    ``a_packed[i, k] * b_packed[k, j]``
+    (:func:`~repro.arch.batch.count_tables`), computed in the ordering's
     walk; a task is a nonzero cell, and the walk is C order: outer is
     ``(block, k, i, j)``, with the adaptive switch transposing every
     layer holding more live rows than live columns to ``(j, i)`` (a
@@ -203,7 +194,6 @@ def _dispatch_tasks(
     cube = np.multiply(a_packed[:, :, :, None].transpose(axes),
                        b_packed[:, None, :, :].transpose(axes), order="C")
     cube >>= 24
-    cube &= 0xFF
     cells = cube[0].size
     flip = None
     if ordering == "outer" and adaptive and cube.shape[3] > 1:
@@ -241,6 +231,7 @@ def _dispatch_conflicted(
     """
     order: List[int] = []
     starts: List[int] = []
+    take, mark = order.append, starts.append
     hi = 0
     for total in lens:
         lo, hi = hi, hi + total
@@ -249,13 +240,15 @@ def _dispatch_conflicted(
         # deque needed, and the 16 possible output tiles fit one int
         # as a "used" bitmask.
         pending = list(range(hi - 1, lo - 1, -1))
+        front = pending.pop
         while pending:
-            starts.append(len(order))
+            mark(len(order))
             chosen = used = products = 0
             skipped: List[int] = []
-            while pending and chosen < num_dpgs:
-                t = pending.pop()
-                if products + p[t] > macs:
+            while pending:
+                t = front()
+                fill = products + p[t]
+                if fill > macs:
                     pending.append(t)
                     break
                 bit = bits[t]
@@ -264,20 +257,18 @@ def _dispatch_conflicted(
                     if len(skipped) >= num_dpgs:
                         break
                     continue
-                order.append(t)
+                take(t)
                 used |= bit
+                products = fill
                 chosen += 1
-                products += p[t]
-            pending.extend(reversed(skipped))
+                if chosen == num_dpgs:
+                    break
+            if skipped:
+                skipped.reverse()
+                pending += skipped
             if not chosen:
                 raise SimulationError("dispatch made no progress; scheduler bug")
     return order, starts
-
-
-def _stream_positions(offsets: np.ndarray, blocks: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Flat positions of the tasks of ``blocks`` (``lens`` each), back to back."""
-    ends = np.cumsum(lens)
-    return np.repeat(offsets[blocks] - (ends - lens), lens) + np.arange(int(ends[-1]))
 
 
 def _pack_lockstep(p: np.ndarray, lens: np.ndarray, num_dpgs: int, macs: int) -> np.ndarray:
@@ -365,12 +356,12 @@ def _evaluate_group(stc, a_packed, a_slots, a_lines, a_live,
         if clash.any():
             conflicted = np.zeros(count, dtype=bool)
             conflicted[block[starts[clash]]] = True
-            replay = np.flatnonzero(conflicted)
-            lens = tasks[replay]
-            task_pos = _stream_positions(np.cumsum(tasks) - tasks, replay, lens)
+            # A block's tasks are contiguous, so these are the conflicted
+            # blocks' streams back to back.
+            task_pos = np.flatnonzero(conflicted[block])
             order, cycle_starts = _dispatch_conflicted(
                 pp[task_pos].tolist(), (bits[task_pos] >> 32).tolist(),
-                lens.tolist(), nd, macs)
+                tasks[conflicted].tolist(), nd, macs)
             moved = task_pos[order]
             pp[task_pos], bits[task_pos] = pp[moved], bits[moved]
             first[task_pos] = False

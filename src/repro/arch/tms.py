@@ -30,21 +30,6 @@ from repro.errors import SimulationError
 ORDERINGS = ("outer", "dot", "rowrow")
 
 
-def tile_products_batch(a_col_counts: np.ndarray, b_row_counts: np.ndarray) -> np.ndarray:
-    """Intermediate-product counts of every T3 task of a batch of T1 blocks.
-
-    ``a_col_counts[p, i, k, kk]`` is the nonzero count of column ``kk``
-    inside block ``p``'s A tile ``(i, k)``; ``b_row_counts[p, k, j, kk]``
-    likewise for rows of its B tile ``(k, j)``
-    (:func:`~repro.arch.batch.decode_a_operands` /
-    :func:`~repro.arch.batch.decode_b_operands`).  The result
-    ``prod[p, k, i, j]`` is ``sum_kk a_col_counts[p, i, k, kk] *
-    b_row_counts[p, k, j, kk]`` — the exact multiply count of
-    ``C_tile(i,j) += A_tile(i,k) x B_tile(k,j)`` — in one batched matmul.
-    """
-    return a_col_counts.transpose(0, 2, 1, 3) @ b_row_counts.transpose(0, 1, 3, 2)
-
-
 @dataclass
 class CycleRecord:
     """One dispatch cycle: what ran and whether arbitration stalled."""

@@ -13,66 +13,61 @@ stays uniform, not for the energy figures.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.arch.base import STCModel
-from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
+from repro.arch.batch import evaluate_packed, histogram_rows, util_bins
 from repro.arch.config import FP64, Precision
-from repro.baselines.common import col_masks, row_masks, t3_shape
-from repro.formats.bitarray import popcount16
+from repro.baselines.common import (BaselineSTC, CELLS, layer_cells, layer_table, row_counts,
+                                    sum_layers, t3_shape)
 
 
-class Gamma(STCModel):
+class Gamma(BaselineSTC):
     """GAMMA Gustavson dataflow model."""
 
+    name, key = "gamma", "gamma"
+
     def __init__(self, precision: Precision = FP64):
-        self.precision = precision
+        super().__init__(precision)
         self.chunk_cols = t3_shape("gamma", {64: 4, 128: 8}, precision)
-        self.name = "gamma"
-
-    @property
-    def macs(self) -> int:
-        return self.precision.macs
-
-    def cache_key(self) -> str:
-        return f"gamma:{self.precision.name}"
 
     def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation over per-K counts.
 
         Layer ``k`` pairs the popcounts of A's column ``k`` and B's row
-        ``k``.  A live layer runs its full B chunks plus at most one
-        partial one, each cycle multiplying the layer's A column into
-        its chunk of B row ``k``, so its cycles fall into two product
-        classes.
+        ``k``, so a block's row is the sum of its 16 layers' rows
+        (:func:`_layer_table`, :func:`~repro.baselines.common.sum_layers`).
         """
-        return evaluate_packed(batch, col_masks, row_masks, self._evaluate)
+        table = _layer_table(self.chunk_cols, self.macs)
+        return evaluate_packed(batch, layer_cells, row_counts,
+                               lambda a_cells, b_counts: sum_layers(a_cells, b_counts, table))
 
-    def _evaluate(self, a_cols: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-        cc = self.chunk_cols
-        na = popcount16()[a_cols].astype(np.int64)               # [N, k]
-        nb = popcount16()[b_rows].astype(np.int64) * (na > 0)    # [N, k]
-        live = nb > 0
-        na_live = na * live
-        products = (na * nb).sum(axis=1)
-        eff = np.stack([na * cc, na * (nb % cc)], axis=1)
-        count = np.stack([nb // cc, nb % cc > 0], axis=1)
-        hist = histogram_rows(util_bins(eff, self.macs), count)
-        steps = count.sum(axis=(1, 2))
-        cycles = np.maximum(steps, 1)
-        hist[:, 0] += steps == 0
 
-        a_reads, b_reads = na_live.sum(axis=1), nb.sum(axis=1)
-        return result_rows(cycles, products, hist, {
-            "meta_reads": 2 * live.sum(axis=1),
-            "a_elem_reads": a_reads,
-            "a_net_transfers": a_reads,
-            "b_elem_reads": b_reads,
-            "b_net_transfers": b_reads,
-            "mac_ops": products,
-            "c_elem_writes": products,
-            "c_net_transfers": products,
-            "accum_accesses": products,
-            "lane_cycles": self.macs * cycles,
-            "sched_cycles": cycles,
-        })
+@lru_cache(maxsize=None)
+def _layer_table(cc: int, macs: int) -> np.ndarray:
+    """One K layer's row per ``(|A col k|, |B row k|)`` cell.
+
+    A live layer runs its full B chunks plus at most one partial one,
+    each cycle multiplying the layer's A column into its chunk of B row
+    ``k``, so its cycles fall into two product classes.
+    """
+    na, nb = np.divmod(np.arange(CELLS)[:, None], 17)           # [cell, one layer]
+    nb = nb * (na > 0)
+    live = nb > 0
+    products = (na * nb).sum(axis=1)
+    eff = np.stack([na * cc, na * (nb % cc)], axis=1)
+    count = np.stack([nb // cc, nb % cc > 0], axis=1)
+    a_reads, b_reads = (na * live).sum(axis=1), nb.sum(axis=1)
+    return layer_table(count.sum(axis=(1, 2)), products,
+                       histogram_rows(util_bins(eff, macs), count), {
+                           "meta_reads": 2 * live.sum(axis=1),
+                           "a_elem_reads": a_reads,
+                           "a_net_transfers": a_reads,
+                           "b_elem_reads": b_reads,
+                           "b_net_transfers": b_reads,
+                           "mac_ops": products,
+                           "c_elem_writes": products,
+                           "c_net_transfers": products,
+                           "accum_accesses": products,
+                       }, macs)

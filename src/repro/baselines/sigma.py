@@ -11,68 +11,92 @@ stated reason Uni-STC beats it (§VI-C.1).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.arch.base import STCModel
-from repro.arch.batch import evaluate_packed, histogram_rows, result_rows, util_bins
+from repro.arch.batch import cycle_totals, cycle_words, evaluate_packed, result_rows
 from repro.arch.config import FP64, Precision
-from repro.baselines.common import ceil_div, col_masks, row_masks, t3_shape
+from repro.baselines.common import BaselineSTC, ceil_div, t3_shape
+from repro.formats.bbc import pattern_col_masks, pattern_row_masks
 from repro.formats.bitarray import popcount16
 
+_COLS = np.arange(16, dtype=np.int64) << 16
+@lru_cache(maxsize=None)
+def _match_weights() -> np.ndarray:
+    """``[65536]`` float32, read-only: ``popcount(x) + 256 * (x != 0)``,
+    a row/column meeting's products plus 256 per matched column."""
+    pop = popcount16().astype(np.float32)
+    table = pop + 256 * (pop > 0)
+    table.setflags(write=False)
+    return table
 
-class Sigma(STCModel):
+
+@lru_cache(maxsize=None)
+def _group_matrix(n: int, chunk: int) -> np.ndarray:
+    """``[n, groups]`` float32 0/1, read-only: column rank ``j`` is in group ``j // chunk``."""
+    matrix = (np.arange(n)[:, None] // chunk == np.arange(ceil_div(n, chunk))).astype(np.float32)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _decode_a(a_patterns: np.ndarray):
+    """Each A block's row masks, its nonzeros and its nonzero rows."""
+    rows = pattern_row_masks(a_patterns)
+    return rows, popcount16()[a_patterns].sum(axis=1, dtype=np.int64), (rows != 0).sum(axis=1)
+
+
+class Sigma(BaselineSTC):
     """SIGMA flexible-dataflow model."""
 
+    name, key = "sigma", "sigma"
+
     def __init__(self, precision: Precision = FP64):
-        self.precision = precision
+        super().__init__(precision)
         self.chunk_cols = t3_shape("sigma", {64: 4, 128: 8}, precision)
-        self.name = "sigma"
-
-    @property
-    def macs(self) -> int:
-        return self.precision.macs
-
-    def cache_key(self) -> str:
-        return f"sigma:{self.precision.name}"
 
     def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation over row / column masks.
 
         A row meets a B column in ``popcount(A row & B column)``
         products.  Column groups chunk each block's *live* B columns by
-        their rank among them; a (row, group) pair with products is one
-        cycle, which reads the group's whole B columns (dense delivery)
-        and writes one C element per matched column.
+        their rank among them, so each B operand's live columns move to
+        the front, in order, when it is decoded; a (row, group) pair
+        with products is one cycle, which reads the group's whole B
+        columns (dense delivery) and writes one C element per matched
+        column.  One float32 product (exact: every sum is below 2^12)
+        sums each pair's products and 256 per matched column, and the
+        pairs with products sum as
+        :func:`~repro.arch.batch.cycle_words` words.
         """
-        return evaluate_packed(batch, row_masks, col_masks, self._evaluate)
+        return evaluate_packed(batch, _decode_a, self._decode_b, self._evaluate)
 
-    def _evaluate(self, a_rows: np.ndarray, b_cols: np.ndarray) -> np.ndarray:
-        pop = popcount16()
+    def _decode_b(self, b_patterns: np.ndarray):
+        """Each B operand's live column masks first, in order, the nonzeros
+        of each column group, and whether it has any."""
+        cols = pattern_col_masks(b_patterns)
+        n = cols.shape[1]
+        if n > 1:
+            # Sorted on (dead, column) above the mask bits.
+            key = (cols == 0) << 20 | _COLS | cols
+            cols = (np.sort(key, axis=1) & 0xFFFF).astype(np.uint16)
+        nnz = popcount16()[cols].reshape(-1, ceil_div(n, self.chunk_cols), min(n, self.chunk_cols))
+        return cols, nnz.sum(axis=2, dtype=np.int64), cols[:, 0] != 0
+
+    def _evaluate(self, a_rows, a_nnz, a_live_rows, b_cols, group_b, b_live) -> np.ndarray:
         count, n = b_cols.shape
-        groups = ceil_div(n, self.chunk_cols)
-        col_nnz = pop[b_cols].astype(np.int64)                   # [N, j]
-        live = col_nnz > 0
-        group = (np.cumsum(live, axis=1) - 1) // self.chunk_cols
-        select = live[:, :, None] & (group[:, :, None] == np.arange(groups))
-        select32 = select.astype(np.float32)                     # [N, j, g]
-        match = pop[a_rows[:, :, None] & b_cols[:, None, :]]     # [N, i, j]
-        # float32 matmuls: every sum here is exact (<= 16 * 16).
-        eff = (match.astype(np.float32) @ select32).astype(np.int64)  # [N, i, g]
-        writes = ((match > 0).astype(np.float32) @ select32).astype(np.int64)
-        group_b = (col_nnz[:, None, :] @ select).reshape(count, groups)
-        run = eff > 0
-        steps = run.sum(axis=(1, 2))
-        products = eff.sum(axis=(1, 2))
-        hist = histogram_rows(util_bins(eff, self.macs), run)
-        cycles = np.maximum(steps, 1)
-        hist[:, 0] += steps == 0
-        row_nnz = pop[a_rows].astype(np.int64) * live.any(axis=1)[:, None]
-
-        a_reads = row_nnz.sum(axis=1)
-        b_reads = (run * group_b[:, None, :]).sum(axis=(1, 2))
-        c_writes = writes.sum(axis=(1, 2))
+        match = _match_weights()[a_rows[:, :, None] & b_cols[:, None, :]]           # [N, i, j]
+        groups = _group_matrix(n, self.chunk_cols)
+        pairs = (match.reshape(-1, n) @ groups).astype(np.int64).reshape(count, 16, -1)
+        eff = pairs & 0xFF                                                          # [N, i, g]
+        cycles, _, products, hist = cycle_totals(
+            cycle_words(self.macs, 16 * self.chunk_cols)[(eff + 1) * (eff > 0)].sum(axis=(1, 2)))
+        c_writes = (pairs >> 8).sum(axis=(1, 2))
+        runs = (eff > 0).sum(axis=1)                                                # [N, g]
+        b_reads = (runs * group_b).sum(axis=1)
+        a_reads = a_nnz * b_live
         return result_rows(cycles, products, hist, {
-            "meta_reads": (row_nnz > 0).sum(axis=1),
+            "meta_reads": a_live_rows * b_live,
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,
             "mac_ops": products,

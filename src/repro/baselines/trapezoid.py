@@ -22,19 +22,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.base import STCModel
 from repro.arch.batch import evaluate_packed, histogram_rows, result_rows
 from repro.arch.config import FP64, Precision
-from repro.baselines.common import row_masks, scalar_pairs
+from repro.baselines.common import BaselineSTC, row_masks, scalar_pairs
 from repro.errors import ConfigError
 from repro.formats.bitarray import popcount16
 
 #: Row lanes in the array (the shared M = 16 of all three modes).
 ROW_LANES = 16
+_ROWS = np.arange(ROW_LANES)
+_QUARTERS = np.array([0.25, 0.5, 0.75])
 
 
-class Trapezoid(STCModel):
+class Trapezoid(BaselineSTC):
     """Trapezoid grouped row-lane model (best mode per task)."""
+
+    name, key = "trapezoid", "trapezoid"
 
     def __init__(self, precision: Precision = FP64):
         if precision.macs <= 0 or precision.macs % ROW_LANES:
@@ -42,17 +45,9 @@ class Trapezoid(STCModel):
                 f"trapezoid needs a MAC budget divisible into {ROW_LANES} "
                 f"row lanes, got {precision.macs} MACs at {precision.name}"
             )
-        self.precision = precision
+        super().__init__(precision)
         self.lane_macs = precision.macs // ROW_LANES
         self.k_per_step = 2  # TrIP/TrGS process K pairs inside a lane
-        self.name = "trapezoid"
-
-    @property
-    def macs(self) -> int:
-        return self.precision.macs
-
-    def cache_key(self) -> str:
-        return f"trapezoid:{self.precision.name}"
 
     def simulate_blocks(self, batch) -> np.ndarray:
         """Array evaluation over row masks.
@@ -62,38 +57,49 @@ class Trapezoid(STCModel):
         ``max(ceil(work / lane MACs), slots)`` cycles and the block
         finishes with its slowest row.  A cycle's utilisation is a
         float sum of ``work / row_cycles`` over the rows still running,
-        added in row order: 16 masked row-by-row adds over ``[N,
-        cycles]`` keep that order, so every bin edge falls exactly where
-        the per-row sum puts it.
+        added in row order, and it changes only where a row ends: it is
+        taken once per row's last cycle, as a masked ``[row, row end,
+        N]`` sum over the outer row axis (which keeps that order, so
+        every bin edge falls exactly where the per-row sum puts it), and
+        weighted by the cycles it lasts.
         """
         return evaluate_packed(batch, row_masks, row_masks, self._evaluate)
 
     def _evaluate(self, a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
         pop = popcount16()
         count = len(a_rows)
-        first, second = scalar_pairs(a_rows, b_rows)             # [N, i, p]
-        live = pop[first | second].astype(np.int64)
-        # Every nonzero of a pair's merged rows sits in a live column.
-        work = (pop[first].astype(np.int64) + pop[second]).sum(axis=2)  # [N, i]
-        slots = (-(-(live * self.k_per_step) // self.lane_macs)).sum(axis=2)
-        row_cycles = np.where(
-            slots > 0, np.maximum(-(-work // self.lane_macs), slots), 0
-        )
+        first, second = scalar_pairs(a_rows, b_rows)             # [p, N, i]
+        live = pop[first | second]
+        # Every nonzero of a pair's merged rows sits in a live column, so
+        # a row without slots has no work and runs no cycle.
+        work = (pop[first] + pop[second]).sum(axis=0, dtype=np.int64)   # [N, i]
+        slots = ((live * self.k_per_step + self.lane_macs - 1) // self.lane_macs).sum(
+            axis=0, dtype=np.int64)
+        row_cycles = np.maximum(-(-work // self.lane_macs), slots)
         steps = row_cycles.max(axis=1)
         cycles = np.maximum(steps, 1)
 
-        span = np.arange(int(cycles.max()))
-        rate = work / np.maximum(row_cycles, 1)
-        eff = np.zeros((count, span.size))
-        for i in range(16):
-            eff += np.where(span < row_cycles[:, i : i + 1], rate[:, i : i + 1], 0.0)
-        util = np.minimum(1.0, eff / self.macs)
-        bins = np.clip(np.ceil(util * 4).astype(np.int64) - 1, 0, 3)
-        hist = histogram_rows(bins, span < cycles[:, None])
+        # Row i runs in row j's last cycle iff row_cycles[i] >= row_cycles[j],
+        # so the utilisation in that cycle sums the rates of those rows.
+        # The sum runs over the outer axis of [i, j, N], which adds row by
+        # row in row order; one over a contiguous innermost axis would be
+        # pairwise and move some bin edges.
+        by_row = np.ascontiguousarray(row_cycles.T)                    # [i, N]
+        rate = (work.T / np.maximum(by_row, 1))[:, None, :]
+        eff = ((by_row[:, None, :] >= by_row) * rate).sum(axis=0).T    # [N, j]
+        # UtilHistogram's bin of min(1, eff / macs): the quarter marks it exceeds.
+        bins = np.searchsorted(_QUARTERS, eff / self.macs)
+        # Each row end weighs the cycles since the previous one in
+        # (row_cycles, row) order, so equal rows count their cycles once.
+        key = np.sort(16 * row_cycles + _ROWS, axis=1)
+        ends = key >> 4
+        ends[:, 1:] -= key[:, :-1] >> 4
+        hist = histogram_rows(bins.reshape(-1)[16 * np.arange(count)[:, None] + (key & 15)], ends)
+        hist[:, 0] += steps == 0
 
         products = work.sum(axis=1)
         a_reads = pop[a_rows].sum(axis=1, dtype=np.int64)
-        c_writes = live.sum(axis=(1, 2))
+        c_writes = live.sum(axis=(0, 2), dtype=np.int64)
         return result_rows(cycles, products, hist, {
             "a_elem_reads": a_reads,
             "a_net_transfers": a_reads,

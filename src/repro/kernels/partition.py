@@ -2,10 +2,9 @@
 
 The paper's `warpRow`/`warpIndex`/`warpRowId` arrays assign each warp
 a contiguous range of block rows with roughly equal work.  These two
-helpers implement that static scheme over BBC block rows; they are
-shared by the warp-level software model (:mod:`repro.arch.warp`) and
-the multi-core simulator (:mod:`repro.sim.parallel`), and live in the
-kernels layer so neither has to import the other.
+helpers implement that static scheme over BBC block rows for the
+multi-core simulator (:mod:`repro.sim.parallel`) and the test suite's
+warp-level software model (``tests/warp.py``).
 """
 
 from __future__ import annotations

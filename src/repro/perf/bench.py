@@ -317,7 +317,8 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
       without/with a per-case envelope;
     - ``per_emit_us`` — one envelope's cost measured directly over a
       few thousand calls, each after the registry writes of the
-      sweep's last case (its report folded in, as the engine does);
+      sweep's last case (its report folded in, as the engine does),
+      as the median of short interleaved rounds against folds alone;
     - ``estimated_overhead_pct`` — emissions per sweep x per-emit cost
       as a percentage of the baseline wall time.  Like the obs
       section's dormant-span figure, the budget (<2%, asserted by the
@@ -352,19 +353,23 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
     # Direct per-emit cost: before each envelope the registry takes
     # what a warm case writes into it (its report folded in, no series),
     # so every call encodes a real case's envelope.  The fold itself is
-    # baseline registry work, not emission, so its separately measured
-    # cost is subtracted back out.
-    n_emits = 5_000
-    t0 = time.perf_counter()
-    for _ in range(n_emits):
-        registry.fold_run(*run)
-        writer.envelope()
-    emit_loop_s = (time.perf_counter() - t0) / n_emits
-    t0 = time.perf_counter()
-    for _ in range(n_emits):
-        registry.fold_run(*run)
-    fold_s = (time.perf_counter() - t0) / n_emits
-    per_emit_s = max(0.0, emit_loop_s - fold_s)
+    # baseline registry work, not emission, so its cost, timed in a
+    # loop of folds alone, is subtracted back out.  The two loops run
+    # in short rounds, alternating which goes first, and the estimate
+    # is the median of the per-round differences: a burst of host load
+    # then moves a few rounds, not the estimate.
+    per_round, differences = 100, []
+    for index in range(50):
+        spent = [0.0, 0.0]
+        for emits in (True, False) if index % 2 == 0 else (False, True):
+            t0 = time.perf_counter()
+            for _ in range(per_round):
+                registry.fold_run(*run)
+                if emits:
+                    writer.envelope()
+            spent[emits] = time.perf_counter() - t0
+        differences.append((spent[True] - spent[False]) / per_round)
+    per_emit_s = max(0.0, float(np.median(differences)))
 
     if not was_enabled:
         obs.disable()

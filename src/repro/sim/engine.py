@@ -56,7 +56,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import replace
 from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -390,9 +389,10 @@ def _pooled_batch(parts, n: int, epoch: int) -> TaskBatch:
     epoch, so equal ids are equal patterns); nothing is re-interned.
     """
     if len(parts) == 1:
-        part = parts[0]
-        return replace(part.pairs.take(part.slots),
-                       weights=np.ones(len(part.slots), dtype=np.int64))
+        pairs, slots = parts[0].pairs, np.array(parts[0].slots)
+        return TaskBatch(pairs.a_patterns, pairs.b_patterns, pairs.a_index[slots],
+                         pairs.b_index[slots], np.ones(slots.size, dtype=np.int64), n,
+                         pairs.a_ids, pairs.b_ids, epoch)
     picks = [(part.pairs, np.array(part.slots)) for part in parts]
     a_patterns, a_ids, a_index = _distinct(
         [(pairs.a_patterns, pairs.a_ids, pairs.a_index[slots]) for pairs, slots in picks])

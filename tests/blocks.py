@@ -108,6 +108,14 @@ def simulate_blocks(stc, tasks, make_batch=task_batch) -> np.ndarray:
     return rows
 
 
+def simulate_cuts(stc, tasks, size: int) -> np.ndarray:
+    """``stc.simulate_blocks`` rows of ``tasks`` fed ``size`` tasks per
+    call, in task order, each cut shaped as the engine hands misses over
+    (:func:`engine_batch`): the sizes most cold calls have."""
+    return np.concatenate([simulate_blocks(stc, tasks[lo:lo + size], make_batch=engine_batch)
+                           for lo in range(0, len(tasks), size)])
+
+
 def kernel_tasks(limit_per_kernel: int = 80) -> list:
     """Distinct T1 tasks drawn from every kernel's real block stream."""
     rng = np.random.default_rng(7)

@@ -8,10 +8,10 @@ checked against: one function per model, stepping a single
 readable :class:`BlockResult`, and the scalar helpers only these walks
 use, each the oracle of its batched twin in ``src/``:
 
-- :func:`decode_a_operand` / :func:`decode_b_operand` of
-  :func:`~repro.arch.batch.decode_a_operands` /
-  :func:`~repro.arch.batch.decode_b_operands`;
-- :func:`tile_products` of :func:`~repro.arch.tms.tile_products_batch`;
+- :func:`decode_a_operand` / :func:`decode_b_operand` of the packed
+  count words (:func:`~repro.arch.batch.count_tables`,
+  :func:`~repro.arch.batch.b_count_words`);
+- :func:`tile_products` of byte 3 of their products;
 - :func:`dpg_stats` of the fastpath's table-driven DPG totals;
 - :func:`blocks_satisfy_2to4` of
   :func:`~repro.baselines.nv_dtc_sparse.patterns_satisfy_2to4`.

@@ -31,6 +31,7 @@ from tests.blocks import (
     handmade_tasks,
     kernel_tasks,
     simulate_blocks,
+    simulate_cuts,
 )
 from tests.conftest import stc_at
 from tests.stepped_models import stepped_block
@@ -54,6 +55,19 @@ def _structured_tasks(count: int = 60) -> list:
     a = np.zeros((16, 16), bool)
     a[:, 0::2] = True
     tasks.append(T1Task.from_bitmaps(a, np.ones((16, 16), bool)))
+    return tasks
+
+
+def _layer_tasks() -> list:
+    """The 289 single-K-layer blocks: ``|A col 0|`` and ``|B row 0|`` each
+    0..16 (the cells of DS-STC's and GAMMA's layer tables)."""
+    tasks = []
+    for na in range(17):
+        for nb in range(17):
+            a, b = np.zeros((16, 16), bool), np.zeros((16, 16), bool)
+            a[:na, 0] = True
+            b[0, :nb] = True
+            tasks.append(T1Task.from_bitmaps(a, b))
     return tasks
 
 
@@ -99,11 +113,16 @@ class TestBaselineParity:
         assert_results_equal(batch, stepped, f"{name}/{precision.name}")
 
     def test_edge_blocks_match_stepped(self, name, precision):
+        """One batch, then 8-block cuts and one-block calls: most cold
+        calls carry few blocks."""
         stc = stc_at(name, precision)
-        tasks = handmade_tasks() + _edge_tasks()
-        batch = simulate_blocks(stc, tasks)
+        tasks = handmade_tasks() + _edge_tasks() + _layer_tasks()
         stepped = [stepped_block(stc, t) for t in tasks]
-        assert_results_equal(batch, stepped, f"edge/{name}/{precision.name}")
+        assert_results_equal(simulate_blocks(stc, tasks), stepped,
+                             f"edge/{name}/{precision.name}")
+        for size in (8, 1):
+            assert_results_equal(simulate_cuts(stc, tasks, size), stepped,
+                                 f"edge/{name}/{precision.name}/cuts of {size}")
 
     def test_structured_blocks_match_stepped(self, name, precision):
         stc = stc_at(name, precision)

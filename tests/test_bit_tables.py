@@ -14,7 +14,8 @@ from typing import Tuple
 import numpy as np
 import pytest
 
-from repro.arch.fastpath import _cell_bits, _count_tables
+from repro.arch.batch import count_tables
+from repro.arch.fastpath import _cell_bits
 from repro.baselines.common import chunk_masks, scalar_pairs, select_table
 from repro.baselines.nv_dtc_sparse import patterns_satisfy_2to4
 from repro.formats.bbc import _lane_tables, pack_patterns, pattern_row_masks, unpack_patterns
@@ -85,7 +86,7 @@ def test_count_tables_every_tile():
     """Uni-STC's packed line counts of every tile, and byte 3 of their
     product against the per-line multiply count, for every A tile
     against sampled B tiles and every B tile against sampled A tiles."""
-    cols, rows = _count_tables()
+    cols, rows = count_tables()
     bits = (MASKS[:, None] >> np.arange(16)) & 1                     # bit 4 r + c
     grid = bits.reshape(-1, 4, 4)
     col_counts, row_counts = grid.sum(axis=1), grid.sum(axis=2)
@@ -99,14 +100,14 @@ def test_count_tables_every_tile():
 
 
 def test_tables_are_read_only_and_built_once():
-    tables = [popcount16(), select_table(), chunk_masks(4), *_lane_tables(), *_count_tables(),
+    tables = [popcount16(), select_table(), chunk_masks(4), *_lane_tables(), *count_tables(),
               _cell_bits("outer", 4)]
     for table in tables:
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0] = 0
     assert select_table() is select_table() and chunk_masks(4) is chunk_masks(4)
-    assert _count_tables() is _count_tables()
+    assert count_tables() is count_tables()
 
 
 def test_packed_2to4_every_tile_value():
@@ -129,8 +130,8 @@ def test_scalar_pairs_match_bool_stack_oracle(width, density):
     a = rng.random((300, 16, 16)) < density
     b = rng.random((300, 16, width)) < density
     a[0], b[1] = False, False                          # an empty A and B
-    first, second = scalar_pairs(pattern_row_masks(pack_patterns(a)),
-                                 pattern_row_masks(pack_patterns(b)))
+    first, second = (masks.transpose(1, 2, 0) for masks in scalar_pairs(
+        pattern_row_masks(pack_patterns(a)), pattern_row_masks(pack_patterns(b))))
     want_first, want_second = pair_row_masks(a, b)
     pairs = first.shape[2]
     assert pairs == (a.sum(axis=2).max() + 1) // 2

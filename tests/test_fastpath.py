@@ -25,7 +25,7 @@ from repro.arch.config import Precision, UniSTCConfig, parse_precision
 from repro.arch.dataflow_trace import trace_block
 from repro.arch.dpg import DotProductGenerator
 from repro.arch import fastpath
-from repro.arch.batch import decode_a_operands, decode_b_operands, util_bins
+from repro.arch.batch import b_count_words, count_tables, util_bins
 from repro.arch.fastpath import _decode_a, _decode_b, _dpg_totals, _pack_lockstep
 from repro.arch.tasks import T1Task
 from repro.arch.tms import TileMultiplyScheduler
@@ -42,6 +42,7 @@ from tests.blocks import (
     handmade_tasks,
     kernel_tasks,
     simulate_blocks,
+    simulate_cuts,
 )
 from tests.stepped_models import decode_a_operand, decode_b_operand, dpg_stats, stepped_block
 
@@ -98,12 +99,16 @@ class TestBatchedParity:
         assert_results_equal(batch, stepped, f"engine/{variant}")
 
     def test_handmade_blocks_match_stepped(self):
+        """One batch, then 8-block cuts and one-block calls: most cold
+        calls carry few blocks."""
         tasks = handmade_tasks()
         for variant, build in MODEL_VARIANTS.items():
             stc = build()
-            batch = simulate_blocks(stc, tasks)
             stepped = [stepped_block(stc, t) for t in tasks]
-            assert_results_equal(batch, stepped, f"handmade/{variant}")
+            assert_results_equal(simulate_blocks(stc, tasks), stepped, f"handmade/{variant}")
+            for size in (8, 1):
+                assert_results_equal(simulate_cuts(stc, tasks, size), stepped,
+                                     f"handmade/{variant}/cuts of {size}")
 
     def test_mixed_width_group_order_preserved(self):
         """Matrix-B and vector-B tasks interleaved keep their slots: each
@@ -212,29 +217,33 @@ class TestTraceParity:
 
 
 class TestBatchedDecode:
+    """The packed count words every model reads, against the scalar
+    tile decoders: byte ``kk`` of an A word counts its tile's column
+    ``kk``, byte ``3 - kk`` of a B word its tile's row ``kk``."""
+
     def test_decode_a_matches_scalar(self):
         rng = np.random.default_rng(5)
         stack = rng.random((40, 16, 16)) < 0.35
-        tiles, cols = decode_a_operands(pack_patterns(stack))
+        words = count_tables()[0][pack_patterns(stack)].reshape(-1, 4, 4)
         for p in range(stack.shape[0]):
-            ref_tiles, ref_cols = decode_a_operand(stack[p])
-            assert np.array_equal(tiles[p], ref_tiles)
-            assert np.array_equal(cols[p], ref_cols)
+            _, ref_cols = decode_a_operand(stack[p])
+            assert np.array_equal(words[p].view(np.uint8).reshape(4, 4, 4), ref_cols)
 
     @pytest.mark.parametrize("width", [16, 1])
     def test_decode_b_matches_scalar(self, width):
         rng = np.random.default_rng(6)
         stack = rng.random((40, 16, width)) < 0.4
-        tiles, rows = decode_b_operands(pack_patterns(stack))
+        words = b_count_words(pack_patterns(stack))
         for p in range(stack.shape[0]):
             ref_tiles, ref_rows, ref_n = decode_b_operand(stack[p])
-            assert tiles.shape[2] == ref_n
-            assert np.array_equal(tiles[p], ref_tiles)
-            assert np.array_equal(rows[p], ref_rows)
+            assert words.shape[2] == ref_n
+            assert np.array_equal(words[p] != 0, ref_tiles != 0)
+            assert np.array_equal(words[p].view(np.uint8).reshape(4, ref_n, 4)[..., ::-1],
+                                  ref_rows)
 
     def test_decode_b_rejects_unknown_width(self):
         with pytest.raises(SimulationError):
-            decode_b_operands(np.zeros((3, 7), dtype=np.uint16))
+            b_count_words(np.zeros((3, 7), dtype=np.uint16))
 
 
 #: popcount of every 4-bit value (dot patterns are 4-bit masks).

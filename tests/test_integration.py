@@ -7,7 +7,7 @@ from repro.apps.amg import AMGSolver
 from repro.apps.cg import conjugate_gradient
 from repro.apps.trace import KernelTrace
 from repro.arch.unistc import UniSTC
-from repro.arch.warp import WarpLog, warp_spgemm, warp_spmv
+from tests.warp import WarpLog, warp_spgemm, warp_spmv
 from repro.baselines import DsSTC, RmSTC
 from repro.formats.bbc import BBCMatrix
 from repro.formats.csr import CSRMatrix

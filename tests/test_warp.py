@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.arch.warp import (
+from tests.warp import (
     WARP_LANES,
     WarpLog,
     shfl_gather,
