@@ -48,8 +48,8 @@ import numpy as np
 from repro.arch.batch import (b_count_words, count_tables, evaluate_packed, result_rows,
                               util_bins)
 from repro.errors import SimulationError
-from repro.formats.bbc import pattern_row_masks, tile_col_counts
-from repro.formats.bitarray import popcount16
+from repro.formats.bbc import pattern_row_masks
+from repro.formats.bitarray import popcount, popcount16
 
 #: Bit offsets of the four row nibbles of a 4x4 tile bitmap.
 _NIBBLES = np.arange(0, 16, 4, dtype=np.uint16)
@@ -58,41 +58,49 @@ _SLOT_BASE = (16 * np.arange(4, dtype=np.uint16))[:, None, None]
 #: Field width of the per-line sums :func:`_dpg_totals` packs into one
 #: uint64: a block's sums stay below 2^13.
 _FIELD = 21
+#: Products of a T3 task at most: a 4x4 by 4x4 tile product.
+_TASK_PRODUCTS_MAX = 64
+#: Task-stream length from which :func:`_pack_lockstep` counts jumps
+#: with shifted compares and walks the cycle starts.  The two forms tie
+#: between 1,500 and 2,000 tasks; ``cold-all``'s calls (median 306
+#: tasks) sit below, an ``infer-stream`` request's (about 24,000) far
+#: above.
+_WALK_MIN_TASKS = 1536
 
 
 @lru_cache(maxsize=None)
-def _line_tables() -> Tuple[np.ndarray, np.ndarray]:
-    """Per-line fields of :func:`_dpg_totals` (2.5 MiB), built on first use.
-
-    ``cols[t, kk]`` (uint64) holds the nonzero count of column ``kk`` of
-    4x4 tile bitmap ``t``, plus one at bit ``_FIELD`` if it has any, so
-    a block column's field is the sum over its tile rows; ``rows[r]``
-    holds the popcount of 16-bit row mask ``r``, plus its live column
-    pairs from bit ``2 _FIELD``.
-    """
+def _row_fields() -> np.ndarray:
+    """Per-row fields of :func:`_dpg_totals` (512 KiB), built on first use:
+    entry ``r`` (uint64) holds the popcount of 16-bit row mask ``r``,
+    plus its live column pairs from bit ``2 _FIELD``."""
     masks = np.arange(1 << 16)
-    counts = tile_col_counts(masks).astype(np.uint64)
     pop = popcount16()
-    tables = (counts | (counts != 0).astype(np.uint64) << np.uint64(_FIELD),
-              pop[masks].astype(np.uint64)
-              | pop[(masks | masks >> 1) & 0x5555].astype(np.uint64) << np.uint64(2 * _FIELD))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    table = (pop[masks].astype(np.uint64)
+             | pop[(masks | masks >> 1) & 0x5555].astype(np.uint64) << np.uint64(2 * _FIELD))
+    table.setflags(write=False)
+    return table
 
 
 def _decode_a(a_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
     """A's packed tile column counts ``[U, i, k]`` (uint32), its rows'
     nibbles ``[U, k, r]`` (row ``r``'s columns ``4k..4k+3``, plus ``16
     k``), each column's count and live tile rows packed ``[U, 16]`` and
-    its nonzero tiles."""
-    lines = _line_tables()[0][a_patterns].reshape(-1, 4, 16).sum(axis=1)  # [U, 4k + kk]
+    its nonzero tiles.
+
+    A column's fields are sums over tile rows of the count words' bytes
+    (byte ``kk`` of tile ``(i, k)``'s word counts its column ``kk``),
+    not a gather from a 2 MiB per-tile table: on a request's large
+    calls that table's gathers missed the cache.
+    """
+    packed = count_tables()[0][a_patterns].reshape(-1, 4, 4)
+    counts = packed.view(np.uint8).reshape(-1, 4, 16)                    # [U, i, 4k + kk]
+    lines = np.add.reduce(counts != 0, axis=1, dtype=np.uint64) << np.uint64(_FIELD)
+    lines |= np.add.reduce(counts, axis=1, dtype=np.uint64)
     slots = np.right_shift(a_patterns.reshape(-1, 4, 4).transpose(0, 2, 1)[..., None],
                            _NIBBLES, order="C")                        # [U, k, i, m]
     slots &= 0xF
     slots += _SLOT_BASE
-    return (count_tables()[0][a_patterns].reshape(-1, 4, 4), slots.reshape(-1, 4, 16),
-            lines, (a_patterns != 0).sum(axis=1))
+    return packed, slots.reshape(-1, 4, 16), lines, (a_patterns != 0).sum(axis=1)
 
 
 def _decode_b(b_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -106,7 +114,7 @@ def _decode_b(b_patterns: np.ndarray) -> Tuple[np.ndarray, ...]:
     subsets = np.zeros((16, rows.size // 4), dtype=np.uint16)
     for kk, row in enumerate(rows.reshape(-1, 4).T):
         np.bitwise_or(subsets[:1 << kk], row, out=subsets[1 << kk:2 << kk])
-    return (packed, subsets.T.reshape(-1, 4, 16), _line_tables()[1][rows],
+    return (packed, subsets.T.reshape(-1, 4, 16), _row_fields()[rows],
             (packed != 0).sum(axis=(1, 2)))
 
 
@@ -141,11 +149,11 @@ def _dpg_totals(a_lines, a_slots, b_lines, b_subsets) -> Tuple[np.ndarray, ...]:
     sums = (a_lines * b_lines).sum(axis=1).astype(np.int64)
     field = (1 << _FIELD) - 1
     # met[n, 16 k + r]: B's rows 4k + kk ORed over the kk in A row r's nibble k.
-    met = b_subsets.reshape(-1)[a_slots.reshape(count, -1) + (64 * np.arange(count))[:, None]]
-    pop = popcount16()
+    met = b_subsets.reshape(-1)[a_slots.reshape(count, -1)
+                                + np.arange(0, 64 * count, 64, dtype=np.int32)[:, None]]
     outputs = met[:, :16] | met[:, 16:32] | met[:, 32:48] | met[:, 48:]
-    return (sums & field, pop[met].sum(axis=1, dtype=np.int64), sums >> 2 * _FIELD & field,
-            sums >> _FIELD & field, pop[outputs].sum(axis=1, dtype=np.int64))
+    return (sums & field, popcount(met).sum(axis=1, dtype=np.int64), sums >> 2 * _FIELD & field,
+            sums >> _FIELD & field, popcount(outputs).sum(axis=1, dtype=np.int64))
 
 
 #: Axes of an ``[N, i, k, j]`` product cube each ordering walks in C order.
@@ -285,37 +293,62 @@ def _pack_lockstep(p: np.ndarray, lens: np.ndarray, num_dpgs: int, macs: int) ->
     (:func:`_evaluate_group` raises on a batch holding an over-budget
     task before packing).
 
-    One ``searchsorted`` over a cumulative-products array finds, for
-    every task, where a cycle starting at it ends; a sentinel of
-    ``macs + 1`` products after each block never fits, so no cycle
-    crosses a block end.  The cycle starts reachable from each block's
-    first task then double every step: the starts ``2^s`` to ``2^(s+1)
-    - 1`` cycles in are ``2^s`` cycles past the first ``2^s``, and the
-    jump table squares itself.
+    A sentinel of ``macs + 1`` products after each block never fits, so
+    no cycle crosses a block end, and ``num_dpgs`` more pad the stream.
+    A cycle opening at task ``t`` ends where the cumulative products
+    pass ``cum[t] - p[t] + macs`` or after ``num_dpgs`` tasks; a
+    sentinel's (and an over-budget task's) jump lands on itself.  Below
+    :data:`_WALK_MIN_TASKS` tasks one ``searchsorted`` finds every
+    task's jump, and the cycle starts reachable from each block's first
+    task double every step (the starts ``2^s`` to ``2^(s+1) - 1`` cycles
+    in are ``2^s`` cycles past the first ``2^s``, and the jump table
+    squares itself).  From there on, ``num_dpgs`` shifted compares count
+    each jump (whether ``cum[t + d]`` fits is monotone in ``d``), and
+    the starts are walked from each block's first task, one cycle of
+    every block a step: a binary search per task and a squaring of the
+    whole table cost more there than the walk's one step per cycle of
+    the longest block.
     """
     slots = lens + 1
     start = np.cumsum(slots) - slots
     size = int(start[-1] + slots[-1])
-    stream = np.full(size, macs + 1, dtype=np.int64)
+    stream = np.full(size + num_dpgs, macs + 1, dtype=np.int64)
     is_task = np.ones(size, dtype=bool)
     is_task[start + lens] = False
-    stream[is_task] = p
+    stream[:size][is_task] = p
     cum = np.cumsum(stream)
-    # A sentinel's jump lands on itself, so a jump past a block end stays there.
-    jump = np.minimum(np.searchsorted(cum, cum - stream + macs, side="right"),
-                      np.arange(num_dpgs, size + num_dpgs))
+    limit = cum[:size] - stream[:size] + macs
     reached = start[lens > 0]
-    for _ in range(int(lens.max(initial=0)).bit_length() + 1):
-        ahead = jump[reached]
-        ahead = ahead[is_task[ahead]]
-        if not ahead.size:
+    first = np.zeros(size, dtype=bool)
+    if p.size < _WALK_MIN_TASKS:
+        jump = np.minimum(np.searchsorted(cum, limit, side="right"),
+                          np.arange(num_dpgs, size + num_dpgs))
+        for _ in range(int(lens.max(initial=0)).bit_length() + 1):
+            ahead = jump[reached]
+            ahead = ahead[is_task[ahead]]
+            if not ahead.size:
+                break
+            reached = np.concatenate((reached, ahead))
+            jump = jump[jump]
+        else:
+            raise SimulationError("lockstep packing made no progress; scheduler bug")
+        first[reached] = True
+        return first[is_task]
+    # A cycle holds at most one block's tasks, so no more compares than
+    # its longest block has tasks; the counts add up in uint16 lanes.
+    longest = int(lens.max())
+    steps = np.zeros(size, dtype=np.uint16)
+    for d in range(min(num_dpgs, longest)):
+        steps += cum[d:d + size] <= limit
+    # A block has at most ``longest`` cycles; an over-budget task never moves.
+    for _ in range(longest + 1):
+        if not reached.size:
             break
-        reached = np.concatenate((reached, ahead))
-        jump = jump[jump]
+        first[reached] = True
+        reached = reached + steps[reached]
+        reached = reached[is_task[reached]]
     else:
         raise SimulationError("lockstep packing made no progress; scheduler bug")
-    first = np.zeros(size, dtype=bool)
-    first[reached] = True
     return first[is_task]
 
 
@@ -339,20 +372,19 @@ def _evaluate_group(stc, a_packed, a_slots, a_lines, a_live,
     # -- T3 tasks in dispatch order, packed into cycles ------------------
     block, pp, bits = _dispatch_tasks(stc.ordering, cfg.adaptive_ordering, a_packed, b_packed)
     tasks = np.bincount(block, minlength=count)
-    if pp.size and pp.max() > macs:
+    if macs < _TASK_PRODUCTS_MAX and pp.size and pp.max() > macs:
         # A task over the MAC budget never fits a cycle.
         raise SimulationError("dispatch made no progress; scheduler bug")
     first = _pack_lockstep(pp, tasks, nd, macs)
     starts = np.flatnonzero(first)
     working = np.bitwise_or.reduceat(bits, starts)
     cycle_tasks = np.concatenate((starts[1:], [pp.size])) - starts
-    pop = popcount16()
     if cfg.conflict_stall:
         # A same-output-tile conflict inside any cycle reshuffles the
         # schedule (round-robin arbitration re-queues skipped tasks at
         # the front) — replay the exact dispatch for those blocks and
         # put their tasks in dispatch order, one contiguous run per cycle.
-        clash = pop[working >> 32] < cycle_tasks
+        clash = popcount(working >> 32) < cycle_tasks
         if clash.any():
             conflicted = np.zeros(count, dtype=bool)
             conflicted[block[starts[clash]]] = True
@@ -382,7 +414,7 @@ def _evaluate_group(stc, a_packed, a_slots, a_lines, a_live,
     prev_working[opens] = 0
     fresh = working & ~prev_working
     # Tile fetches: the working set's delta against the previous cycle.
-    fetched = pop[fresh & 0xFFFF] + pop[(fresh >> 16) & 0xFFFF]
+    fetched = popcount(fresh & 0xFFFFFFFF)
     fetches = np.bincount(cycle_block, weights=fetched, minlength=count).astype(np.int64)
     if cfg.dynamic_gating:
         prev_tasks = np.concatenate(([0], cycle_tasks))[:-1]

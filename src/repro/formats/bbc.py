@@ -518,9 +518,11 @@ class BBCMatrix:
         if dense.shape != (nbrows * BLOCK, nbcols * BLOCK):
             grid = np.zeros((nbrows * BLOCK, nbcols * BLOCK))
             grid[:nrows, :ncols] = dense
-        flat = grid.reshape(
-            nbrows, TILES_PER_SIDE, TILE, nbcols, TILES_PER_SIDE, TILE,
-        ).transpose(0, 3, 1, 4, 2, 5).ravel()
+        # A tile row's four values stay together, so they move as one
+        # 32-byte item: a quarter of the items a float64 transpose copies.
+        quads = np.ascontiguousarray(grid).view(np.dtype((np.void, 8 * TILE)))
+        flat = quads.reshape(nbrows, TILES_PER_SIDE, TILE, nbcols, TILES_PER_SIDE).transpose(
+            0, 3, 1, 4, 2).ravel().view(np.float64)
         nonzero = flat != 0
         slot_lv2 = np.packbits(nonzero, bitorder="little").view("<u2")
         slot_lv1 = np.packbits(slot_lv2 != 0, bitorder="little").view("<u2")

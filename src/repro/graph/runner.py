@@ -267,7 +267,7 @@ class GraphRunner:
         if write_resident:
             resident.add("write_c")
         if node.kernel == "spgemm":
-            c_writes = float(spgemm_output_nnz(node.a, kwargs.get("b")))
+            c_writes = float(spgemm_output_nnz(node.a, kwargs.get("b"), flops=sim.products))
         else:
             c_writes = sim.counters.get("c_elem_writes")
         traffic = kernel_traffic_bytes(

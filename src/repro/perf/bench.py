@@ -301,7 +301,7 @@ def bench_obs_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
     }
 
 
-def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, object]:
+def bench_telemetry_overhead(cases: Sequence[Case]) -> Dict[str, object]:
     """Cost of streaming telemetry on the warm sweep.
 
     A worker appends one record per finished case to its shard journal
@@ -314,7 +314,9 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
     does), so the difference is the envelope alone:
 
     - ``baseline_seconds`` vs ``streamed_seconds`` — the warm sweep
-      without/with a per-case envelope;
+      without/with a per-case envelope, each the median of one sweep
+      per round of the per-emit rounds below, alternating which goes
+      first;
     - ``per_emit_us`` — one envelope's cost measured directly over a
       few thousand calls, each after the registry writes of the
       sweep's last case (its report folded in, as the engine does),
@@ -344,11 +346,8 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
     run = (last.kernel, last.stc, (last.t1_tasks, last.cycles, hits, misses, evictions,
                                    0, 0, 0), last.wall_s, len(cache))   # no store tier
 
-    baseline_s, _ = _time_best(sweep, repeat, label="sweep_telemetry_off")
     # An envelope is only encoded: nothing is written to this path.
     writer = JournalWriter(os.devnull, registry=registry)
-    streamed_s, _ = _time_best(
-        lambda: sweep(writer), repeat, label="sweep_telemetry_on")
 
     # Direct per-emit cost: before each envelope the registry takes
     # what a warm case writes into it (its report folded in, no series),
@@ -357,8 +356,10 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
     # loop of folds alone, is subtracted back out.  The two loops run
     # in short rounds, alternating which goes first, and the estimate
     # is the median of the per-round differences: a burst of host load
-    # then moves a few rounds, not the estimate.
-    per_round, differences = 100, []
+    # then moves a few rounds, not the estimate.  Each round also times
+    # one sweep without and one with envelopes, and the denominator is
+    # their median too, not one sweep the same burst can halve.
+    per_round, differences, sweeps = 100, [], ([], [])
     for index in range(50):
         spent = [0.0, 0.0]
         for emits in (True, False) if index % 2 == 0 else (False, True):
@@ -369,7 +370,12 @@ def bench_telemetry_overhead(cases: Sequence[Case], repeat: int) -> Dict[str, ob
                     writer.envelope()
             spent[emits] = time.perf_counter() - t0
         differences.append((spent[True] - spent[False]) / per_round)
+        for streamed in (False, True) if index % 2 == 0 else (True, False):
+            t0 = time.perf_counter()
+            sweep(writer if streamed else None)
+            sweeps[streamed].append(time.perf_counter() - t0)
     per_emit_s = max(0.0, float(np.median(differences)))
+    baseline_s, streamed_s = (float(np.median(times)) for times in sweeps)
 
     if not was_enabled:
         obs.disable()
@@ -564,7 +570,7 @@ def run_bench(
         "enumeration": bench_enumeration(mats, repeat),
         "corpus_sweep": bench_corpus_sweep(cases, repeat),
         "obs": bench_obs_overhead(cases, repeat),
-        "telemetry": bench_telemetry_overhead(cases, repeat),
+        "telemetry": bench_telemetry_overhead(cases),
         "store": bench_store(cases, repeat),
         "infer": bench_infer(repeat, smoke),
     }

@@ -135,7 +135,8 @@ def _structural_flops(a: BBCMatrix, b: BBCMatrix) -> int:
     return int((a_cols * b_rows[a.col_idx]).sum())
 
 
-def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
+def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None,
+                      flops: Optional[int] = None) -> int:
     """Exact structural nnz of C = A @ B (boolean product).
 
     Used for SpGEMM write-back traffic: partial products accumulate
@@ -147,7 +148,11 @@ def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
     flops, :func:`_block_output_nnz` ORs 16-bit row masks per output
     block; below it (hypersparse inputs, about one nonzero per block)
     :func:`_expanded_output_nnz` expands each flop to a coordinate.
-    Neither ever allocates the dense product.
+    Neither ever allocates the dense product.  A caller holding the
+    product's SpGEMM report passes its ``products`` (every model's are
+    the structural flops) as ``flops``, so they are not counted again;
+    both paths are exact, so the hint picks a path and never changes
+    the count.
     """
     other = b if b is not None else a
     if a.shape[1] != other.shape[0]:
@@ -156,11 +161,14 @@ def spgemm_output_nnz(a: BBCMatrix, b: Optional[BBCMatrix] = None) -> int:
     if triples == 0:
         return 0
     threshold = BLOCK_PATH_MIN_FLOPS_PER_TRIPLE * triples
-    # flops <= sum over A blocks of nnz(block) x nnz(B block row): when
-    # even that bound is below the threshold, skip the exact count.
-    block_row_nnz = np.diff(other.val_ptr_lv1[other.row_ptr])
-    bound = int(np.diff(a.val_ptr_lv1) @ block_row_nnz[a.col_idx])
-    if bound < threshold or _structural_flops(a, other) < threshold:
+    if flops is None:
+        # flops <= sum over A blocks of nnz(block) x nnz(B block row): when
+        # even that bound is below the threshold, skip the exact count.
+        block_row_nnz = np.diff(other.val_ptr_lv1[other.row_ptr])
+        flops = int(np.diff(a.val_ptr_lv1) @ block_row_nnz[a.col_idx])
+        if flops >= threshold:
+            flops = _structural_flops(a, other)
+    if flops < threshold:
         return _expanded_output_nnz(a, other)
     return _block_output_nnz(a, other)
 
@@ -312,11 +320,11 @@ def roofline(
     """Combine a simulated report with its memory traffic.
 
     SpGEMM write-back uses the exact structural nnz of C (partials
-    accumulate on-chip); the other kernels write one element per
-    simulated output write.
+    accumulate on-chip), its path picked by the report's products; the
+    other kernels write one element per simulated output write.
     """
     if report.kernel == "spgemm":
-        c_writes = float(spgemm_output_nnz(a, b))
+        c_writes = float(spgemm_output_nnz(a, b, flops=report.products))
     else:
         c_writes = report.counters.get("c_elem_writes")
     traffic = kernel_traffic_bytes(

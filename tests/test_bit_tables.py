@@ -19,7 +19,8 @@ from repro.arch.fastpath import _cell_bits
 from repro.baselines.common import chunk_masks, scalar_pairs, select_table
 from repro.baselines.nv_dtc_sparse import patterns_satisfy_2to4
 from repro.formats.bbc import _lane_tables, pack_patterns, pattern_row_masks, unpack_patterns
-from repro.formats.bitarray import popcount16
+from repro.formats import bitarray
+from repro.formats.bitarray import popcount, popcount16
 
 from tests.stepped_models import blocks_satisfy_2to4
 
@@ -48,9 +49,18 @@ def pair_row_masks(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray
     return masks[..., 0], masks[..., 1]
 
 
-def test_popcount16_every_value():
+def test_popcount16_every_value(monkeypatch):
+    """The table, and ``popcount`` with and without numpy's hardware
+    count, over every 16-bit value and the 32-bit values the evaluator
+    counts (a working set's A and B tile halves)."""
     bits = (MASKS[:, None] >> np.arange(16)) & 1
     assert np.array_equal(popcount16(), bits.sum(axis=1))
+    wide = MASKS.astype(np.uint64) << np.uint64(16) | MASKS[::-1].astype(np.uint64)
+    want = popcount16()[wide & 0xFFFF] + popcount16()[wide >> 16]
+    for hardware in (bitarray._BITWISE_COUNT, None):
+        monkeypatch.setattr(bitarray, "_BITWISE_COUNT", hardware)
+        assert np.array_equal(popcount(MASKS.astype(np.uint16)), popcount16())
+        assert np.array_equal(popcount(wide), want)
 
 
 def test_select_table_every_mask():

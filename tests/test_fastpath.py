@@ -505,6 +505,14 @@ def _assert_packing_matches(p, lens, num_dpgs, macs):
         assert np.array_equal(cyc, ref_cyc), (q, num_dpgs, macs)
 
 
+_PACKING_FORMS = ("searched", "walked")
+
+
+def _force_packing_form(monkeypatch, form):
+    """Make :func:`_pack_lockstep` take one form whatever the stream length."""
+    monkeypatch.setattr(fastpath, "_WALK_MIN_TASKS", 0 if form == "walked" else 1 << 62)
+
+
 def _random_streams(rng, blocks, max_len, macs, low=1):
     lens = rng.integers(1, max_len + 1, size=blocks)
     return rng.integers(low, macs + 1, size=int(lens.sum())), lens
@@ -515,13 +523,25 @@ class TestLockstepPacking:
     against the closed form it replaced on uniform and DPG-bound streams."""
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_streams(self, seed):
+    def test_random_streams(self, seed, monkeypatch):
+        """Both packer forms (one binary search per task and doubled
+        starts; shifted compares and a walk) on every stream, including
+        ones the size of an ``infer-stream`` request's."""
         rng = np.random.default_rng(seed)
+        streams = []
         for _ in range(40):
             macs = int(rng.choice([4, 16, 64, 128]))
             num_dpgs = int(rng.choice([1, 2, 4, 8, 16]))
-            p, lens = _random_streams(rng, int(rng.integers(1, 12)), 64, macs)
-            _assert_packing_matches(p, lens, num_dpgs, macs)
+            streams.append((*_random_streams(rng, int(rng.integers(1, 12)), 64, macs),
+                            num_dpgs, macs))
+        for num_dpgs, macs in ((8, 64), (16, 16), (16, 64)):
+            p, lens = _random_streams(rng, 640, 64, macs)
+            assert p.size >= 20_000
+            streams.append((p, lens, num_dpgs, macs))
+        for form in _PACKING_FORMS:
+            _force_packing_form(monkeypatch, form)
+            for stream in streams:
+                _assert_packing_matches(*stream)
 
     def test_products_at_the_budget(self):
         rng = np.random.default_rng(1)
@@ -579,9 +599,12 @@ class TestLockstepPacking:
                     assert np.array_equal(cyc, want), (q, num_dpgs, macs)
                     assert ncyc == want[-1] + 1
 
-    def test_over_budget_task_raises(self):
-        with pytest.raises(SimulationError, match="no progress"):
-            _pack_lockstep(np.array([3, 65, 2]), np.array([3]), 8, 64)
+    def test_over_budget_task_raises(self, monkeypatch):
+        """An over-budget task's jump is itself: both forms stop and raise."""
+        for form in _PACKING_FORMS:
+            _force_packing_form(monkeypatch, form)
+            with pytest.raises(SimulationError, match="no progress"):
+                _pack_lockstep(np.array([3, 65, 2]), np.array([3]), 8, 64)
 
     @pytest.mark.parametrize("variant", ["default", "no-conflict", "4dpg", "16dpg", "fp32"])
     def test_mixed_uniform_and_packed_batch(self, variant, monkeypatch):

@@ -12,6 +12,8 @@ from repro.formats.encoding_cost import (
     encoding_cost,
 )
 from repro.kernels.vector import SparseVector
+from repro.registry import create_stc, registered_stcs
+from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.formats import COOMatrix
 from repro.sim import memory
@@ -26,6 +28,7 @@ from repro.sim.memory import (
     roofline,
     spgemm_output_nnz,
 )
+from repro.workloads.suitesparse import corpus
 from repro.workloads.synthetic import banded, block_dense, long_rows, random_uniform
 
 
@@ -153,6 +156,19 @@ class TestSpGEMMOutputNnz:
         assert spgemm_output_nnz(a, dense) == 0
         assert spgemm_output_nnz(dense, a) == 0
 
+    @pytest.mark.parametrize("stc", registered_stcs())
+    def test_spgemm_reports_hold_the_structural_flops(self, stc):
+        """Pricing passes an SpGEMM report's products as the output
+        count's flops: every registered model's report over the n=128
+        corpus holds A @ A's structural flops and one T1 task per block
+        triple."""
+        model, cache = create_stc(stc), BlockCache()
+        for spec in corpus(sizes=(128,)):
+            a = BBCMatrix.from_coo(spec.matrix())
+            report = simulate_kernel("spgemm", a, model, cache=cache)
+            assert report.products == _structural_flops(a, a), spec.name
+            assert report.t1_tasks == int(np.diff(a.row_ptr)[a.col_idx].sum()), spec.name
+
     def test_rejects_inner_mismatch(self):
         a = BBCMatrix.from_coo(random_uniform(64, 80, 0.1, seed=1))
         with pytest.raises(ShapeError):
@@ -239,15 +255,21 @@ class TestOutputNnzPaths:
 
     @pytest.mark.parametrize("name", sorted(OUTPUT_NNZ_CASES))
     def test_selection_follows_the_threshold(self, name, monkeypatch):
+        """The path follows the flops, counted or the caller's hint (an
+        SpGEMM report's products); a hint that forces either path
+        leaves the count exact."""
         a, b = _operands(name)
         taken = []
         for path in ("_expanded_output_nnz", "_block_output_nnz"):
             real = getattr(memory, path)
             monkeypatch.setattr(memory, path, lambda x, y, real=real, path=path:
                                 taken.append(path) or real(x, y))
-        assert spgemm_output_nnz(a, b) == _dense_nnz(a, b)
         blockwise = _flops_per_triple(a, b) >= BLOCK_PATH_MIN_FLOPS_PER_TRIPLE
-        assert taken == ["_block_output_nnz" if blockwise else "_expanded_output_nnz"]
+        for flops, block_path in ((None, blockwise), (_structural_flops(a, b), blockwise),
+                                  (0, False), (1 << 60, True)):
+            taken.clear()
+            assert spgemm_output_nnz(a, b, flops=flops) == _dense_nnz(a, b)
+            assert taken == ["_block_output_nnz" if block_path else "_expanded_output_nnz"]
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     @pytest.mark.parametrize("name", ["rectangular", "block-dense", "banded"])

@@ -13,9 +13,15 @@ it into a scratch directory).  The tool
    every registered model's ``simulate_blocks``, and keeps each call's
    miss batch (its pattern tables, indexes and B width);
 2. loads the parent's and this tree's ``repro`` packages side by side in
-   one process (each tree's modules imported afresh and kept as one
-   module dict, swapped into ``sys.modules`` before that tree runs);
-3. asserts both trees return equal rows for every captured call;
+   one process: each tree imports every module of the packages a model
+   call reaches (:data:`MODEL_PACKAGES`) afresh, so a model that imports
+   a module on its first call (Uni-STC's ``repro.arch.fastpath``) runs
+   its own tree's, and keeps them as one module dict, which replaces
+   every ``repro`` entry of ``sys.modules`` before that tree runs;
+3. asserts both trees return equal rows for every captured call, and
+   exits 1 if a tree's run leaves a ``repro`` module in ``sys.modules``
+   that its dict does not hold (a module imported mid-run, which the
+   dict swap cannot pin to one tree);
 4. times, per model, the whole captured pass and its 1-, 8- and
    64-block cuts (every captured batch with at least that many entries,
    cut to its first ones), alternating the trees and which goes first.
@@ -28,6 +34,8 @@ the median of the per-run ratios change/parent.
 from __future__ import annotations
 
 import argparse
+import importlib
+import pkgutil
 import statistics
 import sys
 import tempfile
@@ -38,20 +46,33 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 CUTS = (1, 8, 64)
+#: Packages holding every module a ``simulate_blocks`` call can reach.
+MODEL_PACKAGES = ("repro.arch", "repro.baselines", "repro.formats", "repro.kernels")
+
+
+def _is_repro(name: str) -> bool:
+    return name == "repro" or name.startswith("repro.")
+
+
+def _drop_repro() -> None:
+    for name in [name for name in sys.modules if _is_repro(name)]:
+        del sys.modules[name]
 
 
 def load_tree(src: Path) -> dict:
-    """Import ``repro`` from ``src`` afresh and return its module dict."""
-    for name in [name for name in sys.modules if name == "repro" or name.startswith("repro.")]:
-        del sys.modules[name]
+    """Import ``repro``'s model packages from ``src`` afresh and return
+    the tree's module dict."""
+    _drop_repro()
     sys.path.insert(0, str(src))
     try:
-        import repro.kernels.batched  # noqa: F401
-        import repro.registry  # noqa: F401
+        importlib.import_module("repro.registry")
+        for package in MODEL_PACKAGES:
+            path = importlib.import_module(package).__path__
+            for info in pkgutil.walk_packages(path, package + "."):
+                importlib.import_module(info.name)
     finally:
         sys.path.remove(str(src))
-    return {name: module for name, module in sys.modules.items()
-            if name == "repro" or name.startswith("repro.")}
+    return {name: module for name, module in sys.modules.items() if _is_repro(name)}
 
 
 def capture(workload: str, seed: int) -> dict:
@@ -87,8 +108,9 @@ def capture(workload: str, seed: int) -> dict:
 class Tree:
     """One tree's modules, a model and its captured batches."""
 
-    def __init__(self, modules: dict, name: str, captured: list) -> None:
+    def __init__(self, modules: dict, name: str, captured: list, label: str) -> None:
         self.modules = modules
+        self.label = label
         self.stc = modules["repro.registry"].create_stc(name)
         task_batch = modules["repro.kernels.batched"].TaskBatch
         self.batches = [
@@ -101,19 +123,36 @@ class Tree:
         picks = np.arange(size)
         return [batch.take(picks) for batch in self.batches if len(batch) >= size]
 
+    def enter(self) -> None:
+        """Make this tree's modules the only ``repro`` ones imported."""
+        _drop_repro()
+        sys.modules.update(self.modules)
+
+    def leave(self) -> None:
+        """Exit 1 if the run imported a ``repro`` module this tree lacks."""
+        stray = sorted(name for name, module in sys.modules.items()
+                       if _is_repro(name) and self.modules.get(name) is not module)
+        if stray:
+            raise SystemExit(f"error: the {self.label} tree's run imported "
+                             f"{', '.join(stray)} outside its module dict")
+
     def rows(self) -> list:
         """Each captured batch's rows."""
-        sys.modules.update(self.modules)
-        return [self.stc.simulate_blocks(batch) for batch in self.batches]
+        self.enter()
+        rows = [self.stc.simulate_blocks(batch) for batch in self.batches]
+        self.leave()
+        return rows
 
     def run(self, batches: list) -> float:
         """Seconds to evaluate ``batches`` in order."""
-        sys.modules.update(self.modules)
+        self.enter()
         simulate = self.stc.simulate_blocks
         t0 = perf_counter()
         for batch in batches:
             simulate(batch)
-        return perf_counter() - t0
+        elapsed = perf_counter() - t0
+        self.leave()
+        return elapsed
 
 
 def alternate(trees, workloads, runs: int):
@@ -157,7 +196,8 @@ def main(argv=None) -> int:
           f"{'parent':>22}  {'change':>22}  ratio")
     ones = [0.0, 0.0]
     for name in names:
-        trees = (Tree(parent, name, calls[name]), Tree(change, name, calls[name]))
+        trees = (Tree(parent, name, calls[name], "parent"),
+                 Tree(change, name, calls[name], "change"))
         for index, (want, got) in enumerate(zip(*(tree.rows() for tree in trees))):
             if not np.array_equal(want, got):
                 raise SystemExit(f"error: {name} call {index}: rows differ")
