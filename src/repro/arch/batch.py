@@ -109,7 +109,7 @@ def b_count_words(b_patterns: np.ndarray) -> np.ndarray:
 def util_bins(eff: np.ndarray, macs: int) -> np.ndarray:
     """Fig. 5 utilisation bin of integer per-cycle product counts.
 
-    :meth:`~repro.arch.tasks.UtilHistogram.record` of ``eff / macs`` in
+    The :class:`~repro.arch.tasks.UtilHistogram` bin of ``eff / macs`` in
     integer arithmetic: ``clip(ceil(4 * eff / macs) - 1, 0, 3)``, the
     number of the quarter marks ``k * macs / 4`` (k = 1, 2, 3) that
     ``eff`` exceeds.  The two agree because the MAC budgets (64/128/256)

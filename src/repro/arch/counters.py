@@ -1,15 +1,20 @@
 """Action counters — the Sparseloop-style energy accounting substrate.
 
-Every STC model emits a :class:`Counters` object per simulated block:
-a typed bag of "how many times did this hardware action happen".  The
-energy model (:mod:`repro.energy.model`) later multiplies each counter
-by an energy-per-action constant.  Keeping counting and costing apart
-is exactly the Sparseloop methodology the paper cites (§VI-A).
+Every STC model counts, per simulated block, how many times each
+hardware action happened: one int64 column per :data:`ACTIONS` entry
+of its result rows (:data:`repro.arch.base.ACTION_COL`).  A report
+keeps the folded counts in its int64 totals vector, and
+:class:`Counters` is a read-only view of them.  The energy model
+(:mod:`repro.energy.model`) later multiplies each count by an
+energy-per-action constant.  Keeping counting and costing apart is
+exactly the Sparseloop methodology the paper cites (§VI-A).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Mapping, Optional
+
+import numpy as np
 
 #: The counter names every model may emit.  Models are free to leave
 #: counters at zero but may not invent new names — this keeps the
@@ -33,57 +38,59 @@ ACTIONS = (
     "accum_accesses",     # accumulator-buffer read-modify-writes
     "sched_cycles",       # scheduler (TMS or equivalent front-end) cycles
 )
+_POSITION = {action: j for j, action in enumerate(ACTIONS)}
+
+
+def whole_count(value, name: str) -> int:
+    """``value`` as an exact int64 count; :class:`ValueError` naming
+    ``name`` if it is fractional, negative, not finite, at least 2^63 or
+    not a number (a journal line is input from outside the program)."""
+    if isinstance(value, (float, np.integer)) and float(value).is_integer():
+        value = int(value)
+    if type(value) is not int or not 0 <= value < 1 << 63:
+        raise ValueError(f"{name} must be a whole count in [0, 2^63), got {value!r}")
+    return value
 
 
 class Counters:
-    """A fixed-vocabulary action-count accumulator."""
+    """Action counts, one int64 per :data:`ACTIONS` entry in that order.
 
-    __slots__ = ("_data",)
+    A report's ``counters`` views its totals vector (``counts=``);
+    ``Counters(mapping)`` checks and holds a mapping's counts.
+    :meth:`get` and :meth:`as_dict` read them as floats, the type every
+    report consumer has always seen.
+    """
 
-    def __init__(self, initial: Mapping[str, float] = None):
-        self._data: Dict[str, float] = {}
-        if initial:
-            for key, value in initial.items():
-                self.add(key, value)
+    __slots__ = ("counts",)
 
-    def add(self, action: str, count: float) -> None:
-        """Add ``count`` occurrences of ``action``."""
-        if action not in ACTIONS:
-            raise KeyError(f"unknown action {action!r}; extend counters.ACTIONS")
-        if count:
-            self._data[action] = self._data.get(action, 0.0) + count
+    def __init__(self, initial: Optional[Mapping[str, int]] = None,
+                 counts: Optional[np.ndarray] = None) -> None:
+        if counts is None:
+            counts = np.zeros(len(ACTIONS), dtype=np.int64)
+            for action, value in (initial or {}).items():
+                counts[_position(action)] = whole_count(value, action)
+        self.counts = counts
 
     def get(self, action: str) -> float:
         """Current count of ``action`` (0.0 if never recorded)."""
-        if action not in ACTIONS:
-            raise KeyError(f"unknown action {action!r}")
-        return self._data.get(action, 0.0)
-
-    def merge(self, other: "Counters", weight: float = 1.0) -> None:
-        """Accumulate ``other`` scaled by ``weight`` into this object."""
-        for action, count in other._data.items():
-            self._data[action] = self._data.get(action, 0.0) + count * weight
-
-    def scaled(self, weight: float) -> "Counters":
-        """Return a new Counters with every count multiplied by ``weight``."""
-        out = Counters()
-        for action, count in self._data.items():
-            out._data[action] = count * weight
-        return out
-
-    def items(self) -> Iterator:
-        """Iterate ``(action, count)`` pairs with nonzero counts."""
-        return iter(self._data.items())
+        return float(self.counts[_position(action)])
 
     def as_dict(self) -> Dict[str, float]:
-        """A plain-dict snapshot (copy) of the nonzero counters."""
-        return dict(self._data)
+        """The nonzero counts as floats, in :data:`ACTIONS` order."""
+        return {action: float(count)
+                for action, count in zip(ACTIONS, self.counts.tolist()) if count}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Counters):
             return NotImplemented
-        return self._data == other._data
+        return bool(np.array_equal(self.counts, other.counts))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self._data.items()))
+        inner = ", ".join(f"{k}={v:g}" for k, v in sorted(self.as_dict().items()))
         return f"Counters({inner})"
+
+
+def _position(action: str) -> int:
+    if action not in _POSITION:
+        raise KeyError(f"unknown action {action!r}; extend counters.ACTIONS")
+    return _POSITION[action]

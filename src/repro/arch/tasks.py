@@ -13,8 +13,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -124,25 +124,18 @@ class T4Task:
         return bin(self.pattern).count("1")
 
 
-@dataclass
 class UtilHistogram:
     """Per-cycle MAC-utilisation histogram with the paper's four bins.
 
-    Bin edges follow Fig. 5: (0, 25%], (25, 50%], (50, 75%], (75, 100%].
+    Bin edges follow Fig. 5: (0, 25%], (25, 50%], (50, 75%], (75, 100%],
+    and a cycle at 0% counts in the first bin.  A report's ``util_hist``
+    is a read-only view of the four bins of its totals vector.
     """
 
-    bins: np.ndarray = field(default_factory=lambda: np.zeros(4, dtype=np.int64))
+    __slots__ = ("bins",)
 
-    def record(self, utilisation: float, weight: int = 1) -> None:
-        """Record one cycle at the given utilisation in [0, 1]."""
-        if not 0.0 <= utilisation <= 1.0 + 1e-9:
-            raise ValueError(f"utilisation {utilisation} outside [0, 1]")
-        idx = min(3, int(np.ceil(utilisation * 4)) - 1) if utilisation > 0 else 0
-        self.bins[max(0, idx)] += weight
-
-    def merge(self, other: "UtilHistogram", weight: int = 1) -> None:
-        """Accumulate another histogram ``weight`` times into this one."""
-        self.bins += other.bins * weight
+    def __init__(self, bins: Optional[np.ndarray] = None) -> None:
+        self.bins = np.zeros(4, dtype=np.int64) if bins is None else bins
 
     @property
     def cycles(self) -> int:

@@ -1,7 +1,8 @@
 """Sparseloop-style energy model: action counts x energy-per-action.
 
-Every simulator emits :class:`~repro.arch.counters.Counters`; this
-module prices them.  Two ingredients:
+Every simulator counts its actions (:data:`~repro.arch.counters.ACTIONS`)
+into a report's int64 totals; this module prices them.  Two
+ingredients:
 
 - a *base table* of per-action energies (buffer reads, MAC ops, queue
   pushes, DPG scheduling overheads) shared by every architecture;
@@ -19,7 +20,7 @@ designs on identical task streams carries meaning.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
 
 from repro.arch.counters import ACTIONS, Counters
 from repro.arch.network import (
@@ -120,65 +121,71 @@ BREAKDOWN_KEYS = ("read_a", "read_b", "write_c", "schedule", "compute")
 
 
 class EnergyModel:
-    """Prices counters into pJ, with the Fig. 18 breakdown."""
+    """Prices counters into pJ, with the Fig. 18 breakdown.  Assigning
+    another ``table`` reprices every later call."""
 
     def __init__(self, table: EnergyTable = DEFAULT_TABLE):
         self.table = table
+        #: ``(table, {id(profile): (profile, price row)})``: the rows
+        #: priced under ``table``, each holding its profile so the id
+        #: stays unique.
+        self._rows: Tuple[Optional[EnergyTable], Dict[int, tuple]] = (None, {})
 
     def breakdown(self, counters: Counters, stc_name: str) -> Dict[str, float]:
         """Energy split into read-A / read-B / write-C / schedule / compute.
 
-        Per-category terms accumulate in the fixed :data:`ACTIONS`
-        order, not the counters' insertion order — float addition is
-        not associative, and two evaluation paths that agree on every
-        counter must price to bit-identical energy regardless of the
-        order they recorded the counts in.
+        Each category starts at 0.0 and adds ``count * price`` of every
+        nonzero count in the fixed :data:`ACTIONS` order, not in the
+        order a path recorded them: float addition is not associative,
+        and two evaluation paths that agree on every counter must price
+        to bit-identical energy.  The prices come from :meth:`prices`.
         """
-        t = self.table
-        net = profile_for(stc_name)
-        out = dict.fromkeys(BREAKDOWN_KEYS, 0.0)
-        data = counters.as_dict()
-        for action in ACTIONS:
-            count = data.get(action)
-            if count is None:
-                continue
-            if action == "a_elem_reads":
-                out["read_a"] += count * t.elem_read
-            elif action == "a_net_transfers":
-                out["read_a"] += count * net.a_transfer_pj
-            elif action == "a_broadcasts":
-                out["read_a"] += count * t.broadcast_hop
-            elif action == "b_elem_reads":
-                out["read_b"] += count * t.elem_read
-            elif action == "b_net_transfers":
-                out["read_b"] += count * net.b_transfer_pj
-            elif action == "b_broadcasts":
-                out["read_b"] += count * t.broadcast_hop
-            elif action == "c_elem_writes":
-                out["write_c"] += count * t.elem_write
-            elif action == "c_net_transfers":
-                out["write_c"] += count * net.c_transfer_pj
-            elif action == "accum_accesses":
-                out["write_c"] += count * t.accum_access
-            elif action == "tile_fetches":
-                out["read_a"] += count * net.tile_transfer_pj
-            elif action == "meta_reads":
-                out["schedule"] += count * t.meta_read
-            elif action == "queue_ops":
-                out["schedule"] += count * t.queue_op
-            elif action == "dpg_active_cycles":
-                out["schedule"] += count * t.dpg_active_cycle
-            elif action == "dpg_gated_cycles":
-                out["schedule"] += count * t.dpg_gated_cycle
-            elif action == "sched_cycles":
-                out["schedule"] += count * t.sched_cycle
-            elif action == "mac_ops":
-                out["compute"] += count * t.mac_op
-            elif action == "lane_cycles":
-                out["compute"] += count * t.lane_cycle
-            else:  # pragma: no cover - ACTIONS is exhaustive
-                raise KeyError(f"unpriced action {action!r}")
+        counts = counters.counts.tolist()
+        out = {}
+        for category, terms in self.prices(profile_for(stc_name)):
+            total = 0.0
+            for position, price in terms:
+                count = counts[position]
+                if count:
+                    total += count * price
+            out[category] = total
         return out
+
+    def prices(self, net: NetworkProfile) -> Tuple[Tuple[str, Tuple[Tuple[int, float], ...]], ...]:
+        """Each :data:`BREAKDOWN_KEYS` category with the ``(position in
+        ACTIONS, pJ)`` of its actions, in :data:`ACTIONS` order, under
+        this model's table and the network profile ``net``; built once
+        per (table, profile)."""
+        table, rows = self._rows
+        if table is not self.table:
+            table, rows = self._rows = (self.table, {})
+        cached = rows.get(id(net))
+        if cached is None:
+            t = table
+            price = {
+                "a_elem_reads": ("read_a", t.elem_read),
+                "a_net_transfers": ("read_a", net.a_transfer_pj),
+                "a_broadcasts": ("read_a", t.broadcast_hop),
+                "tile_fetches": ("read_a", net.tile_transfer_pj),
+                "b_elem_reads": ("read_b", t.elem_read),
+                "b_net_transfers": ("read_b", net.b_transfer_pj),
+                "b_broadcasts": ("read_b", t.broadcast_hop),
+                "c_elem_writes": ("write_c", t.elem_write),
+                "c_net_transfers": ("write_c", net.c_transfer_pj),
+                "accum_accesses": ("write_c", t.accum_access),
+                "meta_reads": ("schedule", t.meta_read),
+                "queue_ops": ("schedule", t.queue_op),
+                "dpg_active_cycles": ("schedule", t.dpg_active_cycle),
+                "dpg_gated_cycles": ("schedule", t.dpg_gated_cycle),
+                "sched_cycles": ("schedule", t.sched_cycle),
+                "mac_ops": ("compute", t.mac_op),
+                "lane_cycles": ("compute", t.lane_cycle),
+            }
+            terms: Dict[str, list] = {category: [] for category in BREAKDOWN_KEYS}
+            for position, action in enumerate(ACTIONS):
+                terms[price[action][0]].append((position, price[action][1]))
+            cached = rows[id(net)] = (net, tuple((c, tuple(t)) for c, t in terms.items()))
+        return cached[1]
 
     def energy_pj(self, counters: Counters, stc_name: str) -> float:
         """Total energy of the counted activity in pJ."""

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 from repro.errors import FormatError, ShapeError
-from repro.formats.bbc import BLOCK
+from repro.formats.bbc import BLOCK, PatternKeys, distinct_patterns
 
 
 class SparseVector:
@@ -78,6 +80,24 @@ class SparseVector:
         in_seg = (self.indices >= lo) & (self.indices < lo + width)
         out[self.indices[in_seg] - lo] = self.values[in_seg]
         return out
+
+    def segment_patterns(self) -> Tuple[np.ndarray, np.ndarray, PatternKeys]:
+        """SpMSpV's B operands: ``(pattern of each 16-entry segment, -1
+        if it holds no nonzero; the distinct packed patterns [U, 1], bit
+        ``r`` for entry ``r``; their key fields)``.  Cached, keyed by the
+        ``indices`` array: rebinding it re-derives them, and mutating it
+        in place is unsupported, as for ``BBCMatrix``'s caches."""
+        cached = getattr(self, "_segment_patterns_cache", None)
+        if cached is None or cached[0] is not self.indices:
+            seg_of = self.indices // BLOCK
+            # The indices are sorted: one OR per run of equal segment ids.
+            starts = np.flatnonzero(np.diff(seg_of, prepend=-1))
+            masks = np.bitwise_or.reduceat((1 << (self.indices % BLOCK)).astype("<u2"), starts)
+            patterns, ids, keys = distinct_patterns(masks[:, None])
+            of_segment = np.full(-(-self.n // BLOCK), -1, dtype=np.int64)
+            of_segment[seg_of[starts]] = ids
+            cached = self._segment_patterns_cache = (self.indices, (of_segment, patterns, keys))
+        return cached[1]
 
     def nonempty_segments(self, width: int = BLOCK) -> np.ndarray:
         """Sorted ids of segments holding at least one nonzero."""

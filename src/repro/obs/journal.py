@@ -113,6 +113,7 @@ class JournalWriter:
         self._pid = os.getpid()
         #: The incarnation token, unique even if the OS recycles pids.
         self.inst = f"{self._pid}-{os.urandom(3).hex()}"
+        self._stamp_head = f',"inst":"{self.inst}","seq":'
         self._seq = 0
         self._span_idx = self._event_idx = 0
         self._lock = threading.Lock()
@@ -150,9 +151,15 @@ class JournalWriter:
 
     def envelope(self) -> str:
         """What a worker adds to a case record: its stamp, then the
-        metrics delta since the previous record (the telemetry gate's
-        price).  :meth:`append` calls it under the lock."""
-        return self._stamp() + self._delta()
+        metrics delta since the previous record: the telemetry gate's
+        price, so it makes :meth:`_stamp` and :meth:`_delta` in one
+        string.  :meth:`append` calls it under the lock."""
+        seq = self._seq
+        self._seq = seq + 1
+        delta = self._registry and self._registry.record_delta_json()
+        if delta:
+            return f'{self._stamp_head}{seq},"t_us":{int(time.time() * 1e6)},"metrics":{delta}'
+        return f'{self._stamp_head}{seq},"t_us":{int(time.time() * 1e6)}'
 
     def beat(self, phase: str = "running") -> None:
         """A liveness record, then the spans finished since the last."""
@@ -196,13 +203,12 @@ class JournalWriter:
 
     def _stamp(self) -> str:
         seq = self._seq
-        self._seq += 1
-        return (f',"inst":"{self.inst}","seq":{seq},'
-                f'"t_us":{int(time.time() * 1e6)}')
+        self._seq = seq + 1
+        return f'{self._stamp_head}{seq},"t_us":{int(time.time() * 1e6)}'
 
     def _delta(self) -> str:
-        delta = "" if self._registry is None else self._registry.record_delta_json()
-        return ',"metrics":' + delta if delta else ""
+        delta = self._registry and self._registry.record_delta_json()
+        return f',"metrics":{delta}' if delta else ""
 
     def _record(self, kind: str, body: str) -> None:
         """Append a telemetry record (a worker's writer only).  I/O

@@ -224,6 +224,7 @@ _NBUCKETS = len(DEFAULT_BUCKETS) + 1
 _INF = float("inf")
 #: A row on the wire: its int64s and float64s, little-endian, as hex.
 _ROW = struct.Struct(f"<5q3d{_NBUCKETS}q")
+_pack_row = _ROW.pack
 
 
 def _empty_row() -> list:
@@ -241,8 +242,10 @@ class ReportFold:
         self.store = [0, 0, 0]
         self.entries: Dict[LabelKey, float] = {}
         self.dirty: set = set()   #: rows runs changed since the last delta
-        self._wire: Dict[Tuple[str, str], str] = {}
-        self._sent: tuple = ()    #: store and memo size the last delta carried
+        self.wire: Dict[Tuple[str, str], str] = {}   #: each row's JSON key, then ``:"``
+        #: The store totals and memo size the last delta carried.
+        self.sent_store: Optional[list] = None
+        self.sent_entries: Optional[float] = None
 
     def render(self, counters: dict, gauges: dict, histograms: dict) -> None:
         """Add the fold's series to per-name ``{label key: value}`` maps
@@ -268,24 +271,13 @@ class ReportFold:
         for key, n in self.entries.items():
             gauges.setdefault(FOLD_GAUGE, {})[key] = float(n)
 
-    def delta(self) -> str:
-        """What runs changed since the last delta, as JSON object
-        members: ``"r"``, each changed row as :data:`_ROW` hex by
-        ``kernel U+001F stc``, then ``"s"`` (the store totals) and
-        ``"e"`` (the memo size) if either changed.  Values are
-        cumulative; clears the dirty set."""
-        rows = []
-        for key in self.dirty:
-            wire = self._wire.get(key)
-            if wire is None:
-                wire = self._wire[key] = _compact_json("\x1f".join(key)) + ':"'
-            rows.append(wire + _ROW.pack(*self.rows[key]).hex() + '"')
-        self.dirty.clear()
-        sent = (*self.store, self.entries[()])
-        if sent == self._sent:
-            return '"r":{' + ",".join(rows) + "}"
-        self._sent = sent
-        return '"r":{' + ",".join(rows) + f'}},"s":{self.store!r},"e":{sent[-1]!r}'
+    def row(self, key: Tuple[str, str]) -> list:
+        """The row of ``key``, a zero row (and its wire key) on first use."""
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = _empty_row()
+            self.wire[key] = _compact_json("\x1f".join(key)) + ':"'
+        return row
 
 
 class MetricsRegistry:
@@ -356,7 +348,7 @@ class MetricsRegistry:
         key = (kernel, stc)
         with self._lock:
             fold = self._fold
-            row = fold.rows.get(key) or fold.rows.setdefault(key, _empty_row())
+            row = fold.rows.get(key) or fold.row(key)
             row[0] += counts[0]
             row[1] += counts[1]
             row[2] += counts[2]
@@ -436,14 +428,37 @@ class MetricsRegistry:
 
     def record_delta_json(self) -> str:
         """A worker journal record's ``metrics``, as compact JSON
-        (``""`` when nothing changed): :meth:`snapshot_delta`'s sections
-        plus the report fold's (:meth:`ReportFold.delta`)."""
-        with self._lock:
-            fold = self._fold.delta() if self._fold.dirty else ""
-            if not self._dirty:
-                return "{" + fold + "}" if fold else ""
-            delta = _compact_json(self._delta())
-        return "{" + fold + "," + delta[1:] if fold else delta
+        (``""`` when nothing changed): ``"r"``, each report-fold row runs
+        changed since the last delta as :data:`_ROW` hex by ``kernel
+        U+001F stc``; ``"s"`` (the store totals) and ``"e"`` (the memo
+        size) if either changed; then :meth:`snapshot_delta`'s sections.
+        Values are cumulative.  This is the telemetry gate's price, one
+        per finished case, so a plain case's one row joins no list, and
+        the lock is taken without a ``with`` (in a loop like the gate's,
+        ``with`` read 0.15 us more)."""
+        lock = self._lock
+        lock.acquire()
+        try:
+            fold = self._fold
+            if not fold.dirty:
+                return _compact_json(self._delta()) if self._dirty else ""
+            rows, wire, dirty = fold.rows, fold.wire, fold.dirty
+            if len(dirty) == 1:
+                (key,) = dirty
+                body = wire[key] + _pack_row(*rows[key]).hex()
+            else:
+                body = '",'.join([wire[key] + _pack_row(*rows[key]).hex() for key in dirty])
+            dirty.clear()
+            store, entries = fold.store, fold.entries[()]
+            tail = ""
+            if store != fold.sent_store or entries != fold.sent_entries:
+                fold.sent_store, fold.sent_entries = store[:], entries
+                tail = f',"s":{store!r},"e":{entries!r}'
+            if self._dirty:
+                tail += "," + _compact_json(self._delta())[1:-1]
+        finally:
+            lock.release()
+        return f'{{"r":{{{body}"}}{tail}}}'
 
     def reset(self) -> None:
         """Drop every instrument, series and fold total."""
@@ -460,7 +475,7 @@ class MetricsRegistry:
             fold = self._fold
             for wire, packed in delta.get("r", {}).items():
                 row = _ROW.unpack(bytes.fromhex(packed))
-                mine = fold.rows.setdefault(tuple(wire.split("\x1f")), _empty_row())
+                mine = fold.row(tuple(wire.split("\x1f")))
                 mine[:] = [*map(operator.add, mine[:_MIN], row[:_MIN]),
                            min(mine[_MIN], row[_MIN]), max(mine[_MAX], row[_MAX]),
                            *map(operator.add, mine[_BUCKETS:], row[_BUCKETS:])]

@@ -34,8 +34,8 @@ renders to bytes once per call and slices into one immutable
 tiers hold, so no cached row aliases a model's output.  A run's rows
 are joined into one matrix (:func:`~repro.arch.base.row_matrix`) and
 folded against its coalesced int64 weights in one reduction
-(:func:`_aggregate`), building the report's
-``Counters``/``UtilHistogram`` once.
+(:func:`_aggregate`), whose result is the report's int64 totals vector
+as it stands, priced once.
 
 Because STC models are pure functions of a task's pattern pair, rows
 are memoised keyed by ``(model.cache_key(), A key, B key)``, as one
@@ -62,8 +62,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro import obs
-from repro.arch.base import (ACTION_COL, ROW_BYTES, ROW_DTYPE, VECTOR_WIDTH,
-                             STCModel, row_matrix)
+from repro.arch.base import ROW_BYTES, ROW_DTYPE, VECTOR_WIDTH, STCModel, row_matrix
 from repro.energy.model import DEFAULT_MODEL, EnergyModel
 from repro.errors import SimulationError
 from repro.formats.bbc import BBCMatrix
@@ -280,11 +279,11 @@ class _MissPool:
         """Look a call's unique pairs up and queue its misses; its report is unfinished."""
         t0 = perf_counter()
         memo = _BLOCK_CACHE if cache is None else cache
-        run = _Run(SimReport(stc=stc.name, kernel=kernel, matrix=matrix),
-                   stc, memo, energy_model)
+        run = _Run(SimReport(stc.name, kernel, matrix=matrix), stc, memo, energy_model)
         self.runs.append(run)
         namespace = stc.cache_key()
-        stats_before = memo.stats.snapshot()
+        stats = memo.stats
+        stats_before = stats.snapshot()
         lookup = memo.lookup
         for index, batch in enumerate(batches):
             with obs.span("batch", index=index, tasks=len(batch)):
@@ -292,6 +291,7 @@ class _MissPool:
                 keys = pairs.cache_keys(namespace)
                 offset = len(run.rows)
                 pending = self._pending(memo)
+                misses = stats.misses
                 # Only a batch with something pending checks its keys: the
                 # check made a warm uni-stc pass over the n=128/256/512
                 # corpus 5% slower and cold calls of every STC 1-2% slower
@@ -302,11 +302,14 @@ class _MissPool:
                     found = [_SERVED if key in pending else lookup(key) for key in keys]
                     served = [slot for slot, row in enumerate(found) if row is _SERVED]
                     if served:
-                        memo.stats.hits += len(served)
+                        stats.hits += len(served)
                         run.holes.append((offset, served, keys))
                 else:
                     found = [lookup(key) for key in keys]
-                missed = [slot for slot, row in enumerate(found) if row is None]
+                # A lookup returns None exactly when it counts a miss, so a
+                # batch whose lookups counted none has no slot to list.
+                missed = (stats.misses != misses
+                          and [slot for slot, row in enumerate(found) if row is None])
                 if missed:
                     part = _Part(pairs, missed, keys, offset)
                     run.parts.append(part)
@@ -318,7 +321,7 @@ class _MissPool:
                         pending.update(map(keys.__getitem__, missed))
                 run.rows.extend(found)
                 run.weights.append(pairs.weights)
-        run.probed = memo.stats.delta(stats_before)
+        run.probed = stats.delta(stats_before)
         run.own_s = perf_counter() - t0
         return run.report
 
@@ -374,9 +377,10 @@ class _MissPool:
             for offset, slots, keys in run.holes:
                 for slot in slots:
                     rows[offset + slot] = resolved[keys[slot]]
+            weights = run.weights
             _aggregate(run.report, row_matrix(rows),
-                       np.concatenate(run.weights) if run.weights else [],
-                       run.stc, run.energy_model)
+                       weights[0] if len(weights) == 1 else np.concatenate(weights or [[]]),
+                       run.energy_model)
             _finalise_run(run.report, memo, delta,
                           run.own_s + model_s * run.misses + perf_counter() - t0)
 
@@ -429,25 +433,20 @@ def _checked_rows(stc: STCModel, rows, count: int) -> np.ndarray:
     return rows
 
 
-def _aggregate(report: SimReport, rows: np.ndarray, weights, stc: STCModel,
+def _aggregate(report: SimReport, rows: np.ndarray, weights,
                energy_model: Optional[EnergyModel]) -> None:
     """Fold a run's weighted result rows into ``report`` and price its energy.
 
     One int64 ``einsum`` over the ``[N, VECTOR_WIDTH]`` row matrix and
-    its weights (an array or any sequence), so corpus-scale totals stay
-    exact past 2^53 where float64 accumulation would round (an int64
-    matmul has no BLAS path and is several times slower).
+    its weights (an array or any sequence) is the report's totals
+    vector, so corpus-scale totals stay exact past 2^53 where float64
+    accumulation would round (an int64 matmul has no BLAS path and is
+    several times slower).
     """
     if len(rows):
         w = np.asarray(weights, dtype=np.int64)
-        acc = np.einsum("i,ij->j", w, rows)
-        report.cycles = int(acc[0])
-        report.products = int(acc[1])
+        report.totals = np.einsum("i,ij->j", w, rows)
         report.t1_tasks = int(w.sum())
-        report.util_hist.bins += acc[2:6]
-        for action, col in ACTION_COL.items():
-            if acc[col]:
-                report.counters.add(action, int(acc[col]))
     if energy_model is not None:
         report.price(energy_model)
 

@@ -27,7 +27,7 @@ serial run gets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro import obs
 from repro.arch.base import STCModel
@@ -93,27 +93,23 @@ class ParallelReport:
     def fold(self, matrix: Optional[str] = None) -> SimReport:
         """Collapse the cores into one journal-ready :class:`SimReport`.
 
-        Cycles follow the parallel completion rule (slowest core); work,
-        wall time and cache deltas are summed; utilisation bins and
-        counters merge exactly as the serial path would accumulate them,
-        and the merged counters are priced once, so the energy equals
-        the serial report's bit for bit.
+        The cores' totals vectors add, and then cycles follow the
+        parallel completion rule (slowest core); T1 tasks, wall time and
+        cache deltas are summed.  The merged counts are priced once, so
+        the fold equals the serial report bit for bit, energy included.
         """
-        report = SimReport(stc=self.stc, kernel=self.kernel, matrix=matrix)
-        report.cycles = self.wall_cycles
-        cache: Dict[str, float] = {}
+        report = SimReport(self.stc, self.kernel, matrix=matrix)
+        totals, cache = report.totals, report.cache
         for core in self.per_core:
-            report.products += core.products
+            totals += core.totals
             report.t1_tasks += core.t1_tasks
-            report.util_hist.merge(core.util_hist, 1)
-            report.counters.merge(core.counters, 1)
             report.wall_s += core.wall_s
             for name, value in core.cache.items():
                 cache[name] = cache.get(name, 0.0) + value
+        totals[0] = self.wall_cycles
         if cache:
             total = cache.get("hits", 0.0) + cache.get("misses", 0.0)
             cache["hit_rate"] = cache.get("hits", 0.0) / total if total else 0.0
-        report.cache = cache
         if self.energy_model is not None:
             report.price(self.energy_model)
         return report

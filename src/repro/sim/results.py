@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.arch.counters import Counters
+from repro.arch.base import VECTOR_WIDTH
+from repro.arch.counters import Counters, whole_count
 from repro.arch.tasks import UtilHistogram
 from repro.errors import SimulationError
 
@@ -17,28 +18,52 @@ from repro.errors import SimulationError
 HOST_FIELDS = ("wall_s", "cache")
 
 
-@dataclass
 class SimReport:
-    """Aggregate outcome of running one kernel on one STC."""
+    """Aggregate outcome of running one kernel on one STC.
 
-    stc: str
-    kernel: str
-    cycles: int = 0
-    products: int = 0
-    t1_tasks: int = 0
-    util_hist: UtilHistogram = field(default_factory=UtilHistogram)
-    counters: Counters = field(default_factory=Counters)
-    energy_pj: float = 0.0
-    energy_breakdown: Dict[str, float] = field(default_factory=dict)
-    matrix: Optional[str] = None
-    #: Wall-clock seconds this simulation took (host time, not model
-    #: cycles); always recorded — two clock reads per run.
-    wall_s: float = 0.0
-    #: Per-run block-cache counter deltas (hits/misses/evictions/
-    #: inserts/hit_rate), so sweeps attribute cache behaviour to the
-    #: right matrix instead of reading the ever-accumulating process
-    #: totals.
-    cache: Dict[str, float] = field(default_factory=dict)
+    Its integer totals are one int64 ``[VECTOR_WIDTH]`` vector,
+    ``totals``, in the block-row layout of :mod:`repro.arch.base`
+    (cycles, products, the four utilisation bins, the action counts):
+    ``cycles`` and ``products`` read it, ``util_hist`` and ``counters``
+    are read-only views of it, and merging reports is one vector add.
+    ``wall_s`` is the host seconds the simulation took (two clock reads
+    per run) and ``cache`` the block-cache counters it moved
+    (hits/misses/evictions/inserts/hit_rate), so sweeps attribute cache
+    behaviour to the right matrix.
+    """
+
+    __slots__ = ("stc", "kernel", "matrix", "totals", "t1_tasks", "energy_pj",
+                 "energy_breakdown", "wall_s", "cache")
+
+    def __init__(self, stc: str, kernel: str, *, cycles: int = 0, products: int = 0,
+                 t1_tasks: int = 0, energy_pj: float = 0.0,
+                 energy_breakdown: Optional[Dict[str, float]] = None,
+                 matrix: Optional[str] = None, wall_s: float = 0.0,
+                 cache: Optional[Dict[str, float]] = None,
+                 totals: Optional[np.ndarray] = None) -> None:
+        if totals is None:
+            totals = np.zeros(VECTOR_WIDTH, dtype=np.int64)
+            totals[:2] = cycles, products
+        self.stc, self.kernel, self.matrix, self.totals = stc, kernel, matrix, totals
+        self.t1_tasks, self.energy_pj, self.wall_s = t1_tasks, energy_pj, wall_s
+        self.energy_breakdown = {} if energy_breakdown is None else energy_breakdown
+        self.cache = {} if cache is None else cache
+
+    @property
+    def cycles(self) -> int:
+        return int(self.totals[0])
+
+    @property
+    def products(self) -> int:
+        return int(self.totals[1])
+
+    @property
+    def util_hist(self) -> UtilHistogram:
+        return UtilHistogram(_read_only(self.totals[2:6]))
+
+    @property
+    def counters(self) -> Counters:
+        return Counters(counts=_read_only(self.totals[6:]))
 
     def price(self, energy_model) -> None:
         """Price the energy of this report's action counters: one
@@ -90,10 +115,10 @@ class SimReport:
             "stc": self.stc,
             "kernel": self.kernel,
             "matrix": self.matrix,
-            "cycles": int(self.cycles),
-            "products": int(self.products),
+            "cycles": self.cycles,
+            "products": self.products,
             "t1_tasks": int(self.t1_tasks),
-            "util_bins": [int(x) for x in self.util_hist.bins],
+            "util_bins": self.totals[2:6].tolist(),
             "counters": self.counters.as_dict(),
             "energy_pj": float(self.energy_pj),
             "energy_breakdown": {k: float(v)
@@ -104,17 +129,21 @@ class SimReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "SimReport":
-        """Rebuild a report from :meth:`as_json`'s form."""
+        """Rebuild a report from :meth:`as_json`'s form.  Its totals come
+        back as int64: one that is not a whole count in [0, 2^63), or a
+        T1 task count that is not, raises :class:`ValueError`, an unknown
+        action :class:`KeyError`."""
+        bins = data["util_bins"]
+        if len(bins) != 4:
+            raise ValueError(f"util_bins must hold 4 bins, got {len(bins)}")
+        totals = [whole_count(data["cycles"], "cycles"), whole_count(data["products"], "products"),
+                  *(whole_count(n, "a utilisation bin") for n in bins)]
         return cls(
             stc=data["stc"],
             kernel=data["kernel"],
             matrix=data.get("matrix"),
-            cycles=int(data["cycles"]),
-            products=int(data["products"]),
-            t1_tasks=int(data["t1_tasks"]),
-            util_hist=UtilHistogram(
-                bins=np.asarray(data["util_bins"], dtype=np.int64)),
-            counters=Counters(data["counters"]),
+            totals=np.array(totals + Counters(data["counters"]).counts.tolist(), dtype=np.int64),
+            t1_tasks=whole_count(data["t1_tasks"], "t1_tasks"),
             energy_pj=float(data["energy_pj"]),
             energy_breakdown={k: float(v)
                               for k, v in data["energy_breakdown"].items()},
@@ -122,6 +151,11 @@ class SimReport:
             wall_s=float(data.get("wall_s", 0.0)),
             cache={k: float(v) for k, v in data.get("cache", {}).items()},
         )
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.setflags(write=False)
+    return view
 
 
 def geomean(values: Iterable[float]) -> float:

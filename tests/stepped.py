@@ -183,7 +183,7 @@ def simulate_tasks(
     caches and by ablations that compare cache policies).
     """
     memo = _BLOCK_CACHE if cache is None else cache
-    report = SimReport(stc=stc.name, kernel=kernel, matrix=matrix)
+    report = SimReport(stc.name, kernel, matrix=matrix)
     namespace = stc.cache_key()
     stats_before = memo.stats.snapshot()
     t0 = perf_counter()
@@ -197,7 +197,7 @@ def simulate_tasks(
             memo.insert(key, row)
         rows.append(row)
         weights.append(task.weight)
-    _aggregate(report, row_matrix(rows), weights, stc, energy_model)
+    _aggregate(report, row_matrix(rows), weights, energy_model)
     _finalise_run(report, memo, memo.stats.delta(stats_before), perf_counter() - t0)
     return report
 

@@ -44,14 +44,56 @@ from repro.errors import SimulationError
 from tests.conftest import task_batch
 
 
+class StepCounters:
+    """A walk's action counts, accumulated one :meth:`add` at a time."""
+
+    def __init__(self) -> None:
+        self._data: dict = {}
+
+    def add(self, action: str, count: float) -> None:
+        """Add ``count`` occurrences of ``action``."""
+        if action not in ACTIONS:
+            raise KeyError(f"unknown action {action!r}; extend counters.ACTIONS")
+        if count:
+            self._data[action] = self._data.get(action, 0.0) + count
+
+    def get(self, action: str) -> float:
+        """Current count of ``action`` (0.0 if never recorded)."""
+        if action not in ACTIONS:
+            raise KeyError(f"unknown action {action!r}")
+        return self._data.get(action, 0.0)
+
+    def as_dict(self) -> dict:
+        """The nonzero counts, in the order they were first added."""
+        return dict(self._data)
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The counts as the energy model prices them (:class:`Counters`)."""
+        return Counters(self._data).counts
+
+
+class StepHistogram(UtilHistogram):
+    """A walk's utilisation bins, accumulated one cycle at a time."""
+
+    __slots__ = ()
+
+    def record(self, utilisation: float, weight: int = 1) -> None:
+        """Record one cycle at the given utilisation in [0, 1]."""
+        if not 0.0 <= utilisation <= 1.0 + 1e-9:
+            raise ValueError(f"utilisation {utilisation} outside [0, 1]")
+        idx = min(3, int(np.ceil(utilisation * 4)) - 1) if utilisation > 0 else 0
+        self.bins[max(0, idx)] += weight
+
+
 @dataclass
 class BlockResult:
     """Outcome of stepping one T1 task on one STC."""
 
     cycles: int
     products: int
-    util_hist: UtilHistogram = field(default_factory=UtilHistogram)
-    counters: Counters = field(default_factory=Counters)
+    util_hist: StepHistogram = field(default_factory=StepHistogram)
+    counters: StepCounters = field(default_factory=StepCounters)
 
     def __post_init__(self) -> None:
         if self.cycles < 0 or self.products < 0:
@@ -196,8 +238,8 @@ def uni_stc_block(stc: UniSTC, task: T1Task) -> BlockResult:
     b_tiles, b_rows, n_cols = decode_b_operand(task.b_bitmap())
     products = tile_products(a_cols, b_rows)
 
-    counters = Counters()
-    hist = UtilHistogram()
+    counters = StepCounters()
+    hist = StepHistogram()
     total_products = int(products.sum())
     # Metadata the TMS/DPG read: the two top-level bitmaps plus one
     # level-2 bitmap per nonzero tile of each operand.
@@ -285,8 +327,8 @@ def uni_stc_block(stc: UniSTC, task: T1Task) -> BlockResult:
 def ds_stc_block(stc: DsSTC, task: T1Task) -> BlockResult:
     """DS-STC: gathered rank-1 updates, one K layer at a time."""
     a, b = operand_arrays(task)
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     cycles = 0
     products = 0
 
@@ -326,8 +368,8 @@ def ds_stc_block(stc: DsSTC, task: T1Task) -> BlockResult:
 def gamma_block(stc: Gamma, task: T1Task) -> BlockResult:
     """GAMMA: all 16 rows in lock-step on B-row chunks, one K at a time."""
     a, b = operand_arrays(task)
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     cycles = 0
     products = 0
 
@@ -366,8 +408,8 @@ def nv_dtc_block(stc: NvDTC, task: T1Task) -> BlockResult:
     """NV-DTC: every unskipped T2 region runs its full dense T3 grid."""
     a, b = operand_arrays(task)
     n = b.shape[1]
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     cycles = 0
     products = 0
 
@@ -418,8 +460,8 @@ def nv_dtc_sparse_block(stc: NvDTCSparse, task: T1Task) -> BlockResult:
     # In structured mode the hardware compresses K 2:1, halving the
     # K extent every T2/T3 task covers.
     k_speedup = 2 if structured else 1
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     cycles = 0
     products = 0
 
@@ -465,8 +507,8 @@ def nv_dtc_sparse_block(stc: NvDTCSparse, task: T1Task) -> BlockResult:
 def rm_stc_block(stc: RmSTC, task: T1Task) -> BlockResult:
     """RM-STC: per-row scalar pairs on row lanes, greedy longest-row issue."""
     a, b = operand_arrays(task)
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     k_pair = 2
 
     # Per row: gather its nonzero scalars, pair them, and for each
@@ -543,8 +585,8 @@ def rm_stc_block(stc: RmSTC, task: T1Task) -> BlockResult:
 def sigma_block(stc: Sigma, task: T1Task) -> BlockResult:
     """SIGMA: one A row against a group of live B columns per cycle."""
     a, b = operand_arrays(task)
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
     cycles = 0
     products = 0
 
@@ -586,8 +628,8 @@ def sigma_block(stc: Sigma, task: T1Task) -> BlockResult:
 def trapezoid_block(stc: Trapezoid, task: T1Task) -> BlockResult:
     """Trapezoid: one row lane per block row, K pairs per lane step."""
     a, b = operand_arrays(task)
-    hist = UtilHistogram()
-    counters = Counters()
+    hist = StepHistogram()
+    counters = StepCounters()
 
     row_cycles: List[int] = []
     row_work: List[int] = []

@@ -8,6 +8,7 @@ registered STC), and across the serial/parallel split (a partitioned
 stream concatenates back to the serial one).
 """
 
+import pickle
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.kernels.batched import (
     kernel_task_batches,
     spgemm_batch,
     spmm_batch,
+    spmspv_batch,
     spmv_batch,
 )
 from repro.kernels.vector import SparseVector
@@ -127,12 +129,44 @@ class TestStreamParity:
             assert stepped_report.cache["hits"] > 0 or not engine_report.t1_tasks, name
             assert report_digest(stepped_report) == report_digest(engine_report), name
 
-    def test_coalesce_raw_weights_exact_past_2_53(self):
-        """Aggregate weights stay in the integer domain.
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_both_coalescing_forms_agree(self, matrices, kernel, monkeypatch):
+        """The dense count and the sort give the same pairs, in id order,
+        with the same int64 weights, zero and huge weights included."""
+        from repro.kernels import batched
+
+        rng = np.random.default_rng(11)
+        for a in matrices.values():
+            (batch,) = kernel_task_batches(kernel, a, **_operands(kernel, a))
+            weights = rng.integers(0, 3, len(batch)) * rng.choice([1, 1 << 48], len(batch))
+            batch = TaskBatch(batch.a_patterns, batch.b_patterns, batch.a_index,
+                              batch.b_index, weights, batch.n, batch.a_ids, batch.b_ids,
+                              batch.epoch)
+            forms = []
+            for dense_span in (0, 1 << 40):
+                monkeypatch.setattr(batched, "_DENSE_SPAN", dense_span)
+                forms.append(coalesce_raw(batch))
+            sort, dense = forms
+            for field in ("a_index", "b_index", "weights"):
+                assert getattr(sort, field).dtype == getattr(dense, field).dtype == np.int64
+                assert np.array_equal(getattr(sort, field), getattr(dense, field)), field
+            ids = sort.a_index * len(batch.b_patterns) + sort.b_index
+            assert np.all(np.diff(ids) > 0)
+
+    def test_coalesce_raw_weights_exact_past_2_53(self, monkeypatch):
+        """Aggregate weights stay in the integer domain, in both forms.
 
         ``np.bincount``'s float64 accumulator (the old implementation)
         silently rounds totals past 2^53; ``2^53 + 1`` collapses to
         ``2^53`` there, and ``astype(int64)`` then bakes the loss in."""
+        from repro.kernels import batched
+
+        for dense_span in (0, 8):
+            monkeypatch.setattr(batched, "_DENSE_SPAN", dense_span)
+            self._check_exact_past_2_53()
+
+    @staticmethod
+    def _check_exact_past_2_53():
         big = (1 << 53) + 1
         a = np.zeros((1, 16), dtype=np.uint16)
         a[0, 0] = 1
@@ -263,6 +297,40 @@ class TestEngineParity:
             )
             assert report.cycles == 0
             assert report.t1_tasks == 0
+
+
+def _same_batch(x: TaskBatch, y: TaskBatch) -> bool:
+    return (x.n == y.n and x.epoch == y.epoch
+            and all(np.array_equal(getattr(x, f), getattr(y, f))
+                    for f in ("a_patterns", "b_patterns", "a_ids", "b_ids",
+                              "a_index", "b_index", "weights")))
+
+
+class TestVectorSegments:
+    """SpMSpV derives x's segment patterns once per vector and keeps
+    them on it, keyed by its ``indices`` array."""
+
+    def test_a_vector_enumerated_twice_equals_a_fresh_copy(self, matrices):
+        for a in matrices.values():
+            x = _operands("spmspv", a)["x"]
+            first, again = spmspv_batch(a, x), spmspv_batch(a, x)
+            fresh = spmspv_batch(a, SparseVector(x.n, x.indices.copy(), x.values.copy()))
+            assert _same_batch(first, again) and _same_batch(again, fresh)
+            assert x.segment_patterns()[0] is x.segment_patterns()[0]
+
+    def test_rebound_indices_rederive_the_segments(self, matrices):
+        a = matrices["random"]
+        x = _operands("spmspv", a, seed=1)["x"]
+        spmspv_batch(a, x)
+        other = _operands("spmspv", a, seed=2)["x"]
+        x.indices, x.values = other.indices.copy(), other.values.copy()
+        assert _same_batch(spmspv_batch(a, x), spmspv_batch(a, other))
+
+    def test_an_unpickled_vector_enumerates_identically(self, matrices):
+        for a in matrices.values():
+            x = _operands("spmspv", a)["x"]
+            batch = spmspv_batch(a, x)
+            assert _same_batch(spmspv_batch(a, pickle.loads(pickle.dumps(x))), batch)
 
 
 class TestRowRanges:

@@ -1,10 +1,13 @@
 """Tests for the action counters and architecture configuration."""
 
+import numpy as np
 import pytest
 
 from repro.arch.config import FP16, FP32, FP64, PRECISIONS, UniSTCConfig
 from repro.arch.counters import ACTIONS, Counters
 from repro.errors import ConfigError
+
+from tests.stepped_models import StepCounters
 
 
 class TestCounters:
@@ -14,40 +17,38 @@ class TestCounters:
         assert c.get("mac_ops") == 0.0
 
     def test_add_and_get(self):
-        c = Counters()
+        c = StepCounters()
         c.add("mac_ops", 10)
         c.add("mac_ops", 5)
         assert c.get("mac_ops") == 15
 
     def test_zero_add_not_stored(self):
-        c = Counters()
+        c = StepCounters()
         c.add("mac_ops", 0)
         assert c.as_dict() == {}
 
     def test_unknown_action_rejected(self):
-        c = Counters()
         with pytest.raises(KeyError):
-            c.add("flux_capacitor", 1)
+            StepCounters().add("flux_capacitor", 1)
         with pytest.raises(KeyError):
-            c.get("flux_capacitor")
+            Counters({"flux_capacitor": 1})
+        with pytest.raises(KeyError):
+            Counters().get("flux_capacitor")
 
     def test_initial_mapping(self):
-        c = Counters({"mac_ops": 3, "queue_ops": 2})
+        c = Counters({"mac_ops": 3, "queue_ops": 2.0})
         assert c.get("mac_ops") == 3
         assert c.get("queue_ops") == 2
+        assert c.counts.dtype == np.int64
+        # Floats, nonzero only, in ACTIONS order whatever the mapping's.
+        assert list(c.as_dict().items()) == [("mac_ops", 3.0), ("queue_ops", 2.0)]
+        assert all(type(v) is float for v in c.as_dict().values())
 
-    def test_merge_weighted(self):
-        a = Counters({"mac_ops": 2})
-        b = Counters({"mac_ops": 3, "meta_reads": 1})
-        a.merge(b, weight=2)
-        assert a.get("mac_ops") == 8
-        assert a.get("meta_reads") == 2
-
-    def test_scaled_returns_new(self):
-        a = Counters({"mac_ops": 4})
-        b = a.scaled(0.5)
-        assert b.get("mac_ops") == 2
-        assert a.get("mac_ops") == 4
+    @pytest.mark.parametrize("bad", [4.5, -1, float("nan"), float("inf"), 2.0 ** 63,
+                                     1 << 63, "4", True])
+    def test_non_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="mac_ops"):
+            Counters({"mac_ops": bad})
 
     def test_equality(self):
         assert Counters({"mac_ops": 1}) == Counters({"mac_ops": 1})

@@ -1,8 +1,9 @@
 """Tests for the network geometry and the energy model."""
 
+import numpy as np
 import pytest
 
-from repro.arch.counters import Counters
+from repro.arch.counters import ACTIONS, Counters
 from repro.arch.network import (
     MONOLITHIC_PATH,
     UNI_A_PATH,
@@ -15,6 +16,7 @@ from repro.arch.network import (
 )
 from repro.energy.model import (
     DEFAULT_MODEL,
+    DEFAULT_TABLE,
     BREAKDOWN_KEYS,
     DENSE_PROFILE,
     MONOLITHIC_PROFILE,
@@ -23,6 +25,7 @@ from repro.energy.model import (
     EnergyTable,
     profile_for,
 )
+from repro.registry import registered_stcs
 
 
 class TestCrossbar:
@@ -129,3 +132,91 @@ class TestEnergyModel:
 
         counters = Counters({a: 1 for a in ACTIONS})
         assert DEFAULT_MODEL.energy_pj(counters, "uni-stc") > 0
+
+
+def chain_breakdown(table, net, counts):
+    """The pricing oracle: the 17-branch chain ``EnergyModel.breakdown``
+    walked on every call before it priced from a cached row, over the
+    float counts reports then held (``0.0 + count``, nonzero only)."""
+    t = table
+    out = dict.fromkeys(BREAKDOWN_KEYS, 0.0)
+    data = {action: 0.0 + count for action, count in zip(ACTIONS, counts) if count}
+    for action in ACTIONS:
+        count = data.get(action)
+        if count is None:
+            continue
+        if action == "a_elem_reads":
+            out["read_a"] += count * t.elem_read
+        elif action == "a_net_transfers":
+            out["read_a"] += count * net.a_transfer_pj
+        elif action == "a_broadcasts":
+            out["read_a"] += count * t.broadcast_hop
+        elif action == "b_elem_reads":
+            out["read_b"] += count * t.elem_read
+        elif action == "b_net_transfers":
+            out["read_b"] += count * net.b_transfer_pj
+        elif action == "b_broadcasts":
+            out["read_b"] += count * t.broadcast_hop
+        elif action == "c_elem_writes":
+            out["write_c"] += count * t.elem_write
+        elif action == "c_net_transfers":
+            out["write_c"] += count * net.c_transfer_pj
+        elif action == "accum_accesses":
+            out["write_c"] += count * t.accum_access
+        elif action == "tile_fetches":
+            out["read_a"] += count * net.tile_transfer_pj
+        elif action == "meta_reads":
+            out["schedule"] += count * t.meta_read
+        elif action == "queue_ops":
+            out["schedule"] += count * t.queue_op
+        elif action == "dpg_active_cycles":
+            out["schedule"] += count * t.dpg_active_cycle
+        elif action == "dpg_gated_cycles":
+            out["schedule"] += count * t.dpg_gated_cycle
+        elif action == "sched_cycles":
+            out["schedule"] += count * t.sched_cycle
+        elif action == "mac_ops":
+            out["compute"] += count * t.mac_op
+        elif action == "lane_cycles":
+            out["compute"] += count * t.lane_cycle
+        else:
+            raise KeyError(f"unpriced action {action!r}")
+    return out
+
+
+def _bits(breakdown):
+    return [(key, value.hex()) for key, value in breakdown.items()]
+
+
+class TestPriceRow:
+    """``breakdown`` prices from a row cached per (table, profile), with
+    the same float operations as the chain: bit-identical energy."""
+
+    @pytest.mark.parametrize("table", [DEFAULT_TABLE, DEFAULT_TABLE.scaled(1.37)],
+                             ids=["default", "scaled"])
+    def test_every_stc_prices_as_the_chain(self, table):
+        model = EnergyModel(table)
+        rng = np.random.default_rng(34)
+        for name in registered_stcs():
+            net = profile_for(name)
+            for _ in range(40):
+                # Magnitudes from 1 to past 2^53, about a third of them zero.
+                counts = rng.integers(0, 1 << 62, len(ACTIONS)) >> rng.integers(0, 62, len(ACTIONS))
+                counts *= rng.random(len(ACTIONS)) < 0.65
+                counts[rng.integers(len(ACTIONS))] = (1 << 53) + 1 + rng.integers(1 << 20)
+                got = model.breakdown(Counters(counts=counts), name)
+                want = chain_breakdown(table, net, counts.tolist())
+                assert _bits(got) == _bits(want), name
+                assert sum(got.values()).hex() == sum(want.values()).hex()
+
+    def test_a_reassigned_table_reprices(self):
+        model = EnergyModel()
+        counters = Counters({"mac_ops": 3, "c_net_transfers": 5, "queue_ops": 7})
+        before = model.breakdown(counters, "uni-stc")
+        model.table = DEFAULT_TABLE.scaled(2.0)
+        after = model.breakdown(counters, "uni-stc")
+        assert _bits(after) == _bits(chain_breakdown(model.table, UNI_PROFILE,
+                                                     counters.counts.tolist()))
+        assert after["compute"] == 2 * before["compute"]
+        model.table = DEFAULT_TABLE
+        assert _bits(model.breakdown(counters, "uni-stc")) == _bits(before)

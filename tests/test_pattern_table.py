@@ -139,9 +139,9 @@ class TestBound:
 
 class TestWarmCases:
     def test_a_warm_case_interns_no_matrix_pattern(self, monkeypatch):
-        """Matrices and the SpMV/SpMM module tables cache their ids, so
-        enumerating a case a second time interns nothing but SpMSpV's
-        vector segments, which each call derives from ``x``."""
+        """Matrices, the SpMV/SpMM module tables and SpMSpV's vectors
+        cache their ids, so enumerating a case a second time interns
+        nothing at all."""
         cases = list(_sweep_cases())
         for kernel, a, operands in cases:
             kernel_task_batches(kernel, a, **operands)
@@ -151,10 +151,25 @@ class TestWarmCases:
                             lambda *lists: interned.append(lists) or intern(*lists))
         for kernel, a, operands in cases:
             kernel_task_batches(kernel, a, **operands)
-        assert len(interned) == sum(kernel == "spmspv" for kernel, _, _ in cases)
-        # One list each, of vector-segment fields (u16 length 2, 2 bytes).
-        assert all(len(lists) == 1 and all(len(key) == 4 for key in lists[0])
-                   for lists in interned)
+        assert interned == []
+
+    def test_a_vector_enumerated_after_a_reset_carries_current_ids(self, bound):
+        """A vector's cached segments re-intern in a new epoch, as a
+        matrix's patterns do: the batch's ids and keys are the new
+        epoch's, and name the same pattern bytes."""
+        for kernel, a, operands in _sweep_cases():
+            if kernel != "spmspv":
+                continue
+            (before,) = kernel_task_batches(kernel, a, **operands)
+            bound(1)
+            bound(DEFAULT_PATTERN_BOUND)
+            (after,) = kernel_task_batches(kernel, a, **operands)
+            assert before.epoch < after.epoch == PATTERNS.epoch
+            pairs = coalesce_raw(after)
+            keys = pairs.cache_keys("ns")
+            assert [PATTERNS.key_bytes(k) for k in keys] == _pair_bytes(pairs, "ns")
+            assert np.array_equal(before.b_patterns, after.b_patterns)
+            assert np.array_equal(before.b_index, after.b_index)
 
 
 class TestStaleKeys:

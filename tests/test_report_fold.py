@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -24,6 +25,7 @@ from repro.registry import create_stc, registered_stcs
 from repro.sim.blockcache import BlockCache
 from repro.sim.engine import simulate_kernel
 from repro.sim.parallel import simulate_parallel
+from repro.sim.results import SimReport
 from repro.store import ResultStore
 from repro.workloads.suitesparse import corpus
 from repro.workloads.synthetic import random_uniform
@@ -164,6 +166,16 @@ class TestParallelFoldPricesOnce:
                                            n_cores=4, cache=memo, **operands).fold()
                 case = (name, matrix, kernel)
                 assert folded.counters.as_dict() == serial.counters.as_dict(), case
+                # Every total but cycles, which follow the slowest core.
+                assert np.array_equal(folded.totals[1:], serial.totals[1:]), case
+                assert np.array_equal(folded.util_hist.bins, serial.util_hist.bins), case
                 assert folded.t1_tasks == serial.t1_tasks, case
                 assert folded.energy_breakdown == serial.energy_breakdown, case
                 assert folded.energy_pj == serial.energy_pj, case
+                for report in (serial, folded):
+                    text = json.dumps(report.as_json())
+                    back = SimReport.from_json(json.loads(text))
+                    assert back.totals.dtype == np.int64, case
+                    assert np.array_equal(back.totals, report.totals), case
+                    assert all(type(n) is int for n in back.totals.tolist()), case
+                    assert json.dumps(back.as_json()) == text, case

